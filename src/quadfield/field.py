@@ -2,7 +2,9 @@
 
 A uniform grid of element bounding boxes gives candidate elements; Newton
 inversion of the element map settles membership, with ties on shared edges
-broken toward the lowest element id so evaluation is deterministic.
+broken toward the lowest element id so evaluation is deterministic.  Each
+probe memoises its locations, since the valence circles test contains() and
+then evaluate the field at the same points.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ class FieldProbe:
     def __init__(self, solution):
         self.solution = solution
         self.mesh = solution.mesh
+        self._located = {}
         self._build_grid()
 
     def _build_grid(self):
@@ -81,8 +84,21 @@ class FieldProbe:
         return self._grid.get((i, j), [])
 
     def locate(self, x):
-        """(element id, xi) of the element containing x, or OUTSIDE."""
+        """(element id, xi) of the element containing x, or OUTSIDE.
+
+        Memoised on the bytes of x; xi is a fresh copy on every call.
+        """
         x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        loc = self._located.get(key)
+        if loc is None:
+            loc = self._located[key] = self._invert(x)
+        if loc is OUTSIDE:
+            return OUTSIDE
+        e, xi = loc
+        return e, xi.copy()
+
+    def _invert(self, x):
         for e in self.candidates(x):
             xi = self.mesh.invert_map(e, x)
             if xi is not NOT_IN_ELEMENT:
@@ -106,10 +122,6 @@ class FieldProbe:
         if v is OUTSIDE:
             return OUTSIDE
         return psi_of(v)
-
-    def sample_psi(self, x):
-        """eval_psi for tracing: Outside propagates as OUTSIDE."""
-        return self.eval_psi(x)
 
 
 def psi_of(uv):
@@ -142,8 +154,6 @@ class AnalyticProbe:
         if v is OUTSIDE:
             return OUTSIDE
         return psi_of(v)
-
-    sample_psi = eval_psi
 
     def contains(self, x):
         return self.region is None or bool(self.region(x))

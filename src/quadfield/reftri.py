@@ -7,6 +7,15 @@ along the edges so that shared-edge node sets coincide between neighboring
 elements).  The orthonormal Dubiner basis provides Vandermonde matrices from
 which Lagrange basis values and gradients at arbitrary points follow.
 
+DubinerKernel builds every Dubiner mode and its gradient for all points in
+one pass (the all-modes Vandermonde of Hesthaven & Warburton, 2008): one
+three-term Jacobi recurrence runs over an array of (alpha, beta) families,
+one column per family.  Its constants are the Python floats that the
+recursion for a single family computes, and every table entry goes through
+the same IEEE operations in the same order as that recursion run once per
+mode, so the Vandermonde matrices are bit-identical to the per-mode
+construction; only the Python overhead per mode is gone.
+
 Quadrature uses collapsed-coordinate Gauss x Gauss-Jacobi(1,0) rules: with n
 points per direction the rule is exact for total degree 2n - 1, has strictly
 positive weights, and the weights sum to the reference area 2.
@@ -31,19 +40,18 @@ def n_nodes(order):
     return (order + 1) * (order + 2) // 2
 
 
-def jacobi_polynomial(x, alpha, beta, n):
-    """Orthonormal Jacobi polynomial values (L2-normalized on [-1,1])."""
-    x = np.asarray(x, dtype=float)
+def _jacobi_constants(alpha, beta, n):
+    """Python-float constants of the orthonormal Jacobi recurrence up to degree n.
+
+    Returns (p0, c1, c2, sqrt_gamma1, steps): P_0 = p0, P_1(x) =
+    (c1 * x / 2 + c2) / sqrt_gamma1, and steps[k - 1] = (b, a_old, a_new)
+    gives P_{k+1}(x) = ((x - b) * P_k(x) - a_old * P_{k-1}(x)) / a_new.
+    """
     gamma0 = (2.0 ** (alpha + beta + 1) / (alpha + beta + 1.0)
               * math.gamma(alpha + 1) * math.gamma(beta + 1)
               / math.gamma(alpha + beta + 1))
-    p_prev = np.full_like(x, 1.0 / math.sqrt(gamma0))
-    if n == 0:
-        return p_prev
     gamma1 = (alpha + 1.0) * (beta + 1.0) / (alpha + beta + 3.0) * gamma0
-    p = ((alpha + beta + 2.0) * x / 2.0 + (alpha - beta) / 2.0) / math.sqrt(gamma1)
-    if n == 1:
-        return p
+    steps = []
     aold = (2.0 / (2.0 + alpha + beta)
             * math.sqrt((alpha + 1.0) * (beta + 1.0) / (alpha + beta + 3.0)))
     for i in range(1, n):
@@ -53,16 +61,10 @@ def jacobi_polynomial(x, alpha, beta, n):
                             * (i + 1.0 + alpha) * (i + 1.0 + beta)
                             / ((h1 + 1.0) * (h1 + 3.0))))
         bnew = -(alpha * alpha - beta * beta) / (h1 * (h1 + 2.0))
-        p, p_prev = ((x - bnew) * p - aold * p_prev) / anew, p
+        steps.append((bnew, aold, anew))
         aold = anew
-    return p
-
-
-def grad_jacobi_polynomial(x, alpha, beta, n):
-    if n == 0:
-        return np.zeros_like(np.asarray(x, dtype=float))
-    return (math.sqrt(n * (n + alpha + beta + 1.0))
-            * jacobi_polynomial(x, alpha + 1, beta + 1, n - 1))
+    return (1.0 / math.sqrt(gamma0), alpha + beta + 2.0, (alpha - beta) / 2.0,
+            math.sqrt(gamma1), steps)
 
 
 def gauss_lobatto(order):
@@ -80,60 +82,129 @@ def _xi_to_ab(xi):
     return a, s
 
 
-def dubiner(xi, i, j):
-    a, b = _xi_to_ab(np.asarray(xi, dtype=float))
-    h1 = jacobi_polynomial(a, 0.0, 0.0, i)
-    h2 = jacobi_polynomial(b, 2.0 * i + 1.0, 0.0, j)
-    return math.sqrt(2.0) * h1 * h2 * (1.0 - b) ** i
-
-
-def grad_dubiner(xi, i, j):
-    a, b = _xi_to_ab(np.asarray(xi, dtype=float))
-    fa = jacobi_polynomial(a, 0.0, 0.0, i)
-    dfa = grad_jacobi_polynomial(a, 0.0, 0.0, i)
-    gb = jacobi_polynomial(b, 2.0 * i + 1.0, 0.0, j)
-    dgb = grad_jacobi_polynomial(b, 2.0 * i + 1.0, 0.0, j)
-
-    dr = dfa * gb
-    if i > 0:
-        dr = dr * (0.5 * (1.0 - b)) ** (i - 1)
-    ds = dfa * gb * 0.5 * (1.0 + a)
-    if i > 0:
-        ds = ds * (0.5 * (1.0 - b)) ** (i - 1)
-    tmp = dgb * (0.5 * (1.0 - b)) ** i
-    if i > 0:
-        tmp = tmp - 0.5 * i * gb * (0.5 * (1.0 - b)) ** (i - 1)
-    ds = ds + fa * tmp
-    scale = 2.0 ** (i + 0.5)
-    return dr * scale, ds * scale
-
-
 def _index_pairs(order):
     return [(i, j) for i in range(order + 1) for j in range(order + 1 - i)]
 
 
-def dubiner_vandermonde(order, xi):
-    xi = np.asarray(xi, dtype=float)
-    cols = [dubiner(xi, i, j) for i, j in _index_pairs(order)]
-    return np.stack(cols, axis=1)
+class _JacobiTable:
+    """Orthonormal Jacobi values of many (alpha, beta) families in one recurrence.
+
+    families: [(alpha, beta, top degree)] with non-increasing top degrees,
+    the first one >= 1.  The families still recurring at degree k are then a
+    prefix, and each step of the recurrence is one slice over all points and
+    families.
+    """
+
+    def __init__(self, families):
+        tops = [top for _, _, top in families]
+        self.top = tops[0]
+        consts = [_jacobi_constants(al, be, top) for al, be, top in families]
+        self.rows = [sum(t >= k for t in tops) for k in range(self.top + 1)]
+        self.p0 = np.array([c[0] for c in consts])
+        linear = consts[:self.rows[1]]
+        self.c1, self.c2, self.sqrt_gamma1 = (np.array([c[q] for c in linear]) for q in (1, 2, 3))
+        self.steps = []                      # per degree: (b, a_old, a_new) arrays
+        for k in range(1, self.top):
+            live = [c[4][k - 1] for c in consts[:self.rows[k + 1]]]
+            self.steps.append(tuple(np.array(v) for v in zip(*live)))
+
+    def __call__(self, x):
+        """x: (npts, nfam) abscissae -> (npts, nfam, top + 1); zero above a family's top."""
+        out = np.zeros(x.shape + (self.top + 1,))
+        out[:, :, 0] = self.p0
+        n = self.rows[1]
+        out[:, :n, 1] = (self.c1 * x[:, :n] / 2.0 + self.c2) / self.sqrt_gamma1
+        for k, (bnew, aold, anew) in enumerate(self.steps, start=1):
+            n = self.rows[k + 1]
+            out[:, :n, k + 1] = ((x[:, :n] - bnew) * out[:, :n, k]
+                                 - aold * out[:, :n, k - 1]) / anew
+        return out
 
 
-def dubiner_grad_vandermonde(order, xi):
-    xi = np.asarray(xi, dtype=float)
-    vr, vs = [], []
-    for i, j in _index_pairs(order):
-        dr, ds = grad_dubiner(xi, i, j)
-        vr.append(dr)
-        vs.append(ds)
-    return np.stack(vr, axis=1), np.stack(vs, axis=1)
+class DubinerKernel:
+    """Every orthonormal Dubiner mode of one order, and its gradient, at once.
+
+    Mode (i, j) is sqrt(2) P_i^(0,0)(a) P_j^(2i+1,0)(b) (1 - b)^i in the
+    collapsed coordinates (a, b), and d/dx P_n^(al,be) =
+    sqrt(n (n + al + be + 1)) P_{n-1}^(al+1,be+1) (Hesthaven & Warburton,
+    2008, sec. 6.1).  One _JacobiTable holds the four kinds of Jacobi factor
+    of every mode at every point.  Modes are ordered i-major, so those with
+    i > 0 are a suffix and get the (1 - b)^(i-1) factors as one slice.
+    """
+
+    def __init__(self, order):
+        self.order = p = order
+        pairs = _index_pairs(p)
+        upper = pairs[p + 1:]                            # modes with i > 0
+        jpos = [(i, j) for i, j in pairs if j > 0]
+        # (key, alpha, beta, top degree) of P^(0,0)(a), P^(2i+1,0)(b) and of
+        # their derivative families P^(1,1)(a), P^(2i+2,1)(b)
+        fams = ([("a", 0.0, 0.0, p)]
+                + [(("b", i), 2.0 * i + 1.0, 0.0, p - i) for i in range(p + 1)]
+                + [("da", 1.0, 1.0, p - 1)]
+                + [(("db", i), 2.0 * i + 2.0, 1.0, p - i - 1) for i in range(p)])
+        fams.sort(key=lambda f: -f[3])
+        col = {f[0]: c for c, f in enumerate(fams)}
+        self._jacobi = _JacobiTable([f[1:] for f in fams])
+        self._on_a = np.array([f[0] in ("a", "da") for f in fams])
+
+        self.i = np.array([i for i, _ in pairs])
+        self.j = np.array([j for _, j in pairs])
+        self._upper = slice(p + 1, None)
+        self._i_up_m1 = np.array([i - 1 for i, _ in upper])
+        self._has_dgb = self.j > 0
+        self._j_m1 = np.array([j - 1 for _, j in jpos])
+        self._col_a, self._col_da = col["a"], col["da"]
+        self._col_b = np.array([col[("b", i)] for i, _ in pairs])
+        self._col_db = np.array([col[("db", i)] for i, _ in jpos])
+        # sqrt(n (n + alpha + beta + 1)) of d/dx P_n; every sum is an exact integer
+        self._dfa_scale = np.array([math.sqrt(i * (i + 1.0)) for i, _ in upper])
+        self._dgb_scale = np.array([math.sqrt(j * (j + 2.0 * i + 2.0)) for i, j in jpos])
+        self._half_i = np.array([0.5 * i for i, _ in upper])
+        self._grad_scale = np.array([2.0 ** (i + 0.5) for i, _ in pairs])
+
+    def _table(self, xi):
+        a, b = _xi_to_ab(np.asarray(xi, dtype=float))
+        return a, b, self._jacobi(np.where(self._on_a, a[:, None], b[:, None]))
+
+    def _powers(self, base):
+        return np.stack([base ** n for n in range(self.order + 1)], axis=1)
+
+    def values(self, xi):
+        """Vandermonde matrix V[p, m] = mode m at xi[p]: shape (npts, n_modes)."""
+        a, b, t = self._table(xi)
+        return (math.sqrt(2.0) * t[:, self._col_a, self.i] * t[:, self._col_b, self.j]
+                * self._powers(1.0 - b)[:, self.i])
+
+    def gradients(self, xi):
+        """(d/dr, d/ds) of the Vandermonde matrix: two (npts, n_modes) arrays."""
+        a, b, t = self._table(xi)
+        up = self._upper
+        fa = t[:, self._col_a, self.i]
+        gb = t[:, self._col_b, self.j]
+        dfa = np.zeros_like(fa)
+        dfa[:, up] = self._dfa_scale * t[:, self._col_da, self._i_up_m1]
+        dgb = np.zeros_like(gb)
+        dgb[:, self._has_dgb] = self._dgb_scale * t[:, self._col_db, self._j_m1]
+        hp = self._powers(0.5 * (1.0 - b))
+        hp_up = hp[:, self._i_up_m1]
+        dr = dfa * gb
+        ds = dr * 0.5 * (1.0 + a)[:, None]
+        dr[:, up] *= hp_up
+        ds[:, up] *= hp_up
+        tmp = dgb * hp[:, self.i]
+        tmp[:, up] -= self._half_i * gb[:, up] * hp_up
+        ds = ds + fa * tmp
+        return dr * self._grad_scale, ds * self._grad_scale
 
 
 def _warp_factor(order, rout):
     """1D warp from equidistant to Gauss-Lobatto, evaluated at rout."""
     lgl = gauss_lobatto(order)
     req = np.linspace(-1.0, 1.0, order + 1)
-    veq = np.stack([jacobi_polynomial(req, 0.0, 0.0, n) for n in range(order + 1)], axis=1)
-    pmat = np.stack([jacobi_polynomial(rout, 0.0, 0.0, n) for n in range(order + 1)], axis=1)
+    legendre = _JacobiTable([(0.0, 0.0, order)])
+    veq = legendre(req[:, None])[:, 0]
+    pmat = legendre(rout[:, None])[:, 0]
     lagrange = np.linalg.solve(veq.T, pmat.T)
     warp = lagrange.T @ (lgl - req)
     zerof = (np.abs(rout) < 1.0 - 1e-10).astype(float)
@@ -220,7 +291,8 @@ class RefTriangle:
         self.order = order
         self.nodes = warp_blend_nodes(order)
         self.n_nodes = len(self.nodes)
-        self.vandermonde = dubiner_vandermonde(order, self.nodes)
+        self.kernel = DubinerKernel(order)
+        self.vandermonde = self.kernel.values(self.nodes)
         self.v_inv = np.linalg.inv(self.vandermonde)
         self.quad_points, self.quad_weights = collapsed_quadrature(order + 2)
         self.basis_q = self.basis_at(self.quad_points)
@@ -232,11 +304,11 @@ class RefTriangle:
 
     def basis_at(self, xi):
         """Lagrange basis values: shape (npts, n_nodes)."""
-        return dubiner_vandermonde(self.order, xi) @ self.v_inv
+        return self.kernel.values(xi) @ self.v_inv
 
     def grad_basis_at(self, xi):
         """Lagrange basis gradients: shape (npts, n_nodes, 2)."""
-        vr, vs = dubiner_grad_vandermonde(self.order, xi)
+        vr, vs = self.kernel.gradients(xi)
         return np.stack([vr @ self.v_inv, vs @ self.v_inv], axis=2)
 
     # ---- node classification ----------------------------------------------

@@ -67,7 +67,8 @@ def newton_locate(e, solution):
     xi = BARYCENTER.copy()
     for _ in range(NEWTON_MAX_ITER):
         val = solution.eval(e, xi)[0]
-        if math.hypot(val[0], val[1]) < NEWTON_TOL:
+        vmag = math.hypot(val[0], val[1])
+        if vmag < NEWTON_TOL:
             break
         jac = solution.eval_ref_gradient(e, xi)[0]     # d(u,v)/d(xi)
         det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
@@ -79,10 +80,6 @@ def newton_locate(e, solution):
         if np.abs(xi).max() > 10.0:
             return None
     else:
-        return None
-    val = solution.eval(e, xi)[0]
-    vmag = math.hypot(val[0], val[1])
-    if vmag >= NEWTON_TOL:
         return None
     if not in_reference(xi, slack=NEWTON_SLACK):
         return None            # dismissed: a neighbor search will find it

@@ -90,10 +90,6 @@ class FunctionBC:
         return self.values_at(elem, ledge, self.mesh.ref.edge_node_params)
 
 
-def assemble_dirichlet_bc(mesh, domain):
-    return CrossFieldBC(mesh, domain)
-
-
 class FieldSolution:
     """Per-element modal-free coefficient arrays of the solved components."""
 
@@ -158,9 +154,14 @@ class FieldSolution:
 # ---- shared element/face machinery -------------------------------------------
 
 
-def element_stiffness(mesh, e):
-    ref = mesh.ref
-    jac = np.einsum("pnd,nx->pxd", ref.grad_q, mesh.geom[e])     # (nq,2,2)
+def _physical_gradients(grad, geom):
+    """(jac, det, gphys) of an element map at reference points.
+
+    grad: (npts, nb, 2) reference basis gradients; geom: (nb, 2) element
+    nodes.  jac is d(x)/d(xi) (npts, 2, 2) and gphys the physical basis
+    gradients (npts, nb, 2).
+    """
+    jac = np.einsum("pnd,nx->pxd", grad, geom)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     inv = np.empty_like(jac)
     inv[:, 0, 0] = jac[:, 1, 1] / det
@@ -168,7 +169,12 @@ def element_stiffness(mesh, e):
     inv[:, 1, 0] = -jac[:, 1, 0] / det
     inv[:, 1, 1] = jac[:, 0, 0] / det
     # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x))
-    gphys = np.einsum("pds,pnd->pns", inv, ref.grad_q)
+    return jac, det, np.einsum("pds,pnd->pns", inv, grad)
+
+
+def element_stiffness(mesh, e):
+    ref = mesh.ref
+    _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[e])
     w = ref.quad_weights * det
     return np.einsum("p,pns,pms->nm", w, gphys, gphys), gphys, w
 
@@ -183,15 +189,7 @@ class FaceGeometry:
         xi = ref.edge_points(ledge, s)
         self.xi = xi
         self.basis = ref.basis_at(xi)
-        grad = ref.grad_basis_at(xi)
-        jac = np.einsum("pnd,nx->pxd", grad, mesh.geom[elem])
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        inv = np.empty_like(jac)
-        inv[:, 0, 0] = jac[:, 1, 1] / det
-        inv[:, 0, 1] = -jac[:, 0, 1] / det
-        inv[:, 1, 0] = -jac[:, 1, 0] / det
-        inv[:, 1, 1] = jac[:, 0, 0] / det
-        self.gphys = np.einsum("pds,pnd->pns", inv, grad)
+        jac, _, self.gphys = _physical_gradients(ref.grad_basis_at(xi), mesh.geom[elem])
         from .reftri import VERTICES
         dxi_ds = 0.5 * (VERTICES[(ledge + 1) % 3] - VERTICES[ledge])
         tang = np.einsum("pxd,d->px", jac, dxi_ds)
@@ -349,15 +347,7 @@ def build_dg_system(mesh, bc, choice):
         fL = FaceGeometry(mesh, eL, leL)
         fR_xi = _matched_face_points(mesh, eR, leR, fL)
         BR = ref.basis_at(fR_xi)
-        gradR = ref.grad_basis_at(fR_xi)
-        jacR = np.einsum("pnd,nx->pxd", gradR, mesh.geom[eR])
-        detR = jacR[:, 0, 0] * jacR[:, 1, 1] - jacR[:, 0, 1] * jacR[:, 1, 0]
-        invR = np.empty_like(jacR)
-        invR[:, 0, 0] = jacR[:, 1, 1] / detR
-        invR[:, 0, 1] = -jacR[:, 0, 1] / detR
-        invR[:, 1, 0] = -jacR[:, 1, 0] / detR
-        invR[:, 1, 1] = jacR[:, 0, 0] / detR
-        gphysR = np.einsum("pds,pnd->pns", invR, gradR)
+        _, _, gphysR = _physical_gradients(ref.grad_basis_at(fR_xi), mesh.geom[eR])
 
         BL = fL.basis
         DnL = fL.normal_deriv()
@@ -458,7 +448,7 @@ def corner_elements(mesh, domain, rings=2):
 
 
 def solve_guiding_field(mesh, domain, choice):
-    bc = assemble_dirichlet_bc(mesh, domain)
+    bc = CrossFieldBC(mesh, domain)
     sol = solve_laplace(mesh, bc, choice)
     sol.check_max_principle(exclude=corner_elements(mesh, domain))
     return sol

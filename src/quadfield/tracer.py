@@ -1,10 +1,10 @@
 """Separatrix tracing: synchronized Adams-Bashforth streamline integration.
 
 Every irregular node and corner launches its refined directions; all fronts
-advance one step per round (order ramps AB1 -> AB4), meeting pairs merge with
-trigonometric weights, and fronts that leave the domain are cut and snapped
-onto the true boundary.  Everything is ordered deterministically so repeated
-runs are bit-identical.
+advance one step per round (RK4 until a streamline has four directions, AB4
+from then on), meeting pairs merge with trigonometric weights, and fronts
+that leave the domain are cut and snapped onto the true boundary.
+Everything is ordered deterministically so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -25,12 +25,8 @@ DEFAULT_N_MAX = 100_000
 DEFAULT_LENGTH_FACTOR = 60.0
 DEFAULT_KAPPA = 5.0
 
-_AB_COEFFS = (
-    (1.0,),
-    (1.5, -0.5),
-    (23.0 / 12.0, -16.0 / 12.0, 5.0 / 12.0),
-    (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0),
-)
+# AB4 weights of the last four directions, newest first
+_AB4_COEFFS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
 
 
 @dataclass
@@ -96,7 +92,7 @@ def _probe_psi(origin, alpha, probe, c):
     step = np.array([math.cos(alpha), math.sin(alpha)])
     dist = c
     for _ in range(6):
-        psi = probe.sample_psi(origin + dist * step)
+        psi = probe.eval_psi(origin + dist * step)
         if psi is not OUTSIDE:
             return psi
         dist *= 0.5
@@ -161,7 +157,7 @@ def _rk4_step(sl, h, probe):
     ks = [k1]
     for frac, kprev in ((0.5, k1), (0.5, None), (1.0, None)):
         kp = ks[-1] if kprev is None else kprev
-        psi = probe.sample_psi(x + frac * h * kp)
+        psi = probe.eval_psi(x + frac * h * kp)
         if psi is OUTSIDE:
             return x + h * k1          # exiting: order is irrelevant, cut follows
         ks.append(_unit(adjust_branch(psi, alpha0)))
@@ -173,9 +169,8 @@ def _ab_step(sl, h, probe):
     """Adams-Bashforth 4 once enough history exists; RK4 startup before that."""
     if len(sl.alphas) < 4:
         return _rk4_step(sl, h, probe)
-    coeffs = _AB_COEFFS[3]
     delta = np.zeros(2)
-    for c, alpha in zip(coeffs, sl.alphas[::-1]):
+    for c, alpha in zip(_AB4_COEFFS, sl.alphas[::-1]):
         delta += c * _unit(alpha)
     return sl.front() + h * delta
 
@@ -275,7 +270,7 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
                    key=lambda sl: sl.order_key())
     for sl in order:
         candidate = _ab_step(sl, h, probe)
-        psi = probe.sample_psi(candidate)
+        psi = probe.eval_psi(candidate)
         if psi is OUTSIDE:
             if domain is None or registry is None:
                 raise TracingError("streamline left the domain with no boundary handler")

@@ -155,8 +155,6 @@ class TriMesh:
                 return NOT_IN_ELEMENT
         else:
             return NOT_IN_ELEMENT
-        if np.hypot(*(self.map_to_physical(e, xi)[0] - x)) >= tol:
-            return NOT_IN_ELEMENT
         if not in_reference(xi, slack=slack):
             return NOT_IN_ELEMENT
         return xi

@@ -153,7 +153,7 @@ def test_midpoint_division_equilateral_symmetry():
             super().__init__(lambda x, y: (1.0, 0.0))
             self.mesh = type("M", (), {"bbox_diag": 2.0})()
 
-        def sample_psi(self, p):
+        def eval_psi(self, p):
             from quadfield.field import OUTSIDE
             if not fd.contains(p):
                 return OUTSIDE

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from quadfield.errors import TopologyError
-from quadfield.field import (OUTSIDE, AnalyticProbe, adjust_branch,
+from quadfield.field import (OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch,
                              cross_vectors, psi_of)
 from quadfield.geometry import boundary_field, tangent_angle
+from quadfield.trimesh import TriMesh
 
 
 def test_locate_barycenter(half_disc_probe, half_disc_mesh):
@@ -19,6 +20,31 @@ def test_locate_barycenter(half_disc_probe, half_disc_mesh):
 
 def test_locate_far_outside(half_disc_probe):
     assert half_disc_probe.locate(np.array([30.0, 30.0])) is OUTSIDE
+
+
+def test_locate_memo_skips_inversion_and_returns_copies(half_disc_solution, monkeypatch):
+    probe = FieldProbe(half_disc_solution)
+    x = half_disc_solution.mesh.map_to_physical(5, np.array([-0.4, -0.3]))[0]
+    first = probe.locate(x)
+    expected = first[1].copy()
+    calls = []
+    invert_map = TriMesh.invert_map
+
+    def counted(self, e, y, **kw):
+        calls.append(e)
+        return invert_map(self, e, y, **kw)
+
+    monkeypatch.setattr(TriMesh, "invert_map", counted)
+    second = probe.locate(x.copy())
+    assert calls == []
+    assert second[0] == first[0] == 5
+    first[1][:] = 99.0
+    second[1][:] = 99.0
+    third = probe.locate(x)
+    assert calls == []
+    assert np.array_equal(third[1], expected)
+    probe.locate(x + 1e-3)
+    assert calls                      # a new point is still inverted
 
 
 def test_locate_tie_break_lower_id(half_disc_probe, half_disc_mesh):

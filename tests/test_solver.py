@@ -5,9 +5,9 @@ import pytest
 
 from quadfield.errors import SolverError
 from quadfield.reftri import quadrature_for_degree
-from quadfield.solver import (DiscretizationChoice, FunctionBC,
-                              assemble_dirichlet_bc, build_cg_system,
-                              build_dg_system, choose_discretization, jump_norm,
+from quadfield.solver import (CrossFieldBC, DiscretizationChoice, FunctionBC,
+                              build_cg_system, build_dg_system,
+                              choose_discretization, jump_norm,
                               solve_guiding_field, solve_laplace)
 from quadfield.geometry import load_fixture
 from quadfield.trimesh import TriMesh, elevate_and_curve, generate_background_mesh
@@ -114,7 +114,7 @@ def test_max_principle_half_disc(half_disc_solution):
 
 
 def test_singular_system_rejected(half_disc, half_disc_mesh):
-    bc = assemble_dirichlet_bc(half_disc_mesh, half_disc)
+    bc = CrossFieldBC(half_disc_mesh, half_disc)
     bare = TriMesh(half_disc_mesh.vertices, half_disc_mesh.triangles,
                    half_disc_mesh.order, half_disc_mesh.geom,
                    half_disc_mesh.boundary_faces, domain=half_disc)
@@ -135,7 +135,7 @@ class _EmptyBC:
 
 def test_boundary_data_one_sided(polygon_iii, polygon_iii_pipeline):
     mesh, _, _, _, _ = polygon_iii_pipeline
-    bc = assemble_dirichlet_bc(mesh, polygon_iii)
+    bc = CrossFieldBC(mesh, polygon_iii)
     sharp = next(c for c in polygon_iii.corner_inventory()
                  if not c.bc_continuous and c.delta_theta < 1.0)
     incident = []
@@ -161,7 +161,7 @@ def test_jump_norm_dg_polygon(polygon_iii):
     jumps = {}
     for order in (2, 5):
         mesh = elevate_and_curve(lin, order, polygon_iii)
-        sol = solve_laplace(mesh, assemble_dirichlet_bc(mesh, polygon_iii),
+        sol = solve_laplace(mesh, CrossFieldBC(mesh, polygon_iii),
                             DiscretizationChoice("dg", order))
         per_edge, summary = jump_norm(sol)
         jumps[order] = summary["max"]

@@ -5,6 +5,7 @@ import pytest
 
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line
+from quadfield.reftri import RefTriangle
 from quadfield.trimesh import (NOT_IN_ELEMENT, BoundaryFace, TriMesh,
                                elevate_and_curve, generate_background_mesh)
 
@@ -118,6 +119,28 @@ def test_invert_map_roundtrip(half_disc_mesh):
         xi2 = mesh.invert_map(e, x)
         assert xi2 is not NOT_IN_ELEMENT
         assert np.abs(xi - xi2).max() < 1e-10
+
+
+def test_invert_map_evaluates_the_map_once_per_iteration(half_disc_mesh, monkeypatch):
+    mesh = half_disc_mesh
+    x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
+    calls = {"basis_at": 0, "grad_basis_at": 0}
+
+    def counted(name):
+        method = getattr(RefTriangle, name)
+
+        def wrapper(self, xi):
+            calls[name] += 1
+            return method(self, xi)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(RefTriangle, name, counted(name))
+    assert mesh.invert_map(3, x) is not NOT_IN_ELEMENT
+    # every iteration maps xi once; all but the converged one also take the
+    # Jacobian, and nothing is evaluated after convergence
+    assert calls["grad_basis_at"] >= 1
+    assert calls["basis_at"] == calls["grad_basis_at"] + 1
 
 
 def test_invert_map_outside(half_disc_mesh):
