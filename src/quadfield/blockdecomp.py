@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import polyline
 from .errors import DecompositionError
 from .errors import TracingError
 from .tracer import Anchor, Streamline, advance_all, refine_direction
@@ -29,7 +30,7 @@ class VertexRec:
     corner_valence: int = -1    # kind == "corner" only
 
 
-@dataclass
+@dataclass(eq=False)            # identity equality: records.remove must not compare polylines
 class EdgeRec:
     v0: tuple
     v1: tuple
@@ -143,7 +144,7 @@ def _trim_near_anchors(points):
     pts = np.asarray(points, dtype=float)
     if len(pts) < 4:
         return pts
-    step = float(np.median(np.hypot(*np.diff(pts, axis=0).T)))
+    step = float(np.median(polyline.seglen(pts)))
     keep = [pts[0]]
     for p in pts[1:-1]:
         if np.hypot(*(p - pts[0])) > 1.05 * step and \
@@ -171,47 +172,6 @@ def separatrix_records(separatrices, vertices):
 # ---- geometric crossing checks ------------------------------------------------
 
 
-def _seg_intersection(p, p2, q, q2):
-    """Proper intersection point of two closed segments, or None."""
-    r = p2 - p
-    s = q2 - q
-    denom = r[0] * s[1] - r[1] * s[0]
-    if abs(denom) < 1e-18:
-        return None
-    dq = q - p
-    t = (dq[0] * s[1] - dq[1] * s[0]) / denom
-    u = (dq[0] * r[1] - dq[1] * r[0]) / denom
-    if 1e-9 < t < 1 - 1e-9 and 1e-9 < u < 1 - 1e-9:
-        return p + t * r
-    return None
-
-
-def _polyline_intersections(pa, pb, skip_ends=True):
-    """Proper crossings between two dense polylines: list of (sa, point)."""
-    out = []
-    amin = pa.min(axis=0) - 1e-12
-    amax = pa.max(axis=0) + 1e-12
-    if (pb.max(axis=0) < amin).any() or (pb.min(axis=0) > amax).any():
-        return out
-    la = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pa, axis=0).T))])
-    for i in range(len(pa) - 1):
-        for j in range(len(pb) - 1):
-            x = _seg_intersection(pa[i], pa[i + 1], pb[j], pb[j + 1])
-            if x is not None:
-                frac = np.hypot(*(x - pa[i]))
-                out.append((la[i] + frac, x))
-    return out
-
-
-def _local_direction(poly, point):
-    d2 = np.sum((poly - point) ** 2, axis=1)
-    i = int(np.argmin(d2))
-    j = min(i + 1, len(poly) - 1)
-    k = max(i - 1, 0)
-    d = poly[j] - poly[k]
-    return math.atan2(d[1], d[0])
-
-
 TANGENTIAL_CROSSING_DEG = 25.0
 
 
@@ -228,7 +188,7 @@ def resolve_crossings(vertices, records):
         for b in records:
             if b.kind != "boundary":
                 continue
-            if _polyline_intersections(r.polyline, b.polyline):
+            if polyline.intersections(r.polyline, b.polyline):
                 raise DecompositionError(
                     "invalid separatrix graph: a separatrix crosses the boundary")
 
@@ -238,17 +198,19 @@ def resolve_crossings(vertices, records):
         movable = [r for r in records if r.kind != "boundary"]
         for i, a in enumerate(movable):
             for b in movable[i + 1:]:
-                hits = _polyline_intersections(a.polyline, b.polyline)
+                hits = polyline.intersections(a.polyline, b.polyline)
                 if hits:
-                    found = (a, b, sorted(hits)[0][1])
+                    found = (a, b, min(hits, key=lambda hx: hx[0])[1])
                     break
             if found:
                 break
         if not found:
             return records
         a, b, x = found
-        ang = abs(math.remainder(_local_direction(a.polyline, x)
-                                 - _local_direction(b.polyline, x), math.pi))
+        # tangent directions at the polyline points nearest to the crossing
+        da, db = (polyline.direction(p, int(np.argmin(np.sum((p - x) ** 2, axis=1))))
+                  for p in (a.polyline, b.polyline))
+        ang = abs(math.remainder(da - db, math.pi))
         acute = min(ang, math.pi - ang)
         if acute < math.radians(TANGENTIAL_CROSSING_DEG):
             raise DecompositionError(
@@ -257,14 +219,16 @@ def resolve_crossings(vertices, records):
         key = ("cross", f"sx{counter}")
         counter += 1
         vertices[key] = VertexRec(key, np.asarray(x, dtype=float), "cross")
-        a1, a2 = _split_polyline_at(a.polyline, x)
-        b1, b2 = _split_polyline_at(b.polyline, x)
-        records.remove(a)
-        records.remove(b)
-        records.append(EdgeRec(a.v0, key, a1, a.kind, loop=a.loop))
-        records.append(EdgeRec(key, a.v1, a2, a.kind, loop=a.loop))
-        records.append(EdgeRec(b.v0, key, b1, b.kind, loop=b.loop))
-        records.append(EdgeRec(key, b.v1, b2, b.kind, loop=b.loop))
+        _split_record(records, a, x, key)
+        _split_record(records, b, x, key)
+
+
+def _split_record(records, rec, point, key):
+    """Replace rec in records by its two halves, joined at vertex key."""
+    first, second = polyline.split_at(rec.polyline, point)
+    records.remove(rec)
+    records.append(EdgeRec(rec.v0, key, first, rec.kind, loop=rec.loop))
+    records.append(EdgeRec(key, rec.v1, second, rec.kind, loop=rec.loop))
 
 
 # ---- half-edge structure -------------------------------------------------------
@@ -473,47 +437,6 @@ def _side_polyline(sub, hes):
     return np.vstack(pts)
 
 
-def _arclength_midpoint(poly):
-    seg = np.hypot(*np.diff(poly, axis=0).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    smid = 0.5 * cum[-1]
-    i = int(np.searchsorted(cum, smid) - 1)
-    i = max(0, min(i, len(poly) - 2))
-    f = (smid - cum[i]) / max(cum[i + 1] - cum[i], 1e-300)
-    return poly[i] + f * (poly[i + 1] - poly[i]), smid
-
-
-def _dist_to_polyline(poly, point):
-    best = math.inf
-    for i in range(len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        ab = b - a
-        L2 = float(ab @ ab)
-        f = 0.0 if L2 == 0 else float(np.clip((point - a) @ ab / L2, 0.0, 1.0))
-        best = min(best, float(np.hypot(*(a + f * ab - point))))
-    return best
-
-
-def _split_polyline_at(poly, point):
-    """Split a dense polyline at the given on-curve point."""
-    d2 = np.sum((poly - point) ** 2, axis=1)
-    best, bestf, bestd = 0, 0.0, math.inf
-    for i in range(len(poly) - 1):
-        a, b = poly[i], poly[i + 1]
-        ab = b - a
-        L2 = float(ab @ ab)
-        f = 0.0 if L2 == 0 else float(np.clip((point - a) @ ab / L2, 0.0, 1.0))
-        p = a + f * ab
-        d = float(np.hypot(*(p - point)))
-        if d < bestd:
-            best, bestf, bestd = i, f, d
-    first = np.vstack([poly[:best + 1], [point]])
-    second = np.vstack([[point], poly[best + 1:]])
-    if len(second) < 2:
-        second = np.vstack([[point], poly[-1:]])
-    return first, second
-
-
 def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000):
     """Integrate a field streamline from origin until it terminates.
 
@@ -548,22 +471,15 @@ def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000
     return np.asarray(sl.points), reg.hit
 
 
-def _tail_direction(poly, i):
-    j = min(i + 1, len(poly) - 1)
-    d = poly[j] - poly[max(i - 1, 0)]
-    return math.atan2(d[1], d[0])
-
-
 def _pick_node(tail, exit_len, m1, m2):
     """Node on the tail whose straight branches best sit at +-2pi/3."""
-    seg = np.hypot(*np.diff(tail, axis=0).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    cum = polyline.cumlen(tail)
     best = None
     best_err = math.inf
     for i in range(1, len(tail) - 1):
         if cum[i] < 0.08 * exit_len or cum[i] > 0.92 * exit_len:
             continue
-        d = _tail_direction(tail, i)
+        d = polyline.direction(tail, i)
         a1 = math.atan2(*(m1 - tail[i])[::-1])
         a2 = math.atan2(*(m2 - tail[i])[::-1])
         plus, minus = d + 2 * math.pi / 3, d - 2 * math.pi / 3
@@ -634,19 +550,19 @@ class MidpointDivider:
 
         poly_out = _side_polyline(sub, adj_out[1])
         poly_in = _side_polyline(sub, adj_in[1])
-        m1, _ = _arclength_midpoint(poly_out)
-        m2, _ = _arclength_midpoint(poly_in)
+        m1 = polyline.midpoint(poly_out)
+        m2 = polyline.midpoint(poly_in)
 
         # first exit of the tail through the rest of the face boundary
         exits = []
-        tail_len = float(np.sum(np.hypot(*np.diff(tail, axis=0).T)))
+        tail_len = float(np.sum(polyline.seglen(tail)))
         for skey, hes in others:
             spoly = _side_polyline(sub, hes)
-            for s_along, x in _polyline_intersections(tail, spoly):
+            for s_along, x in polyline.intersections(tail, spoly):
                 exits.append((s_along, x, skey, hes))
             if not exits:
                 # a boundary-terminated tail ends ON a side instead of crossing it
-                d = _dist_to_polyline(spoly, tail[-1])
+                _, d = polyline.nearest_segment(spoly, tail[-1])
                 if d < 1e-6 * (1.0 + self.probe.mesh.bbox_diag):
                     exits.append((tail_len, tail[-1], skey, hes))
         case_b = len(others) == 2
@@ -661,13 +577,9 @@ class MidpointDivider:
             """Split the (single) record under a side at a point on it."""
             if len(hes_side) != 1:
                 raise DecompositionError("block side spans multiple edges")
-            rec = sub.records[hes_side[0] // 2]
-            first, second = _split_polyline_at(rec.polyline, at_point)
-            records.remove(rec)
             vertices[new_vkey] = VertexRec(new_vkey, np.asarray(at_point, dtype=float),
                                            kind)
-            records.append(EdgeRec(rec.v0, new_vkey, first, rec.kind, loop=rec.loop))
-            records.append(EdgeRec(new_vkey, rec.v1, second, rec.kind, loop=rec.loop))
+            _split_record(records, sub.records[hes_side[0] // 2], at_point, new_vkey)
 
         if case_b and not exits:
             raise DecompositionError("midpoint streamline never leaves its face")
@@ -697,7 +609,7 @@ class MidpointDivider:
                 records.append(EdgeRec(node_key, ek, cut, "tail", allow_cross=False))
             else:
                 split_record(exit_hes, exit_pt, ek, "cross")
-                rest = _tail_beyond(tail, exit_pt, hit)
+                _, rest = polyline.split_at(tail, exit_pt)
                 records.append(EdgeRec(node_key, ek, cut, "tail", allow_cross=True))
                 self._propagate(records, vertices, rest, ek, hit, node_key)
             records.append(EdgeRec(node_key, mk1,
@@ -710,10 +622,9 @@ class MidpointDivider:
             far1, far2 = others
             p1 = _side_polyline(sub, far1[1])
             p2 = _side_polyline(sub, far2[1])
-            mf1, _ = _arclength_midpoint(p1)
-            mf2, _ = _arclength_midpoint(p2)
-            exit_len = exits[0][0] if exits else np.sum(
-                np.hypot(*np.diff(tail, axis=0).T))
+            mf1 = polyline.midpoint(p1)
+            mf2 = polyline.midpoint(p2)
+            exit_len = exits[0][0] if exits else tail_len
             ni = _pick_node(tail, exit_len, mf1, mf2)
             node_pos = tail[ni]
             vertices[node_key] = VertexRec(node_key, node_pos, "artificial")
@@ -744,7 +655,7 @@ class MidpointDivider:
             for rec in list(records):
                 if rec.kind == "branch" or rec.v0 == start_key or rec.v1 == start_key:
                     continue
-                for s_along, x in _polyline_intersections(current, rec.polyline):
+                for s_along, x in polyline.intersections(current, rec.polyline):
                     hits.append((s_along, x, rec))
             if not hits:
                 if hit.kind == "critical":
@@ -761,29 +672,19 @@ class MidpointDivider:
             s_along, x, rec = hits[0]
             xk = ("cross", f"x{guard}-{node_key[1]}")
             vertices[xk] = VertexRec(xk, np.asarray(x), "cross")
-            first, second = _split_polyline_at(rec.polyline, x)
-            records.remove(rec)
-            records.append(EdgeRec(rec.v0, xk, first, rec.kind, loop=rec.loop))
-            records.append(EdgeRec(xk, rec.v1, second, rec.kind, loop=rec.loop))
-            upto, beyond = _split_polyline_at(current, x)
+            _split_record(records, rec, x, xk)
+            upto, beyond = polyline.split_at(current, x)
             records.append(EdgeRec(start_key, xk, upto, "tail", allow_cross=True))
             current = beyond
             start_key = xk
 
 
 def _cut_tail(tail, ni, exit_pt):
-    upto, _ = _split_polyline_at(tail, exit_pt)
+    upto, _ = polyline.split_at(tail, exit_pt)
     cut = upto[ni:]
     if len(cut) < 2:
         cut = np.vstack([tail[ni], exit_pt])
     return cut
-
-
-def _tail_beyond(tail, exit_pt, hit):
-    _, beyond = _split_polyline_at(tail, exit_pt)
-    if len(beyond) < 2:
-        beyond = np.vstack([exit_pt, hit.position])
-    return beyond
 
 
 def midpoint_division(sub, face, probe, domain, h, corner_nodes,

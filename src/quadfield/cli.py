@@ -36,7 +36,6 @@ DEFAULTS = {
     "penalty": DEFAULT_PENALTY,
     "n_max": 100000,
     "length_factor": 60.0,
-    "threads": 1,
     "formats": "",               # comma list: vtk,svg,msh
     "out": "out",
 }
@@ -272,10 +271,7 @@ def build_parser():
         p.add_argument("--penalty", type=float)
         p.add_argument("--n-max", dest="n_max", type=int)
         p.add_argument("--length-factor", dest="length_factor", type=float)
-        p.add_argument("--threads", type=int)
         p.add_argument("--formats", help="comma list of extra outputs: vtk,svg,msh")
-        p.add_argument("--resume", action="store_true",
-                       help="stage commands always resume from --out artifacts")
     return parser
 
 
@@ -295,8 +291,6 @@ def resolve_config(args):
         raise ConfigError("order must be >= 1")
     if config["split"] < 1:
         raise ConfigError("split must be >= 1")
-    if config["threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     if config["kappa"] <= 0 or config["step_factor"] <= 0:
         raise ConfigError("kappa and step_factor must be positive")
     return config

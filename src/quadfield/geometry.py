@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import polyline
 from .errors import GeometryError
 
 TWO_PI = 2.0 * math.pi
@@ -85,10 +86,7 @@ class CurveSegment:
         tab = getattr(self, "_arc_tab", None)
         if tab is None or len(tab[0]) != n + 1:
             ts = np.linspace(0.0, 1.0, n + 1)
-            pts = self.points(ts)
-            seg = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            self._arc_tab = (ts, cum)
+            self._arc_tab = (ts, polyline.cumlen(self.points(ts)))
             tab = self._arc_tab
         return tab
 
@@ -190,7 +188,7 @@ class Spline(CurveSegment):
         if len(pts) < 3:
             raise GeometryError("spline needs at least 3 points")
         from scipy.interpolate import CubicSpline
-        chord = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pts, axis=0).T))])
+        chord = polyline.cumlen(pts)
         if chord[-1] <= 0:
             raise GeometryError("spline control points are coincident")
         self._u = chord / chord[-1]

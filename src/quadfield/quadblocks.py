@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import polyline
 from .errors import DecompositionError
 from .reftri import gauss_lobatto
 
@@ -20,18 +21,15 @@ from .reftri import gauss_lobatto
 class SidePath:
     """Arclength-normalized evaluator over a dense polyline."""
 
-    def __init__(self, polyline):
-        self.points = np.asarray(polyline, dtype=float)
-        seg = np.hypot(*np.diff(self.points, axis=0).T)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        cum = polyline.cumlen(self.points)
         self.length = float(cum[-1])
         self._s = cum / cum[-1] if cum[-1] > 0 else np.linspace(0, 1, len(cum))
 
     def __call__(self, fracs):
         fracs = np.atleast_1d(np.asarray(fracs, dtype=float))
-        x = np.interp(fracs, self._s, self.points[:, 0])
-        y = np.interp(fracs, self._s, self.points[:, 1])
-        return np.stack([x, y], axis=1)
+        return polyline.sample(self.points, self._s, fracs)
 
     def reversed(self):
         return SidePath(self.points[::-1])
@@ -66,10 +64,14 @@ class QuadBlock:
 
     def eval_grid(self, svals, tvals):
         """Grid of points: shape (len(svals), len(tvals), 2)."""
-        out = np.empty((len(svals), len(tvals), 2))
-        for j, t in enumerate(tvals):
-            out[:, j, :] = self.eval(svals, np.full(len(svals), t))
-        return out
+        S, T = np.meshgrid(svals, tvals, indexing="ij")
+        return self.eval(S.ravel(), T.ravel()).reshape(S.shape + (2,))
+
+    def _derivatives(self, s, t, delta):
+        """Central differences (Q_s, Q_t), each (n, 2), at parameter arrays s, t."""
+        qs = (self.eval(s + delta, t) - self.eval(s - delta, t)) / (2 * delta)
+        qt = (self.eval(s, t + delta) - self.eval(s, t - delta)) / (2 * delta)
+        return qs, qt
 
     def scaled_jacobians(self, svals=None, tvals=None, delta=1e-6):
         """det J / (|Q_s||Q_t|) on a sample grid (default 10x10 interior)."""
@@ -77,36 +79,22 @@ class QuadBlock:
             svals = (np.arange(10) + 0.5) / 10.0
         if tvals is None:
             tvals = (np.arange(10) + 0.5) / 10.0
-        out = np.empty((len(svals), len(tvals)))
-        for i, s in enumerate(svals):
-            for j, t in enumerate(tvals):
-                sp = min(max(s, delta), 1 - delta)
-                tp = min(max(t, delta), 1 - delta)
-                qs = (self.eval(sp + delta, tp) - self.eval(sp - delta, tp))[0] / (2 * delta)
-                qt = (self.eval(sp, tp + delta) - self.eval(sp, tp - delta))[0] / (2 * delta)
-                det = qs[0] * qt[1] - qs[1] * qt[0]
-                denom = np.hypot(*qs) * np.hypot(*qt)
-                out[i, j] = det / denom if denom > 0 else 0.0
-        return out
+        S, T = np.meshgrid(svals, tvals, indexing="ij")
+        # differences stay inside [0, 1]: clamp the centres delta from the edges
+        qs, qt = self._derivatives(np.clip(S.ravel(), delta, 1 - delta),
+                                   np.clip(T.ravel(), delta, 1 - delta), delta)
+        det = qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]
+        denom = np.hypot(qs[:, 0], qs[:, 1]) * np.hypot(qt[:, 0], qt[:, 1])
+        out = np.divide(det, denom, out=np.zeros_like(det), where=denom > 0)
+        return out.reshape(S.shape)
 
     def area(self, n=24):
         """2x2 Gauss per cell on an n x n grid of the parameter square."""
         g = 0.5 / math.sqrt(3.0)
-        offs = [0.5 - g, 0.5 + g]
-        delta = 1e-6
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                for os in offs:
-                    for ot in offs:
-                        s = (i + os) / n
-                        t = (j + ot) / n
-                        qs = (self.eval(s + delta, t) - self.eval(s - delta, t))[0] \
-                            / (2 * delta)
-                        qt = (self.eval(s, t + delta) - self.eval(s, t - delta))[0] \
-                            / (2 * delta)
-                        total += (qs[0] * qt[1] - qs[1] * qt[0]) / (4 * n * n)
-        return total
+        u = ((np.arange(n)[:, None] + [0.5 - g, 0.5 + g]) / n).ravel()
+        S, T = np.meshgrid(u, u, indexing="ij")
+        qs, qt = self._derivatives(S.ravel(), T.ravel(), 1e-6)
+        return float(np.sum((qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]) / (4 * n * n)))
 
 
 def build_blocks(sub, faces=None):
@@ -115,7 +103,6 @@ def build_blocks(sub, faces=None):
 
     if faces is None:
         faces = sub.bounded_faces
-    rec_index = {id(r): i for i, r in enumerate(sub.records)}
     blocks = []
     for bi, face in enumerate(faces):
         sides = _face_sides(sub, face)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import polyline
 from .errors import LimitCycleError, TracingError
 from .field import HALF_PI, OUTSIDE, adjust_branch
 
@@ -187,15 +188,11 @@ def detect_meeting(a, b, threshold):
 def _resample(points, n):
     """Arclength-uniform resampling of a polyline to n points."""
     pts = np.asarray(points, dtype=float)
-    seg = np.hypot(*np.diff(pts, axis=0).T)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = polyline.cumlen(pts)
     total = s[-1]
     if total <= 0:
         return np.repeat(pts[:1], n, axis=0)
-    si = np.linspace(0.0, total, n)
-    x = np.interp(si, s, pts[:, 0])
-    y = np.interp(si, s, pts[:, 1])
-    out = np.stack([x, y], axis=1)
+    out = polyline.sample(pts, s, np.linspace(0.0, total, n))
     out[0] = pts[0]
     out[-1] = pts[-1]
     return out

@@ -5,7 +5,7 @@ import pytest
 
 from quadfield.blockdecomp import (EdgeRec, PlanarSubdivision, VertexRec,
                                    build_subdivision, classify_faces, decompose,
-                                   midpoint_division)
+                                   midpoint_division, resolve_crossings)
 from quadfield.errors import DecompositionError
 from quadfield.field import AnalyticProbe
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
@@ -69,6 +69,52 @@ def test_transversal_crossing_becomes_vertex():
     quads, degenerate = classify_faces(sub)
     assert len(quads) == 4 and not degenerate
     assert any(k[0] == "cross" for k in sub.vertices)
+
+
+def test_grid_of_separatrices_gives_cross_vertices_in_scan_order():
+    dom = square_domain()
+    cns = corner_nodes_for(dom, [1, 1, 1, 1])
+    ys, xs = (0.31, 0.69), (0.33, 0.67)
+    seps = []
+    for y in ys:
+        line = np.column_stack([np.linspace(0.0, 1.0, 40), np.full(40, y)])
+        seps.append(Separatrix(
+            points=line,
+            start=Anchor("boundary", len(seps), line[0], loop=0, seg=3, t=1 - y),
+            end=Anchor("boundary", len(seps) + 4, line[-1], loop=0, seg=1, t=y)))
+    for x in xs:
+        line = np.column_stack([np.full(41, x), np.linspace(0.0, 1.0, 41)])
+        seps.append(Separatrix(
+            points=line,
+            start=Anchor("boundary", len(seps), line[0], loop=0, seg=0, t=x),
+            end=Anchor("boundary", len(seps) + 4, line[-1], loop=0, seg=2, t=1 - x)))
+    sub = build_subdivision(dom, seps, cns)
+    quads, degenerate = classify_faces(sub)
+    assert len(quads) == 9 and not degenerate
+    cross = {k[1]: v.position for k, v in sub.vertices.items() if v.kind == "cross"}
+    # the restarted pair scan numbers the crossings in this order
+    expected = {"sx0": (xs[0], ys[0]), "sx1": (xs[1], ys[1]),
+                "sx2": (xs[1], ys[0]), "sx3": (xs[0], ys[1])}
+    assert sorted(cross) == sorted(expected)
+    for key, pos in expected.items():
+        assert np.allclose(cross[key], pos, atol=1e-12)
+
+
+def test_crossing_on_second_of_two_parallel_edges():
+    # two separatrices join the same pair of nodes; only the second is crossed
+    keys = [("critical", k) for k in range(4)]
+    vertices = {k: VertexRec(k, np.array(p), "critical") for k, p in
+                zip(keys, [(0.0, 0.0), (1.0, 0.0), (0.5, -0.5), (0.5, -0.1)])}
+    x = np.linspace(0.0, 1.0, 20)
+    bump = 0.3 * np.sin(math.pi * x)
+    upper = EdgeRec(keys[0], keys[1], np.column_stack([x, bump]), "separatrix")
+    lower = EdgeRec(keys[0], keys[1], np.column_stack([x, -bump]), "separatrix")
+    stub = EdgeRec(keys[2], keys[3], np.column_stack([np.full(10, 0.5),
+                                                      np.linspace(-0.5, -0.1, 10)]),
+                   "separatrix")
+    records = resolve_crossings(vertices, [upper, lower, stub])
+    assert records[0] is upper and len(records) == 5
+    assert np.allclose(vertices[("cross", "sx0")].position, [0.5, -0.299], atol=1e-3)
 
 
 def test_half_disc_decomposition(half_disc, half_disc_probe, half_disc_topology,
@@ -185,17 +231,90 @@ def test_coons_square_affine():
     assert np.abs(sj - 1.0).max() < 1e-4
 
 
-def test_coons_quarter_annulus_area():
-    r1, r2 = 1.0, 2.0
-    th = np.linspace(0.0, math.pi / 2, 2400)
+def _scaled_jacobians_per_point(block, svals, tvals, delta=1e-6):
+    """Reference: one clamped central difference per sample point."""
+    out = np.empty((len(svals), len(tvals)))
+    for i, s in enumerate(svals):
+        for j, t in enumerate(tvals):
+            sp = min(max(s, delta), 1 - delta)
+            tp = min(max(t, delta), 1 - delta)
+            qs = (block.eval(sp + delta, tp) - block.eval(sp - delta, tp))[0] / (2 * delta)
+            qt = (block.eval(sp, tp + delta) - block.eval(sp, tp - delta))[0] / (2 * delta)
+            det = qs[0] * qt[1] - qs[1] * qt[0]
+            denom = np.hypot(*qs) * np.hypot(*qt)
+            out[i, j] = det / denom if denom > 0 else 0.0
+    return out
+
+
+def _area_per_point(block, n=24):
+    g = 0.5 / math.sqrt(3.0)
+    offs = [0.5 - g, 0.5 + g]
+    delta = 1e-6
+    total = 0.0
+    for i in range(n):
+        for j in range(n):
+            for os in offs:
+                for ot in offs:
+                    s = (i + os) / n
+                    t = (j + ot) / n
+                    qs = (block.eval(s + delta, t) - block.eval(s - delta, t))[0] \
+                        / (2 * delta)
+                    qt = (block.eval(s, t + delta) - block.eval(s, t - delta))[0] \
+                        / (2 * delta)
+                    total += (qs[0] * qt[1] - qs[1] * qt[0]) / (4 * n * n)
+    return total
+
+
+def _quarter_annulus_block(r1=1.0, r2=2.0, n=2400):
+    th = np.linspace(0.0, math.pi / 2, n)
     inner = np.column_stack([r1 * np.cos(th), r1 * np.sin(th)])
     outer = np.column_stack([r2 * np.cos(th), r2 * np.sin(th)])
     bottom = np.linspace([r1, 0], [r2, 0], 200)
     top = np.linspace([0, r2], [0, r1], 200)
-    block = QuadBlock(0, ["a", "b", "c", "d"],
-                      [SidePath(bottom), SidePath(outer),
-                       SidePath(top), SidePath(inner[::-1])],
-                      [(0, 1)] * 4)
+    return QuadBlock(0, ["a", "b", "c", "d"],
+                     [SidePath(bottom), SidePath(outer),
+                      SidePath(top), SidePath(inner[::-1])],
+                     [(0, 1)] * 4)
+
+
+@pytest.mark.parametrize("svals, tvals", [
+    (None, None),
+    (np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 5)),
+    ([0.0, 1e-7, 0.5, 1.0 - 1e-7, 1.0], [1.0, 0.25, 0.0]),
+])
+def test_scaled_jacobians_match_per_point_loop(svals, tvals):
+    pinched = QuadBlock(1, ["a", "b", "c", "d"],
+                        [SidePath([[0.0, 0.0], [0.0, 0.0]]),
+                         SidePath(np.linspace([0.0, 0.0], [1.0, 1.0], 30)),
+                         SidePath([[1.0, 1.0], [-0.5, 1.2], [-1.0, 1.0]]),
+                         SidePath(np.linspace([-1.0, 1.0], [0.0, 0.0], 30))],
+                        [(0, 1)] * 4)
+    # every side is one point: Q_s = Q_t = 0, so the zero-denominator branch
+    collapsed = QuadBlock(2, ["a", "b", "c", "d"],
+                          [SidePath([[0.5, 0.5], [0.5, 0.5]])] * 4, [(0, 1)] * 4)
+    assert not collapsed.scaled_jacobians().any()
+    for block in (_quarter_annulus_block(n=300), pinched, collapsed):
+        sj = block.scaled_jacobians(svals, tvals)
+        ref = _scaled_jacobians_per_point(
+            block, (np.arange(10) + 0.5) / 10.0 if svals is None else svals,
+            (np.arange(10) + 0.5) / 10.0 if tvals is None else tvals)
+        assert sj.shape == ref.shape
+        assert sj.tobytes() == ref.tobytes()
+
+
+def test_eval_grid_and_area_match_per_point_loop():
+    block = _quarter_annulus_block(n=300)
+    svals, tvals = np.linspace(0.0, 1.0, 6), [0.0, 0.3, 1.0]
+    grid = block.eval_grid(svals, tvals)
+    for j, t in enumerate(tvals):
+        assert grid[:, j, :].tobytes() == block.eval(svals, np.full(6, t)).tobytes()
+    # the vectorized area sums its terms pairwise, the loop sequentially
+    assert block.area(n=8) == pytest.approx(_area_per_point(block, n=8), rel=1e-13)
+
+
+def test_coons_quarter_annulus_area():
+    r1, r2 = 1.0, 2.0
+    block = _quarter_annulus_block(r1, r2)
     exact = math.pi * (r2 ** 2 - r1 ** 2) / 4.0
     assert block.area(n=48) == pytest.approx(exact, rel=1e-6)
     assert block.scaled_jacobians().min() > 0

@@ -4,6 +4,7 @@ import pytest
 
 from quadfield.cli import main
 from quadfield.geometry import fixture_path
+from quadfield.quadblocks import QuadBlock, SidePath
 
 HALF_DISC = str(fixture_path("half_disc"))
 FAST = ["--target-h", "0.35", "--order", "3", "--split", "2"]
@@ -63,6 +64,27 @@ def test_unknown_config_key(tmp_path):
     cfg.write_text(json.dumps({"order": 3, "bogus": 1}))
     rc = run_cli(["run", HALF_DISC, "--out", tmp_path / "x", "--config", cfg])
     assert rc == 2
+
+
+def test_removed_threads_key_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": 3, "threads": 2}))
+    rc = run_cli(["run", HALF_DISC, "--out", tmp_path / "x", "--config", cfg])
+    assert rc == 2
+    assert not (tmp_path / "x").exists()
+
+
+def test_nautilus_crossings_give_valid_blocks(tmp_path):
+    out = tmp_path / "nautilus"
+    rc = run_cli(["run", fixture_path("nautilus"), "--out", out,
+                  "--order", "3", "--target-h", "0.5", "--split", "2"])
+    assert rc == 0
+    blocks = json.loads((out / "blocks.json").read_text())["blocks"]
+    assert len(blocks) == 27
+    for bi, rec in enumerate(blocks):
+        block = QuadBlock(bi, rec["corners"], [SidePath(p) for p in rec["sides"]],
+                          rec["side_records"])
+        assert block.scaled_jacobians().min() > 0
 
 
 def test_invalid_config_values(tmp_path):
