@@ -1,10 +1,10 @@
 """Point location and high-order evaluation of the solved guiding field.
 
-A uniform grid of element bounding boxes gives candidate elements; Newton
-inversion of the element map settles membership, with ties on shared edges
-broken toward the lowest element id so evaluation is deterministic.  Each
-probe memoises its locations, since the valence circles test contains() and
-then evaluate the field at the same points.
+A uniform grid of element bounding boxes gives candidate elements; one
+lockstep Newton inversion of all their element maps settles membership,
+with ties on shared edges broken toward the lowest element id so evaluation
+is deterministic.  Each probe memoises its locations, since the valence
+circles test contains() and then evaluate the field at the same points.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ class FieldProbe:
         self._nx, self._ny = nx, ny
 
     def candidates(self, x):
+        if not np.isfinite(x).all():
+            return []
         i = int((x[0] - self._lo[0]) / self._cell)
         j = int((x[1] - self._lo[1]) / self._cell)
         if not (0 <= i < self._nx and 0 <= j < self._ny):
@@ -99,8 +101,8 @@ class FieldProbe:
         return e, xi.copy()
 
     def _invert(self, x):
-        for e in self.candidates(x):
-            xi = self.mesh.invert_map(e, x)
+        elems = self.candidates(x)
+        for e, xi in zip(elems, self.mesh.invert_map(elems, x)):
             if xi is not NOT_IN_ELEMENT:
                 return e, xi
         return OUTSIDE

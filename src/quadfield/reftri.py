@@ -172,13 +172,22 @@ class DubinerKernel:
 
     def values(self, xi):
         """Vandermonde matrix V[p, m] = mode m at xi[p]: shape (npts, n_modes)."""
-        a, b, t = self._table(xi)
-        return (math.sqrt(2.0) * t[:, self._col_a, self.i] * t[:, self._col_b, self.j]
-                * self._powers(1.0 - b)[:, self.i])
+        return self._values(*self._table(xi))
 
     def gradients(self, xi):
         """(d/dr, d/ds) of the Vandermonde matrix: two (npts, n_modes) arrays."""
-        a, b, t = self._table(xi)
+        return self._gradients(*self._table(xi))
+
+    def values_and_gradients(self, xi):
+        """values(xi) and gradients(xi) from one Jacobi table."""
+        table = self._table(xi)
+        return self._values(*table), self._gradients(*table)
+
+    def _values(self, a, b, t):
+        return (math.sqrt(2.0) * t[:, self._col_a, self.i] * t[:, self._col_b, self.j]
+                * self._powers(1.0 - b)[:, self.i])
+
+    def _gradients(self, a, b, t):
         up = self._upper
         fa = t[:, self._col_a, self.i]
         gb = t[:, self._col_b, self.j]
@@ -303,13 +312,32 @@ class RefTriangle:
     # ---- basis evaluation -------------------------------------------------
 
     def basis_at(self, xi):
-        """Lagrange basis values: shape (npts, n_nodes)."""
+        """Lagrange basis values: shape (npts, n_nodes).
+
+        On a batch the rows are not bitwise equal to one-point calls: the
+        kernel returns Fortran-ordered rows when npts > 1, and one 2-D
+        product takes another BLAS path than a 1 x n one, so the last bits
+        differ.  basis_rows gives rows that match one-point calls.
+        """
         return self.kernel.values(xi) @ self.v_inv
 
     def grad_basis_at(self, xi):
-        """Lagrange basis gradients: shape (npts, n_nodes, 2)."""
+        """Lagrange basis gradients: shape (npts, n_nodes, 2); batches as in basis_at."""
         vr, vs = self.kernel.gradients(xi)
         return np.stack([vr @ self.v_inv, vs @ self.v_inv], axis=2)
+
+    def basis_rows(self, xi):
+        """basis_at and grad_basis_at of every point from one Jacobi table.
+
+        Row p of each is bitwise equal to the one-point call at xi[p]: every
+        row is copied C-contiguous and multiplied as its own 1 x n product.
+        """
+        v, (vr, vs) = self.kernel.values_and_gradients(xi)
+
+        def rows(m):
+            return (np.ascontiguousarray(m)[:, None, :] @ self.v_inv)[:, 0]
+
+        return rows(v), np.stack([rows(vr), rows(vs)], axis=2)
 
     # ---- node classification ----------------------------------------------
 

@@ -135,29 +135,41 @@ class TriMesh:
             best = min(best, float(np.hypot(*(self.vertices[a] - self.vertices[b]))))
         return best
 
-    def invert_map(self, e, x, max_iter=50, slack=1e-8):
-        """Newton inversion of the element map; NOT_IN_ELEMENT on failure."""
+    def invert_map(self, elems, x, max_iter=50, slack=1e-8):
+        """Newton inversion of the map of every element in elems at x, in lockstep.
+
+        Returns one result per element: xi, or NOT_IN_ELEMENT on failure.
+        Each iteration evaluates the basis once for all lanes still running.
+        A lane stops where a one-element Newton loop would stop, after the
+        same IEEE operations, so its xi is bitwise that loop's.
+        """
         x = np.asarray(x, dtype=float)
         tol = 1e-12 * self.bbox_diag
-        xi = BARYCENTER.copy()
+        elems = np.asarray(elems, dtype=int)
+        out = [NOT_IN_ELEMENT] * len(elems)
+        lane = np.arange(len(elems))
+        xi = np.tile(BARYCENTER, (len(elems), 1))
         for _ in range(max_iter):
-            r = self.map_to_physical(e, xi)[0] - x
-            if np.hypot(*r) < tol:
+            if not len(lane):
                 break
-            j = self.jacobian(e, xi)[0]
-            det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-            if abs(det) < 1e-300:
-                return NOT_IN_ELEMENT
-            dxi = np.array([(j[1, 1] * r[0] - j[0, 1] * r[1]) / det,
-                            (-j[1, 0] * r[0] + j[0, 0] * r[1]) / det])
-            xi = xi - dxi
-            if np.abs(xi).max() > 10.0:
-                return NOT_IN_ELEMENT
-        else:
-            return NOT_IN_ELEMENT
-        if not in_reference(xi, slack=slack):
-            return NOT_IN_ELEMENT
-        return xi
+            geom = self.geom[elems[lane]]
+            basis, grad = self.ref.basis_rows(xi)
+            r = (basis[:, None, :] @ geom)[:, 0] - x
+            done = np.hypot(r[:, 0], r[:, 1]) < tol
+            for k in np.flatnonzero(done):
+                if in_reference(xi[k], slack=slack):
+                    out[lane[k]] = xi[k]
+            j = np.einsum("knd,knx->kxd", grad, geom)
+            det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+            # negated tests, as in the one-element loop: a NaN lane runs on
+            go = ~done & ~(np.abs(det) < 1e-300)
+            j, r, det = j[go], r[go], det[go]
+            dxi = np.stack([(j[:, 1, 1] * r[:, 0] - j[:, 0, 1] * r[:, 1]) / det,
+                            (-j[:, 1, 0] * r[:, 0] + j[:, 0, 0] * r[:, 1]) / det], axis=1)
+            xi = xi[go] - dxi
+            inside = ~(np.abs(xi).max(axis=1) > 10.0)
+            xi, lane = xi[inside], lane[go][inside]
+        return out
 
     def validate_jacobians(self):
         bad = [e for e in range(self.n_elements()) if self.det_jacobians(e).min() <= 0.0]

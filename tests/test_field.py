@@ -7,7 +7,7 @@ from quadfield.errors import TopologyError
 from quadfield.field import (OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch,
                              cross_vectors, psi_of)
 from quadfield.geometry import boundary_field, tangent_angle
-from quadfield.trimesh import TriMesh
+from quadfield.trimesh import NOT_IN_ELEMENT, TriMesh
 
 
 def test_locate_barycenter(half_disc_probe, half_disc_mesh):
@@ -22,6 +22,13 @@ def test_locate_far_outside(half_disc_probe):
     assert half_disc_probe.locate(np.array([30.0, 30.0])) is OUTSIDE
 
 
+def test_locate_non_finite_point_is_outside(half_disc_probe):
+    for x in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
+        assert half_disc_probe.locate(np.array(x)) is OUTSIDE
+        assert not half_disc_probe.contains(x)
+        assert half_disc_probe.eval_v(x) is OUTSIDE
+
+
 def test_locate_memo_skips_inversion_and_returns_copies(half_disc_solution, monkeypatch):
     probe = FieldProbe(half_disc_solution)
     x = half_disc_solution.mesh.map_to_physical(5, np.array([-0.4, -0.3]))[0]
@@ -30,9 +37,9 @@ def test_locate_memo_skips_inversion_and_returns_copies(half_disc_solution, monk
     calls = []
     invert_map = TriMesh.invert_map
 
-    def counted(self, e, y, **kw):
-        calls.append(e)
-        return invert_map(self, e, y, **kw)
+    def counted(self, elems, y, **kw):
+        calls.append(elems)
+        return invert_map(self, elems, y, **kw)
 
     monkeypatch.setattr(TriMesh, "invert_map", counted)
     second = probe.locate(x.copy())
@@ -162,10 +169,7 @@ def test_cg_continuity_across_edges(half_disc_mesh, half_disc_solution):
         s = rng.uniform(-0.9, 0.9)
         xi0 = mesh.ref.edge_points(le0, np.array([s]))
         x = mesh.map_to_physical(e0, xi0)[0]
-        xi1 = mesh.invert_map(e1, x)
-        if xi1 is None or isinstance(xi1, type(None)):
-            continue
-        from quadfield.trimesh import NOT_IN_ELEMENT
+        (xi1,) = mesh.invert_map([e1], x)
         if xi1 is NOT_IN_ELEMENT:
             continue
         v0 = half_disc_solution.eval(e0, xi0)[0]

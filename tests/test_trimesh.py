@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line
-from quadfield.reftri import RefTriangle
+from quadfield.reftri import BARYCENTER, RefTriangle, _JacobiTable, in_reference
 from quadfield.trimesh import (NOT_IN_ELEMENT, BoundaryFace, TriMesh,
                                elevate_and_curve, generate_background_mesh)
 
@@ -107,6 +108,47 @@ def test_jacobian_matches_finite_differences(half_disc_mesh):
         assert np.abs(fd - jac[:, d]).max() < 1e-6 * (1 + np.abs(jac).max())
 
 
+# ---- one-element reference: the Newton loop that invert_map runs per lane -----
+
+
+def _invert_map_scalar(mesh, e, x, max_iter=50, slack=1e-8):
+    """Newton inversion of the element map; NOT_IN_ELEMENT on failure."""
+    x = np.asarray(x, dtype=float)
+    tol = 1e-12 * mesh.bbox_diag
+    xi = BARYCENTER.copy()
+    for _ in range(max_iter):
+        r = mesh.map_to_physical(e, xi)[0] - x
+        if np.hypot(*r) < tol:
+            break
+        j = mesh.jacobian(e, xi)[0]
+        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+        if abs(det) < 1e-300:
+            return NOT_IN_ELEMENT
+        dxi = np.array([(j[1, 1] * r[0] - j[0, 1] * r[1]) / det,
+                        (-j[1, 0] * r[0] + j[0, 0] * r[1]) / det])
+        xi = xi - dxi
+        if np.abs(xi).max() > 10.0:
+            return NOT_IN_ELEMENT
+    else:
+        return NOT_IN_ELEMENT
+    if not in_reference(xi, slack=slack):
+        return NOT_IN_ELEMENT
+    return xi
+
+
+def _assert_lanes_match_scalar(mesh, elems, x):
+    got = mesh.invert_map(elems, x)
+    assert len(got) == len(elems)
+    for e, xi in zip(elems, got):
+        ref = _invert_map_scalar(mesh, e, x)
+        if ref is NOT_IN_ELEMENT:
+            assert xi is NOT_IN_ELEMENT, e
+        else:
+            assert xi is not NOT_IN_ELEMENT, e
+            assert xi.tobytes() == ref.tobytes(), e
+    return got
+
+
 def test_invert_map_roundtrip(half_disc_mesh):
     mesh = half_disc_mesh
     rng = np.random.default_rng(7)
@@ -116,35 +158,92 @@ def test_invert_map_roundtrip(half_disc_mesh):
         xi = np.array([-1.0, -1.0]) * lam[0] + np.array([1.0, -1.0]) * lam[1] \
             + np.array([-1.0, 1.0]) * lam[2]
         x = mesh.map_to_physical(e, xi)[0]
-        xi2 = mesh.invert_map(e, x)
+        (xi2,) = mesh.invert_map([e], x)
         assert xi2 is not NOT_IN_ELEMENT
         assert np.abs(xi - xi2).max() < 1e-10
 
 
-def test_invert_map_evaluates_the_map_once_per_iteration(half_disc_mesh, monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_invert_map_lanes_match_scalar_loop(half_disc_mesh, data):
+    mesh = half_disc_mesh
+    n = mesh.n_elements()
+    anchor = data.draw(st.integers(0, n - 1))
+    # the anchor, maybe its edge neighbors (which share its edges) and random
+    # others, curved boundary elements and affine interior ones alike
+    near = [anchor] + (mesh.neighbors(anchor) if data.draw(st.booleans()) else [])
+    others = data.draw(st.lists(st.integers(0, n - 1), max_size=12, unique=True))
+    elems = sorted(set(near + others))[:12]
+    if anchor not in elems:
+        elems[-1] = anchor
+        elems.sort()
+    kind = data.draw(st.sampled_from(["inside", "edge", "just_outside", "far"]))
+    u = data.draw(st.floats(0.0, 1.0))
+    w = data.draw(st.floats(0.0, 1.0))
+    if kind == "inside":
+        xi = np.array([-1.0 + 2.0 * u * (1.0 - w), -1.0 + 2.0 * w * (1.0 - u)])
+    else:
+        le = data.draw(st.integers(0, 2))
+        xi = mesh.ref.edge_points(le, np.array([2.0 * u - 1.0]))[0]
+        if kind == "just_outside":
+            xi = xi + 1e-6 * np.array([[0.0, -1.0], [1.0, 1.0], [-1.0, 0.0]][le])
+    x = mesh.map_to_physical(anchor, xi)[0]
+    if kind == "far":
+        angle = 2.0 * math.pi * w
+        x = x + (2.0 + 40.0 * u) * np.array([math.cos(angle), math.sin(angle)])
+    _assert_lanes_match_scalar(mesh, elems, x)
+
+
+def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
+    # eight lanes, curved elements 0-5 and 7 and affine element 6; the point
+    # lies on the edge that elements 5 and 6 share.  Multiplying the kernel's
+    # Fortran-ordered rows without a contiguous copy changes the last bits
+    # of both hits.
+    mesh = half_disc_mesh
+    curved = {f.elem for f in mesh.boundary_faces}
+    assert 6 not in curved and {0, 1, 2, 3, 4, 5, 7} <= curved
+    x = mesh.map_to_physical(6, np.array([0.0, -1.0]))[0]
+    got = _assert_lanes_match_scalar(mesh, list(range(8)), x)
+    assert [e for e, xi in enumerate(got) if xi is not NOT_IN_ELEMENT] == [5, 6]
+
+
+def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeypatch):
     mesh = half_disc_mesh
     x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
-    calls = {"basis_at": 0, "grad_basis_at": 0}
+    elems = [3, 7, 10, 14, 20]         # lanes stop after 2, 3, 12, 5 and 2 steps
+    counts = {"table": 0, "basis_at": 0, "grad_basis_at": 0}
 
-    def counted(name):
-        method = getattr(RefTriangle, name)
-
+    def counted(name, method):
         def wrapper(self, xi):
-            calls[name] += 1
+            counts[name] += 1
             return method(self, xi)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(RefTriangle, name, counted(name))
-    assert mesh.invert_map(3, x) is not NOT_IN_ELEMENT
-    # every iteration maps xi once; all but the converged one also take the
-    # Jacobian, and nothing is evaluated after convergence
-    assert calls["grad_basis_at"] >= 1
-    assert calls["basis_at"] == calls["grad_basis_at"] + 1
+    monkeypatch.setattr(_JacobiTable, "__call__", counted("table", _JacobiTable.__call__))
+    for name in ("basis_at", "grad_basis_at"):
+        monkeypatch.setattr(RefTriangle, name, counted(name, getattr(RefTriangle, name)))
+    got = mesh.invert_map(elems, x)
+    tables = counts["table"]
+    assert got[0] is not NOT_IN_ELEMENT
+    assert counts["basis_at"] == counts["grad_basis_at"] == 0
+    # the one-element loop maps xi once per iteration; the lockstep loop
+    # builds one table per iteration for all lanes, until the last one stops
+    iterations = []
+    for e in elems:
+        counts["basis_at"] = 0
+        _invert_map_scalar(mesh, e, x)
+        iterations.append(counts["basis_at"])
+    assert len(set(iterations)) > 1
+    assert tables == max(iterations)
+    counts["table"] = 0
+    assert mesh.invert_map([], x) == []
+    assert counts["table"] == 0
 
 
 def test_invert_map_outside(half_disc_mesh):
-    assert half_disc_mesh.invert_map(0, np.array([50.0, 50.0])) is NOT_IN_ELEMENT
+    mesh = half_disc_mesh
+    elems = list(range(mesh.n_elements()))
+    assert mesh.invert_map(elems, np.array([50.0, 50.0])) == [NOT_IN_ELEMENT] * len(elems)
 
 
 def test_shared_edge_point_found_by_both(half_disc_mesh):
@@ -153,8 +252,9 @@ def test_shared_edge_point_found_by_both(half_disc_mesh):
     (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
     a, b = sorted(key)
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-    assert mesh.invert_map(e0, mid) is not NOT_IN_ELEMENT
-    assert mesh.invert_map(e1, mid) is not NOT_IN_ELEMENT
+    xi0, xi1 = mesh.invert_map([e0, e1], mid)
+    assert xi0 is not NOT_IN_ELEMENT
+    assert xi1 is not NOT_IN_ELEMENT
 
 
 def test_positive_jacobians_everywhere(half_disc_mesh, square_mesh_p3):
