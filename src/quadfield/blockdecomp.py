@@ -687,14 +687,6 @@ def _cut_tail(tail, ni, exit_pt):
     return cut
 
 
-def midpoint_division(sub, face, probe, domain, h, corner_nodes,
-                      critical_points=(), dropped=()):
-    """Replace one degenerate triangular face by three quads."""
-    divider = MidpointDivider(sub, probe, domain, h, corner_nodes,
-                              critical_points=critical_points, dropped=dropped)
-    return divider.divide(face)
-
-
 def decompose(domain, probe, corner_nodes, separatrices, h, critical_points=()):
     """Full subdivision with degenerate triangles repaired; all faces quads."""
     sub = build_subdivision(domain, separatrices, corner_nodes)

@@ -40,6 +40,12 @@ DEFAULTS = {
     "out": "out",
 }
 
+SCHEMES = ("auto", "cg", "dg")
+MERGE_MODES = ("normal", "aggressive")
+FORMATS = ("vtk", "svg", "msh")
+INT_KEYS = ("order", "split", "n_max")
+REAL_KEYS = ("target_h", "step_factor", "kappa", "penalty", "length_factor")
+
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
 ARTIFACTS = {
     "mesh": "mesh.json",
@@ -261,11 +267,10 @@ def build_parser():
         p.add_argument("--config", help="config JSON file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--order", type=int)
-        p.add_argument("--scheme", choices=("auto", "cg", "dg"))
+        p.add_argument("--scheme", choices=SCHEMES)
         p.add_argument("--target-h", dest="target_h", type=float)
         p.add_argument("--step-factor", dest="step_factor", type=float)
-        p.add_argument("--merge", dest="merge_mode",
-                       choices=("normal", "aggressive"))
+        p.add_argument("--merge", dest="merge_mode", choices=MERGE_MODES)
         p.add_argument("--kappa", type=float)
         p.add_argument("--split", type=int)
         p.add_argument("--penalty", type=float)
@@ -279,6 +284,8 @@ def resolve_config(args):
     config = dict(DEFAULTS)
     if args.config:
         doc = load_json(args.config)
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
         unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -287,13 +294,33 @@ def resolve_config(args):
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
-    if config["order"] < 1:
-        raise ConfigError("order must be >= 1")
-    if config["split"] < 1:
-        raise ConfigError("split must be >= 1")
-    if config["kappa"] <= 0 or config["step_factor"] <= 0:
-        raise ConfigError("kappa and step_factor must be positive")
+    _check_config(config)
     return config
+
+
+def _check_config(config):
+    """Raise ConfigError unless every value has its type and range."""
+    for key in INT_KEYS + REAL_KEYS:
+        kinds = int if key in INT_KEYS else (int, float)
+        if isinstance(config[key], bool) or not isinstance(config[key], kinds):
+            kind = "an integer" if key in INT_KEYS else "a number"
+            raise ConfigError(f"{key} must be {kind}, not {config[key]!r}")
+    for key, choices in (("scheme", SCHEMES), ("merge_mode", MERGE_MODES)):
+        if config[key] not in choices:
+            raise ConfigError(f"{key} must be one of {list(choices)}, not {config[key]!r}")
+    if not isinstance(config["out"], str):
+        raise ConfigError(f"out must be a path string, not {config['out']!r}")
+    formats = config["formats"]
+    if not isinstance(formats, str) or not set(formats.split(",")) <= set(FORMATS) | {""}:
+        raise ConfigError(f"formats must be a comma list of {list(FORMATS)}, not {formats!r}")
+    for key in INT_KEYS:
+        if config[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if not config["target_h"] >= 0:
+        raise ConfigError("target_h must be >= 0 (0 means auto)")
+    for key in ("penalty", "length_factor", "kappa", "step_factor"):
+        if not config[key] > 0:
+            raise ConfigError(f"{key} must be positive")
 
 
 def main(argv=None):

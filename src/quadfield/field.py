@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .errors import TopologyError
-from .trimesh import NOT_IN_ELEMENT
 
 QUARTER_PI = 0.25 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -103,7 +102,7 @@ class FieldProbe:
     def _invert(self, x):
         elems = self.candidates(x)
         for e, xi in zip(elems, self.mesh.invert_map(elems, x)):
-            if xi is not NOT_IN_ELEMENT:
+            if xi is not None:
                 return e, xi
         return OUTSIDE
 

@@ -339,6 +339,43 @@ class RefTriangle:
 
         return rows(v), np.stack([rows(vr), rows(vs)], axis=2)
 
+    def invert_maps(self, nodes, target, tol, max_iter, slack):
+        """Newton solve of basis_at(xi) @ nodes[k] = target for every lane k, in lockstep.
+
+        nodes: (k, n_nodes, 2) nodal values of k maps from T to the plane.
+        Returns one result per lane: xi, or None when the residual does not
+        drop below tol in max_iter steps, the Jacobian vanishes, xi leaves
+        |xi| <= 10, or the root lies outside T inflated by slack.  Every lane
+        starts at the barycenter; each iteration makes one Jacobi table for
+        all lanes still running, and a lane stops where a one-lane loop
+        would stop, after the same IEEE operations, so its xi is bitwise
+        that loop's.
+        """
+        out = [None] * len(nodes)
+        lane = np.arange(len(nodes))
+        xi = np.tile(BARYCENTER, (len(nodes), 1))
+        for _ in range(max_iter):
+            if not len(lane):
+                break
+            m = nodes[lane]
+            basis, grad = self.basis_rows(xi)
+            r = (basis[:, None, :] @ m)[:, 0] - target
+            done = np.hypot(r[:, 0], r[:, 1]) < tol
+            for k in np.flatnonzero(done):
+                if in_reference(xi[k], slack=slack):
+                    out[lane[k]] = xi[k]
+            j = np.einsum("knd,knx->kxd", grad, m)
+            det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+            # negated tests, as in the one-lane loop: a NaN lane runs on
+            go = ~done & ~(np.abs(det) < 1e-300)
+            j, r, det = j[go], r[go], det[go]
+            dxi = np.stack([(j[:, 1, 1] * r[:, 0] - j[:, 0, 1] * r[:, 1]) / det,
+                            (-j[:, 1, 0] * r[:, 0] + j[:, 0, 0] * r[:, 1]) / det], axis=1)
+            xi = xi[go] - dxi
+            inside = ~(np.abs(xi).max(axis=1) > 10.0)
+            xi, lane = xi[inside], lane[go][inside]
+        return out
+
     # ---- node classification ----------------------------------------------
 
     def _classify_nodes(self):

@@ -1,8 +1,10 @@
 """Critical points of the guiding field and valences of interior/corner nodes.
 
-Interior zeros are hunted per candidate element with Newton iteration in
-reference coordinates; accepted roots are deduplicated and classified by
-counting phase jumps around a small circle.  Corner valences combine the
+Interior zeros come from one lockstep Newton solve of u = v = 0 in the
+reference coordinates of every element at once (RefTriangle.invert_maps, the
+solver point location uses too); an element yields None when its iteration
+fails or its root lies outside it.  The roots are deduplicated and classified
+by counting phase jumps around a small circle.  Corner valences combine the
 one-sided boundary phases with the same jump counting along an interior arc.
 """
 
@@ -16,7 +18,6 @@ import numpy as np
 from .errors import TopologyError
 from .field import HALF_PI, OUTSIDE, psi_of
 from .geometry import boundary_field
-from .reftri import BARYCENTER, in_reference
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
@@ -50,41 +51,18 @@ class CornerNode:
     radius: float = 0.0
 
 
-def flag_candidate_elements(solution):
-    """Elements whose quadrature values straddle zero in both components."""
-    flagged = []
-    for e in range(solution.mesh.n_elements()):
-        vals = solution.quad_values(e)
-        u, v = vals[:, 0], vals[:, 1]
-        if u.min() <= 0.0 <= u.max() and v.min() <= 0.0 <= v.max():
-            flagged.append(e)
-    return flagged
-
-
-def newton_locate(e, solution):
-    """Newton root of the interpolated field inside element e, or None."""
+def interior_roots(solution):
+    """A CriticalPoint for each element whose Newton root lies inside it, in id order."""
     mesh = solution.mesh
-    xi = BARYCENTER.copy()
-    for _ in range(NEWTON_MAX_ITER):
-        val = solution.eval(e, xi)[0]
-        vmag = math.hypot(val[0], val[1])
-        if vmag < NEWTON_TOL:
-            break
-        jac = solution.eval_ref_gradient(e, xi)[0]     # d(u,v)/d(xi)
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if abs(det) < 1e-300:
-            return None
-        dxi = np.array([(jac[1, 1] * val[0] - jac[0, 1] * val[1]) / det,
-                        (-jac[1, 0] * val[0] + jac[0, 0] * val[1]) / det])
-        xi = xi - dxi
-        if np.abs(xi).max() > 10.0:
-            return None
-    else:
-        return None
-    if not in_reference(xi, slack=NEWTON_SLACK):
-        return None            # dismissed: a neighbor search will find it
-    pos = mesh.map_to_physical(e, xi)[0]
-    return CriticalPoint(position=pos, elem=e, xi=xi.copy(), vmag=vmag)
+    xis = mesh.ref.invert_maps(solution.coeffs, np.zeros(2), NEWTON_TOL,
+                               NEWTON_MAX_ITER, NEWTON_SLACK)
+    roots = []
+    for e, xi in enumerate(xis):
+        if xi is not None:
+            val = solution.eval(e, xi)[0]
+            roots.append(CriticalPoint(position=mesh.map_to_physical(e, xi)[0], elem=e,
+                                       xi=xi, vmag=math.hypot(val[0], val[1])))
+    return roots
 
 
 def _fit_circle_radius(probe, center, c0, halvings=4, samples=CIRCLE_SAMPLES):
@@ -133,7 +111,7 @@ def interior_valence(point, probe, c, samples=CIRCLE_SAMPLES):
     return index, 4 - index
 
 
-def classify_critical_points(points, probe, domain=None):
+def classify_critical_points(points, probe):
     """Fill in I_c and valence for deduplicated critical points."""
     for i, cp in enumerate(points):
         c0 = RADIUS_FACTOR * probe.mesh.circumradius(cp.elem)
@@ -150,8 +128,7 @@ def classify_critical_points(points, probe, domain=None):
 
 
 def dedup_roots(roots, probe):
-    """Cluster roots within the local circle radius, keep smallest |v|."""
-    roots = sorted(roots, key=lambda r: (r.elem, r.vmag))
+    """Cluster roots (in element order) within the local circle radius, keep smallest |v|."""
     kept = []
     for r in roots:
         c = RADIUS_FACTOR * probe.mesh.circumradius(r.elem)
@@ -171,23 +148,11 @@ def dedup_roots(roots, probe):
 def find_critical_points(solution, probe):
     """Locate, deduplicate and classify all interior critical points.
 
-    Flagged elements and their neighbors are searched first, then every
-    remaining element: the quadrature sign test can miss a root parked next
-    to an element corner, and the parametric Newton search is cheap on the
-    coarse background meshes this pipeline uses.
+    Every element is searched, in one lockstep Newton solve: a sign test on
+    quadrature values can miss a root parked next to an element corner, and
+    the search is cheap on the coarse background meshes this pipeline uses.
     """
-    flagged = flag_candidate_elements(solution)
-    search = set(flagged)
-    for e in flagged:
-        search.update(solution.mesh.neighbors(e))
-    order = sorted(search) + [e for e in range(solution.mesh.n_elements())
-                              if e not in search]
-    roots = []
-    for e in order:
-        cp = newton_locate(e, solution)
-        if cp is not None:
-            roots.append(cp)
-    points = dedup_roots(roots, probe)
+    points = dedup_roots(interior_roots(solution), probe)
     return classify_critical_points(points, probe)
 
 

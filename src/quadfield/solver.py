@@ -107,12 +107,6 @@ class FieldSolution:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         return self.mesh.ref.basis_at(xi) @ self.coeffs[e]
 
-    def eval_ref_gradient(self, e, xi):
-        """d(components)/d(xi): shape (npts, ncomp, 2)."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        g = self.mesh.ref.grad_basis_at(xi)
-        return np.einsum("pnd,nc->pcd", g, self.coeffs[e])
-
     def quad_values(self, e):
         return self.mesh.ref.basis_q @ self.coeffs[e]
 

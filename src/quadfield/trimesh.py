@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import MeshError
 from .geometry import _point_in_polygon
-from .reftri import BARYCENTER, in_reference, ref_triangle
+from .reftri import ref_triangle
 
 
 @dataclass
@@ -31,16 +31,6 @@ class BoundaryFace:
     seg: int
     t0: float
     t1: float
-
-
-class NotInElement:
-    """Sentinel for failed inverse-map queries."""
-
-    def __repr__(self):
-        return "NotInElement"
-
-
-NOT_IN_ELEMENT = NotInElement()
 
 
 class TriMesh:
@@ -135,41 +125,16 @@ class TriMesh:
             best = min(best, float(np.hypot(*(self.vertices[a] - self.vertices[b]))))
         return best
 
-    def invert_map(self, elems, x, max_iter=50, slack=1e-8):
+    def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
 
-        Returns one result per element: xi, or NOT_IN_ELEMENT on failure.
-        Each iteration evaluates the basis once for all lanes still running.
-        A lane stops where a one-element Newton loop would stop, after the
-        same IEEE operations, so its xi is bitwise that loop's.
+        Returns one result per element: xi, or None on failure
+        (RefTriangle.invert_maps with tol 1e-12 * bbox_diag, 50 steps and
+        slack 1e-8).
         """
-        x = np.asarray(x, dtype=float)
-        tol = 1e-12 * self.bbox_diag
-        elems = np.asarray(elems, dtype=int)
-        out = [NOT_IN_ELEMENT] * len(elems)
-        lane = np.arange(len(elems))
-        xi = np.tile(BARYCENTER, (len(elems), 1))
-        for _ in range(max_iter):
-            if not len(lane):
-                break
-            geom = self.geom[elems[lane]]
-            basis, grad = self.ref.basis_rows(xi)
-            r = (basis[:, None, :] @ geom)[:, 0] - x
-            done = np.hypot(r[:, 0], r[:, 1]) < tol
-            for k in np.flatnonzero(done):
-                if in_reference(xi[k], slack=slack):
-                    out[lane[k]] = xi[k]
-            j = np.einsum("knd,knx->kxd", grad, geom)
-            det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-            # negated tests, as in the one-element loop: a NaN lane runs on
-            go = ~done & ~(np.abs(det) < 1e-300)
-            j, r, det = j[go], r[go], det[go]
-            dxi = np.stack([(j[:, 1, 1] * r[:, 0] - j[:, 0, 1] * r[:, 1]) / det,
-                            (-j[:, 1, 0] * r[:, 0] + j[:, 0, 0] * r[:, 1]) / det], axis=1)
-            xi = xi[go] - dxi
-            inside = ~(np.abs(xi).max(axis=1) > 10.0)
-            xi, lane = xi[inside], lane[go][inside]
-        return out
+        return self.ref.invert_maps(self.geom[np.asarray(elems, dtype=int)],
+                                    np.asarray(x, dtype=float),
+                                    1e-12 * self.bbox_diag, 50, 1e-8)
 
     def validate_jacobians(self):
         bad = [e for e in range(self.n_elements()) if self.det_jacobians(e).min() <= 0.0]

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from quadfield.blockdecomp import (EdgeRec, PlanarSubdivision, VertexRec,
-                                   build_subdivision, classify_faces, decompose,
-                                   midpoint_division, resolve_crossings)
+from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
+                                   VertexRec, build_subdivision, classify_faces,
+                                   decompose, resolve_crossings)
 from quadfield.errors import DecompositionError
 from quadfield.field import AnalyticProbe
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
@@ -210,7 +210,7 @@ def test_midpoint_division_equilateral_symmetry():
         "delta_theta": math.radians(60.0), "theta_in": 0.0})()
     cn = CornerNode(corner=corner, corner_id=0, valence=0, radius=0.2)
 
-    sub2 = midpoint_division(sub, face, FakeProbe(), fd, 0.05, [cn])
+    sub2 = MidpointDivider(sub, FakeProbe(), fd, 0.05, [cn]).divide(face)
     quads, degenerate = classify_faces(sub2)
     assert len(quads) == 3 and not degenerate
     node_key = next(k for k in sub2.vertices if k[0] == "artificial")

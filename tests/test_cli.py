@@ -92,6 +92,48 @@ def test_invalid_config_values(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc,flags", [
+    ({"order": "3"}, []),
+    ({"order": 2.5}, []),
+    ({"split": 2.0}, []),
+    ({"n_max": "100"}, []),
+    (5, []),
+    ([{"order": 3}], []),
+    ({"kappa": True}, []),
+    ({"order": False}, []),
+    ({"target_h": "0.3"}, []),
+    ({"scheme": "xx"}, []),
+    ({"merge_mode": "lazy"}, []),
+    ({"formats": "vtk,png"}, []),
+    ({"formats": ["vtk"]}, []),
+    ({"out": 5}, []),
+    ({}, ["--target-h", "-1"]),
+    ({"penalty": 0}, []),
+    ({"length_factor": -1.0}, []),
+    ({"kappa": 0.0}, []),
+    ({"step_factor": -0.25}, []),
+    ({"n_max": 0}, []),
+    ({"order": 0}, []),
+])
+def test_bad_config_value_exits_before_any_output(tmp_path, doc, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "x"
+    argv = ["run", HALF_DISC, "--config", cfg] + flags
+    if doc != {"out": 5}:
+        argv += ["--out", out]
+    assert run_cli(argv) == 2
+    assert not out.exists()
+
+
+def test_config_types_and_zero_target_h_accepted():
+    from quadfield.cli import build_parser, resolve_config
+    args = build_parser().parse_args(["mesh", "dom.json", "--target-h", "0",
+                                      "--kappa", "5", "--formats", "svg,msh"])
+    config = resolve_config(args)
+    assert config["target_h"] == 0.0 and config["formats"] == "svg,msh"
+
+
 def test_extra_formats(tmp_path):
     out = tmp_path / "fmt"
     rc = run_cli(["run", HALF_DISC, "--out", out, "--formats", "vtk,svg,msh"]

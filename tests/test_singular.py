@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadfield.errors import TopologyError
 from quadfield.field import AnalyticProbe, FieldProbe
-from quadfield.singular import (corner_valence, corner_valences,
-                                find_critical_points, flag_candidate_elements,
-                                interior_valence, newton_locate, topology_report)
+from quadfield.reftri import BARYCENTER, in_reference
+from quadfield.singular import (NEWTON_MAX_ITER, NEWTON_SLACK, NEWTON_TOL,
+                                CriticalPoint, corner_valence, corner_valences,
+                                find_critical_points, interior_roots,
+                                interior_valence, topology_report)
 from quadfield.solver import DiscretizationChoice, FieldSolution
 
 ORIGIN = np.array([0.0, 0.0])
@@ -58,23 +63,100 @@ def test_coalesced_index_rejected():
         interior_valence(ORIGIN, probe, 1.0)
 
 
-def test_flag_candidates_constant_field(square_mesh_p3):
-    sol = synthetic_solution(square_mesh_p3,
-                             lambda x, y: (np.ones_like(x), np.zeros_like(y)))
-    assert flag_candidate_elements(sol) == []
+# ---- one-element reference: the Newton loop that invert_maps runs per lane ----
 
 
-def test_flag_candidates_linear_field(square_mesh_p3):
-    # critical point at the square's center for (u,v) = (x-.5, y-.5)
-    sol = synthetic_solution(square_mesh_p3, lambda x, y: (x - 0.47, y - 0.53))
-    flagged = flag_candidate_elements(sol)
-    assert flagged
-    probe = FieldProbe(sol)
-    host = probe.locate(np.array([0.47, 0.53]))[0]
-    neighborhood = set(flagged)
-    for e in flagged:
-        neighborhood.update(square_mesh_p3.neighbors(e))
-    assert host in neighborhood
+def _eval_ref_gradient(solution, e, xi):
+    """d(components)/d(xi): shape (npts, ncomp, 2)."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    g = solution.mesh.ref.grad_basis_at(xi)
+    return np.einsum("pnd,nc->pcd", g, solution.coeffs[e])
+
+
+def newton_locate(e, solution):
+    """Newton root of the interpolated field inside element e, or None."""
+    mesh = solution.mesh
+    xi = BARYCENTER.copy()
+    for _ in range(NEWTON_MAX_ITER):
+        val = solution.eval(e, xi)[0]
+        vmag = math.hypot(val[0], val[1])
+        if vmag < NEWTON_TOL:
+            break
+        jac = _eval_ref_gradient(solution, e, xi)[0]     # d(u,v)/d(xi)
+        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+        if abs(det) < 1e-300:
+            return None
+        dxi = np.array([(jac[1, 1] * val[0] - jac[0, 1] * val[1]) / det,
+                        (-jac[1, 0] * val[0] + jac[0, 0] * val[1]) / det])
+        xi = xi - dxi
+        if np.abs(xi).max() > 10.0:
+            return None
+    else:
+        return None
+    if not in_reference(xi, slack=NEWTON_SLACK):
+        return None            # dismissed: a neighbor search will find it
+    pos = mesh.map_to_physical(e, xi)[0]
+    return CriticalPoint(position=pos, elem=e, xi=xi.copy(), vmag=vmag)
+
+
+def _assert_roots_match_newton_loop(solution):
+    got = {cp.elem: cp for cp in interior_roots(solution)}
+    for e in range(solution.mesh.n_elements()):
+        ref = newton_locate(e, solution)
+        assert (e in got) == (ref is not None), e
+        if ref is not None:
+            cp = got[e]
+            assert cp.xi.tobytes() == ref.xi.tobytes(), e
+            assert np.float64(cp.vmag).tobytes() == np.float64(ref.vmag).tobytes(), e
+            assert cp.position.tobytes() == ref.position.tobytes(), e
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_interior_roots_match_newton_loop(square_mesh_p3, data):
+    mesh = square_mesh_p3
+    kind = data.draw(st.sampled_from(
+        ["inside", "edge", "vertex", "just_outside", "no_root", "degenerate", "zero"]))
+    u = data.draw(st.floats(0.0, 1.0))
+    w = data.draw(st.floats(0.0, 1.0))
+    if kind == "inside":
+        e = data.draw(st.integers(0, mesh.n_elements() - 1))
+        xi = np.array([-1.0 + 2.0 * u * (1.0 - w), -1.0 + 2.0 * w * (1.0 - u)])
+        x0 = mesh.map_to_physical(e, xi)[0]
+    elif kind == "edge":
+        a, b = sorted(mesh.interior_edges[data.draw(
+            st.integers(0, len(mesh.interior_edges) - 1))])
+        x0 = mesh.vertices[a] + u * (mesh.vertices[b] - mesh.vertices[a])
+    elif kind == "vertex":
+        x0 = mesh.vertices[data.draw(st.integers(0, len(mesh.vertices) - 1))]
+    else:
+        # beside one of the four sides of the unit square, 1e-9 to 1e-3 out
+        gap = 10.0 ** (-9.0 + 6.0 * w)
+        x0 = [np.array([u, -gap]), np.array([1.0 + gap, u]), np.array([u, 1.0 + gap]),
+              np.array([-gap, u])][data.draw(st.integers(0, 3))]
+    coef = st.floats(-2.0, 2.0)
+    a11, a12, a21, a22, q1, q2 = (data.draw(coef) for _ in range(6))
+    if kind == "degenerate":       # v = k u: a singular Jacobian everywhere
+        k = data.draw(coef)
+        a21, a22, q1, q2 = k * a11, k * a12, 0.0, 0.0
+
+    def fn(x, y):
+        dx, dy = x - x0[0], y - x0[1]
+        if kind == "zero":
+            return 0.0 * x, 0.0 * y
+        uu = a11 * dx + a12 * dy + q1 * dx * dy
+        vv = a21 * dx + a22 * dy + q2 * dx * dx
+        if kind == "no_root":      # |u| >= 2 - 2 * 0.5 * 2 > 0 on the square
+            uu = 2.0 + 0.5 * np.tanh(uu)
+        return uu, vv
+
+    _assert_roots_match_newton_loop(synthetic_solution(mesh, fn))
+
+
+def test_interior_roots_match_newton_loop_on_half_disc(half_disc_solution):
+    got = _assert_roots_match_newton_loop(half_disc_solution)
+    assert len(got) >= 2
 
 
 def test_newton_locate_linear_field(square_mesh_p3):
@@ -86,12 +168,28 @@ def test_newton_locate_linear_field(square_mesh_p3):
     assert cps[0].valence == 3
 
 
+def test_flag_candidates_linear_field(square_mesh_p3):
+    # critical point near the square's center for (u,v) = (x-.47, y-.53)
+    sol = synthetic_solution(square_mesh_p3, lambda x, y: (x - 0.47, y - 0.53))
+    roots = interior_roots(sol)
+    assert roots
+    probe = FieldProbe(sol)
+    host = probe.locate(np.array([0.47, 0.53]))[0]
+    neighborhood = {cp.elem for cp in roots}
+    for cp in roots:
+        neighborhood.update(square_mesh_p3.neighbors(cp.elem))
+    assert host in neighborhood
+    # the root's host element is the one point location returns
+    assert find_critical_points(sol, probe)[0].elem == host
+
+
 def test_newton_dismisses_roots_outside_element(square_mesh_p3):
     sol = synthetic_solution(square_mesh_p3, lambda x, y: (x - 0.47, y - 0.53))
     probe = FieldProbe(sol)
     host = probe.locate(np.array([0.47, 0.53]))[0]
     far = (host + square_mesh_p3.n_elements() // 2) % square_mesh_p3.n_elements()
     assert newton_locate(far, sol) is None
+    assert far not in [cp.elem for cp in interior_roots(sol)]
 
 
 def test_half_disc_critical_points(half_disc_topology):

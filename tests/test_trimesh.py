@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line
 from quadfield.reftri import BARYCENTER, RefTriangle, _JacobiTable, in_reference
-from quadfield.trimesh import (NOT_IN_ELEMENT, BoundaryFace, TriMesh,
-                               elevate_and_curve, generate_background_mesh)
+from quadfield.trimesh import (BoundaryFace, TriMesh, elevate_and_curve,
+                               generate_background_mesh)
 
 
 
@@ -108,11 +108,11 @@ def test_jacobian_matches_finite_differences(half_disc_mesh):
         assert np.abs(fd - jac[:, d]).max() < 1e-6 * (1 + np.abs(jac).max())
 
 
-# ---- one-element reference: the Newton loop that invert_map runs per lane -----
+# ---- one-element reference: the Newton loop that invert_maps runs per lane ----
 
 
 def _invert_map_scalar(mesh, e, x, max_iter=50, slack=1e-8):
-    """Newton inversion of the element map; NOT_IN_ELEMENT on failure."""
+    """Newton inversion of the element map; None on failure."""
     x = np.asarray(x, dtype=float)
     tol = 1e-12 * mesh.bbox_diag
     xi = BARYCENTER.copy()
@@ -123,16 +123,16 @@ def _invert_map_scalar(mesh, e, x, max_iter=50, slack=1e-8):
         j = mesh.jacobian(e, xi)[0]
         det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
         if abs(det) < 1e-300:
-            return NOT_IN_ELEMENT
+            return None
         dxi = np.array([(j[1, 1] * r[0] - j[0, 1] * r[1]) / det,
                         (-j[1, 0] * r[0] + j[0, 0] * r[1]) / det])
         xi = xi - dxi
         if np.abs(xi).max() > 10.0:
-            return NOT_IN_ELEMENT
+            return None
     else:
-        return NOT_IN_ELEMENT
+        return None
     if not in_reference(xi, slack=slack):
-        return NOT_IN_ELEMENT
+        return None
     return xi
 
 
@@ -141,10 +141,10 @@ def _assert_lanes_match_scalar(mesh, elems, x):
     assert len(got) == len(elems)
     for e, xi in zip(elems, got):
         ref = _invert_map_scalar(mesh, e, x)
-        if ref is NOT_IN_ELEMENT:
-            assert xi is NOT_IN_ELEMENT, e
+        if ref is None:
+            assert xi is None, e
         else:
-            assert xi is not NOT_IN_ELEMENT, e
+            assert xi is not None, e
             assert xi.tobytes() == ref.tobytes(), e
     return got
 
@@ -159,7 +159,7 @@ def test_invert_map_roundtrip(half_disc_mesh):
             + np.array([-1.0, 1.0]) * lam[2]
         x = mesh.map_to_physical(e, xi)[0]
         (xi2,) = mesh.invert_map([e], x)
-        assert xi2 is not NOT_IN_ELEMENT
+        assert xi2 is not None
         assert np.abs(xi - xi2).max() < 1e-10
 
 
@@ -204,7 +204,7 @@ def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
     assert 6 not in curved and {0, 1, 2, 3, 4, 5, 7} <= curved
     x = mesh.map_to_physical(6, np.array([0.0, -1.0]))[0]
     got = _assert_lanes_match_scalar(mesh, list(range(8)), x)
-    assert [e for e, xi in enumerate(got) if xi is not NOT_IN_ELEMENT] == [5, 6]
+    assert [e for e, xi in enumerate(got) if xi is not None] == [5, 6]
 
 
 def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeypatch):
@@ -224,7 +224,7 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
         monkeypatch.setattr(RefTriangle, name, counted(name, getattr(RefTriangle, name)))
     got = mesh.invert_map(elems, x)
     tables = counts["table"]
-    assert got[0] is not NOT_IN_ELEMENT
+    assert got[0] is not None
     assert counts["basis_at"] == counts["grad_basis_at"] == 0
     # the one-element loop maps xi once per iteration; the lockstep loop
     # builds one table per iteration for all lanes, until the last one stops
@@ -243,7 +243,7 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
 def test_invert_map_outside(half_disc_mesh):
     mesh = half_disc_mesh
     elems = list(range(mesh.n_elements()))
-    assert mesh.invert_map(elems, np.array([50.0, 50.0])) == [NOT_IN_ELEMENT] * len(elems)
+    assert mesh.invert_map(elems, np.array([50.0, 50.0])) == [None] * len(elems)
 
 
 def test_shared_edge_point_found_by_both(half_disc_mesh):
@@ -253,8 +253,8 @@ def test_shared_edge_point_found_by_both(half_disc_mesh):
     a, b = sorted(key)
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     xi0, xi1 = mesh.invert_map([e0, e1], mid)
-    assert xi0 is not NOT_IN_ELEMENT
-    assert xi1 is not NOT_IN_ELEMENT
+    assert xi0 is not None
+    assert xi1 is not None
 
 
 def test_positive_jacobians_everywhere(half_disc_mesh, square_mesh_p3):
