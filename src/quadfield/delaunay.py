@@ -1,8 +1,11 @@
 """Constrained Delaunay triangulation via Bowyer-Watson with edge recovery.
 
-Scale is small (background meshes stay coarse), so the implementation favors
-clarity and determinism over asymptotics: brute-force cavity searches, flip
-based constraint recovery, flood-fill carving.
+The triangulation keeps its points and its (a, b, c) triangle table as numpy
+arrays that grow in place, so the Bowyer-Watson cavity test is one vectorized
+in-circle predicate over every triangle per inserted point.  Constraint
+recovery (flip based, scalar crossing scan) and the flood-fill carving stay
+plain Python; background meshes stay coarse and the shipped domains need no
+flips.
 """
 
 from __future__ import annotations
@@ -10,17 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MeshError
-
-
-def _circumcircle_contains(pts, tri, p, eps):
-    a, b, c = (pts[i] for i in tri)
-    ax, ay = a - p
-    bx, by = b - p
-    cx, cy = c - p
-    det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
-           - (bx * bx + by * by) * (ax * cy - cx * ay)
-           + (cx * cx + cy * cy) * (ax * by - bx * ay))
-    return det > eps
 
 
 def _orient(pa, pb, pc):
@@ -37,23 +29,62 @@ def _segments_cross(p1, p2, q1, q2):
         d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
 
 
+def _doubled(arr):
+    """arr with its row capacity doubled (at least 16 rows), filled with zeros."""
+    out = np.zeros((max(2 * len(arr), 16),) + arr.shape[1:], dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
+
+
 class Triangulation:
-    """Mutable triangle soup with an edge->triangles index."""
+    """Mutable triangle soup with an edge->triangles index.
+
+    triangles is the list of (a, b, c) CCW or None (deleted) by triangle id;
+    the same table is kept as numpy arrays (points, table, live), grown in
+    place by doubling, for the vectorized cavity test.
+    """
 
     def __init__(self, points):
-        self.points = [np.asarray(p, dtype=float) for p in points]
-        self.triangles = []          # list of (a,b,c) CCW or None (deleted)
+        self._points = np.array(points, dtype=float).reshape(-1, 2)
+        self._n_points = len(self._points)
+        self._table = np.zeros((0, 3), dtype=np.intp)
+        self._live = np.zeros(0, dtype=bool)
+        self.triangles = []
         self.edge_map = {}           # frozenset edge -> set of triangle ids
 
+    @property
+    def points(self):
+        """(n, 2) point coordinates; row i is point id i."""
+        return self._points[:self._n_points]
+
+    @property
+    def table(self):
+        """(m, 3) vertex ids of every triangle id, deleted ones included."""
+        return self._table[:len(self.triangles)]
+
+    @property
+    def live(self):
+        """(m,) True where the triangle id is not deleted."""
+        return self._live[:len(self.triangles)]
+
     def add_point(self, p):
-        self.points.append(np.asarray(p, dtype=float))
-        return len(self.points) - 1
+        pid = self._n_points
+        if pid == len(self._points):
+            self._points = _doubled(self._points)
+        self._points[pid] = p
+        self._n_points += 1
+        return pid
 
     def add_triangle(self, a, b, c):
         if _orient(self.points[a], self.points[b], self.points[c]) < 0:
             a, b = b, a
         tid = len(self.triangles)
+        if tid == len(self._table):
+            self._table = _doubled(self._table)
+            self._live = _doubled(self._live)
         self.triangles.append((a, b, c))
+        self._table[tid] = (a, b, c)
+        self._live[tid] = True
         for e in ((a, b), (b, c), (c, a)):
             self.edge_map.setdefault(frozenset(e), set()).add(tid)
         return tid
@@ -69,6 +100,7 @@ class Triangulation:
             if not self.edge_map[key]:
                 del self.edge_map[key]
         self.triangles[tid] = None
+        self._live[tid] = False
 
     def live_triangles(self):
         return [(tid, t) for tid, t in enumerate(self.triangles) if t is not None]
@@ -81,10 +113,22 @@ class Triangulation:
 
 
 def bowyer_watson_insert(tri, pid, eps):
-    """Insert point pid into the triangulation (cavity retriangulation)."""
-    p = tri.points[pid]
-    bad = [tid for tid, t in tri.live_triangles()
-           if _circumcircle_contains(tri.points, t, p, -eps)]
+    """Insert point pid into the triangulation (cavity retriangulation).
+
+    The cavity is every live triangle whose circumcircle holds the point up
+    to eps: one in-circle determinant for all triangles at once, ascending
+    in triangle id.
+    """
+    pts = tri.points
+    p = pts[pid]
+    table = tri.table
+    ax, ay = (pts[table[:, 0]] - p).T
+    bx, by = (pts[table[:, 1]] - p).T
+    cx, cy = (pts[table[:, 2]] - p).T
+    det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
+           - (bx * bx + by * by) * (ax * cy - cx * ay)
+           + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    bad = np.flatnonzero(tri.live & (det > -eps)).tolist()
     if not bad:
         raise MeshError("point insertion found no containing circumcircle")
     # boundary of the cavity: edges appearing exactly once among bad triangles

@@ -78,8 +78,12 @@ class CurveSegment:
         return math.atan2(d[1], d[0])
 
     def _scale(self):
-        p0, p1 = self.start(), self.end()
-        return float(np.abs(p0).max() + np.abs(p1).max())
+        """Coordinate magnitude of the end points (cached)."""
+        scale = getattr(self, "_scale_val", None)
+        if scale is None:
+            p0, p1 = self.start(), self.end()
+            scale = self._scale_val = float(np.abs(p0).max() + np.abs(p1).max())
+        return scale
 
     def arclength_table(self, n=256):
         """Cumulative arclength at n+1 uniform t samples (cached)."""
@@ -532,12 +536,6 @@ def domain_from_json(doc):
 def load_domain(path):
     with open(path) as f:
         return domain_from_json(json.load(f))
-
-
-def save_domain(domain, path):
-    with open(path, "w") as f:
-        json.dump(domain.to_json(), f, indent=1, sort_keys=True)
-        f.write("\n")
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

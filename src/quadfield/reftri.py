@@ -308,6 +308,7 @@ class RefTriangle:
         self.grad_q = self.grad_basis_at(self.quad_points)
         self._classify_nodes()
         self._edge_quadrature()
+        self._face_tables = {}
 
     # ---- basis evaluation -------------------------------------------------
 
@@ -413,6 +414,22 @@ class RefTriangle:
         b = VERTICES[(edge + 1) % 3]
         lam = 0.5 * (svals + 1.0)
         return a[None, :] + lam[:, None] * (b - a)[None, :]
+
+    def face_table(self, edge, reverse=False):
+        """(basis_at, grad_basis_at) at the edge quadrature points of one edge.
+
+        The points are edge_points(edge, edge_quad_x), or at -edge_quad_x
+        when reverse is set (the neighbour's view of a shared edge).  Each
+        of the six tables is built on first use and is read-only.
+        """
+        key = (edge, reverse)
+        if key not in self._face_tables:
+            xi = self.edge_points(edge, -self.edge_quad_x if reverse else self.edge_quad_x)
+            table = (self.basis_at(xi), self.grad_basis_at(xi))
+            for a in table:
+                a.flags.writeable = False
+            self._face_tables[key] = table
+        return self._face_tables[key]
 
     def barycentric(self, xi):
         """Barycentric coordinates (l0, l1, l2) w.r.t. the reference vertices."""

@@ -178,12 +178,9 @@ class FaceGeometry:
 
     def __init__(self, mesh, elem, ledge):
         ref = mesh.ref
-        s = ref.edge_quad_x
-        self.s = s
-        xi = ref.edge_points(ledge, s)
-        self.xi = xi
-        self.basis = ref.basis_at(xi)
-        jac, _, self.gphys = _physical_gradients(ref.grad_basis_at(xi), mesh.geom[elem])
+        self.s = ref.edge_quad_x
+        self.basis, grad = ref.face_table(ledge)
+        jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elem])
         from .reftri import VERTICES
         dxi_ds = 0.5 * (VERTICES[(ledge + 1) % 3] - VERTICES[ledge])
         tang = np.einsum("pxd,d->px", jac, dxi_ds)
@@ -339,9 +336,8 @@ def build_dg_system(mesh, bc, choice):
 
     for (eL, leL, eR, leR) in interior_face_pairs(mesh):
         fL = FaceGeometry(mesh, eL, leL)
-        fR_xi = _matched_face_points(mesh, eR, leR, fL)
-        BR = ref.basis_at(fR_xi)
-        _, _, gphysR = _physical_gradients(ref.grad_basis_at(fR_xi), mesh.geom[eR])
+        BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
+        _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
 
         BL = fL.basis
         DnL = fL.normal_deriv()
@@ -386,19 +382,17 @@ def build_dg_system(mesh, bc, choice):
     return K, rhs
 
 
-def _matched_face_points(mesh, eR, leR, fL):
-    """Reference points of eR matching fL's physical quadrature points.
+def _matched_face_basis(mesh, eR, leR, fL):
+    """(basis, grad) of eR at the reference points matching fL's quadrature points.
 
     Conforming meshes share the edge geometry, so the match is the affine
     parameter reversal; verified against the physical points.
     """
-    ref = mesh.ref
-    xiR = ref.edge_points(leR, -fL.s)
-    ptsR = ref.basis_at(xiR) @ mesh.geom[eR]
-    err = np.abs(ptsR - fL.points).max()
+    basis, grad = mesh.ref.face_table(leR, reverse=True)
+    err = np.abs(basis @ mesh.geom[eR] - fL.points).max()
     if err > 1e-9 * (1.0 + mesh.bbox_diag):
         raise SolverError(f"face geometry mismatch across an interior edge: {err:.3e}")
-    return xiR
+    return basis, grad
 
 
 def solve_dg(mesh, bc, choice):
@@ -458,13 +452,12 @@ def jump_norm(solution):
     zeros up to roundoff.
     """
     mesh = solution.mesh
-    ref = mesh.ref
     per_edge = []
     for (eL, leL, eR, leR) in interior_face_pairs(mesh):
         fL = FaceGeometry(mesh, eL, leL)
-        xiR = _matched_face_points(mesh, eR, leR, fL)
+        BR, _ = _matched_face_basis(mesh, eR, leR, fL)
         uL = fL.basis @ solution.coeffs[eL]
-        uR = ref.basis_at(xiR) @ solution.coeffs[eR]
+        uR = BR @ solution.coeffs[eR]
         jump = uL - uR
         per_edge.append(np.sqrt(np.einsum("p,pc->c", fL.wq, jump**2)))
     arr = np.array(per_edge) if per_edge else np.zeros((0, solution.ncomp))

@@ -252,7 +252,7 @@ def generate_background_mesh(domain, target_h):
         raise MeshError("meshing produced no interior triangles")
     used = sorted({v for _, t in live for v in t})
     remap = {old: new for new, old in enumerate(used)}
-    verts = np.array([tri.points[v] for v in used])
+    verts = tri.points[used]
     tris = [tuple(remap[v] for v in t) for _, t in live]
     tris.sort()
 

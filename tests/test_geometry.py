@@ -25,6 +25,14 @@ def test_tangent_angle_ccw_arc_top():
     assert tangent_angle(seg, 0.5) == pytest.approx(math.pi, abs=1e-12)
 
 
+def test_singular_parametrization_rejected_on_every_call():
+    seg = Line((3.0, -2.0), (3.0, -2.0))
+    for t in (0.0, 0.5, 1.0):
+        with pytest.raises(GeometryError, match="singular parametrization"):
+            tangent_angle(seg, t)
+    assert seg._scale() == 6.0
+
+
 def test_tangent_angle_naca_trailing_edge_against_finite_differences():
     foil = Naca4("0012")
     # upper surface near the trailing edge: t slightly below 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadfield.errors import SolverError
-from quadfield.reftri import quadrature_for_degree
+from quadfield.reftri import RefTriangle, quadrature_for_degree
 from quadfield.solver import (CrossFieldBC, DiscretizationChoice, FunctionBC,
                               build_cg_system, build_dg_system,
                               choose_discretization, jump_norm,
@@ -175,3 +175,33 @@ def test_jump_norm_dg_polygon(polygon_iii):
                        if not c.bc_continuous]
             assert min(np.hypot(*(a - c)) for c in corners) < 1.0
     assert jumps[5] < jumps[2]
+
+
+def _per_face_table(ref, edge, reverse=False):
+    """face_table without the cache: basis_at / grad_basis_at at every call."""
+    s = -ref.edge_quad_x if reverse else ref.edge_quad_x
+    xi = ref.edge_points(edge, s)
+    return ref.basis_at(xi), ref.grad_basis_at(xi)
+
+
+def test_face_tables_match_per_face_evaluation(square_mesh_p3, monkeypatch):
+    mesh = square_mesh_p3
+    for edge in range(3):
+        for reverse in (False, True):
+            table = mesh.ref.face_table(edge, reverse)
+            assert table is mesh.ref.face_table(edge, reverse)
+            for cached, direct in zip(table, _per_face_table(mesh.ref, edge, reverse)):
+                assert not cached.flags.writeable
+                assert cached.tobytes() == direct.tobytes()
+
+    bc = FunctionBC(mesh, [lambda x, y: x * x - y * y, lambda x, y: np.sin(x) * y])
+    choice = DiscretizationChoice("dg", 3)
+
+    def assembled():
+        K, rhs = build_dg_system(mesh, bc, choice)
+        jumps, _ = jump_norm(solve_laplace(mesh, bc, choice))
+        return [a.tobytes() for a in (K.data, K.indices, K.indptr, rhs, jumps)]
+
+    cached = assembled()
+    monkeypatch.setattr(RefTriangle, "face_table", _per_face_table)
+    assert cached == assembled()
