@@ -10,14 +10,15 @@ streamline launched from the bad corner, joined to the surrounding sides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import polyline
 from .errors import DecompositionError
 from .errors import TracingError
-from .tracer import Anchor, Streamline, advance_all, refine_direction
+from .tracer import (Anchor, BoundaryAnchors, Streamline, advance_all,
+                     refine_direction)
 
 AREA_TOL = 1e-14
 
@@ -36,8 +37,6 @@ class EdgeRec:
     v1: tuple
     polyline: np.ndarray        # dense, polyline[0] == pos(v0), [-1] == pos(v1)
     kind: str                   # boundary | separatrix | branch | tail
-    loop: int = -1
-    allow_cross: bool = False   # midpoint tails may cross existing separatrices
 
 
 def catmull_rom_densify(points, subdiv=6):
@@ -121,7 +120,7 @@ def boundary_records(domain, corner_nodes, boundary_anchors):
             poly = _sample_boundary_arc(loop, cum, 0.0, total, spacing)
             poly[0] = pos
             poly[-1] = pos
-            records.append(EdgeRec(key, key, poly, "boundary", loop=li))
+            records.append(EdgeRec(key, key, poly, "boundary"))
             continue
         events.sort(key=lambda ev: ev[0])
         m = len(events)
@@ -131,7 +130,7 @@ def boundary_records(domain, corner_nodes, boundary_anchors):
             poly = _sample_boundary_arc(loop, cum, s0, s1, spacing)
             poly[0] = vertices[k0].position
             poly[-1] = vertices[k1].position
-            records.append(EdgeRec(k0, k1, poly, "boundary", loop=li))
+            records.append(EdgeRec(k0, k1, poly, "boundary"))
     return vertices, records
 
 
@@ -192,19 +191,11 @@ def resolve_crossings(vertices, records):
                 raise DecompositionError(
                     "invalid separatrix graph: a separatrix crosses the boundary")
 
+    settled = set()
     counter = 0
     while True:
-        found = None
-        movable = [r for r in records if r.kind != "boundary"]
-        for i, a in enumerate(movable):
-            for b in movable[i + 1:]:
-                hits = polyline.intersections(a.polyline, b.polyline)
-                if hits:
-                    found = (a, b, min(hits, key=lambda hx: hx[0])[1])
-                    break
-            if found:
-                break
-        if not found:
+        found = _first_crossing([r for r in records if r.kind != "boundary"], settled)
+        if found is None:
             return records
         a, b, x = found
         # tangent directions at the polyline points nearest to the crossing
@@ -223,12 +214,31 @@ def resolve_crossings(vertices, records):
         _split_record(records, b, x, key)
 
 
+def _first_crossing(movable, settled):
+    """(a, b, point) of the first crossing pair in scan order, or None.
+
+    The point is the crossing nearest the start of a.  settled holds the pairs
+    already found disjoint: a record's polyline never changes, so testing such
+    a pair again would give the same empty result.  Pairs found disjoint here
+    are added to it.
+    """
+    for i, a in enumerate(movable):
+        for b in movable[i + 1:]:
+            if (a, b) in settled:
+                continue
+            hits = polyline.intersections(a.polyline, b.polyline)
+            if hits:
+                return a, b, min(hits, key=lambda hx: hx[0])[1]
+            settled.add((a, b))
+    return None
+
+
 def _split_record(records, rec, point, key):
     """Replace rec in records by its two halves, joined at vertex key."""
     first, second = polyline.split_at(rec.polyline, point)
     records.remove(rec)
-    records.append(EdgeRec(rec.v0, key, first, rec.kind, loop=rec.loop))
-    records.append(EdgeRec(key, rec.v1, second, rec.kind, loop=rec.loop))
+    records.append(EdgeRec(rec.v0, key, first, rec.kind))
+    records.append(EdgeRec(key, rec.v1, second, rec.kind))
 
 
 # ---- half-edge structure -------------------------------------------------------
@@ -284,7 +294,6 @@ class PlanarSubdivision:
                 # face continues from the twin's CCW predecessor around v
                 prev = order[(idx - 1) % n]
                 self.next_he[_twin(he)] = prev
-        self.outgoing = outgoing
 
     def _extract_faces(self):
         seen = set()
@@ -304,8 +313,7 @@ class PlanarSubdivision:
                     raise DecompositionError("face walk failed to close")
             pts = np.vstack([self._he_polyline(h)[:-1] for h in walk]
                             + [self._he_polyline(walk[-1])[-1:]])
-            x, y = pts[:-1, 0], pts[:-1, 1]
-            area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+            area = polyline.signed_area(pts[:-1])
             keys = [self._he_vertices(h)[0] for h in walk]
             faces.append(Face(walk, area, keys, pts))
         self.faces = faces
@@ -378,12 +386,12 @@ def build_subdivision(domain, separatrices, corner_nodes):
     return sub
 
 
-def classify_faces(sub, strict=True):
+def classify_faces(sub):
     """Partition bounded faces into quads and degenerate triangles.
 
-    Non-strict mode tolerates other face shapes while degenerate corners are
-    still pending: a node whose converging branch was withheld leaves an
-    unfinished sector that midpoint division completes.
+    Other face shapes are tolerated while a degenerate face is pending: a
+    node whose converging branch was withheld leaves an unfinished sector
+    that midpoint division completes.  With none pending they are an error.
     """
     quads, degenerate, other = [], [], []
     for f in sub.bounded_faces:
@@ -396,13 +404,11 @@ def classify_faces(sub, strict=True):
         elif len(corners) == 4:
             quads.append(f)
         else:
-            if strict:
-                raise DecompositionError(
-                    f"non-quadrilateral face with {len(corners)} block corners")
-            other.append(f)
-    if strict:
-        return quads, degenerate
-    return quads, degenerate, other
+            other.append(len(corners))
+    if other and not degenerate:
+        raise DecompositionError(
+            f"non-quadrilateral face with {other[0]} block corners")
+    return quads, degenerate
 
 
 # ---- midpoint division ---------------------------------------------------------
@@ -446,16 +452,7 @@ def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000
     """
     sl = Streamline(Anchor("artificial", 0, np.asarray(origin, dtype=float)), 0,
                     [np.asarray(origin, dtype=float)], [float(alpha0)])
-
-    class _Registry:
-        def __init__(self):
-            self.hit = None
-
-        def resolve(self, position, loop, seg, t):
-            self.hit = Anchor("boundary", 0, position, loop=loop, seg=seg, t=t)
-            return self.hit
-
-    reg = _Registry()
+    reg = BoundaryAnchors((), 0.0)      # every boundary hit is a fresh anchor
     rounds = 0
     while sl.status == "active" and rounds < n_max:
         advance_all([sl], probe, h, domain=domain, registry=reg, n_max=n_max)
@@ -463,12 +460,12 @@ def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000
             if np.hypot(*(sl.front() - cp.position)) < max(cp.radius, h):
                 sl.points.append(cp.position.copy())
                 sl.status = "hit_boundary"
-                reg.hit = Anchor("critical", ci, cp.position)
+                sl.end_anchor = Anchor("critical", ci, cp.position)
                 break
         rounds += 1
     if sl.status != "hit_boundary":
         raise DecompositionError("midpoint-division streamline failed to terminate")
-    return np.asarray(sl.points), reg.hit
+    return np.asarray(sl.points), sl.end_anchor
 
 
 def _pick_node(tail, exit_len, m1, m2):
@@ -535,7 +532,7 @@ class MidpointDivider:
 
     def divide(self, face):
         sub = self.sub
-        corners, zeros = sub.face_corners(face)
+        _, zeros = sub.face_corners(face)
         qkey = zeros[0]
         cn = self.corner_nodes[qkey[1]]
         corner = cn.corner
@@ -548,29 +545,36 @@ class MidpointDivider:
         adj_in = next(s for s in sides if sub._he_vertices(s[1][-1])[1] == qkey)
         others = [s for s in sides if s is not adj_out and s is not adj_in]
 
-        poly_out = _side_polyline(sub, adj_out[1])
-        poly_in = _side_polyline(sub, adj_in[1])
-        m1 = polyline.midpoint(poly_out)
-        m2 = polyline.midpoint(poly_in)
-
         # first exit of the tail through the rest of the face boundary
         exits = []
         tail_len = float(np.sum(polyline.seglen(tail)))
-        for skey, hes in others:
+        for _, hes in others:
             spoly = _side_polyline(sub, hes)
             for s_along, x in polyline.intersections(tail, spoly):
-                exits.append((s_along, x, skey, hes))
+                exits.append((s_along, x, hes))
             if not exits:
                 # a boundary-terminated tail ends ON a side instead of crossing it
                 _, d = polyline.nearest_segment(spoly, tail[-1])
                 if d < 1e-6 * (1.0 + self.probe.mesh.bbox_diag):
-                    exits.append((tail_len, tail[-1], skey, hes))
-        case_b = len(others) == 2
+                    exits.append((tail_len, tail[-1], hes))
+        if not exits:
+            raise DecompositionError("midpoint streamline never leaves its face")
+        exits.sort(key=lambda ex: ex[0])
+        exit_len, exit_pt, exit_hes = exits[0]
 
+        # In a triangle, q sits between its two adjacent sides: the node joins
+        # their midpoints and the tail runs on to the exit.  Between two
+        # adjacent and two far sides, the streamline head is q's connection
+        # and the node joins the far-side midpoints.
+        far = len(others) == 2
+        joined = others if far else [adj_out, adj_in]
+        mids = [polyline.midpoint(_side_polyline(sub, hes)) for _, hes in joined]
+        ni = _pick_node(tail, exit_len, *mids)
+        node_pos = tail[ni]
         node_key = ("artificial", self.counter)
         self.counter += 1
 
-        records = [r for r in sub.records]
+        records = list(sub.records)
         vertices = dict(sub.vertices)
 
         def split_record(hes_side, at_point, new_vkey, kind):
@@ -581,62 +585,26 @@ class MidpointDivider:
                                            kind)
             _split_record(records, sub.records[hes_side[0] // 2], at_point, new_vkey)
 
-        if case_b and not exits:
-            raise DecompositionError("midpoint streamline never leaves its face")
-
-        if not case_b:
-            # triangle with q between its two adjacent sides: connect the node
-            # to the exit point and both adjacent-side midpoints
-            if not exits:
-                raise DecompositionError("midpoint streamline never leaves its face")
-            exits.sort(key=lambda ex: ex[0])
-            exit_len, exit_pt, exit_skey, exit_hes = exits[0]
-            ni = _pick_node(tail, exit_len, m1, m2)
-            node_pos = tail[ni]
-            vertices[node_key] = VertexRec(node_key, node_pos, "artificial")
-
-            mk1 = ("cross", f"m1-{node_key[1]}")
-            mk2 = ("cross", f"m2-{node_key[1]}")
-            split_record(adj_out[1], m1, mk1, "boundary")
-            split_record(adj_in[1], m2, mk2, "boundary")
-
-            exit_rec_kind = sub.records[exit_hes[0] // 2].kind
-            ek = ("cross", f"x-{node_key[1]}")
-            # tail from the node to the exit point
-            cut = _cut_tail(tail, ni, exit_pt)
-            if exit_rec_kind == "boundary":
-                split_record(exit_hes, exit_pt, ek, "boundary")
-                records.append(EdgeRec(node_key, ek, cut, "tail", allow_cross=False))
-            else:
-                split_record(exit_hes, exit_pt, ek, "cross")
-                _, rest = polyline.split_at(tail, exit_pt)
-                records.append(EdgeRec(node_key, ek, cut, "tail", allow_cross=True))
-                self._propagate(records, vertices, rest, ek, hit, node_key)
-            records.append(EdgeRec(node_key, mk1,
-                                   np.vstack([node_pos, m1]), "branch"))
-            records.append(EdgeRec(node_key, mk2,
-                                   np.vstack([node_pos, m2]), "branch"))
-        else:
-            # q is a wedge vertex between 4 walk stretches: keep the streamline
-            # head as the q-connection and join the two far-side midpoints
-            far1, far2 = others
-            p1 = _side_polyline(sub, far1[1])
-            p2 = _side_polyline(sub, far2[1])
-            mf1 = polyline.midpoint(p1)
-            mf2 = polyline.midpoint(p2)
-            exit_len = exits[0][0] if exits else tail_len
-            ni = _pick_node(tail, exit_len, mf1, mf2)
-            node_pos = tail[ni]
-            vertices[node_key] = VertexRec(node_key, node_pos, "artificial")
-            mk1 = ("cross", f"m1-{node_key[1]}")
-            mk2 = ("cross", f"m2-{node_key[1]}")
-            split_record(far1[1], mf1, mk1, "boundary")
-            split_record(far2[1], mf2, mk2, "boundary")
+        vertices[node_key] = VertexRec(node_key, node_pos, "artificial")
+        mid_keys = [("cross", f"m{k}-{node_key[1]}") for k in (1, 2)]
+        for (_, hes), m, mk in zip(joined, mids, mid_keys):
+            split_record(hes, m, mk, "boundary")
+        if far:
             head = tail[:ni + 1][::-1].copy()
-            head[-1] = sub.vertices[qkey].position
+            head[-1] = q
             records.append(EdgeRec(node_key, qkey, head, "tail"))
-            records.append(EdgeRec(node_key, mk1, np.vstack([node_pos, mf1]), "branch"))
-            records.append(EdgeRec(node_key, mk2, np.vstack([node_pos, mf2]), "branch"))
+        else:
+            # the tail runs from the node to the exit point; past an interior
+            # edge it continues through the next faces
+            ek = ("cross", f"x-{node_key[1]}")
+            on_boundary = sub.records[exit_hes[0] // 2].kind == "boundary"
+            split_record(exit_hes, exit_pt, ek, "boundary" if on_boundary else "cross")
+            records.append(EdgeRec(node_key, ek, _cut_tail(tail, ni, exit_pt), "tail"))
+            if not on_boundary:
+                _, rest = polyline.split_at(tail, exit_pt)
+                self._propagate(records, vertices, rest, ek, hit, node_key)
+        for m, mk in zip(mids, mid_keys):
+            records.append(EdgeRec(node_key, mk, np.vstack([node_pos, m]), "branch"))
 
         vertices[qkey] = VertexRec(qkey, vertices[qkey].position, "corner",
                                    corner_valence=1)
@@ -666,7 +634,7 @@ class MidpointDivider:
                                                "boundary")
                 poly = current.copy()
                 poly[-1] = vertices[endk].position if endk in vertices else hit.position
-                records.append(EdgeRec(start_key, endk, poly, "tail", allow_cross=True))
+                records.append(EdgeRec(start_key, endk, poly, "tail"))
                 return
             hits.sort(key=lambda hx: hx[0])
             s_along, x, rec = hits[0]
@@ -674,7 +642,7 @@ class MidpointDivider:
             vertices[xk] = VertexRec(xk, np.asarray(x), "cross")
             _split_record(records, rec, x, xk)
             upto, beyond = polyline.split_at(current, x)
-            records.append(EdgeRec(start_key, xk, upto, "tail", allow_cross=True))
+            records.append(EdgeRec(start_key, xk, upto, "tail"))
             current = beyond
             start_key = xk
 
@@ -691,7 +659,7 @@ def decompose(domain, probe, corner_nodes, separatrices, h, critical_points=()):
     """Full subdivision with degenerate triangles repaired; all faces quads."""
     sub = build_subdivision(domain, separatrices, corner_nodes)
     _kept, dropped = drop_converging_separatrices(separatrices, corner_nodes)
-    quads, degenerate, _other = classify_faces(sub, strict=False)
+    quads, degenerate = classify_faces(sub)
     divider = MidpointDivider(sub, probe, domain, h, corner_nodes,
                               critical_points=critical_points, dropped=dropped)
     rounds = 0
@@ -702,6 +670,5 @@ def decompose(domain, probe, corner_nodes, separatrices, h, critical_points=()):
         sub = divider.divide(degenerate[0])
         divider.sub = sub
         sub.euler_check()
-        quads, degenerate, _other = classify_faces(sub, strict=False)
-    quads, degenerate = classify_faces(sub, strict=True)
+        quads, degenerate = classify_faces(sub)
     return sub, quads

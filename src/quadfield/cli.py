@@ -46,6 +46,10 @@ FORMATS = ("vtk", "svg", "msh")
 INT_KEYS = ("order", "split", "n_max")
 REAL_KEYS = ("target_h", "step_factor", "kappa", "penalty", "length_factor")
 
+# topology.json keeps no corner radius, so trace and cut probe every corner
+# at this fraction of the domain's bounding-box diagonal
+CORNER_RADIUS_FACTOR = 0.1
+
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
 ARTIFACTS = {
     "mesh": "mesh.json",
@@ -145,7 +149,7 @@ class Pipeline:
         dump_json(self.path("topology"), singular.topology_report(cps, cns))
         return cps, cns
 
-    def load_topology(self, probe):
+    def load_topology(self):
         doc = load_json(self.path("topology"))
         cps = []
         for c in doc["critical_points"]:
@@ -160,7 +164,7 @@ class Pipeline:
                 corner=corners[i], corner_id=i, index=float(c["index"]),
                 valence=int(c["valence"]), dpsi=float(c["dpsi"]),
                 residual=float(c["residual"]),
-                radius=float(c.get("radius", 0.0)) or 0.1 * self.domain.bbox_diag()))
+                radius=CORNER_RADIUS_FACTOR * self.domain.bbox_diag()))
         return cps, cns
 
     def _step_size(self, mesh):
@@ -170,7 +174,7 @@ class Pipeline:
         mesh = self.load_mesh()
         sol = self.load_solution(mesh)
         probe = FieldProbe(sol)
-        cps, cns = self.load_topology(probe)
+        cps, cns = self.load_topology()
         h_s = self._step_size(mesh)
         seps, _ = tracer.trace_all(
             cps, cns, probe, self.domain, h_s, mode=self.config["merge_mode"],
@@ -198,7 +202,7 @@ class Pipeline:
         mesh = self.load_mesh()
         sol = self.load_solution(mesh)
         probe = FieldProbe(sol)
-        cps, cns = self.load_topology(probe)
+        cps, cns = self.load_topology()
         seps = self.load_separatrices()
         h_s = self._step_size(mesh)
         sub, faces = blockdecomp.decompose(self.domain, probe, cns, seps, h_s,

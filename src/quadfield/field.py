@@ -132,12 +132,6 @@ def psi_of(uv):
     return 0.25 * math.atan2(v, u)
 
 
-def cross_vectors(psi):
-    """The four unit vectors of the cross with phase psi."""
-    angles = psi + HALF_PI * np.arange(4)
-    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
-
-
 class AnalyticProbe:
     """Probe over closed-form (u, v) fields; used for synthetic topology tests."""
 

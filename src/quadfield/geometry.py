@@ -108,7 +108,8 @@ class CurveSegment:
         pts = self.points(ts)
         d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2
         i = int(np.argmin(d2))
-        # refine by Newton on d/dt |p(t)-x|^2 with bisection fallback
+        # refine by 40 bisection steps on the sign of d/dt |p(t)-x|^2
+        # between the neighbouring table parameters
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, len(ts) - 1)]
         t = ts[i]
@@ -376,9 +377,7 @@ class BoundaryLoop:
         return self._poly
 
     def signed_area(self):
-        p = self.polygon()
-        x, y = p[:, 0], p[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        return polyline.signed_area(self.polygon())
 
     def corners(self, loop_index=0, tol=CORNER_ANGLE_TOL):
         """CornerSpecs at every junction with tangent jump beyond tol."""
@@ -475,9 +474,7 @@ class DomainSpec:
 
     def contains(self, x):
         """Point-in-domain test on the dense polygon approximation."""
-        if not _point_in_polygon(x, self.outer.polygon()):
-            return False
-        return all(not _point_in_polygon(x, h.polygon()) for h in self.holes)
+        return in_region(x, self.outer.polygon(), (h.polygon() for h in self.holes))
 
     def area(self):
         """Domain area by the shoelace formula on the dense polygons."""
@@ -501,6 +498,13 @@ class DomainSpec:
 
     def to_json(self):
         return {"name": self.name, "loops": [lp.to_json() for lp in self.loops]}
+
+
+def in_region(x, outer, holes):
+    """Whether x lies inside the outer polygon and outside every hole polygon."""
+    if not _point_in_polygon(x, outer):
+        return False
+    return all(not _point_in_polygon(x, h) for h in holes)
 
 
 def _point_in_polygon(x, poly):

@@ -33,6 +33,12 @@ def sample(poly, knots, s):
                      np.interp(s, knots, poly[:, 1])], axis=1)
 
 
+def signed_area(poly):
+    """Shoelace area of the closed polygon through the points; > 0 if counterclockwise."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
 def _rowdot(a, b):
     # stacked matmul runs the BLAS dot of `a[i] @ b[i]` per row, so the
     # rounding (fused or not) is that of the scalar expression

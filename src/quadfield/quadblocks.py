@@ -174,10 +174,7 @@ class QuadMesh:
 
     def check_orientation(self):
         for qi, q in enumerate(self.quads):
-            pts = self.nodes[q]
-            x, y = pts[:, 0], pts[:, 1]
-            area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-            if area <= 0:
+            if polyline.signed_area(self.nodes[q]) <= 0:
                 raise DecompositionError(f"quad {qi} is not counterclockwise")
 
     def euler_check(self, holes=0):

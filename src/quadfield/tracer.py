@@ -10,7 +10,7 @@ Everything is ordered deterministically so repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Streamline:
     points: list
     alphas: list
     status: str = "active"    # active | merged | hit_boundary | aborted
-    partner: object = None
     end_anchor: Anchor = None
     length: float = 0.0
 
@@ -295,7 +294,6 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
             continue
         sep = merge(a, b)
         a.status = b.status = "merged"
-        a.partner, b.partner = b, a
         merged.append(sep)
     return merged
 

@@ -17,7 +17,7 @@ from scipy.spatial import cKDTree
 
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import MeshError
-from .geometry import _point_in_polygon
+from .geometry import in_region
 from .reftri import ref_triangle
 
 
@@ -240,12 +240,8 @@ def generate_background_mesh(domain, target_h):
     tri, super_ids = triangulate_pslg(all_pts, [(e[0], e[1]) for e in edges])
     constrained = {frozenset((e[0] + 3, e[1] + 3)) for e in edges}
 
-    def classify(pt):
-        if not _point_in_polygon(pt, loop_polys[0]):
-            return False
-        return all(not _point_in_polygon(pt, hp) for hp in loop_polys[1:])
-
-    carve(tri, super_ids, constrained, classify)
+    carve(tri, super_ids, constrained,
+          lambda pt: in_region(pt, loop_polys[0], loop_polys[1:]))
 
     live = tri.live_triangles()
     if not live:
@@ -317,9 +313,7 @@ def _interior_lattice(domain, boundary_pts, target_h, loop_polys):
         for cidx in range(cols):
             x = x0 + cidx * target_h
             p = np.array([x, y])
-            if not _point_in_polygon(p, loop_polys[0]):
-                continue
-            if any(_point_in_polygon(p, hp) for hp in loop_polys[1:]):
+            if not in_region(p, loop_polys[0], loop_polys[1:]):
                 continue
             if tree.query(p)[0] <= 0.7 * target_h:
                 continue

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from quadfield import polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    VertexRec, build_subdivision, classify_faces,
                                    decompose, resolve_crossings)
@@ -15,6 +17,12 @@ from quadfield.singular import CornerNode
 from quadfield.tracer import Anchor, Separatrix
 
 from conftest import square_domain
+
+
+def _record_signature(records):
+    """(v0, v1, kind, polyline digest) per record, in record order."""
+    return [(r.v0, r.v1, r.kind, hashlib.sha256(r.polyline.tobytes()).hexdigest()[:16])
+            for r in records]
 
 
 def corner_nodes_for(domain, valences):
@@ -100,6 +108,20 @@ def test_grid_of_separatrices_gives_cross_vertices_in_scan_order():
         assert np.allclose(cross[key], pos, atol=1e-12)
 
 
+def test_grid_scan_tests_each_record_pair_once(monkeypatch):
+    tested = []
+    intersections = polyline.intersections
+
+    def recorded(pa, pb):
+        tested.append((pa.tobytes(), pb.tobytes()))
+        return intersections(pa, pb)
+
+    monkeypatch.setattr(polyline, "intersections", recorded)
+    test_grid_of_separatrices_gives_cross_vertices_in_scan_order()
+    # records are never mutated, so a pair tested again gives the same answer
+    assert len(tested) == len(set(tested))
+
+
 def test_crossing_on_second_of_two_parallel_edges():
     # two separatrices join the same pair of nodes; only the second is crossed
     keys = [("critical", k) for k in range(4)]
@@ -136,7 +158,7 @@ def test_polygon_division_two_irregular_nodes(polygon_iii, polygon_iii_pipeline)
     h_s = 0.25 * mesh.shortest_edge()
     seps, _ = trace_all(cps, cns, probe, polygon_iii, h_s)
     pre = build_subdivision(polygon_iii, seps, cns)
-    _, degenerate, _ = classify_faces(pre, strict=False)
+    _, degenerate = classify_faces(pre)
     assert len(degenerate) == 1
     sub, quads = decompose(polygon_iii, probe, cns, seps, h_s,
                            critical_points=cps)
@@ -163,11 +185,9 @@ def test_midpoint_division_equilateral_symmetry():
                                 np.linspace(a[1], b[1], 30)])
 
     records = [
-        EdgeRec(("corner", 0), ("boundary", 0), seg(apex, left), "boundary", loop=0),
-        EdgeRec(("boundary", 0), ("boundary", 1), seg(left, right), "boundary",
-                loop=0),
-        EdgeRec(("boundary", 1), ("corner", 0), seg(right, apex), "boundary",
-                loop=0),
+        EdgeRec(("corner", 0), ("boundary", 0), seg(apex, left), "boundary"),
+        EdgeRec(("boundary", 0), ("boundary", 1), seg(left, right), "boundary"),
+        EdgeRec(("boundary", 1), ("corner", 0), seg(right, apex), "boundary"),
     ]
     sub = PlanarSubdivision(vertices, records, domain=None, validate=False)
     face = sub.bounded_faces[0]
@@ -219,6 +239,74 @@ def test_midpoint_division_equilateral_symmetry():
     assert np.hypot(*(node - centroid)) < 0.35
     areas = sorted(abs(f.area) for f in sub2.bounded_faces)
     assert areas[-1] / areas[0] < 1.6
+    assert _record_signature(sub2.records) == [
+        (("corner", 0), ("cross", "m1-0"), "boundary", "709660eb12570b51"),
+        (("cross", "m1-0"), ("boundary", 0), "boundary", "9a3d6f08a5a87f28"),
+        (("boundary", 1), ("cross", "m2-0"), "boundary", "6180928ff315a228"),
+        (("cross", "m2-0"), ("corner", 0), "boundary", "9cd6e27b7d200af3"),
+        (("boundary", 0), ("cross", "x-0"), "boundary", "c14bd087fb23c435"),
+        (("cross", "x-0"), ("boundary", 1), "boundary", "bdd8aefd5009c7fd"),
+        (("artificial", 0), ("cross", "x-0"), "tail", "0710927d053bd5a0"),
+        (("artificial", 0), ("cross", "m1-0"), "branch", "42875abb8b559dd4"),
+        (("artificial", 0), ("cross", "m2-0"), "branch", "d0e3fd41e2cc8229")]
+
+
+def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
+    # a quadrilateral face with a dead corner q: two sides meet at q and two
+    # lie across from it, so the node joins q and the far-side midpoints
+    q, a, b, c = (np.array(p) for p in [(0.0, 1.5), (-1.0, 0.0), (0.3, -1.0),
+                                         (1.0, 0.0)])
+    ring = [q, a, b, c]
+    keys = [("corner", 0), ("boundary", 0), ("boundary", 1), ("boundary", 2)]
+    vertices = {k: VertexRec(k, p, "boundary") for k, p in zip(keys, ring)}
+    vertices[keys[0]] = VertexRec(keys[0], q, "corner", corner_valence=0)
+    records = [EdgeRec(keys[i], keys[(i + 1) % 4],
+                       np.linspace(ring[i], ring[(i + 1) % 4], 30), "boundary")
+               for i in range(4)]
+    sub = PlanarSubdivision(vertices, records, domain=None, validate=False)
+
+    def inside(p):
+        return all((w[0] - v[0]) * (p[1] - v[1]) - (w[1] - v[1]) * (p[0] - v[0]) > 1e-9
+                   for v, w in zip(ring, ring[1:] + ring[:1]))
+
+    class FakeDomain:
+        # the streamline from q leaves through the far side a -> b
+        loops = [type("L", (), {"segments": [None, type("S", (), {
+            "point": staticmethod(lambda t: a + t * (b - a))})()]})()]
+
+        @staticmethod
+        def closest_boundary_point(p):
+            t = min(max(float(np.dot(p - a, b - a) / np.dot(b - a, b - a)), 0.0), 1.0)
+            return 0, 1, t, float(np.hypot(*(a + t * (b - a) - p)))
+
+    class FakeProbe(AnalyticProbe):
+        def __init__(self):
+            super().__init__(lambda x, y: (1.0, 0.0))
+            self.mesh = type("M", (), {"bbox_diag": 3.0})()
+
+        def eval_psi(self, p):
+            from quadfield.field import OUTSIDE
+            return 0.0 if inside(p) else OUTSIDE
+
+    corner = type("C", (), {"position": q, "theta_out": -math.pi / 2 - 0.5,
+                            "delta_theta": 1.0})()
+    cn = CornerNode(corner=corner, corner_id=0, valence=0, radius=0.2)
+
+    sub2 = MidpointDivider(sub, FakeProbe(), FakeDomain(), 0.05, [cn]).divide(
+        sub.bounded_faces[0])
+    quads, degenerate = classify_faces(sub2)
+    assert len(quads) == 3 and not degenerate
+    assert all(f.area > 0 for f in quads)
+    assert _record_signature(sub2.records) == [
+        (("corner", 0), ("boundary", 0), "boundary", "e42a278b70c06fa4"),
+        (("boundary", 2), ("corner", 0), "boundary", "1ec778095fa11624"),
+        (("boundary", 0), ("cross", "m1-0"), "boundary", "dc3bcb358f8aeccd"),
+        (("cross", "m1-0"), ("boundary", 1), "boundary", "91650f0b943268a4"),
+        (("boundary", 1), ("cross", "m2-0"), "boundary", "4eaf610ee9e6418f"),
+        (("cross", "m2-0"), ("boundary", 2), "boundary", "a8aa7908bd081d16"),
+        (("artificial", 0), ("corner", 0), "tail", "cbeda9838c4fc1a5"),
+        (("artificial", 0), ("cross", "m1-0"), "branch", "99ddb163df0c8fd9"),
+        (("artificial", 0), ("cross", "m2-0"), "branch", "e1e2ab622f496d13")]
 
 
 def test_coons_square_affine():

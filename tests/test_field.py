@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from quadfield.errors import TopologyError
-from quadfield.field import (OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch,
-                             cross_vectors, psi_of)
+from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch, psi_of
 from quadfield.geometry import boundary_field, tangent_angle
 from quadfield.trimesh import TriMesh
 
@@ -147,15 +146,6 @@ def test_adjust_branch_within_quarter():
         alpha = rng.uniform(-10, 10)
         out = adjust_branch(psi, alpha)
         assert abs(math.remainder(out - alpha, 2 * math.pi)) <= math.pi / 4 + 1e-12
-
-
-def test_cross_invariance():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        psi = rng.uniform(-math.pi / 4, math.pi / 4)
-        a = np.sort(cross_vectors(psi).view(float).reshape(-1))
-        b = np.sort(cross_vectors(psi + math.pi / 2).view(float).reshape(-1))
-        assert np.abs(a - b).max() < 1e-14
 
 
 def test_cg_continuity_across_edges(half_disc_mesh, half_disc_solution):
