@@ -21,8 +21,8 @@ from .errors import ConfigError, QuadfieldError
 from .field import FieldProbe
 from .geometry import load_domain
 from .msh import write_msh, write_quad_msh
-from .solver import (DEFAULT_PENALTY, DiscretizationChoice, FieldSolution,
-                     choose_discretization, solve_guiding_field)
+from .solver import (DEFAULT_PENALTY, FieldSolution, choose_discretization,
+                     solve_guiding_field)
 from .trimesh import TriMesh, elevate_and_curve, generate_background_mesh
 
 DEFAULTS = {
@@ -116,21 +116,10 @@ class Pipeline:
     def load_mesh(self):
         return TriMesh.from_json(load_json(self.path("mesh")), domain=self.domain)
 
-    def _choice(self):
-        auto = choose_discretization(self.domain, order=self.config["order"],
-                                     penalty=self.config["penalty"])
-        scheme = self.config["scheme"]
-        if scheme == "auto":
-            return auto
-        if scheme == "cg" and auto.scheme == "dg":
-            raise ConfigError("CG requires continuous BCs: this domain has "
-                              "corners with discontinuous boundary data")
-        return DiscretizationChoice(scheme, self.config["order"],
-                                    self.config["penalty"])
-
     def stage_solve(self):
         mesh = self.load_mesh()
-        choice = self._choice()
+        choice = choose_discretization(self.domain, self.config["penalty"],
+                                       self.config["scheme"])
         sol = solve_guiding_field(mesh, self.domain, choice)
         dump_json(self.path("solve"), sol.to_json())
         if "vtk" in self.formats:

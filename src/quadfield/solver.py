@@ -5,18 +5,29 @@ Dirichlet data from the boundary tangent angle, so one factorization serves
 both right-hand sides.  CG couples shared nodes strongly; DG keeps
 element-local unknowns and imposes boundary data weakly through SIPG face
 fluxes, which is what makes discontinuous corner data consistent.
+
+In the jump/average notation of Arnold, Brezzi, Cockburn & Marini (SIAM J.
+Numer. Anal. 39, 2002) every face, interior or boundary, adds the symmetric
+form
+
+    -{dn u}[v] - {dn v}[u] + mu [u][v],   mu = penalty (P+1)^2 / |face|,
+
+with [u] = u_L - u_R and {dn u} = (dn u_L + dn u_R) / 2 on an interior face
+(n the outward normal of L), and [u] = u, {dn u} = dn u on a boundary face,
+whose data g enters the right-hand side as -{dn v} g + mu v g.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .geometry import boundary_field, tangent_angle
+from .reftri import VERTICES
 
 DEFAULT_PENALTY = 10.0
 DIRECT_SOLVE_LIMIT = 200_000
@@ -26,17 +37,23 @@ LINEAR_TOL = 1e-10
 @dataclass
 class DiscretizationChoice:
     scheme: str                  # "cg" | "dg"
-    order: int
+    _: KW_ONLY
     penalty: float = DEFAULT_PENALTY
-    tol: float = LINEAR_TOL
 
 
-def choose_discretization(domain, order=3, penalty=DEFAULT_PENALTY):
-    """CG when all corner data is continuous, else SIPG DG."""
-    corners = domain.corner_inventory()
-    if all(c.bc_continuous for c in corners):
-        return DiscretizationChoice("cg", order, penalty)
-    return DiscretizationChoice("dg", order, penalty)
+def choose_discretization(domain, penalty=DEFAULT_PENALTY, scheme="auto"):
+    """CG when all corner data is continuous, else SIPG DG.
+
+    scheme "cg" or "dg" forces one; CG on discontinuous corner data is a
+    ConfigError.
+    """
+    continuous = all(c.bc_continuous for c in domain.corner_inventory())
+    if scheme == "auto":
+        scheme = "cg" if continuous else "dg"
+    elif scheme == "cg" and not continuous:
+        raise ConfigError("CG requires continuous BCs: this domain has "
+                          "corners with discontinuous boundary data")
+    return DiscretizationChoice(scheme, penalty=penalty)
 
 
 class CrossFieldBC:
@@ -50,12 +67,8 @@ class CrossFieldBC:
     ncomp = 2
 
     def __init__(self, mesh, domain):
-        self.mesh = mesh
         self.domain = domain
         self._faces = {(f.elem, f.ledge): f for f in mesh.boundary_faces}
-
-    def face(self, elem, ledge):
-        return self._faces[(elem, ledge)]
 
     def values_at(self, elem, ledge, svals):
         """(n, 2) boundary values at edge parameters svals in [-1, 1]."""
@@ -67,10 +80,6 @@ class CrossFieldBC:
         u, v = boundary_field(thetas)
         return np.stack([u, v], axis=1)
 
-    def node_values(self, elem, ledge):
-        """Values at the P+1 edge nodes of the face."""
-        return self.values_at(elem, ledge, self.mesh.ref.edge_node_params)
-
 
 class FunctionBC:
     """Dirichlet data from explicit functions of the physical point."""
@@ -79,15 +88,11 @@ class FunctionBC:
         self.mesh = mesh
         self.fns = list(fns)
         self.ncomp = len(self.fns)
-        self._faces = {(f.elem, f.ledge): f for f in mesh.boundary_faces}
 
     def values_at(self, elem, ledge, svals):
         xi = self.mesh.ref.edge_points(ledge, np.asarray(svals, dtype=float))
         xy = self.mesh.map_to_physical(elem, xi)
         return np.stack([fn(xy[:, 0], xy[:, 1]) for fn in self.fns], axis=1)
-
-    def node_values(self, elem, ledge):
-        return self.values_at(elem, ledge, self.mesh.ref.edge_node_params)
 
 
 class FieldSolution:
@@ -135,14 +140,19 @@ class FieldSolution:
                 f"discrete maximum principle violated: range [{lo:.3e}, {hi:.3e}]")
 
     def to_json(self):
-        return {"scheme": self.choice.scheme, "order": self.choice.order,
+        return {"scheme": self.choice.scheme, "order": self.mesh.order,
                 "penalty": self.choice.penalty, "coeffs": self.coeffs.tolist()}
 
     @classmethod
     def from_json(cls, doc, mesh):
-        choice = DiscretizationChoice(doc["scheme"], int(doc["order"]),
-                                      float(doc.get("penalty", DEFAULT_PENALTY)))
-        return cls(mesh, np.array(doc["coeffs"]), choice)
+        coeffs = np.array(doc["coeffs"])
+        want = (mesh.n_elements(), mesh.ref.n_nodes)
+        if coeffs.shape[:2] != want:
+            raise ConfigError(f"field coefficients of shape {coeffs.shape[:2]} do not "
+                              f"fit the mesh's (elements, nodes) = {want}; rerun solve")
+        choice = DiscretizationChoice(
+            doc["scheme"], penalty=float(doc.get("penalty", DEFAULT_PENALTY)))
+        return cls(mesh, coeffs, choice)
 
 
 # ---- shared element/face machinery -------------------------------------------
@@ -170,18 +180,15 @@ def element_stiffness(mesh, e):
     ref = mesh.ref
     _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[e])
     w = ref.quad_weights * det
-    return np.einsum("p,pns,pms->nm", w, gphys, gphys), gphys, w
+    return np.einsum("p,pns,pms->nm", w, gphys, gphys)
 
 
 class FaceGeometry:
     """Quadrature geometry of one element edge (normals point out of elem)."""
 
     def __init__(self, mesh, elem, ledge):
-        ref = mesh.ref
-        self.s = ref.edge_quad_x
-        self.basis, grad = ref.face_table(ledge)
+        self.basis, grad = mesh.ref.face_table(ledge)
         jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elem])
-        from .reftri import VERTICES
         dxi_ds = 0.5 * (VERTICES[(ledge + 1) % 3] - VERTICES[ledge])
         tang = np.einsum("pxd,d->px", jac, dxi_ds)
         self.sjac = np.hypot(tang[:, 0], tang[:, 1])
@@ -202,6 +209,14 @@ def interior_face_pairs(mesh):
         (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
         out.append((e0, le0, e1, le1))
     return out
+
+
+def _assemble(blocks, ndof):
+    """CSR matrix summing dense blocks, each (dofs, block) on rows and columns dofs."""
+    rows = np.concatenate([np.repeat(d, len(d)) for d, _ in blocks])
+    cols = np.concatenate([np.tile(d, len(d)) for d, _ in blocks])
+    vals = np.concatenate([block.ravel() for _, block in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
 
 
 # ---- CG ----------------------------------------------------------------------
@@ -238,7 +253,7 @@ class CGSpace:
             self.local_to_global[e] = l2g
 
 
-def _linear_solve(matrix, rhs_cols, tol):
+def _linear_solve(matrix, rhs_cols):
     """Direct factorization below the size cutoff, diagonally scaled CG above."""
     n = matrix.shape[0]
     csc = matrix.tocsc()
@@ -250,14 +265,14 @@ def _linear_solve(matrix, rhs_cols, tol):
     else:
         pre = sp.diags(1.0 / csc.diagonal())
         for c in range(rhs_cols.shape[1]):
-            x, info = spla.cg(csc, rhs_cols[:, c], rtol=tol, maxiter=20000, M=pre)
+            x, info = spla.cg(csc, rhs_cols[:, c], rtol=LINEAR_TOL, maxiter=20000, M=pre)
             if info != 0:
                 raise SolverError(f"iterative solve failed to converge (info={info})")
             out[:, c] = x
     for c in range(rhs_cols.shape[1]):
         r = np.linalg.norm(csc @ out[:, c] - rhs_cols[:, c])
         b = np.linalg.norm(rhs_cols[:, c])
-        if b > 0 and r / b > 100 * tol:
+        if b > 0 and r / b > 100 * LINEAR_TOL:
             raise SolverError(f"linear solve residual {r / b:.3e} exceeds tolerance")
     return out
 
@@ -265,28 +280,14 @@ def _linear_solve(matrix, rhs_cols, tol):
 def build_cg_system(mesh, bc):
     """(K, dirichlet dof ids, dirichlet values (ndir, ncomp), space)."""
     space = CGSpace(mesh)
-    rows, cols, vals = [], [], []
-    for e in range(mesh.n_elements()):
-        ke, _, _ = element_stiffness(mesh, e)
-        l2g = space.local_to_global[e]
-        grid = np.meshgrid(l2g, l2g, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(ke.ravel())
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(space.ndof, space.ndof)).tocsr()
-
+    K = _assemble([(space.local_to_global[e], element_stiffness(mesh, e))
+                   for e in range(mesh.n_elements())], space.ndof)
     dir_vals = {}
     ref = mesh.ref
     for f in mesh.boundary_faces:
-        vals_f = bc.node_values(f.elem, f.ledge)        # (P+1, ncomp)
-        ids = ref.edge_ids[f.ledge]
-        dofs = space.local_to_global[f.elem][ids]
-        for d, v in zip(dofs, vals_f):
-            dir_vals[int(d)] = v
-    if not dir_vals:
-        raise SolverError("empty Dirichlet set: the Laplace system is singular")
+        dofs = space.local_to_global[f.elem][ref.edge_ids[f.ledge]]
+        vals_f = bc.values_at(f.elem, f.ledge, ref.edge_node_params)  # (P+1, ncomp)
+        dir_vals.update(zip(dofs.tolist(), vals_f))
     dir_ids = np.array(sorted(dir_vals), dtype=int)
     dir_data = np.array([dir_vals[d] for d in dir_ids])
     return K, dir_ids, dir_data, space
@@ -299,7 +300,7 @@ def solve_cg(mesh, bc, choice):
     Kff = K[free][:, free]
     Kfd = K[free][:, dir_ids]
     rhs = -Kfd @ dir_data
-    xf = _linear_solve(Kff, rhs, choice.tol)
+    xf = _linear_solve(Kff, rhs)
     x = np.zeros((ndof, bc.ncomp))
     x[dir_ids] = dir_data
     x[free] = xf
@@ -314,72 +315,45 @@ def _face_penalty(choice, mesh, length):
     return choice.penalty * (mesh.order + 1) ** 2 / length
 
 
+def _sipg_face(w, jump, avg, mu):
+    """-{dn u}[v] - {dn v}[u] + mu [u][v] over the unknowns of one face.
+
+    jump and avg: (nq, n) values of [phi] and {dn phi} of the face's n
+    unknowns at its quadrature points, w the quadrature weights.
+    """
+    def face_int(a, b):
+        return np.einsum("p,pn,pm->nm", w, a, b)
+
+    return -face_int(jump, avg) - face_int(avg, jump) + mu * face_int(jump, jump)
+
+
 def build_dg_system(mesh, bc, choice):
-    ref = mesh.ref
-    nb = ref.n_nodes
-    ne = mesh.n_elements()
-    ndof = ne * nb
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((ndof, bc.ncomp))
-
-    def add_block(ei, ej, block):
-        gi = ei * nb + np.arange(nb)
-        gj = ej * nb + np.arange(nb)
-        grid = np.meshgrid(gi, gj, indexing="ij")
-        rows.append(grid[0].ravel())
-        cols.append(grid[1].ravel())
-        vals.append(block.ravel())
-
-    for e in range(ne):
-        ke, _, _ = element_stiffness(mesh, e)
-        add_block(e, e, ke)
+    """(K, rhs (ndof, ncomp)) with ndof = elements x nodes."""
+    nb = mesh.ref.n_nodes
+    dofs = np.arange(mesh.n_elements() * nb).reshape(-1, nb)
+    blocks = [(dofs[e], element_stiffness(mesh, e)) for e in range(mesh.n_elements())]
+    rhs = np.zeros((dofs.size, bc.ncomp))
 
     for (eL, leL, eR, leR) in interior_face_pairs(mesh):
         fL = FaceGeometry(mesh, eL, leL)
         BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
         _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
-
-        BL = fL.basis
-        DnL = fL.normal_deriv()
         DnR = np.einsum("px,pnx->pn", fL.normal, gphysR)
-        w = fL.wq
+        jump = np.hstack([fL.basis, -BR])
+        avg = 0.5 * np.hstack([fL.normal_deriv(), DnR])
         mu = _face_penalty(choice, mesh, fL.length)
+        blocks.append((np.concatenate([dofs[eL], dofs[eR]]),
+                       _sipg_face(fL.wq, jump, avg, mu)))
 
-        def face_int(A, B):
-            return np.einsum("p,pn,pm->nm", w, A, B)
-
-        add_block(eL, eL, -0.5 * face_int(BL, DnL) - 0.5 * face_int(DnL, BL)
-                  + mu * face_int(BL, BL))
-        add_block(eL, eR, -0.5 * face_int(BL, DnR) + 0.5 * face_int(DnL, BR)
-                  - mu * face_int(BL, BR))
-        add_block(eR, eL, -0.5 * face_int(DnR, BL) + 0.5 * face_int(BR, DnL)
-                  - mu * face_int(BR, BL))
-        add_block(eR, eR, 0.5 * face_int(BR, DnR) + 0.5 * face_int(DnR, BR)
-                  + mu * face_int(BR, BR))
-
-    saw_boundary = False
     for f in mesh.boundary_faces:
-        saw_boundary = True
         fg = FaceGeometry(mesh, f.elem, f.ledge)
-        B = fg.basis
-        Dn = fg.normal_deriv()
-        w = fg.wq
+        B, Dn, w = fg.basis, fg.normal_deriv(), fg.wq
         mu = _face_penalty(choice, mesh, fg.length)
-        g = bc.values_at(f.elem, f.ledge, fg.s)          # (nq, ncomp)
-        add_block(f.elem, f.elem,
-                  -np.einsum("p,pn,pm->nm", w, B, Dn)
-                  - np.einsum("p,pn,pm->nm", w, Dn, B)
-                  + mu * np.einsum("p,pn,pm->nm", w, B, B))
-        gidx = f.elem * ref.n_nodes + np.arange(ref.n_nodes)
-        rhs[gidx] += (-np.einsum("p,pn,pc->nc", w, Dn, g)
-                      + mu * np.einsum("p,pn,pc->nc", w, B, g))
-    if not saw_boundary:
-        raise SolverError("empty Dirichlet set: the Laplace system is singular")
-
-    K = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(ndof, ndof)).tocsr()
-    return K, rhs
+        blocks.append((dofs[f.elem], _sipg_face(w, B, Dn, mu)))
+        g = bc.values_at(f.elem, f.ledge, mesh.ref.edge_quad_x)    # (nq, ncomp)
+        rhs[dofs[f.elem]] += (-np.einsum("p,pn,pc->nc", w, Dn, g)
+                              + mu * np.einsum("p,pn,pc->nc", w, B, g))
+    return _assemble(blocks, dofs.size), rhs
 
 
 def _matched_face_basis(mesh, eR, leR, fL):
@@ -397,7 +371,7 @@ def _matched_face_basis(mesh, eR, leR, fL):
 
 def solve_dg(mesh, bc, choice):
     K, rhs = build_dg_system(mesh, bc, choice)
-    x = _linear_solve(K, rhs, choice.tol)
+    x = _linear_solve(K, rhs)
     nb = mesh.ref.n_nodes
     coeffs = x.reshape(mesh.n_elements(), nb, bc.ncomp)
     return FieldSolution(mesh, coeffs, choice)
@@ -405,6 +379,8 @@ def solve_dg(mesh, bc, choice):
 
 def solve_laplace(mesh, bc, choice):
     """Solve one Laplace problem per boundary-data component."""
+    if not mesh.boundary_faces:
+        raise SolverError("empty Dirichlet set: the Laplace system is singular")
     if choice.scheme == "cg":
         return solve_cg(mesh, bc, choice)
     if choice.scheme == "dg":

@@ -356,12 +356,10 @@ def elevate_and_curve(mesh, order, domain):
         else:
             seg = domain.loops[face.loop].segments[face.seg]
             v0 = int(mesh.triangles[face.elem][face.ledge])
-            t_of = _affine_param(face.t0, face.t1)
             # mu measured a->b equals -mu measured along the loop when v0 == b
-            tvals = t_of(inner) if v0 == a else t_of(-inner)
-            edge_nodes[(a, b)] = np.array([seg.point(t) for t in tvals]).reshape(-1, 2)
-            edge_curves[(a, b)] = _edge_curve(seg, face.t0, face.t1,
-                                              1.0 if v0 == a else -1.0)
+            curve = _edge_curve(seg, face.t0, face.t1, 1.0 if v0 == a else -1.0)
+            edge_nodes[(a, b)] = curve(inner).reshape(-1, 2)
+            edge_curves[(a, b)] = curve
 
     geom = np.zeros((mesh.n_elements(), nb, 2))
     bary = ref.barycentric(ref.nodes)
@@ -405,12 +403,6 @@ def elevate_and_curve(mesh, order, domain):
         raise MeshError(f"curving produced negative Jacobians in elements {bad}; "
                         "refine the background mesh")
     return out
-
-
-def _affine_param(t0, t1):
-    def t_of(mu):
-        return t0 + 0.5 * (np.asarray(mu, dtype=float) + 1.0) * (t1 - t0)
-    return t_of
 
 
 def _edge_curve(seg, t0, t1, direction):

@@ -24,41 +24,35 @@ def _subdivide_reference(n):
     return np.array(pts), tris
 
 
-def write_vtk_fields(path, solution, subdiv=None):
+def _sample_elements(mesh, n, *arrays):
+    """Sample every element on its n-fold subdivision.
+
+    Returns ([points, *samples], cells): the mapped points and, for each
+    per-element nodal array (ne, nb, ...), its values there, stacked over
+    elements, plus the subtriangles as point-index triples.
+    """
+    ref_pts, ref_tris = _subdivide_reference(n)
+    basis = mesh.ref.basis_at(ref_pts)
+    elements = range(mesh.n_elements())
+    samples = [np.concatenate([basis @ a[e] for e in elements])
+               for a in (mesh.geom,) + arrays]
+    cells = [(base + a, base + b, base + c)
+             for base in range(0, len(samples[0]), len(ref_pts)) for a, b, c in ref_tris]
+    return samples, cells
+
+
+def write_vtk_fields(path, solution):
     """Triangulated dump of the solved components plus the phase angle."""
-    mesh = solution.mesh
-    n = subdiv or max(2, mesh.order)
-    ref_pts, ref_tris = _subdivide_reference(n)
-    basis = mesh.ref.basis_at(ref_pts)
-    points = []
-    cells = []
-    u_vals, v_vals, psi_vals = [], [], []
-    for e in range(mesh.n_elements()):
-        base = len(points)
-        xy = basis @ mesh.geom[e]
-        uv = basis @ solution.coeffs[e]
-        points.extend(xy)
-        u_vals.extend(uv[:, 0])
-        v_vals.extend(uv[:, -1])
-        mag = np.hypot(uv[:, 0], uv[:, -1])
-        psi = 0.25 * np.arctan2(uv[:, -1], uv[:, 0])
-        psi[mag < CRITICAL_EPS] = 0.0
-        psi_vals.extend(psi)
-        cells.extend([(base + a, base + b, base + c) for a, b, c in ref_tris])
-    _write_vtk(path, points, cells, 3,
-               {"u": u_vals, "v": v_vals, "psi": psi_vals})
+    (points, uv), cells = _sample_elements(solution.mesh, max(2, solution.mesh.order),
+                                           solution.coeffs)
+    mag = np.hypot(uv[:, 0], uv[:, -1])
+    psi = 0.25 * np.arctan2(uv[:, -1], uv[:, 0])
+    psi[mag < CRITICAL_EPS] = 0.0
+    _write_vtk(path, points, cells, 3, {"u": uv[:, 0], "v": uv[:, -1], "psi": psi})
 
 
-def write_vtk_trimesh(path, mesh, subdiv=None):
-    n = subdiv or max(1, mesh.order)
-    ref_pts, ref_tris = _subdivide_reference(n)
-    basis = mesh.ref.basis_at(ref_pts)
-    points = []
-    cells = []
-    for e in range(mesh.n_elements()):
-        base = len(points)
-        points.extend(basis @ mesh.geom[e])
-        cells.extend([(base + a, base + b, base + c) for a, b, c in ref_tris])
+def write_vtk_trimesh(path, mesh):
+    (points,), cells = _sample_elements(mesh, max(1, mesh.order))
     _write_vtk(path, points, cells, 3, {})
 
 

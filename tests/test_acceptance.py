@@ -65,7 +65,7 @@ def test_criterion_1_spectral_convergence():
         for order in (2, 3, 4, 5):
             mesh = elevate_and_curve(linear, order, square)
             sol = solve_laplace(mesh, FunctionBC(mesh, [fn]),
-                                DiscretizationChoice(scheme, order))
+                                DiscretizationChoice(scheme))
             errs.append(_l2_error(sol, fn))
         for i in range(len(errs) - 1):
             if errs[i] < 1e-10:
@@ -168,7 +168,7 @@ def test_criterion_6_geometry_i_symmetry():
     start = time.time()
     domain = load_fixture("geometry_I")
     mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), 4, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain, order=4))
+    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
     probe = FieldProbe(sol)
     cps = find_critical_points(sol, probe)
     assert len(cps) == 2

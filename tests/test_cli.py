@@ -53,6 +53,28 @@ def test_missing_upstream_artifact(tmp_path):
     assert rc == 2
 
 
+def test_staged_solve_records_the_mesh_order(tmp_path):
+    out = tmp_path / "staged"
+    assert run_cli(["mesh", HALF_DISC, "--out", out] + FAST) == 0
+    assert run_cli(["solve", HALF_DISC, "--out", out, "--order", "5"]) == 0
+    doc = json.loads((out / "field.json").read_text())
+    assert doc["order"] == 3
+    assert len(doc["coeffs"][0]) == 10             # (3 + 1)(3 + 2) / 2 nodes
+
+
+def test_field_of_another_mesh_order_refused(tmp_path, capsys):
+    out = tmp_path / "remeshed"
+    assert run_cli(["mesh", HALF_DISC, "--out", out] + FAST) == 0
+    assert run_cli(["solve", HALF_DISC, "--out", out] + FAST) == 0
+    assert run_cli(["mesh", HALF_DISC, "--out", out, "--target-h", "0.35",
+                    "--order", "4"]) == 0
+    capsys.readouterr()
+    assert run_cli(["topology", HALF_DISC, "--out", out] + FAST) == 2
+    ne = len(json.loads((out / "mesh.json").read_text())["triangles"])
+    err = capsys.readouterr().err
+    assert f"({ne}, 10)" in err and f"({ne}, 15)" in err
+
+
 def test_cg_refused_on_discontinuous_domain(tmp_path):
     rc = run_cli(["run", str(fixture_path("polygon_III")), "--out",
                   tmp_path / "p3", "--scheme", "cg"])

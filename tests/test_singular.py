@@ -24,7 +24,7 @@ def synthetic_solution(mesh, fn):
         u, v = fn(g[:, 0], g[:, 1])
         coeffs[e, :, 0] = u
         coeffs[e, :, 1] = v
-    return FieldSolution(mesh, coeffs, DiscretizationChoice("cg", mesh.order))
+    return FieldSolution(mesh, coeffs, DiscretizationChoice("cg"))
 
 
 @pytest.mark.parametrize("fn,expected", [

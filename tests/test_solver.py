@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from quadfield.errors import SolverError
 from quadfield.reftri import RefTriangle, quadrature_for_degree
-from quadfield.solver import (CrossFieldBC, DiscretizationChoice, FunctionBC,
-                              build_cg_system, build_dg_system,
-                              choose_discretization, jump_norm,
+from quadfield.solver import (CrossFieldBC, DiscretizationChoice, FaceGeometry,
+                              FunctionBC, _face_penalty, _matched_face_basis,
+                              _physical_gradients, build_cg_system,
+                              build_dg_system, choose_discretization,
+                              element_stiffness, interior_face_pairs, jump_norm,
                               solve_guiding_field, solve_laplace)
 from quadfield.geometry import load_fixture
 from quadfield.trimesh import TriMesh, elevate_and_curve, generate_background_mesh
@@ -38,7 +41,7 @@ def test_choose_discretization_per_fixture():
 @pytest.mark.parametrize("scheme", ["cg", "dg"])
 def test_constant_bc_reproduced(scheme, unit_square, square_mesh_p3):
     bc = FunctionBC(square_mesh_p3, [lambda x, y: np.full_like(x, 0.7)])
-    sol = solve_laplace(square_mesh_p3, bc, DiscretizationChoice(scheme, 3))
+    sol = solve_laplace(square_mesh_p3, bc, DiscretizationChoice(scheme))
     for e in range(square_mesh_p3.n_elements()):
         assert np.abs(sol.quad_values(e) - 0.7).max() < 1e-10
 
@@ -47,7 +50,7 @@ def test_constant_bc_reproduced(scheme, unit_square, square_mesh_p3):
 def test_harmonic_polynomial_exact(scheme, square_mesh_p3):
     fn = lambda x, y: x * x - y * y
     bc = FunctionBC(square_mesh_p3, [fn])
-    sol = solve_laplace(square_mesh_p3, bc, DiscretizationChoice(scheme, 3))
+    sol = solve_laplace(square_mesh_p3, bc, DiscretizationChoice(scheme))
     assert l2_error(sol, fn) < 1e-9
 
 
@@ -57,7 +60,7 @@ def test_spectral_convergence_cg(unit_square, square_mesh_linear):
     for order in (2, 3, 4, 5):
         mesh = elevate_and_curve(square_mesh_linear, order, unit_square)
         sol = solve_laplace(mesh, FunctionBC(mesh, [fn]),
-                            DiscretizationChoice("cg", order))
+                            DiscretizationChoice("cg"))
         errs.append(l2_error(sol, fn))
     for i in range(len(errs) - 1):
         if errs[i] < 1e-10:
@@ -69,9 +72,9 @@ def test_iterative_branch_matches_direct(unit_square, square_mesh_p3, monkeypatc
     import quadfield.solver as solver_mod
     fn = lambda x, y: x * x - y * y
     bc = FunctionBC(square_mesh_p3, [fn])
-    direct = solve_laplace(square_mesh_p3, bc, DiscretizationChoice("cg", 3))
+    direct = solve_laplace(square_mesh_p3, bc, DiscretizationChoice("cg"))
     monkeypatch.setattr(solver_mod, "DIRECT_SOLVE_LIMIT", 1)
-    iterative = solve_laplace(square_mesh_p3, bc, DiscretizationChoice("cg", 3))
+    iterative = solve_laplace(square_mesh_p3, bc, DiscretizationChoice("cg"))
     assert np.abs(direct.coeffs - iterative.coeffs).max() < 1e-7
 
 
@@ -87,7 +90,7 @@ def test_cg_system_spd(square_mesh_p3):
 
 def test_dg_system_symmetric(square_mesh_p3):
     bc = FunctionBC(square_mesh_p3, [lambda x, y: x])
-    K, rhs = build_dg_system(square_mesh_p3, bc, DiscretizationChoice("dg", 3))
+    K, rhs = build_dg_system(square_mesh_p3, bc, DiscretizationChoice("dg"))
     assert abs(K - K.T).max() < 1e-12
 
 
@@ -120,14 +123,11 @@ def test_singular_system_rejected(half_disc, half_disc_mesh):
                    half_disc_mesh.boundary_faces, domain=half_disc)
     bare.boundary_faces = []
     with pytest.raises(SolverError, match="Dirichlet"):
-        solve_laplace(bare, _EmptyBC(), DiscretizationChoice("cg", 3))
+        solve_laplace(bare, _EmptyBC(), DiscretizationChoice("cg"))
 
 
 class _EmptyBC:
     ncomp = 1
-
-    def node_values(self, elem, ledge):
-        raise AssertionError("should not be called")
 
     def values_at(self, elem, ledge, svals):
         raise AssertionError("should not be called")
@@ -140,7 +140,7 @@ def test_boundary_data_one_sided(polygon_iii, polygon_iii_pipeline):
                  if not c.bc_continuous and c.delta_theta < 1.0)
     incident = []
     for f in mesh.boundary_faces:
-        vals = bc.node_values(f.elem, f.ledge)
+        vals = bc.values_at(f.elem, f.ledge, mesh.ref.edge_node_params)
         seg = polygon_iii.loops[f.loop].segments[f.seg]
         for t, v in ((f.t0, vals[0]), (f.t1, vals[-1])):
             p = seg.point(t)
@@ -162,12 +162,11 @@ def test_jump_norm_dg_polygon(polygon_iii):
     for order in (2, 5):
         mesh = elevate_and_curve(lin, order, polygon_iii)
         sol = solve_laplace(mesh, CrossFieldBC(mesh, polygon_iii),
-                            DiscretizationChoice("dg", order))
+                            DiscretizationChoice("dg"))
         per_edge, summary = jump_norm(sol)
         jumps[order] = summary["max"]
         if order == 5:
             # largest jumps hug the discontinuous corners
-            from quadfield.solver import interior_face_pairs
             edges = list(interior_face_pairs(mesh))
             worst = edges[int(np.argmax(per_edge.max(axis=1)))]
             a = mesh.vertices[mesh.triangles[worst[0]]].mean(axis=0)
@@ -195,7 +194,7 @@ def test_face_tables_match_per_face_evaluation(square_mesh_p3, monkeypatch):
                 assert cached.tobytes() == direct.tobytes()
 
     bc = FunctionBC(mesh, [lambda x, y: x * x - y * y, lambda x, y: np.sin(x) * y])
-    choice = DiscretizationChoice("dg", 3)
+    choice = DiscretizationChoice("dg")
 
     def assembled():
         K, rhs = build_dg_system(mesh, bc, choice)
@@ -205,3 +204,96 @@ def test_face_tables_match_per_face_evaluation(square_mesh_p3, monkeypatch):
     cached = assembled()
     monkeypatch.setattr(RefTriangle, "face_table", _per_face_table)
     assert cached == assembled()
+
+
+def _four_block_dg_system(mesh, bc, choice):
+    """SIPG assembly spelled as four interior-face blocks and one boundary form.
+
+    Reference for build_dg_system, which writes every face as one jump/average
+    form over the face's unknowns and builds the matrix with one scatter.
+    """
+    ref = mesh.ref
+    nb = ref.n_nodes
+    ne = mesh.n_elements()
+    ndof = ne * nb
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((ndof, bc.ncomp))
+
+    def add_block(ei, ej, block):
+        gi = ei * nb + np.arange(nb)
+        gj = ej * nb + np.arange(nb)
+        grid = np.meshgrid(gi, gj, indexing="ij")
+        rows.append(grid[0].ravel())
+        cols.append(grid[1].ravel())
+        vals.append(block.ravel())
+
+    for e in range(ne):
+        ke = element_stiffness(mesh, e)
+        add_block(e, e, ke)
+
+    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+        fL = FaceGeometry(mesh, eL, leL)
+        BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
+        _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
+
+        BL = fL.basis
+        DnL = fL.normal_deriv()
+        DnR = np.einsum("px,pnx->pn", fL.normal, gphysR)
+        w = fL.wq
+        mu = _face_penalty(choice, mesh, fL.length)
+
+        def face_int(A, B):
+            return np.einsum("p,pn,pm->nm", w, A, B)
+
+        add_block(eL, eL, -0.5 * face_int(BL, DnL) - 0.5 * face_int(DnL, BL)
+                  + mu * face_int(BL, BL))
+        add_block(eL, eR, -0.5 * face_int(BL, DnR) + 0.5 * face_int(DnL, BR)
+                  - mu * face_int(BL, BR))
+        add_block(eR, eL, -0.5 * face_int(DnR, BL) + 0.5 * face_int(BR, DnL)
+                  - mu * face_int(BR, BL))
+        add_block(eR, eR, 0.5 * face_int(BR, DnR) + 0.5 * face_int(DnR, BR)
+                  + mu * face_int(BR, BR))
+
+    for f in mesh.boundary_faces:
+        fg = FaceGeometry(mesh, f.elem, f.ledge)
+        B = fg.basis
+        Dn = fg.normal_deriv()
+        w = fg.wq
+        mu = _face_penalty(choice, mesh, fg.length)
+        g = bc.values_at(f.elem, f.ledge, ref.edge_quad_x)          # (nq, ncomp)
+        add_block(f.elem, f.elem,
+                  -np.einsum("p,pn,pm->nm", w, B, Dn)
+                  - np.einsum("p,pn,pm->nm", w, Dn, B)
+                  + mu * np.einsum("p,pn,pm->nm", w, B, B))
+        gidx = f.elem * ref.n_nodes + np.arange(ref.n_nodes)
+        rhs[gidx] += (-np.einsum("p,pn,pc->nc", w, Dn, g)
+                      + mu * np.einsum("p,pn,pc->nc", w, B, g))
+
+    K = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(ndof, ndof)).tocsr()
+    return K, rhs
+
+
+def _dg_bytes(system):
+    K, rhs = system
+    return [a.tobytes() for a in (K.data, K.indices, K.indptr, rhs)]
+
+
+def test_sipg_face_form_matches_four_block_reference_square(square_mesh_p3):
+    bc = FunctionBC(square_mesh_p3, [lambda x, y: x * x - y * y,
+                                     lambda x, y: np.sin(x) * y])
+    choice = DiscretizationChoice("dg")
+    assert (_dg_bytes(build_dg_system(square_mesh_p3, bc, choice))
+            == _dg_bytes(_four_block_dg_system(square_mesh_p3, bc, choice)))
+
+
+@pytest.mark.parametrize("order,h", [(3, 0.35), (4, 0.12)])
+def test_sipg_face_form_matches_four_block_reference_polygon(polygon_iii, order, h):
+    mesh = elevate_and_curve(generate_background_mesh(polygon_iii, h), order,
+                             polygon_iii)
+    bc = CrossFieldBC(mesh, polygon_iii)
+    choice = choose_discretization(polygon_iii)
+    assert choice.scheme == "dg"
+    assert (_dg_bytes(build_dg_system(mesh, bc, choice))
+            == _dg_bytes(_four_block_dg_system(mesh, bc, choice)))
