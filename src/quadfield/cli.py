@@ -81,7 +81,10 @@ def load_json(path):
     if not Path(path).exists():
         raise ConfigError(f"missing upstream artifact {path}")
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as ex:
+            raise ConfigError(f"{path}: not valid JSON ({ex})") from None
 
 
 class Pipeline:

@@ -532,14 +532,24 @@ def _segment_from_json(d):
 
 
 def domain_from_json(doc):
-    loops = [BoundaryLoop([_segment_from_json(s) for s in lp["segments"]], lp["orientation"])
-             for lp in doc["loops"]]
+    if not isinstance(doc, dict):
+        raise GeometryError(f"domain must be a JSON object, not {type(doc).__name__}")
+    try:
+        loops = [BoundaryLoop([_segment_from_json(s) for s in lp["segments"]],
+                              lp["orientation"])
+                 for lp in doc["loops"]]
+    except KeyError as ex:
+        raise GeometryError(f"domain is missing key {ex.args[0]!r}") from None
     return DomainSpec(loops, name=doc.get("name", "domain"))
 
 
 def load_domain(path):
     with open(path) as f:
-        return domain_from_json(json.load(f))
+        try:
+            doc = json.load(f)
+        except ValueError as ex:
+            raise GeometryError(f"{path}: not valid JSON ({ex})") from None
+    return domain_from_json(doc)
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

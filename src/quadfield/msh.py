@@ -3,8 +3,8 @@
 The reader accepts linear meshes (3-node triangles plus 2-node boundary
 lines) and re-associates boundary edges with the domain's curve segments by
 closest-point projection.  Writers emit triangle meshes (orders 1..3, with
-geometry re-interpolated to the equidistant nodes gmsh expects) and linear
-quad meshes.
+geometry re-interpolated to the equidistant nodes gmsh expects; higher orders
+as straight 3-node triangles) and linear quad meshes.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MeshError
-from .trimesh import BoundaryFace, TriMesh
+from .trimesh import BoundaryFace, TriMesh, local_edges
 
 GMSH_LINE = 1
 GMSH_TRI = 2
@@ -37,75 +37,53 @@ def _equidistant_tri_nodes(order):
     return np.array(nodes)
 
 
-def write_msh(path, mesh):
-    """Write a TriMesh (order <= 3 high-order, else subsampled linear)."""
-    order = mesh.order if mesh.order in _TRI_TYPE_BY_ORDER else 1
-    etype = _TRI_TYPE_BY_ORDER[order]
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
+def _write(path, points, elements):
+    """MSH 2.2 ASCII file of 2D points and (gmsh type, tag, elementary tag, nodes) rows.
 
-    if order == 1:
-        points = [tuple(p) for p in mesh.vertices]
-        conn = [[int(v) for v in t] for t in mesh.triangles]
-    else:
-        ref_nodes = _equidistant_tri_nodes(order)
-        basis = mesh.ref.basis_at(ref_nodes)
-        points = []
-        index = {}
-        conn = []
-        for e in range(mesh.n_elements()):
-            xy = basis @ mesh.geom[e]
-            ids = []
-            for p in xy:
-                key = (round(p[0], 12), round(p[1], 12))
-                if key not in index:
-                    index[key] = len(points)
-                    points.append((p[0], p[1]))
-                ids.append(index[key])
-            conn.append(ids)
-
-    lines.append("$Nodes")
-    lines.append(str(len(points)))
-    for i, (x, y) in enumerate(points):
-        lines.append(f"{i + 1} {float(x)!r} {float(y)!r} 0")
-    lines.append("$EndNodes")
-    lines.append("$Elements")
-
-    bnd = []
-    if order == 1:
-        for f in mesh.boundary_faces:
-            a = int(mesh.triangles[f.elem][f.ledge])
-            b = int(mesh.triangles[f.elem][(f.ledge + 1) % 3])
-            bnd.append((a, b, f.loop + 1))
-    lines.append(str(len(conn) + len(bnd)))
-    eid = 1
-    for (a, b, tag) in bnd:
-        lines.append(f"{eid} {GMSH_LINE} 2 {tag} {tag} {a + 1} {b + 1}")
-        eid += 1
-    for ids in conn:
-        nodes = " ".join(str(i + 1) for i in ids)
-        lines.append(f"{eid} {etype} 2 0 1 {nodes}")
-        eid += 1
+    Node ids in elements are 0-based; the file numbers everything from 1.
+    """
+    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(points))]
+    lines += [f"{i + 1} {float(x)!r} {float(y)!r} 0" for i, (x, y) in enumerate(points)]
+    lines += ["$EndNodes", "$Elements", str(len(elements))]
+    for i, (etype, tag, elementary, nodes) in enumerate(elements):
+        ids = " ".join(str(int(v) + 1) for v in nodes)
+        lines.append(f"{i + 1} {etype} 2 {tag} {elementary} {ids}")
     lines.append("$EndElements")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def write_msh(path, mesh):
+    """Write a TriMesh: orders 1-3 with all their nodes, higher orders as
+    straight 3-node triangles through the element vertices.
+
+    High-order nodes are shared through the mesh's edge table and numbered in
+    order of first appearance; linear meshes keep their vertex ids and add
+    tagged boundary lines.
+    """
+    order = mesh.order if mesh.order in _TRI_TYPE_BY_ORDER else 1
+    etype = _TRI_TYPE_BY_ORDER[order]
+    if order == 1:
+        points, conn = mesh.vertices, mesh.triangles
+        elements = [(GMSH_LINE, f.loop + 1, f.loop + 1,
+                     np.roll(mesh.triangles[f.elem], -f.ledge)[:2]) for f in mesh.boundary_faces]
+    else:
+        basis = mesh.ref.basis_at(_equidistant_tri_nodes(order))
+        xy = np.concatenate([basis @ g for g in mesh.geom])
+        ids = mesh.node_ids(order - 1, int(order == 3))
+        _, first = np.unique(ids, return_index=True)
+        first.sort()
+        renumber = np.empty(ids.max() + 1, dtype=int)
+        renumber[ids.ravel()[first]] = np.arange(len(first))
+        points, conn = xy[first], renumber[ids]
+        elements = []
+    _write(path, points, elements + [(etype, 0, 1, nodes) for nodes in conn])
 
 
 def write_quad_msh(path, qmesh):
     """Linear quads; block provenance as the physical tag."""
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes",
-             str(qmesh.n_nodes())]
-    for i, (x, y) in enumerate(qmesh.nodes):
-        lines.append(f"{i + 1} {float(x)!r} {float(y)!r} 0")
-    lines.append("$EndNodes")
-    lines.append("$Elements")
-    lines.append(str(len(qmesh.quads)))
-    for qi, q in enumerate(qmesh.quads):
-        tag = int(qmesh.block_of[qi])
-        nodes = " ".join(str(int(v) + 1) for v in q)
-        lines.append(f"{qi + 1} {GMSH_QUAD} 2 {tag} {tag} {nodes}")
-    lines.append("$EndElements")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write(path, qmesh.nodes, [(GMSH_QUAD, int(tag), int(tag), q)
+                               for tag, q in zip(qmesh.block_of, qmesh.quads)])
 
 
 def read_msh(path):
@@ -162,40 +140,21 @@ def import_msh(path, domain):
     tol = 1e-6 * domain.bbox_diag()
 
     # orient triangles counterclockwise
-    fixed = []
-    for t in tris:
-        a, b, c = coords[t[0]], coords[t[1]], coords[t[2]]
-        if (b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0] < 0:
-            fixed.append([t[0], t[2], t[1]])
-        else:
-            fixed.append(list(t))
-    tris = np.array(fixed, dtype=int)
+    p0, p1, p2 = coords[tris].transpose(1, 0, 2)
+    cw = (p1 - p0)[:, 0] * (p2 - p0)[:, 1] - (p1 - p0)[:, 1] * (p2 - p0)[:, 0] < 0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
 
-    directed = {}
-    for ei, (a, b, c) in enumerate(tris):
-        for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            directed[(int(u), int(v))] = (ei, le)
-
-    # boundary edges: either the tagged lines or all once-used edges
-    edge_pairs = []
+    directed = local_edges(tris)
+    # boundary edges: either the tagged lines or the edges used in one direction only
     if blines:
-        for (nodes, _tag) in blines:
-            edge_pairs.append((nodes[0], nodes[1]))
+        edge_pairs = [(nodes[0], nodes[1]) for (nodes, _tag) in blines]
     else:
-        count = {}
-        for (u, v) in directed:
-            count[frozenset((u, v))] = count.get(frozenset((u, v)), 0) + 1
-        for key, n in count.items():
-            if n == 1:
-                edge_pairs.append(tuple(sorted(key)))
+        edge_pairs = [(u, v) for (u, v) in directed if (v, u) not in directed]
 
     faces = []
     for (u, v) in edge_pairs:
-        if (u, v) in directed:
-            a, b = u, v
-        elif (v, u) in directed:
-            a, b = v, u
-        else:
+        a, b = (u, v) if (u, v) in directed else (v, u)
+        if (a, b) not in directed:
             raise MeshError("boundary line does not match any triangle edge")
         pa, pb = coords[a], coords[b]
         la, sa, ta, da = domain.closest_boundary_point(pa)

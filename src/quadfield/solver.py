@@ -75,8 +75,8 @@ class CrossFieldBC:
         f = self._faces[(elem, ledge)]
         seg = self.domain.loops[f.loop].segments[f.seg]
         svals = np.asarray(svals, dtype=float)
-        tvals = f.t0 + 0.5 * (svals + 1.0) * (f.t1 - f.t0)
-        thetas = np.array([tangent_angle(seg, min(max(t, 0.0), 1.0)) for t in tvals])
+        thetas = np.array([tangent_angle(seg, min(max(t, 0.0), 1.0))
+                           for t in f.curve_t(svals)])
         u, v = boundary_field(thetas)
         return np.stack([u, v], axis=1)
 
@@ -204,11 +204,7 @@ class FaceGeometry:
 
 def interior_face_pairs(mesh):
     """(eL, leL, eR, leR) per interior edge, deterministic order."""
-    out = []
-    for key in mesh.interior_edges:
-        (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
-        out.append((e0, le0, e1, le1))
-    return out
+    return [(*mesh.edge_use[i][0], *mesh.edge_use[i][1]) for i in mesh.interior_edges]
 
 
 def _assemble(blocks, ndof):
@@ -228,29 +224,13 @@ class CGSpace:
     def __init__(self, mesh):
         self.mesh = mesh
         ref = mesh.ref
-        p = mesh.order
-        nv = len(mesh.vertices)
-        self.edge_index = {key: i for i, key in enumerate(
-            sorted(mesh.edge_use, key=lambda k: sorted(k)))}
-        n_edge = len(self.edge_index)
-        per_edge = max(p - 1, 0)
+        per_edge = mesh.order - 1
         n_int = len(ref.interior_ids)
-        self.ndof = nv + n_edge * per_edge + mesh.n_elements() * n_int
-        self.local_to_global = np.zeros((mesh.n_elements(), ref.n_nodes), dtype=int)
-        for e in range(mesh.n_elements()):
-            tri = [int(v) for v in mesh.triangles[e]]
-            l2g = np.empty(ref.n_nodes, dtype=int)
-            for k in range(3):
-                l2g[ref.vertex_ids[k]] = tri[k]
-            for le in range(3):
-                va, vb = tri[le], tri[(le + 1) % 3]
-                gid = self.edge_index[frozenset((va, vb))]
-                dofs = nv + gid * per_edge + np.arange(per_edge)
-                ids = ref.edge_ids[le][1:-1]
-                l2g[ids] = dofs if va < vb else dofs[::-1]
-            base = nv + n_edge * per_edge + e * n_int
-            l2g[ref.interior_ids] = base + np.arange(n_int)
-            self.local_to_global[e] = l2g
+        self.ndof = len(mesh.vertices) + len(mesh.edges) * per_edge + mesh.n_elements() * n_int
+        local = np.concatenate([ref.vertex_ids, *(ids[1:-1] for ids in ref.edge_ids),
+                                ref.interior_ids])
+        self.local_to_global = np.empty((mesh.n_elements(), ref.n_nodes), dtype=int)
+        self.local_to_global[:, local] = mesh.node_ids(per_edge, n_int)
 
 
 def _linear_solve(matrix, rhs_cols):

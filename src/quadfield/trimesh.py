@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
-from .errors import MeshError
+from .errors import ConfigError, MeshError
 from .geometry import in_region
 from .reftri import ref_triangle
 
@@ -31,6 +31,10 @@ class BoundaryFace:
     seg: int
     t0: float
     t1: float
+
+    def curve_t(self, s):
+        """Curve parameter at edge parameter s in [-1, 1] (s = -1 at t0)."""
+        return self.t0 + 0.5 * (s + 1.0) * (self.t1 - self.t0)
 
 
 class TriMesh:
@@ -52,35 +56,53 @@ class TriMesh:
     # ---- connectivity ------------------------------------------------------
 
     def _build_edges(self):
-        edge_use = {}
-        for e, (a, b, c) in enumerate(self.triangles):
-            for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-                edge_use.setdefault(frozenset((int(u), int(v))), []).append((e, le))
-        self.edge_use = edge_use
-        self.interior_edges = sorted(
-            (key for key, use in edge_use.items() if len(use) == 2),
-            key=lambda k: sorted(k))
-        boundary_keys = {frozenset((self.triangles[f.elem][f.ledge],
-                                    self.triangles[f.elem][(f.ledge + 1) % 3]))
-                         for f in self.boundary_faces}
-        for key, use in edge_use.items():
-            if len(use) == 1 and key not in boundary_keys:
-                raise MeshError(f"non-conforming mesh: bare edge {sorted(key)}")
-            if len(use) > 2:
-                raise MeshError(f"non-manifold edge {sorted(key)}")
+        """Number every edge once, in (low, high) vertex-id order.
+
+        edges (n, 2) holds the low and high vertex of each edge;
+        elem_edges[e, le] is the edge of local edge le (vertex le -> le+1),
+        forward[e, le] whether that local edge runs from low to high, and
+        edge_use[i] lists the (elem, ledge) uses of edge i in ascending order.
+        """
+        tail = self.triangles
+        head = np.roll(tail, -1, axis=1)
+        nv = len(self.vertices)
+        keys, inverse, counts = np.unique(
+            np.minimum(tail, head) * nv + np.maximum(tail, head),
+            return_inverse=True, return_counts=True)
+        self.edges = np.stack(np.divmod(keys, nv), axis=1)
+        self.elem_edges = inverse.reshape(tail.shape)
+        self.forward = tail < head
+        uses = np.split(np.argsort(inverse, axis=None, kind="stable"), np.cumsum(counts)[:-1])
+        self.edge_use = [[divmod(int(u), 3) for u in use] for use in uses]
+        self.interior_edges = np.flatnonzero(counts == 2)
+        bare = counts == 1
+        bare[[self.elem_edges[f.elem, f.ledge] for f in self.boundary_faces]] = False
+        for i in np.flatnonzero(bare | (counts > 2)):
+            kind = "non-conforming mesh: bare edge" if counts[i] == 1 else "non-manifold edge"
+            raise MeshError(f"{kind} {self.edges[i].tolist()}")
 
     def n_elements(self):
         return len(self.triangles)
 
     def neighbors(self, e):
         """Element ids sharing an edge with element e."""
-        out = []
-        a, b, c = self.triangles[e]
-        for u, v in ((a, b), (b, c), (c, a)):
-            for (e2, _) in self.edge_use[frozenset((int(u), int(v)))]:
-                if e2 != e:
-                    out.append(e2)
-        return out
+        return [e2 for i in self.elem_edges[e] for (e2, _) in self.edge_use[i] if e2 != e]
+
+    def node_ids(self, per_edge, per_face):
+        """Global node ids per element, continuous across shared edges.
+
+        Columns: the three vertices, then per_edge nodes of each local edge
+        from vertex le to le+1, then per_face interior nodes.  Vertex v is
+        node v, node k of edge i counted from its low vertex is node
+        V + i * per_edge + k, and interior nodes follow all edge nodes.
+        """
+        ne, nv = len(self.triangles), len(self.vertices)
+        along = np.arange(per_edge)
+        edge = nv + self.elem_edges[:, :, None] * per_edge + \
+            np.where(self.forward[:, :, None], along, along[::-1])
+        face = nv + len(self.edges) * per_edge + \
+            np.arange(ne)[:, None] * per_face + np.arange(per_face)
+        return np.hstack([self.triangles, edge.reshape(ne, -1), face])
 
     # ---- geometry ----------------------------------------------------------
 
@@ -119,11 +141,8 @@ class TriMesh:
         return la * lb * lc / (4.0 * area)
 
     def shortest_edge(self):
-        best = math.inf
-        for key in self.edge_use:
-            a, b = sorted(key)
-            best = min(best, float(np.hypot(*(self.vertices[a] - self.vertices[b]))))
-        return best
+        d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
+        return float(np.hypot(d[:, 0], d[:, 1]).min())
 
     def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
@@ -143,13 +162,10 @@ class TriMesh:
 
     def euler_check(self):
         """chi = V - E + F must equal 1 - (number of holes)."""
-        v = len(self.vertices)
-        ed = len(self.edge_use)
-        f = self.n_elements()
+        chi = len(self.vertices) - len(self.edges) + self.n_elements()
         holes = len(self.domain.holes) if self.domain is not None else 0
-        if v - ed + f != 1 - holes:
-            raise MeshError(
-                f"Euler check failed: V-E+F = {v - ed + f}, expected {1 - holes}")
+        if chi != 1 - holes:
+            raise MeshError(f"Euler check failed: V-E+F = {chi}, expected {1 - holes}")
 
     # ---- serialization -----------------------------------------------------
 
@@ -165,10 +181,30 @@ class TriMesh:
 
     @classmethod
     def from_json(cls, doc, domain=None):
+        """TriMesh of a mesh.json document; with a domain, its boundary faces
+        must lie on the domain's segments (else ConfigError)."""
         faces = [BoundaryFace(int(e), int(le), int(lp), int(sg), float(t0), float(t1))
                  for (e, le, lp, sg, t0, t1) in doc["boundary_faces"]]
-        return cls(np.array(doc["vertices"]), np.array(doc["triangles"], dtype=int),
+        mesh = cls(np.array(doc["vertices"]), np.array(doc["triangles"], dtype=int),
                    int(doc["order"]), np.array(doc["geom"]), faces, domain=domain)
+        if domain is None:
+            return mesh
+        tol = 1e-6 * domain.bbox_diag()
+        for f in mesh.boundary_faces:
+            segs = domain.loops[f.loop].segments if f.loop < len(domain.loops) else []
+            ends = mesh.vertices[np.roll(mesh.triangles[f.elem], -f.ledge)[:2]]
+            if f.seg >= len(segs) or np.hypot(
+                    *(ends - segs[f.seg].points([f.t0, f.t1])).T).max() > tol:
+                raise ConfigError(f"mesh boundary face ({f.elem}, {f.ledge}) is not on "
+                                  f"domain segment ({f.loop}, {f.seg}); rerun mesh")
+        return mesh
+
+
+def local_edges(triangles):
+    """{(u, v): (elem, ledge)} for every local edge, directed vertex ledge -> ledge+1."""
+    return {(int(u), int(v)): (e, le)
+            for e, (a, b, c) in enumerate(triangles)
+            for le, (u, v) in enumerate(((a, b), (b, c), (c, a)))}
 
 
 # ---- background mesh generation ---------------------------------------------
@@ -252,15 +288,11 @@ def generate_background_mesh(domain, target_h):
     tris = [tuple(remap[v] for v in t) for _, t in live]
     tris.sort()
 
-    boundary_ids = {remap[e[0] + 3] for e in edges if (e[0] + 3) in remap} | \
-                   {remap[e[1] + 3] for e in edges if (e[1] + 3) in remap}
+    # the loops are closed, so every edge end is the start of another edge
+    boundary_ids = {remap[e[0] + 3] for e in edges if (e[0] + 3) in remap}
     laplacian_smooth(verts, tris, boundary_ids)
 
-    # directed-edge -> (elem, ledge) lookup for boundary faces
-    directed = {}
-    for ei, (a, b, c) in enumerate(tris):
-        for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
-            directed[(u, v)] = (ei, le)
+    directed = local_edges(tris)
     faces = []
     for (i, j, li, si, t0, t1) in edges:
         key = (remap.get(i + 3), remap.get(j + 3))
@@ -333,68 +365,41 @@ def elevate_and_curve(mesh, order, domain):
         raise MeshError("order >= 2 required to curve non-line boundaries")
 
     ref = ref_triangle(order)
-    nb = ref.n_nodes
-    params = ref.edge_node_params            # P+1 Gauss-Lobatto values in [-1,1]
-    inner = params[1:-1]
+    inner = ref.edge_node_params[1:-1]       # inner Gauss-Lobatto values in (-1, 1)
 
-    bface_by_edge = {}
+    # high-order edge nodes per edge, ordered from its low to its high vertex
+    low, high = mesh.vertices[mesh.edges[:, 0]], mesh.vertices[mesh.edges[:, 1]]
+    lam = 0.5 * (inner + 1.0)
+    edge_nodes = low[:, None, :] + lam[None, :, None] * (high - low)[:, None, :]
     for f in mesh.boundary_faces:
-        a = int(mesh.triangles[f.elem][f.ledge])
-        b = int(mesh.triangles[f.elem][(f.ledge + 1) % 3])
-        bface_by_edge[(a, b)] = f
+        seg = domain.loops[f.loop].segments[f.seg]
+        # f.curve_t runs along the face, from its vertex ledge to ledge+1
+        s = inner if mesh.forward[f.elem, f.ledge] else -inner
+        edge_nodes[mesh.elem_edges[f.elem, f.ledge]] = \
+            np.array([seg.point(t) for t in f.curve_t(s)]).reshape(-1, 2)
 
-    # per-global-edge high-order node coordinates, keyed (min, max), ordered min->max
-    edge_nodes = {}
-    edge_curves = {}                          # (a, b) directed -> callable mu -> point
-    for key in mesh.edge_use:
-        a, b = sorted(key)
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        face = bface_by_edge.get((a, b)) or bface_by_edge.get((b, a))
-        if face is None:
-            lam = 0.5 * (inner + 1.0)
-            edge_nodes[(a, b)] = pa[None, :] + lam[:, None] * (pb - pa)[None, :]
-        else:
-            seg = domain.loops[face.loop].segments[face.seg]
-            v0 = int(mesh.triangles[face.elem][face.ledge])
-            # mu measured a->b equals -mu measured along the loop when v0 == b
-            curve = _edge_curve(seg, face.t0, face.t1, 1.0 if v0 == a else -1.0)
-            edge_nodes[(a, b)] = curve(inner).reshape(-1, 2)
-            edge_curves[(a, b)] = curve
-
-    geom = np.zeros((mesh.n_elements(), nb, 2))
     bary = ref.barycentric(ref.nodes)
-    for e in range(mesh.n_elements()):
-        tri = [int(v) for v in mesh.triangles[e]]
-        pverts = mesh.vertices[tri]
-        g = bary @ pverts                      # affine placement for every node
-        # overwrite edge nodes with the stored per-edge coordinates
-        for le in range(3):
-            va, vb = tri[le], tri[(le + 1) % 3]
-            a, b = (va, vb) if va < vb else (vb, va)
-            nodes = edge_nodes[(a, b)]
-            ids = ref.edge_ids[le][1:-1]
-            g[ids] = nodes if va == a else nodes[::-1]
-        # transfinite blend of curved-edge deviations into interior nodes
-        for le in range(3):
-            va, vb = tri[le], tri[(le + 1) % 3]
-            a, b = (va, vb) if va < vb else (vb, va)
-            curve = edge_curves.get((a, b))
-            if curve is None:
-                continue
-            la = bary[:, le]
-            lb = bary[:, (le + 1) % 3]
-            denom = la + lb
-            mask = (denom > 1e-12) & (bary[:, (le + 2) % 3] > 1e-12)
-            mu = np.zeros(nb)
-            mu[mask] = (lb[mask] - la[mask]) / denom[mask]
-            straight = 0.5 * (1.0 - mu)[:, None] * pverts[le] + \
-                0.5 * (1.0 + mu)[:, None] * pverts[(le + 1) % 3]
-            if va < vb:
-                delta = curve(mu) - straight
-            else:
-                delta = curve(-mu) - straight
-            g[mask] += denom[mask, None] * delta[mask]
-        geom[e] = g
+    geom = np.array([bary @ mesh.vertices[tri] for tri in mesh.triangles])   # affine
+    for le in range(3):
+        nodes = edge_nodes[mesh.elem_edges[:, le]]
+        geom[:, ref.edge_ids[le][1:-1]] = np.where(
+            mesh.forward[:, le, None, None], nodes, nodes[:, ::-1])
+    # transfinite blend of curved-edge deviations into interior nodes; an
+    # element with two curved edges adds them in local-edge order
+    for f in sorted(mesh.boundary_faces, key=lambda face: (face.elem, face.ledge)):
+        seg = domain.loops[f.loop].segments[f.seg]
+        le = f.ledge
+        pverts = mesh.vertices[mesh.triangles[f.elem]]
+        la = bary[:, le]
+        lb = bary[:, (le + 1) % 3]
+        denom = la + lb
+        mask = (denom > 1e-12) & (bary[:, (le + 2) % 3] > 1e-12)
+        mu = np.zeros(ref.n_nodes)
+        mu[mask] = (lb[mask] - la[mask]) / denom[mask]
+        straight = 0.5 * (1.0 - mu)[:, None] * pverts[le] + \
+            0.5 * (1.0 + mu)[:, None] * pverts[(le + 1) % 3]
+        delta = np.array([seg.point(t) for t in f.curve_t(mu)]) - straight
+        geom[f.elem, mask] += denom[mask, None] * delta[mask]
 
     out = TriMesh(mesh.vertices.copy(), mesh.triangles.copy(), order, geom,
                   list(mesh.boundary_faces), domain=domain)
@@ -403,11 +408,3 @@ def elevate_and_curve(mesh, order, domain):
         raise MeshError(f"curving produced negative Jacobians in elements {bad}; "
                         "refine the background mesh")
     return out
-
-
-def _edge_curve(seg, t0, t1, direction):
-    def curve(mu):
-        mu = direction * np.atleast_1d(np.asarray(mu, dtype=float))
-        t = t0 + 0.5 * (mu + 1.0) * (t1 - t0)
-        return np.array([seg.point(tv) for tv in t])
-    return curve

@@ -177,3 +177,44 @@ def test_flag_to_config_plumbing():
     assert config["step_factor"] == 0.3
     assert config["n_max"] == 5000
     assert config["length_factor"] == 30.0
+
+
+def test_staged_solve_on_another_domains_mesh_refused(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run_cli(["mesh", fixture_path("nautilus"), "--out", out,
+                    "--target-h", "0.5"]) == 0
+    capsys.readouterr()
+    assert run_cli(["solve", HALF_DISC, "--out", out]) == 2
+    assert "rerun mesh" in capsys.readouterr().err
+
+
+def test_invalid_json_config_and_artifact(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"order": 3,')
+    assert run_cli(["run", HALF_DISC, "--out", tmp_path / "x", "--config", cfg]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    out = tmp_path / "y"
+    assert run_cli(["mesh", HALF_DISC, "--out", out] + FAST) == 0
+    (out / "mesh.json").write_text("{")
+    assert run_cli(["solve", HALF_DISC, "--out", out] + FAST) == 2
+    assert "mesh.json" in capsys.readouterr().err
+
+
+def test_invalid_json_domain(tmp_path, capsys):
+    dom = tmp_path / "dom.json"
+    dom.write_text("{loops: []}")
+    assert run_cli(["mesh", dom, "--out", tmp_path / "x"]) == 2
+    assert str(dom) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,missing", [
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [0, 0]}]}]}, "'p1'"),
+    ({"name": "no loops"}, "'loops'"),
+    ([1, 2], "list"),
+])
+def test_malformed_domain_names_the_fault(tmp_path, capsys, doc, missing):
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps(doc))
+    assert run_cli(["mesh", dom, "--out", tmp_path / "x"]) == 2
+    assert missing in capsys.readouterr().err

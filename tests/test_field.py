@@ -57,7 +57,7 @@ def test_locate_tie_break_lower_id(half_disc_probe, half_disc_mesh):
     mesh = half_disc_mesh
     key = mesh.interior_edges[0]
     uses = sorted(mesh.edge_use[key])
-    a, b = sorted(key)
+    a, b = mesh.edges[key]
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     loc = half_disc_probe.locate(mid)
     assert loc[0] == uses[0][0]

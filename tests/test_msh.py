@@ -1,6 +1,7 @@
 import pytest
 
 from quadfield.errors import MeshError
+from quadfield.geometry import load_fixture
 from quadfield.msh import import_msh, write_msh
 from quadfield.trimesh import elevate_and_curve, generate_background_mesh
 
@@ -81,3 +82,40 @@ def test_write_high_order(tmp_path, half_disc_mesh):
             break
     else:
         raise AssertionError("no order-3 triangles written")
+
+
+def _msh_triangles(path):
+    """Node count and per-element node-id rows of the triangles in a MSH file."""
+    lines = path.read_text().splitlines()
+    n_nodes = int(lines[lines.index("$Nodes") + 1])
+    start = lines.index("$Elements") + 2
+    rows = [[int(v) for v in row.split()] for row in lines[start:lines.index("$EndElements")]]
+    return n_nodes, [row[5:] for row in rows if row[1] in (9, 21)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
+                                  "naca_IV", "holed_nautilus"])
+def test_high_order_nodes_shared_by_topology(tmp_path, name, order):
+    domain = load_fixture(name)
+    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), order, domain)
+    path = tmp_path / "mesh.msh"
+    write_msh(path, mesh)
+    n_nodes, conn = _msh_triangles(path)
+    uses = {}
+    for e, tri in enumerate(mesh.triangles.tolist()):
+        for le in range(3):
+            uses.setdefault(frozenset((tri[le], tri[(le + 1) % 3])), []).append((e, le))
+    assert n_nodes == (len(mesh.vertices) + len(uses) * (order - 1)
+                       + mesh.n_elements() * (order == 3))
+
+    def edge_nodes(e, le):
+        # gmsh order: three vertices, then order - 1 nodes along each local edge
+        ids = conn[e]
+        inner = ids[3 + le * (order - 1):3 + (le + 1) * (order - 1)]
+        return [ids[le]] + inner + [ids[(le + 1) % 3]]
+
+    for pair in uses.values():
+        if len(pair) == 2:
+            (e0, le0), (e1, le1) = pair
+            assert edge_nodes(e0, le0) == edge_nodes(e1, le1)[::-1]

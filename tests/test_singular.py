@@ -125,8 +125,8 @@ def test_interior_roots_match_newton_loop(square_mesh_p3, data):
         xi = np.array([-1.0 + 2.0 * u * (1.0 - w), -1.0 + 2.0 * w * (1.0 - u)])
         x0 = mesh.map_to_physical(e, xi)[0]
     elif kind == "edge":
-        a, b = sorted(mesh.interior_edges[data.draw(
-            st.integers(0, len(mesh.interior_edges) - 1))])
+        a, b = mesh.edges[mesh.interior_edges[data.draw(
+            st.integers(0, len(mesh.interior_edges) - 1))]]
         x0 = mesh.vertices[a] + u * (mesh.vertices[b] - mesh.vertices[a])
     elif kind == "vertex":
         x0 = mesh.vertices[data.draw(st.integers(0, len(mesh.vertices) - 1))]

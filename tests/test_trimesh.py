@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadfield.errors import GeometryError, MeshError
-from quadfield.geometry import BoundaryLoop, DomainSpec, Line
-from quadfield.reftri import BARYCENTER, RefTriangle, _JacobiTable, in_reference
+from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
+from quadfield.reftri import (BARYCENTER, RefTriangle, _JacobiTable, in_reference,
+                              ref_triangle)
+from quadfield.solver import CGSpace, interior_face_pairs
 from quadfield.trimesh import (BoundaryFace, TriMesh, elevate_and_curve,
                                generate_background_mesh)
 
@@ -250,7 +253,7 @@ def test_shared_edge_point_found_by_both(half_disc_mesh):
     mesh = half_disc_mesh
     key = mesh.interior_edges[0]
     (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
-    a, b = sorted(key)
+    a, b = mesh.edges[key]
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     xi0, xi1 = mesh.invert_map([e0, e1], mid)
     assert xi0 is not None
@@ -281,3 +284,173 @@ def test_conforming_shared_edge_nodes(half_disc_mesh):
         n0 = mesh.geom[e0][ref.edge_ids[le0]]
         n1 = mesh.geom[e1][ref.edge_ids[le1]]
         assert np.abs(n0 - n1[::-1]).max() < 1e-12
+
+
+# ---- reference: the per-edge dictionaries the edge table replaced ---------------
+
+
+def _reference_edge_use(triangles, boundary_faces):
+    """Frozenset-keyed edge uses and sorted interior edges, with the mesh checks."""
+    edge_use = {}
+    for e, (a, b, c) in enumerate(triangles):
+        for le, (u, v) in enumerate(((a, b), (b, c), (c, a))):
+            edge_use.setdefault(frozenset((int(u), int(v))), []).append((e, le))
+    interior_edges = sorted(
+        (key for key, use in edge_use.items() if len(use) == 2),
+        key=lambda k: sorted(k))
+    boundary_keys = {frozenset((triangles[f.elem][f.ledge],
+                                triangles[f.elem][(f.ledge + 1) % 3]))
+                     for f in boundary_faces}
+    for key, use in edge_use.items():
+        if len(use) == 1 and key not in boundary_keys:
+            raise MeshError(f"non-conforming mesh: bare edge {sorted(key)}")
+        if len(use) > 2:
+            raise MeshError(f"non-manifold edge {sorted(key)}")
+    return edge_use, interior_edges
+
+
+def _reference_face_pairs(edge_use, interior_edges):
+    out = []
+    for key in interior_edges:
+        (e0, le0), (e1, le1) = sorted(edge_use[key])
+        out.append((e0, le0, e1, le1))
+    return out
+
+
+def _reference_local_to_global(mesh, edge_use):
+    ref = mesh.ref
+    p = mesh.order
+    nv = len(mesh.vertices)
+    edge_index = {key: i for i, key in enumerate(
+        sorted(edge_use, key=lambda k: sorted(k)))}
+    n_edge = len(edge_index)
+    per_edge = max(p - 1, 0)
+    n_int = len(ref.interior_ids)
+    local_to_global = np.zeros((mesh.n_elements(), ref.n_nodes), dtype=int)
+    for e in range(mesh.n_elements()):
+        tri = [int(v) for v in mesh.triangles[e]]
+        l2g = np.empty(ref.n_nodes, dtype=int)
+        for k in range(3):
+            l2g[ref.vertex_ids[k]] = tri[k]
+        for le in range(3):
+            va, vb = tri[le], tri[(le + 1) % 3]
+            gid = edge_index[frozenset((va, vb))]
+            dofs = nv + gid * per_edge + np.arange(per_edge)
+            ids = ref.edge_ids[le][1:-1]
+            l2g[ids] = dofs if va < vb else dofs[::-1]
+        base = nv + n_edge * per_edge + e * n_int
+        l2g[ref.interior_ids] = base + np.arange(n_int)
+        local_to_global[e] = l2g
+    return local_to_global
+
+
+def _reference_edge_curve(seg, t0, t1, direction):
+    def curve(mu):
+        mu = direction * np.atleast_1d(np.asarray(mu, dtype=float))
+        t = t0 + 0.5 * (mu + 1.0) * (t1 - t0)
+        return np.array([seg.point(tv) for tv in t])
+    return curve
+
+
+def _reference_geom(mesh, order, domain, edge_use):
+    """Geometry nodes of elevate_and_curve placed through the edge dictionaries."""
+    ref = ref_triangle(order)
+    nb = ref.n_nodes
+    params = ref.edge_node_params
+    inner = params[1:-1]
+
+    bface_by_edge = {}
+    for f in mesh.boundary_faces:
+        a = int(mesh.triangles[f.elem][f.ledge])
+        b = int(mesh.triangles[f.elem][(f.ledge + 1) % 3])
+        bface_by_edge[(a, b)] = f
+
+    edge_nodes = {}
+    edge_curves = {}
+    for key in edge_use:
+        a, b = sorted(key)
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        face = bface_by_edge.get((a, b)) or bface_by_edge.get((b, a))
+        if face is None:
+            lam = 0.5 * (inner + 1.0)
+            edge_nodes[(a, b)] = pa[None, :] + lam[:, None] * (pb - pa)[None, :]
+        else:
+            seg = domain.loops[face.loop].segments[face.seg]
+            v0 = int(mesh.triangles[face.elem][face.ledge])
+            curve = _reference_edge_curve(seg, face.t0, face.t1, 1.0 if v0 == a else -1.0)
+            edge_nodes[(a, b)] = curve(inner).reshape(-1, 2)
+            edge_curves[(a, b)] = curve
+
+    geom = np.zeros((mesh.n_elements(), nb, 2))
+    bary = ref.barycentric(ref.nodes)
+    for e in range(mesh.n_elements()):
+        tri = [int(v) for v in mesh.triangles[e]]
+        pverts = mesh.vertices[tri]
+        g = bary @ pverts
+        for le in range(3):
+            va, vb = tri[le], tri[(le + 1) % 3]
+            a, b = (va, vb) if va < vb else (vb, va)
+            nodes = edge_nodes[(a, b)]
+            ids = ref.edge_ids[le][1:-1]
+            g[ids] = nodes if va == a else nodes[::-1]
+        for le in range(3):
+            va, vb = tri[le], tri[(le + 1) % 3]
+            a, b = (va, vb) if va < vb else (vb, va)
+            curve = edge_curves.get((a, b))
+            if curve is None:
+                continue
+            la = bary[:, le]
+            lb = bary[:, (le + 1) % 3]
+            denom = la + lb
+            mask = (denom > 1e-12) & (bary[:, (le + 2) % 3] > 1e-12)
+            mu = np.zeros(nb)
+            mu[mask] = (lb[mask] - la[mask]) / denom[mask]
+            straight = 0.5 * (1.0 - mu)[:, None] * pverts[le] + \
+                0.5 * (1.0 + mu)[:, None] * pverts[(le + 1) % 3]
+            if va < vb:
+                delta = curve(mu) - straight
+            else:
+                delta = curve(-mu) - straight
+            g[mask] += denom[mask, None] * delta[mask]
+        geom[e] = g
+    return geom
+
+
+def _assert_edge_table_matches_reference(linear, mesh, domain):
+    edge_use, interior_edges = _reference_edge_use(mesh.triangles, mesh.boundary_faces)
+    keys = sorted(edge_use, key=lambda k: sorted(k))
+    assert mesh.edges.tolist() == [sorted(k) for k in keys]
+    assert mesh.edge_use == [edge_use[k] for k in keys]
+    assert [keys[i] for i in mesh.interior_edges] == interior_edges
+    assert np.array(interior_face_pairs(mesh)).tobytes() == \
+        np.array(_reference_face_pairs(edge_use, interior_edges)).tobytes()
+    assert CGSpace(mesh).local_to_global.tobytes() == \
+        _reference_local_to_global(mesh, edge_use).tobytes()
+    if mesh is not linear:
+        assert mesh.geom.tobytes() == \
+            _reference_geom(linear, mesh.order, domain, edge_use).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_linear_mesh(name):
+    domain = load_fixture(name)
+    return domain, generate_background_mesh(domain, 0.35)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
+                                  "naca_IV", "holed_nautilus"])
+def test_edge_table_matches_reference_dictionaries(name, order):
+    domain, linear = _fixture_linear_mesh(name)
+    try:
+        mesh = elevate_and_curve(linear, order, domain)
+    except MeshError:
+        # order 1 cannot curve arcs, splines or airfoils: check the linear mesh
+        assert order == 1
+        mesh = linear
+    _assert_edge_table_matches_reference(linear, mesh, domain)
+
+
+def test_edge_table_matches_reference_dictionaries_square_p3(
+        unit_square, square_mesh_linear, square_mesh_p3):
+    _assert_edge_table_matches_reference(square_mesh_linear, square_mesh_p3, unit_square)
