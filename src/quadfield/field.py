@@ -1,10 +1,13 @@
 """Point location and high-order evaluation of the solved guiding field.
 
 A uniform grid of element bounding boxes gives candidate elements; one
-lockstep Newton inversion of all their element maps settles membership,
-with ties on shared edges broken toward the lowest element id so evaluation
-is deterministic.  Each probe memoises its locations, since the valence
-circles test contains() and then evaluate the field at the same points.
+lockstep Newton inversion of the element maps that can reach the point
+settles membership, with ties on shared edges broken toward the lowest
+element id so evaluation is deterministic.  locate_many runs that inversion
+once for a whole batch of points (a valence circle, an arc, one tracing
+round), one lane per (point, candidate) pair.  Each probe memoises its
+locations, since the valence circles test containment and then evaluate the
+field at the same points.
 """
 
 from __future__ import annotations
@@ -89,25 +92,31 @@ class FieldProbe:
 
         Memoised on the bytes of x; xi is a fresh copy on every call.
         """
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        loc = self._located.get(key)
-        if loc is None:
-            loc = self._located[key] = self._invert(x)
-        if loc is OUTSIDE:
-            return OUTSIDE
-        e, xi = loc
-        return e, xi.copy()
+        return self.locate_many([x])[0]
 
-    def _invert(self, x):
-        elems = self.candidates(x)
-        for e, xi in zip(elems, self.mesh.invert_map(elems, x)):
-            if xi is not None:
-                return e, xi
-        return OUTSIDE
+    def locate_many(self, points):
+        """[locate(p) for p in points], with one Newton solve for every new point."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        keys = [p.tobytes() for p in points]
+        fresh = {}
+        for key, p in zip(keys, points):
+            if key not in self._located and key not in fresh:
+                fresh[key] = (p, self.candidates(p))
+        if fresh:
+            elems = [e for _, cands in fresh.values() for e in cands]
+            targets = [p for p, cands in fresh.values() for _ in cands]
+            lanes = iter(self.mesh.invert_map(elems, np.reshape(targets, (-1, 2))))
+            for key, (_, cands) in fresh.items():
+                hits = [(e, xi) for e, xi in zip(cands, lanes) if xi is not None]
+                self._located[key] = hits[0] if hits else OUTSIDE
+        return [OUTSIDE if loc is OUTSIDE else (loc[0], loc[1].copy())
+                for loc in map(self._located.__getitem__, keys)]
 
     def contains(self, x):
         return self.locate(x) is not OUTSIDE
+
+    def contains_many(self, points):
+        return [loc is not OUTSIDE for loc in self.locate_many(points)]
 
     def eval_v(self, x):
         """(u, v) at the physical point x; one-sided for DG."""
@@ -152,3 +161,6 @@ class AnalyticProbe:
 
     def contains(self, x):
         return self.region is None or bool(self.region(x))
+
+    def contains_many(self, points):
+        return [self.contains(p) for p in points]

@@ -518,28 +518,47 @@ def _point_in_polygon(x, poly):
     return bool(np.sum(straddle & (px < xint)) % 2)
 
 
-def _segment_from_json(d):
-    kind = d.get("kind")
-    if kind == "line":
-        return Line(d["p0"], d["p1"])
-    if kind == "arc":
-        return Arc(d["center"], d["radius"], d["a0"], d["a1"])
-    if kind == "spline":
-        return Spline(d["points"])
-    if kind == "naca4":
-        return Naca4(d["code"], d.get("chord", 1.0), d.get("origin", (0.0, 0.0)))
-    raise GeometryError(f"unknown segment kind {kind!r}")
+def _json_object(doc, where):
+    if not isinstance(doc, dict):
+        raise GeometryError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _json_list(doc, key, where):
+    """doc[key] of the JSON object doc, which must hold a list."""
+    if key not in _json_object(doc, where):
+        raise GeometryError(f"{where} is missing key {key!r}")
+    if not isinstance(doc[key], list):
+        raise GeometryError(f"{where} {key!r} must be a JSON list, not {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _segment_from_json(d, where):
+    kind = _json_object(d, where).get("kind")
+    try:
+        if kind == "line":
+            return Line(d["p0"], d["p1"])
+        if kind == "arc":
+            return Arc(d["center"], d["radius"], d["a0"], d["a1"])
+        if kind == "spline":
+            return Spline(d["points"])
+        if kind == "naca4":
+            return Naca4(d["code"], d.get("chord", 1.0), d.get("origin", (0.0, 0.0)))
+    except KeyError as ex:
+        raise GeometryError(f"{where} is missing key {ex.args[0]!r}") from None
+    except (TypeError, ValueError, GeometryError) as ex:
+        raise GeometryError(f"{where}: {ex}") from None
+    raise GeometryError(f"{where}: unknown segment kind {kind!r}")
 
 
 def domain_from_json(doc):
-    if not isinstance(doc, dict):
-        raise GeometryError(f"domain must be a JSON object, not {type(doc).__name__}")
-    try:
-        loops = [BoundaryLoop([_segment_from_json(s) for s in lp["segments"]],
-                              lp["orientation"])
-                 for lp in doc["loops"]]
-    except KeyError as ex:
-        raise GeometryError(f"domain is missing key {ex.args[0]!r}") from None
+    loops = []
+    for i, lp in enumerate(_json_list(doc, "loops", "domain")):
+        segments = [_segment_from_json(seg, f"loop {i} segment {j}")
+                    for j, seg in enumerate(_json_list(lp, "segments", f"loop {i}"))]
+        if "orientation" not in lp:
+            raise GeometryError(f"loop {i} is missing key 'orientation'")
+        loops.append(BoundaryLoop(segments, lp["orientation"]))
     return DomainSpec(loops, name=doc.get("name", "domain"))
 
 

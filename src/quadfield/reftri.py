@@ -23,6 +23,7 @@ positive weights, and the weights sum to the reference area 2.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -340,10 +341,26 @@ class RefTriangle:
 
         return rows(v), np.stack([rows(vr), rows(vs)], axis=2)
 
-    def invert_maps(self, nodes, target, tol, max_iter, slack):
-        """Newton solve of basis_at(xi) @ nodes[k] = target for every lane k, in lockstep.
+    @functools.cached_property
+    def lebesgue(self):
+        """Lebesgue constant max over T of sum_n |l_n|, sampled on a 121 x 121 grid.
 
-        nodes: (k, n_nodes, 2) nodal values of k maps from T to the plane.
+        An element map deviates from its straight triangle by at most this
+        times the largest displacement of a node from its affine position.
+        """
+        g = np.linspace(-1.0, 1.0, 121)
+        r, s = np.meshgrid(g, g)
+        inside = r + s <= 1e-12
+        pts = np.stack([r[inside], s[inside]], axis=1)
+        # in chunks: the Jacobi table of all 7,381 points would take megabytes
+        return max(float(np.abs(self.basis_at(chunk)).sum(axis=1).max())
+                   for chunk in np.array_split(pts, 32))
+
+    def invert_maps(self, nodes, target, tol, max_iter, slack):
+        """Newton solve of basis_at(xi) @ nodes[k] = target[k] for every lane k, in lockstep.
+
+        nodes: (k, n_nodes, 2) nodal values of k maps from T to the plane;
+        target: one point (2,) for all lanes or one per lane (k, 2).
         Returns one result per lane: xi, or None when the residual does not
         drop below tol in max_iter steps, the Jacobian vanishes, xi leaves
         |xi| <= 10, or the root lies outside T inflated by slack.  Every lane
@@ -353,6 +370,7 @@ class RefTriangle:
         that loop's.
         """
         out = [None] * len(nodes)
+        target = np.broadcast_to(target, (len(nodes), 2))
         lane = np.arange(len(nodes))
         xi = np.tile(BARYCENTER, (len(nodes), 1))
         for _ in range(max_iter):
@@ -360,10 +378,11 @@ class RefTriangle:
                 break
             m = nodes[lane]
             basis, grad = self.basis_rows(xi)
-            r = (basis[:, None, :] @ m)[:, 0] - target
+            r = (basis[:, None, :] @ m)[:, 0] - target[lane]
             done = np.hypot(r[:, 0], r[:, 1]) < tol
-            for k in np.flatnonzero(done):
-                if in_reference(xi[k], slack=slack):
+            hit = np.flatnonzero(done)
+            if len(hit):
+                for k in hit[np.atleast_1d(in_reference(xi[hit], slack=slack))]:
                     out[lane[k]] = xi[k]
             j = np.einsum("knd,knx->kxd", grad, m)
             det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]

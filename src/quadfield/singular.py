@@ -71,7 +71,7 @@ def _fit_circle_radius(probe, center, c0, halvings=4, samples=CIRCLE_SAMPLES):
     for _ in range(halvings + 1):
         angles = 2.0 * math.pi * np.arange(samples) / samples
         pts = center[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        if all(probe.contains(p) for p in pts):
+        if all(probe.contains_many(pts)):
             return c
         c *= 0.5
     raise TopologyError(
@@ -180,7 +180,7 @@ def corner_valence(corner, probe, corner_id=0, samples=ARC_SAMPLES):
         while gap <= delta / 8.0:
             angles = np.linspace(th_start + gap, th_end - gap, samples)
             pts = pos[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            if all(probe.contains(p) for p in pts):
+            if all(probe.contains_many(pts)):
                 arc = pts
                 break
             gap *= 2.0

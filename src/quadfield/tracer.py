@@ -264,8 +264,9 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
     threshold = h if threshold is None else threshold
     order = sorted((sl for sl in streamlines if sl.status == "active"),
                    key=lambda sl: sl.order_key())
-    for sl in order:
-        candidate = _ab_step(sl, h, probe)
+    candidates = [_ab_step(sl, h, probe) for sl in order]
+    probe.contains_many(candidates)      # locate the whole round in one batch
+    for sl, candidate in zip(order, candidates):
         psi = probe.eval_psi(candidate)
         if psi is OUTSIDE:
             if domain is None or registry is None:

@@ -9,6 +9,7 @@ its exact Jacobian, and Newton inversion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -144,16 +145,59 @@ class TriMesh:
         d = self.vertices[self.edges[:, 0]] - self.vertices[self.edges[:, 1]]
         return float(np.hypot(d[:, 0], d[:, 1]).min())
 
+    @functools.cached_property
+    def _reach(self):
+        """Outward unit edge normals (ne, 3, 2) and offsets (ne, 3) of every
+        element's straight vertex triangle, and its reach (ne,).
+
+        The basis reproduces the affine map exactly, so a curved element lies
+        within Lebesgue constant x (largest node displacement from its affine
+        position) of its straight triangle; the reach pads that by 25% for the
+        sampled constant and by 1e-6 of the element's size for the Newton
+        tolerance and slack.  Built on first use: meshing and solving locate
+        nothing.
+        """
+        ref = self.ref
+        corners = self.geom[:, ref.vertex_ids]
+        affine = ref.barycentric(ref.nodes) @ corners
+        delta = np.hypot(*(self.geom - affine).transpose(2, 0, 1)).max(axis=1)
+        side = np.roll(corners, -1, axis=1) - corners
+        area = side[:, 0, 0] * side[:, 1, 1] - side[:, 0, 1] * side[:, 1, 0]
+        normal = np.stack([side[..., 1], -side[..., 0]], axis=2) * np.sign(area)[:, None, None]
+        normal /= np.hypot(normal[..., 0], normal[..., 1])[..., None]
+        offset = np.einsum("eld,eld->el", normal, corners)
+        size = np.hypot(*(self.geom.max(axis=1) - self.geom.min(axis=1)).T)
+        return normal, offset, 1.25 * ref.lebesgue * delta + 1e-6 * size
+
+    def reachable(self, elems, x):
+        """Whether the map of each element of elems can reach x, (2,) or one per element.
+
+        It cannot when x lies more than the element's reach outside one of
+        the edge lines of its straight triangle.
+        """
+        normal, offset, reach = self._reach
+        elems = np.asarray(elems, dtype=int)
+        beyond = np.einsum("kld,kd->kl", normal[elems],
+                           np.broadcast_to(x, (len(elems), 2))) - offset[elems]
+        return ~(beyond.max(axis=1) > reach[elems])
+
     def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
 
-        Returns one result per element: xi, or None on failure
-        (RefTriangle.invert_maps with tol 1e-12 * bbox_diag, 50 steps and
-        slack 1e-8).
+        x is one point (2,) or one per element (k, 2).  Returns one result per
+        element: xi, or None on failure.  Elements out of reach of their point
+        are None without a Newton step; the others run RefTriangle.invert_maps
+        with tol 1e-12 * bbox_diag, 50 steps and slack 1e-8, so their xi is
+        the unfiltered solve's.
         """
-        return self.ref.invert_maps(self.geom[np.asarray(elems, dtype=int)],
-                                    np.asarray(x, dtype=float),
-                                    1e-12 * self.bbox_diag, 50, 1e-8)
+        elems = np.asarray(elems, dtype=int)
+        x = np.broadcast_to(np.asarray(x, dtype=float), (len(elems), 2))
+        keep = np.flatnonzero(self.reachable(elems, x))
+        out = [None] * len(elems)
+        for k, xi in zip(keep, self.ref.invert_maps(self.geom[elems[keep]], x[keep],
+                                                    1e-12 * self.bbox_diag, 50, 1e-8)):
+            out[k] = xi
+        return out
 
     def validate_jacobians(self):
         bad = [e for e in range(self.n_elements()) if self.det_jacobians(e).min() <= 0.0]

@@ -212,6 +212,12 @@ def test_invalid_json_domain(tmp_path, capsys):
         {"kind": "line", "p0": [0, 0]}]}]}, "'p1'"),
     ({"name": "no loops"}, "'loops'"),
     ([1, 2], "list"),
+    ({"loops": [[1]]}, "loop 0 must be a JSON object"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [0, 0], "p1": [1, 0]}, 7]}]}, "loop 0 segment 1 must be"),
+    ({"loops": 5}, "'loops' must be a JSON list"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": "ab", "p1": [1, 0]}]}]}, "loop 0 segment 0: could not convert"),
 ])
 def test_malformed_domain_names_the_fault(tmp_path, capsys, doc, missing):
     dom = tmp_path / "dom.json"

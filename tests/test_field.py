@@ -53,6 +53,52 @@ def test_locate_memo_skips_inversion_and_returns_copies(half_disc_solution, monk
     assert calls                      # a new point is still inverted
 
 
+def _same_location(a, b):
+    if a is OUTSIDE or b is OUTSIDE:
+        return a is b
+    return a[0] == b[0] and a[1].tobytes() == b[1].tobytes()
+
+
+def test_locate_many_matches_locate(half_disc_solution, monkeypatch):
+    mesh = half_disc_solution.mesh
+    rng = np.random.default_rng(11)
+    inside = [mesh.map_to_physical(e, xi)[0]
+              for e, xi in zip(rng.integers(0, mesh.n_elements(), 40),
+                               rng.uniform(-1.0, -0.1, (40, 2)) * [1.0, 0.9])]
+    key = mesh.interior_edges[0]
+    on_edge = 0.5 * (mesh.vertices[mesh.edges[key, 0]] + mesh.vertices[mesh.edges[key, 1]])
+    boundary = mesh.geom[mesh.boundary_faces[0].elem][mesh.ref.edge_ids[0][1]]
+    points = inside + [on_edge, boundary, np.array([0.3, -0.2]), np.array([30.0, 30.0]),
+                       np.array([np.nan, 0.0]), np.array([0.0, np.inf])]
+    points += [inside[3], inside[3].copy(), on_edge.copy()]       # duplicates, copies
+    single = FieldProbe(half_disc_solution)
+    expected = [single.locate(p) for p in points]
+    assert sum(loc is OUTSIDE for loc in expected) == 4
+
+    batched = FieldProbe(half_disc_solution)
+    memoised = batched.locate(inside[5])            # one point is already memoised
+    calls = []
+    invert_map = TriMesh.invert_map
+
+    def counted(self, elems, y):
+        calls.append(len(elems))
+        return invert_map(self, elems, y)
+
+    monkeypatch.setattr(TriMesh, "invert_map", counted)
+    got = batched.locate_many(points)
+    assert len(calls) == 1                          # one solve for every new point
+    assert all(_same_location(a, b) for a, b in zip(got, expected))
+    assert _same_location(memoised, expected[5])
+    # the memo answers locate and hands out copies
+    got[0][1][:] = 99.0
+    again = batched.locate_many(points)
+    assert len(calls) == 1
+    assert all(_same_location(a, b) for a, b in zip(again, expected))
+    assert all(_same_location(batched.locate(p.copy()), b) for p, b in zip(points, expected))
+    assert batched.contains_many(points) == [loc is not OUTSIDE for loc in expected]
+    assert batched.locate_many([]) == []
+
+
 def test_locate_tie_break_lower_id(half_disc_probe, half_disc_mesh):
     mesh = half_disc_mesh
     key = mesh.interior_edges[0]

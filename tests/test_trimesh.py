@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
-from quadfield.reftri import (BARYCENTER, RefTriangle, _JacobiTable, in_reference,
-                              ref_triangle)
+from quadfield.reftri import (BARYCENTER, VERTICES, RefTriangle, _JacobiTable,
+                              in_reference, ref_triangle)
 from quadfield.solver import CGSpace, interior_face_pairs
 from quadfield.trimesh import (BoundaryFace, TriMesh, elevate_and_curve,
                                generate_background_mesh)
@@ -197,6 +197,66 @@ def test_invert_map_lanes_match_scalar_loop(half_disc_mesh, data):
     _assert_lanes_match_scalar(mesh, elems, x)
 
 
+def _unfiltered(mesh, elems, x):
+    """The lockstep solve of every lane, without the reach test."""
+    return mesh.ref.invert_maps(mesh.geom[elems], x, 1e-12 * mesh.bbox_diag, 50, 1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_reach_test_drops_only_lanes_that_miss(half_disc, half_disc_mesh, data):
+    mesh = half_disc_mesh
+    n = mesh.n_elements()
+    curved = sorted({f.elem for f in mesh.boundary_faces
+                     if half_disc.loops[f.loop].segments[f.seg].kind == "arc"})
+    anchor = data.draw(st.sampled_from(curved) | st.integers(0, n - 1))
+    elems = sorted({anchor, *mesh.neighbors(anchor),
+                    *data.draw(st.lists(st.integers(0, n - 1), max_size=8))})
+    kind = data.draw(st.sampled_from(["inside", "edge", "skin", "far"]))
+    u = data.draw(st.floats(0.0, 1.0))
+    w = data.draw(st.floats(0.0, 1.0))
+    if kind == "inside":
+        x = mesh.map_to_physical(anchor, [-1.0 + 2.0 * u * (1.0 - w),
+                                          -1.0 + 2.0 * w * (1.0 - u)])[0]
+    elif kind == "far":
+        angle = 2.0 * math.pi * w
+        x = mesh.vertices.mean(axis=0) + (1.0 + 40.0 * u) * mesh.bbox_diag * \
+            np.array([math.cos(angle), math.sin(angle)])
+    else:
+        # on an edge of the anchor, or within 1e-9 of it on either side
+        le = data.draw(st.integers(0, 2))
+        xi = mesh.ref.edge_points(le, np.array([2.0 * u - 1.0]))
+        x = mesh.map_to_physical(anchor, xi)[0]
+        if kind == "skin":
+            along = mesh.jacobian(anchor, xi)[0] @ (VERTICES[(le + 1) % 3] - VERTICES[le])
+            outward = np.array([along[1], -along[0]]) / np.hypot(*along)
+            x = x + data.draw(st.sampled_from([-1e-9, 1e-9])) * outward
+    reach = mesh.reachable(elems, x)
+    ref = _unfiltered(mesh, elems, x)
+    assert all(xi is None for xi, ok in zip(ref, reach) if not ok)
+    got = mesh.invert_map(elems, x)
+    assert [None if xi is None else xi.tobytes() for xi in got] == \
+        [None if xi is None else xi.tobytes() for xi in ref]
+
+
+def test_reach_test_drops_lanes_of_affine_and_curved_elements(half_disc_mesh):
+    mesh = half_disc_mesh
+    reach = mesh._reach[2]
+    boundary = {f.elem for f in mesh.boundary_faces}
+    affine = [e for e in range(mesh.n_elements()) if e not in boundary]
+    # interior elements are affine and reach only 1e-6 of their size past
+    # their triangle; curved ones reach 1.25 Lebesgue constants (2.11 at
+    # P = 3) times their largest node displacement
+    assert mesh.ref.lebesgue == pytest.approx(2.112, abs=1e-3)
+    assert reach[affine].max() < 1e-6 * mesh.bbox_diag
+    assert reach[sorted(boundary)].max() > 1e-3
+    x = mesh.map_to_physical(affine[0], BARYCENTER)[0]
+    ok = mesh.reachable(range(mesh.n_elements()), x)
+    assert ok[affine[0]] and not ok.all()
+    assert not mesh.reachable(range(mesh.n_elements()), np.array([50.0, 50.0])).any()
+    assert mesh.reachable(range(mesh.n_elements()), np.array([np.nan, 0.0])).all()
+
+
 def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
     # eight lanes, curved elements 0-5 and 7 and affine element 6; the point
     # lies on the edge that elements 5 and 6 share.  Multiplying the kernel's
@@ -210,10 +270,7 @@ def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
     assert [e for e, xi in enumerate(got) if xi is not None] == [5, 6]
 
 
-def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeypatch):
-    mesh = half_disc_mesh
-    x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
-    elems = [3, 7, 10, 14, 20]         # lanes stop after 2, 3, 12, 5 and 2 steps
+def _count_kernel_calls(monkeypatch):
     counts = {"table": 0, "basis_at": 0, "grad_basis_at": 0}
 
     def counted(name, method):
@@ -225,7 +282,16 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
     monkeypatch.setattr(_JacobiTable, "__call__", counted("table", _JacobiTable.__call__))
     for name in ("basis_at", "grad_basis_at"):
         monkeypatch.setattr(RefTriangle, name, counted(name, getattr(RefTriangle, name)))
-    got = mesh.invert_map(elems, x)
+    return counts
+
+
+def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeypatch):
+    mesh = half_disc_mesh
+    x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
+    elems = [3, 7, 10, 14, 20]         # lanes stop after 2, 3, 12, 5 and 2 steps
+    counts = _count_kernel_calls(monkeypatch)
+    # the unfiltered solve: invert_map would drop the lanes that cannot hit
+    got = _unfiltered(mesh, elems, x)
     tables = counts["table"]
     assert got[0] is not None
     assert counts["basis_at"] == counts["grad_basis_at"] == 0
@@ -243,10 +309,14 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
     assert counts["table"] == 0
 
 
-def test_invert_map_outside(half_disc_mesh):
+def test_invert_map_outside(half_disc_mesh, monkeypatch):
     mesh = half_disc_mesh
     elems = list(range(mesh.n_elements()))
+    mesh.invert_map(elems, np.zeros(2))          # the reach tables are built lazily
+    counts = _count_kernel_calls(monkeypatch)
     assert mesh.invert_map(elems, np.array([50.0, 50.0])) == [None] * len(elems)
+    # no element can reach a far point, so no Newton step runs
+    assert counts == {"table": 0, "basis_at": 0, "grad_basis_at": 0}
 
 
 def test_shared_edge_point_found_by_both(half_disc_mesh):
