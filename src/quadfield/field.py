@@ -7,7 +7,11 @@ element id so evaluation is deterministic.  locate_many runs that inversion
 once for a whole batch of points (a valence circle, an arc, one tracing
 round), one lane per (point, candidate) pair.  Each probe memoises its
 locations, since the valence circles test containment and then evaluate the
-field at the same points.
+field at the same points.  A point's location does not depend on what else
+is in its batch, so callers may locate points they might never visit.
+eval_psi_many evaluates the phase of a whole batch from one Jacobi table,
+with one basis_rows row and one 1 x n product per point, so each value is
+bitwise the one eval_psi gives.
 """
 
 from __future__ import annotations
@@ -133,6 +137,23 @@ class FieldProbe:
             return OUTSIDE
         return psi_of(v)
 
+    def eval_psi_many(self, points):
+        """[eval_psi(p) for p in points], from one locate_many and one basis table.
+
+        Every located point gets its own basis_rows row and its own 1 x n
+        product with its element's coefficients, so its psi is bitwise the
+        one eval_psi returns.
+        """
+        locs = self.locate_many(points)
+        found = [i for i, loc in enumerate(locs) if loc is not OUTSIDE]
+        psis = [OUTSIDE] * len(locs)
+        if found:
+            basis, _ = self.mesh.ref.basis_rows(np.array([locs[i][1] for i in found]))
+            coeffs = self.solution.coeffs[[locs[i][0] for i in found]]
+            for i, uv in zip(found, (basis[:, None, :] @ coeffs)[:, 0]):
+                psis[i] = psi_of(uv)
+        return psis
+
 
 def psi_of(uv):
     u, v = float(uv[0]), float(uv[1])
@@ -158,6 +179,9 @@ class AnalyticProbe:
         if v is OUTSIDE:
             return OUTSIDE
         return psi_of(v)
+
+    def eval_psi_many(self, points):
+        return [self.eval_psi(p) for p in points]
 
     def contains(self, x):
         return self.region is None or bool(self.region(x))

@@ -48,6 +48,15 @@ def boundary_field(theta_b):
     return np.cos(t4), np.sin(t4)
 
 
+def _as_points(p, what, ndim=1):
+    """p as floats: one point [x, y] (shape (2,)), or with ndim=2 a list of them (n, 2)."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != ndim or p.shape[-1] != 2:
+        kind = "a point" if ndim == 1 else "a list of points"
+        raise GeometryError(f"{what} must be {kind} [x, y], got shape {p.shape}")
+    return p
+
+
 class CurveSegment:
     """Base class for parametric boundary curves on t in [0, 1]."""
 
@@ -130,8 +139,8 @@ class Line(CurveSegment):
     kind = "line"
 
     def __init__(self, p0, p1):
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
+        self.p0 = _as_points(p0, "line p0")
+        self.p1 = _as_points(p1, "line p1")
 
     def point(self, t):
         return self.p0 + t * (self.p1 - self.p0)
@@ -157,7 +166,7 @@ class Arc(CurveSegment):
             raise GeometryError("arc radius must be positive")
         if a0 == a1:
             raise GeometryError("arc sweep must be nonzero")
-        self.center = np.asarray(center, dtype=float)
+        self.center = _as_points(center, "arc center")
         self.radius = float(radius)
         self.a0 = float(a0)
         self.a1 = float(a1)
@@ -189,7 +198,7 @@ class Spline(CurveSegment):
     kind = "spline"
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = _as_points(points, "spline points", ndim=2)
         if len(pts) < 3:
             raise GeometryError("spline needs at least 3 points")
         from scipy.interpolate import CubicSpline
@@ -238,7 +247,7 @@ class Naca4(CurveSegment):
         if self.thick <= 0:
             raise GeometryError("zero-thickness airfoil is degenerate")
         self.chord = float(chord)
-        self.origin = np.asarray(origin, dtype=float)
+        self.origin = _as_points(origin, "naca4 origin")
 
     def _half_thickness(self, s):
         # thickness polynomial in s = sqrt(x/c); analytic in s through the LE

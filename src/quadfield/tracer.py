@@ -5,6 +5,15 @@ advance one step per round (RK4 until a streamline has four directions, AB4
 from then on), meeting pairs merge with trigonometric weights, and fronts
 that leave the domain are cut and snapped onto the true boundary.
 Everything is ordered deterministically so repeated runs are bit-identical.
+
+A round evaluates the field in few, large batches: each RK4 stage of every
+start-up front, then every front's new point, goes through one
+eval_psi_many.  The cut bisects an exiting step BISECT_STEPS times, and
+locates speculatively: the 2^k - 1 midpoints the next k = BISECT_LEVELS
+levels could visit are built breadth first, each by the 0.5 * (a + b) of
+the one-step loop, and located in one batch; the walk down that tree then
+takes the loop's steps.  Location does not depend on the batch (see
+field.FieldProbe.locate_many), so every result is the one-step result.
 """
 
 from __future__ import annotations
@@ -25,6 +34,11 @@ BOUNDARY_COINCIDE_TOL = 1e-3
 DEFAULT_N_MAX = 100_000
 DEFAULT_LENGTH_FACTOR = 60.0
 DEFAULT_KAPPA = 5.0
+# Halvings of an exiting step, and the levels of them located per batch.  A
+# batch holds 2^k - 1 points and a cut makes 60 / k of them; k = 3-5 ran
+# fastest of 1-8 on nautilus and half_disc.
+BISECT_STEPS = 60
+BISECT_LEVELS = 4
 
 # AB4 weights of the last four directions, newest first
 _AB4_COEFFS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
@@ -149,26 +163,32 @@ def _unit(alpha):
     return np.array([math.cos(alpha), math.sin(alpha)])
 
 
-def _rk4_step(sl, h, probe):
-    """Startup steps: one-step 4th order so the AB4 history is clean."""
-    x = sl.front()
-    alpha0 = sl.front_alpha()
-    k1 = _unit(alpha0)
-    ks = [k1]
-    for frac, kprev in ((0.5, k1), (0.5, None), (1.0, None)):
-        kp = ks[-1] if kprev is None else kprev
-        psi = probe.eval_psi(x + frac * h * kp)
-        if psi is OUTSIDE:
-            return x + h * k1          # exiting: order is irrelevant, cut follows
-        ks.append(_unit(adjust_branch(psi, alpha0)))
-    k1, k2, k3, k4 = ks
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_steps(fronts, h, probe):
+    """Startup steps: one-step 4th order so the AB4 history is clean.
+
+    Stage s of every front is evaluated in one eval_psi_many batch.
+    """
+    xs = [sl.front() for sl in fronts]
+    alpha0 = [sl.front_alpha() for sl in fronts]
+    ks = [[_unit(a)] for a in alpha0]
+    steps = [None] * len(fronts)
+    live = range(len(fronts))
+    for frac in (0.5, 0.5, 1.0):
+        psis = probe.eval_psi_many([xs[i] + frac * h * ks[i][-1] for i in live])
+        for i, psi in zip(live, psis):
+            if psi is OUTSIDE:
+                steps[i] = xs[i] + h * ks[i][0]    # exiting: order is irrelevant, cut follows
+            else:
+                ks[i].append(_unit(adjust_branch(psi, alpha0[i])))
+        live = [i for i in live if steps[i] is None]
+    for i in live:
+        k1, k2, k3, k4 = ks[i]
+        steps[i] = xs[i] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return steps
 
 
-def _ab_step(sl, h, probe):
-    """Adams-Bashforth 4 once enough history exists; RK4 startup before that."""
-    if len(sl.alphas) < 4:
-        return _rk4_step(sl, h, probe)
+def _ab4_step(sl, h):
+    """Adams-Bashforth 4 from the last four directions."""
     delta = np.zeros(2)
     for c, alpha in zip(_AB4_COEFFS, sl.alphas[::-1]):
         delta += c * _unit(alpha)
@@ -239,16 +259,47 @@ class BoundaryAnchors:
         return a
 
 
+def _bisection_tree(inside, outside, levels):
+    """Every midpoint the next levels of bisection could visit, breadth first.
+
+    Node n bisects its interval (a, b) at 0.5 * (a + b), the expression of
+    the one-step loop; child 2n + 1 bisects (mid, b), reached when mid is
+    inside, and child 2n + 2 bisects (a, mid).
+    """
+    a, b = inside[None], outside[None]
+    mids = []
+    for _ in range(levels):
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        a = np.stack([mid, a], axis=1).reshape(-1, 2)
+        b = np.stack([b, mid], axis=1).reshape(-1, 2)
+    return np.concatenate(mids)
+
+
+def _bisect_to_skin(inside, outside, probe):
+    """The inside end of BISECT_STEPS halvings of the segment (inside, outside).
+
+    A one-step loop would locate each midpoint on its own.  Here every
+    midpoint of the next BISECT_LEVELS levels, on the walk's path or not,
+    is located in one batch.  Location does not depend on the batch, so the
+    walk visits the midpoints of that loop and gets its answers.
+    """
+    for done in range(0, BISECT_STEPS, BISECT_LEVELS):
+        levels = min(BISECT_LEVELS, BISECT_STEPS - done)
+        mids = _bisection_tree(inside, outside, levels)
+        flags = probe.contains_many(mids)
+        node = 0
+        for _ in range(levels):
+            if flags[node]:
+                inside, node = mids[node], 2 * node + 1
+            else:
+                outside, node = mids[node], 2 * node + 2
+    return inside
+
+
 def _cut_to_boundary(sl, candidate, probe, domain, registry):
     """Bisect the exiting segment onto the mesh skin, then snap to the curve."""
-    inside = sl.front().copy()
-    outside = candidate.copy()
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        if probe.contains(mid):
-            inside = mid
-        else:
-            outside = mid
+    inside = _bisect_to_skin(sl.front(), candidate, probe)
     loop, seg, t, dist = domain.closest_boundary_point(inside)
     snapped = domain.loops[loop].segments[seg].point(t)
     anchor = registry.resolve(snapped, loop, seg, t)
@@ -264,10 +315,10 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
     threshold = h if threshold is None else threshold
     order = sorted((sl for sl in streamlines if sl.status == "active"),
                    key=lambda sl: sl.order_key())
-    candidates = [_ab_step(sl, h, probe) for sl in order]
-    probe.contains_many(candidates)      # locate the whole round in one batch
-    for sl, candidate in zip(order, candidates):
-        psi = probe.eval_psi(candidate)
+    startup = iter(_rk4_steps([sl for sl in order if len(sl.alphas) < 4], h, probe))
+    candidates = [next(startup) if len(sl.alphas) < 4 else _ab4_step(sl, h)
+                  for sl in order]
+    for sl, candidate, psi in zip(order, candidates, probe.eval_psi_many(candidates)):
         if psi is OUTSIDE:
             if domain is None or registry is None:
                 raise TracingError("streamline left the domain with no boundary handler")

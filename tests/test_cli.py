@@ -218,6 +218,19 @@ def test_invalid_json_domain(tmp_path, capsys):
     ({"loops": 5}, "'loops' must be a JSON list"),
     ({"loops": [{"orientation": "outer", "segments": [
         {"kind": "line", "p0": "ab", "p1": [1, 0]}]}]}, "loop 0 segment 0: could not convert"),
+    # points must be 2-D: a 3-D one used to end in a raw TypeError (exit 1)
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [0, 0, 0], "p1": [1, 0, 0]}]}]}, "loop 0 segment 0: line p0"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "arc", "center": [0, 0, 0], "radius": 1, "a0": 0, "a1": 6}]}]},
+     "loop 0 segment 0: arc center"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [0, 0], "p1": [1, 0]},
+        {"kind": "spline", "points": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}]}]},
+     "loop 0 segment 1: spline points"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "naca4", "code": "0012", "origin": [[0, 0]]}]}]},
+     "loop 0 segment 0: naca4 origin"),
 ])
 def test_malformed_domain_names_the_fault(tmp_path, capsys, doc, missing):
     dom = tmp_path / "dom.json"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadfield.errors import TopologyError
 from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch, psi_of
@@ -219,3 +220,36 @@ def test_analytic_probe_region():
                           region=lambda p: p[0] ** 2 + p[1] ** 2 < 1)
     assert probe.eval_psi((0.1, 0.1)) == pytest.approx(0.0)
     assert probe.eval_v((2.0, 0.0)) is OUTSIDE
+    assert probe.eval_psi_many([(0.1, 0.1), (2.0, 0.0)]) == [probe.eval_psi((0.1, 0.1)),
+                                                             OUTSIDE]
+
+
+def _psi_bytes(psis):
+    return [psi if psi is OUTSIDE else np.float64(psi).tobytes() for psi in psis]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eval_psi_many_matches_eval_psi(half_disc_solution, data):
+    """Batches over mixed elements (curved and affine) with OUTSIDE points among them."""
+    mesh = half_disc_solution.mesh
+    points = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        e = data.draw(st.integers(0, mesh.n_elements() - 1))
+        u = data.draw(st.floats(0.0, 1.0))
+        w = data.draw(st.floats(0.0, 1.0))
+        kind = data.draw(st.sampled_from(["inside", "node", "outside", "repeat"]))
+        if kind == "inside":
+            x = mesh.map_to_physical(e, [-1.0 + 2.0 * u * (1.0 - w),
+                                         -1.0 + 2.0 * w * (1.0 - u)])[0]
+        elif kind == "node":
+            x = mesh.geom[e][data.draw(st.integers(0, mesh.ref.n_nodes - 1))]
+        elif kind == "outside":
+            x = np.array([4.0 * u - 2.0, -1e-3 - w])
+        else:
+            x = points[-1].copy() if points else mesh.vertices[0]
+        points.append(x)
+    single = FieldProbe(half_disc_solution)
+    want = [single.eval_psi(p) for p in points]
+    got = FieldProbe(half_disc_solution).eval_psi_many(points)
+    assert _psi_bytes(got) == _psi_bytes(want)

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from quadfield import tracer
+from quadfield.cli import main
 from quadfield.errors import TracingError
-from quadfield.field import AnalyticProbe
-from quadfield.tracer import (Anchor, Streamline, advance_all, detect_meeting,
-                              initial_directions, merge, refine_direction,
-                              trace_all)
+from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch
+from quadfield.geometry import fixture_path
+from quadfield.tracer import (BISECT_LEVELS, BISECT_STEPS, Anchor, Streamline,
+                              _bisect_to_skin, _rk4_steps, _unit, advance_all,
+                              detect_meeting, initial_directions, merge,
+                              refine_direction, trace_all)
+from quadfield.trimesh import TriMesh
 
 UNIFORM = AnalyticProbe(lambda x, y: (1.0, 0.0))
 
@@ -178,3 +184,138 @@ def test_limit_cycle_abort():
             if sl.status == "aborted":
                 raise TracingError("limit cycle")
         raise AssertionError("streamline should have aborted")
+
+
+# ---- references of the batched rewrites ----------------------------------------
+
+
+def _reference_bisection(inside, outside, probe):
+    """The one-step bisection loop of _cut_to_boundary before it was batched.
+
+    Returns the inside end and the midpoints the loop visited, in order.
+    """
+    inside = inside.copy()
+    outside = outside.copy()
+    visited = []
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        visited.append(mid)
+        if probe.contains(mid):
+            inside = mid
+        else:
+            outside = mid
+    return inside, visited
+
+
+def _reference_rk4_step(sl, h, probe):
+    """The one-front RK4 start-up step, before stages were batched across fronts."""
+    x = sl.front()
+    alpha0 = sl.front_alpha()
+    k1 = _unit(alpha0)
+    ks = [k1]
+    for frac, kprev in ((0.5, k1), (0.5, None), (1.0, None)):
+        kp = ks[-1] if kprev is None else kprev
+        psi = probe.eval_psi(x + frac * h * kp)
+        if psi is OUTSIDE:
+            return x + h * k1          # exiting: order is irrelevant, cut follows
+        ks.append(_unit(adjust_branch(psi, alpha0)))
+    k1, k2, k3, k4 = ks
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class _BatchRecorder:
+    """A probe that records the batches passed to contains_many."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.batches = []
+
+    def contains_many(self, points):
+        self.batches.append(np.array(points))
+        return self.probe.contains_many(points)
+
+
+def _half_disc_point(data, r_lo, r_hi):
+    r = data.draw(st.floats(r_lo, r_hi))
+    a = data.draw(st.floats(0.0, math.pi))
+    return np.array([r * math.cos(a), r * math.sin(a)])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_batched_bisection_visits_the_midpoints_of_the_loop(half_disc_solution, data):
+    """Segments that cross the half-disc skin: through the arc, the base or a corner."""
+    ref_probe = FieldProbe(half_disc_solution)
+    inside = _half_disc_point(data, 0.0, 1.0)
+    kind = data.draw(st.sampled_from(["arc", "base", "far", "grazing"]))
+    if kind == "arc":
+        outside = _half_disc_point(data, 1.0, 1.2)
+    elif kind == "base":
+        outside = np.array([data.draw(st.floats(-1.2, 1.2)), -data.draw(st.floats(0.0, 0.2))])
+    elif kind == "far":
+        outside = _half_disc_point(data, 1.0, 40.0) * [1.0, -1.0]
+    else:
+        outside = inside * (1.0 + 1e-9) / max(float(np.hypot(*inside)), 1e-3)
+    assume(ref_probe.contains(inside) and not ref_probe.contains(outside))
+    want, visited = _reference_bisection(inside, outside, ref_probe)
+
+    probe = _BatchRecorder(FieldProbe(half_disc_solution))
+    got = _bisect_to_skin(inside, outside, probe)
+    assert got.tobytes() == want.tobytes()
+    assert len(probe.batches) == math.ceil(BISECT_STEPS / BISECT_LEVELS)
+    for level, mid in enumerate(visited):
+        batch = probe.batches[level // BISECT_LEVELS]
+        assert mid.tobytes() in {p.tobytes() for p in batch}, level
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_batched_rk4_stages_match_the_one_front_step(half_disc_solution, data):
+    """Start-up fronts inside and near the skin, some of which exit at a stage."""
+    h = data.draw(st.sampled_from([0.005, 0.05, 0.2]))
+    fronts = []
+    for b in range(data.draw(st.integers(1, 6))):
+        x = _half_disc_point(data, 0.0, 0.999)
+        alphas = [data.draw(st.floats(-math.pi, math.pi))
+                  for _ in range(data.draw(st.integers(1, 3)))]
+        fronts.append(Streamline(Anchor("critical", 0, x), b, [x], alphas))
+    ref_probe = FieldProbe(half_disc_solution)
+    want = [_reference_rk4_step(sl, h, ref_probe) for sl in fronts]
+    got = _rk4_steps(fronts, h, FieldProbe(half_disc_solution))
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
+    """A full nautilus run makes fewer invert_map calls than it did with the
+    one-step bisection (1,000), and each cut locates its midpoints in
+    ceil(BISECT_STEPS / BISECT_LEVELS) batches, with at most one solve each."""
+    inverts = [0]
+    batches = [0]
+    per_cut = []
+    invert_map = TriMesh.invert_map
+    contains_many = FieldProbe.contains_many
+    cut = tracer._cut_to_boundary
+
+    def counted_invert(self, elems, x):
+        inverts[0] += 1
+        return invert_map(self, elems, x)
+
+    def counted_contains(self, points):
+        batches[0] += 1
+        return contains_many(self, points)
+
+    def counted_cut(*args):
+        before = batches[0], inverts[0]
+        cut(*args)
+        per_cut.append((batches[0] - before[0], inverts[0] - before[1]))
+
+    monkeypatch.setattr(TriMesh, "invert_map", counted_invert)
+    monkeypatch.setattr(FieldProbe, "contains_many", counted_contains)
+    monkeypatch.setattr(tracer, "_cut_to_boundary", counted_cut)
+    argv = ["run", str(fixture_path("nautilus")), "--out", str(tmp_path), "--order", "3",
+            "--target-h", "0.5", "--split", "2"]
+    assert main(argv) == 0
+    per_batch = math.ceil(BISECT_STEPS / BISECT_LEVELS)
+    assert len(per_cut) == 12
+    assert all(n == per_batch and solves <= per_batch for n, solves in per_cut)
+    assert inverts[0] < 1000
