@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,11 @@ DEFAULTS = {
     "target_h": 0.0,             # 0 => bbox diagonal / 6
     "step_factor": 0.25,
     "merge_mode": "normal",      # normal | aggressive
-    "kappa": 5.0,
+    "kappa": tracer.DEFAULT_KAPPA,
     "split": 2,
     "penalty": DEFAULT_PENALTY,
-    "n_max": 100000,
-    "length_factor": 60.0,
+    "n_max": tracer.DEFAULT_N_MAX,
+    "length_factor": tracer.DEFAULT_LENGTH_FACTOR,
     "formats": "",               # comma list: vtk,svg,msh
     "out": "out",
 }
@@ -85,6 +86,16 @@ def load_json(path):
             return json.load(f)
         except ValueError as ex:
             raise ConfigError(f"{path}: not valid JSON ({ex})") from None
+
+
+@contextmanager
+def _parsing(path, stage):
+    """A missing key or a wrongly shaped value in an artifact is a ConfigError naming it."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as ex:
+        raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
+                          f"rerun {stage}") from None
 
 
 class Pipeline:
@@ -142,21 +153,23 @@ class Pipeline:
         return cps, cns
 
     def load_topology(self):
-        doc = load_json(self.path("topology"))
-        cps = []
-        for c in doc["critical_points"]:
-            cps.append(singular.CriticalPoint(
+        path = self.path("topology")
+        doc = load_json(path)
+        corners = self.domain.corner_inventory()
+        with _parsing(path, "topology"):
+            cps = [singular.CriticalPoint(
                 position=np.array(c["position"]), elem=int(c["element"]),
                 xi=np.zeros(2), vmag=float(c["vmag"]), index=int(c["index"]),
-                valence=int(c["valence"]), radius=float(c["radius"])))
-        corners = self.domain.corner_inventory()
-        cns = []
-        for i, c in enumerate(doc["corners"]):
-            cns.append(singular.CornerNode(
+                valence=int(c["valence"]), radius=float(c["radius"]))
+                for c in doc["critical_points"]]
+            if len(doc["corners"]) != len(corners):
+                raise ValueError(f"{len(doc['corners'])} corners, the domain has {len(corners)}")
+            cns = [singular.CornerNode(
                 corner=corners[i], corner_id=i, index=float(c["index"]),
                 valence=int(c["valence"]), dpsi=float(c["dpsi"]),
                 residual=float(c["residual"]),
-                radius=CORNER_RADIUS_FACTOR * self.domain.bbox_diag()))
+                radius=CORNER_RADIUS_FACTOR * self.domain.bbox_diag())
+                for i, c in enumerate(doc["corners"])]
         return cps, cns
 
     def _step_size(self, mesh):
@@ -178,17 +191,16 @@ class Pipeline:
         return seps
 
     def load_separatrices(self):
-        doc = load_json(self.path("trace"))
-        seps = []
-        for rec in doc:
-            def anchor(d):
-                return tracer.Anchor(d["kind"], d["ident"],
-                                     np.array(d["position"]), loop=d["loop"],
-                                     seg=d["seg"], t=d["t"])
-            seps.append(tracer.Separatrix(points=np.array(rec["points"]),
-                                          start=anchor(rec["start"]),
-                                          end=anchor(rec["end"])))
-        return seps
+        path = self.path("trace")
+        doc = load_json(path)
+
+        def anchor(d):
+            return tracer.Anchor(d["kind"], d["ident"], np.array(d["position"]),
+                                 loop=d["loop"], seg=d["seg"], t=d["t"])
+
+        with _parsing(path, "trace"):
+            return [tracer.Separatrix(points=np.array(rec["points"]), start=anchor(rec["start"]),
+                                      end=anchor(rec["end"])) for rec in doc]
 
     def stage_cut(self):
         mesh = self.load_mesh()
@@ -213,13 +225,17 @@ class Pipeline:
         return blocks
 
     def load_blocks(self):
-        doc = load_json(self.path("cut"))
+        path = self.path("cut")
+        doc = load_json(path)
         blocks = []
-        for bi, rec in enumerate(doc["blocks"]):
-            sides = [quadblocks.SidePath(np.array(p)) for p in rec["sides"]]
-            keys = [tuple(k) for k in rec["corners"]]
-            srecs = [tuple(sr) for sr in rec["side_records"]]
-            blocks.append(quadblocks.QuadBlock(bi, keys, sides, srecs))
+        with _parsing(path, "cut"):
+            for bi, rec in enumerate(doc["blocks"]):
+                sides = [quadblocks.SidePath(np.array(p)) for p in rec["sides"]]
+                keys = [tuple(k) for k in rec["corners"]]
+                srecs = [tuple(sr) for sr in rec["side_records"]]
+                if not len(sides) == len(keys) == len(srecs) == 4:
+                    raise ValueError(f"block {bi} is not a quadrilateral")
+                blocks.append(quadblocks.QuadBlock(bi, keys, sides, srecs))
         return blocks
 
     def stage_split(self):

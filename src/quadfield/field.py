@@ -3,15 +3,16 @@
 A uniform grid of element bounding boxes gives candidate elements; one
 lockstep Newton inversion of the element maps that can reach the point
 settles membership, with ties on shared edges broken toward the lowest
-element id so evaluation is deterministic.  locate_many runs that inversion
-once for a whole batch of points (a valence circle, an arc, one tracing
-round), one lane per (point, candidate) pair.  Each probe memoises its
-locations, since the valence circles test containment and then evaluate the
-field at the same points.  A point's location does not depend on what else
-is in its batch, so callers may locate points they might never visit.
-eval_psi_many evaluates the phase of a whole batch from one Jacobi table,
-with one basis_rows row and one 1 x n product per point, so each value is
-bitwise the one eval_psi gives.
+element id so evaluation is deterministic.  A probe answers batches (a
+valence circle, an arc, one tracing round): locate_many inverts once for the
+whole batch, one lane per (point, candidate) pair; contains_many tells which
+points lie in the mesh; eval_v_many gives (u, v) from one basis_rows table,
+each row bitwise FieldSolution.eval at the located xi; eval_psi_many gives
+the principal phase of those rows.  Locations are memoised, since contours
+are tested for containment and then evaluated at the same points, and do not
+depend on the rest of the batch, so callers may locate points they might
+never visit.  locate and eval_v are one-point wrappers, kept for the
+benchmark, which wraps and calls them.
 """
 
 from __future__ import annotations
@@ -116,43 +117,34 @@ class FieldProbe:
         return [OUTSIDE if loc is OUTSIDE else (loc[0], loc[1].copy())
                 for loc in map(self._located.__getitem__, keys)]
 
-    def contains(self, x):
-        return self.locate(x) is not OUTSIDE
-
     def contains_many(self, points):
         return [loc is not OUTSIDE for loc in self.locate_many(points)]
 
     def eval_v(self, x):
-        """(u, v) at the physical point x; one-sided for DG."""
-        loc = self.locate(x)
-        if loc is OUTSIDE:
-            return OUTSIDE
-        e, xi = loc
-        return self.solution.eval(e, xi)[0]
+        """(u, v) at the physical point x, or OUTSIDE; one-sided for DG."""
+        return self.eval_v_many([x])[0]
 
-    def eval_psi(self, x):
-        """Principal phase in [-pi/4, pi/4]; undefined at critical points."""
-        v = self.eval_v(x)
-        if v is OUTSIDE:
-            return OUTSIDE
-        return psi_of(v)
-
-    def eval_psi_many(self, points):
-        """[eval_psi(p) for p in points], from one locate_many and one basis table.
+    def eval_v_many(self, points):
+        """(u, v) or OUTSIDE per point, from one locate_many and one basis table.
 
         Every located point gets its own basis_rows row and its own 1 x n
-        product with its element's coefficients, so its psi is bitwise the
-        one eval_psi returns.
+        product with its element's coefficients, so its row is bitwise
+        FieldSolution.eval at the located xi.
         """
         locs = self.locate_many(points)
         found = [i for i, loc in enumerate(locs) if loc is not OUTSIDE]
-        psis = [OUTSIDE] * len(locs)
+        vals = [OUTSIDE] * len(locs)
         if found:
             basis, _ = self.mesh.ref.basis_rows(np.array([locs[i][1] for i in found]))
             coeffs = self.solution.coeffs[[locs[i][0] for i in found]]
             for i, uv in zip(found, (basis[:, None, :] @ coeffs)[:, 0]):
-                psis[i] = psi_of(uv)
-        return psis
+                vals[i] = uv
+        return vals
+
+    def eval_psi_many(self, points):
+        """Principal phase in [-pi/4, pi/4] or OUTSIDE per point; undefined at
+        critical points."""
+        return _psis(self.eval_v_many(points))
 
 
 def psi_of(uv):
@@ -162,6 +154,11 @@ def psi_of(uv):
     return 0.25 * math.atan2(v, u)
 
 
+def _psis(vals):
+    """psi_of of each (u, v) row; OUTSIDE stays OUTSIDE."""
+    return [OUTSIDE if v is OUTSIDE else psi_of(v) for v in vals]
+
+
 class AnalyticProbe:
     """Probe over closed-form (u, v) fields; used for synthetic topology tests."""
 
@@ -169,22 +166,12 @@ class AnalyticProbe:
         self.fn = fn
         self.region = region
 
-    def eval_v(self, x):
-        if self.region is not None and not self.region(x):
-            return OUTSIDE
-        return np.asarray(self.fn(float(x[0]), float(x[1])), dtype=float)
+    def contains_many(self, points):
+        return [self.region is None or bool(self.region(p)) for p in points]
 
-    def eval_psi(self, x):
-        v = self.eval_v(x)
-        if v is OUTSIDE:
-            return OUTSIDE
-        return psi_of(v)
+    def eval_v_many(self, points):
+        return [np.asarray(self.fn(float(p[0]), float(p[1])), dtype=float) if inside
+                else OUTSIDE for p, inside in zip(points, self.contains_many(points))]
 
     def eval_psi_many(self, points):
-        return [self.eval_psi(p) for p in points]
-
-    def contains(self, x):
-        return self.region is None or bool(self.region(x))
-
-    def contains_many(self, points):
-        return [self.contains(p) for p in points]
+        return _psis(self.eval_v_many(points))

@@ -6,6 +6,8 @@ solver point location uses too); an element yields None when its iteration
 fails or its root lies outside it.  The roots are deduplicated and classified
 by counting phase jumps around a small circle.  Corner valences combine the
 one-sided boundary phases with the same jump counting along an interior arc.
+Both contours are fitted by _fit_contour, one contains_many per candidate,
+and then read with one batch call (eval_v_many, eval_psi_many).
 """
 
 from __future__ import annotations
@@ -65,17 +67,29 @@ def interior_roots(solution):
     return roots
 
 
-def _fit_circle_radius(probe, center, c0, halvings=4, samples=CIRCLE_SAMPLES):
-    """Largest c0 / 2^k whose full sample circle stays in the domain."""
+def _contour(center, c, angles):
+    """Points center + c * (cos, sin) of each angle."""
+    return center[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _fit_contour(probe, center, c0, angle_sets):
+    """(c, points) of the first contour that lies wholly in the domain, or None.
+
+    Radii c0, c0 / 2, ..., c0 / 16 are tried in turn, and at each radius the
+    angle sets in their order.
+    """
     c = c0
-    for _ in range(halvings + 1):
-        angles = 2.0 * math.pi * np.arange(samples) / samples
-        pts = center[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        if all(probe.contains_many(pts)):
-            return c
+    for _ in range(5):
+        for angles in angle_sets:
+            pts = _contour(center, c, angles)
+            if all(probe.contains_many(pts)):
+                return c, pts
         c *= 0.5
-    raise TopologyError(
-        f"no valence circle around ({center[0]:.4g}, {center[1]:.4g}) fits in the domain")
+    return None
+
+
+def _circle_angles(samples):
+    return 2.0 * math.pi * np.arange(samples) / samples
 
 
 def count_jumps(us, vs):
@@ -94,14 +108,9 @@ def count_jumps(us, vs):
 
 def interior_valence(point, probe, c, samples=CIRCLE_SAMPLES):
     """(I_c, valence) from jump counting on a radius-c circle around point."""
-    angles = 2.0 * math.pi * np.arange(samples) / samples
-    pts = point[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    vals = []
-    for p in pts:
-        v = probe.eval_v(p)
-        if v is OUTSIDE:
-            raise TopologyError("valence circle leaves the domain")
-        vals.append(v)
+    vals = probe.eval_v_many(_contour(point, c, _circle_angles(samples)))
+    if any(v is OUTSIDE for v in vals):
+        raise TopologyError("valence circle leaves the domain")
     vals = np.asarray(vals)
     pos, neg = count_jumps(vals[:, 0], vals[:, 1])
     index = neg - pos
@@ -113,13 +122,17 @@ def interior_valence(point, probe, c, samples=CIRCLE_SAMPLES):
 
 def classify_critical_points(points, probe):
     """Fill in I_c and valence for deduplicated critical points."""
-    for i, cp in enumerate(points):
+    for cp in points:
         c0 = RADIUS_FACTOR * probe.mesh.circumradius(cp.elem)
         for other in points:
             if other is not cp:
                 d = float(np.hypot(*(cp.position - other.position)))
                 c0 = min(c0, 0.45 * d)
-        c = _fit_circle_radius(probe, cp.position, c0)
+        fit = _fit_contour(probe, cp.position, c0, [_circle_angles(CIRCLE_SAMPLES)])
+        if fit is None:
+            raise TopologyError(f"no valence circle around ({cp.position[0]:.4g}, "
+                                f"{cp.position[1]:.4g}) fits in the domain")
+        c = fit[0]
         idx, val = interior_valence(cp.position, probe, c)
         cp.index = idx
         cp.valence = val
@@ -172,33 +185,20 @@ def corner_valence(corner, probe, corner_id=0, samples=ARC_SAMPLES):
     c0 = RADIUS_FACTOR * probe.mesh.circumradius(loc[0])
 
     # the gap must absorb boundary curvature: at radius c a curved wall sits
-    # O(c * kappa) away from its corner tangent direction
-    c = c0
-    arc = None
-    for _ in range(5):
-        gap = ARC_ENDPOINT_GAP
-        while gap <= delta / 8.0:
-            angles = np.linspace(th_start + gap, th_end - gap, samples)
-            pts = pos[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            if all(probe.contains_many(pts)):
-                arc = pts
-                break
-            gap *= 2.0
-        if arc is not None:
-            break
-        c *= 0.5
-    if arc is None:
+    # O(c * kappa) away from its corner tangent direction; gaps 1e-3 * 2^k up
+    # to delta / 8 are tried (1e-3 * 2^31 exceeds any wedge)
+    gaps = [ARC_ENDPOINT_GAP * 2.0 ** k for k in range(32)]
+    fit = _fit_contour(probe, pos, c0, [np.linspace(th_start + g, th_end - g, samples)
+                                        for g in gaps if g <= delta / 8.0])
+    if fit is None:
         raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
+    c, arc = fit
 
-    psi0 = psi_of(boundary_field(th_start))
-    psif = psi_of(boundary_field(corner.theta_in + math.pi))
-    seq = [psi0]
-    for p in arc:
-        ps = probe.eval_psi(p)
-        if ps is OUTSIDE:
-            raise TopologyError(f"corner {corner_id}: arc sample left the domain")
-        seq.append(ps)
-    seq.append(psif)
+    psis = probe.eval_psi_many(arc)
+    if any(ps is OUTSIDE for ps in psis):
+        raise TopologyError(f"corner {corner_id}: arc sample left the domain")
+    seq = [psi_of(boundary_field(th_start))] + psis + [
+        psi_of(boundary_field(corner.theta_in + math.pi))]
     dpsi = sum(math.remainder(seq[i + 1] - seq[i], HALF_PI) for i in range(len(seq) - 1))
     index = dpsi / HALF_PI
     raw = delta / HALF_PI - index

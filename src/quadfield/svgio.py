@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .field import CRITICAL_EPS
+from .vtkio import _sample_elements
 
 _CANVAS = 900.0
 
@@ -42,19 +43,14 @@ def write_svg_streamlines(path, solution, separatrices, critical_points=()):
     fr = _Frame(lo, hi)
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '
            f'height="{fr.height:.0f}">']
-    from .vtkio import _subdivide_reference
-    ref_pts, ref_tris = _subdivide_reference(max(2, mesh.order))
-    basis = mesh.ref.basis_at(ref_pts)
-    for e in range(mesh.n_elements()):
-        xy = basis @ mesh.geom[e]
-        uv = basis @ solution.coeffs[e]
-        for (a, b, c) in ref_tris:
-            uc = (uv[a] + uv[b] + uv[c]) / 3.0
-            mag = math.hypot(uc[0], uc[-1])
-            color = "#cccccc" if mag < CRITICAL_EPS else _psi_color(
-                0.25 * math.atan2(uc[-1], uc[0]))
-            pts = " ".join(fr.pt(xy[i]) for i in (a, b, c))
-            out.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
+    (xy, uv), cells = _sample_elements(mesh, max(2, mesh.order), solution.coeffs)
+    for (a, b, c) in cells:
+        uc = (uv[a] + uv[b] + uv[c]) / 3.0
+        mag = math.hypot(uc[0], uc[-1])
+        color = "#cccccc" if mag < CRITICAL_EPS else _psi_color(
+            0.25 * math.atan2(uc[-1], uc[0]))
+        pts = " ".join(fr.pt(xy[i]) for i in (a, b, c))
+        out.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
     for s in separatrices:
         pts = " ".join(fr.pt(p) for p in np.asarray(s.points))
         out.append(f'<polyline points="{pts}" fill="none" stroke="black" '

@@ -106,7 +106,7 @@ def _probe_psi(origin, alpha, probe, c):
     step = np.array([math.cos(alpha), math.sin(alpha)])
     dist = c
     for _ in range(6):
-        psi = probe.eval_psi(origin + dist * step)
+        (psi,) = probe.eval_psi_many([origin + dist * step])
         if psi is not OUTSIDE:
             return psi
         dist *= 0.5

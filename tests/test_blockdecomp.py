@@ -219,11 +219,10 @@ def test_midpoint_division_equilateral_symmetry():
             super().__init__(lambda x, y: (1.0, 0.0))
             self.mesh = type("M", (), {"bbox_diag": 2.0})()
 
-        def eval_psi(self, p):
+        def eval_psi_many(self, points):
             from quadfield.field import OUTSIDE
-            if not fd.contains(p):
-                return OUTSIDE
-            return 0.0      # principal phase of a field aligned with the median
+            # principal phase of a field aligned with the median
+            return [0.0 if fd.contains(p) else OUTSIDE for p in points]
 
     corner = type("C", (), {
         "position": apex, "theta_out": math.radians(-60.0) - math.pi / 2,
@@ -284,9 +283,9 @@ def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
             super().__init__(lambda x, y: (1.0, 0.0))
             self.mesh = type("M", (), {"bbox_diag": 3.0})()
 
-        def eval_psi(self, p):
+        def eval_psi_many(self, points):
             from quadfield.field import OUTSIDE
-            return 0.0 if inside(p) else OUTSIDE
+            return [0.0 if inside(p) else OUTSIDE for p in points]
 
     corner = type("C", (), {"position": q, "theta_out": -math.pi / 2 - 0.5,
                             "delta_theta": 1.0})()

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -198,6 +199,45 @@ def test_invalid_json_config_and_artifact(tmp_path, capsys):
     (out / "mesh.json").write_text("{")
     assert run_cli(["solve", HALF_DISC, "--out", out] + FAST) == 2
     assert "mesh.json" in capsys.readouterr().err
+
+
+def _drop_corner_key(doc):
+    del doc["corners"][0]["valence"]
+
+
+def _duplicate_corners(doc):
+    doc["corners"] += doc["corners"]
+
+
+def _drop_corner(doc):
+    del doc["corners"][-1]
+
+
+def _drop_end(doc):
+    del doc[0]["end"]
+
+
+def _three_sides(doc):
+    del doc["blocks"][0]["sides"][-1]
+
+
+@pytest.mark.parametrize("name,edit,stage", [
+    ("topology.json", _drop_corner_key, "trace"),     # was KeyError, exit 1
+    ("topology.json", _duplicate_corners, "trace"),   # was IndexError, exit 1
+    ("topology.json", _drop_corner, "trace"),         # was a silent run without it, exit 0
+    ("separatrices.json", _drop_end, "cut"),          # was KeyError, exit 1
+    ("blocks.json", _three_sides, "split"),           # was ValueError, exit 1
+])
+def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
+                                                  stage):
+    out = tmp_path / "staged"
+    shutil.copytree(full_run, out)
+    doc = json.loads((out / name).read_text())
+    edit(doc)
+    (out / name).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli([stage, HALF_DISC, "--out", out] + FAST) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_invalid_json_domain(tmp_path, capsys):

@@ -25,7 +25,7 @@ def test_locate_far_outside(half_disc_probe):
 def test_locate_non_finite_point_is_outside(half_disc_probe):
     for x in ([math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
         assert half_disc_probe.locate(np.array(x)) is OUTSIDE
-        assert not half_disc_probe.contains(x)
+        assert half_disc_probe.contains_many([x]) == [False]
         assert half_disc_probe.eval_v(x) is OUTSIDE
 
 
@@ -162,7 +162,7 @@ def test_psi_always_principal(half_disc_probe):
     count = 0
     while count < 50:
         x = np.array([rng.uniform(-1, 1), rng.uniform(0, 1)])
-        psi = half_disc_probe.eval_psi(x)
+        (psi,) = half_disc_probe.eval_psi_many([x])
         if psi is OUTSIDE:
             continue
         assert -math.pi / 4 - 1e-12 <= psi <= math.pi / 4 + 1e-12
@@ -218,21 +218,30 @@ def test_cg_continuity_across_edges(half_disc_mesh, half_disc_solution):
 def test_analytic_probe_region():
     probe = AnalyticProbe(lambda x, y: (1.0, 0.0),
                           region=lambda p: p[0] ** 2 + p[1] ** 2 < 1)
-    assert probe.eval_psi((0.1, 0.1)) == pytest.approx(0.0)
-    assert probe.eval_v((2.0, 0.0)) is OUTSIDE
-    assert probe.eval_psi_many([(0.1, 0.1), (2.0, 0.0)]) == [probe.eval_psi((0.1, 0.1)),
-                                                             OUTSIDE]
+    assert probe.contains_many([(0.1, 0.1), (2.0, 0.0)]) == [True, False]
+    inside, outside = probe.eval_v_many([(0.1, 0.1), (2.0, 0.0)])
+    assert inside.tolist() == [1.0, 0.0] and outside is OUTSIDE
+    assert probe.eval_psi_many([(0.1, 0.1), (2.0, 0.0)]) == [0.0, OUTSIDE]
 
 
-def _psi_bytes(psis):
-    return [psi if psi is OUTSIDE else np.float64(psi).tobytes() for psi in psis]
+def _reference_eval_v(probe, x):
+    """The one-point (u, v): FieldSolution.eval at the located xi."""
+    loc = probe.locate(x)
+    return OUTSIDE if loc is OUTSIDE else probe.solution.eval(loc[0], loc[1])[0]
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_eval_psi_many_matches_eval_psi(half_disc_solution, data):
-    """Batches over mixed elements (curved and affine) with OUTSIDE points among them."""
-    mesh = half_disc_solution.mesh
+def _reference_eval_psi(probe, x):
+    v = _reference_eval_v(probe, x)
+    return OUTSIDE if v is OUTSIDE else psi_of(v)
+
+
+def _row_bytes(rows):
+    return [row if row is OUTSIDE else np.asarray(row, dtype=np.float64).tobytes()
+            for row in rows]
+
+
+def _draw_points(data, mesh):
+    """Mixed elements (curved and affine), nodes, repeats and OUTSIDE points."""
     points = []
     for _ in range(data.draw(st.integers(1, 12))):
         e = data.draw(st.integers(0, mesh.n_elements() - 1))
@@ -249,7 +258,25 @@ def test_eval_psi_many_matches_eval_psi(half_disc_solution, data):
         else:
             x = points[-1].copy() if points else mesh.vertices[0]
         points.append(x)
+    return points
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eval_v_many_matches_the_one_point_eval(half_disc_solution, data):
+    points = _draw_points(data, half_disc_solution.mesh)
     single = FieldProbe(half_disc_solution)
-    want = [single.eval_psi(p) for p in points]
+    want = [_reference_eval_v(single, p) for p in points]
+    got = FieldProbe(half_disc_solution).eval_v_many(points)
+    assert _row_bytes(got) == _row_bytes(want)
+    assert _row_bytes([single.eval_v(p) for p in points]) == _row_bytes(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_eval_psi_many_matches_eval_psi(half_disc_solution, data):
+    points = _draw_points(data, half_disc_solution.mesh)
+    single = FieldProbe(half_disc_solution)
+    want = [_reference_eval_psi(single, p) for p in points]
     got = FieldProbe(half_disc_solution).eval_psi_many(points)
-    assert _psi_bytes(got) == _psi_bytes(want)
+    assert _row_bytes(got) == _row_bytes(want)

@@ -1,14 +1,20 @@
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quadfield import singular
+from quadfield.cli import main
 from quadfield.errors import TopologyError
 from quadfield.field import AnalyticProbe, FieldProbe
+from quadfield.geometry import fixture_path
 from quadfield.reftri import BARYCENTER, in_reference
-from quadfield.singular import (NEWTON_MAX_ITER, NEWTON_SLACK, NEWTON_TOL,
-                                CriticalPoint, corner_valence, corner_valences,
+from quadfield.singular import (ARC_ENDPOINT_GAP, ARC_SAMPLES, NEWTON_MAX_ITER,
+                                NEWTON_SLACK, NEWTON_TOL, CriticalPoint,
+                                corner_valence, corner_valences,
                                 find_critical_points, interior_roots,
                                 interior_valence, topology_report)
 from quadfield.solver import DiscretizationChoice, FieldSolution
@@ -226,3 +232,85 @@ def test_topology_report_shape(half_disc_topology):
     assert len(doc["critical_points"]) == 2
     assert len(doc["corners"]) == 2
     assert all("valence" in c for c in doc["critical_points"])
+
+
+# ---- contours ------------------------------------------------------------------
+
+
+def _reference_corner_arc(corner, probe, c0, samples=ARC_SAMPLES):
+    """The radius/gap loop of corner_valence before _fit_contour: (c, arc) or None."""
+    th_start, th_end = corner.wedge_angles()
+    delta = corner.delta_theta
+    pos = corner.position
+    c = c0
+    arc = None
+    for _ in range(5):
+        gap = ARC_ENDPOINT_GAP
+        while gap <= delta / 8.0:
+            angles = np.linspace(th_start + gap, th_end - gap, samples)
+            pts = pos[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            if all(probe.contains_many(pts)):
+                arc = pts
+                break
+            gap *= 2.0
+        if arc is not None:
+            break
+        c *= 0.5
+    return None if arc is None else (c, arc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fixture=st.sampled_from(["half_disc", "polygon_III"]), corner=st.integers(0, 99),
+       scale=st.integers(-2, 9))
+def test_fit_contour_finds_the_arc_of_the_old_corner_loop(half_disc, half_disc_probe,
+                                                          polygon_iii, polygon_iii_pipeline,
+                                                          fixture, corner, scale):
+    """Starting radii from c0 / 4 to 128 c0, so that arcs fail at the outer
+    radii or at the small endpoint gaps and the loop has to go on."""
+    domain, probe = ((half_disc, half_disc_probe) if fixture == "half_disc"
+                     else (polygon_iii, polygon_iii_pipeline[2]))
+    corners = domain.corner_inventory()
+    cs = corners[corner % len(corners)]
+    fits = []
+    fit_contour = singular._fit_contour
+
+    def recorded(probe, center, c0, angle_sets):
+        fits.append((c0, fit_contour(probe, center, c0, angle_sets)))
+        return fits[-1][1]
+
+    with mock.patch.object(singular, "_fit_contour", recorded), \
+            mock.patch.object(singular, "RADIUS_FACTOR", singular.RADIUS_FACTOR * 2.0 ** scale):
+        try:
+            corner_valence(cs, probe)
+        except TopologyError:
+            pass                        # an ambiguous valence at an odd radius
+    [(c0, got)] = fits
+    want = _reference_corner_arc(cs, probe, c0)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_nautilus_topology_reads_each_contour_in_one_call(tmp_path, monkeypatch):
+    """One eval_v_many per critical point and one eval_psi_many per corner;
+    the only one-point call left is the corner's inward locate."""
+    flags = ["--out", str(tmp_path), "--order", "3", "--target-h", "0.5"]
+    for stage in ("mesh", "solve"):
+        assert main([stage, str(fixture_path("nautilus"))] + flags) == 0
+    calls = {"eval_v_many": 0, "eval_psi_many": 0, "locate": 0, "eval_v": 0}
+    for name in calls:
+        method = getattr(FieldProbe, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(FieldProbe, name, counted)
+    assert main(["topology", str(fixture_path("nautilus"))] + flags) == 0
+    doc = json.loads((tmp_path / "topology.json").read_text())
+    n_cps, n_corners = len(doc["critical_points"]), len(doc["corners"])
+    assert n_cps == 4 and n_corners > 0
+    # each eval_psi_many evaluates its arc through one eval_v_many
+    assert calls == {"eval_v_many": n_cps + n_corners, "eval_psi_many": n_corners,
+                     "locate": n_corners, "eval_v": 0}

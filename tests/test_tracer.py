@@ -200,7 +200,7 @@ def _reference_bisection(inside, outside, probe):
     for _ in range(60):
         mid = 0.5 * (inside + outside)
         visited.append(mid)
-        if probe.contains(mid):
+        if probe.contains_many([mid])[0]:
             inside = mid
         else:
             outside = mid
@@ -215,7 +215,7 @@ def _reference_rk4_step(sl, h, probe):
     ks = [k1]
     for frac, kprev in ((0.5, k1), (0.5, None), (1.0, None)):
         kp = ks[-1] if kprev is None else kprev
-        psi = probe.eval_psi(x + frac * h * kp)
+        (psi,) = probe.eval_psi_many([x + frac * h * kp])
         if psi is OUTSIDE:
             return x + h * k1          # exiting: order is irrelevant, cut follows
         ks.append(_unit(adjust_branch(psi, alpha0)))
@@ -256,7 +256,7 @@ def test_batched_bisection_visits_the_midpoints_of_the_loop(half_disc_solution, 
         outside = _half_disc_point(data, 1.0, 40.0) * [1.0, -1.0]
     else:
         outside = inside * (1.0 + 1e-9) / max(float(np.hypot(*inside)), 1e-3)
-    assume(ref_probe.contains(inside) and not ref_probe.contains(outside))
+    assume(ref_probe.contains_many([inside, outside]) == [True, False])
     want, visited = _reference_bisection(inside, outside, ref_probe)
 
     probe = _BatchRecorder(FieldProbe(half_disc_solution))
