@@ -98,6 +98,24 @@ def _parsing(path, stage):
                           f"rerun {stage}") from None
 
 
+def _points(value, polyline=False):
+    """value as a float point (2,), or with polyline a polyline (n >= 2, 2); else ValueError."""
+    a = np.array(value, dtype=float)
+    ok = a.ndim == 2 and a.shape[1] == 2 and len(a) >= 2 if polyline else a.shape == (2,)
+    if not ok:
+        kind = "polyline (n >= 2, 2)" if polyline else "point (2,)"
+        raise ValueError(f"shape {a.shape} is not a {kind}")
+    return a
+
+
+def _typed(value, kinds, name):
+    """value if it is of kinds (never a bool); else TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
+                        f"not {value!r}")
+    return value
+
+
 class Pipeline:
     def __init__(self, domain_path, config):
         self.config = config
@@ -128,7 +146,10 @@ class Pipeline:
         return mesh
 
     def load_mesh(self):
-        return TriMesh.from_json(load_json(self.path("mesh")), domain=self.domain)
+        path = self.path("mesh")
+        doc = load_json(path)
+        with _parsing(path, "mesh"):
+            return TriMesh.from_json(doc, domain=self.domain)
 
     def stage_solve(self):
         mesh = self.load_mesh()
@@ -142,7 +163,10 @@ class Pipeline:
 
     def load_solution(self, mesh=None):
         mesh = mesh or self.load_mesh()
-        return FieldSolution.from_json(load_json(self.path("solve")), mesh)
+        path = self.path("solve")
+        doc = load_json(path)
+        with _parsing(path, "solve"):
+            return FieldSolution.from_json(doc, mesh)
 
     def stage_topology(self):
         sol = self.load_solution()
@@ -158,7 +182,7 @@ class Pipeline:
         corners = self.domain.corner_inventory()
         with _parsing(path, "topology"):
             cps = [singular.CriticalPoint(
-                position=np.array(c["position"]), elem=int(c["element"]),
+                position=_points(c["position"]), elem=int(c["element"]),
                 xi=np.zeros(2), vmag=float(c["vmag"]), index=int(c["index"]),
                 valence=int(c["valence"]), radius=float(c["radius"]))
                 for c in doc["critical_points"]]
@@ -195,12 +219,15 @@ class Pipeline:
         doc = load_json(path)
 
         def anchor(d):
-            return tracer.Anchor(d["kind"], d["ident"], np.array(d["position"]),
-                                 loop=d["loop"], seg=d["seg"], t=d["t"])
+            return tracer.Anchor(
+                d["kind"], _typed(d["ident"], (int,), "ident"), _points(d["position"]),
+                loop=_typed(d["loop"], (int,), "loop"), seg=_typed(d["seg"], (int,), "seg"),
+                t=float(_typed(d["t"], (int, float), "t")))
 
         with _parsing(path, "trace"):
-            return [tracer.Separatrix(points=np.array(rec["points"]), start=anchor(rec["start"]),
-                                      end=anchor(rec["end"])) for rec in doc]
+            return [tracer.Separatrix(points=_points(rec["points"], polyline=True),
+                                      start=anchor(rec["start"]), end=anchor(rec["end"]))
+                    for rec in doc]
 
     def stage_cut(self):
         mesh = self.load_mesh()
@@ -230,7 +257,7 @@ class Pipeline:
         blocks = []
         with _parsing(path, "cut"):
             for bi, rec in enumerate(doc["blocks"]):
-                sides = [quadblocks.SidePath(np.array(p)) for p in rec["sides"]]
+                sides = [quadblocks.SidePath(_points(p, polyline=True)) for p in rec["sides"]]
                 keys = [tuple(k) for k in rec["corners"]]
                 srecs = [tuple(sr) for sr in rec["side_records"]]
                 if not len(sides) == len(keys) == len(srecs) == 4:

@@ -1,11 +1,14 @@
 """Point location and high-order evaluation of the solved guiding field.
 
-A uniform grid of element bounding boxes gives candidate elements; one
-lockstep Newton inversion of the element maps that can reach the point
-settles membership, with ties on shared edges broken toward the lowest
-element id so evaluation is deterministic.  A probe answers batches (a
-valence circle, an arc, one tracing round): locate_many inverts once for the
-whole batch, one lane per (point, candidate) pair; contains_many tells which
+The mesh's reach mask (TriMesh.reachable) picks the Newton lanes: it keeps
+the (point, element) pairs whose element map can reach the point, and one
+lockstep Newton inversion of those lanes settles membership, with ties on
+shared edges broken toward the lowest element id so evaluation is
+deterministic.  It is the only spatial filter, with no grid or tree: the
+meshes served have at most a few hundred elements, so one (points x
+elements) mask per batch is cheap.  A probe answers batches (a valence
+circle, an arc, one tracing round): locate_many inverts once for the whole
+batch, one lane per pair the mask keeps; contains_many tells which
 points lie in the mesh; eval_v_many gives (u, v) from one basis_rows table,
 each row bitwise FieldSolution.eval at the located xi; eval_psi_many gives
 the principal phase of those rows.  Locations are memoised, since contours
@@ -58,39 +61,6 @@ class FieldProbe:
         self.solution = solution
         self.mesh = solution.mesh
         self._located = {}
-        self._build_grid()
-
-    def _build_grid(self):
-        mesh = self.mesh
-        boxes = [mesh.element_bbox(e) for e in range(mesh.n_elements())]
-        lo = np.min([b[0] for b in boxes], axis=0)
-        hi = np.max([b[1] for b in boxes], axis=0)
-        mean_r = np.mean([mesh.circumradius(e) for e in range(mesh.n_elements())])
-        cell = max(float(mean_r), 1e-12)
-        nx = max(1, int(math.ceil((hi[0] - lo[0]) / cell)))
-        ny = max(1, int(math.ceil((hi[1] - lo[1]) / cell)))
-        grid = {}
-        for e, (blo, bhi) in enumerate(boxes):
-            i0 = int((blo[0] - lo[0]) / cell)
-            i1 = int((bhi[0] - lo[0]) / cell)
-            j0 = int((blo[1] - lo[1]) / cell)
-            j1 = int((bhi[1] - lo[1]) / cell)
-            for i in range(max(i0, 0), min(i1, nx - 1) + 1):
-                for j in range(max(j0, 0), min(j1, ny - 1) + 1):
-                    grid.setdefault((i, j), []).append(e)
-        self._grid = grid
-        self._lo = lo
-        self._cell = cell
-        self._nx, self._ny = nx, ny
-
-    def candidates(self, x):
-        if not np.isfinite(x).all():
-            return []
-        i = int((x[0] - self._lo[0]) / self._cell)
-        j = int((x[1] - self._lo[1]) / self._cell)
-        if not (0 <= i < self._nx and 0 <= j < self._ny):
-            return []
-        return self._grid.get((i, j), [])
 
     def locate(self, x):
         """(element id, xi) of the element containing x, or OUTSIDE.
@@ -100,20 +70,24 @@ class FieldProbe:
         return self.locate_many([x])[0]
 
     def locate_many(self, points):
-        """[locate(p) for p in points], with one Newton solve for every new point."""
+        """[locate(p) for p in points], with one Newton solve for every new point.
+
+        The lanes are the (point, element) pairs that pass the mesh's reach
+        mask, point-major with ascending element ids, so a point's first hit
+        is its lowest-id containing element.  A non-finite point is OUTSIDE.
+        """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         keys = [p.tobytes() for p in points]
-        fresh = {}
-        for key, p in zip(keys, points):
-            if key not in self._located and key not in fresh:
-                fresh[key] = (p, self.candidates(p))
+        fresh = {key: p for key, p in zip(keys, points) if key not in self._located}
         if fresh:
-            elems = [e for _, cands in fresh.values() for e in cands]
-            targets = [p for p, cands in fresh.values() for _ in cands]
-            lanes = iter(self.mesh.invert_map(elems, np.reshape(targets, (-1, 2))))
-            for key, (_, cands) in fresh.items():
-                hits = [(e, xi) for e, xi in zip(cands, lanes) if xi is not None]
-                self._located[key] = hits[0] if hits else OUTSIDE
+            pts = np.array(list(fresh.values()))
+            mask = self.mesh.reachable(pts) & np.isfinite(pts).all(axis=1)[:, None]
+            point, elem = np.nonzero(mask)
+            found = [OUTSIDE] * len(pts)
+            for i, e, xi in zip(point, elem, self.mesh.invert_map(elem, pts[point])):
+                if xi is not None and found[i] is OUTSIDE:
+                    found[i] = (int(e), xi)
+            self._located.update(zip(fresh, found))
         return [OUTSIDE if loc is OUTSIDE else (loc[0], loc[1].copy())
                 for loc in map(self._located.__getitem__, keys)]
 

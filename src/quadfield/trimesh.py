@@ -127,10 +127,6 @@ class TriMesh:
     def area(self):
         return sum(self.element_area(e) for e in range(self.n_elements()))
 
-    def element_bbox(self, e):
-        g = self.geom[e]
-        return g.min(axis=0), g.max(axis=0)
-
     def circumradius(self, e):
         a, b, c = (self.vertices[int(v)] for v in self.triangles[e])
         la = np.hypot(*(b - c))
@@ -169,35 +165,27 @@ class TriMesh:
         size = np.hypot(*(self.geom.max(axis=1) - self.geom.min(axis=1)).T)
         return normal, offset, 1.25 * ref.lebesgue * delta + 1e-6 * size
 
-    def reachable(self, elems, x):
-        """Whether the map of each element of elems can reach x, (2,) or one per element.
+    def reachable(self, points):
+        """(k, ne) mask: whether the map of each element can reach each of the points (k, 2).
 
-        It cannot when x lies more than the element's reach outside one of
-        the edge lines of its straight triangle.
+        It cannot when the point lies more than the element's reach outside
+        one of the edge lines of its straight triangle.  A non-finite point
+        passes: it compares False with every reach.
         """
         normal, offset, reach = self._reach
-        elems = np.asarray(elems, dtype=int)
-        beyond = np.einsum("kld,kd->kl", normal[elems],
-                           np.broadcast_to(x, (len(elems), 2))) - offset[elems]
-        return ~(beyond.max(axis=1) > reach[elems])
+        beyond = np.einsum("eld,kd->kel", normal, np.reshape(points, (-1, 2))) - offset
+        return ~(beyond.max(axis=2) > reach)
 
     def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
 
         x is one point (2,) or one per element (k, 2).  Returns one result per
-        element: xi, or None on failure.  Elements out of reach of their point
-        are None without a Newton step; the others run RefTriangle.invert_maps
-        with tol 1e-12 * bbox_diag, 50 steps and slack 1e-8, so their xi is
-        the unfiltered solve's.
+        element: xi, or None on failure.  Every lane runs: the caller picks
+        them with reachable.  RefTriangle.invert_maps runs with tol
+        1e-12 * bbox_diag, 50 steps and slack 1e-8.
         """
-        elems = np.asarray(elems, dtype=int)
-        x = np.broadcast_to(np.asarray(x, dtype=float), (len(elems), 2))
-        keep = np.flatnonzero(self.reachable(elems, x))
-        out = [None] * len(elems)
-        for k, xi in zip(keep, self.ref.invert_maps(self.geom[elems[keep]], x[keep],
-                                                    1e-12 * self.bbox_diag, 50, 1e-8)):
-            out[k] = xi
-        return out
+        return self.ref.invert_maps(self.geom[np.asarray(elems, dtype=int)],
+                                    np.asarray(x, dtype=float), 1e-12 * self.bbox_diag, 50, 1e-8)
 
     def validate_jacobians(self):
         bad = [e for e in range(self.n_elements()) if self.det_jacobians(e).min() <= 0.0]

@@ -221,12 +221,42 @@ def _three_sides(doc):
     del doc["blocks"][0]["sides"][-1]
 
 
+def _drop_boundary_faces(doc):
+    del doc["boundary_faces"]
+
+
+def _drop_scheme(doc):
+    del doc["scheme"]
+
+
+def _flatten_points(doc):
+    doc[0]["points"] = [c for p in doc[0]["points"] for c in p]
+
+
+def _points_3d(doc):
+    doc[0]["points"] = [p + [0.0] for p in doc[0]["points"]]
+
+
+def _string_ident(doc):
+    doc[0]["start"]["ident"] = "x"
+
+
+def _short_position(doc):
+    doc["critical_points"][0]["position"] = [0.1]
+
+
 @pytest.mark.parametrize("name,edit,stage", [
     ("topology.json", _drop_corner_key, "trace"),     # was KeyError, exit 1
     ("topology.json", _duplicate_corners, "trace"),   # was IndexError, exit 1
     ("topology.json", _drop_corner, "trace"),         # was a silent run without it, exit 0
     ("separatrices.json", _drop_end, "cut"),          # was KeyError, exit 1
     ("blocks.json", _three_sides, "split"),           # was ValueError, exit 1
+    ("mesh.json", _drop_boundary_faces, "solve"),     # was KeyError, exit 1
+    ("field.json", _drop_scheme, "topology"),         # was KeyError, exit 1
+    ("separatrices.json", _flatten_points, "cut"),    # was TypeError in hypot, exit 1
+    ("separatrices.json", _points_3d, "cut"),         # was TypeError in cut, exit 1
+    ("separatrices.json", _string_ident, "cut"),      # was a non-quadrilateral face, exit 6
+    ("topology.json", _short_position, "trace"),      # was IndexError, exit 1
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):

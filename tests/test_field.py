@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from quadfield.errors import TopologyError
 from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch, psi_of
 from quadfield.geometry import boundary_field, tangent_angle
+from quadfield.reftri import VERTICES
 from quadfield.trimesh import TriMesh
+from test_trimesh import _count_kernel_calls, _invert_map_scalar
 
 
 def test_locate_barycenter(half_disc_probe, half_disc_mesh):
@@ -27,6 +29,16 @@ def test_locate_non_finite_point_is_outside(half_disc_probe):
         assert half_disc_probe.locate(np.array(x)) is OUTSIDE
         assert half_disc_probe.contains_many([x]) == [False]
         assert half_disc_probe.eval_v(x) is OUTSIDE
+
+
+def test_locate_many_of_a_far_point_runs_no_newton_step(half_disc_solution, monkeypatch):
+    probe = FieldProbe(half_disc_solution)
+    probe.mesh.reachable(np.zeros(2))            # the reach tables are built lazily
+    counts = _count_kernel_calls(monkeypatch)
+    assert probe.locate_many([[50.0, 50.0], [math.nan, 0.0]]) == [OUTSIDE, OUTSIDE]
+    # no element can reach a far point and a non-finite one has no lane,
+    # so no Newton step runs
+    assert counts == {"table": 0, "basis_at": 0, "grad_basis_at": 0}
 
 
 def test_locate_memo_skips_inversion_and_returns_copies(half_disc_solution, monkeypatch):
@@ -280,3 +292,60 @@ def test_eval_psi_many_matches_eval_psi(half_disc_solution, data):
     want = [_reference_eval_psi(single, p) for p in points]
     got = FieldProbe(half_disc_solution).eval_psi_many(points)
     assert _row_bytes(got) == _row_bytes(want)
+
+
+def _locate_reference(mesh, x):
+    """The first element in id order whose one-lane Newton inversion holds x."""
+    for e in range(mesh.n_elements()):
+        xi = _invert_map_scalar(mesh, e, x)
+        if xi is not None:
+            return e, xi
+    return OUTSIDE
+
+
+def _draw_location_point(data, mesh, curved):
+    kind = data.draw(st.sampled_from(["inside", "edge", "skin", "beyond_bbox", "far",
+                                      "non_finite"]))
+    u = data.draw(st.floats(0.0, 1.0))
+    w = data.draw(st.floats(0.0, 1.0))
+    if kind == "inside":
+        e = data.draw(st.integers(0, mesh.n_elements() - 1))
+        return mesh.map_to_physical(e, [-1.0 + 2.0 * u * (1.0 - w),
+                                        -1.0 + 2.0 * w * (1.0 - u)])[0]
+    if kind == "edge":
+        (e, le), _ = mesh.edge_use[data.draw(st.sampled_from(list(mesh.interior_edges)))]
+        return mesh.map_to_physical(e, mesh.ref.edge_points(le, np.array([2.0 * u - 1.0])))[0]
+    if kind == "skin":
+        # within 1e-9 of a curved boundary edge, on either side
+        f = data.draw(st.sampled_from(curved))
+        xi = mesh.ref.edge_points(f.ledge, np.array([2.0 * u - 1.0]))
+        along = mesh.jacobian(f.elem, xi)[0] @ (VERTICES[(f.ledge + 1) % 3] - VERTICES[f.ledge])
+        outward = np.array([along[1], -along[0]]) / np.hypot(*along)
+        return mesh.map_to_physical(f.elem, xi)[0] + \
+            data.draw(st.sampled_from([-1e-9, 1e-9])) * outward
+    if kind == "beyond_bbox":
+        # just past one side of a curved element's node bounding box
+        g = mesh.geom[data.draw(st.sampled_from(curved)).elem]
+        lo, hi = g.min(axis=0), g.max(axis=0)
+        axis = data.draw(st.integers(0, 1))
+        x = lo + u * (hi - lo)
+        x[axis] = lo[axis] - 1e-9 if w < 0.5 else hi[axis] + 1e-9
+        return x
+    if kind == "far":
+        angle = 2.0 * math.pi * w
+        return mesh.vertices.mean(axis=0) + (1.0 + 40.0 * u) * mesh.bbox_diag * \
+            np.array([math.cos(angle), math.sin(angle)])
+    return np.array(data.draw(st.sampled_from([[math.nan, 0.0], [0.0, math.inf],
+                                               [-math.inf, math.nan]])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_locate_many_matches_the_first_hit_reference(half_disc, half_disc_solution, data):
+    mesh = half_disc_solution.mesh
+    curved = [f for f in mesh.boundary_faces
+              if half_disc.loops[f.loop].segments[f.seg].kind == "arc"]
+    points = [_draw_location_point(data, mesh, curved)
+              for _ in range(data.draw(st.integers(1, 6)))]
+    got = FieldProbe(half_disc_solution).locate_many(points)
+    assert all(_same_location(a, _locate_reference(mesh, p)) for a, p in zip(got, points))

@@ -231,11 +231,13 @@ def test_reach_test_drops_only_lanes_that_miss(half_disc, half_disc_mesh, data):
             along = mesh.jacobian(anchor, xi)[0] @ (VERTICES[(le + 1) % 3] - VERTICES[le])
             outward = np.array([along[1], -along[0]]) / np.hypot(*along)
             x = x + data.draw(st.sampled_from([-1e-9, 1e-9])) * outward
-    reach = mesh.reachable(elems, x)
+    reach = mesh.reachable(x)[0, elems]
     ref = _unfiltered(mesh, elems, x)
     assert all(xi is None for xi, ok in zip(ref, reach) if not ok)
-    got = mesh.invert_map(elems, x)
-    assert [None if xi is None else xi.tobytes() for xi in got] == \
+    # the lanes the mask keeps, solved alone, give the unfiltered bytes
+    keep = [e for e, ok in zip(elems, reach) if ok]
+    got = dict(zip(keep, mesh.invert_map(keep, x)))
+    assert [None if got.get(e) is None else got[e].tobytes() for e in elems] == \
         [None if xi is None else xi.tobytes() for xi in ref]
 
 
@@ -251,10 +253,13 @@ def test_reach_test_drops_lanes_of_affine_and_curved_elements(half_disc_mesh):
     assert reach[affine].max() < 1e-6 * mesh.bbox_diag
     assert reach[sorted(boundary)].max() > 1e-3
     x = mesh.map_to_physical(affine[0], BARYCENTER)[0]
-    ok = mesh.reachable(range(mesh.n_elements()), x)
+    ok, far, nan = mesh.reachable([x, [50.0, 50.0], [np.nan, 0.0]])
     assert ok[affine[0]] and not ok.all()
-    assert not mesh.reachable(range(mesh.n_elements()), np.array([50.0, 50.0])).any()
-    assert mesh.reachable(range(mesh.n_elements()), np.array([np.nan, 0.0])).all()
+    assert not far.any()
+    assert nan.all()
+    # one row per point, each the mask of that point alone
+    assert np.array_equal(mesh.reachable(x), ok[None])
+    assert mesh.reachable(np.empty((0, 2))).shape == (0, mesh.n_elements())
 
 
 def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
@@ -290,8 +295,7 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
     x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
     elems = [3, 7, 10, 14, 20]         # lanes stop after 2, 3, 12, 5 and 2 steps
     counts = _count_kernel_calls(monkeypatch)
-    # the unfiltered solve: invert_map would drop the lanes that cannot hit
-    got = _unfiltered(mesh, elems, x)
+    got = mesh.invert_map(elems, x)
     tables = counts["table"]
     assert got[0] is not None
     assert counts["basis_at"] == counts["grad_basis_at"] == 0
@@ -307,16 +311,6 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
     counts["table"] = 0
     assert mesh.invert_map([], x) == []
     assert counts["table"] == 0
-
-
-def test_invert_map_outside(half_disc_mesh, monkeypatch):
-    mesh = half_disc_mesh
-    elems = list(range(mesh.n_elements()))
-    mesh.invert_map(elems, np.zeros(2))          # the reach tables are built lazily
-    counts = _count_kernel_calls(monkeypatch)
-    assert mesh.invert_map(elems, np.array([50.0, 50.0])) == [None] * len(elems)
-    # no element can reach a far point, so no Newton step runs
-    assert counts == {"table": 0, "basis_at": 0, "grad_basis_at": 0}
 
 
 def test_shared_edge_point_found_by_both(half_disc_mesh):
