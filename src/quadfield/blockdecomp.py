@@ -40,23 +40,25 @@ class EdgeRec:
 
 
 def catmull_rom_densify(points, subdiv=6):
-    """C1 interpolating spline through the polyline points, densely sampled."""
+    """C1 interpolating spline through the polyline points, densely sampled.
+
+    One broadcast over (segment, k) evaluates every sample; each takes the
+    operations of the one-sample loop in the same order, so its bytes too.
+    """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n < 3 or subdiv < 2:
         return pts.copy()
     ext = np.vstack([2 * pts[0] - pts[1], pts, 2 * pts[-1] - pts[-2]])
-    out = [pts[0]]
-    for i in range(n - 1):
-        p0, p1, p2, p3 = ext[i], ext[i + 1], ext[i + 2], ext[i + 3]
-        for k in range(1, subdiv + 1):
-            t = k / subdiv
-            t2, t3 = t * t, t * t * t
-            out.append(0.5 * ((2 * p1) + (-p0 + p2) * t
-                              + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
-                              + (-p0 + 3 * p1 - 3 * p2 + p3) * t3))
+    p0, p1, p2, p3 = (ext[i:i + n - 1, None] for i in range(4))
+    t = (np.arange(1, subdiv + 1) / subdiv)[:, None]
+    t2, t3 = t * t, t * t * t
+    out = 0.5 * ((2 * p1) + (-p0 + p2) * t
+                 + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+                 + (-p0 + 3 * p1 - 3 * p2 + p3) * t3)
+    out = np.concatenate([pts[:1], out.reshape(-1, 2)])
     out[-1] = pts[-1]
-    return np.asarray(out)
+    return out
 
 
 def _loop_cumlen(loop):

@@ -219,6 +219,9 @@ class Pipeline:
         doc = load_json(path)
 
         def anchor(d):
+            if d["kind"] not in tracer.ANCHOR_KINDS:
+                raise ValueError(f"anchor kind {d['kind']!r} is not one of "
+                                 f"{', '.join(tracer.ANCHOR_KINDS)}")
             return tracer.Anchor(
                 d["kind"], _typed(d["ident"], (int,), "ident"), _points(d["position"]),
                 loop=_typed(d["loop"], (int,), "loop"), seg=_typed(d["seg"], (int,), "seg"),

@@ -6,14 +6,19 @@ from then on), meeting pairs merge with trigonometric weights, and fronts
 that leave the domain are cut and snapped onto the true boundary.
 Everything is ordered deterministically so repeated runs are bit-identical.
 
-A round evaluates the field in few, large batches: each RK4 stage of every
-start-up front, then every front's new point, goes through one
-eval_psi_many.  The cut bisects an exiting step BISECT_STEPS times, and
-locates speculatively: the 2^k - 1 midpoints the next k = BISECT_LEVELS
-levels could visit are built breadth first, each by the 0.5 * (a + b) of
-the one-step loop, and located in one batch; the walk down that tree then
-takes the loop's steps.  Location does not depend on the batch (see
-field.FieldProbe.locate_many), so every result is the one-step result.
+The field is evaluated in few, large batches, with no one-lane loop left.
+refine_directions refines many launch directions in lockstep, one
+eval_psi_many per fixed-point iteration; trace_all runs it twice, for every
+node's base direction with every corner direction, then for every other
+node direction.  A round evaluates each RK4 stage of every start-up front,
+then every front's new point, in one eval_psi_many.  The fronts that leave
+the domain in a round are cut together: each exiting step is bisected
+BISECT_STEPS times, and the 2^k - 1 midpoints the next k = BISECT_LEVELS
+levels could visit are built breadth first, each by the 0.5 * (a + b) of the
+one-step loop, for every exiting step, and located in one contains_many; the
+walk down each tree then takes the loop's steps.  Location does not depend
+on the batch (see field.FieldProbe.locate_many), so every result is the
+one-lane result.
 """
 
 from __future__ import annotations
@@ -35,8 +40,11 @@ DEFAULT_N_MAX = 100_000
 DEFAULT_LENGTH_FACTOR = 60.0
 DEFAULT_KAPPA = 5.0
 # Halvings of an exiting step, and the levels of them located per batch.  A
-# batch holds 2^k - 1 points and a cut makes 60 / k of them; k = 3-5 ran
-# fastest of 1-8 on nautilus and half_disc.
+# round's cut makes ceil(60 / k) batches of 2^k - 1 points per exiting front.
+# With the exits of a round sharing batches, perfbench pairs on a 2-core box
+# (4 pairs each) found k = 3 slower than k = 4 on nautilus (0.79 against
+# 0.74 s, 4 of 4 pairs) and k = 5 faster on neither nautilus nor half_disc
+# by more than the spread.
 BISECT_STEPS = 60
 BISECT_LEVELS = 4
 
@@ -44,9 +52,12 @@ BISECT_LEVELS = 4
 _AB4_COEFFS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
 
 
+ANCHOR_KINDS = ("critical", "corner", "boundary", "artificial")
+
+
 @dataclass
 class Anchor:
-    kind: str                 # "critical" | "corner" | "boundary" | "artificial"
+    kind: str                 # one of ANCHOR_KINDS
     ident: int
     position: np.ndarray
     loop: int = -1
@@ -88,61 +99,115 @@ class Separatrix:
 # ---- initial directions --------------------------------------------------------
 
 
-def refine_direction(origin, alpha0, probe, c, eps=DIRECTION_TOL,
-                     max_iter=DIRECTION_MAX_ITER):
-    """Fixed-point refinement of a streamline direction at probe distance c."""
-    alpha = float(alpha0)
-    for _ in range(max_iter):
-        psi = _probe_psi(origin, alpha, probe, c)
-        new = adjust_branch(psi, alpha)
-        dalpha = abs(new - alpha)
-        alpha = new
-        if dalpha <= eps:
-            return alpha
-    raise TracingError(f"initial direction did not converge from guess {alpha0:.6f}")
+def refine_directions(origins, guesses, probe, radii):
+    """Fixed-point refinement of many streamline directions in lockstep.
+
+    Lane i refines guesses[i] at origins[i]: each iteration probes psi at
+    distance radii[i] along its angle, halving that distance while the probe
+    point is OUTSIDE (five times at most), and moves the angle to the branch
+    of psi nearest it, until a move is at most DIRECTION_TOL.  Each lane
+    keeps its own distance and convergence test, and every live lane's probe
+    point goes into one eval_psi_many per iteration.  Location does not
+    depend on the batch, so each lane ends where refining it alone would.
+    Returns, per lane, the refined angle or the TracingError it ended in.
+    """
+    n = len(guesses)
+    out = [None] * n
+    alpha = [float(g) for g in guesses]
+    dist = list(radii)
+    halvings = [0] * n
+    iters = [0] * n
+    live = range(n)
+    while live:
+        psis = probe.eval_psi_many([origins[i] + dist[i] * _unit(alpha[i]) for i in live])
+        for i, psi in zip(live, psis):
+            if psi is OUTSIDE:
+                halvings[i] += 1
+                dist[i] *= 0.5
+                if halvings[i] == 6:
+                    out[i] = TracingError("direction probe kept leaving the domain")
+                continue
+            new = adjust_branch(psi, alpha[i])
+            dalpha = abs(new - alpha[i])
+            alpha[i] = new
+            iters[i] += 1
+            if dalpha <= DIRECTION_TOL:
+                out[i] = new
+            elif iters[i] == DIRECTION_MAX_ITER:
+                out[i] = TracingError(
+                    f"initial direction did not converge from guess {guesses[i]:.6f}")
+            dist[i], halvings[i] = radii[i], 0
+        live = [i for i in live if out[i] is None]
+    return out
 
 
-def _probe_psi(origin, alpha, probe, c):
-    step = np.array([math.cos(alpha), math.sin(alpha)])
-    dist = c
-    for _ in range(6):
-        (psi,) = probe.eval_psi_many([origin + dist * step])
-        if psi is not OUTSIDE:
-            return psi
-        dist *= 0.5
-    raise TracingError("direction probe kept leaving the domain")
+def _raise_failed(results):
+    """results, unless one is a TracingError: then the first one is raised."""
+    for r in results:
+        if isinstance(r, TracingError):
+            raise r
+    return results
+
+
+def _refine_lanes(lanes, probe):
+    """refine_directions over (origin, guess, radius) lanes."""
+    return refine_directions([o for o, _, _ in lanes], [g for _, g, _ in lanes], probe,
+                             [r for _, _, r in lanes])
+
+
+def launch_directions(nodes, corner_nodes, probe):
+    """Launch directions of interior irregular nodes and of corners.
+
+    nodes holds (origin, valence, radius, first_guess) per node.  Two
+    refine_directions calls serve them all: every node's base direction
+    with every corner direction, then every other node direction
+    base + 2 pi j / valence.  Returns one list of directions per node and
+    one per corner (boundary rays excluded).  A failure raises the error
+    that refining one direction at a time would raise first: nodes in
+    order, each base first, then corners.
+    """
+    wedges = [cn.corner.wedge_angles() for cn in corner_nodes]
+    first = [(origin, guess, radius) for origin, valence, radius, guess in nodes
+             if valence >= 1]
+    first += [(cn.corner.position, th0 + cn.corner.delta_theta * j / cn.valence, cn.radius)
+              for cn, (th0, _) in zip(corner_nodes, wedges) for j in range(1, cn.valence)]
+    done = iter(_refine_lanes(first, probe))
+    bases = [next(done) if valence >= 1 else None for _, valence, _, _ in nodes]
+    second = [(origin, base + 2.0 * math.pi * j / valence, radius)
+              for (origin, valence, radius, _), base in zip(nodes, bases)
+              if isinstance(base, float) for j in range(1, valence)]
+    rest = iter(_refine_lanes(second, probe))
+
+    node_dirs = []
+    for (_, valence, _, _), base in zip(nodes, bases):
+        if valence < 1:
+            raise TracingError("initial_directions requires valence >= 1")
+        dirs = _raise_failed([base])
+        dirs = _raise_failed(dirs + [next(rest) for _ in range(1, valence)])
+        _check_distinct(dirs)
+        node_dirs.append(dirs)
+    corner_dirs = []
+    for cn, (th0, th1) in zip(corner_nodes, wedges):
+        dirs = [a for a in _raise_failed([next(done) for _ in range(1, cn.valence)])
+                if not (_near_ray(a, th0) or _near_ray(a, th1))]
+        _check_distinct(dirs)
+        corner_dirs.append(dirs)
+    return node_dirs, corner_dirs
+
+
+def refine_direction(origin, alpha0, probe, c):
+    """Fixed-point refinement of one streamline direction at probe distance c."""
+    return _raise_failed(refine_directions([origin], [alpha0], probe, [c]))[0]
 
 
 def initial_directions(origin, valence, probe, c, first_guess=0.0):
     """The valence refined directions around an interior irregular node."""
-    if valence < 1:
-        raise TracingError("initial_directions requires valence >= 1")
-    base = refine_direction(origin, first_guess, probe, c)
-    dirs = [base]
-    for j in range(1, valence):
-        dirs.append(refine_direction(origin, base + 2.0 * math.pi * j / valence,
-                                     probe, c))
-    _check_distinct(dirs)
-    return dirs
+    return launch_directions([(origin, valence, c, first_guess)], [], probe)[0][0]
 
 
 def corner_directions(corner_node, probe):
     """Interior launch directions of a corner (boundary rays excluded)."""
-    corner = corner_node.corner
-    v = corner_node.valence
-    if v <= 1:
-        return []
-    th_start, th_end = corner.wedge_angles()
-    c = corner_node.radius
-    dirs = []
-    for j in range(1, v):
-        guess = th_start + corner.delta_theta * j / v
-        alpha = refine_direction(corner.position, guess, probe, c)
-        if _near_ray(alpha, th_start) or _near_ray(alpha, th_end):
-            continue
-        dirs.append(alpha)
-    _check_distinct(dirs)
-    return dirs
+    return launch_directions([], [corner_node], probe)[1][0]
 
 
 def _near_ray(alpha, ray, tol=BOUNDARY_COINCIDE_TOL):
@@ -262,51 +327,59 @@ class BoundaryAnchors:
 def _bisection_tree(inside, outside, levels):
     """Every midpoint the next levels of bisection could visit, breadth first.
 
-    Node n bisects its interval (a, b) at 0.5 * (a + b), the expression of
-    the one-step loop; child 2n + 1 bisects (mid, b), reached when mid is
-    inside, and child 2n + 2 bisects (a, mid).
+    inside and outside are (m, 2): one segment per row.  Returns (m, 2^levels
+    - 1, 2), the tree of row i at [i].  Node n bisects its interval (a, b)
+    at 0.5 * (a + b), the expression of the one-step loop; child 2n + 1
+    bisects (mid, b), reached when mid is inside, and child 2n + 2 bisects
+    (a, mid).
     """
-    a, b = inside[None], outside[None]
+    a, b = inside[:, None], outside[:, None]
     mids = []
     for _ in range(levels):
         mid = 0.5 * (a + b)
         mids.append(mid)
-        a = np.stack([mid, a], axis=1).reshape(-1, 2)
-        b = np.stack([b, mid], axis=1).reshape(-1, 2)
-    return np.concatenate(mids)
+        a = np.stack([mid, a], axis=2).reshape(len(inside), -1, 2)
+        b = np.stack([b, mid], axis=2).reshape(len(inside), -1, 2)
+    return np.concatenate(mids, axis=1)
 
 
 def _bisect_to_skin(inside, outside, probe):
-    """The inside end of BISECT_STEPS halvings of the segment (inside, outside).
+    """The inside ends of BISECT_STEPS halvings of each segment (inside[i], outside[i]).
 
     A one-step loop would locate each midpoint on its own.  Here every
-    midpoint of the next BISECT_LEVELS levels, on the walk's path or not,
-    is located in one batch.  Location does not depend on the batch, so the
-    walk visits the midpoints of that loop and gets its answers.
+    midpoint of the next BISECT_LEVELS levels of every segment, on a walk's
+    path or not, is located in one batch.  Location does not depend on the
+    batch, so each walk visits the midpoints of that loop and gets its
+    answers.
     """
+    inside = np.array(inside, dtype=float)
+    outside = np.array(outside, dtype=float)
+    rows = np.arange(len(inside))
     for done in range(0, BISECT_STEPS, BISECT_LEVELS):
         levels = min(BISECT_LEVELS, BISECT_STEPS - done)
         mids = _bisection_tree(inside, outside, levels)
-        flags = probe.contains_many(mids)
-        node = 0
+        flags = np.reshape(probe.contains_many(mids.reshape(-1, 2)), mids.shape[:2])
+        node = np.zeros(len(inside), dtype=int)
         for _ in range(levels):
-            if flags[node]:
-                inside, node = mids[node], 2 * node + 1
-            else:
-                outside, node = mids[node], 2 * node + 2
+            here, mid = flags[rows, node], mids[rows, node]
+            inside = np.where(here[:, None], mid, inside)
+            outside = np.where(here[:, None], outside, mid)
+            node = np.where(here, 2 * node + 1, 2 * node + 2)
     return inside
 
 
-def _cut_to_boundary(sl, candidate, probe, domain, registry):
-    """Bisect the exiting segment onto the mesh skin, then snap to the curve."""
-    inside = _bisect_to_skin(sl.front(), candidate, probe)
-    loop, seg, t, dist = domain.closest_boundary_point(inside)
-    snapped = domain.loops[loop].segments[seg].point(t)
-    anchor = registry.resolve(snapped, loop, seg, t)
-    sl.points.append(anchor.position.copy())
-    sl.alphas.append(sl.front_alpha())
-    sl.status = "hit_boundary"
-    sl.end_anchor = anchor
+def _cut_to_boundary(fronts, candidates, probe, domain, registry):
+    """Bisect the exiting segments onto the mesh skin together, then snap each
+    to the curve, in the order given."""
+    insides = _bisect_to_skin([sl.front() for sl in fronts], candidates, probe)
+    for sl, inside in zip(fronts, insides):
+        loop, seg, t, dist = domain.closest_boundary_point(inside)
+        snapped = domain.loops[loop].segments[seg].point(t)
+        anchor = registry.resolve(snapped, loop, seg, t)
+        sl.points.append(anchor.position.copy())
+        sl.alphas.append(sl.front_alpha())
+        sl.status = "hit_boundary"
+        sl.end_anchor = anchor
 
 
 def advance_all(streamlines, probe, h, domain=None, registry=None,
@@ -318,11 +391,12 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
     startup = iter(_rk4_steps([sl for sl in order if len(sl.alphas) < 4], h, probe))
     candidates = [next(startup) if len(sl.alphas) < 4 else _ab4_step(sl, h)
                   for sl in order]
+    exits = []
     for sl, candidate, psi in zip(order, candidates, probe.eval_psi_many(candidates)):
         if psi is OUTSIDE:
             if domain is None or registry is None:
                 raise TracingError("streamline left the domain with no boundary handler")
-            _cut_to_boundary(sl, candidate, probe, domain, registry)
+            exits.append((sl, candidate))
             continue
         alpha = adjust_branch(psi, sl.front_alpha())
         sl.length += float(np.hypot(*(candidate - sl.front())))
@@ -330,6 +404,8 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
         sl.alphas.append(alpha)
         if len(sl.points) > n_max or (max_length is not None and sl.length > max_length):
             sl.status = "aborted"
+    if exits:
+        _cut_to_boundary(*zip(*exits), probe, domain, registry)
 
     merged = []
     active = [sl for sl in order if sl.status == "active"]
@@ -360,16 +436,17 @@ def trace_all(critical_points, corner_nodes, probe, domain, h, mode="normal",
     registry = BoundaryAnchors([cn.corner for cn in corner_nodes], snap_radius=h)
     max_length = length_factor * domain.bbox_diag()
 
+    cps = sorted(critical_points, key=lambda c: (c.position[0], c.position[1]))
+    node_dirs, corner_dirs = launch_directions(
+        [(cp.position, cp.valence, cp.radius, 0.0) for cp in cps], corner_nodes, probe)
     streamlines = []
-    for i, cp in enumerate(sorted(critical_points,
-                                  key=lambda c: (c.position[0], c.position[1]))):
+    for i, (cp, dirs) in enumerate(zip(cps, node_dirs)):
         anchor = Anchor("critical", i, cp.position)
-        for b, alpha in enumerate(initial_directions(cp.position, cp.valence,
-                                                     probe, cp.radius)):
+        for b, alpha in enumerate(dirs):
             streamlines.append(Streamline(anchor, b, [cp.position.copy()], [alpha]))
-    for i, cn in enumerate(corner_nodes):
+    for i, (cn, dirs) in enumerate(zip(corner_nodes, corner_dirs)):
         anchor = registry.corner_anchors[i]
-        for b, alpha in enumerate(corner_directions(cn, probe)):
+        for b, alpha in enumerate(dirs):
             streamlines.append(Streamline(anchor, b, [cn.corner.position.copy()],
                                           [alpha]))
 

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quadfield import polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
-                                   VertexRec, build_subdivision, classify_faces,
-                                   decompose, resolve_crossings)
+                                   VertexRec, build_subdivision, catmull_rom_densify,
+                                   classify_faces, decompose, resolve_crossings)
 from quadfield.errors import DecompositionError
 from quadfield.field import AnalyticProbe
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
@@ -30,6 +31,36 @@ def corner_nodes_for(domain, valences):
     return [CornerNode(corner=c, corner_id=i, valence=v,
                        radius=0.1 * domain.bbox_diag())
             for i, (c, v) in enumerate(zip(corners, valences))]
+
+
+def _reference_densify(points, subdiv=6):
+    """The one-sample loop of catmull_rom_densify before it was one broadcast."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    if n < 3 or subdiv < 2:
+        return pts.copy()
+    ext = np.vstack([2 * pts[0] - pts[1], pts, 2 * pts[-1] - pts[-2]])
+    out = [pts[0]]
+    for i in range(n - 1):
+        p0, p1, p2, p3 = ext[i], ext[i + 1], ext[i + 2], ext[i + 3]
+        for k in range(1, subdiv + 1):
+            t = k / subdiv
+            t2, t3 = t * t, t * t * t
+            out.append(0.5 * ((2 * p1) + (-p0 + p2) * t
+                              + (2 * p0 - 5 * p1 + 4 * p2 - p3) * t2
+                              + (-p0 + 3 * p1 - 3 * p2 + p3) * t3))
+    out[-1] = pts[-1]
+    return np.asarray(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.sampled_from([1, 2, 3, 6, 7]), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_densify_matches_the_one_sample_loop(n, subdiv, seed, scale):
+    pts = np.random.default_rng(seed).normal(scale=scale, size=(n, 2))
+    got = catmull_rom_densify(pts, subdiv)
+    want = _reference_densify(pts, subdiv)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_square_single_face():

@@ -241,6 +241,10 @@ def _string_ident(doc):
     doc[0]["start"]["ident"] = "x"
 
 
+def _bogus_kind(doc):
+    doc[0]["start"]["kind"] = "bogus"
+
+
 def _short_position(doc):
     doc["critical_points"][0]["position"] = [0.1]
 
@@ -257,6 +261,7 @@ def _short_position(doc):
     ("separatrices.json", _points_3d, "cut"),         # was TypeError in cut, exit 1
     ("separatrices.json", _string_ident, "cut"),      # was a non-quadrilateral face, exit 6
     ("topology.json", _short_position, "trace"),      # was IndexError, exit 1
+    ("separatrices.json", _bogus_kind, "cut"),        # was a non-quadrilateral face, exit 6
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):

@@ -1,24 +1,26 @@
 #!/usr/bin/env bash
 # Paired benchmark comparison: a git ref against the working tree.
 #
-#   tools/bench_pairs.sh <ref> <workload> [pairs=10]
+#   tools/bench_pairs.sh <ref> <workload | all> [pairs=10]
 #
 # Runs `python3 perfbench/run.py --workload W --seed i --seconds 25 --trace 0`
 # from the ref and from the working tree for pair i = 0 .. pairs-1.  Both
 # sides of a pair use seed i, and the side that runs first alternates from
-# pair to pair.  The ref is exported with `git archive` into a temporary
-# directory, removed afterwards.  Prints, for each end-to-end metric, the
-# median of each side and the interquartile spread (q3 - q1) of the ref's
-# runs, and the number of pairs whose run_s is lower on the working tree
-# (ties count for neither side).  Exits 0 when every run succeeded and
-# passed its correctness check, 1 when one did not, 2 on a usage error.
+# pair to pair.  `all` pairs every workload that BENCHMARK.json names, one
+# after another.  The ref is exported with `git archive` into a temporary
+# directory, removed afterwards.  Prints one block per workload: for each
+# end-to-end metric, the median of each side and the interquartile spread
+# (q3 - q1) of the ref's runs, and the number of pairs whose run_s is lower
+# on the working tree (ties count for neither side).  Exits 0 when every run
+# succeeded and passed its correctness check, 1 when one did not, 2 on a
+# usage error.
 set -u
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    echo "usage: $0 <ref> <workload> [pairs=10]" >&2
+    echo "usage: $0 <ref> <workload | all> [pairs=10]" >&2
     exit 2
 fi
-ref=$1 workload=$2 pairs=${3:-10}
+ref=$1 pairs=${3:-10}
 case $pairs in
     '' | *[!0-9]* | 0) echo "error: pairs must be a positive integer" >&2; exit 2 ;;
 esac
@@ -27,38 +29,48 @@ git -C "$repo" rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
     echo "error: $ref is not a commit" >&2
     exit 2
 }
+if [ "$2" = all ]; then
+    workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+        "$repo/BENCHMARK.json") || exit 2
+else
+    workloads=$2
+fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 mkdir -p "$work/ref"
 git -C "$repo" archive "$ref" | tar -x -C "$work/ref" || exit 2
 
 failed=0
-run_side() {              # <side> <tree> <seed>
-    local side=$1 tree=$2 seed=$3 out
+run_side() {              # <workload> <side> <tree> <seed>
+    local workload=$1 side=$2 tree=$3 seed=$4 out
     out=$(cd "$tree" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
         --seconds 25 --trace 0 2>"$work/stderr")
     if [ $? -ne 0 ]; then
-        echo "pair $seed, $side: run failed: $(tail -n 1 "$work/stderr")" >&2
+        echo "$workload pair $seed, $side: run failed: $(tail -n 1 "$work/stderr")" >&2
         failed=1
         return
     fi
     printf '%s\t%s\t%s\n' "$seed" "$side" "$(printf '%s\n' "$out" | tail -n 1)" \
-        >>"$work/results"
-    echo "pair $seed, $side: done"
+        >>"$work/results.$workload"
+    echo "$workload pair $seed, $side: done"
 }
 
-for ((i = 0; i < pairs; i++)); do
-    if ((i % 2 == 0)); then
-        run_side ref "$work/ref" "$i"
-        run_side tree "$repo" "$i"
-    else
-        run_side tree "$repo" "$i"
-        run_side ref "$work/ref" "$i"
-    fi
+for workload in $workloads; do
+    for ((i = 0; i < pairs; i++)); do
+        if ((i % 2 == 0)); then
+            run_side "$workload" ref "$work/ref" "$i"
+            run_side "$workload" tree "$repo" "$i"
+        else
+            run_side "$workload" tree "$repo" "$i"
+            run_side "$workload" ref "$work/ref" "$i"
+        fi
+    done
 done
 
-touch "$work/results"
-python3 - "$work/results" "$ref" "$workload" <<'PY'
+for workload in $workloads; do
+    touch "$work/results.$workload"
+    python3 - "$work/results.$workload" "$ref" "$workload" <<'PY'
 import json
 import statistics
 import sys
@@ -92,5 +104,6 @@ losses = sum(tree_runs[i]["run_s"] > ref_runs[i]["run_s"] for i in both)
 print(f"  run_s: tree lower in {wins} of {len(both)} pairs, higher in {losses}")
 sys.exit(1 if incorrect else 0)
 PY
-[ $? -eq 0 ] || failed=1
+    [ $? -eq 0 ] || failed=1
+done
 exit $failed
