@@ -15,10 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyline
-from .errors import DecompositionError
-from .errors import TracingError
-from .tracer import (Anchor, BoundaryAnchors, Streamline, advance_all,
-                     refine_direction)
+from .errors import DecompositionError, TracingError
+from .tracer import Anchor, BoundaryAnchors, Streamline, advance_all, refine_directions
 
 AREA_TOL = 1e-14
 
@@ -525,9 +523,8 @@ class MidpointDivider:
                     tail[0] = q
                     return tail, other_end
         bisector = corner.theta_out + 0.5 * corner.delta_theta
-        try:
-            alpha = refine_direction(q, bisector, self.probe, cn.radius)
-        except TracingError:
+        alpha = refine_directions([q], [bisector], self.probe, [cn.radius])[0]
+        if isinstance(alpha, TracingError):
             alpha = bisector           # oscillating refinement: the field line
         return trace_tail(q, alpha, self.probe, self.domain, self.h,
                           critical_points=self.critical_points)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from . import blockdecomp, quadblocks, singular, svgio, tracer, vtkio
 from .errors import ConfigError, QuadfieldError
 from .field import FieldProbe
-from .geometry import load_domain
+from .geometry import load_domain, read_json
 from .msh import write_msh, write_quad_msh
 from .solver import (DEFAULT_PENALTY, FieldSolution, choose_discretization,
                      solve_guiding_field)
@@ -46,10 +46,6 @@ MERGE_MODES = ("normal", "aggressive")
 FORMATS = ("vtk", "svg", "msh")
 INT_KEYS = ("order", "split", "n_max")
 REAL_KEYS = ("target_h", "step_factor", "kappa", "penalty", "length_factor")
-
-# topology.json keeps no corner radius, so trace and cut probe every corner
-# at this fraction of the domain's bounding-box diagonal
-CORNER_RADIUS_FACTOR = 0.1
 
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
 ARTIFACTS = {
@@ -81,39 +77,7 @@ def dump_json(path, doc):
 def load_json(path):
     if not Path(path).exists():
         raise ConfigError(f"missing upstream artifact {path}")
-    with open(path) as f:
-        try:
-            return json.load(f)
-        except ValueError as ex:
-            raise ConfigError(f"{path}: not valid JSON ({ex})") from None
-
-
-@contextmanager
-def _parsing(path, stage):
-    """A missing key or a wrongly shaped value in an artifact is a ConfigError naming it."""
-    try:
-        yield
-    except (KeyError, IndexError, TypeError, ValueError) as ex:
-        raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
-                          f"rerun {stage}") from None
-
-
-def _points(value, polyline=False):
-    """value as a float point (2,), or with polyline a polyline (n >= 2, 2); else ValueError."""
-    a = np.array(value, dtype=float)
-    ok = a.ndim == 2 and a.shape[1] == 2 and len(a) >= 2 if polyline else a.shape == (2,)
-    if not ok:
-        kind = "polyline (n >= 2, 2)" if polyline else "point (2,)"
-        raise ValueError(f"shape {a.shape} is not a {kind}")
-    return a
-
-
-def _typed(value, kinds, name):
-    """value if it is of kinds (never a bool); else TypeError naming it."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{name} must be {' or '.join(k.__name__ for k in kinds)}, "
-                        f"not {value!r}")
-    return value
+    return read_json(path, ConfigError)
 
 
 class Pipeline:
@@ -125,10 +89,28 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.formats = [f for f in config["formats"].split(",") if f]
 
-    # ---- artifact paths ----------------------------------------------------
+    # ---- artifacts ---------------------------------------------------------
 
     def path(self, stage):
         return self.out / ARTIFACTS[stage]
+
+    def load(self, stage, mesh=None):
+        """The artifact of stage, read by its module's reader (solve's needs the mesh).
+
+        A missing key or a wrongly shaped value is a ConfigError naming the file.
+        """
+        path = self.path(stage)
+        doc = load_json(path)
+        read = {"mesh": lambda: TriMesh.from_json(doc, domain=self.domain),
+                "solve": lambda: FieldSolution.from_json(doc, mesh),
+                "topology": lambda: singular.topology_from_json(doc, self.domain),
+                "trace": lambda: tracer.separatrices_from_json(doc),
+                "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
+        try:
+            return read()
+        except (KeyError, IndexError, TypeError, ValueError) as ex:
+            raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
+                              f"rerun {stage}") from None
 
     # ---- stages --------------------------------------------------------------
 
@@ -145,14 +127,8 @@ class Pipeline:
             vtkio.write_vtk_trimesh(self.out / "trimesh.vtk", mesh)
         return mesh
 
-    def load_mesh(self):
-        path = self.path("mesh")
-        doc = load_json(path)
-        with _parsing(path, "mesh"):
-            return TriMesh.from_json(doc, domain=self.domain)
-
     def stage_solve(self):
-        mesh = self.load_mesh()
+        mesh = self.load("mesh")
         choice = choose_discretization(self.domain, self.config["penalty"],
                                        self.config["scheme"])
         sol = solve_guiding_field(mesh, self.domain, choice)
@@ -161,50 +137,24 @@ class Pipeline:
             vtkio.write_vtk_fields(self.out / "fields.vtk", sol)
         return sol
 
-    def load_solution(self, mesh=None):
-        mesh = mesh or self.load_mesh()
-        path = self.path("solve")
-        doc = load_json(path)
-        with _parsing(path, "solve"):
-            return FieldSolution.from_json(doc, mesh)
-
     def stage_topology(self):
-        sol = self.load_solution()
+        sol = self.load("solve", self.load("mesh"))
         probe = FieldProbe(sol)
         cps = singular.find_critical_points(sol, probe)
         cns = singular.corner_valences(self.domain, probe)
         dump_json(self.path("topology"), singular.topology_report(cps, cns))
         return cps, cns
 
-    def load_topology(self):
-        path = self.path("topology")
-        doc = load_json(path)
-        corners = self.domain.corner_inventory()
-        with _parsing(path, "topology"):
-            cps = [singular.CriticalPoint(
-                position=_points(c["position"]), elem=int(c["element"]),
-                xi=np.zeros(2), vmag=float(c["vmag"]), index=int(c["index"]),
-                valence=int(c["valence"]), radius=float(c["radius"]))
-                for c in doc["critical_points"]]
-            if len(doc["corners"]) != len(corners):
-                raise ValueError(f"{len(doc['corners'])} corners, the domain has {len(corners)}")
-            cns = [singular.CornerNode(
-                corner=corners[i], corner_id=i, index=float(c["index"]),
-                valence=int(c["valence"]), dpsi=float(c["dpsi"]),
-                residual=float(c["residual"]),
-                radius=CORNER_RADIUS_FACTOR * self.domain.bbox_diag())
-                for i, c in enumerate(doc["corners"])]
-        return cps, cns
-
-    def _step_size(self, mesh):
-        return self.config["step_factor"] * mesh.shortest_edge()
+    def _traced_field(self):
+        """(solution, probe, critical points, corner nodes, step size) of trace and cut."""
+        mesh = self.load("mesh")
+        sol = self.load("solve", mesh)
+        probe = FieldProbe(sol)
+        cps, cns = self.load("topology")
+        return sol, probe, cps, cns, self.config["step_factor"] * mesh.shortest_edge()
 
     def stage_trace(self):
-        mesh = self.load_mesh()
-        sol = self.load_solution(mesh)
-        probe = FieldProbe(sol)
-        cps, cns = self.load_topology()
-        h_s = self._step_size(mesh)
+        sol, probe, cps, cns, h_s = self._traced_field()
         seps, _ = tracer.trace_all(
             cps, cns, probe, self.domain, h_s, mode=self.config["merge_mode"],
             kappa=self.config["kappa"], n_max=self.config["n_max"],
@@ -214,62 +164,21 @@ class Pipeline:
             svgio.write_svg_streamlines(self.out / "streamlines.svg", sol, seps, cps)
         return seps
 
-    def load_separatrices(self):
-        path = self.path("trace")
-        doc = load_json(path)
-
-        def anchor(d):
-            if d["kind"] not in tracer.ANCHOR_KINDS:
-                raise ValueError(f"anchor kind {d['kind']!r} is not one of "
-                                 f"{', '.join(tracer.ANCHOR_KINDS)}")
-            return tracer.Anchor(
-                d["kind"], _typed(d["ident"], (int,), "ident"), _points(d["position"]),
-                loop=_typed(d["loop"], (int,), "loop"), seg=_typed(d["seg"], (int,), "seg"),
-                t=float(_typed(d["t"], (int, float), "t")))
-
-        with _parsing(path, "trace"):
-            return [tracer.Separatrix(points=_points(rec["points"], polyline=True),
-                                      start=anchor(rec["start"]), end=anchor(rec["end"]))
-                    for rec in doc]
-
     def stage_cut(self):
-        mesh = self.load_mesh()
-        sol = self.load_solution(mesh)
-        probe = FieldProbe(sol)
-        cps, cns = self.load_topology()
-        seps = self.load_separatrices()
-        h_s = self._step_size(mesh)
+        _, probe, cps, cns, h_s = self._traced_field()
+        seps = self.load("trace")
         sub, faces = blockdecomp.decompose(self.domain, probe, cns, seps, h_s,
                                            critical_points=cps)
         blocks = quadblocks.build_blocks(sub, faces)
-        doc = {"blocks": [{
-            "corners": [list(k) for k in b.corner_keys],
-            "sides": [s.points.tolist() for s in b.sides],
-            "side_records": [[int(r), int(d)] for (r, d) in b.side_records],
-        } for b in blocks]}
-        dump_json(self.path("cut"), doc)
+        dump_json(self.path("cut"), quadblocks.blocks_to_json(blocks))
         if "svg" in self.formats:
             irregular = [k for k in sub.vertices
                          if k[0] in ("critical", "artificial")]
             svgio.write_svg_blocks(self.out / "blocks.svg", sub, faces, irregular)
         return blocks
 
-    def load_blocks(self):
-        path = self.path("cut")
-        doc = load_json(path)
-        blocks = []
-        with _parsing(path, "cut"):
-            for bi, rec in enumerate(doc["blocks"]):
-                sides = [quadblocks.SidePath(_points(p, polyline=True)) for p in rec["sides"]]
-                keys = [tuple(k) for k in rec["corners"]]
-                srecs = [tuple(sr) for sr in rec["side_records"]]
-                if not len(sides) == len(keys) == len(srecs) == 4:
-                    raise ValueError(f"block {bi} is not a quadrilateral")
-                blocks.append(quadblocks.QuadBlock(bi, keys, sides, srecs))
-        return blocks
-
     def stage_split(self):
-        blocks = self.load_blocks()
+        blocks = self.load("cut")
         qmesh = quadblocks.isoparametric_split(
             blocks, self.config["split"], order=self.config["order"],
             holes=len(self.domain.holes))
@@ -347,6 +256,8 @@ def _check_config(config):
         if isinstance(config[key], bool) or not isinstance(config[key], kinds):
             kind = "an integer" if key in INT_KEYS else "a number"
             raise ConfigError(f"{key} must be {kind}, not {config[key]!r}")
+        if not -math.inf < config[key] < math.inf:      # NaN fails too
+            raise ConfigError(f"{key} must be finite, not {config[key]!r}")
     for key, choices in (("scheme", SCHEMES), ("merge_mode", MERGE_MODES)):
         if config[key] not in choices:
             raise ConfigError(f"{key} must be one of {list(choices)}, not {config[key]!r}")

@@ -48,13 +48,45 @@ def boundary_field(theta_b):
     return np.cos(t4), np.sin(t4)
 
 
-def _as_points(p, what, ndim=1):
-    """p as floats: one point [x, y] (shape (2,)), or with ndim=2 a list of them (n, 2)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != ndim or p.shape[-1] != 2:
-        kind = "a point" if ndim == 1 else "a list of points"
-        raise GeometryError(f"{what} must be {kind} [x, y], got shape {p.shape}")
-    return p
+# ---- shape checks of JSON input: domain files and stage artifacts ------------
+
+
+def as_points(value, what, polyline=False):
+    """value as floats: a point [x, y] (2,), or with polyline a polyline (n >= 2, 2).
+
+    Anything else is a ValueError naming what.
+    """
+    a = np.asarray(value, dtype=float)
+    ok = a.ndim == 2 and a.shape[1] == 2 and len(a) >= 2 if polyline else a.shape == (2,)
+    if not ok:
+        kind = "a polyline (n >= 2, 2)" if polyline else "a point [x, y]"
+        raise ValueError(f"{what} must be {kind}, got shape {a.shape}")
+    return a
+
+
+def typed(value, kinds, what):
+    """value if it is of kinds (never a bool); else a TypeError naming what."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, "
+                        f"not {value!r}")
+    return value
+
+
+def _finite(text):
+    """The float of a JSON number or NaN/Infinity constant, unless it is not finite."""
+    value = float(text)                 # 1e999 overflows to inf
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def read_json(path, error):
+    """The JSON document in path; invalid JSON or a non-finite number raise error naming path."""
+    with open(path) as f:
+        try:
+            return json.load(f, parse_float=_finite, parse_constant=_finite)
+        except ValueError as ex:
+            raise error(f"{path}: not valid JSON ({ex})") from None
 
 
 class CurveSegment:
@@ -139,8 +171,8 @@ class Line(CurveSegment):
     kind = "line"
 
     def __init__(self, p0, p1):
-        self.p0 = _as_points(p0, "line p0")
-        self.p1 = _as_points(p1, "line p1")
+        self.p0 = as_points(p0, "line p0")
+        self.p1 = as_points(p1, "line p1")
 
     def point(self, t):
         return self.p0 + t * (self.p1 - self.p0)
@@ -166,7 +198,7 @@ class Arc(CurveSegment):
             raise GeometryError("arc radius must be positive")
         if a0 == a1:
             raise GeometryError("arc sweep must be nonzero")
-        self.center = _as_points(center, "arc center")
+        self.center = as_points(center, "arc center")
         self.radius = float(radius)
         self.a0 = float(a0)
         self.a1 = float(a1)
@@ -198,7 +230,7 @@ class Spline(CurveSegment):
     kind = "spline"
 
     def __init__(self, points):
-        pts = _as_points(points, "spline points", ndim=2)
+        pts = as_points(points, "spline points", polyline=True)
         if len(pts) < 3:
             raise GeometryError("spline needs at least 3 points")
         from scipy.interpolate import CubicSpline
@@ -247,7 +279,7 @@ class Naca4(CurveSegment):
         if self.thick <= 0:
             raise GeometryError("zero-thickness airfoil is degenerate")
         self.chord = float(chord)
-        self.origin = _as_points(origin, "naca4 origin")
+        self.origin = as_points(origin, "naca4 origin")
 
     def _half_thickness(self, s):
         # thickness polynomial in s = sqrt(x/c); analytic in s through the LE
@@ -572,12 +604,7 @@ def domain_from_json(doc):
 
 
 def load_domain(path):
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except ValueError as ex:
-            raise GeometryError(f"{path}: not valid JSON ({ex})") from None
-    return domain_from_json(doc)
+    return domain_from_json(read_json(path, GeometryError))
 
 
 _FIXTURES = Path(__file__).parent / "fixtures"

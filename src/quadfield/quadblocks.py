@@ -15,6 +15,7 @@ import numpy as np
 
 from . import polyline
 from .errors import DecompositionError
+from .geometry import as_points
 from .reftri import gauss_lobatto
 
 
@@ -125,6 +126,27 @@ def build_blocks(sub, faces=None):
             raise DecompositionError(
                 f"block {bi} has nonpositive scaled Jacobian {sj.min():.3e}")
         blocks.append(block)
+    return blocks
+
+
+def blocks_to_json(blocks):
+    return {"blocks": [{
+        "corners": [list(k) for k in b.corner_keys],
+        "sides": [s.points.tolist() for s in b.sides],
+        "side_records": [[int(r), int(d)] for (r, d) in b.side_records],
+    } for b in blocks]}
+
+
+def blocks_from_json(doc):
+    """QuadBlocks of a blocks.json document."""
+    blocks = []
+    for bi, rec in enumerate(doc["blocks"]):
+        sides = [SidePath(as_points(p, "side", polyline=True)) for p in rec["sides"]]
+        keys = [tuple(k) for k in rec["corners"]]
+        srecs = [tuple(sr) for sr in rec["side_records"]]
+        if not len(sides) == len(keys) == len(srecs) == 4:
+            raise ValueError(f"block {bi} is not a quadrilateral")
+        blocks.append(QuadBlock(bi, keys, sides, srecs))
     return blocks
 
 

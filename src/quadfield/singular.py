@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TopologyError
 from .field import HALF_PI, OUTSIDE, psi_of
-from .geometry import boundary_field
+from .geometry import as_points, boundary_field
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
@@ -29,6 +29,9 @@ ARC_SAMPLES = 32
 ARC_ENDPOINT_GAP = 1e-3
 RADIUS_FACTOR = 0.25
 VALENCE_RESIDUAL_TOL = 0.2
+# topology.json keeps no corner radius, so its reader gives every corner this
+# fraction of the domain's bounding-box diagonal
+CORNER_RADIUS_FACTOR = 0.1
 
 
 @dataclass
@@ -231,3 +234,21 @@ def topology_report(critical_points, corner_nodes):
              "dpsi": float(cn.dpsi), "residual": float(cn.residual)}
             for cn in corner_nodes],
     }
+
+
+def topology_from_json(doc, domain):
+    """(critical points, corner nodes) of a topology.json document of domain."""
+    cps = [CriticalPoint(position=as_points(c["position"], "position"),
+                         elem=int(c["element"]), xi=np.zeros(2), vmag=float(c["vmag"]),
+                         index=int(c["index"]), valence=int(c["valence"]),
+                         radius=float(c["radius"]))
+           for c in doc["critical_points"]]
+    corners = domain.corner_inventory()
+    if len(doc["corners"]) != len(corners):
+        raise ValueError(f"{len(doc['corners'])} corners, the domain has {len(corners)}")
+    cns = [CornerNode(corner=corners[i], corner_id=i, index=float(c["index"]),
+                      valence=int(c["valence"]), dpsi=float(c["dpsi"]),
+                      residual=float(c["residual"]),
+                      radius=CORNER_RADIUS_FACTOR * domain.bbox_diag())
+           for i, c in enumerate(doc["corners"])]
+    return cps, cns

@@ -31,6 +31,7 @@ import numpy as np
 from . import polyline
 from .errors import LimitCycleError, TracingError
 from .field import HALF_PI, OUTSIDE, adjust_branch
+from .geometry import as_points, typed
 
 DIRECTION_TOL = 1e-9
 DIRECTION_MAX_ITER = 100
@@ -193,11 +194,6 @@ def launch_directions(nodes, corner_nodes, probe):
         _check_distinct(dirs)
         corner_dirs.append(dirs)
     return node_dirs, corner_dirs
-
-
-def refine_direction(origin, alpha0, probe, c):
-    """Fixed-point refinement of one streamline direction at probe distance c."""
-    return _raise_failed(refine_directions([origin], [alpha0], probe, [c]))[0]
 
 
 def initial_directions(origin, valence, probe, c, first_guess=0.0):
@@ -476,3 +472,18 @@ def separatrices_to_json(separatrices):
                 "loop": int(a.loop), "seg": int(a.seg), "t": float(a.t)}
     return [{"start": anchor_doc(s.start), "end": anchor_doc(s.end),
              "points": np.asarray(s.points).tolist()} for s in separatrices]
+
+
+def separatrices_from_json(doc):
+    """Separatrices of a separatrices.json document."""
+    def anchor(d):
+        if d["kind"] not in ANCHOR_KINDS:
+            raise ValueError(f"anchor kind {d['kind']!r} is not one of "
+                             f"{', '.join(ANCHOR_KINDS)}")
+        return Anchor(d["kind"], typed(d["ident"], (int,), "ident"),
+                      as_points(d["position"], "position"),
+                      loop=typed(d["loop"], (int,), "loop"), seg=typed(d["seg"], (int,), "seg"),
+                      t=float(typed(d["t"], (int, float), "t")))
+    return [Separatrix(points=as_points(rec["points"], "points", polyline=True),
+                       start=anchor(rec["start"]), end=anchor(rec["end"]))
+            for rec in doc]

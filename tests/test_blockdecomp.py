@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadfield import polyline
+from quadfield import blockdecomp, polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    VertexRec, build_subdivision, catmull_rom_densify,
                                    classify_faces, decompose, resolve_crossings)
-from quadfield.errors import DecompositionError
+from quadfield.errors import DecompositionError, TracingError
 from quadfield.field import AnalyticProbe
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
                                   child_quality, isoparametric_split,
@@ -279,6 +279,23 @@ def test_midpoint_division_equilateral_symmetry():
         (("artificial", 0), ("cross", "x-0"), "tail", "0710927d053bd5a0"),
         (("artificial", 0), ("cross", "m1-0"), "branch", "42875abb8b559dd4"),
         (("artificial", 0), ("cross", "m2-0"), "branch", "d0e3fd41e2cc8229")]
+
+
+@pytest.mark.parametrize("refined", [0.7, TracingError("oscillating")])
+def test_midpoint_tail_starts_from_the_refined_direction_or_the_bisector(monkeypatch,
+                                                                         refined):
+    lanes, started = [], []
+    monkeypatch.setattr(blockdecomp, "refine_directions",
+                        lambda *lane: lanes.append(lane) or [refined])
+    monkeypatch.setattr(blockdecomp, "trace_tail",
+                        lambda q, alpha, *_, **__: started.append(alpha))
+    q = np.array([0.0, 1.0])
+    corner = type("C", (), {"theta_out": -2.0, "delta_theta": 1.0})()
+    cn = CornerNode(corner=corner, corner_id=0, valence=0, radius=0.2)
+    divider = MidpointDivider(None, "probe", None, 0.05, [cn])
+    divider._tail_for(("corner", 0), q, corner, cn)
+    assert lanes == [([q], [-1.5], "probe", [0.2])]
+    assert started == [-1.5 if isinstance(refined, TracingError) else 0.7]
 
 
 def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():

@@ -3,11 +3,15 @@ import shutil
 
 import pytest
 
-from quadfield.cli import main
+from quadfield.cli import Pipeline, _json_default, build_parser, main, resolve_config
 from quadfield.geometry import fixture_path
-from quadfield.quadblocks import QuadBlock, SidePath
+from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
+from quadfield.singular import topology_report
+from quadfield.tracer import separatrices_to_json
 
 HALF_DISC = str(fixture_path("half_disc"))
+POLYGON_III = str(fixture_path("polygon_III"))
+NAN = float("nan")
 FAST = ["--target-h", "0.35", "--order", "3", "--split", "2"]
 
 
@@ -21,6 +25,32 @@ def full_run(tmp_path_factory):
     rc = run_cli(["run", HALF_DISC, "--out", out] + FAST)
     assert rc == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def polygon_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("polygon_III")
+    assert run_cli(["run", POLYGON_III, "--out", out] + FAST) == 0
+    return out
+
+
+@pytest.mark.parametrize("run,name", [("full_run", "half_disc"), ("polygon_run", "polygon_III")])
+def test_every_artifact_reader_round_trips(request, run, name):
+    """Each reader keeps every field its writer writes: read, write back, compare."""
+    out, domain = request.getfixturevalue(run), str(fixture_path(name))
+    pipe = Pipeline(domain, resolve_config(build_parser().parse_args(
+        ["run", domain, "--out", str(out)] + FAST)))
+    mesh = pipe.load("mesh")
+    written = {"mesh": mesh.to_json(),
+               "solve": pipe.load("solve", mesh).to_json(),
+               "topology": topology_report(*pipe.load("topology")),
+               "trace": separatrices_to_json(pipe.load("trace")),
+               "cut": blocks_to_json(pipe.load("cut"))}
+    for stage, doc in written.items():
+        want = json.loads(pipe.path(stage).read_text())
+        if stage == "mesh":
+            del want["target_h"]           # stage_mesh adds it beside the mesh
+        assert json.loads(json.dumps(doc, default=_json_default)) == want, stage
 
 
 def test_run_writes_manifest(full_run):
@@ -137,6 +167,9 @@ def test_invalid_config_values(tmp_path):
     ({"step_factor": -0.25}, []),
     ({"n_max": 0}, []),
     ({"order": 0}, []),
+    ({"kappa": NAN}, []),
+    ({}, ["--penalty", "inf", "--scheme", "dg"]),     # was a singular factor, exit 1
+    ({}, ["--target-h", "inf"]),
 ])
 def test_bad_config_value_exits_before_any_output(tmp_path, doc, flags):
     cfg = tmp_path / "cfg.json"
@@ -150,7 +183,6 @@ def test_bad_config_value_exits_before_any_output(tmp_path, doc, flags):
 
 
 def test_config_types_and_zero_target_h_accepted():
-    from quadfield.cli import build_parser, resolve_config
     args = build_parser().parse_args(["mesh", "dom.json", "--target-h", "0",
                                       "--kappa", "5", "--formats", "svg,msh"])
     config = resolve_config(args)
@@ -168,7 +200,6 @@ def test_extra_formats(tmp_path):
 
 
 def test_flag_to_config_plumbing():
-    from quadfield.cli import build_parser, resolve_config
     args = build_parser().parse_args(
         ["trace", "dom.json", "--merge", "aggressive", "--kappa", "4.5",
          "--step-factor", "0.3", "--n-max", "5000", "--length-factor", "30"])
@@ -249,6 +280,22 @@ def _short_position(doc):
     doc["critical_points"][0]["position"] = [0.1]
 
 
+def _nan_geom(doc):
+    doc["geom"][0][0][0] = NAN
+
+
+def _nan_coeff(doc):
+    doc["coeffs"][0][0][0] = NAN
+
+
+def _infinite_side(doc):
+    doc["blocks"][0]["sides"][0][0][0] = float("inf")
+
+
+def _nan_point(doc):
+    doc[0]["points"][1][0] = NAN
+
+
 @pytest.mark.parametrize("name,edit,stage", [
     ("topology.json", _drop_corner_key, "trace"),     # was KeyError, exit 1
     ("topology.json", _duplicate_corners, "trace"),   # was IndexError, exit 1
@@ -262,6 +309,10 @@ def _short_position(doc):
     ("separatrices.json", _string_ident, "cut"),      # was a non-quadrilateral face, exit 6
     ("topology.json", _short_position, "trace"),      # was IndexError, exit 1
     ("separatrices.json", _bogus_kind, "cut"),        # was a non-quadrilateral face, exit 6
+    ("mesh.json", _nan_geom, "solve"),                # was a singular factor, exit 1
+    ("field.json", _nan_coeff, "topology"),           # was ValueError, exit 1
+    ("blocks.json", _infinite_side, "split"),         # was ValueError, exit 1
+    ("separatrices.json", _nan_point, "cut"),         # was a silent run, exit 0
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):
@@ -280,6 +331,19 @@ def test_invalid_json_domain(tmp_path, capsys):
     dom.write_text("{loops: []}")
     assert run_cli(["mesh", dom, "--out", tmp_path / "x"]) == 2
     assert str(dom) in capsys.readouterr().err
+
+
+def test_overflowing_number_is_not_finite(tmp_path, capsys):
+    # json reads 1e999 as inf; it is refused like Infinity, naming the file
+    dom = tmp_path / "dom.json"
+    dom.write_text(json.dumps(json.loads(fixture_path("half_disc").read_text()))
+                   .replace('"radius": 1.0', '"radius": 1e999'))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"kappa": 1e999}')
+    for argv, path in ((["mesh", dom], dom), (["run", HALF_DISC, "--config", cfg], cfg)):
+        assert run_cli(argv + ["--out", tmp_path / "x"]) == 2
+        assert f"{path}: not valid JSON (1e999 is not a finite number)" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("doc,missing", [
@@ -306,6 +370,15 @@ def test_invalid_json_domain(tmp_path, capsys):
     ({"loops": [{"orientation": "outer", "segments": [
         {"kind": "naca4", "code": "0012", "origin": [[0, 0]]}]}]},
      "loop 0 segment 0: naca4 origin"),
+    # NaN used to end in a raw ValueError while sampling the segment (exit 1)
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [-1, 0], "p1": [1, 0]},
+        {"kind": "arc", "center": [0, 0], "radius": NAN, "a0": 0, "a1": 3.14159265}]}]},
+     "NaN is not a finite number"),
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [NAN, 0], "p1": [1, 0]},
+        {"kind": "arc", "center": [0, 0], "radius": 1, "a0": 0, "a1": 3.14159265}]}]},
+     "NaN is not a finite number"),
 ])
 def test_malformed_domain_names_the_fault(tmp_path, capsys, doc, missing):
     dom = tmp_path / "dom.json"

@@ -14,7 +14,7 @@ from quadfield.tracer import (BISECT_LEVELS, BISECT_STEPS, DIRECTION_MAX_ITER,
                               DIRECTION_TOL, Anchor, Streamline, _bisect_to_skin,
                               _check_distinct, _near_ray, _rk4_steps, _unit, advance_all,
                               detect_meeting, initial_directions, launch_directions, merge,
-                              refine_direction, refine_directions, trace_all)
+                              refine_directions, trace_all)
 from quadfield.trimesh import TriMesh
 
 UNIFORM = AnalyticProbe(lambda x, y: (1.0, 0.0))
@@ -27,10 +27,8 @@ def circular_probe():
 
 
 def test_refine_direction_uniform_field():
-    assert refine_direction(np.zeros(2), 0.1, UNIFORM, 0.05) == \
-        pytest.approx(0.0, abs=1e-9)
-    assert refine_direction(np.zeros(2), 1.5, UNIFORM, 0.05) == \
-        pytest.approx(math.pi / 2, abs=1e-9)
+    got = refine_directions([np.zeros(2)] * 2, [0.1, 1.5], UNIFORM, [0.05, 0.05])
+    assert got == pytest.approx([0.0, math.pi / 2], abs=1e-9)
 
 
 def test_initial_directions_distinct():

@@ -8,6 +8,8 @@
 # nautilus (--order 3 --target-h 0.5 --split 2), polygon_III and geometry_I
 # (--order 3 --target-h 0.35 --split 2 --formats msh), and holed_nautilus
 # (--target-h 0.35, which ends with a tracing/decomposition exit code).
+# polygon_III runs once more as six stage commands (mesh, solve, topology,
+# trace, cut, split; same flags), so every artifact reader is exercised.
 # Each run's exit code is written next to its artifacts, so it is compared
 # too.  The ref is exported with `git archive` into the work directory (a
 # fresh temporary directory by default, removed afterwards).  Exits 0 when
@@ -53,12 +55,28 @@ holed_nautilus --target-h 0.35
 FIXTURES
 }
 
+run_staged() {            # <source tree> <output dir>
+    local tree=$1 out=$2/polygon_III_staged stage rc
+    mkdir -p "$out"
+    for stage in mesh solve topology trace cut split; do
+        PYTHONPATH="$tree/src" python3 -m quadfield.cli "$stage" \
+            "$tree/src/quadfield/fixtures/polygon_III.json" \
+            --order 3 --target-h 0.35 --split 2 --formats msh \
+            --out "$out" >/dev/null 2>"$2/polygon_III_staged.stderr"
+        rc=$?
+        echo "$rc" >"$out/exit_code_$stage"
+        echo "polygon_III $stage: exit $rc"
+    done
+}
+
 rm -rf "$work/out-ref" "$work/out-tree"
 mkdir -p "$work/out-ref" "$work/out-tree"
 echo "== $ref"
 run_fixtures "$work/ref" "$work/out-ref"
+run_staged "$work/ref" "$work/out-ref"
 echo "== working tree"
 run_fixtures "$repo" "$work/out-tree"
+run_staged "$repo" "$work/out-tree"
 # stderr may name the output directory; compare the artifacts only
 rm -f "$work"/out-ref/*.stderr "$work"/out-tree/*.stderr
 if diff -r "$work/out-ref" "$work/out-tree"; then
