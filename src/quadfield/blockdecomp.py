@@ -59,34 +59,14 @@ def catmull_rom_densify(points, subdiv=6):
     return out
 
 
-def _loop_cumlen(loop):
-    lens = [seg.arclength() for seg in loop.segments]
-    return np.concatenate([[0.0], np.cumsum(lens)])
-
-
-def _loop_point(loop, cum, s):
-    total = cum[-1]
-    s = s % total
-    seg_i = int(np.searchsorted(cum, s, side="right") - 1)
-    seg_i = min(seg_i, len(loop.segments) - 1)
-    t = float(loop.segments[seg_i].t_at_arclength(s - cum[seg_i]))
-    return loop.segments[seg_i].point(t)
-
-
-def _sample_boundary_arc(loop, cum, s0, s1, spacing):
-    total = cum[-1]
-    if s1 <= s0:
-        s1 += total
-    n = max(8, int(math.ceil((s1 - s0) / spacing)))
-    svals = np.linspace(s0, s1, n + 1)
-    return np.array([_loop_point(loop, cum, s) for s in svals])
-
-
 def boundary_records(domain, corner_nodes, boundary_anchors):
-    """Vertices and boundary-arc edges from corners and separatrix feet."""
+    """Vertices and boundary-arc edges from corners and separatrix feet.
+
+    A loop with neither gets a seam vertex at its start and one closed edge.
+    """
     vertices = {}
     records = []
-    spacing = domain.bbox_diag() / 400.0
+    spacing = domain.bbox_diag / 400.0
 
     corner_events = {}
     for i, cn in enumerate(corner_nodes):
@@ -94,40 +74,27 @@ def boundary_records(domain, corner_nodes, boundary_anchors):
         key = ("corner", i)
         vertices[key] = VertexRec(key, np.asarray(c.position, dtype=float), "corner",
                                   corner_valence=cn.valence)
-        corner_events.setdefault(c.loop_index, []).append((key, c))
+        corner_events.setdefault(c.loop_index, []).append((key, c.seg_out, 0.0))
 
     anchor_events = {}
     for a in boundary_anchors:
         key = ("boundary", a.ident)
         vertices[key] = VertexRec(key, np.asarray(a.position, dtype=float), "boundary")
-        anchor_events.setdefault(a.loop, []).append((key, a))
+        anchor_events.setdefault(a.loop, []).append((key, a.seg, a.t))
 
     for li, loop in enumerate(domain.loops):
-        cum = _loop_cumlen(loop)
-        total = cum[-1]
-        events = []
-        for key, c in corner_events.get(li, []):
-            s = cum[c.seg_out] % total
-            events.append((s, key))
-        for key, a in anchor_events.get(li, []):
-            ts, cl = loop.segments[a.seg].arclength_table()
-            s = cum[a.seg] + float(np.interp(a.t, ts, cl))
-            events.append((s % total, key))
+        events = [(loop.arclength_at(seg, t), key) for key, seg, t in
+                  corner_events.get(li, []) + anchor_events.get(li, [])]
         if not events:
             key = ("seam", li)
-            pos = loop.segments[0].point(0.0)
-            vertices[key] = VertexRec(key, pos, "seam")
-            poly = _sample_boundary_arc(loop, cum, 0.0, total, spacing)
-            poly[0] = pos
-            poly[-1] = pos
-            records.append(EdgeRec(key, key, poly, "boundary"))
-            continue
+            vertices[key] = VertexRec(key, loop.segments[0].point(0.0), "seam")
+            events = [(0.0, key)]
         events.sort(key=lambda ev: ev[0])
         m = len(events)
         for i in range(m):
             s0, k0 = events[i]
             s1, k1 = events[(i + 1) % m]
-            poly = _sample_boundary_arc(loop, cum, s0, s1, spacing)
+            poly = loop.arc_points(s0, s1, spacing)
             poly[0] = vertices[k0].position
             poly[-1] = vertices[k1].position
             records.append(EdgeRec(k0, k1, poly, "boundary"))

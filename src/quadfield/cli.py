@@ -108,14 +108,14 @@ class Pipeline:
                 "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
         try:
             return read()
-        except (KeyError, IndexError, TypeError, ValueError) as ex:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
                               f"rerun {stage}") from None
 
     # ---- stages --------------------------------------------------------------
 
     def stage_mesh(self):
-        h = self.config["target_h"] or self.domain.bbox_diag() / 6.0
+        h = self.config["target_h"] or self.domain.bbox_diag / 6.0
         linear = generate_background_mesh(self.domain, h)
         mesh = elevate_and_curve(linear, self.config["order"], self.domain)
         doc = mesh.to_json()
@@ -179,9 +179,8 @@ class Pipeline:
 
     def stage_split(self):
         blocks = self.load("cut")
-        qmesh = quadblocks.isoparametric_split(
-            blocks, self.config["split"], order=self.config["order"],
-            holes=len(self.domain.holes))
+        qmesh = quadblocks.isoparametric_split(blocks, self.config["split"],
+                                               holes=len(self.domain.holes))
         write_quad_msh(self.path("split"), qmesh)
         if "vtk" in self.formats:
             vtkio.write_vtk_quadmesh(self.out / "quadmesh.vtk", qmesh)
@@ -256,6 +255,11 @@ def _check_config(config):
         if isinstance(config[key], bool) or not isinstance(config[key], kinds):
             kind = "an integer" if key in INT_KEYS else "a number"
             raise ConfigError(f"{key} must be {kind}, not {config[key]!r}")
+        if key in REAL_KEYS:
+            try:
+                config[key] = float(config[key])
+            except OverflowError:                       # an integer beyond any float
+                raise ConfigError(f"{key} must be finite, not {config[key]!r}") from None
         if not -math.inf < config[key] < math.inf:      # NaN fails too
             raise ConfigError(f"{key} must be finite, not {config[key]!r}")
     for key, choices in (("scheme", SCHEMES), ("merge_mode", MERGE_MODES)):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ CORNER_ANGLE_TOL = 1e-3
 
 # Samples per loop for zero counting and point-in-domain polygons.
 LOOP_SAMPLES = 4096
+
+# Uniform parameter intervals of a segment's arclength table.
+ARC_TABLE_SAMPLES = 256
 
 
 def wrap_2pi(a):
@@ -126,27 +130,29 @@ class CurveSegment:
             scale = self._scale_val = float(np.abs(p0).max() + np.abs(p1).max())
         return scale
 
-    def arclength_table(self, n=256):
-        """Cumulative arclength at n+1 uniform t samples (cached)."""
-        tab = getattr(self, "_arc_tab", None)
-        if tab is None or len(tab[0]) != n + 1:
-            ts = np.linspace(0.0, 1.0, n + 1)
-            self._arc_tab = (ts, polyline.cumlen(self.points(ts)))
-            tab = self._arc_tab
-        return tab
+    @cached_property
+    def arclength_table(self):
+        """(ts, points, cum): ARC_TABLE_SAMPLES + 1 uniform t, their points and arclength."""
+        ts = np.linspace(0.0, 1.0, ARC_TABLE_SAMPLES + 1)
+        pts = self.points(ts)
+        return ts, pts, polyline.cumlen(pts)
 
     def arclength(self):
-        return float(self.arclength_table()[1][-1])
+        return float(self.arclength_table[2][-1])
 
     def t_at_arclength(self, s):
         """Parameter t at arclength s from the segment start (s may be an array)."""
-        ts, cum = self.arclength_table()
+        ts, _, cum = self.arclength_table
         return np.interp(s, cum, ts)
+
+    def arclength_at(self, t):
+        """Arclength from the segment start at parameter t: the inverse of t_at_arclength."""
+        ts, _, cum = self.arclength_table
+        return np.interp(t, ts, cum)
 
     def closest_point(self, x):
         """(t, distance) of the closest point on this segment to x."""
-        ts, _ = self.arclength_table()
-        pts = self.points(ts)
+        ts, pts, _ = self.arclength_table
         d2 = (pts[:, 0] - x[0]) ** 2 + (pts[:, 1] - x[1]) ** 2
         i = int(np.argmin(d2))
         # refine by 40 bisection steps on the sign of d/dt |p(t)-x|^2
@@ -374,7 +380,6 @@ class BoundaryLoop:
         self.segments = list(segments)
         self.orientation = orientation
         self._check_closed()
-        self._poly = None
 
     def _check_closed(self):
         pts = [(s.start(), s.end()) for s in self.segments]
@@ -393,32 +398,62 @@ class BoundaryLoop:
         arr = np.array([p for pair in endpoint_pairs for p in pair])
         return float(np.hypot(*(arr.max(axis=0) - arr.min(axis=0)))) or 1.0
 
-    def sample_arclength(self, n=LOOP_SAMPLES):
-        """n points uniform in arclength around the loop.
+    @cached_property
+    def cumlen(self):
+        """Loop arclength at each segment start, then the loop length."""
+        return np.concatenate([[0.0], np.cumsum([seg.arclength() for seg in self.segments])])
 
-        Returns (points[n,2], thetas[n], seg_indices[n], ts[n]).
+    def arclength_at(self, seg, t):
+        """Loop arclength in [0, length) at parameter t of segment seg."""
+        cum = self.cumlen
+        return (cum[seg] + float(self.segments[seg].arclength_at(t))) % cum[-1]
+
+    def arc_points(self, s0, s1, spacing):
+        """Points from loop arclength s0 to s1, across the seam when s1 <= s0.
+
+        Uniform in arclength, at most spacing apart, and at least 9.
+        """
+        cum = self.cumlen
+        if s1 <= s0:
+            s1 += cum[-1]
+        n = max(8, int(math.ceil((s1 - s0) / spacing)))
+        s = np.linspace(s0, s1, n + 1) % cum[-1]
+        seg_of = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(self.segments) - 1)
+        out = np.empty((n + 1, 2))
+        for i, seg in enumerate(self.segments):
+            on = seg_of == i
+            if on.any():
+                out[on] = seg.points(seg.t_at_arclength(s[on] - cum[i]))
+        return out
+
+    def sample_arclength(self, n=LOOP_SAMPLES):
+        """About n points uniform in arclength on each segment, at least 8 per segment.
+
+        Returns (points[m,2], seg_indices[m], ts[m]).
         """
         lens = np.array([s.arclength() for s in self.segments])
         total = lens.sum()
         counts = np.maximum(np.round(n * lens / total).astype(int), 8)
-        pts, ths, sids, ts = [], [], [], []
+        pts, sids, ts = [], [], []
         for i, (seg, cnt) in enumerate(zip(self.segments, counts)):
-            svals = np.linspace(0.0, lens[i], cnt, endpoint=False)
-            tvals = seg.t_at_arclength(svals)
+            tvals = seg.t_at_arclength(np.linspace(0.0, lens[i], cnt, endpoint=False))
             pts.append(seg.points(tvals))
-            ths.extend(seg.tangent_angle(t) for t in tvals)
-            sids.extend([i] * cnt)
-            ts.extend(tvals)
-        return np.concatenate(pts), np.array(ths), np.array(sids), np.array(ts)
+            sids.append(np.full(cnt, i))
+            ts.append(tvals)
+        return np.concatenate(pts), np.concatenate(sids), np.concatenate(ts)
 
-    def polygon(self, n=LOOP_SAMPLES):
-        """Cached dense polygon approximation for point-in-domain tests."""
-        if self._poly is None or len(self._poly) != n:
-            self._poly = self.sample_arclength(n)[0]
-        return self._poly
+    @cached_property
+    def polygon(self):
+        """Dense polygon approximation for point-in-domain tests."""
+        return self.sample_arclength()[0]
+
+    def tangent_angles(self, n=LOOP_SAMPLES):
+        """Tangent angle at each point of sample_arclength(n)."""
+        _, sids, ts = self.sample_arclength(n)
+        return np.array([self.segments[i].tangent_angle(t) for i, t in zip(sids, ts)])
 
     def signed_area(self):
-        return polyline.signed_area(self.polygon())
+        return polyline.signed_area(self.polygon)
 
     def corners(self, loop_index=0, tol=CORNER_ANGLE_TOL):
         """CornerSpecs at every junction with tangent jump beyond tol."""
@@ -449,14 +484,13 @@ class BoundaryLoop:
                 "segments": [s.to_json() for s in self.segments]}
 
 
-def boundary_zero_count(loop, component, n=LOOP_SAMPLES):
+def boundary_zero_count(loop, component):
     """Sign changes of one boundary-field component around a smooth loop."""
     if loop.corners():
         raise GeometryError("smooth loop required: boundary_zero_count with corners present")
     if component not in ("u", "v"):
         raise GeometryError(f"component must be 'u' or 'v', got {component!r}")
-    _, thetas, _, _ = loop.sample_arclength(n)
-    u, v = boundary_field(thetas)
+    u, v = boundary_field(loop.tangent_angles())
     vals = u if component == "u" else v
     signs = np.sign(vals)
     # treat exact zeros as the following sample's sign
@@ -466,10 +500,9 @@ def boundary_zero_count(loop, component, n=LOOP_SAMPLES):
     return int(np.sum(signs != np.roll(signs, -1)) // 1) if len(signs) else 0
 
 
-def boundary_zero_positions(loop, component, n=LOOP_SAMPLES):
+def boundary_zero_positions(loop, component):
     """Arclength fractions of the zero crossings (midpoint of the straddle)."""
-    _, thetas, _, _ = loop.sample_arclength(n)
-    u, v = boundary_field(thetas)
+    u, v = boundary_field(loop.tangent_angles())
     vals = u if component == "u" else v
     nxt = np.roll(vals, -1)
     idx = np.nonzero(np.sign(vals) * np.sign(nxt) < 0)[0]
@@ -496,26 +529,29 @@ class DomainSpec:
         for i, h in enumerate(self.holes):
             if h.signed_area() >= 0:
                 raise GeometryError(f"hole loop {i} must be clockwise")
-            probe = h.polygon()[::97]
-            if not all(_point_in_polygon(p, self.outer.polygon()) for p in probe):
+            probe = h.polygon[::97]
+            if not all(_point_in_polygon(p, self.outer.polygon) for p in probe):
                 raise GeometryError(f"hole loop {i} not inside the outer loop")
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):
-                pi = self.holes[i].polygon()[::257]
-                if any(_point_in_polygon(p, self.holes[j].polygon()) for p in pi):
+                pi = self.holes[i].polygon[::257]
+                if any(_point_in_polygon(p, self.holes[j].polygon) for p in pi):
                     raise GeometryError(f"hole loops {i} and {j} overlap")
 
+    @cached_property
     def bbox(self):
-        pts = np.concatenate([lp.polygon() for lp in self.loops])
+        """(lo, hi) corners of the bounding box of the dense polygons."""
+        pts = np.concatenate([lp.polygon for lp in self.loops])
         return pts.min(axis=0), pts.max(axis=0)
 
+    @cached_property
     def bbox_diag(self):
-        lo, hi = self.bbox()
+        lo, hi = self.bbox
         return float(np.hypot(*(hi - lo)))
 
     def contains(self, x):
         """Point-in-domain test on the dense polygon approximation."""
-        return in_region(x, self.outer.polygon(), (h.polygon() for h in self.holes))
+        return in_region(x, self.outer.polygon, (h.polygon for h in self.holes))
 
     def area(self):
         """Domain area by the shoelace formula on the dense polygons."""
@@ -587,7 +623,7 @@ def _segment_from_json(d, where):
             return Naca4(d["code"], d.get("chord", 1.0), d.get("origin", (0.0, 0.0)))
     except KeyError as ex:
         raise GeometryError(f"{where} is missing key {ex.args[0]!r}") from None
-    except (TypeError, ValueError, GeometryError) as ex:
+    except (TypeError, ValueError, OverflowError, GeometryError) as ex:
         raise GeometryError(f"{where}: {ex}") from None
     raise GeometryError(f"{where}: unknown segment kind {kind!r}")
 

@@ -137,7 +137,7 @@ def read_msh(path):
 def import_msh(path, domain):
     """Linear TriMesh from file, boundary edges re-bound to domain segments."""
     coords, tris, blines = read_msh(path)
-    tol = 1e-6 * domain.bbox_diag()
+    tol = 1e-6 * domain.bbox_diag
 
     # orient triangles counterclockwise
     p0, p1, p2 = coords[tris].transpose(1, 0, 2)

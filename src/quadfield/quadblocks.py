@@ -16,7 +16,6 @@ import numpy as np
 from . import polyline
 from .errors import DecompositionError
 from .geometry import as_points
-from .reftri import gauss_lobatto
 
 
 class SidePath:
@@ -153,15 +152,11 @@ def blocks_from_json(doc):
 # ---- splitting -----------------------------------------------------------------
 
 
-def split_fractions(n, grade=1.0):
-    """n+1 monotone fractions in [0,1]; geometric spacing when grade != 1."""
+def split_fractions(n):
+    """n+1 uniform fractions in [0, 1]."""
     if n < 1:
         raise DecompositionError("split count must be >= 1")
-    if abs(grade - 1.0) < 1e-12:
-        return np.linspace(0.0, 1.0, n + 1)
-    w = grade ** np.arange(n)
-    f = np.concatenate([[0.0], np.cumsum(w)])
-    return f / f[-1]
+    return np.linspace(0.0, 1.0, n + 1)
 
 
 @dataclass
@@ -170,7 +165,7 @@ class QuadMesh:
     quads: np.ndarray           # (nq, 4) CCW corner node ids
     block_of: np.ndarray        # (nq,)
     child_ij: list              # (i, j) per quad within its block
-    ho_nodes: list              # per quad (P+1)^2 tensor points or None
+    ho_nodes: list = None       # unused; kept for five-field callers
 
     def n_nodes(self):
         return len(self.nodes)
@@ -224,72 +219,25 @@ class _NodeMerge:
         return nid
 
 
-def resolve_split_spec(blocks, n_default, per_block=None):
-    """(ns, nt, grade_s, grade_t) per block, validated for conformity."""
-    spec = {}
-    for b in blocks:
-        spec[b.index] = [n_default, n_default, 1.0, 1.0]
-    if per_block:
-        for k, v in per_block.items():
-            bi = int(k)
-            if bi not in spec:
-                raise DecompositionError(f"split spec names unknown block {bi}")
-            spec[bi] = [int(v.get("ns", n_default)), int(v.get("nt", n_default)),
-                        float(v.get("grade_s", 1.0)), float(v.get("grade_t", 1.0))]
-
-    # conformity: a shared record must induce identical division fractions
-    shared = {}
-    for b in blocks:
-        ns, nt, gs, gt = spec[b.index]
-        counts = [(ns, gs), (nt, gt), (ns, gs), (nt, gt)]
-        for side_i, (rec, direction) in enumerate(b.side_records):
-            n, g = counts[side_i]
-            fr = split_fractions(n, g)
-            if direction < 0:
-                fr = 1.0 - fr[::-1]
-            shared.setdefault(rec, []).append((b.index, fr))
-    for rec, users in shared.items():
-        if len(users) == 2:
-            (b0, f0), (b1, f1) = users
-            if len(f0) != len(f1) or np.abs(f0 - f1).max() > 1e-10:
-                raise DecompositionError(
-                    f"non-conforming split request between blocks {b0} and {b1}")
-        elif len(users) > 2:
-            raise DecompositionError("an edge is shared by more than two blocks")
-    return spec
-
-
-def isoparametric_split(blocks, n_default=2, per_block=None, order=None,
-                        holes=0):
-    """Split every block along parameter lines into a conforming quad mesh."""
-    spec = resolve_split_spec(blocks, n_default, per_block)
+def isoparametric_split(blocks, n=2, holes=0):
+    """Split every block along parameter lines into an n x n conforming quad mesh."""
+    fr = split_fractions(n)
     scale = max(max(np.abs(s.points).max() for s in b.sides) for b in blocks)
     merge = _NodeMerge(scale)
     quads = []
     block_of = []
     child_ij = []
-    ho = []
-    gl = gauss_lobatto(order) if order and order >= 1 else None
     for b in blocks:
-        ns, nt, gs, gt = spec[b.index]
-        fs = split_fractions(ns, gs)
-        ft = split_fractions(nt, gt)
-        grid = b.eval_grid(fs, ft)
-        ids = np.array([[merge.add(grid[i, j]) for j in range(nt + 1)]
-                        for i in range(ns + 1)])
-        for i in range(ns):
-            for j in range(nt):
+        grid = b.eval_grid(fr, fr)
+        ids = np.array([[merge.add(grid[i, j]) for j in range(n + 1)]
+                        for i in range(n + 1)])
+        for i in range(n):
+            for j in range(n):
                 quads.append([ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]])
                 block_of.append(b.index)
                 child_ij.append((i, j))
-                if gl is not None:
-                    su = fs[i] + (gl + 1.0) / 2.0 * (fs[i + 1] - fs[i])
-                    tu = ft[j] + (gl + 1.0) / 2.0 * (ft[j + 1] - ft[j])
-                    ho.append(b.eval_grid(su, tu))
-                else:
-                    ho.append(None)
     mesh = QuadMesh(np.array(merge.points), np.array(quads, dtype=int),
-                    np.array(block_of, dtype=int), child_ij, ho)
+                    np.array(block_of, dtype=int), child_ij)
     mesh.check_conforming()
     mesh.check_orientation()
     mesh.euler_check(holes=holes)

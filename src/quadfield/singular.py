@@ -249,6 +249,6 @@ def topology_from_json(doc, domain):
     cns = [CornerNode(corner=corners[i], corner_id=i, index=float(c["index"]),
                       valence=int(c["valence"]), dpsi=float(c["dpsi"]),
                       residual=float(c["residual"]),
-                      radius=CORNER_RADIUS_FACTOR * domain.bbox_diag())
+                      radius=CORNER_RADIUS_FACTOR * domain.bbox_diag)
            for i, c in enumerate(doc["corners"])]
     return cps, cns

@@ -430,7 +430,7 @@ def trace_all(critical_points, corner_nodes, probe, domain, h, mode="normal",
         raise TracingError(f"unknown merge mode {mode!r}")
     threshold = h * (kappa if mode == "aggressive" else 1.0)
     registry = BoundaryAnchors([cn.corner for cn in corner_nodes], snap_radius=h)
-    max_length = length_factor * domain.bbox_diag()
+    max_length = length_factor * domain.bbox_diag
 
     cps = sorted(critical_points, key=lambda c: (c.position[0], c.position[1]))
     node_dirs, corner_dirs = launch_directions(

@@ -221,7 +221,7 @@ class TriMesh:
                    int(doc["order"]), np.array(doc["geom"]), faces, domain=domain)
         if domain is None:
             return mesh
-        tol = 1e-6 * domain.bbox_diag()
+        tol = 1e-6 * domain.bbox_diag
         for f in mesh.boundary_faces:
             segs = domain.loops[f.loop].segments if f.loop < len(domain.loops) else []
             ends = mesh.vertices[np.roll(mesh.triangles[f.elem], -f.ledge)[:2]]
@@ -277,9 +277,9 @@ def generate_background_mesh(domain, target_h):
     """Conforming linear triangulation of the domain at spacing ~target_h."""
     if target_h <= 0:
         raise MeshError("target_h must be positive")
-    if target_h >= domain.bbox_diag():
+    if target_h >= domain.bbox_diag:
         raise MeshError("target_h must be smaller than the domain bounding box")
-    if abs(domain.area()) < 1e-12 * domain.bbox_diag() ** 2:
+    if abs(domain.area()) < 1e-12 * domain.bbox_diag ** 2:
         raise MeshError("degenerate domain: zero area")
 
     points = []
@@ -365,7 +365,7 @@ def _check_feature_size(points, edges, target_h):
 
 
 def _interior_lattice(domain, boundary_pts, target_h, loop_polys):
-    lo, hi = domain.bbox()
+    lo, hi = domain.bbox
     tree = cKDTree(boundary_pts)
     dy = target_h * math.sqrt(3.0) / 2.0
     rows = int(math.floor((hi[1] - lo[1]) / dy))

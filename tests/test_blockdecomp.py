@@ -12,8 +12,7 @@ from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
 from quadfield.errors import DecompositionError, TracingError
 from quadfield.field import AnalyticProbe
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
-                                  child_quality, isoparametric_split,
-                                  split_fractions)
+                                  child_quality, isoparametric_split)
 from quadfield.singular import CornerNode
 from quadfield.tracer import Anchor, Separatrix
 
@@ -29,7 +28,7 @@ def _record_signature(records):
 def corner_nodes_for(domain, valences):
     corners = domain.corner_inventory()
     return [CornerNode(corner=c, corner_id=i, valence=v,
-                       radius=0.1 * domain.bbox_diag())
+                       radius=0.1 * domain.bbox_diag)
             for i, (c, v) in enumerate(zip(corners, valences))]
 
 
@@ -243,7 +242,7 @@ def test_midpoint_division_equilateral_symmetry():
     fd = FakeDomain()
     fd.loops = [type("L", (), {"segments": [None, type("S", (), {
         "point": staticmethod(lambda t: np.array([2 * t - 1, 0.0]))})()]})()]
-    fd.bbox_diag = lambda: 2.0
+    fd.bbox_diag = 2.0
 
     class FakeProbe(AnalyticProbe):
         def __init__(self):
@@ -455,13 +454,6 @@ def test_coons_quarter_annulus_area():
     assert block.scaled_jacobians().min() > 0
 
 
-def test_split_fractions_grading():
-    f = split_fractions(4, grade=2.0)
-    widths = np.diff(f)
-    assert np.allclose(widths[1:] / widths[:-1], 2.0)
-    assert f[0] == 0.0 and f[-1] == 1.0
-
-
 def test_isoparametric_split_square():
     c = [np.array(p) for p in [(0, 0), (1, 0), (1, 1), (0, 1)]]
     sides = [SidePath(np.linspace(c[i], c[(i + 1) % 4], 20)) for i in range(4)]
@@ -491,30 +483,3 @@ def test_split_conformity_and_quality(half_disc, half_disc_probe,
     child_min, parent_min = child_quality(blocks, qm)
     for qi, cmin in child_min.items():
         assert cmin >= parent_min[int(qm.block_of[qi])] - 1e-8
-
-
-def test_graded_split_aspect_ratio():
-    c = [np.array(p) for p in [(0, 0), (1, 0), (1, 1), (0, 1)]]
-    sides = [SidePath(np.linspace(c[i], c[(i + 1) % 4], 20)) for i in range(4)]
-    block = QuadBlock(0, ["a", "b", "c", "d"], sides, [(i, 1) for i in range(4)])
-    qm = isoparametric_split([block], 4, per_block={0: {"ns": 4, "nt": 4,
-                                                        "grade_t": 3.0}})
-    assert len(qm.quads) == 16
-    heights = []
-    for q in qm.quads[:4]:
-        pts = qm.nodes[q]
-        heights.append(pts[:, 1].max() - pts[:, 1].min())
-    assert min(h for h in heights if h > 0) < 0.05
-    sj_min = min(block.scaled_jacobians().min(), 0.0) + 1.0
-    assert sj_min > 0
-
-
-def test_nonconforming_split_rejected(half_disc, half_disc_probe,
-                                      half_disc_topology, half_disc_traced):
-    cps, cns = half_disc_topology
-    seps, _, h_s = half_disc_traced
-    sub, quads = decompose(half_disc, half_disc_probe, cns, seps, h_s,
-                           critical_points=cps)
-    blocks = build_blocks(sub, quads)
-    with pytest.raises(DecompositionError, match="non-conforming"):
-        isoparametric_split(blocks, 2, per_block={0: {"ns": 3, "nt": 2}})

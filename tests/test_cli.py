@@ -170,6 +170,7 @@ def test_invalid_config_values(tmp_path):
     ({"kappa": NAN}, []),
     ({}, ["--penalty", "inf", "--scheme", "dg"]),     # was a singular factor, exit 1
     ({}, ["--target-h", "inf"]),
+    ({"kappa": 10**400, "merge_mode": "aggressive"}, []),  # was OverflowError, exit 1
 ])
 def test_bad_config_value_exits_before_any_output(tmp_path, doc, flags):
     cfg = tmp_path / "cfg.json"
@@ -296,6 +297,10 @@ def _nan_point(doc):
     doc[0]["points"][1][0] = NAN
 
 
+def _huge_side(doc):
+    doc["blocks"][0]["sides"][0][0][0] = 10**400
+
+
 @pytest.mark.parametrize("name,edit,stage", [
     ("topology.json", _drop_corner_key, "trace"),     # was KeyError, exit 1
     ("topology.json", _duplicate_corners, "trace"),   # was IndexError, exit 1
@@ -313,6 +318,7 @@ def _nan_point(doc):
     ("field.json", _nan_coeff, "topology"),           # was ValueError, exit 1
     ("blocks.json", _infinite_side, "split"),         # was ValueError, exit 1
     ("separatrices.json", _nan_point, "cut"),         # was a silent run, exit 0
+    ("blocks.json", _huge_side, "split"),             # was OverflowError, exit 1
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):
@@ -379,6 +385,11 @@ def test_overflowing_number_is_not_finite(tmp_path, capsys):
         {"kind": "line", "p0": [NAN, 0], "p1": [1, 0]},
         {"kind": "arc", "center": [0, 0], "radius": 1, "a0": 0, "a1": 3.14159265}]}]},
      "NaN is not a finite number"),
+    # an integer beyond any float used to end in a raw OverflowError (exit 1)
+    ({"loops": [{"orientation": "outer", "segments": [
+        {"kind": "line", "p0": [-1, 0], "p1": [1, 0]},
+        {"kind": "arc", "center": [0, 0], "radius": 10**400, "a0": 0, "a1": 3.14159265}]}]},
+     "loop 0 segment 1: int too large to convert to float"),
 ])
 def test_malformed_domain_names_the_fault(tmp_path, capsys, doc, missing):
     dom = tmp_path / "dom.json"

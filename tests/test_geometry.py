@@ -1,17 +1,24 @@
 import json
 import math
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadfield.blockdecomp import boundary_records
+from quadfield.cli import main
 from quadfield.errors import GeometryError
-from quadfield.geometry import (Arc, BoundaryLoop, Line, Naca4, Spline,
-                                boundary_field, boundary_zero_count,
+from quadfield.geometry import (Arc, BoundaryLoop, CurveSegment, DomainSpec, Line,
+                                Naca4, Spline, boundary_field, boundary_zero_count,
                                 boundary_zero_positions, domain_from_json,
-                                load_fixture, tangent_angle)
+                                fixture_path, load_fixture, tangent_angle)
 
 from conftest import square_domain
+
+FIXTURES = ("half_disc", "geometry_I", "polygon_III", "naca_IV", "nautilus",
+            "holed_nautilus")
 
 
 def test_tangent_angle_horizontal_line():
@@ -175,7 +182,7 @@ def test_corner_inventory_rotation_invariant(half_disc):
 
 def test_smooth_loop_tangent_continuity():
     loop = BoundaryLoop([Arc((0, 0), 1.0, 0.0, 2 * math.pi)], "outer")
-    _, thetas, _, _ = loop.sample_arclength(2048)
+    thetas = loop.tangent_angles(2048)
     jumps = np.abs(np.remainder(np.diff(thetas) + math.pi, 2 * math.pi) - math.pi)
     assert jumps.max() < 1e-2
 
@@ -213,8 +220,7 @@ def test_hole_must_be_inside():
 
 
 def test_fixture_files_load():
-    for name in ("half_disc", "geometry_I", "polygon_III", "naca_IV",
-                 "nautilus", "holed_nautilus"):
+    for name in FIXTURES:
         dom = load_fixture(name)
         assert dom.area() > 0
 
@@ -223,3 +229,117 @@ def test_domain_contains(half_disc):
     assert half_disc.contains((0.0, 0.5))
     assert not half_disc.contains((0.0, -0.5))
     assert not half_disc.contains((5.0, 5.0))
+
+
+# ---- the loop arclength map against the per-point loop it replaced --------------
+
+
+def _loop_cumlen(loop):
+    lens = [seg.arclength() for seg in loop.segments]
+    return np.concatenate([[0.0], np.cumsum(lens)])
+
+
+def _loop_point(loop, cum, s):
+    total = cum[-1]
+    s = s % total
+    seg_i = int(np.searchsorted(cum, s, side="right") - 1)
+    seg_i = min(seg_i, len(loop.segments) - 1)
+    t = float(loop.segments[seg_i].t_at_arclength(s - cum[seg_i]))
+    return loop.segments[seg_i].point(t)
+
+
+def _sample_boundary_arc(loop, cum, s0, s1, spacing):
+    total = cum[-1]
+    if s1 <= s0:
+        s1 += total
+    n = max(8, int(math.ceil((s1 - s0) / spacing)))
+    svals = np.linspace(s0, s1, n + 1)
+    return np.array([_loop_point(loop, cum, s) for s in svals])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_loop_arcs_match_the_per_point_sampler(name):
+    domain = load_fixture(name)
+    spacing = domain.bbox_diag / 400.0
+    rng = np.random.default_rng(7)
+    for loop in domain.loops:
+        cum = _loop_cumlen(loop)
+        total = cum[-1]
+        assert loop.cumlen.tobytes() == cum.tobytes()
+        # random arcs (about half wrap around the seam), arcs from and to
+        # every segment start, and the full loop from each segment start
+        arcs = [tuple(rng.uniform(0.0, total, 2)) for _ in range(20)]
+        arcs += [(cum[i], cum[(i + 1) % len(loop.segments)]) for i in range(len(cum) - 1)]
+        arcs += [(c, c) for c in cum[:-1]]
+        assert any(s1 <= s0 for s0, s1 in arcs)
+        for s0, s1 in arcs:
+            got = loop.arc_points(s0, s1, spacing)
+            assert got.tobytes() == _sample_boundary_arc(loop, cum, s0, s1, spacing).tobytes()
+        # an event at parameter t of a segment sits where the interpolated table says
+        for si, seg in enumerate(loop.segments):
+            ts, _, cl = seg.arclength_table
+            for t in (0.0, *rng.uniform(0.0, 1.0, 3)):
+                s = cum[si] + float(np.interp(t, ts, cl))
+                assert loop.arclength_at(si, t) == s % total
+
+
+def _rounded_square_domain():
+    r = 0.25
+    segs = [Line((r, 0), (1 - r, 0)), Arc((1 - r, r), r, -math.pi / 2, 0.0),
+            Line((1, r), (1, 1 - r)), Arc((1 - r, 1 - r), r, 0.0, math.pi / 2),
+            Line((1 - r, 1), (r, 1)), Arc((r, 1 - r), r, math.pi / 2, math.pi),
+            Line((0, 1 - r), (0, r)), Arc((r, r), r, math.pi, 1.5 * math.pi)]
+    return DomainSpec([BoundaryLoop(segs, "outer")])
+
+
+@pytest.mark.parametrize("domain", [
+    DomainSpec([BoundaryLoop([Arc((0.3, -0.2), 2.0, 0.0, 2 * math.pi)], "outer")]),
+    _rounded_square_domain()], ids=["circle", "rounded_square"])
+def test_seam_edge_matches_the_per_point_sampler(domain):
+    # with no corner and no separatrix foot, the loop is one edge from a seam vertex
+    vertices, records = boundary_records(domain, [], [])
+    loop = domain.outer
+    pos = loop.segments[0].point(0.0)
+    cum = _loop_cumlen(loop)
+    ref = _sample_boundary_arc(loop, cum, 0.0, cum[-1], domain.bbox_diag / 400.0)
+    ref[0] = pos
+    ref[-1] = pos
+    assert list(vertices) == [("seam", 0)] and len(records) == 1
+    assert (records[0].v0, records[0].v1) == (("seam", 0), ("seam", 0))
+    assert records[0].polyline.tobytes() == ref.tobytes()
+
+
+def test_polygon_iii_run_samples_each_boundary_once(tmp_path, monkeypatch):
+    polygon_builds, table_builds, sampling, angles_in_sampling = Counter(), Counter(), [], []
+    sample = BoundaryLoop.sample_arclength
+    tangent = CurveSegment.tangent_angle
+    table = CurveSegment.__dict__["arclength_table"].func
+
+    def counted_sample(loop, *args):
+        polygon_builds[id(loop)] += 1
+        sampling.append(loop)
+        try:
+            return sample(loop, *args)
+        finally:
+            sampling.pop()
+
+    def watched_tangent(seg, t):
+        if sampling:
+            angles_in_sampling.append(t)
+        return tangent(seg, t)
+
+    def counted_table(seg):
+        table_builds[id(seg)] += 1
+        return table(seg)
+
+    counted = cached_property(counted_table)
+    counted.__set_name__(CurveSegment, "arclength_table")
+    monkeypatch.setattr(BoundaryLoop, "sample_arclength", counted_sample)
+    monkeypatch.setattr(CurveSegment, "tangent_angle", watched_tangent)
+    monkeypatch.setattr(CurveSegment, "arclength_table", counted)
+    argv = ["run", str(fixture_path("polygon_III")), "--order", "3", "--target-h", "0.35",
+            "--split", "2", "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert polygon_builds and max(polygon_builds.values()) == 1
+    assert table_builds and max(table_builds.values()) == 1
+    assert not angles_in_sampling

@@ -6,8 +6,11 @@
 #
 # Runs half_disc (--order 3 --target-h 0.35 --split 4 --formats svg,vtk),
 # nautilus (--order 3 --target-h 0.5 --split 2), polygon_III and geometry_I
-# (--order 3 --target-h 0.35 --split 2 --formats msh), and holed_nautilus
-# (--target-h 0.35, which ends with a tracing/decomposition exit code).
+# (--order 3 --target-h 0.35 --split 2 --formats msh), holed_nautilus
+# (--target-h 0.35, which ends with a tracing/decomposition exit code),
+# naca_IV (--target-h 0.35, which writes mesh.json and ends with a solver
+# exit code; the only fixture with a naca4 segment), and half_disc once more
+# with no flags (the default spacing, from the bounding box).
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised.
 # Each run's exit code is written next to its artifacts, so it is compared
@@ -37,21 +40,23 @@ mkdir -p "$work/ref"
 git -C "$repo" archive "$ref" | tar -x -C "$work/ref" || exit 2
 
 run_fixtures() {          # <source tree> <output dir>
-    local tree=$1 out=$2 name flags rc
-    while read -r name flags; do
+    local tree=$1 out=$2 name fixture flags rc
+    while read -r name fixture flags; do
         PYTHONPATH="$tree/src" python3 -m quadfield.cli run \
-            "$tree/src/quadfield/fixtures/$name.json" $flags \
+            "$tree/src/quadfield/fixtures/$fixture.json" $flags \
             --out "$out/$name" >/dev/null 2>"$out/$name.stderr"
         rc=$?
         mkdir -p "$out/$name"
         echo "$rc" >"$out/$name/exit_code"
         echo "$name: exit $rc"
     done <<'FIXTURES'
-half_disc --order 3 --target-h 0.35 --split 4 --formats svg,vtk
-nautilus --order 3 --target-h 0.5 --split 2
-polygon_III --order 3 --target-h 0.35 --split 2 --formats msh
-geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
-holed_nautilus --target-h 0.35
+half_disc half_disc --order 3 --target-h 0.35 --split 4 --formats svg,vtk
+nautilus nautilus --order 3 --target-h 0.5 --split 2
+polygon_III polygon_III --order 3 --target-h 0.35 --split 2 --formats msh
+geometry_I geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
+holed_nautilus holed_nautilus --target-h 0.35
+naca_IV naca_IV --target-h 0.35
+half_disc_default_h half_disc
 FIXTURES
 }
 
