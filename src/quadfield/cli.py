@@ -45,6 +45,10 @@ SCHEMES = ("auto", "cg", "dg")
 MERGE_MODES = ("normal", "aggressive")
 FORMATS = ("vtk", "svg", "msh")
 INT_KEYS = ("order", "split", "n_max")
+# Largest accepted values: the warp-and-blend node table ends at order 15, and
+# a split of n makes n * n quads per block.  n_max is only compared with a
+# step count, so any integer is safe.
+INT_MAX = {"order": 15, "split": 64}
 REAL_KEYS = ("target_h", "step_factor", "kappa", "penalty", "length_factor")
 
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
@@ -273,6 +277,8 @@ def _check_config(config):
     for key in INT_KEYS:
         if config[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
+        if key in INT_MAX and config[key] > INT_MAX[key]:
+            raise ConfigError(f"{key} must be <= {INT_MAX[key]}")
     if not config["target_h"] >= 0:
         raise ConfigError("target_h must be >= 0 (0 means auto)")
     for key in ("penalty", "length_factor", "kappa", "step_factor"):

@@ -1,32 +1,36 @@
 """Constrained Delaunay triangulation via Bowyer-Watson with edge recovery.
 
-The triangulation keeps its points and its (a, b, c) triangle table as numpy
-arrays that grow in place, so the Bowyer-Watson cavity test is one vectorized
-in-circle predicate over every triangle per inserted point.  Constraint
-recovery (flip based, scalar crossing scan) and the flood-fill carving stay
-plain Python; background meshes stay coarse and the shipped domains need no
-flips.
+The triangulation is three numpy arrays that grow in place: the points, the
+(a, b, c) vertex ids of every triangle id and a live mask; a deleted
+triangle keeps its row and id.  Every step reads those arrays: the
+Bowyer-Watson cavity test is one vectorized in-circle predicate over every
+triangle per inserted point, edge recovery scans the sorted unique live
+edges for crossings in one pass, and carving takes connected components of
+the triangles that share an unconstrained edge.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
 
 def _orient(pa, pb, pc):
+    """Twice the signed area of (pa, pb, pc); any argument may be a (2, k) array."""
     return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
 
 
 def _segments_cross(p1, p2, q1, q2):
-    """Strict proper crossing of open segments."""
+    """Strict proper crossing of open segments; q1 and q2 may be (2, k) arrays."""
     d1 = _orient(q1, q2, p1)
     d2 = _orient(q1, q2, p2)
     d3 = _orient(p1, p2, q1)
     d4 = _orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and \
-        d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+    return (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+            & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
 
 
 def _doubled(arr):
@@ -36,12 +40,16 @@ def _doubled(arr):
     return out
 
 
-class Triangulation:
-    """Mutable triangle soup with an edge->triangles index.
+def _edges(table):
+    """(3m, 2) sorted vertex pairs of the edges ab, bc, ca of each of m triangles."""
+    return np.sort(table[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
 
-    triangles is the list of (a, b, c) CCW or None (deleted) by triangle id;
-    the same table is kept as numpy arrays (points, table, live), grown in
-    place by doubling, for the vectorized cavity test.
+
+class Triangulation:
+    """Points and triangles, grown in place by doubling.
+
+    Triangle id t is row t of table, its vertex ids counter-clockwise, and
+    live[t] is False once it is deleted; ids are never reused.
     """
 
     def __init__(self, points):
@@ -49,8 +57,7 @@ class Triangulation:
         self._n_points = len(self._points)
         self._table = np.zeros((0, 3), dtype=np.intp)
         self._live = np.zeros(0, dtype=bool)
-        self.triangles = []
-        self.edge_map = {}           # frozenset edge -> set of triangle ids
+        self._n_tris = 0
 
     @property
     def points(self):
@@ -60,12 +67,12 @@ class Triangulation:
     @property
     def table(self):
         """(m, 3) vertex ids of every triangle id, deleted ones included."""
-        return self._table[:len(self.triangles)]
+        return self._table[:self._n_tris]
 
     @property
     def live(self):
-        """(m,) True where the triangle id is not deleted."""
-        return self._live[:len(self.triangles)]
+        """(m,) True where the triangle id is not deleted (a view: writable)."""
+        return self._live[:self._n_tris]
 
     def add_point(self, p):
         pid = self._n_points
@@ -78,46 +85,36 @@ class Triangulation:
     def add_triangle(self, a, b, c):
         if _orient(self.points[a], self.points[b], self.points[c]) < 0:
             a, b = b, a
-        tid = len(self.triangles)
+        tid = self._n_tris
         if tid == len(self._table):
             self._table = _doubled(self._table)
             self._live = _doubled(self._live)
-        self.triangles.append((a, b, c))
         self._table[tid] = (a, b, c)
         self._live[tid] = True
-        for e in ((a, b), (b, c), (c, a)):
-            self.edge_map.setdefault(frozenset(e), set()).add(tid)
+        self._n_tris += 1
         return tid
 
-    def remove_triangle(self, tid):
-        tri = self.triangles[tid]
-        if tri is None:
-            return
-        a, b, c = tri
-        for e in ((a, b), (b, c), (c, a)):
-            key = frozenset(e)
-            self.edge_map[key].discard(tid)
-            if not self.edge_map[key]:
-                del self.edge_map[key]
-        self.triangles[tid] = None
-        self._live[tid] = False
-
-    def live_triangles(self):
-        return [(tid, t) for tid, t in enumerate(self.triangles) if t is not None]
-
-    def has_edge(self, a, b):
-        return frozenset((a, b)) in self.edge_map
+    def edges(self):
+        """(k, 2) the live edges as (low, high) vertex ids, sorted and unique."""
+        return np.unique(_edges(self.table[self.live]), axis=0)
 
     def edge_triangles(self, a, b):
-        return sorted(self.edge_map.get(frozenset((a, b)), ()))
+        """Ascending ids of the live triangles with edge (a, b)."""
+        ids = np.flatnonzero(self.live)
+        t = self.table[ids]
+        return ids[(t == a).any(axis=1) & (t == b).any(axis=1)].tolist()
+
+    def has_edge(self, a, b):
+        return bool(self.edge_triangles(a, b))
 
 
 def bowyer_watson_insert(tri, pid, eps):
     """Insert point pid into the triangulation (cavity retriangulation).
 
     The cavity is every live triangle whose circumcircle holds the point up
-    to eps: one in-circle determinant for all triangles at once, ascending
-    in triangle id.
+    to eps: one in-circle determinant for all triangles at once.  Its
+    boundary edges, those of one cavity triangle only, each make a new
+    triangle with the point, in (low, high) order.
     """
     pts = tri.points
     p = pts[pid]
@@ -128,23 +125,15 @@ def bowyer_watson_insert(tri, pid, eps):
     det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
            - (bx * bx + by * by) * (ax * cy - cx * ay)
            + (cx * cx + cy * cy) * (ax * by - bx * ay))
-    bad = np.flatnonzero(tri.live & (det > -eps)).tolist()
-    if not bad:
+    bad = np.flatnonzero(tri.live & (det > -eps))
+    if not len(bad):
         raise MeshError("point insertion found no containing circumcircle")
-    # boundary of the cavity: edges appearing exactly once among bad triangles
     edge_count = {}
-    for tid in bad:
-        a, b, c = tri.triangles[tid]
-        for e in ((a, b), (b, c), (c, a)):
-            key = frozenset(e)
-            edge_count[key] = edge_count.get(key, 0) + 1
-    for tid in bad:
-        tri.remove_triangle(tid)
-    for key, cnt in sorted(edge_count.items(), key=lambda kv: sorted(kv[0])):
-        if cnt == 1:
-            a, b = sorted(key)
-            if _orient(tri.points[a], tri.points[b], p) == 0:
-                continue
+    for e in map(tuple, _edges(table[bad]).tolist()):
+        edge_count[e] = edge_count.get(e, 0) + 1
+    tri.live[bad] = False
+    for (a, b), cnt in sorted(edge_count.items()):
+        if cnt == 1 and _orient(pts[a], pts[b], p) != 0:
             tri.add_triangle(a, b, pid)
 
 
@@ -157,45 +146,40 @@ def flip_edge(tri, a, b):
     tids = tri.edge_triangles(a, b)
     if len(tids) != 2:
         raise MeshError("cannot flip a boundary edge")
-    t0, t1 = (tri.triangles[t] for t in tids)
+    t0, t1 = tri.table[tids].tolist()
     c = _third_vertex(t0, a, b)
     d = _third_vertex(t1, a, b)
+    pa, pb, pc, pd = tri.points[[a, b, c, d]]
     # flip only valid if quad a-c-b-d is strictly convex
-    if _orient(tri.points[c], tri.points[d], tri.points[a]) == 0 or \
-       _orient(tri.points[c], tri.points[d], tri.points[b]) == 0:
+    if _orient(pc, pd, pa) == 0 or _orient(pc, pd, pb) == 0:
         return None
-    if (_orient(tri.points[a], tri.points[c], tri.points[d]) > 0) == \
-       (_orient(tri.points[b], tri.points[c], tri.points[d]) > 0):
+    if (_orient(pa, pc, pd) > 0) == (_orient(pb, pc, pd) > 0):
         return None
-    for t in tids:
-        tri.remove_triangle(t)
+    tri.live[tids] = False
     tri.add_triangle(a, c, d)
     tri.add_triangle(b, c, d)
     return (c, d)
 
 
 def recover_edge(tri, a, b, max_iter=10000):
-    """Flip crossing edges until segment (a,b) is an edge of the triangulation."""
+    """Flip crossing edges until segment (a,b) is an edge of the triangulation.
+
+    Each pass flips, in sorted (low, high) order, the live edges that cross
+    the segment, skipping those an earlier flip of the pass removed.
+    """
     pa, pb = tri.points[a], tri.points[b]
     for _ in range(max_iter):
         if tri.has_edge(a, b):
             return
-        crossing = []
-        for key in tri.edge_map:
-            c, d = sorted(key)
-            if a in key or b in key:
-                continue
-            if _segments_cross(pa, pb, tri.points[c], tri.points[d]):
-                crossing.append((c, d))
-        if not crossing:
+        edges = tri.edges()
+        edges = edges[~np.isin(edges, (a, b)).any(axis=1)]
+        pts = tri.points
+        crossing = edges[_segments_cross(pa, pb, pts[edges[:, 0]].T, pts[edges[:, 1]].T)]
+        if not len(crossing):
             raise MeshError(f"edge ({a},{b}) missing and nothing crosses it")
-        crossing.sort()
         progressed = False
-        for c, d in crossing:
-            if not tri.has_edge(c, d):
-                continue
-            new = flip_edge(tri, c, d)
-            if new is not None:
+        for c, d in crossing.tolist():
+            if tri.has_edge(c, d) and flip_edge(tri, c, d) is not None:
                 progressed = True
         if not progressed:
             raise MeshError(f"edge recovery stalled for ({a},{b})")
@@ -222,59 +206,46 @@ def triangulate_pslg(points, constrained_edges):
     for p in pts:
         pid = tri.add_point(p)
         bowyer_watson_insert(tri, pid, eps)
+    present = set(map(tuple, tri.edges().tolist()))
     for (i, j) in constrained_edges:
-        recover_edge(tri, i + 3, j + 3)
+        if (min(i, j) + 3, max(i, j) + 3) not in present:
+            recover_edge(tri, i + 3, j + 3)
+            present = set(map(tuple, tri.edges().tolist()))
     return tri, super_ids
 
 
 def carve(tri, super_ids, constrained, classify_component):
     """Drop outside/hole triangles.
 
-    constrained: set of frozenset edges (already offset to triangulation ids).
-    classify_component: callable(point) -> bool, True to keep.  Components are
-    separated by constrained edges; each is classified by the centroid of its
-    largest triangle.
+    constrained: set of (low, high) edges (already offset to triangulation
+    ids).  classify_component: callable(point) -> bool, True to keep.
+    Components are the live triangles joined across unconstrained edges.
+    One that touches a super vertex goes; every other one is classified by
+    the centroid of its largest triangle (the lowest id among equal areas).
     """
-    live = tri.live_triangles()
-    comp = {tid: -1 for tid, _ in live}
-    n_comp = 0
-    for tid0, _ in live:
-        if comp[tid0] != -1:
-            continue
-        stack = [tid0]
-        comp[tid0] = n_comp
-        while stack:
-            tid = stack.pop()
-            a, b, c = tri.triangles[tid]
-            for e in ((a, b), (b, c), (c, a)):
-                key = frozenset(e)
-                if key in constrained:
-                    continue
-                for nb in tri.edge_map.get(key, ()):
-                    if tri.triangles[nb] is not None and comp.get(nb, -2) == -1:
-                        comp[nb] = n_comp
-                        stack.append(nb)
-        n_comp += 1
+    tids = np.flatnonzero(tri.live)
+    t = tri.table[tids]
+    edges = _edges(t)
+    owner = np.repeat(np.arange(len(t)), 3)
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    edges, owner = edges[order], owner[order]
+    shared = np.flatnonzero((edges[1:] == edges[:-1]).all(axis=1))
+    shared = shared[[tuple(e) not in constrained for e in edges[shared].tolist()]]
+    adjacency = coo_matrix((np.ones(len(shared)), (owner[shared], owner[shared + 1])),
+                           shape=(len(t), len(t)))
+    n_comp, comp = connected_components(adjacency, directed=False)
 
-    keep_comp = []
-    for ci in range(n_comp):
-        members = [tid for tid, c in comp.items() if c == ci]
-        if any(v in super_ids for tid in members for v in tri.triangles[tid]):
-            keep_comp.append(False)
-            continue
-        best, area_best = None, -1.0
-        for tid in members:
-            a, b, c = tri.triangles[tid]
-            ar = abs(_orient(tri.points[a], tri.points[b], tri.points[c]))
-            if ar > area_best:
-                area_best, best = ar, tid
-        a, b, c = tri.triangles[best]
-        centroid = (tri.points[a] + tri.points[b] + tri.points[c]) / 3.0
-        keep_comp.append(bool(classify_component(centroid)))
-
-    for tid, ci in comp.items():
-        if not keep_comp[ci]:
-            tri.remove_triangle(tid)
+    pa, pb, pc = tri.points[t].transpose(1, 2, 0)          # each (2, len(t))
+    area = np.abs(_orient(pa, pb, pc))
+    best = np.lexsort((np.arange(len(t)), -area, comp))
+    best = best[np.r_[True, comp[best][1:] != comp[best][:-1]]]   # one per component
+    touches_super = np.zeros(n_comp, dtype=bool)
+    touches_super[comp[np.isin(t, super_ids).any(axis=1)]] = True
+    keep = np.zeros(n_comp, dtype=bool)
+    for k in best:
+        if not touches_super[comp[k]]:
+            keep[comp[k]] = bool(classify_component((pa[:, k] + pb[:, k] + pc[:, k]) / 3.0))
+    tri.live[tids[~keep[comp]]] = False
 
 
 def laplacian_smooth(points, triangles, fixed, passes=3):

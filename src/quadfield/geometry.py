@@ -118,17 +118,14 @@ class CurveSegment:
         """Angle of the oriented tangent at parameter t."""
         d = self.deriv(t)
         n = math.hypot(d[0], d[1])
-        if n < 1e-14 * (1.0 + self._scale()):
+        if n < 1e-14 * (1.0 + self._scale):
             raise GeometryError(f"singular parametrization of {self.kind} segment at t={t}")
         return math.atan2(d[1], d[0])
 
+    @cached_property
     def _scale(self):
-        """Coordinate magnitude of the end points (cached)."""
-        scale = getattr(self, "_scale_val", None)
-        if scale is None:
-            p0, p1 = self.start(), self.end()
-            scale = self._scale_val = float(np.abs(p0).max() + np.abs(p1).max())
-        return scale
+        """Coordinate magnitude of the end points."""
+        return float(np.abs(self.start()).max() + np.abs(self.end()).max())
 
     @cached_property
     def arclength_table(self):

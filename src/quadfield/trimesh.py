@@ -306,19 +306,18 @@ def generate_background_mesh(domain, target_h):
     all_pts = np.vstack([points, interior]) if len(interior) else points
 
     tri, super_ids = triangulate_pslg(all_pts, [(e[0], e[1]) for e in edges])
-    constrained = {frozenset((e[0] + 3, e[1] + 3)) for e in edges}
+    constrained = {tuple(sorted((e[0] + 3, e[1] + 3))) for e in edges}
 
     carve(tri, super_ids, constrained,
           lambda pt: in_region(pt, loop_polys[0], loop_polys[1:]))
 
-    live = tri.live_triangles()
-    if not live:
+    live = tri.table[tri.live]
+    if not len(live):
         raise MeshError("meshing produced no interior triangles")
-    used = sorted({v for _, t in live for v in t})
-    remap = {old: new for new, old in enumerate(used)}
+    used = np.unique(live)
+    remap = {old: new for new, old in enumerate(used.tolist())}
     verts = tri.points[used]
-    tris = [tuple(remap[v] for v in t) for _, t in live]
-    tris.sort()
+    tris = sorted(tuple(remap[v] for v in t) for t in live.tolist())
 
     # the loops are closed, so every edge end is the start of another edge
     boundary_ids = {remap[e[0] + 3] for e in edges if (e[0] + 3) in remap}

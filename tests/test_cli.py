@@ -171,6 +171,10 @@ def test_invalid_config_values(tmp_path):
     ({}, ["--penalty", "inf", "--scheme", "dg"]),     # was a singular factor, exit 1
     ({}, ["--target-h", "inf"]),
     ({"kappa": 10**400, "merge_mode": "aggressive"}, []),  # was OverflowError, exit 1
+    ({"split": 10**400}, []),      # was ValueError from np.linspace at split, exit 1
+    ({"order": 10**400}, []),      # was ValueError from the node count at mesh, exit 1
+    ({"order": 16}, []),
+    ({}, ["--split", "65"]),
 ])
 def test_bad_config_value_exits_before_any_output(tmp_path, doc, flags):
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,16 @@
-"""Vectorized Bowyer-Watson insertion against the scalar per-triangle reference."""
+"""The array triangulation against the list-and-edge-index triangulation it replaced.
+
+The reference below is the whole mesher as it stood before the numpy table
+and live mask became the only store: a Python triangle list with None
+slots and a frozenset edge index kept beside the arrays, a scalar in-circle
+test per live triangle, flips, a per-edge crossing scan for recovery and a
+flood fill for carving.  Every test runs both and requires the same ids,
+table rows, live mask and points, the same MeshError text, and the same
+centroids handed to the carve's classifier, in the same order.
+"""
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -8,14 +18,112 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quadfield import delaunay
-from quadfield.delaunay import _orient, triangulate_pslg
+from quadfield.delaunay import triangulate_pslg
 from quadfield.errors import MeshError
+from quadfield.geometry import in_region
 
 # The benchmark's exact rigid translations of the shipped fixtures.
 OFFSETS = ((0.0, 0.0), (0.5, -0.25), (-0.75, 1.0), (1.25, 0.5))
 
 
-# ---- scalar reference: one in-circle call per live triangle --------------------
+# ---- reference: triangle list, frozenset edge index, scalar loops ----------------
+
+
+def _orient(pa, pb, pc):
+    return (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
+
+
+def _segments_cross(p1, p2, q1, q2):
+    """Strict proper crossing of open segments."""
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and \
+        d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0
+
+
+def _doubled(arr):
+    """arr with its row capacity doubled (at least 16 rows), filled with zeros."""
+    out = np.zeros((max(2 * len(arr), 16),) + arr.shape[1:], dtype=arr.dtype)
+    out[:len(arr)] = arr
+    return out
+
+
+class Triangulation:
+    """Mutable triangle soup with an edge->triangles index.
+
+    triangles is the list of (a, b, c) CCW or None (deleted) by triangle id;
+    the same table is kept as numpy arrays (points, table, live), grown in
+    place by doubling, for the vectorized cavity test.
+    """
+
+    def __init__(self, points):
+        self._points = np.array(points, dtype=float).reshape(-1, 2)
+        self._n_points = len(self._points)
+        self._table = np.zeros((0, 3), dtype=np.intp)
+        self._live = np.zeros(0, dtype=bool)
+        self.triangles = []
+        self.edge_map = {}           # frozenset edge -> set of triangle ids
+
+    @property
+    def points(self):
+        """(n, 2) point coordinates; row i is point id i."""
+        return self._points[:self._n_points]
+
+    @property
+    def table(self):
+        """(m, 3) vertex ids of every triangle id, deleted ones included."""
+        return self._table[:len(self.triangles)]
+
+    @property
+    def live(self):
+        """(m,) True where the triangle id is not deleted."""
+        return self._live[:len(self.triangles)]
+
+    def add_point(self, p):
+        pid = self._n_points
+        if pid == len(self._points):
+            self._points = _doubled(self._points)
+        self._points[pid] = p
+        self._n_points += 1
+        return pid
+
+    def add_triangle(self, a, b, c):
+        if _orient(self.points[a], self.points[b], self.points[c]) < 0:
+            a, b = b, a
+        tid = len(self.triangles)
+        if tid == len(self._table):
+            self._table = _doubled(self._table)
+            self._live = _doubled(self._live)
+        self.triangles.append((a, b, c))
+        self._table[tid] = (a, b, c)
+        self._live[tid] = True
+        for e in ((a, b), (b, c), (c, a)):
+            self.edge_map.setdefault(frozenset(e), set()).add(tid)
+        return tid
+
+    def remove_triangle(self, tid):
+        tri = self.triangles[tid]
+        if tri is None:
+            return
+        a, b, c = tri
+        for e in ((a, b), (b, c), (c, a)):
+            key = frozenset(e)
+            self.edge_map[key].discard(tid)
+            if not self.edge_map[key]:
+                del self.edge_map[key]
+        self.triangles[tid] = None
+        self._live[tid] = False
+
+    def live_triangles(self):
+        return [(tid, t) for tid, t in enumerate(self.triangles) if t is not None]
+
+    def has_edge(self, a, b):
+        return frozenset((a, b)) in self.edge_map
+
+    def edge_triangles(self, a, b):
+        return sorted(self.edge_map.get(frozenset((a, b)), ()))
 
 
 def _circumcircle_contains(pts, tri, p, eps):
@@ -53,6 +161,135 @@ def reference_insert(tri, pid, eps):
             tri.add_triangle(a, b, pid)
 
 
+def _third_vertex(t, a, b):
+    return next(v for v in t if v != a and v != b)
+
+
+def reference_flip(tri, a, b):
+    """Replace shared edge (a,b) by the cross diagonal; returns the new edge."""
+    tids = tri.edge_triangles(a, b)
+    if len(tids) != 2:
+        raise MeshError("cannot flip a boundary edge")
+    t0, t1 = (tri.triangles[t] for t in tids)
+    c = _third_vertex(t0, a, b)
+    d = _third_vertex(t1, a, b)
+    # flip only valid if quad a-c-b-d is strictly convex
+    if _orient(tri.points[c], tri.points[d], tri.points[a]) == 0 or \
+       _orient(tri.points[c], tri.points[d], tri.points[b]) == 0:
+        return None
+    if (_orient(tri.points[a], tri.points[c], tri.points[d]) > 0) == \
+       (_orient(tri.points[b], tri.points[c], tri.points[d]) > 0):
+        return None
+    for t in tids:
+        tri.remove_triangle(t)
+    tri.add_triangle(a, c, d)
+    tri.add_triangle(b, c, d)
+    return (c, d)
+
+
+def reference_recover(tri, a, b, max_iter=10000):
+    """Flip crossing edges until segment (a,b) is an edge of the triangulation."""
+    pa, pb = tri.points[a], tri.points[b]
+    for _ in range(max_iter):
+        if tri.has_edge(a, b):
+            return
+        crossing = []
+        for key in tri.edge_map:
+            c, d = sorted(key)
+            if a in key or b in key:
+                continue
+            if _segments_cross(pa, pb, tri.points[c], tri.points[d]):
+                crossing.append((c, d))
+        if not crossing:
+            raise MeshError(f"edge ({a},{b}) missing and nothing crosses it")
+        crossing.sort()
+        progressed = False
+        for c, d in crossing:
+            if not tri.has_edge(c, d):
+                continue
+            new = reference_flip(tri, c, d)
+            if new is not None:
+                progressed = True
+        if not progressed:
+            raise MeshError(f"edge recovery stalled for ({a},{b})")
+    raise MeshError(f"edge recovery did not terminate for ({a},{b})")
+
+
+def reference_triangulate(points, constrained_edges):
+    """CDT of a planar straight-line graph.
+
+    points: (n,2) array; constrained_edges: list of (i,j) index pairs.
+    Returns (Triangulation, super_vertex_ids).
+    """
+    pts = np.asarray(points, dtype=float)
+    lo = pts.min(axis=0)
+    hi = pts.max(axis=0)
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1])) or 1.0
+    eps = 1e-12 * span * span * span
+    mid = 0.5 * (lo + hi)
+    m = 10.0 * span
+    tri = Triangulation([mid + np.array([-m, -m]), mid + np.array([m, -m]),
+                         mid + np.array([0.0, m])])
+    tri.add_triangle(0, 1, 2)
+    super_ids = (0, 1, 2)
+    for p in pts:
+        pid = tri.add_point(p)
+        reference_insert(tri, pid, eps)
+    for (i, j) in constrained_edges:
+        reference_recover(tri, i + 3, j + 3)
+    return tri, super_ids
+
+
+def reference_carve(tri, super_ids, constrained, classify_component):
+    """Drop outside/hole triangles.
+
+    constrained: set of frozenset edges (already offset to triangulation ids).
+    classify_component: callable(point) -> bool, True to keep.  Components are
+    separated by constrained edges; each is classified by the centroid of its
+    largest triangle.
+    """
+    live = tri.live_triangles()
+    comp = {tid: -1 for tid, _ in live}
+    n_comp = 0
+    for tid0, _ in live:
+        if comp[tid0] != -1:
+            continue
+        stack = [tid0]
+        comp[tid0] = n_comp
+        while stack:
+            tid = stack.pop()
+            a, b, c = tri.triangles[tid]
+            for e in ((a, b), (b, c), (c, a)):
+                key = frozenset(e)
+                if key in constrained:
+                    continue
+                for nb in tri.edge_map.get(key, ()):
+                    if tri.triangles[nb] is not None and comp.get(nb, -2) == -1:
+                        comp[nb] = n_comp
+                        stack.append(nb)
+        n_comp += 1
+
+    keep_comp = []
+    for ci in range(n_comp):
+        members = [tid for tid, c in comp.items() if c == ci]
+        if any(v in super_ids for tid in members for v in tri.triangles[tid]):
+            keep_comp.append(False)
+            continue
+        best, area_best = None, -1.0
+        for tid in members:
+            a, b, c = tri.triangles[tid]
+            ar = abs(_orient(tri.points[a], tri.points[b], tri.points[c]))
+            if ar > area_best:
+                area_best, best = ar, tid
+        a, b, c = tri.triangles[best]
+        centroid = (tri.points[a] + tri.points[b] + tri.points[c]) / 3.0
+        keep_comp.append(bool(classify_component(centroid)))
+
+    for tid, ci in comp.items():
+        if not keep_comp[ci]:
+            tri.remove_triangle(tid)
+
+
 def _incircle_det(pts, tri, p):
     """The determinant _circumcircle_contains compares, in its operation order."""
     a, b, c = (pts[i] for i in tri)
@@ -66,35 +303,55 @@ def _incircle_det(pts, tri, p):
 
 # ---- running both ways -----------------------------------------------------------
 
+# A recovery that flips in a cycle runs its 10,000 passes before the
+# MeshError, seconds per case; both implementations stop after PASSES here.
+PASSES = 40
+
+# (triangulate, carve, constrained-edge key) of each implementation
+NEW = (triangulate_pslg, delaunay.carve, lambda e: tuple(sorted(e)))
+REFERENCE = (reference_triangulate, reference_carve, frozenset)
+
 
 def _state(tri):
-    return tri.triangles, tri.edge_map, tri.points.tolist()
+    return tri.table.tolist(), tri.live.tolist(), tri.points.tolist()
 
 
-def _outcome(fn, *args):
-    """_state of the triangulation fn returns or modifies, or the MeshError text."""
+def _run(impl, points, edges, polys=None):
+    """(state, classifier centroids) after meshing and, given polys, carving them
+    (outer polygon first, then holes); or the MeshError text."""
+    triangulate, carve, key = impl
+    centroids = []
+
+    def classify(pt):
+        centroids.append(pt.tolist())
+        return in_region(pt, polys[0], polys[1:])
+
     try:
-        return _state(fn(*args))
+        tri, super_ids = triangulate(points, edges)
+        if polys is not None:
+            carve(tri, super_ids, {key((i + 3, j + 3)) for i, j in edges}, classify)
     except MeshError as exc:
         return f"MeshError: {exc}"
+    return _state(tri), centroids
 
 
-def _triangulate(points, edges):
-    return triangulate_pslg(points, edges)[0]
+def _both(points, edges, polys=None):
+    """_run of both implementations, each recovery capped at PASSES flip passes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delaunay, "recover_edge",
+                   functools.partial(delaunay.recover_edge, max_iter=PASSES))
+        mp.setitem(globals(), "reference_recover",
+                   functools.partial(reference_recover, max_iter=PASSES))
+        return _run(NEW, points, edges, polys), _run(REFERENCE, points, edges, polys)
 
 
 def _insert_copy(insert, tri, pid, eps):
     tri = copy.deepcopy(tri)
-    insert(tri, pid, eps)
-    return tri
-
-
-def _triangulate_both(points, edges):
-    new = _outcome(_triangulate, points, edges)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(delaunay, "bowyer_watson_insert", reference_insert)
-        ref = _outcome(_triangulate, points, edges)
-    return new, ref
+    try:
+        insert(tri, pid, eps)
+    except MeshError as exc:
+        return f"MeshError: {exc}"
+    return _state(tri)
 
 
 def _cycle(n):
@@ -174,14 +431,33 @@ def point_sets(draw):
     return np.array(pts, dtype=float) + np.array([dx, dy]), edges
 
 
+@st.composite
+def star_polygons(draw):
+    """A star-shaped polygon (vertices at sorted angles, random radii) as a
+    constrained cycle, with random points inside and around it.  Its edges
+    are rarely Delaunay edges, so recovery flips, and some cycles stall."""
+    n = draw(st.integers(5, 14))
+    angles = sorted(draw(st.lists(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                                  min_size=n, max_size=n, unique=True)))
+    radii = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
+    ring = [(r * math.cos(a), r * math.sin(a)) for a, r in zip(angles, radii)]
+    inner = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                          max_size=12))
+    dx, dy = draw(st.sampled_from(OFFSETS))
+    pts = np.array(ring + inner, dtype=float) + np.array([dx, dy])
+    return pts, _cycle(n), [pts[:n]]
+
+
 # ---- tests --------------------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
 @given(point_sets())
 def test_triangulate_matches_scalar_reference(case):
+    """A closed constrained polygon is carved too, with itself as the region."""
     points, edges = case
-    new, ref = _triangulate_both(points, edges)
+    polys = [points[:len(edges)]] if edges else None
+    new, ref = _both(points, edges, polys)
     assert new == ref
 
 
@@ -193,15 +469,65 @@ def test_insert_matches_reference_at_every_threshold(case, p):
     the determinant decide whether that triangle joins the cavity."""
     points, edges = case
     try:
-        tri = _triangulate(points, edges)
+        tri = triangulate_pslg(points, edges)[0]
     except MeshError:
         return
-    pid = tri.add_point(np.array(p) + points.mean(axis=0))
-    q = tri.points[pid]
-    for _, t in tri.live_triangles():
-        eps = -_incircle_det(tri.points, t, q)
-        new = _outcome(_insert_copy, delaunay.bowyer_watson_insert, tri, pid, eps)
-        assert new == _outcome(_insert_copy, reference_insert, tri, pid, eps)
+    ref = reference_triangulate(points, edges)[0]
+    assert _state(tri) == _state(ref)
+    q = np.array(p) + points.mean(axis=0)
+    pid = tri.add_point(q)
+    assert ref.add_point(q) == pid
+    for _, t in ref.live_triangles():
+        eps = -_incircle_det(ref.points, t, ref.points[pid])
+        new = _insert_copy(delaunay.bowyer_watson_insert, tri, pid, eps)
+        assert new == _insert_copy(reference_insert, ref, pid, eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_polygons())
+def test_star_polygon_recovery_and_carve_match_reference(case):
+    points, edges, polys = case
+    new, ref = _both(points, edges, polys)
+    assert new == ref
+
+
+# A star 5-gon with 12 points around it whose edge (6, 7) never comes back:
+# every pass flips the edges that cross it and makes new ones that do.
+CYCLING_RING = [(0.29, 1.41), (-0.1, 1.96), (-0.5, 1.02), (-0.26, 0.29), (0.97, -1.06)]
+CYCLING_INNER = [(0.22, -0.06), (-0.47, 0.59), (-0.42, 0.96), (-0.58, -0.73), (0.27, 0.33),
+                 (0.58, -0.23), (0.07, -0.95), (-0.54, -0.01), (-0.8, -0.41), (0.25, -0.6),
+                 (-0.33, -0.5), (-0.02, -0.77)]
+
+
+def test_star_polygons_flip_and_fail_like_the_reference():
+    """Fixed cases under every benchmark offset: a star 12-gon whose cycle is
+    recovered by flips and then carved, a cycle that flips without end, and
+    an edge split by a vertex on it, which nothing crosses."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    radii = np.where(np.arange(12) % 2, 0.3, 1.6)
+    star = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    star = np.vstack([star, [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]])
+    cycling = np.array(CYCLING_RING + CYCLING_INNER)
+    split = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (1.0, 0.0)])
+    flips = []
+
+    def counted_flip(tri, a, b):
+        flips.append((a, b))
+        return flip(tri, a, b)
+
+    flip = delaunay.flip_edge
+    for dx, dy in OFFSETS:
+        for points, n, outcome in ((star, 12, tuple),
+                                   (cycling, 5, "MeshError: edge recovery did not terminate"),
+                                   (split, 3, "MeshError: edge (3,4) missing")):
+            points = points + [dx, dy]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(delaunay, "flip_edge", counted_flip)
+                new, ref = _both(points, _cycle(n), [points[:n]])
+            assert new == ref
+            assert isinstance(new, tuple) if outcome is tuple else new.startswith(outcome)
+            assert flips or n == 3
+            flips.clear()
 
 
 def test_cocircular_lattice_and_fixture_offsets():
@@ -212,6 +538,29 @@ def test_cocircular_lattice_and_fixture_offsets():
     ring = [0, 1, 2, 3, 4, 5, 11, 17, 23, 29, 35, 34, 33, 32, 31, 30, 24, 18, 12, 6]
     edges = [(ring[k], ring[(k + 1) % len(ring)]) for k in range(len(ring))]
     for dx, dy in OFFSETS:
-        new, ref = _triangulate_both(np.array(grid) + [dx, dy], edges)
+        new, ref = _both(np.array(grid) + [dx, dy], edges)
         assert isinstance(new, tuple) and new == ref
 
+
+def test_carve_with_hole_at_fixture_offsets():
+    """A square with a square hole on a dyadic lattice under every benchmark
+    offset: every triangle of a component has exactly the same area, so the
+    classifier sees the centroid of the lowest-id triangle of each."""
+    h = 0.125
+    grid = [(i * h, j * h) for j in range(9) for i in range(9)]
+
+    def ring(lo, hi):
+        """Lattice ids around the square [lo, hi]^2, counter-clockwise."""
+        side = [(i, lo) for i in range(lo, hi)] + [(hi, j) for j in range(lo, hi)]
+        side += [(i, hi) for i in range(hi, lo, -1)] + [(lo, j) for j in range(hi, lo, -1)]
+        return [j * 9 + i for i, j in side]
+
+    outer, hole = ring(0, 8), ring(3, 5)[::-1]
+    edges = [(loop[k - 1], loop[k]) for loop in (outer, hole) for k in range(len(loop))]
+    for dx, dy in OFFSETS:
+        points = np.array(grid) + [dx, dy]
+        polys = [points[outer], points[hole]]
+        new, ref = _both(points, edges, polys)
+        assert isinstance(new, tuple) and new == ref
+        assert len(new[1]) == 2                 # the region and the hole
+        assert sum(new[0][1]) == 2 * 64 - 2 * 4

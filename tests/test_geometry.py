@@ -37,7 +37,7 @@ def test_singular_parametrization_rejected_on_every_call():
     for t in (0.0, 0.5, 1.0):
         with pytest.raises(GeometryError, match="singular parametrization"):
             tangent_angle(seg, t)
-    assert seg._scale() == 6.0
+    assert seg._scale == 6.0
 
 
 def test_tangent_angle_naca_trailing_edge_against_finite_differences():

@@ -13,6 +13,8 @@
 # with no flags (the default spacing, from the bounding box).
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised.
+# polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
+# fine_mesh_solve flags (--order 4 --target-h 0.12).
 # Each run's exit code is written next to its artifacts, so it is compared
 # too.  The ref is exported with `git archive` into the work directory (a
 # fresh temporary directory by default, removed afterwards).  Exits 0 when
@@ -61,17 +63,23 @@ FIXTURES
 }
 
 run_staged() {            # <source tree> <output dir>
-    local tree=$1 out=$2/polygon_III_staged stage rc
-    mkdir -p "$out"
-    for stage in mesh solve topology trace cut split; do
-        PYTHONPATH="$tree/src" python3 -m quadfield.cli "$stage" \
-            "$tree/src/quadfield/fixtures/polygon_III.json" \
-            --order 3 --target-h 0.35 --split 2 --formats msh \
-            --out "$out" >/dev/null 2>"$2/polygon_III_staged.stderr"
-        rc=$?
-        echo "$rc" >"$out/exit_code_$stage"
-        echo "polygon_III $stage: exit $rc"
-    done
+    local tree=$1 out=$2 name fixture stages flags dir stage rc
+    while read -r name fixture stages flags; do
+        dir=$out/$name
+        mkdir -p "$dir"
+        for stage in ${stages//,/ }; do
+            PYTHONPATH="$tree/src" python3 -m quadfield.cli "$stage" \
+                "$tree/src/quadfield/fixtures/$fixture.json" $flags \
+                --out "$dir" >/dev/null 2>"$out/$name.stderr"
+            rc=$?
+            echo "$rc" >"$dir/exit_code_$stage"
+            echo "$name $stage: exit $rc"
+        done
+    done <<'STAGED'
+polygon_III_staged polygon_III mesh,solve,topology,trace,cut,split --order 3 --target-h 0.35 --split 2 --formats msh
+polygon_III_fine polygon_III mesh,solve --order 4 --target-h 0.12
+geometry_I_fine geometry_I mesh,solve --order 4 --target-h 0.12
+STAGED
 }
 
 rm -rf "$work/out-ref" "$work/out-tree"
