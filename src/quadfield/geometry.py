@@ -31,6 +31,12 @@ LOOP_SAMPLES = 4096
 # Uniform parameter intervals of a segment's arclength table.
 ARC_TABLE_SAMPLES = 256
 
+# A ray crossing is looked for within this fraction of the bounding-box
+# diagonal before the step's start and past its end (DomainSpec.ray_exit).
+RAY_MARGIN = 1e-3
+# Newton steps on t that take a crossing of the dense polyline onto the curve.
+RAY_NEWTON_STEPS = 8
+
 
 def wrap_2pi(a):
     """Wrap angle(s) into [0, 2*pi)."""
@@ -40,6 +46,15 @@ def wrap_2pi(a):
 def wrap_pi(a):
     """Wrap angle(s) into (-pi, pi]."""
     return np.pi - np.mod(np.pi - np.asarray(a), TWO_PI)
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _on_segment(s, t, s0, s1):
+    """[(s, t)] if s0 <= s <= s1 and 0 <= t <= 1, else []."""
+    return [(float(s), float(t))] if s0 <= s <= s1 and 0.0 <= t <= 1.0 else []
 
 
 def boundary_field(theta_b):
@@ -169,6 +184,27 @@ class CurveSegment:
         p = self.point(t)
         return float(t), float(math.hypot(p[0] - x[0], p[1] - x[1]))
 
+    def ray_crossings(self, origin, d, s0, s1):
+        """(s, t) where origin + s * d, s0 <= s <= s1, crosses this segment at point(t).
+
+        Each crossing of the dense polyline of arclength_table is taken onto
+        the curve by Newton on t for cross(point(t) - origin, d) = 0.
+        """
+        ts, pts, _ = self.arclength_table
+        _, j, _, u = polyline.crossings(np.array([origin + s0 * d, origin + s1 * d]), pts)
+        out = []
+        for t in ts[j] + u * (ts[j + 1] - ts[j]):
+            for _ in range(RAY_NEWTON_STEPS):
+                slope = _cross(self.deriv(t), d)
+                if slope == 0.0:
+                    break
+                t_new = min(max(t - _cross(self.point(t) - origin, d) / slope, 0.0), 1.0)
+                if t_new == t:
+                    break
+                t = t_new
+            out += _on_segment(np.dot(self.point(t) - origin, d) / np.dot(d, d), t, s0, s1)
+        return out
+
 
 class Line(CurveSegment):
     kind = "line"
@@ -186,6 +222,14 @@ class Line(CurveSegment):
 
     def deriv(self, t):
         return self.p1 - self.p0
+
+    def ray_crossings(self, origin, d, s0, s1):
+        e = self.p1 - self.p0
+        denom = _cross(d, e)
+        if denom == 0.0:
+            return []
+        w = self.p0 - origin
+        return _on_segment(_cross(w, e) / denom, _cross(w, d) / denom, s0, s1)
 
     def to_json(self):
         return {"kind": "line", "p0": list(self.p0), "p1": list(self.p1)}
@@ -221,6 +265,26 @@ class Arc(CurveSegment):
         a = self._angle(t)
         sweep = self.a1 - self.a0
         return self.radius * sweep * np.array([-math.sin(a), math.cos(a)])
+
+    def ray_crossings(self, origin, d, s0, s1):
+        # |w + s d| = radius, solved without cancellation; each root's angle
+        # is measured from a0 along the sweep and taken nearest the arc
+        w = origin - self.center
+        a, b, c = float(d @ d), float(d @ w), float(w @ w) - self.radius ** 2
+        disc = b * b - a * c
+        if disc < 0.0:
+            return []
+        q = -(b + math.copysign(math.sqrt(disc), b))
+        sweep = abs(self.a1 - self.a0)
+        out = []
+        for s in {q / a, c / q} if q else {0.0}:
+            x = w + s * d
+            u = (math.atan2(x[1], x[0]) - self.a0) * math.copysign(1.0, self.a1 - self.a0)
+            u %= TWO_PI
+            if u > 0.5 * (sweep + TWO_PI):
+                u -= TWO_PI
+            out += _on_segment(s, u / sweep, s0, s1)
+        return out
 
     def to_json(self):
         return {"kind": "arc", "center": list(self.center), "radius": self.radius,
@@ -560,6 +624,31 @@ class DomainSpec:
             out.extend(lp.corners(loop_index=li))
         return out
 
+    def ray_exit(self, front, candidate):
+        """(loop, seg, t) where the step front -> candidate leaves the domain, or None.
+
+        Every segment is crossed with the line front + s * d, d = candidate -
+        front, within RAY_MARGIN * bbox_diag before the front and past the
+        candidate.  A crossing exits where d points to the right of the
+        oriented tangent, out of the domain.  The exit is the first exiting
+        crossing at s >= 0, unless the last crossing at s < 0 exits: the
+        front then lies just outside the curve, and that crossing is the exit.
+        """
+        d = np.asarray(candidate, dtype=float) - front
+        margin = RAY_MARGIN * self.bbox_diag / math.hypot(d[0], d[1])
+        hits = sorted((s, li, si, t) for li, lp in enumerate(self.loops)
+                      for si, seg in enumerate(lp.segments)
+                      for s, t in seg.ray_crossings(front, d, -margin, 1.0 + margin))
+
+        def exits(hit):
+            _, li, si, t = hit
+            return _cross(self.loops[li].segments[si].deriv(t), d) < 0.0
+
+        behind = [hit for hit in hits if hit[0] < 0.0]
+        if behind and exits(behind[-1]):
+            return behind[-1][1:]
+        return next((hit[1:] for hit in hits if hit[0] >= 0.0 and exits(hit)), None)
+
     def closest_boundary_point(self, x):
         """(loop_index, seg_index, t, distance) of the globally closest boundary point."""
         best = None
@@ -586,10 +675,9 @@ def _point_in_polygon(x, poly):
     px, py = float(x[0]), float(x[1])
     xs, ys = poly[:, 0], poly[:, 1]
     xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    straddle = (ys > py) != (yn > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = xs + (py - ys) / (yn - ys) * (xn - xs)
-    return bool(np.sum(straddle & (px < xint)) % 2)
+    e = np.flatnonzero((ys > py) != (yn > py))      # edges that straddle py
+    xint = xs[e] + (py - ys[e]) / (yn[e] - ys[e]) * (xn[e] - xs[e])
+    return bool(np.sum(px < xint) % 2)
 
 
 def _json_object(doc, where):

@@ -45,15 +45,18 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def intersections(pa, pb):
-    """Proper crossings of two polylines as a list of (arclength along pa, point).
+def crossings(pa, pb):
+    """Proper crossings of two polylines as arrays (i, j, t, u).
 
-    Segment pairs come in row-major order: i along pa, then j along pb.
+    Segment i of pa, at fraction t along it, crosses segment j of pb at
+    fraction u along that one.  Pairs come in row-major order: i along pa,
+    then j along pb.
     """
     amin = pa.min(axis=0) - BBOX_PAD
     amax = pa.max(axis=0) + BBOX_PAD
     if (pb.max(axis=0) < amin).any() or (pb.min(axis=0) > amax).any():
-        return []
+        none = np.empty(0, dtype=int)
+        return none, none, np.empty(0), np.empty(0)
     r = np.diff(pa, axis=0)[:, None, :]
     s = np.diff(pb, axis=0)[None, :, :]
     dq = pb[None, :-1, :] - pa[:-1, None, :]
@@ -65,7 +68,16 @@ def intersections(pa, pb):
     hit = (ok & (END_TOL < t) & (t < 1 - END_TOL)
            & (END_TOL < u) & (u < 1 - END_TOL))
     i, j = np.nonzero(hit)
-    x = pa[i] + t[i, j][:, None] * r[i, 0]
+    return i, j, t[i, j], u[i, j]
+
+
+def intersections(pa, pb):
+    """Proper crossings of two polylines as a list of (arclength along pa, point).
+
+    Segment pairs come in row-major order: i along pa, then j along pb.
+    """
+    i, _, t, _ = crossings(pa, pb)
+    x = pa[i] + t[:, None] * (pa[i + 1] - pa[i])
     s_along = cumlen(pa)[i] + np.hypot(*(x - pa[i]).T)
     return list(zip(s_along, x))
 

@@ -29,8 +29,8 @@ ARC_SAMPLES = 32
 ARC_ENDPOINT_GAP = 1e-3
 RADIUS_FACTOR = 0.25
 VALENCE_RESIDUAL_TOL = 0.2
-# topology.json keeps no corner radius, so its reader gives every corner this
-# fraction of the domain's bounding-box diagonal
+# The corner radius of a topology.json written without one (before the fitted
+# radius was kept), as a fraction of the domain's bounding-box diagonal.
 CORNER_RADIUS_FACTOR = 0.1
 
 
@@ -231,7 +231,8 @@ def topology_report(critical_points, corner_nodes):
             {"position": cn.corner.position.tolist(),
              "delta_theta": float(cn.corner.delta_theta),
              "index": float(cn.index), "valence": int(cn.valence),
-             "dpsi": float(cn.dpsi), "residual": float(cn.residual)}
+             "dpsi": float(cn.dpsi), "residual": float(cn.residual),
+             "radius": float(cn.radius)}
             for cn in corner_nodes],
     }
 
@@ -249,6 +250,7 @@ def topology_from_json(doc, domain):
     cns = [CornerNode(corner=corners[i], corner_id=i, index=float(c["index"]),
                       valence=int(c["valence"]), dpsi=float(c["dpsi"]),
                       residual=float(c["residual"]),
-                      radius=CORNER_RADIUS_FACTOR * domain.bbox_diag)
+                      radius=float(c["radius"]) if "radius" in c
+                      else CORNER_RADIUS_FACTOR * domain.bbox_diag)
            for i, c in enumerate(doc["corners"])]
     return cps, cns

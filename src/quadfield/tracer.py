@@ -3,7 +3,7 @@
 Every irregular node and corner launches its refined directions; all fronts
 advance one step per round (RK4 until a streamline has four directions, AB4
 from then on), meeting pairs merge with trigonometric weights, and fronts
-that leave the domain are cut and snapped onto the true boundary.
+that leave the domain end where their step crosses the true boundary.
 Everything is ordered deterministically so repeated runs are bit-identical.
 
 The field is evaluated in few, large batches, with no one-lane loop left.
@@ -11,14 +11,12 @@ refine_directions refines many launch directions in lockstep, one
 eval_psi_many per fixed-point iteration; trace_all runs it twice, for every
 node's base direction with every corner direction, then for every other
 node direction.  A round evaluates each RK4 stage of every start-up front,
-then every front's new point, in one eval_psi_many.  The fronts that leave
-the domain in a round are cut together: each exiting step is bisected
-BISECT_STEPS times, and the 2^k - 1 midpoints the next k = BISECT_LEVELS
-levels could visit are built breadth first, each by the 0.5 * (a + b) of the
-one-step loop, for every exiting step, and located in one contains_many; the
-walk down each tree then takes the loop's steps.  Location does not depend
-on the batch (see field.FieldProbe.locate_many), so every result is the
-one-lane result.
+then every front's new point, in one eval_psi_many.  A front whose new
+point lies outside the mesh ends on the curve, not on the mesh skin, and
+with no further evaluation: the line of its step is crossed with every
+boundary segment (geometry.DomainSpec.ray_exit: lines and arcs in closed
+form, other curves by their dense polyline and Newton on t), and where it
+finds no exit the point of the boundary closest to the step's end is taken.
 """
 
 from __future__ import annotations
@@ -40,14 +38,6 @@ BOUNDARY_COINCIDE_TOL = 1e-3
 DEFAULT_N_MAX = 100_000
 DEFAULT_LENGTH_FACTOR = 60.0
 DEFAULT_KAPPA = 5.0
-# Halvings of an exiting step, and the levels of them located per batch.  A
-# round's cut makes ceil(60 / k) batches of 2^k - 1 points per exiting front.
-# With the exits of a round sharing batches, perfbench pairs on a 2-core box
-# (4 pairs each) found k = 3 slower than k = 4 on nautilus (0.79 against
-# 0.74 s, 4 of 4 pairs) and k = 5 faster on neither nautilus nor half_disc
-# by more than the spread.
-BISECT_STEPS = 60
-BISECT_LEVELS = 4
 
 # AB4 weights of the last four directions, newest first
 _AB4_COEFFS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
@@ -320,62 +310,19 @@ class BoundaryAnchors:
         return a
 
 
-def _bisection_tree(inside, outside, levels):
-    """Every midpoint the next levels of bisection could visit, breadth first.
+def _cut_to_boundary(sl, candidate, domain, registry):
+    """End sl where its step to candidate leaves the true boundary.
 
-    inside and outside are (m, 2): one segment per row.  Returns (m, 2^levels
-    - 1, 2), the tree of row i at [i].  Node n bisects its interval (a, b)
-    at 0.5 * (a + b), the expression of the one-step loop; child 2n + 1
-    bisects (mid, b), reached when mid is inside, and child 2n + 2 bisects
-    (a, mid).
+    The hit is domain.ray_exit of the step; where the ray finds none, the
+    point of the boundary closest to candidate.
     """
-    a, b = inside[:, None], outside[:, None]
-    mids = []
-    for _ in range(levels):
-        mid = 0.5 * (a + b)
-        mids.append(mid)
-        a = np.stack([mid, a], axis=2).reshape(len(inside), -1, 2)
-        b = np.stack([b, mid], axis=2).reshape(len(inside), -1, 2)
-    return np.concatenate(mids, axis=1)
-
-
-def _bisect_to_skin(inside, outside, probe):
-    """The inside ends of BISECT_STEPS halvings of each segment (inside[i], outside[i]).
-
-    A one-step loop would locate each midpoint on its own.  Here every
-    midpoint of the next BISECT_LEVELS levels of every segment, on a walk's
-    path or not, is located in one batch.  Location does not depend on the
-    batch, so each walk visits the midpoints of that loop and gets its
-    answers.
-    """
-    inside = np.array(inside, dtype=float)
-    outside = np.array(outside, dtype=float)
-    rows = np.arange(len(inside))
-    for done in range(0, BISECT_STEPS, BISECT_LEVELS):
-        levels = min(BISECT_LEVELS, BISECT_STEPS - done)
-        mids = _bisection_tree(inside, outside, levels)
-        flags = np.reshape(probe.contains_many(mids.reshape(-1, 2)), mids.shape[:2])
-        node = np.zeros(len(inside), dtype=int)
-        for _ in range(levels):
-            here, mid = flags[rows, node], mids[rows, node]
-            inside = np.where(here[:, None], mid, inside)
-            outside = np.where(here[:, None], outside, mid)
-            node = np.where(here, 2 * node + 1, 2 * node + 2)
-    return inside
-
-
-def _cut_to_boundary(fronts, candidates, probe, domain, registry):
-    """Bisect the exiting segments onto the mesh skin together, then snap each
-    to the curve, in the order given."""
-    insides = _bisect_to_skin([sl.front() for sl in fronts], candidates, probe)
-    for sl, inside in zip(fronts, insides):
-        loop, seg, t, dist = domain.closest_boundary_point(inside)
-        snapped = domain.loops[loop].segments[seg].point(t)
-        anchor = registry.resolve(snapped, loop, seg, t)
-        sl.points.append(anchor.position.copy())
-        sl.alphas.append(sl.front_alpha())
-        sl.status = "hit_boundary"
-        sl.end_anchor = anchor
+    hit = domain.ray_exit(sl.front(), candidate)
+    loop, seg, t = hit if hit else domain.closest_boundary_point(candidate)[:3]
+    anchor = registry.resolve(domain.loops[loop].segments[seg].point(t), loop, seg, t)
+    sl.points.append(anchor.position.copy())
+    sl.alphas.append(sl.front_alpha())
+    sl.status = "hit_boundary"
+    sl.end_anchor = anchor
 
 
 def advance_all(streamlines, probe, h, domain=None, registry=None,
@@ -387,12 +334,11 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
     startup = iter(_rk4_steps([sl for sl in order if len(sl.alphas) < 4], h, probe))
     candidates = [next(startup) if len(sl.alphas) < 4 else _ab4_step(sl, h)
                   for sl in order]
-    exits = []
     for sl, candidate, psi in zip(order, candidates, probe.eval_psi_many(candidates)):
         if psi is OUTSIDE:
             if domain is None or registry is None:
                 raise TracingError("streamline left the domain with no boundary handler")
-            exits.append((sl, candidate))
+            _cut_to_boundary(sl, candidate, domain, registry)
             continue
         alpha = adjust_branch(psi, sl.front_alpha())
         sl.length += float(np.hypot(*(candidate - sl.front())))
@@ -400,8 +346,6 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
         sl.alphas.append(alpha)
         if len(sl.points) > n_max or (max_length is not None and sl.length > max_length):
             sl.status = "aborted"
-    if exits:
-        _cut_to_boundary(*zip(*exits), probe, domain, registry)
 
     merged = []
     active = [sl for sl in order if sl.status == "active"]

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    classify_faces, decompose, resolve_crossings)
 from quadfield.errors import DecompositionError, TracingError
 from quadfield.field import AnalyticProbe
+from quadfield.geometry import DomainSpec, Line
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
                                   child_quality, isoparametric_split)
 from quadfield.singular import CornerNode
@@ -23,6 +26,23 @@ def _record_signature(records):
     """(v0, v1, kind, polyline digest) per record, in record order."""
     return [(r.v0, r.v1, r.kind, hashlib.sha256(r.polyline.tobytes()).hexdigest()[:16])
             for r in records]
+
+
+# The record polylines of the midpoint-division tests when a streamline's exit
+# was bisected onto the region of the fake probe and then snapped to the curve.
+SKIN_CUT_POLYLINES = json.loads(
+    (Path(__file__).parent / "data" / "midpoint_division_polylines.json").read_text())
+
+
+def _assert_records(records, test_name, signature):
+    """records have the pinned signature, and each polyline lies within 1e-4
+    of its polyline under the skin-bisecting cut."""
+    assert _record_signature(records) == signature
+    old = SKIN_CUT_POLYLINES[test_name]
+    assert len(old) == len(records)
+    for r, o in zip(records, old):
+        assert r.polyline.shape == np.shape(o)
+        assert np.abs(r.polyline - o).max() <= 1e-4, (r.v0, r.v1)
 
 
 def corner_nodes_for(domain, valences):
@@ -236,17 +256,17 @@ def test_midpoint_division_equilateral_symmetry():
         def closest_boundary_point(p):
             return (0, 1, max(0.0, min(1.0, (p[0] + 1) / 2.0)), abs(p[1]))
 
-        class loops:
-            pass
+        # the streamline leaves through the base, segment 1
+        loops = [type("L", (), {"segments": [Line(apex, left), Line(left, right),
+                                             Line(right, apex)]})()]
+        bbox_diag = 2.0
+        ray_exit = DomainSpec.ray_exit
 
     fd = FakeDomain()
-    fd.loops = [type("L", (), {"segments": [None, type("S", (), {
-        "point": staticmethod(lambda t: np.array([2 * t - 1, 0.0]))})()]})()]
-    fd.bbox_diag = 2.0
 
     class FakeProbe(AnalyticProbe):
         def __init__(self):
-            super().__init__(lambda x, y: (1.0, 0.0))
+            super().__init__(lambda x, y: (1.0, 0.0), region=fd.contains)
             self.mesh = type("M", (), {"bbox_diag": 2.0})()
 
         def eval_psi_many(self, points):
@@ -268,7 +288,7 @@ def test_midpoint_division_equilateral_symmetry():
     assert np.hypot(*(node - centroid)) < 0.35
     areas = sorted(abs(f.area) for f in sub2.bounded_faces)
     assert areas[-1] / areas[0] < 1.6
-    assert _record_signature(sub2.records) == [
+    _assert_records(sub2.records, "test_midpoint_division_equilateral_symmetry", [
         (("corner", 0), ("cross", "m1-0"), "boundary", "709660eb12570b51"),
         (("cross", "m1-0"), ("boundary", 0), "boundary", "9a3d6f08a5a87f28"),
         (("boundary", 1), ("cross", "m2-0"), "boundary", "6180928ff315a228"),
@@ -277,7 +297,7 @@ def test_midpoint_division_equilateral_symmetry():
         (("cross", "x-0"), ("boundary", 1), "boundary", "bdd8aefd5009c7fd"),
         (("artificial", 0), ("cross", "x-0"), "tail", "0710927d053bd5a0"),
         (("artificial", 0), ("cross", "m1-0"), "branch", "42875abb8b559dd4"),
-        (("artificial", 0), ("cross", "m2-0"), "branch", "d0e3fd41e2cc8229")]
+        (("artificial", 0), ("cross", "m2-0"), "branch", "d0e3fd41e2cc8229")])
 
 
 @pytest.mark.parametrize("refined", [0.7, TracingError("oscillating")])
@@ -316,9 +336,11 @@ def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
                    for v, w in zip(ring, ring[1:] + ring[:1]))
 
     class FakeDomain:
-        # the streamline from q leaves through the far side a -> b
-        loops = [type("L", (), {"segments": [None, type("S", (), {
-            "point": staticmethod(lambda t: a + t * (b - a))})()]})()]
+        # the streamline from q leaves through the far side a -> b, segment 1
+        loops = [type("L", (), {"segments": [Line(q, a), Line(a, b), Line(b, c),
+                                             Line(c, q)]})()]
+        bbox_diag = 3.0
+        ray_exit = DomainSpec.ray_exit
 
         @staticmethod
         def closest_boundary_point(p):
@@ -327,7 +349,7 @@ def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
 
     class FakeProbe(AnalyticProbe):
         def __init__(self):
-            super().__init__(lambda x, y: (1.0, 0.0))
+            super().__init__(lambda x, y: (1.0, 0.0), region=inside)
             self.mesh = type("M", (), {"bbox_diag": 3.0})()
 
         def eval_psi_many(self, points):
@@ -343,16 +365,17 @@ def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
     quads, degenerate = classify_faces(sub2)
     assert len(quads) == 3 and not degenerate
     assert all(f.area > 0 for f in quads)
-    assert _record_signature(sub2.records) == [
+    _assert_records(sub2.records,
+                    "test_midpoint_division_dead_corner_between_adjacent_and_far_sides", [
         (("corner", 0), ("boundary", 0), "boundary", "e42a278b70c06fa4"),
         (("boundary", 2), ("corner", 0), "boundary", "1ec778095fa11624"),
         (("boundary", 0), ("cross", "m1-0"), "boundary", "dc3bcb358f8aeccd"),
         (("cross", "m1-0"), ("boundary", 1), "boundary", "91650f0b943268a4"),
         (("boundary", 1), ("cross", "m2-0"), "boundary", "4eaf610ee9e6418f"),
         (("cross", "m2-0"), ("boundary", 2), "boundary", "a8aa7908bd081d16"),
-        (("artificial", 0), ("corner", 0), "tail", "cbeda9838c4fc1a5"),
-        (("artificial", 0), ("cross", "m1-0"), "branch", "99ddb163df0c8fd9"),
-        (("artificial", 0), ("cross", "m2-0"), "branch", "e1e2ab622f496d13")]
+        (("artificial", 0), ("corner", 0), "tail", "c185dd9257967e29"),
+        (("artificial", 0), ("cross", "m1-0"), "branch", "0ee1b718ee14e93e"),
+        (("artificial", 0), ("cross", "m2-0"), "branch", "e752b2d75e2487e3")])
 
 
 def test_coons_square_affine():

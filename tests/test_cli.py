@@ -6,7 +6,7 @@ import pytest
 from quadfield.cli import Pipeline, _json_default, build_parser, main, resolve_config
 from quadfield.geometry import fixture_path
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
-from quadfield.singular import topology_report
+from quadfield.singular import CORNER_RADIUS_FACTOR, topology_from_json, topology_report
 from quadfield.tracer import separatrices_to_json
 
 HALF_DISC = str(fixture_path("half_disc"))
@@ -51,6 +51,15 @@ def test_every_artifact_reader_round_trips(request, run, name):
         if stage == "mesh":
             del want["target_h"]           # stage_mesh adds it beside the mesh
         assert json.loads(json.dumps(doc, default=_json_default)) == want, stage
+    # corners keep their fitted radius; a document without one gets the fallback
+    topology = json.loads(pipe.path("topology").read_text())
+    assert [cn.radius for cn in pipe.load("topology")[1]] == \
+        [c["radius"] for c in topology["corners"]]
+    for c in topology["corners"]:
+        del c["radius"]
+    _, corners = topology_from_json(topology, pipe.domain)
+    assert [cn.radius for cn in corners] == \
+        [CORNER_RADIUS_FACTOR * pipe.domain.bbox_diag] * len(corners)
 
 
 def test_run_writes_manifest(full_run):

@@ -483,6 +483,7 @@ def test_insert_matches_reference_at_every_threshold(case, p):
         assert new == _insert_copy(reference_insert, ref, pid, eps)
 
 
+@pytest.mark.filterwarnings("error")    # in_region must not overflow on flat edges
 @settings(max_examples=200, deadline=None)
 @given(star_polygons())
 def test_star_polygon_recovery_and_carve_match_reference(case):

@@ -343,3 +343,94 @@ def test_polygon_iii_run_samples_each_boundary_once(tmp_path, monkeypatch):
     assert polygon_builds and max(polygon_builds.values()) == 1
     assert table_builds and max(table_builds.values()) == 1
     assert not angles_in_sampling
+
+
+# ---- ray crossings of the boundary -------------------------------------------------
+
+RAY_SEGMENTS = {
+    "line": Line((0.2, -0.4), (1.5, 0.9)),
+    "arc_ccw": Arc((0.3, 0.1), 1.2, 0.4, 2.1),
+    "arc_cw": Arc((0.3, 0.1), 1.2, 2.1, 0.4),
+    "arc_ccw_over_pi": Arc((-0.2, 0.5), 0.8, -1.0, 3.6),
+    "arc_cw_over_pi": Arc((-0.2, 0.5), 0.8, 4.0, -0.5),
+    "spline": Spline([(0.0, 0.0), (0.4, 0.3), (1.0, 0.1), (1.3, 0.8), (0.9, 1.4)]),
+    "naca4": Naca4("2412", chord=2.0, origin=(0.5, -0.2)),
+}
+DENSE_SAMPLES = 20_000
+
+
+def _dense_polygon_crossings(poly, origin, d, s0, s1):
+    """(s, point) of every crossing of origin + s d, s0 <= s <= s1, with the
+    polygon poly, sorted by s: the brute-force hit."""
+    a, e = poly[:-1], np.diff(poly, axis=0)
+    w = a - origin
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / denom
+        u = (w[:, 0] * d[1] - w[:, 1] * d[0]) / denom
+    ok = (denom != 0) & (u >= 0) & (u < 1) & (s >= s0) & (s <= s1)
+    order = np.argsort(s[ok])
+    return s[ok][order], (a[ok] + u[ok, None] * e[ok])[order]
+
+
+@pytest.mark.parametrize("kind", sorted(RAY_SEGMENTS))
+def test_ray_crossings_match_the_dense_polygon(kind):
+    """Rays across each segment kind at random transversal angles: the same
+    crossings as the polygon through 20,001 points, each exactly on the ray."""
+    seg = RAY_SEGMENTS[kind]
+    poly = np.stack([seg.point(t) for t in np.linspace(0.0, 1.0, DENSE_SAMPLES + 1)])
+    scale = float(np.hypot(*(poly.max(axis=0) - poly.min(axis=0))))
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        t_star = rng.uniform(0.05, 0.95)
+        angle = seg.tangent_angle(t_star) + rng.choice([-1, 1]) * rng.uniform(0.3, math.pi - 0.3)
+        d = rng.uniform(0.05, 0.5) * np.array([math.cos(angle), math.sin(angle)])
+        origin = seg.point(t_star) - rng.uniform(0.1, 0.9) * d
+        got = sorted(seg.ray_crossings(origin, d, -0.2, 1.2))
+        want_s, want_p = _dense_polygon_crossings(poly, origin, d, -0.2, 1.2)
+        assert len(got) == len(want_s) >= 1
+        for (s, t), ws, wp in zip(got, want_s, want_p):
+            p = seg.point(t)
+            assert 0.0 <= t <= 1.0
+            assert abs(s - ws) * math.hypot(*d) <= 1e-6 * scale
+            assert math.hypot(*(p - wp)) <= 1e-6 * scale
+            off = abs(d[0] * (p - origin)[1] - d[1] * (p - origin)[0]) / math.hypot(*d)
+            assert off <= 1e-12 * scale
+            assert math.hypot(*(origin + s * d - p)) <= 1e-12 * scale
+
+
+def _holed_square():
+    outer = BoundaryLoop([Line((0.0, 0.0), (4.0, 0.0)), Line((4.0, 0.0), (4.0, 4.0)),
+                          Line((4.0, 4.0), (0.0, 4.0)), Line((0.0, 4.0), (0.0, 0.0))],
+                         "outer")
+    hole = BoundaryLoop([Arc((2.0, 2.0), 0.5, 2 * math.pi, 0.0)], "hole")
+    return DomainSpec([outer, hole])
+
+
+def test_ray_exit_into_a_hole_takes_its_near_side():
+    domain = _holed_square()
+    for candidate in ([1.6, 2.0], [2.7, 2.0]):      # into the hole, and across it
+        loop, seg, t = domain.ray_exit(np.array([1.2, 2.0]), np.array(candidate))
+        assert (loop, seg) == (1, 0)
+        assert np.allclose(domain.loops[1].segments[0].point(t), [1.5, 2.0], atol=1e-14)
+
+
+def test_ray_exit_skips_the_crossing_behind_an_inside_front(unit_square):
+    # the front sits just above the bottom edge; the ray crosses it just behind
+    # the front, entering, and leaves through the top
+    loop, seg, t = unit_square.ray_exit(np.array([0.5, 1e-9]), np.array([0.5, 1.05]))
+    assert (loop, seg) == (0, 2) and t == pytest.approx(0.5, abs=1e-15)
+
+
+def test_ray_exit_from_a_front_just_outside_the_curve(unit_square):
+    # the mesh skin can bulge past the curve: the exit lies just behind the front
+    loop, seg, t = unit_square.ray_exit(np.array([0.3, 1.0 + 1e-7]), np.array([0.32, 1.02]))
+    assert (loop, seg) == (0, 2)
+    assert np.allclose(unit_square.loops[0].segments[2].point(t), [0.3 - 1e-7, 1.0],
+                       atol=1e-15)
+
+
+def test_ray_exit_misses_a_step_inside_the_curve(unit_square):
+    assert unit_square.ray_exit(np.array([0.5, 0.5]), np.array([0.6, 0.5])) is None
+    far_outside = np.array([0.5, 1.2])
+    assert unit_square.ray_exit(far_outside, np.array([0.5, 1.3])) is None

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quadfield import tracer
 from quadfield.cli import main
@@ -10,11 +10,10 @@ from quadfield.errors import TracingError
 from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch
 from quadfield.geometry import fixture_path
 from quadfield.singular import CornerNode
-from quadfield.tracer import (BISECT_LEVELS, BISECT_STEPS, DIRECTION_MAX_ITER,
-                              DIRECTION_TOL, Anchor, Streamline, _bisect_to_skin,
-                              _check_distinct, _near_ray, _rk4_steps, _unit, advance_all,
-                              detect_meeting, initial_directions, launch_directions, merge,
-                              refine_directions, trace_all)
+from quadfield.tracer import (DIRECTION_MAX_ITER, DIRECTION_TOL, Anchor, BoundaryAnchors,
+                              Streamline, _check_distinct, _near_ray, _rk4_steps, _unit,
+                              advance_all, detect_meeting, initial_directions,
+                              launch_directions, merge, refine_directions, trace_all)
 from quadfield.trimesh import TriMesh
 
 UNIFORM = AnalyticProbe(lambda x, y: (1.0, 0.0))
@@ -159,6 +158,18 @@ def test_trace_determinism(half_disc, half_disc_mesh, half_disc_probe,
         assert np.array_equal(np.asarray(sa.points), np.asarray(sb.points))
 
 
+def test_cut_falls_back_to_the_closest_point_when_the_ray_misses(unit_square):
+    # a step that stays inside the curve (outside the mesh skin only) crosses
+    # no segment: it ends at the boundary point closest to the step's end
+    sl = Streamline(Anchor("critical", 0, np.array([0.5, 0.5])), 0,
+                    [np.array([0.5, 0.5])], [0.0])
+    tracer._cut_to_boundary(sl, np.array([0.6, 0.5]), unit_square, BoundaryAnchors((), 0.0))
+    end = sl.end_anchor
+    assert sl.status == "hit_boundary" and (end.kind, end.loop, end.seg) == ("boundary", 0, 1)
+    assert np.allclose(end.position, [1.0, 0.5]) and sl.points[-1].tobytes() == \
+        end.position.tobytes()
+
+
 def test_limit_cycle_abort():
     probe = circular_probe()
     from quadfield.geometry import Arc, BoundaryLoop, DomainSpec
@@ -186,25 +197,72 @@ def test_limit_cycle_abort():
         raise AssertionError("streamline should have aborted")
 
 
-# ---- references of the batched rewrites ----------------------------------------
+# ---- references of the rewrites ------------------------------------------------
 
 
-def _reference_bisection(inside, outside, probe):
-    """The one-step bisection loop of _cut_to_boundary before it was batched.
+# The boundary cut before exits were ended by a ray hit on the true boundary:
+# each exiting step bisected REFERENCE_BISECT_STEPS times onto the mesh skin,
+# REFERENCE_BISECT_LEVELS levels per contains_many, then snapped to the curve.
+REFERENCE_BISECT_STEPS = 60
+REFERENCE_BISECT_LEVELS = 4
 
-    Returns the inside end and the midpoints the loop visited, in order.
+
+def _reference_bisection_tree(inside, outside, levels):
+    """Every midpoint the next levels of bisection could visit, breadth first.
+
+    inside and outside are (m, 2): one segment per row.  Returns (m, 2^levels
+    - 1, 2), the tree of row i at [i].  Node n bisects its interval (a, b)
+    at 0.5 * (a + b), the expression of the one-step loop; child 2n + 1
+    bisects (mid, b), reached when mid is inside, and child 2n + 2 bisects
+    (a, mid).
     """
-    inside = inside.copy()
-    outside = outside.copy()
-    visited = []
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        visited.append(mid)
-        if probe.contains_many([mid])[0]:
-            inside = mid
-        else:
-            outside = mid
-    return inside, visited
+    a, b = inside[:, None], outside[:, None]
+    mids = []
+    for _ in range(levels):
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        a = np.stack([mid, a], axis=2).reshape(len(inside), -1, 2)
+        b = np.stack([b, mid], axis=2).reshape(len(inside), -1, 2)
+    return np.concatenate(mids, axis=1)
+
+
+def _reference_bisect_to_skin(inside, outside, probe):
+    """The inside ends of REFERENCE_BISECT_STEPS halvings of each segment (inside[i], outside[i]).
+
+    A one-step loop would locate each midpoint on its own.  Here every
+    midpoint of the next REFERENCE_BISECT_LEVELS levels of every segment, on a walk's
+    path or not, is located in one batch.  Location does not depend on the
+    batch, so each walk visits the midpoints of that loop and gets its
+    answers.
+    """
+    inside = np.array(inside, dtype=float)
+    outside = np.array(outside, dtype=float)
+    rows = np.arange(len(inside))
+    for done in range(0, REFERENCE_BISECT_STEPS, REFERENCE_BISECT_LEVELS):
+        levels = min(REFERENCE_BISECT_LEVELS, REFERENCE_BISECT_STEPS - done)
+        mids = _reference_bisection_tree(inside, outside, levels)
+        flags = np.reshape(probe.contains_many(mids.reshape(-1, 2)), mids.shape[:2])
+        node = np.zeros(len(inside), dtype=int)
+        for _ in range(levels):
+            here, mid = flags[rows, node], mids[rows, node]
+            inside = np.where(here[:, None], mid, inside)
+            outside = np.where(here[:, None], outside, mid)
+            node = np.where(here, 2 * node + 1, 2 * node + 2)
+    return inside
+
+
+def _reference_cut_to_boundary(fronts, candidates, probe, domain, registry):
+    """Bisect the exiting segments onto the mesh skin together, then snap each
+    to the curve, in the order given."""
+    insides = _reference_bisect_to_skin([sl.front() for sl in fronts], candidates, probe)
+    for sl, inside in zip(fronts, insides):
+        loop, seg, t, dist = domain.closest_boundary_point(inside)
+        snapped = domain.loops[loop].segments[seg].point(t)
+        anchor = registry.resolve(snapped, loop, seg, t)
+        sl.points.append(anchor.position.copy())
+        sl.alphas.append(sl.front_alpha())
+        sl.status = "hit_boundary"
+        sl.end_anchor = anchor
 
 
 def _reference_refine_direction(origin, alpha0, probe, c, eps=DIRECTION_TOL,
@@ -300,58 +358,10 @@ def _reference_rk4_step(sl, h, probe):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _BatchRecorder:
-    """A probe that records the batches passed to contains_many."""
-
-    def __init__(self, probe):
-        self.probe = probe
-        self.batches = []
-
-    def contains_many(self, points):
-        self.batches.append(np.array(points))
-        return self.probe.contains_many(points)
-
-
 def _half_disc_point(data, r_lo, r_hi):
     r = data.draw(st.floats(r_lo, r_hi))
     a = data.draw(st.floats(0.0, math.pi))
     return np.array([r * math.cos(a), r * math.sin(a)])
-
-
-def _crossing_segment(data, probe):
-    """(inside, outside) across the half-disc skin: through the arc, the base or a
-    corner; None when the drawn ends do not straddle the mesh skin."""
-    inside = _half_disc_point(data, 0.0, 1.0)
-    kind = data.draw(st.sampled_from(["arc", "base", "far", "grazing"]))
-    if kind == "arc":
-        outside = _half_disc_point(data, 1.0, 1.2)
-    elif kind == "base":
-        outside = np.array([data.draw(st.floats(-1.2, 1.2)), -data.draw(st.floats(0.0, 0.2))])
-    elif kind == "far":
-        outside = _half_disc_point(data, 1.0, 40.0) * [1.0, -1.0]
-    else:
-        outside = inside * (1.0 + 1e-9) / max(float(np.hypot(*inside)), 1e-3)
-    return (inside, outside) if probe.contains_many([inside, outside]) == [True, False] else None
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_batched_bisection_visits_the_midpoints_of_the_loop(half_disc_solution, data):
-    """One to four crossing segments bisected in one call, as an exit round does."""
-    ref_probe = FieldProbe(half_disc_solution)
-    segments = [seg for seg in (_crossing_segment(data, ref_probe)
-                                for _ in range(data.draw(st.integers(1, 4)))) if seg]
-    assume(segments)
-    wanted = [_reference_bisection(inside, outside, ref_probe) for inside, outside in segments]
-
-    probe = _BatchRecorder(FieldProbe(half_disc_solution))
-    got = _bisect_to_skin([a for a, _ in segments], [b for _, b in segments], probe)
-    assert [x.tobytes() for x in got] == [want.tobytes() for want, _ in wanted]
-    assert len(probe.batches) == math.ceil(BISECT_STEPS / BISECT_LEVELS)
-    for _, visited in wanted:
-        for level, mid in enumerate(visited):
-            batch = probe.batches[level // BISECT_LEVELS]
-            assert mid.tobytes() in {p.tobytes() for p in batch}, level
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,15 +495,60 @@ def test_launch_raises_what_one_direction_at_a_time_raises_first(node_names, cor
             _outcome(_reference_corner_directions, cn, make_probe())
 
 
+RUN_FLAGS = {"half_disc": ["--target-h", "0.35", "--split", "4"],
+             "nautilus": ["--target-h", "0.5", "--split", "2"],
+             "polygon_III": ["--target-h", "0.35", "--split", "2"],
+             "geometry_I": ["--target-h", "0.35", "--split", "2"]}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_FLAGS))
+def test_ray_cut_matches_the_bisect_then_snap_reference(name, tmp_path, monkeypatch):
+    """Every exit of a full run, separatrices and midpoint tails alike, ends
+    within 5e-5 of where the skin bisection and snap ended it, on its segment,
+    and on the line of its step."""
+    exits, probes = [], []
+    cut = tracer._cut_to_boundary
+    eval_psi_many = FieldProbe.eval_psi_many
+
+    def recording_psi(probe, points):
+        probes.append(probe)          # the cut follows its round's evaluation
+        return eval_psi_many(probe, points)
+
+    def checked_cut(sl, candidate, domain, registry):
+        old, new = (Streamline(sl.origin, sl.branch, list(sl.points), list(sl.alphas))
+                    for _ in range(2))
+        _reference_cut_to_boundary([old], [candidate], probes[-1], domain,
+                                   BoundaryAnchors((), 0.0))
+        cut(new, candidate, domain, BoundaryAnchors((), 0.0))
+        exits.append((domain, sl.front(), candidate, old.end_anchor, new.end_anchor))
+        cut(sl, candidate, domain, registry)
+
+    monkeypatch.setattr(FieldProbe, "eval_psi_many", recording_psi)
+    monkeypatch.setattr(tracer, "_cut_to_boundary", checked_cut)
+    argv = ["run", str(fixture_path(name)), "--out", str(tmp_path), "--order", "3"]
+    assert main(argv + RUN_FLAGS[name]) == 0
+    assert exits
+    for domain, front, candidate, old, new in exits:
+        tol = 1e-12 * domain.bbox_diag
+        # the ray finds every exit: none falls back to the closest point
+        assert domain.ray_exit(front, candidate) == (new.loop, new.seg, new.t)
+        assert np.hypot(*(new.position - old.position)) <= 5e-5
+        on_curve = domain.loops[new.loop].segments[new.seg].point(new.t)
+        assert np.hypot(*(on_curve - new.position)) <= tol
+        d = candidate - front
+        assert abs(d[0] * (new.position - front)[1] - d[1] * (new.position - front)[0]) \
+            <= tol * np.hypot(*d)
+
+
 def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
-    """A full nautilus run makes fewer invert_map calls than it did with the
-    one-step bisection (1,000).  Its 12 exiting fronts leave in 10 rounds, and
-    each round bisects all of its exits in ceil(BISECT_STEPS / BISECT_LEVELS)
-    batches, with at most one solve each: 150 batches, where cutting front by
-    front made 180.  Refining the launch directions in lockstep takes at most
-    40 eval_psi_many batches, where one direction at a time took 190."""
+    """A full nautilus run makes at most 115 invert_map calls (1,000 with the
+    one-step skin bisection, 246 with the batched one).  Its 12 exiting fronts
+    leave in 10 rounds, and the boundary cut locates nothing: it makes no
+    contains_many and no invert_map call.  Refining the launch directions in
+    lockstep takes at most 40 eval_psi_many batches, where one direction at a
+    time took 190."""
     counts = {"invert": 0, "contains": 0, "psi": 0}
-    per_round = []
+    cuts = []
     launch_batches = []
     invert_map = TriMesh.invert_map
     contains_many = FieldProbe.contains_many
@@ -507,11 +562,11 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
             return fn(*args)
         return wrapper
 
-    def counted_cut(fronts, *args):
-        before = counts["contains"], counts["invert"]
-        cut(fronts, *args)
-        per_round.append((len(fronts), counts["contains"] - before[0],
-                          counts["invert"] - before[1]))
+    def counted_cut(*args):
+        before = counts["contains"], counts["invert"], counts["psi"]
+        cut(*args)
+        cuts.append((counts["psi"], counts["contains"] - before[0],
+                     counts["invert"] - before[1]))
 
     def counted_launch(*args):
         before = counts["psi"]
@@ -527,10 +582,8 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
     argv = ["run", str(fixture_path("nautilus")), "--out", str(tmp_path), "--order", "3",
             "--target-h", "0.5", "--split", "2"]
     assert main(argv) == 0
-    per_batch = math.ceil(BISECT_STEPS / BISECT_LEVELS)
-    assert len(per_round) == 10
-    assert sum(fronts for fronts, _, _ in per_round) == 12
-    assert all(n == per_batch and solves <= per_batch for _, n, solves in per_round)
-    assert sum(n for _, n, _ in per_round) == 150
+    assert len(cuts) == 12
+    assert len({psi_batch for psi_batch, _, _ in cuts}) == 10     # rounds with an exit
+    assert all(contains == 0 and inverts == 0 for _, contains, inverts in cuts)
     assert len(launch_batches) == 1 and launch_batches[0] <= 40
-    assert counts["invert"] < 1000
+    assert counts["invert"] <= 115
