@@ -9,6 +9,7 @@ streamline launched from the bad corner, joined to the surrounding sides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,12 +30,21 @@ class VertexRec:
     corner_valence: int = -1    # kind == "corner" only
 
 
-@dataclass(eq=False)            # identity equality: records.remove must not compare polylines
+@dataclass(eq=False, frozen=True)   # identity equality: records.remove must not compare polylines
 class EdgeRec:
     v0: tuple
     v1: tuple
-    polyline: np.ndarray        # dense, polyline[0] == pos(v0), [-1] == pos(v1)
+    polyline: np.ndarray        # dense, polyline[0] == pos(v0), [-1] == pos(v1); read-only
     kind: str                   # boundary | separatrix | branch | tail
+
+    def __post_init__(self):
+        # box and the settled pairs of _first_crossing assume a fixed polyline
+        self.polyline.setflags(write=False)
+
+    @functools.cached_property
+    def box(self):
+        """polyline.bbox of the polyline: records whose boxes do not meet never cross."""
+        return polyline.bbox(self.polyline)
 
 
 def catmull_rom_densify(points, subdiv=6):
@@ -152,7 +162,7 @@ def resolve_crossings(vertices, records):
         if r.kind == "boundary":
             continue
         for b in records:
-            if b.kind != "boundary":
+            if b.kind != "boundary" or not polyline.boxes_meet(r.box, b.box):
                 continue
             if polyline.intersections(r.polyline, b.polyline):
                 raise DecompositionError(
@@ -186,14 +196,15 @@ def _first_crossing(movable, settled):
 
     The point is the crossing nearest the start of a.  settled holds the pairs
     already found disjoint: a record's polyline never changes, so testing such
-    a pair again would give the same empty result.  Pairs found disjoint here
-    are added to it.
+    a pair again would give the same empty result.  Pairs found disjoint here,
+    by their boxes or by their segments, are added to it.
     """
     for i, a in enumerate(movable):
         for b in movable[i + 1:]:
             if (a, b) in settled:
                 continue
-            hits = polyline.intersections(a.polyline, b.polyline)
+            hits = (polyline.boxes_meet(a.box, b.box)
+                    and polyline.intersections(a.polyline, b.polyline))
             if hits:
                 return a, b, min(hits, key=lambda hx: hx[0])[1]
             settled.add((a, b))
@@ -586,8 +597,10 @@ class MidpointDivider:
             if guard > 50:
                 raise DecompositionError("midpoint tail crossed too many edges")
             hits = []
+            box = polyline.bbox(current)
             for rec in list(records):
-                if rec.kind == "branch" or rec.v0 == start_key or rec.v1 == start_key:
+                if rec.kind == "branch" or rec.v0 == start_key or rec.v1 == start_key \
+                        or not polyline.boxes_meet(box, rec.box):
                     continue
                 for s_along, x in polyline.intersections(current, rec.polyline):
                     hits.append((s_along, x, rec))

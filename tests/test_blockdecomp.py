@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +13,10 @@ from quadfield import blockdecomp, polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    VertexRec, build_subdivision, catmull_rom_densify,
                                    classify_faces, decompose, resolve_crossings)
+from quadfield.cli import main
 from quadfield.errors import DecompositionError, TracingError
 from quadfield.field import AnalyticProbe
-from quadfield.geometry import DomainSpec, Line
+from quadfield.geometry import DomainSpec, Line, fixture_path
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
                                   child_quality, isoparametric_split)
 from quadfield.singular import CornerNode
@@ -187,6 +190,65 @@ def test_crossing_on_second_of_two_parallel_edges():
     records = resolve_crossings(vertices, [upper, lower, stub])
     assert records[0] is upper and len(records) == 5
     assert np.allclose(vertices[("cross", "sx0")].position, [0.5, -0.299], atol=1e-3)
+
+
+def test_edge_record_is_frozen_and_its_polyline_read_only():
+    poly = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
+    rec = EdgeRec(("critical", 0), ("critical", 1), poly, "separatrix")
+    assert rec.box == polyline.bbox(poly)
+    with pytest.raises(ValueError):
+        rec.polyline[1, 0] = 5.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.polyline = poly.copy()
+
+
+def test_nautilus_cut_tests_only_records_whose_boxes_meet(tmp_path, monkeypatch):
+    """A full nautilus run calls the narrow crossing test only on polylines
+    whose boxes meet: 237 calls, where testing every record pair made 1,703."""
+    tested = []
+    intersections = polyline.intersections
+
+    def recorded(pa, pb):
+        tested.append(polyline.boxes_meet(polyline.bbox(pa), polyline.bbox(pb)))
+        return intersections(pa, pb)
+
+    monkeypatch.setattr(polyline, "intersections", recorded)
+    argv = ["run", str(fixture_path("nautilus")), "--out", str(tmp_path), "--order", "3",
+            "--target-h", "0.5", "--split", "2"]
+    assert main(argv) == 0
+    assert all(tested)
+    assert 0 < len(tested) <= 237
+
+
+# Peak traced allocation of the long-polyline test below.  Two crossing
+# polylines of 10^5 points each take about 10 MB.  The full (n - 1) x (m - 1)
+# pair table of the narrow test passes 32 MB from about 810 points each
+# (40 MB at 900, 49 MB at 1,000) and would ask for about 500 GB here.
+LONG_POLYLINE_PEAK = 32e6
+
+
+def test_long_polylines_cross_in_bounded_memory():
+    x = np.linspace(0.0, 1.0, 100_000)
+    wave = 0.2 * np.sin(6 * math.pi * x + 0.1)
+    pa, pb = np.column_stack([x, wave]), np.column_stack([x, -wave])
+    tracemalloc.start()
+    try:
+        i, j, _, _ = polyline.crossings(pa, pb)
+        crossings_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        keys = [("critical", k) for k in range(4)]
+        vertices = {k: VertexRec(k, p, "critical")
+                    for k, p in zip(keys, [pa[0], pa[-1], pb[0], pb[-1]])}
+        records = resolve_crossings(vertices, [EdgeRec(keys[0], keys[1], pa, "separatrix"),
+                                               EdgeRec(keys[2], keys[3], pb, "separatrix")])
+        resolve_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(i) == 6 and (i == j).all()            # the curves are mirror images
+    assert len(records) == 2 + 2 * 6
+    assert sum(v.kind == "cross" for v in vertices.values()) == 6
+    assert crossings_peak < LONG_POLYLINE_PEAK
+    assert resolve_peak < LONG_POLYLINE_PEAK
 
 
 def test_half_disc_decomposition(half_disc, half_disc_probe, half_disc_topology,
