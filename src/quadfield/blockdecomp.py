@@ -233,12 +233,10 @@ class Face:
 class PlanarSubdivision:
     """Half-edge arrangement of the boundary/separatrix graph."""
 
-    def __init__(self, vertices, records, domain=None, validate=True):
+    def __init__(self, vertices, records, domain=None):
         self.vertices = dict(vertices)
         self.records = list(records)
         self.domain = domain
-        if validate:
-            self.records = resolve_crossings(self.vertices, self.records)
         self._build()
         self._extract_faces()
 
@@ -311,18 +309,35 @@ class PlanarSubdivision:
             raise DecompositionError(
                 f"expected {holes + 1} unbounded/hole faces, found {n_neg}")
 
+    def face_sides(self, face):
+        """Sides between consecutive non-seam vertices of the face walk.
+
+        Each side is (start key, half-edge list); a face with no such vertex
+        has none.
+        """
+        keys = face.walk_keys
+        starts = [i for i, k in enumerate(keys) if self.vertices[k].kind != "seam"]
+        ends = starts[1:] + starts[:1]
+        twice = face.half_edges * 2
+        return [(keys[i0], twice[i0:i1 if i1 > i0 else i1 + len(keys)])
+                for i0, i1 in zip(starts, ends)]
+
+    def side_polyline(self, half_edges):
+        """The dense polyline along consecutive half-edges."""
+        pts = [self._he_polyline(h)[:-1] for h in half_edges]
+        pts.append(self._he_polyline(half_edges[-1])[-1:])
+        return np.vstack(pts)
+
     def face_corners(self, face):
-        """(corner keys, zero-valence corner keys) along the face walk."""
+        """(corner keys, zero-valence corner keys) of the face's side starts."""
         corners = []
         zeros = []
-        for key in face.walk_keys:
+        for key, _ in self.face_sides(face):
             vr = self.vertices[key]
-            if vr.kind == "seam":
-                continue
             if vr.kind == "corner" and vr.corner_valence == 0:
                 zeros.append(key)
-                continue
-            corners.append(key)
+            else:
+                corners.append(key)
         return corners, zeros
 
 
@@ -359,7 +374,7 @@ def build_subdivision(domain, separatrices, corner_nodes):
                 bnd_anchors.append(a)
     vertices, records = boundary_records(domain, corner_nodes, bnd_anchors)
     records.extend(separatrix_records(separatrices, vertices))
-    sub = PlanarSubdivision(vertices, records, domain=domain)
+    sub = PlanarSubdivision(vertices, resolve_crossings(vertices, records), domain=domain)
     sub.euler_check()
     return sub
 
@@ -390,35 +405,6 @@ def classify_faces(sub):
 
 
 # ---- midpoint division ---------------------------------------------------------
-
-
-def _face_sides(sub, face):
-    """Sides between consecutive counted corners: list of (start key, he list)."""
-    walk = face.half_edges
-    keys = face.walk_keys
-    counted = [i for i, k in enumerate(keys) if sub.vertices[k].kind != "seam"]
-    if not counted:
-        raise DecompositionError("face has no corner vertices")
-    sides = []
-    m = len(counted)
-    for a in range(m):
-        i0 = counted[a]
-        i1 = counted[(a + 1) % m]
-        idxs = []
-        i = i0
-        while True:
-            idxs.append(walk[i])
-            i = (i + 1) % len(walk)
-            if i == i1:
-                break
-        sides.append((keys[i0], idxs))
-    return sides
-
-
-def _side_polyline(sub, hes):
-    pts = [sub._he_polyline(h)[:-1] for h in hes]
-    pts.append(sub._he_polyline(hes[-1])[-1:])
-    return np.vstack(pts)
 
 
 def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000):
@@ -517,7 +503,7 @@ class MidpointDivider:
 
         tail, hit = self._tail_for(qkey, q, corner, cn)
 
-        sides = _face_sides(sub, face)
+        sides = sub.face_sides(face)
         adj_out = next(s for s in sides if s[0] == qkey)
         adj_in = next(s for s in sides if sub._he_vertices(s[1][-1])[1] == qkey)
         others = [s for s in sides if s is not adj_out and s is not adj_in]
@@ -526,7 +512,7 @@ class MidpointDivider:
         exits = []
         tail_len = float(np.sum(polyline.seglen(tail)))
         for _, hes in others:
-            spoly = _side_polyline(sub, hes)
+            spoly = sub.side_polyline(hes)
             for s_along, x in polyline.intersections(tail, spoly):
                 exits.append((s_along, x, hes))
             if not exits:
@@ -545,7 +531,7 @@ class MidpointDivider:
         # and the node joins the far-side midpoints.
         far = len(others) == 2
         joined = others if far else [adj_out, adj_in]
-        mids = [polyline.midpoint(_side_polyline(sub, hes)) for _, hes in joined]
+        mids = [polyline.midpoint(sub.side_polyline(hes)) for _, hes in joined]
         ni = _pick_node(tail, exit_len, *mids)
         node_pos = tail[ni]
         node_key = ("artificial", self.counter)
@@ -585,7 +571,7 @@ class MidpointDivider:
 
         vertices[qkey] = VertexRec(qkey, vertices[qkey].position, "corner",
                                    corner_valence=1)
-        return PlanarSubdivision(vertices, records, domain=self.domain, validate=False)
+        return PlanarSubdivision(vertices, records, domain=self.domain)
 
     def _propagate(self, records, vertices, rest, from_key, hit, node_key):
         """Continue the tail through subsequent faces, splitting crossed edges."""

@@ -2,12 +2,14 @@
 
 Each subdivision face becomes a Coons patch over its four arclength
 parametrized sides.  Isoparametric splitting samples the same patch along
-parameter lines, so children inherit the parent quality pointwise and shared
-sides induce identical node sequences in neighboring blocks.
+parameter lines, so children inherit the parent quality pointwise; neighboring
+blocks share the nodes of a common corner or side through the cut's vertex
+keys and side records.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import polyline
 from .errors import DecompositionError
-from .geometry import as_points
+from .geometry import as_points, typed
 
 
 class SidePath:
@@ -30,9 +32,6 @@ class SidePath:
     def __call__(self, fracs):
         fracs = np.atleast_1d(np.asarray(fracs, dtype=float))
         return polyline.sample(self.points, self._s, fracs)
-
-    def reversed(self):
-        return SidePath(self.points[::-1])
 
 
 @dataclass
@@ -99,13 +98,11 @@ class QuadBlock:
 
 def build_blocks(sub, faces=None):
     """QuadBlocks from the all-quad subdivision faces."""
-    from .blockdecomp import _face_sides, _side_polyline
-
     if faces is None:
         faces = sub.bounded_faces
     blocks = []
     for bi, face in enumerate(faces):
-        sides = _face_sides(sub, face)
+        sides = sub.face_sides(face)
         if len(sides) != 4:
             raise DecompositionError(
                 f"face {bi} has {len(sides)} sides; expected a quad")
@@ -116,7 +113,7 @@ def build_blocks(sub, faces=None):
             if len(hes) != 1:
                 raise DecompositionError(f"face {bi} side spans multiple edges")
             keys.append(skey)
-            paths.append(SidePath(_side_polyline(sub, hes)))
+            paths.append(SidePath(sub.side_polyline(hes)))
             he = hes[0]
             srecs.append((he // 2, 1 if he % 2 == 0 else -1))
         block = QuadBlock(bi, keys, paths, srecs)
@@ -137,16 +134,48 @@ def blocks_to_json(blocks):
 
 
 def blocks_from_json(doc):
-    """QuadBlocks of a blocks.json document."""
+    """QuadBlocks of a blocks.json document.
+
+    The split shares nodes through the corner keys and side records, so a
+    record named by two sides must be named once each way, by sides that are
+    exact reverses between the same two corners.
+    """
     blocks = []
+    named = {}                  # side record -> (block, side) of each side naming it
     for bi, rec in enumerate(doc["blocks"]):
         sides = [SidePath(as_points(p, "side", polyline=True)) for p in rec["sides"]]
-        keys = [tuple(k) for k in rec["corners"]]
-        srecs = [tuple(sr) for sr in rec["side_records"]]
+        keys = [_pair(k, "corner key", ((str,), (int, str))) for k in rec["corners"]]
+        srecs = [_pair(sr, "side record", ((int,), (int,))) for sr in rec["side_records"]]
         if not len(sides) == len(keys) == len(srecs) == 4:
             raise ValueError(f"block {bi} is not a quadrilateral")
-        blocks.append(QuadBlock(bi, keys, sides, srecs))
+        if any(d not in (1, -1) for _, d in srecs):
+            raise ValueError(f"block {bi} has a side direction other than 1 or -1")
+        block = QuadBlock(bi, keys, sides, srecs)
+        blocks.append(block)
+        for k, (r, _) in enumerate(srecs):
+            named.setdefault(r, []).append((block, k))
+    if not blocks:
+        raise ValueError("no blocks")
+    for r, uses in named.items():
+        if len(uses) > 2:
+            raise ValueError(f"side record {r} is named by {len(uses)} sides")
+        if len(uses) == 2:
+            (a, ka), (b, kb) = uses
+            if a.side_records[ka][1] == b.side_records[kb][1]:
+                raise ValueError(f"side record {r} is named twice in one direction")
+            if not np.array_equal(a.sides[ka].points, b.sides[kb].points[::-1]):
+                raise ValueError(f"the two sides of record {r} are not reverses")
+            if (a.corner_keys[ka], a.corner_keys[(ka + 1) % 4]) != \
+                    (b.corner_keys[(kb + 1) % 4], b.corner_keys[kb]):
+                raise ValueError(f"the two sides of record {r} end at other corners")
     return blocks
+
+
+def _pair(value, what, kinds):
+    """A two-item list whose items are of kinds, as a tuple."""
+    if len(typed(value, (list,), what)) != 2:
+        raise ValueError(f"{what} must have two items, not {value!r}")
+    return tuple(typed(v, k, what) for v, k in zip(value, kinds))
 
 
 # ---- splitting -----------------------------------------------------------------
@@ -170,24 +199,22 @@ class QuadMesh:
     def n_nodes(self):
         return len(self.nodes)
 
+    @functools.cached_property
+    def edges(self):
+        """(edges, counts): each quad side once as a sorted node pair, and its uses."""
+        sides = np.stack([self.quads, np.roll(self.quads, -1, axis=1)], axis=-1)
+        return np.unique(np.sort(sides.reshape(-1, 2), axis=1), axis=0,
+                         return_counts=True)
+
     def edge_count(self):
-        edges = set()
-        for q in self.quads:
-            for k in range(4):
-                a, b = int(q[k]), int(q[(k + 1) % 4])
-                edges.add((min(a, b), max(a, b)))
-        return len(edges)
+        return len(self.edges[0])
 
     def check_conforming(self):
-        use = {}
-        for qi, q in enumerate(self.quads):
-            for k in range(4):
-                a, b = int(q[k]), int(q[(k + 1) % 4])
-                use.setdefault((min(a, b), max(a, b)), []).append(qi)
-        for e, qs in use.items():
-            if len(qs) > 2:
-                raise DecompositionError(f"edge {e} shared by {len(qs)} quads")
-        return use
+        edges, counts = self.edges
+        over = np.flatnonzero(counts > 2)
+        if len(over):
+            a, b = edges[over[0]].tolist()
+            raise DecompositionError(f"edge ({a}, {b}) shared by {counts[over[0]]} quads")
 
     def check_orientation(self):
         for qi, q in enumerate(self.quads):
@@ -203,40 +230,51 @@ class QuadMesh:
                 f"quad mesh Euler check failed: V-E+F = {v - e + f} != {1 - holes}")
 
 
-class _NodeMerge:
-    def __init__(self, scale):
-        self.tol = 1e-9 * max(scale, 1.0)
-        self.table = {}
-        self.points = []
+def _node_key(block, i, j, n):
+    """The key of grid node (i, j) of block's n x n split, shared with its neighbours.
 
-    def add(self, p):
-        key = (round(p[0] / self.tol), round(p[1] / self.tol))
-        if key in self.table:
-            return self.table[key]
-        nid = len(self.points)
-        self.table[key] = nid
-        self.points.append(np.asarray(p, dtype=float))
-        return nid
+    A block corner is its vertex key and a node inside side k is the side's
+    record with the node's position counted from the record's v0; any other
+    node belongs to the block alone.
+    """
+    corner = {(0, 0): 0, (n, 0): 1, (n, n): 2, (0, n): 3}.get((i, j))
+    if corner is not None:
+        return "vertex", block.corner_keys[corner]
+    # side k runs from corner k; pos counts its nodes from there
+    for k, pos, on_side in ((0, i, j == 0), (1, j, i == n), (2, n - i, j == n),
+                            (3, n - j, i == 0)):
+        if on_side:
+            rec, direction = block.side_records[k]
+            return "side", rec, pos if direction > 0 else n - pos
+    return "inner", block.index, i, j
 
 
 def isoparametric_split(blocks, n=2, holes=0):
-    """Split every block along parameter lines into an n x n conforming quad mesh."""
+    """Split every block along parameter lines into an n x n conforming quad mesh.
+
+    Nodes are numbered in first-appearance order of their keys (_node_key);
+    a node takes its coordinates from the first block that holds it.
+    """
     fr = split_fractions(n)
-    scale = max(max(np.abs(s.points).max() for s in b.sides) for b in blocks)
-    merge = _NodeMerge(scale)
+    node_ids = {}
+    nodes = []
     quads = []
     block_of = []
     child_ij = []
     for b in blocks:
         grid = b.eval_grid(fr, fr)
-        ids = np.array([[merge.add(grid[i, j]) for j in range(n + 1)]
-                        for i in range(n + 1)])
+        ids = np.empty((n + 1, n + 1), dtype=int)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                ids[i, j] = node_ids.setdefault(_node_key(b, i, j, n), len(node_ids))
+                if ids[i, j] == len(nodes):
+                    nodes.append(grid[i, j])
         for i in range(n):
             for j in range(n):
                 quads.append([ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]])
                 block_of.append(b.index)
                 child_ij.append((i, j))
-    mesh = QuadMesh(np.array(merge.points), np.array(quads, dtype=int),
+    mesh = QuadMesh(np.array(nodes), np.array(quads, dtype=int),
                     np.array(block_of, dtype=int), child_ij)
     mesh.check_conforming()
     mesh.check_orientation()
@@ -246,33 +284,24 @@ def isoparametric_split(blocks, n=2, holes=0):
 
 def child_quality(blocks, mesh, samples=10):
     """Min scaled Jacobian per child and per parent over matching points."""
-    spec_cache = {}
+    children = {}
+    for qi, bi in enumerate(mesh.block_of.tolist()):
+        children.setdefault(bi, []).append(qi)
+    offsets = (np.arange(samples) + 0.5) / samples
     child_min = {}
-    parent_pts = {b.index: ([], []) for b in blocks}
-    block_by_id = {b.index: b for b in blocks}
-    for qi in range(len(mesh.quads)):
-        bi = int(mesh.block_of[qi])
-        b = block_by_id[bi]
-        i, j = mesh.child_ij[qi]
-        key = bi
-        if key not in spec_cache:
-            counts = {}
-            for q2 in range(len(mesh.quads)):
-                if int(mesh.block_of[q2]) == bi:
-                    counts[mesh.child_ij[q2]] = True
-            ns = 1 + max(ij[0] for ij in counts)
-            nt = 1 + max(ij[1] for ij in counts)
-            spec_cache[key] = (ns, nt)
-        ns, nt = spec_cache[key]
-        sv = (i + (np.arange(samples) + 0.5) / samples) / ns
-        tv = (j + (np.arange(samples) + 0.5) / samples) / nt
-        sj = b.scaled_jacobians(sv, tv)
-        child_min[qi] = float(sj.min())
-        parent_pts[bi][0].extend(sv)
-        parent_pts[bi][1].extend(tv)
     parent_min = {}
-    for bi, (svs, tvs) in parent_pts.items():
-        b = block_by_id[bi]
-        sj = b.scaled_jacobians(np.unique(np.array(svs)), np.unique(np.array(tvs)))
-        parent_min[bi] = float(sj.min())
+    for b in blocks:
+        qis = children[b.index]
+        ns = 1 + max(mesh.child_ij[qi][0] for qi in qis)
+        nt = 1 + max(mesh.child_ij[qi][1] for qi in qis)
+        svs, tvs = [], []
+        for qi in qis:
+            i, j = mesh.child_ij[qi]
+            sv = (i + offsets) / ns
+            tv = (j + offsets) / nt
+            child_min[qi] = float(b.scaled_jacobians(sv, tv).min())
+            svs.extend(sv)
+            tvs.extend(tv)
+        parent_min[b.index] = float(b.scaled_jacobians(np.unique(svs),
+                                                       np.unique(tvs)).min())
     return child_min, parent_min

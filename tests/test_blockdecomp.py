@@ -85,6 +85,36 @@ def test_densify_matches_the_one_sample_loop(n, subdiv, seed, scale):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _face_sides_loop(sub, face):
+    """The index loop of face_sides before it sliced a doubled walk."""
+    walk = face.half_edges
+    keys = face.walk_keys
+    counted = [i for i, k in enumerate(keys) if sub.vertices[k].kind != "seam"]
+    sides = []
+    m = len(counted)
+    for a in range(m):
+        i0 = counted[a]
+        i1 = counted[(a + 1) % m]
+        idxs = []
+        i = i0
+        while True:
+            idxs.append(walk[i])
+            i = (i + 1) % len(walk)
+            if i == i1:
+                break
+        sides.append((keys[i0], idxs))
+    return sides
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=12))
+def test_face_sides_match_the_index_loop(seams):
+    keys = [("seam" if seam else "corner", i) for i, seam in enumerate(seams)]
+    sub = type("S", (), {"vertices": {k: VertexRec(k, np.zeros(2), k[0]) for k in keys}})()
+    face = blockdecomp.Face([7 * i for i in range(len(keys))], 1.0, keys, None)
+    assert PlanarSubdivision.face_sides(sub, face) == _face_sides_loop(sub, face)
+
+
 def test_square_single_face():
     dom = square_domain()
     cns = corner_nodes_for(dom, [1, 1, 1, 1])
@@ -301,7 +331,7 @@ def test_midpoint_division_equilateral_symmetry():
         EdgeRec(("boundary", 0), ("boundary", 1), seg(left, right), "boundary"),
         EdgeRec(("boundary", 1), ("corner", 0), seg(right, apex), "boundary"),
     ]
-    sub = PlanarSubdivision(vertices, records, domain=None, validate=False)
+    sub = PlanarSubdivision(vertices, records, domain=None)
     face = sub.bounded_faces[0]
 
     # field aligned with the downward median so the streamline runs apex->base
@@ -391,7 +421,7 @@ def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
     records = [EdgeRec(keys[i], keys[(i + 1) % 4],
                        np.linspace(ring[i], ring[(i + 1) % 4], 30), "boundary")
                for i in range(4)]
-    sub = PlanarSubdivision(vertices, records, domain=None, validate=False)
+    sub = PlanarSubdivision(vertices, records, domain=None)
 
     def inside(p):
         return all((w[0] - v[0]) * (p[1] - v[1]) - (w[1] - v[1]) * (p[0] - v[0]) > 1e-9

@@ -314,6 +314,53 @@ def _huge_side(doc):
     doc["blocks"][0]["sides"][0][0][0] = 10**400
 
 
+def _no_blocks(doc):
+    doc["blocks"] = []
+
+
+def _shared_side(doc):
+    """(block, side) of the two sides that name the first shared side record."""
+    uses = {}
+    for bi, rec in enumerate(doc["blocks"]):
+        for k, (r, _) in enumerate(rec["side_records"]):
+            uses.setdefault(r, []).append((bi, k))
+    return next(u for u in uses.values() if len(u) == 2)
+
+
+def _list_corner_ident(doc):
+    doc["blocks"][0]["corners"][0][1] = [0]
+
+
+def _list_record_index(doc):
+    doc["blocks"][0]["side_records"][0][0] = [3]
+
+
+def _zero_direction(doc):
+    doc["blocks"][0]["side_records"][0][1] = 0
+
+
+def _record_named_one_way_twice(doc):
+    (a, ka), (b, kb) = _shared_side(doc)
+    blocks = doc["blocks"]
+    blocks[b]["side_records"][kb][1] = blocks[a]["side_records"][ka][1]
+
+
+def _shared_side_moved(doc):
+    _, (b, kb) = _shared_side(doc)
+    doc["blocks"][b]["sides"][kb][1][0] += 1e-9
+
+
+def _shared_side_other_corner(doc):
+    _, (b, kb) = _shared_side(doc)
+    doc["blocks"][b]["corners"][kb] = ["cross", "elsewhere"]
+
+
+def _record_named_three_times(doc):
+    (a, ka), _ = _shared_side(doc)
+    third = next(bi for bi in range(len(doc["blocks"])) if bi != a)
+    doc["blocks"][third]["side_records"][0] = doc["blocks"][a]["side_records"][ka]
+
+
 @pytest.mark.parametrize("name,edit,stage", [
     ("topology.json", _drop_corner_key, "trace"),     # was KeyError, exit 1
     ("topology.json", _duplicate_corners, "trace"),   # was IndexError, exit 1
@@ -332,17 +379,42 @@ def _huge_side(doc):
     ("blocks.json", _infinite_side, "split"),         # was ValueError, exit 1
     ("separatrices.json", _nan_point, "cut"),         # was a silent run, exit 0
     ("blocks.json", _huge_side, "split"),             # was OverflowError, exit 1
+    ("blocks.json", _no_blocks, "split"),             # was ValueError, exit 1
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):
+    assert _run_on_edited(full_run, tmp_path, capsys, name, edit, stage) == 2
+    assert name in capsys.readouterr().err
+
+
+def _run_on_edited(full_run, tmp_path, capsys, name, edit, stage):
+    """Exit code of stage on a copy of full_run whose artifact name edit changed."""
     out = tmp_path / "staged"
     shutil.copytree(full_run, out)
     doc = json.loads((out / name).read_text())
     edit(doc)
     (out / name).write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run_cli([stage, HALF_DISC, "--out", out] + FAST) == 2
-    assert name in capsys.readouterr().err
+    return run_cli([stage, HALF_DISC, "--out", out] + FAST)
+
+
+@pytest.mark.parametrize("edit,fault", [
+    (_list_corner_ident, "corner key must be int or str"),
+    (_list_record_index, "side record must be int"),
+    (_zero_direction, "side direction other than 1 or -1"),
+    (_record_named_one_way_twice, "is named twice in one direction"),
+    (_shared_side_moved, "are not reverses"),
+    (_shared_side_other_corner, "end at other corners"),
+    (_record_named_three_times, "is named by 3 sides"),
+])
+def test_split_refuses_blocks_that_do_not_share_sides(full_run, tmp_path, capsys, edit,
+                                                      fault):
+    """The split shares nodes through corner keys and side records, so blocks.json
+    must hold them whole: a shared record names two exactly reversed sides
+    between the same corners, once each way."""
+    assert _run_on_edited(full_run, tmp_path, capsys, "blocks.json", edit, "split") == 2
+    err = capsys.readouterr().err
+    assert "blocks.json" in err and fault in err
 
 
 def test_invalid_json_domain(tmp_path, capsys):

@@ -5,7 +5,10 @@
 #   tools/byte_identity.sh <ref> [work-dir]
 #
 # Runs half_disc (--order 3 --target-h 0.35 --split 4 --formats svg,vtk),
-# nautilus (--order 3 --target-h 0.5 --split 2), polygon_III and geometry_I
+# nautilus (--order 3 --target-h 0.5 --split 2, and again at --split 3: at
+# --split 2 a side's one inner node is the same counted from either end, so
+# a side numbered from the wrong end shows only at larger splits),
+# polygon_III and geometry_I
 # (--order 3 --target-h 0.35 --split 2 --formats msh), holed_nautilus
 # (--target-h 0.35, which ends with a tracing/decomposition exit code),
 # naca_IV (--target-h 0.35, which writes mesh.json and ends with a solver
@@ -54,6 +57,7 @@ run_fixtures() {          # <source tree> <output dir>
     done <<'FIXTURES'
 half_disc half_disc --order 3 --target-h 0.35 --split 4 --formats svg,vtk
 nautilus nautilus --order 3 --target-h 0.5 --split 2
+nautilus_split3 nautilus --order 3 --target-h 0.5 --split 3
 polygon_III polygon_III --order 3 --target-h 0.35 --split 2 --formats msh
 geometry_I geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
 holed_nautilus holed_nautilus --target-h 0.35
