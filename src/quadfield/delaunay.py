@@ -3,13 +3,15 @@
 The triangulation is three numpy arrays that grow in place: the points, the
 (a, b, c) vertex ids of every triangle id and a live mask; a deleted
 triangle keeps its row and id.  Every step reads those arrays: the
-Bowyer-Watson cavity test is one vectorized in-circle predicate over every
-triangle per inserted point, edge recovery scans the sorted unique live
+Bowyer-Watson cavity test is one vectorized in-circle predicate over the
+live triangles per inserted point, edge recovery scans the sorted unique live
 edges for crossings in one pass, and carving takes connected components of
 the triangles that share an unconstrained edge.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -112,24 +114,26 @@ def bowyer_watson_insert(tri, pid, eps):
     """Insert point pid into the triangulation (cavity retriangulation).
 
     The cavity is every live triangle whose circumcircle holds the point up
-    to eps: one in-circle determinant for all triangles at once.  Its
-    boundary edges, those of one cavity triangle only, each make a new
-    triangle with the point, in (low, high) order.
+    to eps: one in-circle determinant for all live triangles at once, in
+    ascending id order.  Its boundary edges, those of one cavity triangle
+    only, each make a new triangle with the point, in (low, high) order.
     """
     pts = tri.points
     p = pts[pid]
-    table = tri.table
+    ids = np.flatnonzero(tri.live)
+    table = tri.table[ids]
     ax, ay = (pts[table[:, 0]] - p).T
     bx, by = (pts[table[:, 1]] - p).T
     cx, cy = (pts[table[:, 2]] - p).T
     det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
            - (bx * bx + by * by) * (ax * cy - cx * ay)
            + (cx * cx + cy * cy) * (ax * by - bx * ay))
-    bad = np.flatnonzero(tri.live & (det > -eps))
+    inside = det > -eps
+    bad = ids[inside]
     if not len(bad):
         raise MeshError("point insertion found no containing circumcircle")
     edge_count = {}
-    for e in map(tuple, _edges(table[bad]).tolist()):
+    for e in map(tuple, _edges(table[inside]).tolist()):
         edge_count[e] = edge_count.get(e, 0) + 1
     tri.live[bad] = False
     for (a, b), cnt in sorted(edge_count.items()):
@@ -165,13 +169,20 @@ def recover_edge(tri, a, b, max_iter=10000):
     """Flip crossing edges until segment (a,b) is an edge of the triangulation.
 
     Each pass flips, in sorted (low, high) order, the live edges that cross
-    the segment, skipping those an earlier flip of the pass removed.
+    the segment, skipping those an earlier flip of the pass removed.  A pass
+    depends on the live edge set alone, so a set seen before is a cycle that
+    never ends: it fails at once, as it would after max_iter passes.
     """
     pa, pb = tri.points[a], tri.points[b]
+    seen = set()
     for _ in range(max_iter):
         if tri.has_edge(a, b):
             return
         edges = tri.edges()
+        key = hashlib.blake2b(edges.tobytes(), digest_size=16).digest()   # 16 bytes a pass
+        if key in seen:
+            break
+        seen.add(key)
         edges = edges[~np.isin(edges, (a, b)).any(axis=1)]
         pts = tri.points
         crossing = edges[_segments_cross(pa, pb, pts[edges[:, 0]].T, pts[edges[:, 1]].T)]

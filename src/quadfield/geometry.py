@@ -590,13 +590,11 @@ class DomainSpec:
         for i, h in enumerate(self.holes):
             if h.signed_area() >= 0:
                 raise GeometryError(f"hole loop {i} must be clockwise")
-            probe = h.polygon[::97]
-            if not all(_point_in_polygon(p, self.outer.polygon) for p in probe):
+            if not _point_in_polygon(h.polygon[::97], self.outer.polygon).all():
                 raise GeometryError(f"hole loop {i} not inside the outer loop")
         for i in range(len(self.holes)):
             for j in range(i + 1, len(self.holes)):
-                pi = self.holes[i].polygon[::257]
-                if any(_point_in_polygon(p, self.holes[j].polygon) for p in pi):
+                if _point_in_polygon(self.holes[i].polygon[::257], self.holes[j].polygon).any():
                     raise GeometryError(f"hole loops {i} and {j} overlap")
 
     @cached_property
@@ -664,20 +662,37 @@ class DomainSpec:
 
 
 def in_region(x, outer, holes):
-    """Whether x lies inside the outer polygon and outside every hole polygon."""
-    if not _point_in_polygon(x, outer):
-        return False
-    return all(not _point_in_polygon(x, h) for h in holes)
+    """Whether x lies inside the outer polygon and outside every hole polygon:
+    a bool for one point (2,), a (k,) mask for k points (k, 2)."""
+    pts = np.reshape(np.asarray(x, dtype=float), (-1, 2))
+    inside = _point_in_polygon(pts, outer)
+    for h in holes:
+        inside &= ~_point_in_polygon(pts, h)
+    return inside if np.ndim(x) == 2 else bool(inside[0])
 
 
-def _point_in_polygon(x, poly):
-    """Crossing-number test; points on the boundary may land either way."""
-    px, py = float(x[0]), float(x[1])
+# Point-edge pairs per pass of the crossing-number test: its tables stay near 2 MB.
+PIP_PAIRS = 1 << 18
+
+
+def _point_in_polygon(pts, poly):
+    """Crossing-number test of each of k points (k, 2): a (k,) mask.
+
+    Points on the boundary may land either way.  Each point counts the
+    polygon edges that straddle its y and cross its ray to the right.
+    """
     xs, ys = poly[:, 0], poly[:, 1]
     xn, yn = np.roll(xs, -1), np.roll(ys, -1)
-    e = np.flatnonzero((ys > py) != (yn > py))      # edges that straddle py
-    xint = xs[e] + (py - ys[e]) / (yn[e] - ys[e]) * (xn[e] - xs[e])
-    return bool(np.sum(px < xint) % 2)
+    odd = np.zeros(len(pts), dtype=bool)
+    step = max(1, PIP_PAIRS // len(xs))
+    for s in range(0, len(pts), step):
+        px, py = pts[s:s + step, :1], pts[s:s + step, 1:]
+        straddle = (ys > py) != (yn > py)
+        # the abscissa of an edge that does not straddle py is never read
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            xint = xs + (py - ys) / (yn - ys) * (xn - xs)
+        odd[s:s + step] = np.count_nonzero(straddle & (px < xint), axis=1) % 2 == 1
+    return odd
 
 
 def _json_object(doc, where):

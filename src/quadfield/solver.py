@@ -157,49 +157,90 @@ class FieldSolution:
 
 # ---- shared element/face machinery -------------------------------------------
 
+# Elements or faces per batched pass: every temporary stays near 2 MB at order 4.
+BATCH = 256
+
+
+def _batches(n):
+    """Slices of range(n), BATCH long; one empty slice when n is 0."""
+    return [slice(s, s + BATCH) for s in range(0, max(n, 1), BATCH)]
+
 
 def _physical_gradients(grad, geom):
-    """(jac, det, gphys) of an element map at reference points.
+    """(jac, det, gphys) of k element maps at reference points.
 
-    grad: (npts, nb, 2) reference basis gradients; geom: (nb, 2) element
-    nodes.  jac is d(x)/d(xi) (npts, 2, 2) and gphys the physical basis
-    gradients (npts, nb, 2).
+    grad: (npts, nb, 2) reference basis gradients shared by every map, or
+    (k, npts, nb, 2) one table per map; geom: (k, nb, 2) element nodes.  jac
+    is d(x)/d(xi) (k, npts, 2, 2) and gphys the physical basis gradients
+    (k, npts, nb, 2).
     """
-    jac = np.einsum("pnd,nx->pxd", grad, geom)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    grad = np.broadcast_to(grad, (len(geom),) + grad.shape[-3:])
+    jac = np.einsum("epnd,enx->epxd", grad, geom)
+    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
     inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1] / det
-    inv[:, 0, 1] = -jac[:, 0, 1] / det
-    inv[:, 1, 0] = -jac[:, 1, 0] / det
-    inv[:, 1, 1] = jac[:, 0, 0] / det
-    # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x))
-    return jac, det, np.einsum("pds,pnd->pns", inv, grad)
+    inv[..., 0, 0] = jac[..., 1, 1] / det
+    inv[..., 0, 1] = -jac[..., 0, 1] / det
+    inv[..., 1, 0] = -jac[..., 1, 0] / det
+    inv[..., 1, 1] = jac[..., 0, 0] / det
+    # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x)),
+    # summed over j from 0.0 as einsum("pds,pnd->pns") sums: the 0.0 turns a
+    # -0.0 first term into +0.0
+    row = inv[:, :, None]                       # (k, npts, 1, 2, 2): one per node
+    gphys = row[..., 0, :] * grad[..., 0, None] + 0.0 + row[..., 1, :] * grad[..., 1, None]
+    return jac, det, gphys
 
 
-def element_stiffness(mesh, e):
+def element_stiffness(mesh, elems):
+    """(k, nb, nb) stiffness matrices of the elements elems (ids or a slice).
+
+    Entry (n, m) sums w_p det_p grad(phi_n) . grad(phi_m) over the quadrature
+    points p in order, adding each point's two gradient products first: the
+    order in which einsum("p,pns,pms->nm", w, gphys, gphys) sums one element.
+    """
     ref = mesh.ref
-    _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[e])
-    w = ref.quad_weights * det
-    return np.einsum("p,pns,pms->nm", w, gphys, gphys)
+    _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[elems])
+    wg = (ref.quad_weights * det)[..., None, None] * gphys
+    out = np.zeros((len(gphys), ref.n_nodes, ref.n_nodes))
+    term, second = np.empty_like(out), np.empty_like(out)
+    for p in range(gphys.shape[1]):
+        np.multiply(wg[:, p, :, None, 0], gphys[:, p, None, :, 0], out=term)
+        np.multiply(wg[:, p, :, None, 1], gphys[:, p, None, :, 1], out=second)
+        term += second
+        out += term
+    return out
+
+
+def _stiffness_blocks(mesh):
+    """element_stiffness of every element, one batch at a time."""
+    return np.concatenate([element_stiffness(mesh, b) for b in _batches(mesh.n_elements())])
 
 
 class FaceGeometry:
-    """Quadrature geometry of one element edge (normals point out of elem)."""
+    """Quadrature geometry of k element edges (normals point out of their elements).
 
-    def __init__(self, mesh, elem, ledge):
-        self.basis, grad = mesh.ref.face_table(ledge)
-        jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elem])
-        dxi_ds = 0.5 * (VERTICES[(ledge + 1) % 3] - VERTICES[ledge])
-        tang = np.einsum("pxd,d->px", jac, dxi_ds)
-        self.sjac = np.hypot(tang[:, 0], tang[:, 1])
-        self.normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.sjac[:, None]
+    elems and ledges: (k,) element ids and local edges; reverse takes each
+    edge's quadrature points in reverse, as the neighbour across it sees
+    them (RefTriangle.face_table).  Arrays carry a leading face index:
+    basis (k, nq, nb), gphys (k, nq, nb, 2), normal and points (k, nq, 2),
+    wq (k, nq), length (k,).
+    """
+
+    def __init__(self, mesh, elems, ledges, reverse=False):
+        tables = [mesh.ref.face_table(le, reverse) for le in range(3)]
+        self.basis = np.stack([basis for basis, _ in tables])[ledges]
+        grad = np.stack([grad for _, grad in tables])[ledges]
+        jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elems])
+        dxi_ds = 0.5 * (VERTICES[(ledges + 1) % 3] - VERTICES[ledges])
+        tang = np.einsum("epxd,ed->epx", jac, dxi_ds)
+        self.sjac = np.hypot(tang[..., 0], tang[..., 1])
+        self.normal = np.stack([tang[..., 1], -tang[..., 0]], axis=2) / self.sjac[..., None]
         self.wq = mesh.ref.edge_quad_w * self.sjac
-        self.length = float(self.wq.sum())
-        self.points = self.basis @ mesh.geom[elem]
+        self.length = self.wq.sum(axis=1)
+        self.points = self.basis @ mesh.geom[elems]
 
     def normal_deriv(self):
-        """Matrix D with D[p, n] = normal . grad(phi_n) at quad point p."""
-        return np.einsum("px,pnx->pn", self.normal, self.gphys)
+        """D with D[k, p, n] = normal . grad(phi_n) at quad point p of face k."""
+        return np.einsum("epx,epnx->epn", self.normal, self.gphys)
 
 
 def interior_face_pairs(mesh):
@@ -207,11 +248,16 @@ def interior_face_pairs(mesh):
     return [(*mesh.edge_use[i][0], *mesh.edge_use[i][1]) for i in mesh.interior_edges]
 
 
-def _assemble(blocks, ndof):
-    """CSR matrix summing dense blocks, each (dofs, block) on rows and columns dofs."""
-    rows = np.concatenate([np.repeat(d, len(d)) for d, _ in blocks])
-    cols = np.concatenate([np.tile(d, len(d)) for d, _ in blocks])
-    vals = np.concatenate([block.ravel() for _, block in blocks])
+def _assemble(groups, ndof):
+    """CSR matrix summing dense blocks.
+
+    groups: (dofs (k, n), blocks (k, n, n)) pairs; block i sits on rows and
+    columns dofs[i].  Entries go in group order, then block order, which
+    fixes how the CSR conversion sums duplicates.
+    """
+    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel() for d, _ in groups])
+    cols = np.concatenate([np.tile(d, d.shape[1]).ravel() for d, _ in groups])
+    vals = np.concatenate([blocks.ravel() for _, blocks in groups])
     return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
 
 
@@ -260,8 +306,7 @@ def _linear_solve(matrix, rhs_cols):
 def build_cg_system(mesh, bc):
     """(K, dirichlet dof ids, dirichlet values (ndir, ncomp), space)."""
     space = CGSpace(mesh)
-    K = _assemble([(space.local_to_global[e], element_stiffness(mesh, e))
-                   for e in range(mesh.n_elements())], space.ndof)
+    K = _assemble([(space.local_to_global, _stiffness_blocks(mesh))], space.ndof)
     dir_vals = {}
     ref = mesh.ref
     for f in mesh.boundary_faces:
@@ -296,57 +341,71 @@ def _face_penalty(choice, mesh, length):
 
 
 def _sipg_face(w, jump, avg, mu):
-    """-{dn u}[v] - {dn v}[u] + mu [u][v] over the unknowns of one face.
+    """-{dn u}[v] - {dn v}[u] + mu [u][v] over the unknowns of k faces.
 
-    jump and avg: (nq, n) values of [phi] and {dn phi} of the face's n
-    unknowns at its quadrature points, w the quadrature weights.
+    jump and avg: (k, nq, n) values of [phi] and {dn phi} of each face's n
+    unknowns at its quadrature points, w (k, nq) the quadrature weights and
+    mu (k,) the penalties.
     """
     def face_int(a, b):
-        return np.einsum("p,pn,pm->nm", w, a, b)
+        return np.einsum("ep,epn,epm->enm", w, a, b)
 
-    return -face_int(jump, avg) - face_int(avg, jump) + mu * face_int(jump, jump)
+    return (-face_int(jump, avg) - face_int(avg, jump)
+            + mu[:, None, None] * face_int(jump, jump))
+
+
+def _matched_faces(mesh, eL, leL, eR, leR):
+    """FaceGeometry of k interior faces seen from eL and, reversed, from eR.
+
+    Conforming meshes share the edge geometry, so the reversed edge
+    parameter of eR meets each quadrature point of eL; verified against the
+    physical points of every face.
+    """
+    fL = FaceGeometry(mesh, eL, leL)
+    fR = FaceGeometry(mesh, eR, leR, reverse=True)
+    err = np.abs(fR.points - fL.points).max(axis=(1, 2))
+    bad = np.flatnonzero(err > 1e-9 * (1.0 + mesh.bbox_diag))
+    if len(bad):
+        raise SolverError(f"face geometry mismatch across an interior edge: {err[bad[0]]:.3e}")
+    return fL, fR
+
+
+def _interior_blocks(mesh, choice, eL, leL, eR, leR):
+    """SIPG blocks (k, 2 nb, 2 nb) of k interior faces on the unknowns of eL, then eR."""
+    fL, fR = _matched_faces(mesh, eL, leL, eR, leR)
+    DnR = np.einsum("epx,epnx->epn", fL.normal, fR.gphys)
+    jump = np.concatenate([fL.basis, -fR.basis], axis=2)
+    avg = 0.5 * np.concatenate([fL.normal_deriv(), DnR], axis=2)
+    return _sipg_face(fL.wq, jump, avg, _face_penalty(choice, mesh, fL.length))
 
 
 def build_dg_system(mesh, bc, choice):
-    """(K, rhs (ndof, ncomp)) with ndof = elements x nodes."""
+    """(K, rhs (ndof, ncomp)) with ndof = elements x nodes.
+
+    Blocks go in element order, then interior faces in interior_face_pairs
+    order, then boundary faces.  An element with two boundary faces gets
+    their right-hand sides in face order.
+    """
     nb = mesh.ref.n_nodes
     dofs = np.arange(mesh.n_elements() * nb).reshape(-1, nb)
-    blocks = [(dofs[e], element_stiffness(mesh, e)) for e in range(mesh.n_elements())]
+    pairs = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4)
+    interior = np.concatenate(
+        [_interior_blocks(mesh, choice, *pairs[b].T) for b in _batches(len(pairs))])
+
+    # boundary faces are few (they grow like the square root of the elements): one pass
+    elems, ledges = np.array([(f.elem, f.ledge) for f in mesh.boundary_faces]).T
+    fg = FaceGeometry(mesh, elems, ledges)
+    B, Dn, w = fg.basis, fg.normal_deriv(), fg.wq
+    mu = _face_penalty(choice, mesh, fg.length)
+    g = np.array([bc.values_at(e, le, mesh.ref.edge_quad_x)          # (k, nq, ncomp)
+                  for e, le in zip(elems.tolist(), ledges.tolist())])
     rhs = np.zeros((dofs.size, bc.ncomp))
-
-    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
-        fL = FaceGeometry(mesh, eL, leL)
-        BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
-        _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
-        DnR = np.einsum("px,pnx->pn", fL.normal, gphysR)
-        jump = np.hstack([fL.basis, -BR])
-        avg = 0.5 * np.hstack([fL.normal_deriv(), DnR])
-        mu = _face_penalty(choice, mesh, fL.length)
-        blocks.append((np.concatenate([dofs[eL], dofs[eR]]),
-                       _sipg_face(fL.wq, jump, avg, mu)))
-
-    for f in mesh.boundary_faces:
-        fg = FaceGeometry(mesh, f.elem, f.ledge)
-        B, Dn, w = fg.basis, fg.normal_deriv(), fg.wq
-        mu = _face_penalty(choice, mesh, fg.length)
-        blocks.append((dofs[f.elem], _sipg_face(w, B, Dn, mu)))
-        g = bc.values_at(f.elem, f.ledge, mesh.ref.edge_quad_x)    # (nq, ncomp)
-        rhs[dofs[f.elem]] += (-np.einsum("p,pn,pc->nc", w, Dn, g)
-                              + mu * np.einsum("p,pn,pc->nc", w, B, g))
-    return _assemble(blocks, dofs.size), rhs
-
-
-def _matched_face_basis(mesh, eR, leR, fL):
-    """(basis, grad) of eR at the reference points matching fL's quadrature points.
-
-    Conforming meshes share the edge geometry, so the match is the affine
-    parameter reversal; verified against the physical points.
-    """
-    basis, grad = mesh.ref.face_table(leR, reverse=True)
-    err = np.abs(basis @ mesh.geom[eR] - fL.points).max()
-    if err > 1e-9 * (1.0 + mesh.bbox_diag):
-        raise SolverError(f"face geometry mismatch across an interior edge: {err:.3e}")
-    return basis, grad
+    np.add.at(rhs, dofs[elems], -np.einsum("ep,epn,epc->enc", w, Dn, g)
+              + mu[:, None, None] * np.einsum("ep,epn,epc->enc", w, B, g))
+    K = _assemble([(dofs, _stiffness_blocks(mesh)),
+                   (np.concatenate([dofs[pairs[:, 0]], dofs[pairs[:, 2]]], axis=1), interior),
+                   (dofs[elems], _sipg_face(w, B, Dn, mu))], dofs.size)
+    return K, rhs
 
 
 def solve_dg(mesh, bc, choice):
@@ -375,20 +434,16 @@ def corner_elements(mesh, domain, rings=2):
     so the high-order solution overshoots the unit bound by a mesh-dependent
     amount in exactly these elements.
     """
-    corners = [c.position for c in domain.corner_inventory()]
-    if not corners:
-        return set()
-    out = set()
-    for e in range(mesh.n_elements()):
-        for v in mesh.vertices[mesh.triangles[e]]:
-            if any(np.hypot(*(v - c)) < 1e-9 * (1.0 + mesh.bbox_diag) for c in corners):
-                out.add(e)
-                break
-    ring = set(out)
+    corners = np.array([c.position for c in domain.corner_inventory()]).reshape(-1, 2)
+    d = mesh.vertices[mesh.triangles][:, :, None, :] - corners        # (ne, 3, corners, 2)
+    ring = (np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + mesh.bbox_diag)).any(axis=(1, 2))
+    left, _, right, _ = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4).T
     for _ in range(rings):
-        for e in list(ring):
-            ring.update(mesh.neighbors(e))
-    return ring
+        grown = ring.copy()
+        grown[right[ring[left]]] = True
+        grown[left[ring[right]]] = True
+        ring = grown
+    return set(np.flatnonzero(ring).tolist())
 
 
 def solve_guiding_field(mesh, domain, choice):
@@ -408,15 +463,14 @@ def jump_norm(solution):
     zeros up to roundoff.
     """
     mesh = solution.mesh
+    pairs = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4)
     per_edge = []
-    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
-        fL = FaceGeometry(mesh, eL, leL)
-        BR, _ = _matched_face_basis(mesh, eR, leR, fL)
-        uL = fL.basis @ solution.coeffs[eL]
-        uR = BR @ solution.coeffs[eR]
-        jump = uL - uR
-        per_edge.append(np.sqrt(np.einsum("p,pc->c", fL.wq, jump**2)))
-    arr = np.array(per_edge) if per_edge else np.zeros((0, solution.ncomp))
+    for b in _batches(len(pairs)):
+        eL, leL, eR, leR = pairs[b].T
+        fL, fR = _matched_faces(mesh, eL, leL, eR, leR)
+        jump = fL.basis @ solution.coeffs[eL] - fR.basis @ solution.coeffs[eR]
+        per_edge.append(np.sqrt(np.einsum("ep,epc->ec", fL.wq, jump**2)))
+    arr = np.concatenate(per_edge)
     summary = {
         "max": float(arr.max()) if arr.size else 0.0,
         "mean": float(arr.mean()) if arr.size else 0.0,

@@ -117,9 +117,15 @@ class TriMesh:
         g = self.ref.grad_basis_at(xi)            # (npts, nb, 2)
         return np.einsum("pnd,nx->pxd", g, self.geom[e])
 
-    def det_jacobians(self, e):
-        jac = np.einsum("pnd,nx->pxd", self.ref.grad_q, self.geom[e])
-        return jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    def det_jacobians(self, e=slice(None)):
+        """Jacobian determinants at the quadrature points: (npts,) for one
+        element id, (k, npts) for an index array or slice (all elements)."""
+        jac = np.einsum("pnd,...nx->...pxd", self.ref.grad_q, self.geom[e])
+        return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+
+    def inverted_elements(self):
+        """Ids of the elements with a Jacobian determinant <= 0 at a quadrature point."""
+        return np.flatnonzero(self.det_jacobians().min(axis=1) <= 0.0).tolist()
 
     def element_area(self, e):
         return float(self.ref.quad_weights @ self.det_jacobians(e))
@@ -188,7 +194,7 @@ class TriMesh:
                                     np.asarray(x, dtype=float), 1e-12 * self.bbox_diag, 50, 1e-8)
 
     def validate_jacobians(self):
-        bad = [e for e in range(self.n_elements()) if self.det_jacobians(e).min() <= 0.0]
+        bad = self.inverted_elements()
         if bad:
             raise MeshError(f"negative Jacobian in elements {bad}")
 
@@ -364,24 +370,19 @@ def _check_feature_size(points, edges, target_h):
 
 
 def _interior_lattice(domain, boundary_pts, target_h, loop_polys):
+    """Staggered lattice points, row by row, inside the domain and farther
+    than 0.7 target_h from every boundary sample."""
     lo, hi = domain.bbox
-    tree = cKDTree(boundary_pts)
     dy = target_h * math.sqrt(3.0) / 2.0
-    rows = int(math.floor((hi[1] - lo[1]) / dy))
-    out = []
-    for r in range(1, rows + 1):
-        y = lo[1] + r * dy
+    rows = []
+    for r in range(1, int(math.floor((hi[1] - lo[1]) / dy)) + 1):
         x0 = lo[0] + (target_h / 2.0 if r % 2 else target_h)
         cols = int(math.floor((hi[0] - x0) / target_h)) + 1
-        for cidx in range(cols):
-            x = x0 + cidx * target_h
-            p = np.array([x, y])
-            if not in_region(p, loop_polys[0], loop_polys[1:]):
-                continue
-            if tree.query(p)[0] <= 0.7 * target_h:
-                continue
-            out.append(p)
-    return np.array(out) if out else np.empty((0, 2))
+        rows.append(np.stack([x0 + np.arange(cols) * target_h,
+                              np.full(cols, lo[1] + r * dy)], axis=1))
+    pts = np.concatenate(rows) if rows else np.empty((0, 2))
+    pts = pts[in_region(pts, loop_polys[0], loop_polys[1:])]
+    return pts[~(cKDTree(boundary_pts).query(pts)[0] <= 0.7 * target_h)]
 
 
 # ---- elevation and curving ---------------------------------------------------
@@ -434,7 +435,7 @@ def elevate_and_curve(mesh, order, domain):
 
     out = TriMesh(mesh.vertices.copy(), mesh.triangles.copy(), order, geom,
                   list(mesh.boundary_faces), domain=domain)
-    bad = [e for e in range(out.n_elements()) if out.det_jacobians(e).min() <= 0.0]
+    bad = out.inverted_elements()
     if bad:
         raise MeshError(f"curving produced negative Jacobians in elements {bad}; "
                         "refine the background mesh")

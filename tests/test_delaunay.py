@@ -12,6 +12,7 @@ centroids handed to the carve's classifier, in the same order.
 import copy
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,30 @@ def reference_carve(tri, super_ids, constrained, classify_component):
             tri.remove_triangle(tid)
 
 
+def all_rows_insert(tri, pid, eps):
+    """bowyer_watson_insert as it was before it skipped deleted rows: the
+    in-circle determinant of every row of the table, dead or live."""
+    pts = tri.points
+    p = pts[pid]
+    table = tri.table
+    ax, ay = (pts[table[:, 0]] - p).T
+    bx, by = (pts[table[:, 1]] - p).T
+    cx, cy = (pts[table[:, 2]] - p).T
+    det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
+           - (bx * bx + by * by) * (ax * cy - cx * ay)
+           + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    bad = np.flatnonzero(tri.live & (det > -eps))
+    if not len(bad):
+        raise MeshError("point insertion found no containing circumcircle")
+    edge_count = {}
+    for e in map(tuple, delaunay._edges(table[bad]).tolist()):
+        edge_count[e] = edge_count.get(e, 0) + 1
+    tri.live[bad] = False
+    for (a, b), cnt in sorted(edge_count.items()):
+        if cnt == 1 and _orient(pts[a], pts[b], p) != 0:
+            tri.add_triangle(a, b, pid)
+
+
 def _incircle_det(pts, tri, p):
     """The determinant _circumcircle_contains compares, in its operation order."""
     a, b, c = (pts[i] for i in tri)
@@ -303,8 +328,9 @@ def _incircle_det(pts, tri, p):
 
 # ---- running both ways -----------------------------------------------------------
 
-# A recovery that flips in a cycle runs its 10,000 passes before the
-# MeshError, seconds per case; both implementations stop after PASSES here.
+# The reference recovery flips a cycle for its 10,000 passes before the
+# MeshError, seconds per case; both implementations stop after PASSES here
+# (recover_edge itself stops at the first repeated edge set).
 PASSES = 40
 
 # (triangulate, carve, constrained-edge key) of each implementation
@@ -466,7 +492,8 @@ def test_triangulate_matches_scalar_reference(case):
 def test_insert_matches_reference_at_every_threshold(case, p):
     """Set eps so that one triangle's determinant sits exactly on -eps, for each
     live triangle in turn: the strict comparison and the operation order of
-    the determinant decide whether that triangle joins the cavity."""
+    the determinant decide whether that triangle joins the cavity.  The
+    live-row insert must also match the all-rows insert it replaced."""
     points, edges = case
     try:
         tri = triangulate_pslg(points, edges)[0]
@@ -480,6 +507,7 @@ def test_insert_matches_reference_at_every_threshold(case, p):
     for _, t in ref.live_triangles():
         eps = -_incircle_det(ref.points, t, ref.points[pid])
         new = _insert_copy(delaunay.bowyer_watson_insert, tri, pid, eps)
+        assert new == _insert_copy(all_rows_insert, tri, pid, eps)
         assert new == _insert_copy(reference_insert, ref, pid, eps)
 
 
@@ -529,6 +557,17 @@ def test_star_polygons_flip_and_fail_like_the_reference():
             assert isinstance(new, tuple) if outcome is tuple else new.startswith(outcome)
             assert flips or n == 3
             flips.clear()
+
+
+def test_cycling_recovery_fails_at_its_first_repeat():
+    """At the default max_iter the cycling case fails as soon as an edge set
+    repeats, with the cap's message, not after its 10,000 passes."""
+    for dx, dy in OFFSETS:
+        points = np.array(CYCLING_RING + CYCLING_INNER) + [dx, dy]
+        start = time.perf_counter()
+        with pytest.raises(MeshError, match="edge recovery did not terminate"):
+            triangulate_pslg(points, _cycle(5))
+        assert time.perf_counter() - start < 0.5
 
 
 def test_cocircular_lattice_and_fixture_offsets():

@@ -1,19 +1,180 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from quadfield import solver
 from quadfield.errors import SolverError
-from quadfield.reftri import RefTriangle, quadrature_for_degree
-from quadfield.solver import (CrossFieldBC, DiscretizationChoice, FaceGeometry,
-                              FunctionBC, _face_penalty, _matched_face_basis,
-                              _physical_gradients, build_cg_system,
+from quadfield.reftri import VERTICES, RefTriangle, quadrature_for_degree
+from quadfield.solver import (CGSpace, CrossFieldBC, DiscretizationChoice,
+                              FunctionBC, _face_penalty, build_cg_system,
                               build_dg_system, choose_discretization,
-                              element_stiffness, interior_face_pairs, jump_norm,
+                              corner_elements, interior_face_pairs, jump_norm,
                               solve_guiding_field, solve_laplace)
 from quadfield.geometry import load_fixture
 from quadfield.trimesh import TriMesh, elevate_and_curve, generate_background_mesh
+
+
+# ---- reference: the per-element and per-face assembly the batched one replaced ----
+# Each routine is the scalar version as it stood before the element and face
+# passes took a leading batch index; the byte tests below hold the batched
+# solver to them.
+
+
+def _physical_gradients(grad, geom):
+    """(jac, det, gphys) of an element map at reference points.
+
+    grad: (npts, nb, 2) reference basis gradients; geom: (nb, 2) element
+    nodes.  jac is d(x)/d(xi) (npts, 2, 2) and gphys the physical basis
+    gradients (npts, nb, 2).
+    """
+    jac = np.einsum("pnd,nx->pxd", grad, geom)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv = np.empty_like(jac)
+    inv[:, 0, 0] = jac[:, 1, 1] / det
+    inv[:, 0, 1] = -jac[:, 0, 1] / det
+    inv[:, 1, 0] = -jac[:, 1, 0] / det
+    inv[:, 1, 1] = jac[:, 0, 0] / det
+    # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x))
+    return jac, det, np.einsum("pds,pnd->pns", inv, grad)
+
+
+def element_stiffness(mesh, e):
+    ref = mesh.ref
+    _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[e])
+    w = ref.quad_weights * det
+    return np.einsum("p,pns,pms->nm", w, gphys, gphys)
+
+
+class FaceGeometry:
+    """Quadrature geometry of one element edge (normals point out of elem)."""
+
+    def __init__(self, mesh, elem, ledge):
+        self.basis, grad = mesh.ref.face_table(ledge)
+        jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elem])
+        dxi_ds = 0.5 * (VERTICES[(ledge + 1) % 3] - VERTICES[ledge])
+        tang = np.einsum("pxd,d->px", jac, dxi_ds)
+        self.sjac = np.hypot(tang[:, 0], tang[:, 1])
+        self.normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / self.sjac[:, None]
+        self.wq = mesh.ref.edge_quad_w * self.sjac
+        self.length = float(self.wq.sum())
+        self.points = self.basis @ mesh.geom[elem]
+
+    def normal_deriv(self):
+        """Matrix D with D[p, n] = normal . grad(phi_n) at quad point p."""
+        return np.einsum("px,pnx->pn", self.normal, self.gphys)
+
+
+def _assemble(blocks, ndof):
+    """CSR matrix summing dense blocks, each (dofs, block) on rows and columns dofs."""
+    rows = np.concatenate([np.repeat(d, len(d)) for d, _ in blocks])
+    cols = np.concatenate([np.tile(d, len(d)) for d, _ in blocks])
+    vals = np.concatenate([block.ravel() for _, block in blocks])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
+
+
+def per_element_cg_system(mesh, bc):
+    """(K, dirichlet dof ids, dirichlet values (ndir, ncomp), space)."""
+    space = CGSpace(mesh)
+    K = _assemble([(space.local_to_global[e], element_stiffness(mesh, e))
+                   for e in range(mesh.n_elements())], space.ndof)
+    dir_vals = {}
+    ref = mesh.ref
+    for f in mesh.boundary_faces:
+        dofs = space.local_to_global[f.elem][ref.edge_ids[f.ledge]]
+        vals_f = bc.values_at(f.elem, f.ledge, ref.edge_node_params)  # (P+1, ncomp)
+        dir_vals.update(zip(dofs.tolist(), vals_f))
+    dir_ids = np.array(sorted(dir_vals), dtype=int)
+    dir_data = np.array([dir_vals[d] for d in dir_ids])
+    return K, dir_ids, dir_data, space
+
+
+def _sipg_face(w, jump, avg, mu):
+    """-{dn u}[v] - {dn v}[u] + mu [u][v] over the unknowns of one face.
+
+    jump and avg: (nq, n) values of [phi] and {dn phi} of the face's n
+    unknowns at its quadrature points, w the quadrature weights.
+    """
+    def face_int(a, b):
+        return np.einsum("p,pn,pm->nm", w, a, b)
+
+    return -face_int(jump, avg) - face_int(avg, jump) + mu * face_int(jump, jump)
+
+
+def per_face_dg_system(mesh, bc, choice):
+    """(K, rhs (ndof, ncomp)) with ndof = elements x nodes."""
+    nb = mesh.ref.n_nodes
+    dofs = np.arange(mesh.n_elements() * nb).reshape(-1, nb)
+    blocks = [(dofs[e], element_stiffness(mesh, e)) for e in range(mesh.n_elements())]
+    rhs = np.zeros((dofs.size, bc.ncomp))
+
+    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+        fL = FaceGeometry(mesh, eL, leL)
+        BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
+        _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
+        DnR = np.einsum("px,pnx->pn", fL.normal, gphysR)
+        jump = np.hstack([fL.basis, -BR])
+        avg = 0.5 * np.hstack([fL.normal_deriv(), DnR])
+        mu = _face_penalty(choice, mesh, fL.length)
+        blocks.append((np.concatenate([dofs[eL], dofs[eR]]),
+                       _sipg_face(fL.wq, jump, avg, mu)))
+
+    for f in mesh.boundary_faces:
+        fg = FaceGeometry(mesh, f.elem, f.ledge)
+        B, Dn, w = fg.basis, fg.normal_deriv(), fg.wq
+        mu = _face_penalty(choice, mesh, fg.length)
+        blocks.append((dofs[f.elem], _sipg_face(w, B, Dn, mu)))
+        g = bc.values_at(f.elem, f.ledge, mesh.ref.edge_quad_x)    # (nq, ncomp)
+        rhs[dofs[f.elem]] += (-np.einsum("p,pn,pc->nc", w, Dn, g)
+                              + mu * np.einsum("p,pn,pc->nc", w, B, g))
+    return _assemble(blocks, dofs.size), rhs
+
+
+def _matched_face_basis(mesh, eR, leR, fL):
+    """(basis, grad) of eR at the reference points matching fL's quadrature points.
+
+    Conforming meshes share the edge geometry, so the match is the affine
+    parameter reversal; verified against the physical points.
+    """
+    basis, grad = mesh.ref.face_table(leR, reverse=True)
+    err = np.abs(basis @ mesh.geom[eR] - fL.points).max()
+    if err > 1e-9 * (1.0 + mesh.bbox_diag):
+        raise SolverError(f"face geometry mismatch across an interior edge: {err:.3e}")
+    return basis, grad
+
+
+def per_face_jump_norm(solution):
+    """The per-edge array of jump_norm, one face at a time."""
+    mesh = solution.mesh
+    per_edge = []
+    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+        fL = FaceGeometry(mesh, eL, leL)
+        BR, _ = _matched_face_basis(mesh, eR, leR, fL)
+        uL = fL.basis @ solution.coeffs[eL]
+        uR = BR @ solution.coeffs[eR]
+        jump = uL - uR
+        per_edge.append(np.sqrt(np.einsum("p,pc->c", fL.wq, jump**2)))
+    return np.array(per_edge) if per_edge else np.zeros((0, solution.ncomp))
+
+
+def per_element_corner_elements(mesh, domain, rings=2):
+    """Elements within a couple of rings of any geometry corner."""
+    corners = [c.position for c in domain.corner_inventory()]
+    if not corners:
+        return set()
+    out = set()
+    for e in range(mesh.n_elements()):
+        for v in mesh.vertices[mesh.triangles[e]]:
+            if any(np.hypot(*(v - c)) < 1e-9 * (1.0 + mesh.bbox_diag) for c in corners):
+                out.add(e)
+                break
+    ring = set(out)
+    for _ in range(rings):
+        for e in list(ring):
+            ring.update(mesh.neighbors(e))
+    return ring
 
 
 def l2_error(sol, fn, component=0):
@@ -211,6 +372,8 @@ def _four_block_dg_system(mesh, bc, choice):
 
     Reference for build_dg_system, which writes every face as one jump/average
     form over the face's unknowns and builds the matrix with one scatter.
+    Its element and face geometry is the per-element and per-face reference
+    above.
     """
     ref = mesh.ref
     nb = ref.n_nodes
@@ -297,3 +460,77 @@ def test_sipg_face_form_matches_four_block_reference_polygon(polygon_iii, order,
     assert choice.scheme == "dg"
     assert (_dg_bytes(build_dg_system(mesh, bc, choice))
             == _dg_bytes(_four_block_dg_system(mesh, bc, choice)))
+
+
+# ---- the batched element and face passes against the per-face reference ----------
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_mesh(name, order, h):
+    domain = load_fixture(name)
+    return domain, elevate_and_curve(generate_background_mesh(domain, h), order, domain)
+
+
+@pytest.mark.parametrize("batch", [solver.BATCH, 7])
+def test_batched_assembly_matches_per_face_reference(batch, monkeypatch):
+    """DG on polygon_III and CG on geometry_I at order 3, h = 0.35: the bytes of
+    the matrix, the right-hand side and the Dirichlet data equal those of
+    the per-element and per-face assembly, whatever the batch size."""
+    monkeypatch.setattr(solver, "BATCH", batch)
+    domain, mesh = _fixture_mesh("polygon_III", 3, 0.35)
+    bc = CrossFieldBC(mesh, domain)
+    choice = choose_discretization(domain)
+    assert choice.scheme == "dg"
+    assert (_dg_bytes(build_dg_system(mesh, bc, choice))
+            == _dg_bytes(per_face_dg_system(mesh, bc, choice)))
+
+    domain, mesh = _fixture_mesh("geometry_I", 3, 0.35)
+    bc = CrossFieldBC(mesh, domain)
+    assert choose_discretization(domain).scheme == "cg"
+    new, ref = build_cg_system(mesh, bc), per_element_cg_system(mesh, bc)
+    assert ([a.tobytes() for a in (new[0].data, new[0].indices, new[0].indptr, *new[1:3])]
+            == [a.tobytes() for a in (ref[0].data, ref[0].indices, ref[0].indptr, *ref[1:3])])
+
+
+def test_batched_face_geometry_matches_per_face_reference():
+    """Every array of the batched FaceGeometry, face by face, on polygon_III at
+    order 4 (the benchmark's order), interior faces from both sides."""
+    domain, mesh = _fixture_mesh("polygon_III", 4, 0.35)
+    pairs = np.array(interior_face_pairs(mesh))
+    faces = np.concatenate([pairs[:, :2], pairs[:, 2:],
+                            [(f.elem, f.ledge) for f in mesh.boundary_faces]])
+    batch = solver.FaceGeometry(mesh, faces[:, 0], faces[:, 1])
+    for k, (e, le) in enumerate(faces.tolist()):
+        ref = FaceGeometry(mesh, e, le)
+        for name in ("basis", "gphys", "sjac", "normal", "wq"):
+            assert getattr(batch, name)[k].tobytes() == getattr(ref, name).tobytes()
+        assert batch.length[k] == ref.length
+        assert batch.normal_deriv()[k].tobytes() == ref.normal_deriv().tobytes()
+
+
+def test_jump_norm_matches_per_face_reference():
+    domain, mesh = _fixture_mesh("polygon_III", 3, 0.35)
+    sol = solve_laplace(mesh, CrossFieldBC(mesh, domain), choose_discretization(domain))
+    per_edge, summary = jump_norm(sol)
+    assert per_edge.tobytes() == per_face_jump_norm(sol).tobytes()
+    assert summary["max"] == float(per_edge.max()) > 0.0
+
+
+@pytest.mark.parametrize("name", ["polygon_III", "geometry_I", "half_disc", "naca_IV"])
+def test_corner_elements_match_per_element_reference(name):
+    domain, mesh = _fixture_mesh(name, 2, 0.35)
+    for rings in (0, 1, 2):
+        assert (corner_elements(mesh, domain, rings)
+                == per_element_corner_elements(mesh, domain, rings))
+
+
+def test_interior_face_mismatch_is_reported(square_mesh_p3):
+    """A geometry node moved off a shared edge breaks the match of that face."""
+    mesh = square_mesh_p3
+    eL, leL, eR, leR = interior_face_pairs(mesh)[-1]
+    geom = mesh.geom.copy()
+    geom[eR, mesh.ref.edge_ids[leR][1]] += 1e-3
+    bent = TriMesh(mesh.vertices, mesh.triangles, mesh.order, geom, mesh.boundary_faces)
+    bc = FunctionBC(bent, [lambda x, y: x])
+    with pytest.raises(SolverError, match="face geometry mismatch"):
+        build_dg_system(bent, bc, DiscretizationChoice("dg"))

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
+from quadfield import trimesh
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
 from quadfield.reftri import (BARYCENTER, VERTICES, RefTriangle, _JacobiTable,
@@ -518,3 +520,81 @@ def test_edge_table_matches_reference_dictionaries(name, order):
 def test_edge_table_matches_reference_dictionaries_square_p3(
         unit_square, square_mesh_linear, square_mesh_p3):
     _assert_edge_table_matches_reference(square_mesh_linear, square_mesh_p3, unit_square)
+
+
+# ---- the interior lattice against the per-point loop it replaced --------------------
+
+
+def _point_in_polygon(x, poly):
+    """Crossing-number test of one point, as it stood before the batched test."""
+    px, py = float(x[0]), float(x[1])
+    xs, ys = poly[:, 0], poly[:, 1]
+    xn, yn = np.roll(xs, -1), np.roll(ys, -1)
+    e = np.flatnonzero((ys > py) != (yn > py))      # edges that straddle py
+    xint = xs[e] + (py - ys[e]) / (yn[e] - ys[e]) * (xn[e] - xs[e])
+    return bool(np.sum(px < xint) % 2)
+
+
+def _in_region(x, outer, holes):
+    if not _point_in_polygon(x, outer):
+        return False
+    return all(not _point_in_polygon(x, h) for h in holes)
+
+
+def per_point_lattice(domain, boundary_pts, target_h, loop_polys):
+    lo, hi = domain.bbox
+    tree = cKDTree(boundary_pts)
+    dy = target_h * math.sqrt(3.0) / 2.0
+    rows = int(math.floor((hi[1] - lo[1]) / dy))
+    out = []
+    for r in range(1, rows + 1):
+        y = lo[1] + r * dy
+        x0 = lo[0] + (target_h / 2.0 if r % 2 else target_h)
+        cols = int(math.floor((hi[0] - x0) / target_h)) + 1
+        for cidx in range(cols):
+            x = x0 + cidx * target_h
+            p = np.array([x, y])
+            if not _in_region(p, loop_polys[0], loop_polys[1:]):
+                continue
+            if tree.query(p)[0] <= 0.7 * target_h:
+                continue
+            out.append(p)
+    return np.array(out) if out else np.empty((0, 2))
+
+
+@pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
+                                  "naca_IV", "holed_nautilus"])
+def test_interior_lattice_matches_per_point_loop(name, monkeypatch):
+    """Same points in the same row-major order at the fine and coarse spacings,
+    with the crossing-number test split into passes of a few points."""
+    domain = load_fixture(name)
+    seen = []
+
+    def both(domain, boundary_pts, target_h, loop_polys):
+        new = lattice(domain, boundary_pts, target_h, loop_polys)
+        seen.append((new.tobytes(), per_point_lattice(domain, boundary_pts, target_h,
+                                                      loop_polys).tobytes()))
+        return new
+
+    lattice = trimesh._interior_lattice
+    monkeypatch.setattr(trimesh, "_interior_lattice", both)
+    for h in (0.12, 0.35):
+        generate_background_mesh(domain, h)
+    monkeypatch.setattr("quadfield.geometry.PIP_PAIRS", 1000)
+    generate_background_mesh(domain, 0.12)
+    assert len(seen) == 3 and all(new == ref for new, ref in seen)
+    assert all(len(new) for new, _ in seen)
+
+
+def test_inverted_elements_match_per_element_loop(half_disc_mesh):
+    mesh = half_disc_mesh
+    geom = mesh.geom.copy()
+    geom[[2, 5]] = geom[[2, 5]][:, ::-1]            # reversed node order: negative Jacobian
+    bent = TriMesh(mesh.vertices, mesh.triangles, mesh.order, geom, mesh.boundary_faces)
+    for m, bad in ((mesh, []), (bent, [2, 5])):
+        assert m.inverted_elements() == bad == \
+            [e for e in range(m.n_elements()) if m.det_jacobians(e).min() <= 0.0]
+        assert m.det_jacobians().tobytes() == \
+            np.array([m.det_jacobians(e) for e in range(m.n_elements())]).tobytes()
+    with pytest.raises(MeshError, match=r"negative Jacobian in elements \[2, 5\]"):
+        bent.validate_jacobians()

@@ -17,7 +17,8 @@
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised.
 # polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
-# fine_mesh_solve flags (--order 4 --target-h 0.12).
+# fine_mesh_solve flags (--order 4 --target-h 0.12), and geometry_I once more
+# with --scheme dg, so the DG face terms run on curved boundary faces too.
 # Each run's exit code is written next to its artifacts, so it is compared
 # too.  The ref is exported with `git archive` into the work directory (a
 # fresh temporary directory by default, removed afterwards).  Exits 0 when
@@ -83,6 +84,7 @@ run_staged() {            # <source tree> <output dir>
 polygon_III_staged polygon_III mesh,solve,topology,trace,cut,split --order 3 --target-h 0.35 --split 2 --formats msh
 polygon_III_fine polygon_III mesh,solve --order 4 --target-h 0.12
 geometry_I_fine geometry_I mesh,solve --order 4 --target-h 0.12
+geometry_I_fine_dg geometry_I mesh,solve --order 4 --target-h 0.12 --scheme dg
 STAGED
 }
 
