@@ -92,29 +92,33 @@ class Pipeline:
         self.out = Path(config["out"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.formats = [f for f in config["formats"].split(",") if f]
+        self._loaded = {}            # stage -> object read from its artifact
 
     # ---- artifacts ---------------------------------------------------------
 
     def path(self, stage):
         return self.out / ARTIFACTS[stage]
 
-    def load(self, stage, mesh=None):
-        """The artifact of stage, read by its module's reader (solve's needs the mesh).
+    def load(self, stage):
+        """The artifact of stage, read by its module's reader once until stage runs again.
 
         A missing key or a wrongly shaped value is a ConfigError naming the file.
         """
+        if stage in self._loaded:
+            return self._loaded[stage]
         path = self.path(stage)
         doc = load_json(path)
         read = {"mesh": lambda: TriMesh.from_json(doc, domain=self.domain),
-                "solve": lambda: FieldSolution.from_json(doc, mesh),
+                "solve": lambda: FieldSolution.from_json(doc, self.load("mesh")),
                 "topology": lambda: singular.topology_from_json(doc, self.domain),
                 "trace": lambda: tracer.separatrices_from_json(doc),
                 "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
         try:
-            return read()
+            self._loaded[stage] = read()
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
                               f"rerun {stage}") from None
+        return self._loaded[stage]
 
     # ---- stages --------------------------------------------------------------
 
@@ -142,7 +146,7 @@ class Pipeline:
         return sol
 
     def stage_topology(self):
-        sol = self.load("solve", self.load("mesh"))
+        sol = self.load("solve")
         probe = FieldProbe(sol)
         cps = singular.find_critical_points(sol, probe)
         cns = singular.corner_valences(self.domain, probe)
@@ -151,11 +155,10 @@ class Pipeline:
 
     def _traced_field(self):
         """(solution, probe, critical points, corner nodes, step size) of trace and cut."""
-        mesh = self.load("mesh")
-        sol = self.load("solve", mesh)
+        sol = self.load("solve")
         probe = FieldProbe(sol)
         cps, cns = self.load("topology")
-        return sol, probe, cps, cns, self.config["step_factor"] * mesh.shortest_edge()
+        return sol, probe, cps, cns, self.config["step_factor"] * sol.mesh.shortest_edge()
 
     def stage_trace(self):
         sol, probe, cps, cns, h_s = self._traced_field()
@@ -191,6 +194,7 @@ class Pipeline:
         return qmesh
 
     def run(self, stage):
+        self._loaded.pop(stage, None)        # the stage rewrites its artifact
         return getattr(self, f"stage_{stage}")()
 
     def run_all(self):

@@ -9,13 +9,14 @@ meshes served have at most a few hundred elements, so one (points x
 elements) mask per batch is cheap.  A probe answers batches (a valence
 circle, an arc, one tracing round): locate_many inverts once for the whole
 batch, one lane per pair the mask keeps; contains_many tells which
-points lie in the mesh; eval_v_many gives (u, v) from one basis_rows table,
-each row bitwise FieldSolution.eval at the located xi; eval_psi_many gives
-the principal phase of those rows.  Locations are memoised, since contours
-are tested for containment and then evaluated at the same points, and do not
-depend on the rest of the batch, so callers may locate points they might
-never visit.  locate and eval_v are one-point wrappers, kept for the
-benchmark, which wraps and calls them.
+points lie in the mesh; eval_v_many gives (u, v) from the basis rows that
+Newton built at the located xi, with no kernel table of its own, each row
+bitwise FieldSolution.eval there; eval_psi_many gives the principal phase
+of those rows.  Locations are memoised with their basis rows, since
+contours are tested for containment and then evaluated at the same points,
+and do not depend on the rest of the batch, so callers may locate points
+they might never visit.  locate and eval_v are one-point wrappers, kept for
+the benchmark, which wraps and calls them.
 """
 
 from __future__ import annotations
@@ -70,11 +71,17 @@ class FieldProbe:
         return self.locate_many([x])[0]
 
     def locate_many(self, points):
-        """[locate(p) for p in points], with one Newton solve for every new point.
+        """[locate(p) for p in points], with one Newton solve for every new point."""
+        return [loc if loc is OUTSIDE else (loc[0], loc[1].copy())
+                for loc in self._locations(points)]
 
-        The lanes are the (point, element) pairs that pass the mesh's reach
-        mask, point-major with ascending element ids, so a point's first hit
-        is its lowest-id containing element.  A non-finite point is OUTSIDE.
+    def _locations(self, points):
+        """The memo entry of every point: (element id, xi, basis row) or OUTSIDE.
+
+        New points are located in one Newton solve.  Its lanes are the
+        (point, element) pairs that pass the mesh's reach mask, point-major
+        with ascending element ids, so a point's first hit is its lowest-id
+        containing element.  A non-finite point is OUTSIDE.
         """
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         keys = [p.tobytes() for p in points]
@@ -84,32 +91,31 @@ class FieldProbe:
             mask = self.mesh.reachable(pts) & np.isfinite(pts).all(axis=1)[:, None]
             point, elem = np.nonzero(mask)
             found = [OUTSIDE] * len(pts)
-            for i, e, xi in zip(point, elem, self.mesh.invert_map(elem, pts[point])):
+            for i, e, xi, row in zip(point, elem, *self.mesh.invert_map(elem, pts[point])):
                 if xi is not None and found[i] is OUTSIDE:
-                    found[i] = (int(e), xi)
+                    found[i] = (int(e), xi, row)
             self._located.update(zip(fresh, found))
-        return [OUTSIDE if loc is OUTSIDE else (loc[0], loc[1].copy())
-                for loc in map(self._located.__getitem__, keys)]
+        return [self._located[key] for key in keys]
 
     def contains_many(self, points):
-        return [loc is not OUTSIDE for loc in self.locate_many(points)]
+        return [loc is not OUTSIDE for loc in self._locations(points)]
 
     def eval_v(self, x):
         """(u, v) at the physical point x, or OUTSIDE; one-sided for DG."""
         return self.eval_v_many([x])[0]
 
     def eval_v_many(self, points):
-        """(u, v) or OUTSIDE per point, from one locate_many and one basis table.
+        """(u, v) or OUTSIDE per point, from the memo's basis rows; no kernel table.
 
-        Every located point gets its own basis_rows row and its own 1 x n
-        product with its element's coefficients, so its row is bitwise
-        FieldSolution.eval at the located xi.
+        Every located point multiplies the basis row Newton built at its xi
+        with its element's coefficients as its own 1 x n product, so its
+        row is bitwise FieldSolution.eval at the located xi.
         """
-        locs = self.locate_many(points)
+        locs = self._locations(points)
         found = [i for i, loc in enumerate(locs) if loc is not OUTSIDE]
         vals = [OUTSIDE] * len(locs)
         if found:
-            basis, _ = self.mesh.ref.basis_rows(np.array([locs[i][1] for i in found]))
+            basis = np.array([locs[i][2] for i in found])
             coeffs = self.solution.coeffs[[locs[i][0] for i in found]]
             for i, uv in zip(found, (basis[:, None, :] @ coeffs)[:, 0]):
                 vals[i] = uv

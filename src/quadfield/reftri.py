@@ -10,11 +10,14 @@ which Lagrange basis values and gradients at arbitrary points follow.
 DubinerKernel builds every Dubiner mode and its gradient for all points in
 one pass (the all-modes Vandermonde of Hesthaven & Warburton, 2008): one
 three-term Jacobi recurrence runs over an array of (alpha, beta) families,
-one column per family.  Its constants are the Python floats that the
+one row per family.  Its constants are the Python floats that the
 recursion for a single family computes, and every table entry goes through
 the same IEEE operations in the same order as that recursion run once per
 mode, so the Vandermonde matrices are bit-identical to the per-mode
-construction; only the Python overhead per mode is gone.
+construction; only the Python overhead per mode is gone.  Point location
+inverts element maps by lockstep Newton (invert_maps), which hands each
+root's basis row to its caller, so evaluating the field there needs no
+further table.
 
 Quadrature uses collapsed-coordinate Gauss x Gauss-Jacobi(1,0) rules: with n
 points per direction the rule is exact for total degree 2n - 1, has strictly
@@ -31,6 +34,9 @@ from scipy.special import roots_jacobi
 
 VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 BARYCENTER = np.array([-1.0 / 3.0, -1.0 / 3.0])
+# entries (j11, j01, j00, j10) of a flat 2 x 2 Jacobian, times (r0, r1, r1, r0)
+_ADJUGATE = np.array([3, 1, 0, 2])
+_ADJUGATE_R = np.array([0, 1, 1, 0])
 
 # Warp-and-blend alpha constants, indexed by polynomial order 1..15.
 _ALPHA_OPT = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
@@ -77,10 +83,11 @@ def gauss_lobatto(order):
 
 
 def _xi_to_ab(xi):
-    """Collapsed coordinates for Dubiner evaluation."""
+    """Collapsed coordinates for Dubiner evaluation: a is -1 where s is within 1e-14 of 1."""
     r, s = xi[:, 0], xi[:, 1]
-    a = np.where(np.abs(1.0 - s) > 1e-14, 2.0 * (1.0 + r) / np.where(s == 1.0, 1.0, 1.0 - s) - 1.0, -1.0)
-    return a, s
+    d = 1.0 - s
+    ok = np.abs(d) > 1e-14
+    return np.where(ok, 2.0 * (1.0 + r) / np.where(ok, d, 1.0) - 1.0, -1.0), s
 
 
 def _index_pairs(order):
@@ -92,8 +99,8 @@ class _JacobiTable:
 
     families: [(alpha, beta, top degree)] with non-increasing top degrees,
     the first one >= 1.  The families still recurring at degree k are then a
-    prefix, and each step of the recurrence is one slice over all points and
-    families.
+    prefix, and each step of the recurrence is one slice over all families
+    and points.
     """
 
     def __init__(self, families):
@@ -101,24 +108,24 @@ class _JacobiTable:
         self.top = tops[0]
         consts = [_jacobi_constants(al, be, top) for al, be, top in families]
         self.rows = [sum(t >= k for t in tops) for k in range(self.top + 1)]
-        self.p0 = np.array([c[0] for c in consts])
+        self.p0 = np.array([c[0] for c in consts])[:, None]
         linear = consts[:self.rows[1]]
-        self.c1, self.c2, self.sqrt_gamma1 = (np.array([c[q] for c in linear]) for q in (1, 2, 3))
-        self.steps = []                      # per degree: (b, a_old, a_new) arrays
+        self.c1, self.c2, self.sqrt_gamma1 = (np.array([c[q] for c in linear])[:, None]
+                                              for q in (1, 2, 3))
+        self.steps = []                      # per degree: (b, a_old, a_new) columns
         for k in range(1, self.top):
             live = [c[4][k - 1] for c in consts[:self.rows[k + 1]]]
-            self.steps.append(tuple(np.array(v) for v in zip(*live)))
+            self.steps.append(tuple(np.array(v)[:, None] for v in zip(*live)))
 
     def __call__(self, x):
-        """x: (npts, nfam) abscissae -> (npts, nfam, top + 1); zero above a family's top."""
-        out = np.zeros(x.shape + (self.top + 1,))
-        out[:, :, 0] = self.p0
+        """x: (nfam, npts) abscissae -> (top + 1, nfam, npts); unset above a family's top."""
+        out = np.empty((self.top + 1,) + x.shape)
+        out[0] = self.p0
         n = self.rows[1]
-        out[:, :n, 1] = (self.c1 * x[:, :n] / 2.0 + self.c2) / self.sqrt_gamma1
+        out[1, :n] = (self.c1 * x[:n] / 2.0 + self.c2) / self.sqrt_gamma1
         for k, (bnew, aold, anew) in enumerate(self.steps, start=1):
             n = self.rows[k + 1]
-            out[:, :n, k + 1] = ((x[:, :n] - bnew) * out[:, :n, k]
-                                 - aold * out[:, :n, k - 1]) / anew
+            out[k + 1, :n] = ((x[:n] - bnew) * out[k, :n] - aold * out[k - 1, :n]) / anew
         return out
 
 
@@ -129,15 +136,16 @@ class DubinerKernel:
     collapsed coordinates (a, b), and d/dx P_n^(al,be) =
     sqrt(n (n + al + be + 1)) P_{n-1}^(al+1,be+1) (Hesthaven & Warburton,
     2008, sec. 6.1).  One _JacobiTable holds the four kinds of Jacobi factor
-    of every mode at every point.  Modes are ordered i-major, so those with
-    i > 0 are a suffix and get the (1 - b)^(i-1) factors as one slice.
+    of every mode at every point, and one table the powers of (1 - b) and
+    (1 - b) / 2; each is gathered for all modes with one row take.  The
+    tables are mode-major (modes x points), so values and gradients come
+    out as the transposes of C-ordered arrays.  Modes are ordered i-major,
+    so those with i > 0 are a suffix.
     """
 
     def __init__(self, order):
         self.order = p = order
         pairs = _index_pairs(p)
-        upper = pairs[p + 1:]                            # modes with i > 0
-        jpos = [(i, j) for i, j in pairs if j > 0]
         # (key, alpha, beta, top degree) of P^(0,0)(a), P^(2i+1,0)(b) and of
         # their derivative families P^(1,1)(a), P^(2i+2,1)(b)
         fams = ([("a", 0.0, 0.0, p)]
@@ -147,65 +155,74 @@ class DubinerKernel:
         fams.sort(key=lambda f: -f[3])
         col = {f[0]: c for c, f in enumerate(fams)}
         self._jacobi = _JacobiTable([f[1:] for f in fams])
-        self._on_a = np.array([f[0] in ("a", "da") for f in fams])
+        self._on_a = np.array([f[0] in ("a", "da") for f in fams])[:, None]
 
-        self.i = np.array([i for i, _ in pairs])
-        self.j = np.array([j for _, j in pairs])
-        self._upper = slice(p + 1, None)
-        self._i_up_m1 = np.array([i - 1 for i, _ in upper])
-        self._has_dgb = self.j > 0
-        self._j_m1 = np.array([j - 1 for _, j in jpos])
-        self._col_a, self._col_da = col["a"], col["da"]
-        self._col_b = np.array([col[("b", i)] for i, _ in pairs])
-        self._col_db = np.array([col[("db", i)] for i, _ in jpos])
-        # sqrt(n (n + alpha + beta + 1)) of d/dx P_n; every sum is an exact integer
-        self._dfa_scale = np.array([math.sqrt(i * (i + 1.0)) for i, _ in upper])
-        self._dgb_scale = np.array([math.sqrt(j * (j + 2.0 * i + 2.0)) for i, j in jpos])
-        self._half_i = np.array([0.5 * i for i, _ in upper])
-        self._grad_scale = np.array([2.0 ** (i + 0.5) for i, _ in pairs])
+        def row(key, degree):                # row of (family, degree) in the flat table
+            return degree * len(fams) + col[key]
 
-    def _table(self, xi):
-        a, b = _xi_to_ab(np.asarray(xi, dtype=float))
-        return a, b, self._jacobi(np.where(self._on_a, a[:, None], b[:, None]))
-
-    def _powers(self, base):
-        return np.stack([base ** n for n in range(self.order + 1)], axis=1)
+        fa = [row("a", i) for i, _ in pairs]
+        dfa = [row("da", max(i - 1, 0)) for i, _ in pairs]
+        dgb = [row(("db", i), j - 1) if j else row("da", 0) for i, j in pairs]
+        # Per mode, the rows of: fa = P_i(a), to become the value; P_{i-1}(a),
+        # to become d/dr; a slot for d/ds; P_{j-1}(b); gb = P_j(b); fa.  A mode
+        # without a derivative reads the constant p0 > 0 times scale 0: +0.0.
+        self._factor_rows = np.array(
+            fa + dfa + dfa + dgb + [row(("b", i), j) for i, j in pairs] + fa)
+        # sqrt(2) for the value, and sqrt(n (n + alpha + beta + 1)) of
+        # d/dx P_n (every sum an exact integer) for the derivatives
+        self._scale = np.array(
+            [[math.sqrt(2.0)] * len(pairs), [math.sqrt(i * (i + 1.0)) for i, _ in pairs],
+             [1.0] * len(pairs), [math.sqrt(j * (j + 2.0 * i + 2.0)) for i, j in pairs]])[:, :, None]
+        # rows of (1 - b)^i, ((1 - b) / 2)^(i - 1) twice (^0 for i = 0), ((1 - b) / 2)^i
+        hp_m1 = [2 * max(i - 1, 0) + 1 for i, _ in pairs]
+        self._power_rows = np.array([2 * i for i, _ in pairs] + hp_m1 + hp_m1
+                                    + [2 * i + 1 for i, _ in pairs])
+        self._upper = slice(p + 1, None)     # modes with i > 0
+        self._half_i = np.array([0.5 * i for i, _ in pairs[p + 1:]])[:, None]
+        self._grad_scale = np.array([2.0 ** (i + 0.5) for i, _ in pairs])[:, None]
 
     def values(self, xi):
         """Vandermonde matrix V[p, m] = mode m at xi[p]: shape (npts, n_modes)."""
-        return self._values(*self._table(xi))
+        return self.table(xi)[0].T
 
     def gradients(self, xi):
         """(d/dr, d/ds) of the Vandermonde matrix: two (npts, n_modes) arrays."""
-        return self._gradients(*self._table(xi))
+        _, dr, ds = self.table(xi)
+        return dr.T, ds.T
 
-    def values_and_gradients(self, xi):
-        """values(xi) and gradients(xi) from one Jacobi table."""
-        table = self._table(xi)
-        return self._values(*table), self._gradients(*table)
+    def table(self, xi):
+        """(3, n_modes, npts): the Vandermonde matrix, d/dr and d/ds, mode-major.
 
-    def _values(self, a, b, t):
-        return (math.sqrt(2.0) * t[:, self._col_a, self.i] * t[:, self._col_b, self.j]
-                * self._powers(1.0 - b)[:, self.i])
+        Every entry takes the IEEE operations, in the order, of the
+        per-mode recursion: values sqrt(2) fa gb (1 - b)^i, and gradients
+        as in Hesthaven & Warburton's GradSimplex2DP.
+        """
+        a, b = _xi_to_ab(np.asarray(xi, dtype=float))
+        npts = len(a)
+        jac = self._jacobi(np.where(self._on_a, a, b)).reshape(-1, npts)
+        f = jac[self._factor_rows].reshape(6, -1, npts)
+        _, dr, ds, tmp, gb, fa = f
+        # (1 - b)^n and ((1 - b) / 2)^n; n = 0 and 1 are exact, as numpy's
+        # own x ** 0 and x ** 1 are, and every other n stays a power
+        powers = np.empty((self.order + 1, 2, npts))
+        powers[0] = 1.0
+        np.subtract(1.0, b, out=powers[1, 0])
+        np.multiply(0.5, powers[1, 0], out=powers[1, 1])
+        for n in range(2, self.order + 1):
+            powers[n] = powers[1] ** n
+        pw = powers.reshape(-1, npts)[self._power_rows].reshape(4, -1, npts)
 
-    def _gradients(self, a, b, t):
+        f[:4] *= self._scale
+        f[:2] *= gb                          # sqrt(2) fa gb, dfa gb
+        np.multiply(dr, 0.5, out=ds)
+        ds *= 1.0 + a
+        f[:3] *= pw[:3]                      # v (1 - b)^i; dr, ds times 1.0 where i = 0
+        tmp *= pw[3]
         up = self._upper
-        fa = t[:, self._col_a, self.i]
-        gb = t[:, self._col_b, self.j]
-        dfa = np.zeros_like(fa)
-        dfa[:, up] = self._dfa_scale * t[:, self._col_da, self._i_up_m1]
-        dgb = np.zeros_like(gb)
-        dgb[:, self._has_dgb] = self._dgb_scale * t[:, self._col_db, self._j_m1]
-        hp = self._powers(0.5 * (1.0 - b))
-        hp_up = hp[:, self._i_up_m1]
-        dr = dfa * gb
-        ds = dr * 0.5 * (1.0 + a)[:, None]
-        dr[:, up] *= hp_up
-        ds[:, up] *= hp_up
-        tmp = dgb * hp[:, self.i]
-        tmp[:, up] -= self._half_i * gb[:, up] * hp_up
-        ds = ds + fa * tmp
-        return dr * self._grad_scale, ds * self._grad_scale
+        tmp[up] -= self._half_i * gb[up] * pw[1, up]
+        ds += fa * tmp
+        f[1:3] *= self._grad_scale
+        return f[:3]
 
 
 def _warp_factor(order, rout):
@@ -213,9 +230,9 @@ def _warp_factor(order, rout):
     lgl = gauss_lobatto(order)
     req = np.linspace(-1.0, 1.0, order + 1)
     legendre = _JacobiTable([(0.0, 0.0, order)])
-    veq = legendre(req[:, None])[:, 0]
-    pmat = legendre(rout[:, None])[:, 0]
-    lagrange = np.linalg.solve(veq.T, pmat.T)
+    veq = legendre(req[None, :])[:, 0]
+    pmat = legendre(rout[None, :])[:, 0]
+    lagrange = np.linalg.solve(veq, pmat)
     warp = lagrange.T @ (lgl - req)
     zerof = (np.abs(rout) < 1.0 - 1e-10).astype(float)
     sf = 1.0 - (zerof * rout) ** 2
@@ -286,10 +303,9 @@ def quadrature_for_degree(degree):
 
 
 def in_reference(xi, slack=0.0):
-    """True where xi lies in T inflated by slack."""
+    """Mask of the points of xi, one (2,) or many (n, 2), that lie in T inflated by slack."""
     xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    ok = (xi[:, 0] >= -1.0 - slack) & (xi[:, 1] >= -1.0 - slack) & (xi.sum(axis=1) <= slack)
-    return ok if ok.size > 1 else bool(ok[0])
+    return (xi[:, 0] >= -1.0 - slack) & (xi[:, 1] >= -1.0 - slack) & (xi.sum(axis=1) <= slack)
 
 
 class RefTriangle:
@@ -329,17 +345,16 @@ class RefTriangle:
         return np.stack([vr @ self.v_inv, vs @ self.v_inv], axis=2)
 
     def basis_rows(self, xi):
-        """basis_at and grad_basis_at of every point from one Jacobi table.
+        """basis_at and grad_basis_at of every point from one kernel table.
 
-        Row p of each is bitwise equal to the one-point call at xi[p]: every
-        row is copied C-contiguous and multiplied as its own 1 x n product.
+        Row p of each is bitwise equal to the one-point call at xi[p]: the
+        table is copied into C-contiguous rows and every row, of values and
+        of both derivatives, is multiplied as its own 1 x n product in one
+        stacked matmul.
         """
-        v, (vr, vs) = self.kernel.values_and_gradients(xi)
-
-        def rows(m):
-            return (np.ascontiguousarray(m)[:, None, :] @ self.v_inv)[:, 0]
-
-        return rows(v), np.stack([rows(vr), rows(vs)], axis=2)
+        rows = np.ascontiguousarray(self.kernel.table(xi).transpose(0, 2, 1))
+        out = (rows[:, :, None, :] @ self.v_inv)[:, :, 0]
+        return out[0], np.ascontiguousarray(out[1:].transpose(1, 2, 0))
 
     @functools.cached_property
     def lebesgue(self):
@@ -356,45 +371,55 @@ class RefTriangle:
         return max(float(np.abs(self.basis_at(chunk)).sum(axis=1).max())
                    for chunk in np.array_split(pts, 32))
 
+    @functools.cached_property
+    def _barycenter_rows(self):
+        """basis_rows at the barycenter, where every Newton lane starts."""
+        return self.basis_rows(BARYCENTER[None])
+
     def invert_maps(self, nodes, target, tol, max_iter, slack):
         """Newton solve of basis_at(xi) @ nodes[k] = target[k] for every lane k, in lockstep.
 
         nodes: (k, n_nodes, 2) nodal values of k maps from T to the plane;
         target: one point (2,) for all lanes or one per lane (k, 2).
-        Returns one result per lane: xi, or None when the residual does not
-        drop below tol in max_iter steps, the Jacobian vanishes, xi leaves
-        |xi| <= 10, or the root lies outside T inflated by slack.  Every lane
-        starts at the barycenter; each iteration makes one Jacobi table for
-        all lanes still running, and a lane stops where a one-lane loop
-        would stop, after the same IEEE operations, so its xi is bitwise
-        that loop's.
+        Returns (xis, rows), one entry per lane in each: xi and its basis
+        row (bitwise basis_rows(xi)[0][0], the row Newton's last step
+        built), or None and None when the residual does not drop below tol
+        in max_iter steps, the Jacobian vanishes, xi leaves |xi| <= 10, or
+        the root lies outside T inflated by slack.  Every lane starts at the
+        barycenter, whose rows are built once; each later iteration makes
+        one kernel table for all lanes still running, and a lane stops where
+        a one-lane loop would stop, after the same IEEE operations, so its
+        xi is bitwise that loop's.
         """
-        out = [None] * len(nodes)
+        xis, rows = [None] * len(nodes), [None] * len(nodes)
         target = np.broadcast_to(target, (len(nodes), 2))
         lane = np.arange(len(nodes))
-        xi = np.tile(BARYCENTER, (len(nodes), 1))
-        for _ in range(max_iter):
-            if not len(lane):
-                break
-            m = nodes[lane]
-            basis, grad = self.basis_rows(xi)
-            r = (basis[:, None, :] @ m)[:, 0] - target[lane]
-            done = np.hypot(r[:, 0], r[:, 1]) < tol
-            hit = np.flatnonzero(done)
-            if len(hit):
-                for k in hit[np.atleast_1d(in_reference(xi[hit], slack=slack))]:
-                    out[lane[k]] = xi[k]
-            j = np.einsum("knd,knx->kxd", grad, m)
-            det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
-            # negated tests, as in the one-lane loop: a NaN lane runs on
-            go = ~done & ~(np.abs(det) < 1e-300)
-            j, r, det = j[go], r[go], det[go]
-            dxi = np.stack([(j[:, 1, 1] * r[:, 0] - j[:, 0, 1] * r[:, 1]) / det,
-                            (-j[:, 1, 0] * r[:, 0] + j[:, 0, 0] * r[:, 1]) / det], axis=1)
-            xi = xi[go] - dxi
-            inside = ~(np.abs(xi).max(axis=1) > 10.0)
-            xi, lane = xi[inside], lane[go][inside]
-        return out
+        xi = BARYCENTER[None].repeat(len(nodes), axis=0)
+        start = [a.repeat(len(nodes), axis=0) for a in self._barycenter_rows]
+        # a lane that stops this iteration still takes the step, on numbers
+        # it then drops, so a vanishing Jacobian may divide by zero
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for it in range(max_iter):
+                if not len(lane):
+                    break
+                m = nodes[lane]
+                basis, grad = self.basis_rows(xi) if it else start
+                r = (basis[:, None, :] @ m)[:, 0] - target[lane]
+                done = np.hypot(r[:, 0], r[:, 1]) < tol
+                if done.any():
+                    hit = np.flatnonzero(done)
+                    for k in hit[in_reference(xi[hit], slack=slack)]:
+                        xis[lane[k]], rows[lane[k]] = xi[k], basis[k]
+                j = np.einsum("knd,knx->kxd", grad, m).reshape(-1, 4)
+                det = j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
+                # (j11 r0 - j01 r1, j00 r1 - j10 r0) / det, the one-lane
+                # loop's (j11 r0 - j01 r1, -j10 r0 + j00 r1) / det
+                q = j[:, _ADJUGATE] * r[:, _ADJUGATE_R]
+                xi = xi - (q[:, 0::2] - q[:, 1::2]) / det[:, None]
+                # the one-lane loop's tests, each False on NaN: a NaN lane runs on
+                stop = done | (np.abs(det) < 1e-300) | (np.abs(xi).max(axis=1) > 10.0)
+                xi, lane = xi[~stop], lane[~stop]
+        return xis, rows
 
     # ---- node classification ----------------------------------------------
 

@@ -59,8 +59,8 @@ class CornerNode:
 def interior_roots(solution):
     """A CriticalPoint for each element whose Newton root lies inside it, in id order."""
     mesh = solution.mesh
-    xis = mesh.ref.invert_maps(solution.coeffs, np.zeros(2), NEWTON_TOL,
-                               NEWTON_MAX_ITER, NEWTON_SLACK)
+    xis, _ = mesh.ref.invert_maps(solution.coeffs, np.zeros(2), NEWTON_TOL,
+                                  NEWTON_MAX_ITER, NEWTON_SLACK)
     roots = []
     for e, xi in enumerate(xis):
         if xi is not None:

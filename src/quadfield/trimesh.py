@@ -185,10 +185,11 @@ class TriMesh:
     def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
 
-        x is one point (2,) or one per element (k, 2).  Returns one result per
-        element: xi, or None on failure.  Every lane runs: the caller picks
-        them with reachable.  RefTriangle.invert_maps runs with tol
-        1e-12 * bbox_diag, 50 steps and slack 1e-8.
+        x is one point (2,) or one per element (k, 2).  Returns (xis, rows),
+        one entry per element in each: xi and its basis row, or None and None
+        on failure.  Every lane runs: the caller picks them with reachable.
+        RefTriangle.invert_maps runs with tol 1e-12 * bbox_diag, 50 steps
+        and slack 1e-8.
         """
         return self.ref.invert_maps(self.geom[np.asarray(elems, dtype=int)],
                                     np.asarray(x, dtype=float), 1e-12 * self.bbox_diag, 50, 1e-8)

@@ -1,13 +1,17 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
+from quadfield import cli
 from quadfield.cli import Pipeline, _json_default, build_parser, main, resolve_config
 from quadfield.geometry import fixture_path
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
 from quadfield.singular import CORNER_RADIUS_FACTOR, topology_from_json, topology_report
+from quadfield.solver import FieldSolution
 from quadfield.tracer import separatrices_to_json
+from quadfield.trimesh import TriMesh
 
 HALF_DISC = str(fixture_path("half_disc"))
 POLYGON_III = str(fixture_path("polygon_III"))
@@ -42,7 +46,7 @@ def test_every_artifact_reader_round_trips(request, run, name):
         ["run", domain, "--out", str(out)] + FAST)))
     mesh = pipe.load("mesh")
     written = {"mesh": mesh.to_json(),
-               "solve": pipe.load("solve", mesh).to_json(),
+               "solve": pipe.load("solve").to_json(),
                "topology": topology_report(*pipe.load("topology")),
                "trace": separatrices_to_json(pipe.load("trace")),
                "cut": blocks_to_json(pipe.load("cut"))}
@@ -60,6 +64,27 @@ def test_every_artifact_reader_round_trips(request, run, name):
     _, corners = topology_from_json(topology, pipe.domain)
     assert [cn.radius for cn in corners] == \
         [CORNER_RADIUS_FACTOR * pipe.domain.bbox_diag] * len(corners)
+
+
+def test_run_parses_each_artifact_once(tmp_path, monkeypatch):
+    """Later stages share what earlier ones read: one parse per artifact and reader."""
+    reads, parsed = [], []
+    load_json = cli.load_json
+
+    def counted_load(path):
+        reads.append(Path(path).name)
+        return load_json(path)
+
+    for cls in (TriMesh, FieldSolution):
+        def counted(klass, *args, _read=cls.from_json.__func__, **kwargs):
+            parsed.append(klass.__name__)
+            return _read(klass, *args, **kwargs)
+        monkeypatch.setattr(cls, "from_json", classmethod(counted))
+    monkeypatch.setattr(cli, "load_json", counted_load)
+    assert run_cli(["run", HALF_DISC, "--out", tmp_path] + FAST) == 0
+    assert sorted(parsed) == ["FieldSolution", "TriMesh"]
+    assert sorted(reads) == sorted(["mesh.json", "field.json", "topology.json",
+                                    "separatrices.json", "blocks.json"])
 
 
 def test_run_writes_manifest(full_run):

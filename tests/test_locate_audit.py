@@ -1,11 +1,13 @@
 """Location audit: every point location of two full runs against the unfiltered solve.
 
-FieldProbe.locate_many sends to Newton only the (point, element) pairs that
-pass the mesh's reach mask.  This audit records every locate_many batch of
-full half_disc and nautilus runs and solves every (fresh point, element)
-pair again with the unfiltered lockstep RefTriangle.invert_maps: a pair the
-mask rejects must be a miss there, a kept one must give the same xi bytes,
-and each answer must be the point's first unfiltered hit in element-id order.
+FieldProbe sends to Newton only the (point, element) pairs that pass the
+mesh's reach mask.  This audit records every batch of new points of full
+half_disc and nautilus runs and solves every (fresh point, element) pair
+again with the unfiltered lockstep RefTriangle.invert_maps: a pair the mask
+rejects must be a miss there, a kept one must give the same xi bytes, and
+each answer must be the point's first unfiltered hit in element-id order.
+Each answer's memoised basis row must be the one-point basis_rows row at its
+xi, and eval_v_many must give FieldSolution.eval there, to the byte.
 """
 
 import numpy as np
@@ -29,38 +31,40 @@ def test_every_lane_of_a_full_run_matches_the_unfiltered_solve(tmp_path, monkeyp
                                                                fixture, flags):
     batches = []
     lanes = []
-    locate_many = FieldProbe.locate_many
+    locations = FieldProbe._locations
     invert_map = TriMesh.invert_map
 
     def recorded_invert(self, elems, x):
         got = invert_map(self, elems, x)
-        lanes.append((np.array(elems, dtype=int), np.array(x, dtype=float), got))
+        lanes.append((np.array(elems, dtype=int), np.array(x, dtype=float), got[0]))
         return got
 
-    def recorded_locate(self, points):
+    def recorded_locations(self, points):
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         fresh = {p.tobytes(): p for p in pts if p.tobytes() not in self._located}
         del lanes[:]
-        got = locate_many(self, points)
+        got = locations(self, points)
         answers = dict(zip((p.tobytes() for p in pts), got))
-        batches.append((self.mesh, np.array(list(fresh.values())).reshape(-1, 2),
+        batches.append((self, np.array(list(fresh.values())).reshape(-1, 2),
                         [answers[key] for key in fresh], list(lanes)))
         return got
 
     monkeypatch.setattr(TriMesh, "invert_map", recorded_invert)
-    monkeypatch.setattr(FieldProbe, "locate_many", recorded_locate)
+    monkeypatch.setattr(FieldProbe, "_locations", recorded_locations)
     argv = ["run", str(fixture_path(fixture)), "--out", str(tmp_path), "--order", "3"]
     assert main(argv + flags) == 0
     monkeypatch.undo()
 
     pairs = rejected = mismatches = 0
-    for mesh, pts, answers, calls in batches:
+    located = 0
+    for probe, pts, answers, calls in batches:
         if not len(pts):
             continue
+        mesh = probe.mesh
         ne = mesh.n_elements()
         point, elem = np.divmod(np.arange(len(pts) * ne), ne)
-        ref = mesh.ref.invert_maps(mesh.geom[elem], pts[point], 1e-12 * mesh.bbox_diag,
-                                   50, 1e-8)
+        ref, _ = mesh.ref.invert_maps(mesh.geom[elem], pts[point], 1e-12 * mesh.bbox_diag,
+                                      50, 1e-8)
         mask = mesh.reachable(pts).ravel()
         pairs += len(ref)
         rejected += int((~mask).sum())
@@ -85,7 +89,17 @@ def test_every_lane_of_a_full_run_matches_the_unfiltered_solve(tmp_path, monkeyp
             else:
                 mismatches += loc is OUTSIDE or loc[0] != hits[0] or \
                     loc[1].tobytes() != ref[i * ne + hits[0]].tobytes()
+        # 5. each answer's basis row is the one-point row at its xi, and
+        # eval_v_many gives FieldSolution.eval there
+        found = [(p, loc) for p, loc in zip(pts, answers) if loc is not OUTSIDE]
+        located += len(found)
+        mismatches += sum(row.tobytes() != mesh.ref.basis_rows(xi[None])[0][0].tobytes()
+                          for _, (e, xi, row) in found)
+        evals = probe.eval_v_many([p for p, _ in found])
+        mismatches += sum(uv.tobytes() != probe.solution.eval(e, xi)[0].tobytes()
+                          for uv, (_, (e, xi, _)) in zip(evals, found))
     assert mismatches == 0
     # 4. the audit covers many pairs, and the reach mask rejects most of them
     assert pairs > 1000
     assert rejected > pairs // 2
+    assert located > 100

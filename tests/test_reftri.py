@@ -1,12 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quadfield.reftri import (VERTICES, _index_pairs, _JacobiTable, _xi_to_ab,
-                              collapsed_quadrature, gauss_lobatto,
-                              quadrature_for_degree, ref_triangle,
-                              warp_blend_nodes)
+from quadfield.reftri import (BARYCENTER, VERTICES, _index_pairs, _jacobi_constants,
+                              _JacobiTable, _xi_to_ab, collapsed_quadrature,
+                              gauss_lobatto, in_reference, quadrature_for_degree,
+                              ref_triangle, warp_blend_nodes)
 
 
 # ---- per-mode reference: one Jacobi recursion per Dubiner mode ---------------
@@ -117,11 +119,11 @@ def assert_kernel_matches(order, pts):
     [(1.0, 0.0, 5), (3.0, 0.0, 4), (4.0, 1.0, 4), (2.0, 1.0, 2), (9.0, 0.0, 0)]])
 def test_jacobi_table_matches_recursion_bitwise(families):
     x = np.linspace(-1.0, 1.0, 11)[:, None] * np.arange(1, len(families) + 1)
-    table = _JacobiTable(families)(x)
+    table = _JacobiTable(families)(x.T)
     for f, (alpha, beta, top) in enumerate(families):
         want = np.stack([jacobi_polynomial(x[:, f], alpha, beta, n)
-                         for n in range(top + 1)], axis=1)
-        assert_same_bits(table[:, f, :top + 1], want)
+                         for n in range(top + 1)])
+        assert_same_bits(table[:top + 1, f], want)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
@@ -136,6 +138,229 @@ def test_kernel_bitwise_at_the_collapsed_vertex_and_outside(order):
     rng = np.random.default_rng(order)
     pts = np.vstack([[-1.0, 1.0], [0.5, 1.0], rng.uniform(-3.0, 3.0, size=(50, 2))])
     assert_kernel_matches(order, pts)
+
+
+# ---- byte reference: the kernel, basis_rows and invert_maps before the lean table ----
+# Kept verbatim; only the class names differ.  The Jacobi table was
+# point-major and zero-filled, the kernel gathered each factor with its own
+# fancy index and stacked its powers, basis_rows made three products, and
+# Newton filtered its lanes twice per iteration.
+
+
+def _reference_xi_to_ab(xi):
+    """Collapsed coordinates for Dubiner evaluation."""
+    r, s = xi[:, 0], xi[:, 1]
+    a = np.where(np.abs(1.0 - s) > 1e-14, 2.0 * (1.0 + r) / np.where(s == 1.0, 1.0, 1.0 - s) - 1.0, -1.0)
+    return a, s
+
+
+class _ReferenceJacobiTable:
+    def __init__(self, families):
+        tops = [top for _, _, top in families]
+        self.top = tops[0]
+        consts = [_jacobi_constants(al, be, top) for al, be, top in families]
+        self.rows = [sum(t >= k for t in tops) for k in range(self.top + 1)]
+        self.p0 = np.array([c[0] for c in consts])
+        linear = consts[:self.rows[1]]
+        self.c1, self.c2, self.sqrt_gamma1 = (np.array([c[q] for c in linear]) for q in (1, 2, 3))
+        self.steps = []                      # per degree: (b, a_old, a_new) arrays
+        for k in range(1, self.top):
+            live = [c[4][k - 1] for c in consts[:self.rows[k + 1]]]
+            self.steps.append(tuple(np.array(v) for v in zip(*live)))
+
+    def __call__(self, x):
+        """x: (npts, nfam) abscissae -> (npts, nfam, top + 1); zero above a family's top."""
+        out = np.zeros(x.shape + (self.top + 1,))
+        out[:, :, 0] = self.p0
+        n = self.rows[1]
+        out[:, :n, 1] = (self.c1 * x[:, :n] / 2.0 + self.c2) / self.sqrt_gamma1
+        for k, (bnew, aold, anew) in enumerate(self.steps, start=1):
+            n = self.rows[k + 1]
+            out[:, :n, k + 1] = ((x[:, :n] - bnew) * out[:, :n, k]
+                                 - aold * out[:, :n, k - 1]) / anew
+        return out
+
+
+class _ReferenceKernel:
+    def __init__(self, order):
+        self.order = p = order
+        pairs = _index_pairs(p)
+        upper = pairs[p + 1:]                            # modes with i > 0
+        jpos = [(i, j) for i, j in pairs if j > 0]
+        # (key, alpha, beta, top degree) of P^(0,0)(a), P^(2i+1,0)(b) and of
+        # their derivative families P^(1,1)(a), P^(2i+2,1)(b)
+        fams = ([("a", 0.0, 0.0, p)]
+                + [(("b", i), 2.0 * i + 1.0, 0.0, p - i) for i in range(p + 1)]
+                + [("da", 1.0, 1.0, p - 1)]
+                + [(("db", i), 2.0 * i + 2.0, 1.0, p - i - 1) for i in range(p)])
+        fams.sort(key=lambda f: -f[3])
+        col = {f[0]: c for c, f in enumerate(fams)}
+        self._jacobi = _ReferenceJacobiTable([f[1:] for f in fams])
+        self._on_a = np.array([f[0] in ("a", "da") for f in fams])
+
+        self.i = np.array([i for i, _ in pairs])
+        self.j = np.array([j for _, j in pairs])
+        self._upper = slice(p + 1, None)
+        self._i_up_m1 = np.array([i - 1 for i, _ in upper])
+        self._has_dgb = self.j > 0
+        self._j_m1 = np.array([j - 1 for _, j in jpos])
+        self._col_a, self._col_da = col["a"], col["da"]
+        self._col_b = np.array([col[("b", i)] for i, _ in pairs])
+        self._col_db = np.array([col[("db", i)] for i, _ in jpos])
+        # sqrt(n (n + alpha + beta + 1)) of d/dx P_n; every sum is an exact integer
+        self._dfa_scale = np.array([math.sqrt(i * (i + 1.0)) for i, _ in upper])
+        self._dgb_scale = np.array([math.sqrt(j * (j + 2.0 * i + 2.0)) for i, j in jpos])
+        self._half_i = np.array([0.5 * i for i, _ in upper])
+        self._grad_scale = np.array([2.0 ** (i + 0.5) for i, _ in pairs])
+
+    def _table(self, xi):
+        a, b = _reference_xi_to_ab(np.asarray(xi, dtype=float))
+        return a, b, self._jacobi(np.where(self._on_a, a[:, None], b[:, None]))
+
+    def _powers(self, base):
+        return np.stack([base ** n for n in range(self.order + 1)], axis=1)
+
+    def values(self, xi):
+        """Vandermonde matrix V[p, m] = mode m at xi[p]: shape (npts, n_modes)."""
+        return self._values(*self._table(xi))
+
+    def gradients(self, xi):
+        """(d/dr, d/ds) of the Vandermonde matrix: two (npts, n_modes) arrays."""
+        return self._gradients(*self._table(xi))
+
+    def values_and_gradients(self, xi):
+        """values(xi) and gradients(xi) from one Jacobi table."""
+        table = self._table(xi)
+        return self._values(*table), self._gradients(*table)
+
+    def _values(self, a, b, t):
+        return (math.sqrt(2.0) * t[:, self._col_a, self.i] * t[:, self._col_b, self.j]
+                * self._powers(1.0 - b)[:, self.i])
+
+    def _gradients(self, a, b, t):
+        up = self._upper
+        fa = t[:, self._col_a, self.i]
+        gb = t[:, self._col_b, self.j]
+        dfa = np.zeros_like(fa)
+        dfa[:, up] = self._dfa_scale * t[:, self._col_da, self._i_up_m1]
+        dgb = np.zeros_like(gb)
+        dgb[:, self._has_dgb] = self._dgb_scale * t[:, self._col_db, self._j_m1]
+        hp = self._powers(0.5 * (1.0 - b))
+        hp_up = hp[:, self._i_up_m1]
+        dr = dfa * gb
+        ds = dr * 0.5 * (1.0 + a)[:, None]
+        dr[:, up] *= hp_up
+        ds[:, up] *= hp_up
+        tmp = dgb * hp[:, self.i]
+        tmp[:, up] -= self._half_i * gb[:, up] * hp_up
+        ds = ds + fa * tmp
+        return dr * self._grad_scale, ds * self._grad_scale
+
+
+class _ReferenceTriangle:
+    def __init__(self, order):
+        self.kernel = _ReferenceKernel(order)
+        self.v_inv = np.linalg.inv(self.kernel.values(warp_blend_nodes(order)))
+
+    def basis_at(self, xi):
+        return self.kernel.values(xi) @ self.v_inv
+
+    def grad_basis_at(self, xi):
+        vr, vs = self.kernel.gradients(xi)
+        return np.stack([vr @ self.v_inv, vs @ self.v_inv], axis=2)
+
+    def basis_rows(self, xi):
+        v, (vr, vs) = self.kernel.values_and_gradients(xi)
+
+        def rows(m):
+            return (np.ascontiguousarray(m)[:, None, :] @ self.v_inv)[:, 0]
+
+        return rows(v), np.stack([rows(vr), rows(vs)], axis=2)
+
+    def invert_maps(self, nodes, target, tol, max_iter, slack):
+        out = [None] * len(nodes)
+        target = np.broadcast_to(target, (len(nodes), 2))
+        lane = np.arange(len(nodes))
+        xi = np.tile(BARYCENTER, (len(nodes), 1))
+        for _ in range(max_iter):
+            if not len(lane):
+                break
+            m = nodes[lane]
+            basis, grad = self.basis_rows(xi)
+            r = (basis[:, None, :] @ m)[:, 0] - target[lane]
+            done = np.hypot(r[:, 0], r[:, 1]) < tol
+            hit = np.flatnonzero(done)
+            if len(hit):
+                for k in hit[np.atleast_1d(in_reference(xi[hit], slack=slack))]:
+                    out[lane[k]] = xi[k]
+            j = np.einsum("knd,knx->kxd", grad, m)
+            det = j[:, 0, 0] * j[:, 1, 1] - j[:, 0, 1] * j[:, 1, 0]
+            # negated tests, as in the one-lane loop: a NaN lane runs on
+            go = ~done & ~(np.abs(det) < 1e-300)
+            j, r, det = j[go], r[go], det[go]
+            dxi = np.stack([(j[:, 1, 1] * r[:, 0] - j[:, 0, 1] * r[:, 1]) / det,
+                            (-j[:, 1, 0] * r[:, 0] + j[:, 0, 0] * r[:, 1]) / det], axis=1)
+            xi = xi[go] - dxi
+            inside = ~(np.abs(xi).max(axis=1) > 10.0)
+            xi, lane = xi[inside], lane[go][inside]
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_triangle(order):
+    return _ReferenceTriangle(order)
+
+
+def _batch(seed, npts):
+    """npts points: (-1, 1), where a is clamped, then points of T, on s = 1 and far outside T."""
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([[[-1.0, 1.0], [0.5, 1.0], [0.0, 1.0 - 1e-15]],
+                     rng.dirichlet(np.ones(3), size=npts) @ VERTICES,
+                     rng.uniform(-3.0, 3.0, size=(npts, 2))])
+    return np.vstack([pts[:1], rng.permutation(pts[1:])])[:npts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(order=st.integers(1, 6), npts=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_lean_kernel_matches_the_reference_bytes(order, npts, seed):
+    ref, want = ref_triangle(order), _reference_triangle(order)
+    pts = _batch(seed, npts)
+    assert_same_bits(ref.kernel.values(pts), want.kernel.values(pts))
+    for got, exp in zip(ref.kernel.gradients(pts), want.kernel.gradients(pts)):
+        assert_same_bits(got, exp)
+    # the layout of the kernel's output picks the BLAS path of these products
+    assert_same_bits(ref.basis_at(pts), want.basis_at(pts))
+    assert_same_bits(ref.grad_basis_at(pts), want.grad_basis_at(pts))
+    for got, exp in zip(ref.basis_rows(pts), want.basis_rows(pts)):
+        assert_same_bits(got, exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(1, 6), lanes=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_lean_newton_matches_the_reference_bytes(order, lanes, seed):
+    """Curved maps of T and targets in and around them: same xi bytes, and
+    each root's row is the one-point basis_rows row at its xi."""
+    ref, want = ref_triangle(order), _reference_triangle(order)
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.0, 0.02, 0.2], size=(lanes, 1, 1))
+    nodes = ref.nodes[None] + scale * rng.normal(size=(lanes, ref.n_nodes, 2))
+    target = rng.uniform(-1.5, 1.0, size=(lanes, 2))
+    xis, rows = ref.invert_maps(nodes, target, 1e-12, 50, 1e-8)
+    exp = want.invert_maps(nodes, target, 1e-12, 50, 1e-8)
+    assert [None if xi is None else xi.tobytes() for xi in xis] == \
+        [None if xi is None else xi.tobytes() for xi in exp]
+    assert [row is None for row in rows] == [xi is None for xi in xis]
+    assert all(row.tobytes() == want.basis_rows(xi[None])[0][0].tobytes()
+               for xi, row in zip(xis, rows) if xi is not None)
+
+
+def test_in_reference_returns_a_mask_for_any_batch():
+    assert in_reference(np.empty((0, 2))).shape == (0,)
+    assert in_reference([-0.5, -0.5]).tolist() == [True]
+    assert in_reference([0.5, 0.5]).tolist() == [False]
+    assert in_reference([[0.0, 0.0], [1e-9, 0.0]], slack=1e-8).tolist() == [True, True]
+    ref = ref_triangle(2)
+    assert ref.invert_maps(np.empty((0, ref.n_nodes, 2)), np.zeros(2), 1e-12, 50, 0.0) == ([], [])
 
 
 def test_reference_vandermonde_is_the_nodal_one():

@@ -15,14 +15,18 @@
 # exit code; the only fixture with a naca4 segment), and half_disc once more
 # with no flags (the default spacing, from the bounding box).
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
-# trace, cut, split; same flags), so every artifact reader is exercised.
+# trace, cut, split; same flags), so every artifact reader is exercised, and
+# each tree's staged artifacts must equal its own one-shot polygon_III run's
+# (a run reads each artifact once and shares it between stages, while each
+# stage command reads its own).
 # polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
 # fine_mesh_solve flags (--order 4 --target-h 0.12), and geometry_I once more
 # with --scheme dg, so the DG face terms run on curved boundary faces too.
 # Each run's exit code is written next to its artifacts, so it is compared
 # too.  The ref is exported with `git archive` into the work directory (a
 # fresh temporary directory by default, removed afterwards).  Exits 0 when
-# `diff -r` finds no difference, 1 when it does, 2 on a usage error.
+# `diff -r` finds no difference and no staged artifact differs from its
+# one-shot twin, 1 otherwise, 2 on a usage error.
 set -u
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -96,9 +100,20 @@ run_staged "$work/ref" "$work/out-ref"
 echo "== working tree"
 run_fixtures "$repo" "$work/out-tree"
 run_staged "$repo" "$work/out-tree"
+staged_differ=0
+for side in out-ref out-tree; do
+    for file in "$work/$side/polygon_III_staged"/*; do
+        name=${file##*/}
+        case $name in exit_code_*) continue ;; esac
+        cmp -s "$file" "$work/$side/polygon_III/$name" || {
+            echo "$side: polygon_III_staged/$name differs from polygon_III/$name" >&2
+            staged_differ=1
+        }
+    done
+done
 # stderr may name the output directory; compare the artifacts only
 rm -f "$work"/out-ref/*.stderr "$work"/out-tree/*.stderr
-if diff -r "$work/out-ref" "$work/out-tree"; then
+if diff -r "$work/out-ref" "$work/out-tree" && [ $staged_differ -eq 0 ]; then
     echo "byte-identical"
 else
     echo "outputs differ" >&2
