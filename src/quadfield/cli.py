@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -72,10 +74,84 @@ def _json_default(o):
     raise TypeError(f"not serializable: {type(o)}")
 
 
+def _nest_text(lst, depth):
+    """lst at indent depth when it is a rectangular nest of plain finite floats
+    or of plain ints, formatted by one % template; None otherwise.
+
+    %r writes a number as json does except for bools and non-finite floats,
+    which is why they are left to _json_chunks.  Any NaN or infinity makes
+    the sum non-finite; an overflowing sum of finite floats only costs speed.
+    """
+    level, shape = [lst], []
+    while True:
+        kinds = set(map(type, level))
+        if kinds == {list}:
+            sizes = set(map(len, level))
+            if len(sizes) != 1 or 0 in sizes:
+                return None
+            shape.append(sizes.pop())
+            level = list(chain.from_iterable(level))
+        elif kinds == {int} or kinds == {float} and math.isfinite(sum(level)):
+            break
+        else:
+            return None
+    text = "%r"
+    for d, n in zip(range(depth + len(shape), depth, -1), reversed(shape)):
+        pad = "\n" + " " * d
+        text = "[" + pad + (text + "," + pad) * (n - 1) + text + "\n" + " " * (d - 1) + "]"
+    return text % tuple(level)
+
+
+def _key_text(k):
+    """A dict key as json writes it: a non-string key as its JSON text, quoted."""
+    if isinstance(k, (str, int, float)) or k is None:
+        return encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json_chunks(o, depth, out):
+    """Append to out the text of o at indent depth, as
+    json.dump(o, indent=1, sort_keys=True, default=_json_default) writes it."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False:
+        out.append(json.dumps(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(float.__repr__(o) if math.isfinite(o) else json.dumps(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        _json_chunks(_json_default(o), depth, out)
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif type(o) is list and (text := _nest_text(o, depth)):
+        out.append(text)
+    else:
+        if isinstance(o, dict):
+            ends, items = "{}", ((_key_text(k) + ": ", v) for k, v in sorted(o.items()))
+        else:
+            ends, items = "[]", (("", v) for v in o)
+        pad = "\n" + " " * (depth + 1)
+        sep = ends[0] + pad
+        for key, v in items:
+            out.append(sep + key)
+            _json_chunks(v, depth + 1, out)
+            sep = "," + pad
+        out.append("\n" + " " * depth + ends[1])
+
+
 def dump_json(path, doc):
+    """Write doc as json.dump(doc, indent=1, sort_keys=True) does, plus a newline.
+
+    The text is built in memory first, so a document that cannot be encoded
+    leaves the previous artifact as it was.  A rectangular nest of plain
+    numbers is formatted by one % template instead of token by token.
+    """
+    out = []
+    _json_chunks(doc, 0, out)
+    out.append("\n")
     with open(path, "w") as f:
-        json.dump(doc, f, indent=1, sort_keys=True, default=_json_default)
-        f.write("\n")
+        f.writelines(out)
 
 
 def load_json(path):

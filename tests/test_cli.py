@@ -1,7 +1,9 @@
+import io
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadfield import cli
@@ -23,19 +25,104 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def reference_json(doc):
+    """The bytes json.dump writes for doc: the reference for cli.dump_json."""
+    f = io.StringIO()
+    json.dump(doc, f, indent=1, sort_keys=True, default=_json_default)
+    f.write("\n")
+    return f.getvalue().encode()
+
+
+def run_recorded(*commands):
+    """Run each command into its --out, recording every cli.dump_json call
+    through the module attribute, as perfbench's wrapper sees it."""
+    dump = cli.dump_json
+    recorded = []
+
+    def recording(path, doc):
+        want = reference_json(doc)
+        dump(path, doc)
+        recorded.append((Path(path).name, Path(path).read_bytes(), want))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "dump_json", recording)
+        for args in commands:
+            assert run_cli(args) == 0
+    return recorded
+
+
 @pytest.fixture(scope="module")
-def full_run(tmp_path_factory):
+def writes():
+    """Output directory -> (file name, bytes written, reference bytes) of each
+    cli.dump_json call made while the fixture that wrote there ran."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory, writes):
     out = tmp_path_factory.mktemp("run")
-    rc = run_cli(["run", HALF_DISC, "--out", out] + FAST)
-    assert rc == 0
+    writes[out] = run_recorded(["run", HALF_DISC, "--out", out] + FAST)
     return out
 
 
 @pytest.fixture(scope="module")
-def polygon_run(tmp_path_factory):
+def polygon_run(tmp_path_factory, writes):
     out = tmp_path_factory.mktemp("polygon_III")
-    assert run_cli(["run", POLYGON_III, "--out", out] + FAST) == 0
+    writes[out] = run_recorded(["run", POLYGON_III, "--out", out] + FAST)
     return out
+
+
+@pytest.fixture(scope="module")
+def order4_run(tmp_path_factory, writes):
+    out = tmp_path_factory.mktemp("order4")
+    flags = [POLYGON_III, "--out", out, "--order", "4", "--target-h", "0.12"]
+    writes[out] = run_recorded(["mesh"] + flags, ["solve"] + flags)
+    return out
+
+
+@pytest.mark.parametrize("run", ["full_run", "polygon_run", "order4_run"])
+def test_dump_json_writes_the_reference_bytes(request, writes, run):
+    recorded = writes[request.getfixturevalue(run)]
+    assert recorded
+    for name, written, want in recorded:
+        assert written == want, name
+
+
+def test_run_writes_every_json_through_dump_json(full_run, writes):
+    """perfbench's cli.io_s times cli.dump_json: a run's six writes go through it."""
+    assert [name for name, _, _ in writes[full_run]] == [
+        "mesh.json", "field.json", "topology.json", "separatrices.json", "blocks.json",
+        "manifest.json"]
+
+
+@pytest.mark.parametrize("doc", [
+    [[0.5, NAN], [1.0, 2.0]],
+    [[1.0, float("inf")], [-float("inf"), 2.0]],
+    {"row": [1.0, -float("inf")]},
+    [1, True, 3], [[1, 2], [False, 3]], [True, False],
+    [1, 2.5], [[1.0, 2.0], [3, 4]],
+    [[1.0, 2.0], [3.0]], [[1], []], [], [[]], [[], []], {}, {"a": [], "b": {}},
+    np.float64(0.1), [np.float64(0.1), 0.2], {"x": np.int64(7)}, [np.int64(2), 3],
+    np.arange(6.0).reshape(3, 2), {"a": np.zeros((2, 0))}, (1.0, 2.0), [(1, 2), (3, 4)],
+    [[-0.0, 1e16], [1e-5, 5e-324]], [1e308, 1e308], [10**20, -3],
+    {"ünï": "köd€ \U0001f600", "a\"b\n": ["\u2028", "x"], "z": None},
+    {"b": [[[1, 2], [3, 4]]], "a": {"n": [[0.25, 0.5]], "t": [True, None]}},
+    {2: 1.0, 1: "one"}, {1.5: 0}, {True: 1, False: 2}, {None: 0},
+    [{"p": [[0.0, 1.0]]}, [[0.5]], "s", 3, 2.0, None],
+])
+def test_dump_json_edge_documents_match_the_reference(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    cli.dump_json(path, doc)
+    assert path.read_bytes() == reference_json(doc)
+
+
+def test_unencodable_document_keeps_the_previous_artifact(tmp_path):
+    path = tmp_path / "doc.json"
+    cli.dump_json(path, {"points": [[0.0, 1.0]]})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        cli.dump_json(path, {"a": [[0.0, 1.0]], "b": object()})
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("run,name", [("full_run", "half_disc"), ("polygon_run", "polygon_III")])
