@@ -20,6 +20,8 @@ from .errors import DecompositionError, TracingError
 from .tracer import Anchor, BoundaryAnchors, Streamline, advance_all, refine_directions
 
 AREA_TOL = 1e-14
+# Rounds (and steps) before a midpoint-division streamline counts as unterminated.
+TAIL_MAX_ROUNDS = 20000
 
 
 @dataclass
@@ -407,7 +409,7 @@ def classify_faces(sub):
 # ---- midpoint division ---------------------------------------------------------
 
 
-def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000):
+def trace_tail(origin, alpha0, probe, domain, h, critical_points=()):
     """Integrate a field streamline from origin until it terminates.
 
     Termination is either the domain boundary or a critical point: the tail
@@ -418,8 +420,8 @@ def trace_tail(origin, alpha0, probe, domain, h, critical_points=(), n_max=20000
                     [np.asarray(origin, dtype=float)], [float(alpha0)])
     reg = BoundaryAnchors((), 0.0)      # every boundary hit is a fresh anchor
     rounds = 0
-    while sl.status == "active" and rounds < n_max:
-        advance_all([sl], probe, h, domain=domain, registry=reg, n_max=n_max)
+    while sl.status == "active" and rounds < TAIL_MAX_ROUNDS:
+        advance_all([sl], probe, h, domain=domain, registry=reg, n_max=TAIL_MAX_ROUNDS)
         for ci, cp in enumerate(critical_points):
             if np.hypot(*(sl.front() - cp.position)) < max(cp.radius, h):
                 sl.points.append(cp.position.copy())

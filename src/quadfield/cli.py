@@ -22,36 +22,34 @@ import numpy as np
 from . import blockdecomp, quadblocks, singular, svgio, tracer, vtkio
 from .errors import ConfigError, QuadfieldError
 from .field import FieldProbe
-from .geometry import load_domain, read_json
+from .geometry import load_domain, read_json, typed
 from .msh import write_msh, write_quad_msh
 from .solver import (DEFAULT_PENALTY, FieldSolution, choose_discretization,
                      solve_guiding_field)
 from .trimesh import TriMesh, elevate_and_curve, generate_background_mesh
 
-DEFAULTS = {
-    "order": 3,
-    "scheme": "auto",            # auto | cg | dg
-    "target_h": 0.0,             # 0 => bbox diagonal / 6
-    "step_factor": 0.25,
-    "merge_mode": "normal",      # normal | aggressive
-    "kappa": tracer.DEFAULT_KAPPA,
-    "split": 2,
-    "penalty": DEFAULT_PENALTY,
-    "n_max": tracer.DEFAULT_N_MAX,
-    "length_factor": tracer.DEFAULT_LENGTH_FACTOR,
-    "formats": "",               # comma list: vtk,svg,msh
-    "out": "out",
+# key: (flag, default, accepted types, test, what the value must be).  The
+# warp-and-blend node table ends at order 15, and a split of n makes n * n
+# quads per block; n_max is only compared with a step count, so any integer
+# is safe.  resolve_config also refuses a number that is not finite.
+INT, REAL, TEXT = (int,), (int, float), (str,)
+OPTIONS = {
+    "order": ("--order", 3, INT, lambda v: 1 <= v <= 15, "an integer from 1 to 15"),
+    "scheme": ("--scheme", "auto", TEXT, lambda v: v in ("auto", "cg", "dg"), "auto, cg or dg"),
+    "target_h": ("--target-h", 0.0, REAL, lambda v: v >= 0, "a finite number >= 0 (0: bbox/6)"),
+    "step_factor": ("--step-factor", 0.25, REAL, lambda v: v > 0, "a finite number > 0"),
+    "merge_mode": ("--merge", "normal", TEXT, lambda v: v in ("normal", "aggressive"),
+                   "normal or aggressive"),
+    "kappa": ("--kappa", tracer.DEFAULT_KAPPA, REAL, lambda v: v > 0, "a finite number > 0"),
+    "split": ("--split", 2, INT, lambda v: 1 <= v <= 64, "an integer from 1 to 64"),
+    "penalty": ("--penalty", DEFAULT_PENALTY, REAL, lambda v: v > 0, "a finite number > 0"),
+    "n_max": ("--n-max", tracer.DEFAULT_N_MAX, INT, lambda v: v >= 1, "an integer >= 1"),
+    "length_factor": ("--length-factor", tracer.DEFAULT_LENGTH_FACTOR, REAL, lambda v: v > 0,
+                      "a finite number > 0"),
+    "formats": ("--formats", "", TEXT, lambda v: set(v.split(",")) <= {"", "vtk", "svg", "msh"},
+                "a comma list of vtk, svg, msh"),
+    "out": ("--out", "out", TEXT, lambda v: True, "an output directory"),
 }
-
-SCHEMES = ("auto", "cg", "dg")
-MERGE_MODES = ("normal", "aggressive")
-FORMATS = ("vtk", "svg", "msh")
-INT_KEYS = ("order", "split", "n_max")
-# Largest accepted values: the warp-and-blend node table ends at order 15, and
-# a split of n makes n * n quads per block.  n_max is only compared with a
-# step count, so any integer is safe.
-INT_MAX = {"order": 15, "split": 64}
-REAL_KEYS = ("target_h", "step_factor", "kappa", "penalty", "length_factor")
 
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
 ARTIFACTS = {
@@ -186,7 +184,8 @@ class Pipeline:
         doc = load_json(path)
         read = {"mesh": lambda: TriMesh.from_json(doc, domain=self.domain),
                 "solve": lambda: FieldSolution.from_json(doc, self.load("mesh")),
-                "topology": lambda: singular.topology_from_json(doc, self.domain),
+                "topology": lambda: singular.topology_from_json(
+                    doc, self.domain, self.load("mesh").n_elements()),
                 "trace": lambda: tracer.separatrices_from_json(doc),
                 "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
         try:
@@ -299,71 +298,41 @@ def build_parser():
         p = sub.add_parser(cmd)
         p.add_argument("domain", help="domain JSON file")
         p.add_argument("--config", help="config JSON file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--order", type=int)
-        p.add_argument("--scheme", choices=SCHEMES)
-        p.add_argument("--target-h", dest="target_h", type=float)
-        p.add_argument("--step-factor", dest="step_factor", type=float)
-        p.add_argument("--merge", dest="merge_mode", choices=MERGE_MODES)
-        p.add_argument("--kappa", type=float)
-        p.add_argument("--split", type=int)
-        p.add_argument("--penalty", type=float)
-        p.add_argument("--n-max", dest="n_max", type=int)
-        p.add_argument("--length-factor", dest="length_factor", type=float)
-        p.add_argument("--formats", help="comma list of extra outputs: vtk,svg,msh")
+        for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
+            p.add_argument(flag, dest=key, type=kinds[-1],
+                           help=f"{phrase} (default {default!r})")
     return parser
 
 
 def resolve_config(args):
-    config = dict(DEFAULTS)
+    """OPTIONS' defaults, updated by the config file, then by the flags; each value checked."""
+    config = {key: opt[1] for key, opt in OPTIONS.items()}
     if args.config:
-        doc = load_json(args.config)
+        try:
+            doc = read_json(args.config, ConfigError)
+        except FileNotFoundError:
+            raise ConfigError(f"config file {args.config} not found") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(doc) - set(DEFAULTS)
+        unknown = set(doc) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(doc)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            config[key] = val
-    _check_config(config)
+    config.update((key, getattr(args, key)) for key in OPTIONS
+                  if getattr(args, key) is not None)
+    for key, (_, _, kinds, test, phrase) in OPTIONS.items():
+        value = config[key]
+        try:
+            typed(value, kinds, key)                # ints exclude bools
+            if float in kinds:
+                value = float(value)                # an int beyond any float overflows
+            ok = (type(value) is not float or math.isfinite(value)) and test(value)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {phrase}, not {config[key]!r}")
+        config[key] = value
     return config
-
-
-def _check_config(config):
-    """Raise ConfigError unless every value has its type and range."""
-    for key in INT_KEYS + REAL_KEYS:
-        kinds = int if key in INT_KEYS else (int, float)
-        if isinstance(config[key], bool) or not isinstance(config[key], kinds):
-            kind = "an integer" if key in INT_KEYS else "a number"
-            raise ConfigError(f"{key} must be {kind}, not {config[key]!r}")
-        if key in REAL_KEYS:
-            try:
-                config[key] = float(config[key])
-            except OverflowError:                       # an integer beyond any float
-                raise ConfigError(f"{key} must be finite, not {config[key]!r}") from None
-        if not -math.inf < config[key] < math.inf:      # NaN fails too
-            raise ConfigError(f"{key} must be finite, not {config[key]!r}")
-    for key, choices in (("scheme", SCHEMES), ("merge_mode", MERGE_MODES)):
-        if config[key] not in choices:
-            raise ConfigError(f"{key} must be one of {list(choices)}, not {config[key]!r}")
-    if not isinstance(config["out"], str):
-        raise ConfigError(f"out must be a path string, not {config['out']!r}")
-    formats = config["formats"]
-    if not isinstance(formats, str) or not set(formats.split(",")) <= set(FORMATS) | {""}:
-        raise ConfigError(f"formats must be a comma list of {list(FORMATS)}, not {formats!r}")
-    for key in INT_KEYS:
-        if config[key] < 1:
-            raise ConfigError(f"{key} must be >= 1")
-        if key in INT_MAX and config[key] > INT_MAX[key]:
-            raise ConfigError(f"{key} must be <= {INT_MAX[key]}")
-    if not config["target_h"] >= 0:
-        raise ConfigError("target_h must be >= 0 (0 means auto)")
-    for key in ("penalty", "length_factor", "kappa", "step_factor"):
-        if not config[key] > 0:
-            raise ConfigError(f"{key} must be positive")
 
 
 def main(argv=None):

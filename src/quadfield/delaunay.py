@@ -19,6 +19,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import MeshError
 
+# Flip passes before edge recovery gives up, and Laplacian smoothing passes.
+RECOVER_MAX_PASSES = 10000
+SMOOTH_PASSES = 3
+
 
 def _orient(pa, pb, pc):
     """Twice the signed area of (pa, pb, pc); any argument may be a (2, k) array."""
@@ -165,17 +169,17 @@ def flip_edge(tri, a, b):
     return (c, d)
 
 
-def recover_edge(tri, a, b, max_iter=10000):
+def recover_edge(tri, a, b):
     """Flip crossing edges until segment (a,b) is an edge of the triangulation.
 
     Each pass flips, in sorted (low, high) order, the live edges that cross
     the segment, skipping those an earlier flip of the pass removed.  A pass
     depends on the live edge set alone, so a set seen before is a cycle that
-    never ends: it fails at once, as it would after max_iter passes.
+    never ends: it fails at once, as it would after RECOVER_MAX_PASSES passes.
     """
     pa, pb = tri.points[a], tri.points[b]
     seen = set()
-    for _ in range(max_iter):
+    for _ in range(RECOVER_MAX_PASSES):
         if tri.has_edge(a, b):
             return
         edges = tri.edges()
@@ -259,7 +263,7 @@ def carve(tri, super_ids, constrained, classify_component):
     tri.live[tids[~keep[comp]]] = False
 
 
-def laplacian_smooth(points, triangles, fixed, passes=3):
+def laplacian_smooth(points, triangles, fixed):
     """In-place neighbor-average smoothing of non-fixed vertices."""
     pts = points
     nbrs = {}
@@ -271,7 +275,7 @@ def laplacian_smooth(points, triangles, fixed, passes=3):
     for ti, t in enumerate(triangles):
         for v in t:
             incident.setdefault(v, []).append(ti)
-    for _ in range(passes):
+    for _ in range(SMOOTH_PASSES):
         for v in range(len(pts)):
             if v in fixed or v not in nbrs:
                 continue

@@ -516,8 +516,8 @@ class BoundaryLoop:
     def signed_area(self):
         return polyline.signed_area(self.polygon)
 
-    def corners(self, loop_index=0, tol=CORNER_ANGLE_TOL):
-        """CornerSpecs at every junction with tangent jump beyond tol."""
+    def corners(self, loop_index=0):
+        """CornerSpecs at every junction with tangent jump beyond CORNER_ANGLE_TOL."""
         out = []
         nseg = len(self.segments)
         for j in range(nseg):
@@ -526,13 +526,13 @@ class BoundaryLoop:
             th_in = seg_in.tangent_angle(1.0)
             th_out = seg_out.tangent_angle(0.0)
             jump = abs(float(wrap_pi(th_out - th_in)))
-            if jump <= tol:
+            if jump <= CORNER_ANGLE_TOL:
                 continue
             delta = float(wrap_2pi(th_in + math.pi - th_out))
-            if delta < tol:
+            if delta < CORNER_ANGLE_TOL:
                 delta = TWO_PI  # full reversal: treat as a cusp wedge
             frac = delta % (math.pi / 2.0)
-            bc_cont = min(frac, math.pi / 2.0 - frac) <= tol
+            bc_cont = min(frac, math.pi / 2.0 - frac) <= CORNER_ANGLE_TOL
             out.append(CornerSpec(
                 position=seg_out.start().copy(),
                 theta_in=th_in, theta_out=th_out, delta_theta=delta,

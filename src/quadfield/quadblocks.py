@@ -19,6 +19,11 @@ from . import polyline
 from .errors import DecompositionError
 from .geometry import as_points, typed
 
+# Central-difference step of the patch derivatives, in parameter units.
+DIFF_STEP = 1e-6
+# Sample points per parameter direction of a scaled-Jacobian grid.
+SJ_SAMPLES = 10
+
 
 class SidePath:
     """Arclength-normalized evaluator over a dense polyline."""
@@ -66,22 +71,22 @@ class QuadBlock:
         S, T = np.meshgrid(svals, tvals, indexing="ij")
         return self.eval(S.ravel(), T.ravel()).reshape(S.shape + (2,))
 
-    def _derivatives(self, s, t, delta):
+    def _derivatives(self, s, t):
         """Central differences (Q_s, Q_t), each (n, 2), at parameter arrays s, t."""
-        qs = (self.eval(s + delta, t) - self.eval(s - delta, t)) / (2 * delta)
-        qt = (self.eval(s, t + delta) - self.eval(s, t - delta)) / (2 * delta)
+        qs = (self.eval(s + DIFF_STEP, t) - self.eval(s - DIFF_STEP, t)) / (2 * DIFF_STEP)
+        qt = (self.eval(s, t + DIFF_STEP) - self.eval(s, t - DIFF_STEP)) / (2 * DIFF_STEP)
         return qs, qt
 
-    def scaled_jacobians(self, svals=None, tvals=None, delta=1e-6):
-        """det J / (|Q_s||Q_t|) on a sample grid (default 10x10 interior)."""
+    def scaled_jacobians(self, svals=None, tvals=None):
+        """det J / (|Q_s||Q_t|) on a sample grid (default SJ_SAMPLES^2 interior)."""
         if svals is None:
-            svals = (np.arange(10) + 0.5) / 10.0
+            svals = (np.arange(SJ_SAMPLES) + 0.5) / SJ_SAMPLES
         if tvals is None:
-            tvals = (np.arange(10) + 0.5) / 10.0
+            tvals = (np.arange(SJ_SAMPLES) + 0.5) / SJ_SAMPLES
         S, T = np.meshgrid(svals, tvals, indexing="ij")
-        # differences stay inside [0, 1]: clamp the centres delta from the edges
-        qs, qt = self._derivatives(np.clip(S.ravel(), delta, 1 - delta),
-                                   np.clip(T.ravel(), delta, 1 - delta), delta)
+        # differences stay inside [0, 1]: clamp the centres DIFF_STEP from the edges
+        qs, qt = self._derivatives(np.clip(S.ravel(), DIFF_STEP, 1 - DIFF_STEP),
+                                   np.clip(T.ravel(), DIFF_STEP, 1 - DIFF_STEP))
         det = qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]
         denom = np.hypot(qs[:, 0], qs[:, 1]) * np.hypot(qt[:, 0], qt[:, 1])
         out = np.divide(det, denom, out=np.zeros_like(det), where=denom > 0)
@@ -92,7 +97,7 @@ class QuadBlock:
         g = 0.5 / math.sqrt(3.0)
         u = ((np.arange(n)[:, None] + [0.5 - g, 0.5 + g]) / n).ravel()
         S, T = np.meshgrid(u, u, indexing="ij")
-        qs, qt = self._derivatives(S.ravel(), T.ravel(), 1e-6)
+        qs, qt = self._derivatives(S.ravel(), T.ravel())
         return float(np.sum((qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]) / (4 * n * n)))
 
 
@@ -282,12 +287,12 @@ def isoparametric_split(blocks, n=2, holes=0):
     return mesh
 
 
-def child_quality(blocks, mesh, samples=10):
+def child_quality(blocks, mesh):
     """Min scaled Jacobian per child and per parent over matching points."""
     children = {}
     for qi, bi in enumerate(mesh.block_of.tolist()):
         children.setdefault(bi, []).append(qi)
-    offsets = (np.arange(samples) + 0.5) / samples
+    offsets = (np.arange(SJ_SAMPLES) + 0.5) / SJ_SAMPLES
     child_min = {}
     parent_min = {}
     for b in blocks:

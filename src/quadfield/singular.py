@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import TopologyError
 from .field import HALF_PI, OUTSIDE, psi_of
-from .geometry import as_points, boundary_field
+from .geometry import as_points, boundary_field, typed
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 30
@@ -29,9 +29,6 @@ ARC_SAMPLES = 32
 ARC_ENDPOINT_GAP = 1e-3
 RADIUS_FACTOR = 0.25
 VALENCE_RESIDUAL_TOL = 0.2
-# The corner radius of a topology.json written without one (before the fitted
-# radius was kept), as a fraction of the domain's bounding-box diagonal.
-CORNER_RADIUS_FACTOR = 0.1
 
 
 @dataclass
@@ -172,7 +169,7 @@ def find_critical_points(solution, probe):
     return classify_critical_points(points, probe)
 
 
-def corner_valence(corner, probe, corner_id=0, samples=ARC_SAMPLES):
+def corner_valence(corner, probe, corner_id=0):
     """Valence of a boundary corner from geometry plus the field phase sweep."""
     th_start, th_end = corner.wedge_angles()
     delta = corner.delta_theta
@@ -191,7 +188,7 @@ def corner_valence(corner, probe, corner_id=0, samples=ARC_SAMPLES):
     # O(c * kappa) away from its corner tangent direction; gaps 1e-3 * 2^k up
     # to delta / 8 are tried (1e-3 * 2^31 exceeds any wedge)
     gaps = [ARC_ENDPOINT_GAP * 2.0 ** k for k in range(32)]
-    fit = _fit_contour(probe, pos, c0, [np.linspace(th_start + g, th_end - g, samples)
+    fit = _fit_contour(probe, pos, c0, [np.linspace(th_start + g, th_end - g, ARC_SAMPLES)
                                         for g in gaps if g <= delta / 8.0])
     if fit is None:
         raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
@@ -237,20 +234,27 @@ def topology_report(critical_points, corner_nodes):
     }
 
 
-def topology_from_json(doc, domain):
-    """(critical points, corner nodes) of a topology.json document of domain."""
+def topology_from_json(doc, domain, n_elements):
+    """(critical points, corner nodes) of a topology.json document of domain,
+    whose critical points lie in elements 0 .. n_elements - 1."""
+    def integer(c, key):
+        return typed(c[key], (int,), key)
+
+    def number(c, key):
+        return float(typed(c[key], (int, float), key))
+
     cps = [CriticalPoint(position=as_points(c["position"], "position"),
-                         elem=int(c["element"]), xi=np.zeros(2), vmag=float(c["vmag"]),
-                         index=int(c["index"]), valence=int(c["valence"]),
-                         radius=float(c["radius"]))
+                         elem=integer(c, "element"), xi=np.zeros(2), vmag=number(c, "vmag"),
+                         index=integer(c, "index"), valence=integer(c, "valence"),
+                         radius=number(c, "radius"))
            for c in doc["critical_points"]]
+    if not all(0 <= cp.elem < n_elements for cp in cps):
+        raise ValueError(f"a critical point element is not in 0 .. {n_elements - 1}")
     corners = domain.corner_inventory()
     if len(doc["corners"]) != len(corners):
         raise ValueError(f"{len(doc['corners'])} corners, the domain has {len(corners)}")
-    cns = [CornerNode(corner=corners[i], corner_id=i, index=float(c["index"]),
-                      valence=int(c["valence"]), dpsi=float(c["dpsi"]),
-                      residual=float(c["residual"]),
-                      radius=float(c["radius"]) if "radius" in c
-                      else CORNER_RADIUS_FACTOR * domain.bbox_diag)
+    cns = [CornerNode(corner=corners[i], corner_id=i, index=number(c, "index"),
+                      valence=integer(c, "valence"), dpsi=number(c, "dpsi"),
+                      residual=number(c, "residual"), radius=number(c, "radius"))
            for i, c in enumerate(doc["corners"])]
     return cps, cns

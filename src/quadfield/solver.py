@@ -26,12 +26,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .geometry import boundary_field, tangent_angle
+from .geometry import boundary_field, tangent_angle, typed
 from .reftri import VERTICES
 
 DEFAULT_PENALTY = 10.0
 DIRECT_SOLVE_LIMIT = 200_000
 LINEAR_TOL = 1e-10
+# Slack of the discrete maximum principle over the boundary data's bound of 1.
+MAX_PRINCIPLE_SLACK = 1e-6
 
 
 @dataclass
@@ -127,15 +129,15 @@ class FieldSolution:
             hi = max(hi, float(vals.max()))
         return lo, hi
 
-    def check_max_principle(self, bound=1.0, slack=1e-6, exclude=()):
-        """Quadrature values must stay within the boundary-data bounds.
+    def check_max_principle(self, exclude=()):
+        """Quadrature values must stay within the boundary-data bounds [-1, 1].
 
         exclude: element ids to skip.  Elements pinned to a discontinuous
         corner carry a persistent Galerkin overshoot of the jump data, so the
         guided-field pipeline exempts that one ring.
         """
         lo, hi = self.value_range(exclude=exclude)
-        if lo < -bound - slack or hi > bound + slack:
+        if lo < -1.0 - MAX_PRINCIPLE_SLACK or hi > 1.0 + MAX_PRINCIPLE_SLACK:
             raise SolverError(
                 f"discrete maximum principle violated: range [{lo:.3e}, {hi:.3e}]")
 
@@ -145,13 +147,16 @@ class FieldSolution:
 
     @classmethod
     def from_json(cls, doc, mesh):
-        coeffs = np.array(doc["coeffs"])
+        coeffs = np.array(doc["coeffs"], dtype=float)
         want = (mesh.n_elements(), mesh.ref.n_nodes)
         if coeffs.shape[:2] != want:
             raise ConfigError(f"field coefficients of shape {coeffs.shape[:2]} do not "
                               f"fit the mesh's (elements, nodes) = {want}; rerun solve")
-        choice = DiscretizationChoice(
-            doc["scheme"], penalty=float(doc.get("penalty", DEFAULT_PENALTY)))
+        if coeffs.shape[2:] != (2,):
+            raise ValueError(f"field coefficients of shape {coeffs.shape} do not have "
+                             f"2 components")
+        penalty = float(typed(doc["penalty"], (int, float), "penalty"))
+        choice = DiscretizationChoice(typed(doc["scheme"], (str,), "scheme"), penalty=penalty)
         return cls(mesh, coeffs, choice)
 
 

@@ -196,8 +196,8 @@ def corner_directions(corner_node, probe):
     return launch_directions([], [corner_node], probe)[1][0]
 
 
-def _near_ray(alpha, ray, tol=BOUNDARY_COINCIDE_TOL):
-    return abs(math.remainder(alpha - ray, 2.0 * math.pi)) < tol
+def _near_ray(alpha, ray):
+    return abs(math.remainder(alpha - ray, 2.0 * math.pi)) < BOUNDARY_COINCIDE_TOL
 
 
 def _check_distinct(dirs):

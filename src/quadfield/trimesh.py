@@ -18,8 +18,8 @@ from scipy.spatial import cKDTree
 
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import ConfigError, MeshError
-from .geometry import in_region
-from .reftri import ref_triangle
+from .geometry import in_region, typed
+from .reftri import n_nodes, ref_triangle
 
 
 @dataclass
@@ -222,10 +222,19 @@ class TriMesh:
     def from_json(cls, doc, domain=None):
         """TriMesh of a mesh.json document; with a domain, its boundary faces
         must lie on the domain's segments (else ConfigError)."""
-        faces = [BoundaryFace(int(e), int(le), int(lp), int(sg), float(t0), float(t1))
-                 for (e, le, lp, sg, t0, t1) in doc["boundary_faces"]]
-        mesh = cls(np.array(doc["vertices"]), np.array(doc["triangles"], dtype=int),
-                   int(doc["order"]), np.array(doc["geom"]), faces, domain=domain)
+        order = typed(doc["order"], (int,), "order")
+        triangles = np.array(doc["triangles"])
+        if triangles.dtype.kind != "i" or triangles.shape[1:] != (3,):
+            raise ValueError(f"triangles must be an integer (n, 3) array, not "
+                             f"{triangles.dtype} of shape {triangles.shape}")
+        geom = np.array(doc["geom"], dtype=float)
+        if geom.shape != (len(triangles), n_nodes(order), 2):
+            raise ValueError(f"geom of shape {geom.shape} does not fit {len(triangles)} "
+                             f"elements of order {order}")
+        faces = [BoundaryFace(*(typed(v, (int,), "boundary face index") for v in f[:4]),
+                              *(float(typed(t, (int, float), "boundary face t")) for t in f[4:]))
+                 for f in doc["boundary_faces"]]
+        mesh = cls(np.array(doc["vertices"]), triangles, order, geom, faces, domain=domain)
         if domain is None:
             return mesh
         tol = 1e-6 * domain.bbox_diag

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from quadfield import cli
 from quadfield.cli import Pipeline, _json_default, build_parser, main, resolve_config
 from quadfield.geometry import fixture_path
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
-from quadfield.singular import CORNER_RADIUS_FACTOR, topology_from_json, topology_report
+from quadfield.singular import topology_from_json, topology_report
 from quadfield.solver import FieldSolution
 from quadfield.tracer import separatrices_to_json
 from quadfield.trimesh import TriMesh
@@ -142,15 +143,14 @@ def test_every_artifact_reader_round_trips(request, run, name):
         if stage == "mesh":
             del want["target_h"]           # stage_mesh adds it beside the mesh
         assert json.loads(json.dumps(doc, default=_json_default)) == want, stage
-    # corners keep their fitted radius; a document without one gets the fallback
+    # corners keep their fitted radius; a document without one is refused
     topology = json.loads(pipe.path("topology").read_text())
     assert [cn.radius for cn in pipe.load("topology")[1]] == \
         [c["radius"] for c in topology["corners"]]
     for c in topology["corners"]:
         del c["radius"]
-    _, corners = topology_from_json(topology, pipe.domain)
-    assert [cn.radius for cn in corners] == \
-        [CORNER_RADIUS_FACTOR * pipe.domain.bbox_diag] * len(corners)
+    with pytest.raises(KeyError, match="radius"):
+        topology_from_json(topology, pipe.domain, mesh.n_elements())
 
 
 def test_run_parses_each_artifact_once(tmp_path, monkeypatch):
@@ -203,6 +203,13 @@ def test_stagewise_resume_matches_single_shot(full_run, tmp_path):
 def test_missing_upstream_artifact(tmp_path):
     rc = run_cli(["solve", HALF_DISC, "--out", tmp_path / "empty"])
     assert rc == 2
+
+
+def test_missing_config_file_is_not_an_artifact(tmp_path, capsys):
+    cfg = tmp_path / "nope.json"
+    assert run_cli(["run", HALF_DISC, "--out", tmp_path / "x", "--config", cfg]) == 2
+    assert capsys.readouterr().err == f"error: config file {cfg} not found\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_staged_solve_records_the_mesh_order(tmp_path):
@@ -323,6 +330,14 @@ def test_extra_formats(tmp_path):
     for extra in ("trimesh.msh", "trimesh.vtk", "fields.vtk",
                   "streamlines.svg", "blocks.svg", "quadmesh.vtk"):
         assert (out / extra).exists()
+
+
+def test_readme_flag_table_lists_every_option_flag():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = set(re.findall(r"^\| `(--[a-z-]+)` \|", readme, re.M))
+    run = next(a for a in build_parser()._actions if a.dest == "command").choices["run"]
+    flags = {f for a in run._actions for f in a.option_strings}
+    assert table == flags - {"-h", "--help", "--config"}
 
 
 def test_flag_to_config_plumbing():
@@ -467,6 +482,50 @@ def _shared_side_other_corner(doc):
     doc["blocks"][b]["corners"][kb] = ["cross", "elsewhere"]
 
 
+def _order_2(doc):
+    doc["order"] = 2
+
+
+def _fractional_order(doc):
+    doc["order"] = 2.5
+
+
+def _string_order(doc):
+    doc["order"] = "3"
+
+
+def _bool_ledge(doc):
+    next(f for f in doc["boundary_faces"] if f[1] == 1)[1] = True
+
+
+def _one_component(doc):
+    doc["coeffs"] = [[[c[0]] for c in node] for node in doc["coeffs"]]
+
+
+def _drop_penalty(doc):
+    del doc["penalty"]
+
+
+def _string_valence(doc):
+    doc["critical_points"][0]["valence"] = "3"
+
+
+def _fractional_valence(doc):
+    doc["critical_points"][0]["valence"] = 3.7
+
+
+def _far_element(doc):
+    doc["critical_points"][0]["element"] = 1000000
+
+
+def _string_corner_radius(doc):
+    doc["corners"][0]["radius"] = "1"
+
+
+def _drop_corner_radius(doc):
+    del doc["corners"][0]["radius"]
+
+
 def _record_named_three_times(doc):
     (a, ka), _ = _shared_side(doc)
     third = next(bi for bi in range(len(doc["blocks"])) if bi != a)
@@ -492,6 +551,17 @@ def _record_named_three_times(doc):
     ("separatrices.json", _nan_point, "cut"),         # was a silent run, exit 0
     ("blocks.json", _huge_side, "split"),             # was OverflowError, exit 1
     ("blocks.json", _no_blocks, "split"),             # was ValueError, exit 1
+    ("mesh.json", _order_2, "solve"),                 # was ValueError in solve, exit 1
+    ("mesh.json", _fractional_order, "solve"),        # was ValueError in solve, exit 1
+    ("mesh.json", _string_order, "solve"),            # was a silent run, exit 0
+    ("mesh.json", _bool_ledge, "solve"),              # was a silent run, exit 0
+    ("field.json", _one_component, "topology"),       # was ValueError in topology, exit 1
+    ("field.json", _drop_penalty, "topology"),        # was the default penalty, exit 0
+    ("topology.json", _string_valence, "trace"),      # was a silent run, exit 0
+    ("topology.json", _fractional_valence, "trace"),  # was a silent run, exit 0
+    ("topology.json", _far_element, "trace"),         # was a silent run, exit 0
+    ("topology.json", _string_corner_radius, "trace"),  # was a silent run, exit 0
+    ("topology.json", _drop_corner_radius, "trace"),  # was a fallback radius, exit 0
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):

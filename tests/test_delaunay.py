@@ -364,8 +364,7 @@ def _run(impl, points, edges, polys=None):
 def _both(points, edges, polys=None):
     """_run of both implementations, each recovery capped at PASSES flip passes."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(delaunay, "recover_edge",
-                   functools.partial(delaunay.recover_edge, max_iter=PASSES))
+        mp.setattr(delaunay, "RECOVER_MAX_PASSES", PASSES)
         mp.setitem(globals(), "reference_recover",
                    functools.partial(reference_recover, max_iter=PASSES))
         return _run(NEW, points, edges, polys), _run(REFERENCE, points, edges, polys)
@@ -560,7 +559,7 @@ def test_star_polygons_flip_and_fail_like_the_reference():
 
 
 def test_cycling_recovery_fails_at_its_first_repeat():
-    """At the default max_iter the cycling case fails as soon as an edge set
+    """At RECOVER_MAX_PASSES the cycling case fails as soon as an edge set
     repeats, with the cap's message, not after its 10,000 passes."""
     for dx, dy in OFFSETS:
         points = np.array(CYCLING_RING + CYCLING_INNER) + [dx, dy]
