@@ -155,7 +155,7 @@ def dump_json(path, doc):
 def load_json(path):
     if not Path(path).exists():
         raise ConfigError(f"missing upstream artifact {path}")
-    return read_json(path, ConfigError)
+    return read_json(path, ConfigError, every_number=False)
 
 
 class Pipeline:
@@ -189,6 +189,8 @@ class Pipeline:
                 "trace": lambda: tracer.separatrices_from_json(doc),
                 "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
         try:
+            if stage == "mesh":
+                typed(doc["target_h"], REAL, "target_h")    # stage_mesh's key, unused
             self._loaded[stage] = read()
         except (KeyError, IndexError, TypeError, ValueError, OverflowError) as ex:
             raise ConfigError(f"{path}: malformed ({type(ex).__name__}: {ex}); "
@@ -326,8 +328,8 @@ def resolve_config(args):
             typed(value, kinds, key)                # ints exclude bools
             if float in kinds:
                 value = float(value)                # an int beyond any float overflows
-            ok = (type(value) is not float or math.isfinite(value)) and test(value)
-        except (TypeError, OverflowError):
+            ok = test(value)
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ConfigError(f"{key} must be {phrase}, not {config[key]!r}")

@@ -1,12 +1,12 @@
 """Constrained Delaunay triangulation via Bowyer-Watson with edge recovery.
 
-The triangulation is three numpy arrays that grow in place: the points, the
-(a, b, c) vertex ids of every triangle id and a live mask; a deleted
-triangle keeps its row and id.  Every step reads those arrays: the
-Bowyer-Watson cavity test is one vectorized in-circle predicate over the
-live triangles per inserted point, edge recovery scans the sorted unique live
-edges for crossings in one pass, and carving takes connected components of
-the triangles that share an unconstrained edge.
+The triangulation is numpy arrays that grow in place: the points, and the
+vertex ids, vertex coordinates and live flag of every triangle id; a deleted
+triangle keeps its row and id.  Every step reads those arrays: Bowyer-Watson
+runs one vectorized in-circle predicate over the live triangles per inserted
+point and adds its new triangles as one block, edge recovery scans the sorted
+unique live edges for crossings in one pass, and carving takes connected
+components of the triangles that share an unconstrained edge.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class Triangulation:
         self._points = np.array(points, dtype=float).reshape(-1, 2)
         self._n_points = len(self._points)
         self._table = np.zeros((0, 3), dtype=np.intp)
+        self._coords = np.zeros((0, 3, 2))
         self._live = np.zeros(0, dtype=bool)
         self._n_tris = 0
 
@@ -74,6 +75,11 @@ class Triangulation:
     def table(self):
         """(m, 3) vertex ids of every triangle id, deleted ones included."""
         return self._table[:self._n_tris]
+
+    @property
+    def coords(self):
+        """(m, 3, 2) points[table]: the vertex coordinates of every triangle id."""
+        return self._coords[:self._n_tris]
 
     @property
     def live(self):
@@ -91,14 +97,18 @@ class Triangulation:
     def add_triangle(self, a, b, c):
         if _orient(self.points[a], self.points[b], self.points[c]) < 0:
             a, b = b, a
-        tid = self._n_tris
-        if tid == len(self._table):
-            self._table = _doubled(self._table)
-            self._live = _doubled(self._live)
-        self._table[tid] = (a, b, c)
-        self._live[tid] = True
-        self._n_tris += 1
-        return tid
+        self.add_triangles(np.array([(a, b, c)]))
+
+    def add_triangles(self, rows):
+        """Append the (k, 3) counter-clockwise rows as the next k triangle ids."""
+        start, stop = self._n_tris, self._n_tris + len(rows)
+        while stop > len(self._table):
+            self._table, self._coords, self._live = map(
+                _doubled, (self._table, self._coords, self._live))
+        self._table[start:stop] = rows
+        self._coords[start:stop] = self.points[rows]
+        self._live[start:stop] = True
+        self._n_tris = stop
 
     def edges(self):
         """(k, 2) the live edges as (low, high) vertex ids, sorted and unique."""
@@ -120,29 +130,26 @@ def bowyer_watson_insert(tri, pid, eps):
     The cavity is every live triangle whose circumcircle holds the point up
     to eps: one in-circle determinant for all live triangles at once, in
     ascending id order.  Its boundary edges, those of one cavity triangle
-    only, each make a new triangle with the point, in (low, high) order.
+    only, not in line with the point, make new triangles in (low, high) order.
     """
     pts = tri.points
     p = pts[pid]
     ids = np.flatnonzero(tri.live)
-    table = tri.table[ids]
-    ax, ay = (pts[table[:, 0]] - p).T
-    bx, by = (pts[table[:, 1]] - p).T
-    cx, cy = (pts[table[:, 2]] - p).T
+    (ax, ay), (bx, by), (cx, cy) = (tri.coords[ids] - p).transpose(1, 2, 0)
     det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
            - (bx * bx + by * by) * (ax * cy - cx * ay)
            + (cx * cx + cy * cy) * (ax * by - bx * ay))
-    inside = det > -eps
-    bad = ids[inside]
+    bad = ids[det > -eps]
     if not len(bad):
         raise MeshError("point insertion found no containing circumcircle")
-    edge_count = {}
-    for e in map(tuple, _edges(table[inside]).tolist()):
-        edge_count[e] = edge_count.get(e, 0) + 1
+    low, high = _edges(tri.table[bad]).T
+    keys, count = np.unique(low * len(pts) + high, return_counts=True)
+    a, b = np.divmod(keys[count == 1], len(pts))
+    turn = _orient(pts[a].T, pts[b].T, p)       # add_triangle's orientation of (a, b, pid)
+    cw = turn < 0
+    rows = np.stack([np.where(cw, b, a), np.where(cw, a, b), np.full_like(a, pid)], axis=1)
     tri.live[bad] = False
-    for (a, b), cnt in sorted(edge_count.items()):
-        if cnt == 1 and _orient(pts[a], pts[b], p) != 0:
-            tri.add_triangle(a, b, pid)
+    tri.add_triangles(rows[turn != 0])
 
 
 def _third_vertex(t, a, b):
@@ -264,24 +271,36 @@ def carve(tri, super_ids, constrained, classify_component):
 
 
 def laplacian_smooth(points, triangles, fixed):
-    """In-place neighbor-average smoothing of non-fixed vertices."""
-    pts = points
-    nbrs = {}
-    for (a, b, c) in triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            nbrs.setdefault(u, set()).add(v)
-            nbrs.setdefault(v, set()).add(u)
-    incident = {}
-    for ti, t in enumerate(triangles):
-        for v in t:
-            incident.setdefault(v, []).append(ti)
+    """In-place Gauss-Seidel neighbour-average smoothing of the non-fixed vertices.
+
+    A pass moves each vertex in id order, on Python floats, to the mean of its
+    neighbours (summed from 0.0 in ascending id order, as np.mean sums), and
+    undoes the move if an incident triangle's _orient is not above 1e-14.
+    """
+    tris = np.asarray(triangles).reshape(-1, 3)
+    n = len(points)
+    low, high = _edges(tris).T
+    keys = np.unique(np.concatenate([low * n + high, high * n + low]))
+    nbr_at = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+    nbrs = (keys % n).tolist()
+    corner_tris = (np.argsort(tris, axis=None, kind="stable") // 3).tolist()
+    tri_at = np.r_[0, np.cumsum(np.bincount(tris.ravel(), minlength=n))].tolist()
+    moving = [(v, nbrs[nbr_at[v]:nbr_at[v + 1]],
+               [triangles[t] for t in corner_tris[tri_at[v]:tri_at[v + 1]]])
+              for v in range(n) if v not in fixed and nbr_at[v] < nbr_at[v + 1]]
+    xs, ys = points.T.tolist()
     for _ in range(SMOOTH_PASSES):
-        for v in range(len(pts)):
-            if v in fixed or v not in nbrs:
-                continue
-            old = pts[v].copy()
-            pts[v] = np.mean([pts[u] for u in sorted(nbrs[v])], axis=0)
-            ok = all(_orient(pts[triangles[ti][0]], pts[triangles[ti][1]],
-                             pts[triangles[ti][2]]) > 1e-14 for ti in incident[v])
-            if not ok:
-                pts[v] = old
+        for v, around, incident in moving:
+            sx = sy = 0.0
+            for u in around:
+                sx += xs[u]
+                sy += ys[u]
+            old = xs[v], ys[v]
+            xs[v] = sx / len(around)
+            ys[v] = sy / len(around)
+            for a, b, c in incident:
+                area = (xs[b] - xs[a]) * (ys[c] - ys[a]) - (ys[b] - ys[a]) * (xs[c] - xs[a])
+                if not area > 1e-14:
+                    xs[v], ys[v] = old
+                    break
+    points[:] = np.array([xs, ys]).T

@@ -70,8 +70,15 @@ def boundary_field(theta_b):
 # ---- shape checks of JSON input: domain files and stage artifacts ------------
 
 
+def finite(a, what):
+    """The array a, unless it holds a NaN or an infinity (a ValueError naming what)."""
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
 def as_points(value, what, polyline=False):
-    """value as floats: a point [x, y] (2,), or with polyline a polyline (n >= 2, 2).
+    """value as finite floats: a point [x, y] (2,), or with polyline a polyline (n >= 2, 2).
 
     Anything else is a ValueError naming what.
     """
@@ -80,14 +87,17 @@ def as_points(value, what, polyline=False):
     if not ok:
         kind = "a polyline (n >= 2, 2)" if polyline else "a point [x, y]"
         raise ValueError(f"{what} must be {kind}, got shape {a.shape}")
-    return a
+    return finite(a, what)
 
 
 def typed(value, kinds, what):
-    """value if it is of kinds (never a bool); else a TypeError naming what."""
+    """value if it is of kinds (never a bool); else a TypeError naming what (a
+    ValueError for a float that is not finite)."""
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise TypeError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}, "
                         f"not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, not {value!r}")
     return value
 
 
@@ -99,11 +109,14 @@ def _finite(text):
     return value
 
 
-def read_json(path, error):
-    """The JSON document in path; invalid JSON or a non-finite number raise error naming path."""
+def read_json(path, error, every_number=True):
+    """The JSON document in path; invalid JSON, NaN, Infinity and, with every_number,
+    a number that overflows (1e999) raise error naming path.  Without it the caller
+    checks each value it takes (as_points, typed, finite): a number costs no Python call."""
+    hooks = {"parse_float": _finite} if every_number else {}
     with open(path) as f:
         try:
-            return json.load(f, parse_float=_finite, parse_constant=_finite)
+            return json.load(f, parse_constant=_finite, **hooks)
         except ValueError as ex:
             raise error(f"{path}: not valid JSON ({ex})") from None
 

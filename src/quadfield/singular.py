@@ -106,9 +106,9 @@ def count_jumps(us, vs):
     return pos, neg
 
 
-def interior_valence(point, probe, c, samples=CIRCLE_SAMPLES):
-    """(I_c, valence) from jump counting on a radius-c circle around point."""
-    vals = probe.eval_v_many(_contour(point, c, _circle_angles(samples)))
+def interior_valence(point, probe, c):
+    """(I_c, valence) from jump counting on a radius-c circle of CIRCLE_SAMPLES around point."""
+    vals = probe.eval_v_many(_contour(point, c, _circle_angles(CIRCLE_SAMPLES)))
     if any(v is OUTSIDE for v in vals):
         raise TopologyError("valence circle leaves the domain")
     vals = np.asarray(vals)
@@ -253,6 +253,9 @@ def topology_from_json(doc, domain, n_elements):
     corners = domain.corner_inventory()
     if len(doc["corners"]) != len(corners):
         raise ValueError(f"{len(doc['corners'])} corners, the domain has {len(corners)}")
+    for c in doc["corners"]:             # kept for the reader: the domain gives them
+        as_points(c["position"], "corner position")
+        number(c, "delta_theta")
     cns = [CornerNode(corner=corners[i], corner_id=i, index=number(c, "index"),
                       valence=integer(c, "valence"), dpsi=number(c, "dpsi"),
                       residual=number(c, "residual"), radius=number(c, "radius"))

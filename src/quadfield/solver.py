@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .geometry import boundary_field, tangent_angle, typed
+from .geometry import boundary_field, finite, tangent_angle, typed
 from .reftri import VERTICES
 
 DEFAULT_PENALTY = 10.0
@@ -147,7 +147,7 @@ class FieldSolution:
 
     @classmethod
     def from_json(cls, doc, mesh):
-        coeffs = np.array(doc["coeffs"], dtype=float)
+        coeffs = finite(np.array(doc["coeffs"], dtype=float), "field coefficients")
         want = (mesh.n_elements(), mesh.ref.n_nodes)
         if coeffs.shape[:2] != want:
             raise ConfigError(f"field coefficients of shape {coeffs.shape[:2]} do not "
@@ -155,9 +155,12 @@ class FieldSolution:
         if coeffs.shape[2:] != (2,):
             raise ValueError(f"field coefficients of shape {coeffs.shape} do not have "
                              f"2 components")
+        if typed(doc["order"], (int,), "order") != mesh.order:
+            raise ValueError(f"field order {doc['order']} is not the mesh's {mesh.order}")
         penalty = float(typed(doc["penalty"], (int, float), "penalty"))
-        choice = DiscretizationChoice(typed(doc["scheme"], (str,), "scheme"), penalty=penalty)
-        return cls(mesh, coeffs, choice)
+        if typed(doc["scheme"], (str,), "scheme") not in ("cg", "dg"):
+            raise ValueError(f"scheme must be cg or dg, not {doc['scheme']!r}")
+        return cls(mesh, coeffs, DiscretizationChoice(doc["scheme"], penalty=penalty))
 
 
 # ---- shared element/face machinery -------------------------------------------
@@ -249,8 +252,8 @@ class FaceGeometry:
 
 
 def interior_face_pairs(mesh):
-    """(eL, leL, eR, leR) per interior edge, deterministic order."""
-    return [(*mesh.edge_use[i][0], *mesh.edge_use[i][1]) for i in mesh.interior_edges]
+    """(n_interior, 4) rows (eL, leL, eR, leR), one per interior edge, in edge order."""
+    return mesh.face_pairs
 
 
 def _assemble(groups, ndof):
@@ -393,7 +396,7 @@ def build_dg_system(mesh, bc, choice):
     """
     nb = mesh.ref.n_nodes
     dofs = np.arange(mesh.n_elements() * nb).reshape(-1, nb)
-    pairs = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4)
+    pairs = interior_face_pairs(mesh)
     interior = np.concatenate(
         [_interior_blocks(mesh, choice, *pairs[b].T) for b in _batches(len(pairs))])
 
@@ -442,7 +445,7 @@ def corner_elements(mesh, domain, rings=2):
     corners = np.array([c.position for c in domain.corner_inventory()]).reshape(-1, 2)
     d = mesh.vertices[mesh.triangles][:, :, None, :] - corners        # (ne, 3, corners, 2)
     ring = (np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + mesh.bbox_diag)).any(axis=(1, 2))
-    left, _, right, _ = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4).T
+    left, _, right, _ = interior_face_pairs(mesh).T
     for _ in range(rings):
         grown = ring.copy()
         grown[right[ring[left]]] = True
@@ -468,7 +471,7 @@ def jump_norm(solution):
     zeros up to roundoff.
     """
     mesh = solution.mesh
-    pairs = np.array(interior_face_pairs(mesh), dtype=int).reshape(-1, 4)
+    pairs = interior_face_pairs(mesh)
     per_edge = []
     for b in _batches(len(pairs)):
         eL, leL, eR, leR = pairs[b].T

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import ConfigError, MeshError
-from .geometry import in_region, typed
+from .geometry import finite, in_region, typed
 from .reftri import n_nodes, ref_triangle
 
 
@@ -62,7 +62,8 @@ class TriMesh:
         edges (n, 2) holds the low and high vertex of each edge;
         elem_edges[e, le] is the edge of local edge le (vertex le -> le+1),
         forward[e, le] whether that local edge runs from low to high, and
-        edge_use[i] lists the (elem, ledge) uses of edge i in ascending order.
+        face_pairs[k] the (elem, ledge, elem, ledge) of the two uses of
+        interior edge interior_edges[k], in ascending order.
         """
         tail = self.triangles
         head = np.roll(tail, -1, axis=1)
@@ -73,9 +74,11 @@ class TriMesh:
         self.edges = np.stack(np.divmod(keys, nv), axis=1)
         self.elem_edges = inverse.reshape(tail.shape)
         self.forward = tail < head
-        uses = np.split(np.argsort(inverse, axis=None, kind="stable"), np.cumsum(counts)[:-1])
-        self.edge_use = [[divmod(int(u), 3) for u in use] for use in uses]
         self.interior_edges = np.flatnonzero(counts == 2)
+        uses = np.argsort(inverse, axis=None, kind="stable")       # grouped by edge
+        first = (np.cumsum(counts) - counts)[self.interior_edges]
+        self.face_pairs = np.stack(np.divmod(uses[np.stack([first, first + 1], axis=1)], 3),
+                                   axis=2).reshape(-1, 4)
         bare = counts == 1
         bare[[self.elem_edges[f.elem, f.ledge] for f in self.boundary_faces]] = False
         for i in np.flatnonzero(bare | (counts > 2)):
@@ -84,10 +87,6 @@ class TriMesh:
 
     def n_elements(self):
         return len(self.triangles)
-
-    def neighbors(self, e):
-        """Element ids sharing an edge with element e."""
-        return [e2 for i in self.elem_edges[e] for (e2, _) in self.edge_use[i] if e2 != e]
 
     def node_ids(self, per_edge, per_face):
         """Global node ids per element, continuous across shared edges.
@@ -227,14 +226,15 @@ class TriMesh:
         if triangles.dtype.kind != "i" or triangles.shape[1:] != (3,):
             raise ValueError(f"triangles must be an integer (n, 3) array, not "
                              f"{triangles.dtype} of shape {triangles.shape}")
-        geom = np.array(doc["geom"], dtype=float)
+        geom = finite(np.array(doc["geom"], dtype=float), "geom")
         if geom.shape != (len(triangles), n_nodes(order), 2):
             raise ValueError(f"geom of shape {geom.shape} does not fit {len(triangles)} "
                              f"elements of order {order}")
         faces = [BoundaryFace(*(typed(v, (int,), "boundary face index") for v in f[:4]),
                               *(float(typed(t, (int, float), "boundary face t")) for t in f[4:]))
                  for f in doc["boundary_faces"]]
-        mesh = cls(np.array(doc["vertices"]), triangles, order, geom, faces, domain=domain)
+        vertices = finite(np.array(doc["vertices"], dtype=float), "vertices")
+        mesh = cls(vertices, triangles, order, geom, faces, domain=domain)
         if domain is None:
             return mesh
         tol = 1e-6 * domain.bbox_diag

@@ -1,5 +1,6 @@
 """Shared fixtures; expensive pipeline stages are session-cached."""
 
+import numpy as np
 import pytest
 
 from quadfield.field import FieldProbe
@@ -18,6 +19,17 @@ def square_domain(side=1.0, name="square"):
         Line((0.0, side), (0.0, 0.0)),
     ], "outer")
     return DomainSpec([loop], name=name)
+
+
+def neighbors(mesh, e):
+    """Element ids sharing an edge with element e, by its local edges 0, 1, 2."""
+    out = []
+    for i in mesh.elem_edges[e]:
+        k = np.searchsorted(mesh.interior_edges, i)
+        if k < len(mesh.interior_edges) and mesh.interior_edges[k] == i:
+            e0, _, e1, _ = mesh.face_pairs[k].tolist()
+            out.append(e1 if e0 == e else e0)
+    return out
 
 
 @pytest.fixture(scope="session")

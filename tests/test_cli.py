@@ -1,5 +1,8 @@
+import copy
+import functools
 import io
 import json
+import operator
 import re
 import shutil
 from pathlib import Path
@@ -401,6 +404,10 @@ def _drop_scheme(doc):
     del doc["scheme"]
 
 
+def _unknown_scheme(doc):
+    doc["scheme"] = "xx"
+
+
 def _flatten_points(doc):
     doc[0]["points"] = [c for p in doc[0]["points"] for c in p]
 
@@ -562,6 +569,7 @@ def _record_named_three_times(doc):
     ("topology.json", _far_element, "trace"),         # was a silent run, exit 0
     ("topology.json", _string_corner_radius, "trace"),  # was a silent run, exit 0
     ("topology.json", _drop_corner_radius, "trace"),  # was a fallback radius, exit 0
+    ("field.json", _unknown_scheme, "topology"),      # was a silent run, exit 0
 ])
 def test_malformed_staged_artifact_names_the_file(full_run, tmp_path, capsys, name, edit,
                                                   stage):
@@ -597,6 +605,79 @@ def test_split_refuses_blocks_that_do_not_share_sides(full_run, tmp_path, capsys
     assert _run_on_edited(full_run, tmp_path, capsys, "blocks.json", edit, "split") == 2
     err = capsys.readouterr().err
     assert "blocks.json" in err and fault in err
+
+
+HUGE = "__huge__"          # written as the JSON number 1e999, which overflows to inf
+
+
+def _numeric_keys(doc):
+    """The path of the first number (bools excluded) under each key of doc: a
+    path whose list indices, but for the last, are wildcards."""
+    first = {}
+
+    def walk(value, path):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, path + (k,))
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(v, path + (i,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            first.setdefault(tuple("*" if isinstance(p, int) else p for p in path[:-1])
+                             + path[-1:], path)
+
+    walk(doc, ())
+    return list(first.values())
+
+
+def _write_huge(path, doc, at):
+    """Write doc to path with the number at path `at` replaced by 1e999."""
+    doc = copy.deepcopy(doc)
+    *outer, last = at
+    functools.reduce(operator.getitem, outer, doc)[last] = HUGE
+    path.write_text(json.dumps(doc).replace(f'"{HUGE}"', "1e999"))
+
+
+@pytest.mark.parametrize("name,stage", [("mesh.json", "solve"), ("field.json", "topology"),
+                                        ("topology.json", "trace"),
+                                        ("separatrices.json", "cut"), ("blocks.json", "split")])
+def test_overflowing_number_in_any_artifact_key_is_refused(full_run, tmp_path, capsys, name,
+                                                           stage):
+    """Artifacts are parsed without a per-number check: each reader refuses a
+    non-finite value under every numeric key, naming the file (exit 2)."""
+    doc = json.loads((full_run / name).read_text())
+    keys = _numeric_keys(doc)
+    out = tmp_path / "staged"
+    shutil.copytree(full_run, out)
+    accepted = []
+    for at in keys:
+        _write_huge(out / name, doc, at)
+        capsys.readouterr()
+        if run_cli([stage, HALF_DISC, "--out", out] + FAST) != 2 or \
+                name not in capsys.readouterr().err:
+            accepted.append(at)
+    assert len(keys) >= 4 and accepted == []
+
+
+DOMAIN_KINDS = {"loops": [{"orientation": "outer", "segments": [
+    {"kind": "naca4", "code": "0012", "chord": 1.0, "origin": [0.0, 0.0]}]},
+    {"orientation": "inner", "segments": [
+        {"kind": "line", "p0": [-1.0, -1.0], "p1": [2.0, -1.0]},
+        {"kind": "spline", "points": [[2.0, -1.0], [2.5, 0.0], [2.0, 1.0]]},
+        {"kind": "arc", "center": [0.5, 1.0], "radius": 1.5, "a0": 0.0, "a1": 3.14159}]}]}
+
+
+@pytest.mark.parametrize("doc", [json.loads(fixture_path("half_disc").read_text()),
+                                 DOMAIN_KINDS], ids=["half_disc", "every_kind"])
+def test_overflowing_number_in_any_domain_key_is_refused(tmp_path, capsys, doc):
+    dom = tmp_path / "dom.json"
+    keys = _numeric_keys(doc)
+    for at in keys:
+        _write_huge(dom, doc, at)
+        assert run_cli(["mesh", dom, "--out", tmp_path / "x"]) == 2, at
+        assert f"{dom}: not valid JSON (1e999 is not a finite number)" in \
+            capsys.readouterr().err
+    assert len(keys) >= 6
 
 
 def test_invalid_json_domain(tmp_path, capsys):

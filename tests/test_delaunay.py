@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadfield import delaunay
-from quadfield.delaunay import triangulate_pslg
+from quadfield import delaunay, trimesh
+from quadfield.delaunay import laplacian_smooth, triangulate_pslg
 from quadfield.errors import MeshError
-from quadfield.geometry import in_region
+from quadfield.geometry import in_region, load_fixture
 
 # The benchmark's exact rigid translations of the shipped fixtures.
 OFFSETS = ((0.0, 0.0), (0.5, -0.25), (-0.75, 1.0), (1.25, 0.5))
@@ -315,6 +315,30 @@ def all_rows_insert(tri, pid, eps):
             tri.add_triangle(a, b, pid)
 
 
+def reference_smooth(points, triangles, fixed):
+    """laplacian_smooth as it was: dict neighbour sets and np.mean per vertex."""
+    pts = points
+    nbrs = {}
+    for (a, b, c) in triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            nbrs.setdefault(u, set()).add(v)
+            nbrs.setdefault(v, set()).add(u)
+    incident = {}
+    for ti, t in enumerate(triangles):
+        for v in t:
+            incident.setdefault(v, []).append(ti)
+    for _ in range(delaunay.SMOOTH_PASSES):
+        for v in range(len(pts)):
+            if v in fixed or v not in nbrs:
+                continue
+            old = pts[v].copy()
+            pts[v] = np.mean([pts[u] for u in sorted(nbrs[v])], axis=0)
+            ok = all(_orient(pts[triangles[ti][0]], pts[triangles[ti][1]],
+                             pts[triangles[ti][2]]) > 1e-14 for ti in incident[v])
+            if not ok:
+                pts[v] = old
+
+
 def _incircle_det(pts, tri, p):
     """The determinant _circumcircle_contains compares, in its operation order."""
     a, b, c = (pts[i] for i in tri)
@@ -473,6 +497,48 @@ def star_polygons(draw):
     return pts, _cycle(n), [pts[:n]]
 
 
+# A dart: vertex 0 inside the concave quadrilateral 1-2-3-4, whose reflex
+# corner 4 lies above the mean of the four (0, -0.125): moving vertex 0 there
+# turns two of its triangles over, so the move is undone.
+DART = [(0.0, 0.7), (1.0, -1.0), (0.0, 1.0), (-1.0, -1.0), (0.0, 0.5)]
+DART_TRIS = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 1)]
+# Vertex 0 with three neighbours on x = -0.0: their x sum is +0.0 from a 0.0
+# start (np.mean's) and -0.0 from the first neighbour.  The move is undone.
+SIGNED_ZERO = [(0.5, 0.0), (-0.0, 1.0), (-0.0, 0.0), (-0.0, -1.0)]
+SIGNED_ZERO_TRIS = [(0, 1, 2), (0, 2, 3)]
+
+
+@st.composite
+def smoothing_cases(draw):
+    """(points, triangles, fixed, dart centre, signed-zero centre): a wheel of
+    9-16 spokes with random radii, a dart and a signed-zero fan, under a
+    random vertex numbering.  Any wheel vertex may be fixed but its hub; the
+    dart's and the fan's outer vertices always are."""
+    k = draw(st.integers(9, 16))
+    jitter = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+    radii = draw(st.lists(st.floats(0.3, 1.5), min_size=k, max_size=k))
+    x0, y0 = draw(_coord), draw(_coord)
+    angles = [2.0 * math.pi * (i + 0.5 * u) / k for i, u in enumerate(jitter)]
+    wheel = [(x0, y0)] + [(x0 + r * math.cos(a), y0 + r * math.sin(a))
+                          for a, r in zip(angles, radii)]
+    wheel_tris = [(0, 1 + i, 1 + (i + 1) % k) for i in range(k)]
+    dx, dy = draw(_coord), draw(_coord)
+    dart = [(x + dx, y + dy) for x, y in DART]
+    points, triangles, fixed = [], [], set()
+    for part, tris, rim_fixed in ((wheel, wheel_tris, False), (dart, DART_TRIS, True),
+                                  (SIGNED_ZERO, SIGNED_ZERO_TRIS, True)):
+        base = len(points)
+        points += part
+        triangles += [tuple(base + v for v in t) for t in tris]
+        fixed |= {base + v for v in range(1, len(part))
+                  if rim_fixed or draw(st.booleans())}
+    ids = draw(st.permutations(range(len(points))))
+    moved = np.empty((len(points), 2))
+    moved[ids] = points
+    return (moved, [tuple(ids[v] for v in t) for t in triangles], {ids[v] for v in fixed},
+            ids[len(wheel)], ids[len(wheel) + len(DART)])
+
+
 # ---- tests --------------------------------------------------------------------------
 
 
@@ -603,3 +669,77 @@ def test_carve_with_hole_at_fixture_offsets():
         assert isinstance(new, tuple) and new == ref
         assert len(new[1]) == 2                 # the region and the hole
         assert sum(new[0][1]) == 2 * 64 - 2 * 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(smoothing_cases())
+def test_smoothing_matches_reference(case):
+    """Gauss-Seidel order, the summation from 0.0 and the undone moves give
+    the reference's bytes; the dart's and the signed-zero fan's centres are
+    put back."""
+    points, triangles, fixed, dart, signed_zero = case
+    start = points.copy()
+    ref = points.copy()
+    reference_smooth(ref, triangles, fixed)
+    laplacian_smooth(points, triangles, fixed)
+    assert points.tobytes() == ref.tobytes()
+    assert points[[dart, signed_zero]].tobytes() == start[[dart, signed_zero]].tobytes()
+
+
+@pytest.mark.parametrize("target_h", [0.35, 0.12])
+@pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
+                                  "naca_IV", "holed_nautilus"])
+def test_smoothing_matches_reference_on_fixture_meshes(monkeypatch, name, target_h):
+    """Each fixture's background mesh is smoothed to the reference's bytes."""
+    same = []
+
+    def both(points, triangles, fixed):
+        ref = points.copy()
+        reference_smooth(ref, triangles, fixed)
+        laplacian_smooth(points, triangles, fixed)
+        same.append(points.tobytes() == ref.tobytes())
+
+    monkeypatch.setattr(trimesh, "laplacian_smooth", both)
+    trimesh.generate_background_mesh(load_fixture(name), target_h)
+    assert same == [True]
+
+
+def _coords_after_flips(points, edges, polys):
+    """Flips of meshing and carving the polygon, after checking that row t of
+    coords is points[table[t]]; None if meshing fails."""
+    flips = []
+
+    def counted_flip(tri, a, b):
+        flips.append((a, b))
+        return flip(tri, a, b)
+
+    flip = delaunay.flip_edge
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(delaunay, "RECOVER_MAX_PASSES", PASSES)
+        mp.setattr(delaunay, "flip_edge", counted_flip)
+        try:
+            tri, super_ids = triangulate_pslg(points, edges)
+        except MeshError:
+            return None
+    delaunay.carve(tri, super_ids, {tuple(sorted((i + 3, j + 3))) for i, j in edges},
+                   lambda pt: in_region(pt, polys[0], []))
+    assert tri.coords.tobytes() == tri.points[tri.table].tobytes()
+    return flips
+
+
+@settings(max_examples=100, deadline=None)
+@given(star_polygons())
+def test_coordinate_table_holds_the_points_of_every_row(case):
+    _coords_after_flips(*case)
+
+
+def test_coordinate_table_holds_the_points_after_flips():
+    """A star 12-gon with four inner points, recovered by flips, under every
+    benchmark offset."""
+    angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    radii = np.where(np.arange(12) % 2, 0.3, 1.6)
+    star = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
+    star = np.vstack([star, [(0.5, 0.0), (0.0, 0.5), (-0.5, 0.0), (0.0, -0.5)]])
+    for offset in OFFSETS:
+        points = star + offset
+        assert _coords_after_flips(points, _cycle(12), [points[:12]])

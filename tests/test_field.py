@@ -115,11 +115,11 @@ def test_locate_many_matches_locate(half_disc_solution, monkeypatch):
 def test_locate_tie_break_lower_id(half_disc_probe, half_disc_mesh):
     mesh = half_disc_mesh
     key = mesh.interior_edges[0]
-    uses = sorted(mesh.edge_use[key])
+    first = mesh.face_pairs[0, 0]
     a, b = mesh.edges[key]
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     loc = half_disc_probe.locate(mid)
-    assert loc[0] == uses[0][0]
+    assert loc[0] == first
 
 
 def test_eval_at_node_is_coefficient(half_disc_probe, half_disc_solution):
@@ -211,10 +211,8 @@ def test_cg_continuity_across_edges(half_disc_mesh, half_disc_solution):
     mesh = half_disc_mesh
     rng = np.random.default_rng(9)
     checked = 0
-    keys = list(mesh.interior_edges)
     while checked < 100:
-        key = keys[int(rng.integers(len(keys)))]
-        (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
+        e0, le0, e1, le1 = mesh.face_pairs[int(rng.integers(len(mesh.face_pairs)))]
         s = rng.uniform(-0.9, 0.9)
         xi0 = mesh.ref.edge_points(le0, np.array([s]))
         x = mesh.map_to_physical(e0, xi0)[0]
@@ -313,7 +311,7 @@ def _draw_location_point(data, mesh, curved):
         return mesh.map_to_physical(e, [-1.0 + 2.0 * u * (1.0 - w),
                                         -1.0 + 2.0 * w * (1.0 - u)])[0]
     if kind == "edge":
-        (e, le), _ = mesh.edge_use[data.draw(st.sampled_from(list(mesh.interior_edges)))]
+        e, le = data.draw(st.sampled_from(mesh.face_pairs[:, :2].tolist()))
         return mesh.map_to_physical(e, mesh.ref.edge_points(le, np.array([2.0 * u - 1.0])))[0]
     if kind == "skin":
         # within 1e-9 of a curved boundary edge, on either side

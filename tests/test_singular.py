@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import neighbors
 from quadfield import singular
 from quadfield.cli import main
 from quadfield.errors import TopologyError
@@ -49,10 +50,11 @@ def test_table_one_oracle(fn, expected):
     assert (index, valence) == expected
 
 
-def test_index_sample_count_stable():
+def test_index_sample_count_stable(monkeypatch):
     probe = AnalyticProbe(lambda x, y: np.array([x, y]))
     for samples in (64, 128):
-        index, valence = interior_valence(ORIGIN, probe, 0.5, samples=samples)
+        monkeypatch.setattr(singular, "CIRCLE_SAMPLES", samples)
+        index, valence = interior_valence(ORIGIN, probe, 0.5)
         assert (index, valence) == (1, 3)
 
 
@@ -185,7 +187,7 @@ def test_flag_candidates_linear_field(square_mesh_p3):
     host = probe.locate(np.array([0.47, 0.53]))[0]
     neighborhood = {cp.elem for cp in roots}
     for cp in roots:
-        neighborhood.update(square_mesh_p3.neighbors(cp.elem))
+        neighborhood.update(neighbors(square_mesh_p3, cp.elem))
     assert host in neighborhood
     # the root's host element is the one point location returns
     assert find_critical_points(sol, probe)[0].elem == host

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import neighbors
 from quadfield import solver
 from quadfield.errors import SolverError
 from quadfield.reftri import VERTICES, RefTriangle, quadrature_for_degree
@@ -173,7 +174,7 @@ def per_element_corner_elements(mesh, domain, rings=2):
     ring = set(out)
     for _ in range(rings):
         for e in list(ring):
-            ring.update(mesh.neighbors(e))
+            ring.update(neighbors(mesh, e))
     return ring
 
 

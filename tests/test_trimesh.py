@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial import cKDTree
 
+from conftest import neighbors
 from quadfield import trimesh
 from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
@@ -176,7 +177,7 @@ def test_invert_map_lanes_match_scalar_loop(half_disc_mesh, data):
     anchor = data.draw(st.integers(0, n - 1))
     # the anchor, maybe its edge neighbors (which share its edges) and random
     # others, curved boundary elements and affine interior ones alike
-    near = [anchor] + (mesh.neighbors(anchor) if data.draw(st.booleans()) else [])
+    near = [anchor] + (neighbors(mesh, anchor) if data.draw(st.booleans()) else [])
     others = data.draw(st.lists(st.integers(0, n - 1), max_size=12, unique=True))
     elems = sorted(set(near + others))[:12]
     if anchor not in elems:
@@ -212,7 +213,7 @@ def test_reach_test_drops_only_lanes_that_miss(half_disc, half_disc_mesh, data):
     curved = sorted({f.elem for f in mesh.boundary_faces
                      if half_disc.loops[f.loop].segments[f.seg].kind == "arc"})
     anchor = data.draw(st.sampled_from(curved) | st.integers(0, n - 1))
-    elems = sorted({anchor, *mesh.neighbors(anchor),
+    elems = sorted({anchor, *neighbors(mesh, anchor),
                     *data.draw(st.lists(st.integers(0, n - 1), max_size=8))})
     kind = data.draw(st.sampled_from(["inside", "edge", "skin", "far"]))
     u = data.draw(st.floats(0.0, 1.0))
@@ -320,7 +321,7 @@ def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeyp
 def test_shared_edge_point_found_by_both(half_disc_mesh):
     mesh = half_disc_mesh
     key = mesh.interior_edges[0]
-    (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
+    e0, le0, e1, le1 = mesh.face_pairs[0]
     a, b = mesh.edges[key]
     mid = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     (xi0, xi1), _ = mesh.invert_map([e0, e1], mid)
@@ -347,8 +348,7 @@ def test_area_matches_domain_half_disc(half_disc):
 def test_conforming_shared_edge_nodes(half_disc_mesh):
     mesh = half_disc_mesh
     ref = mesh.ref
-    for key in mesh.interior_edges:
-        (e0, le0), (e1, le1) = sorted(mesh.edge_use[key])
+    for e0, le0, e1, le1 in mesh.face_pairs:
         n0 = mesh.geom[e0][ref.edge_ids[le0]]
         n1 = mesh.geom[e1][ref.edge_ids[le1]]
         assert np.abs(n0 - n1[::-1]).max() < 1e-12
@@ -383,6 +383,12 @@ def _reference_face_pairs(edge_use, interior_edges):
         (e0, le0), (e1, le1) = sorted(edge_use[key])
         out.append((e0, le0, e1, le1))
     return out
+
+
+def _reference_neighbors(mesh, edge_use):
+    """TriMesh.neighbors as it was, over the reference edge uses."""
+    return [[e2 for u, v in zip(t, t[1:] + t[:1]) for (e2, _) in edge_use[frozenset((u, v))]
+             if e2 != e] for e, t in enumerate(mesh.triangles.tolist())]
 
 
 def _reference_local_to_global(mesh, edge_use):
@@ -488,10 +494,13 @@ def _assert_edge_table_matches_reference(linear, mesh, domain):
     edge_use, interior_edges = _reference_edge_use(mesh.triangles, mesh.boundary_faces)
     keys = sorted(edge_use, key=lambda k: sorted(k))
     assert mesh.edges.tolist() == [sorted(k) for k in keys]
-    assert mesh.edge_use == [edge_use[k] for k in keys]
     assert [keys[i] for i in mesh.interior_edges] == interior_edges
-    assert np.array(interior_face_pairs(mesh)).tobytes() == \
-        np.array(_reference_face_pairs(edge_use, interior_edges)).tobytes()
+    assert [neighbors(mesh, e) for e in range(mesh.n_elements())] == \
+        _reference_neighbors(mesh, edge_use)
+    assert interior_face_pairs(mesh) is mesh.face_pairs
+    assert mesh.face_pairs.dtype == np.intp and mesh.face_pairs.shape == (len(interior_edges), 4)
+    assert mesh.face_pairs.tolist() == [list(p) for p in
+                                        _reference_face_pairs(edge_use, interior_edges)]
     assert CGSpace(mesh).local_to_global.tobytes() == \
         _reference_local_to_global(mesh, edge_use).tobytes()
     if mesh is not linear:

@@ -22,6 +22,8 @@
 # polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
 # fine_mesh_solve flags (--order 4 --target-h 0.12), and geometry_I once more
 # with --scheme dg, so the DG face terms run on curved boundary faces too.
+# half_disc, nautilus, holed_nautilus and naca_IV run `mesh` at those flags,
+# so the mesher meets arcs, holes and the naca4 segment at a fine spacing.
 # Each run's exit code is written next to its artifacts, so it is compared
 # too.  The ref is exported with `git archive` into the work directory (a
 # fresh temporary directory by default, removed afterwards).  Exits 0 when
@@ -89,6 +91,10 @@ polygon_III_staged polygon_III mesh,solve,topology,trace,cut,split --order 3 --t
 polygon_III_fine polygon_III mesh,solve --order 4 --target-h 0.12
 geometry_I_fine geometry_I mesh,solve --order 4 --target-h 0.12
 geometry_I_fine_dg geometry_I mesh,solve --order 4 --target-h 0.12 --scheme dg
+half_disc_fine half_disc mesh --order 4 --target-h 0.12
+nautilus_fine nautilus mesh --order 4 --target-h 0.12
+holed_nautilus_fine holed_nautilus mesh --order 4 --target-h 0.12
+naca_IV_fine naca_IV mesh --order 4 --target-h 0.12
 STAGED
 }
 
