@@ -7,16 +7,14 @@ shared edges broken toward the lowest element id so evaluation is
 deterministic.  It is the only spatial filter, with no grid or tree: the
 meshes served have at most a few hundred elements, so one (points x
 elements) mask per batch is cheap.  A probe answers batches (a valence
-circle, an arc, one tracing round): locate_many inverts once for the whole
-batch, one lane per pair the mask keeps; contains_many tells which
-points lie in the mesh; eval_v_many gives (u, v) from the basis rows that
-Newton built at the located xi, with no kernel table of its own, each row
-bitwise FieldSolution.eval there; eval_psi_many gives the principal phase
-of those rows.  Locations are memoised with their basis rows, since
-contours are tested for containment and then evaluated at the same points,
-and do not depend on the rest of the batch, so callers may locate points
-they might never visit.  locate and eval_v are one-point wrappers, kept for
-the benchmark, which wraps and calls them.
+circle, an arc, one tracing round) and keeps no per-point state:
+locate_many inverts once for the whole batch, one lane per pair the mask
+keeps; eval_v_many gives (u, v) from the basis rows that Newton built at
+the located xi, with no kernel table of its own, each row bitwise
+FieldSolution.eval there; eval_psi_many gives the principal phase of those
+rows.  A point's answer does not depend on the rest of its batch, so
+callers may locate points they might never visit.  locate and eval_v are
+one-point wrappers, kept for the benchmark, which wraps and calls them.
 """
 
 from __future__ import annotations
@@ -61,51 +59,37 @@ class FieldProbe:
     def __init__(self, solution):
         self.solution = solution
         self.mesh = solution.mesh
-        self._located = {}
 
     def locate(self, x):
-        """(element id, xi) of the element containing x, or OUTSIDE.
-
-        Memoised on the bytes of x; xi is a fresh copy on every call.
-        """
+        """(element id, xi) of the element containing x, or OUTSIDE."""
         return self.locate_many([x])[0]
 
     def locate_many(self, points):
-        """[locate(p) for p in points], with one Newton solve for every new point."""
-        return [loc if loc is OUTSIDE else (loc[0], loc[1].copy())
-                for loc in self._locations(points)]
+        """[locate(p) for p in points], with one Newton solve for the batch."""
+        return [loc if loc is OUTSIDE else loc[:2] for loc in self._locations(points)]
 
     def _locations(self, points):
-        """The memo entry of every point: (element id, xi, basis row) or OUTSIDE.
+        """(element id, xi, basis row) or OUTSIDE per point, from one Newton solve.
 
-        New points are located in one Newton solve.  Its lanes are the
-        (point, element) pairs that pass the mesh's reach mask, point-major
-        with ascending element ids, so a point's first hit is its lowest-id
-        containing element.  A non-finite point is OUTSIDE.
+        Its lanes are the (point, element) pairs that pass the mesh's reach
+        mask, point-major with ascending element ids, so a point's first hit
+        is its lowest-id containing element.  A non-finite point is OUTSIDE.
         """
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
-        keys = [p.tobytes() for p in points]
-        fresh = {key: p for key, p in zip(keys, points) if key not in self._located}
-        if fresh:
-            pts = np.array(list(fresh.values()))
-            mask = self.mesh.reachable(pts) & np.isfinite(pts).all(axis=1)[:, None]
-            point, elem = np.nonzero(mask)
-            found = [OUTSIDE] * len(pts)
-            for i, e, xi, row in zip(point, elem, *self.mesh.invert_map(elem, pts[point])):
-                if xi is not None and found[i] is OUTSIDE:
-                    found[i] = (int(e), xi, row)
-            self._located.update(zip(fresh, found))
-        return [self._located[key] for key in keys]
-
-    def contains_many(self, points):
-        return [loc is not OUTSIDE for loc in self._locations(points)]
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        mask = self.mesh.reachable(pts) & np.isfinite(pts).all(axis=1)[:, None]
+        point, elem = np.nonzero(mask)
+        found = [OUTSIDE] * len(pts)
+        for i, e, xi, row in zip(point, elem, *self.mesh.invert_map(elem, pts[point])):
+            if xi is not None and found[i] is OUTSIDE:
+                found[i] = (int(e), xi, row)
+        return found
 
     def eval_v(self, x):
         """(u, v) at the physical point x, or OUTSIDE; one-sided for DG."""
         return self.eval_v_many([x])[0]
 
     def eval_v_many(self, points):
-        """(u, v) or OUTSIDE per point, from the memo's basis rows; no kernel table.
+        """(u, v) or OUTSIDE per point, from Newton's basis rows; no kernel table.
 
         Every located point multiplies the basis row Newton built at its xi
         with its element's coefficients as its own 1 x n product, so its
@@ -146,12 +130,9 @@ class AnalyticProbe:
         self.fn = fn
         self.region = region
 
-    def contains_many(self, points):
-        return [self.region is None or bool(self.region(p)) for p in points]
-
     def eval_v_many(self, points):
-        return [np.asarray(self.fn(float(p[0]), float(p[1])), dtype=float) if inside
-                else OUTSIDE for p, inside in zip(points, self.contains_many(points))]
+        return [np.asarray(self.fn(float(p[0]), float(p[1])), dtype=float)
+                if self.region is None or self.region(p) else OUTSIDE for p in points]
 
     def eval_psi_many(self, points):
         return _psis(self.eval_v_many(points))

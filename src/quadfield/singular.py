@@ -6,8 +6,8 @@ solver point location uses too); an element yields None when its iteration
 fails or its root lies outside it.  The roots are deduplicated and classified
 by counting phase jumps around a small circle.  Corner valences combine the
 one-sided boundary phases with the same jump counting along an interior arc.
-Both contours are fitted by _fit_contour, one contains_many per candidate,
-and then read with one batch call (eval_v_many, eval_psi_many).
+Both contours are fitted by _fit_contour, which reads each candidate once
+with one batch call (eval_v_many) and hands the fitted contour's values on.
 """
 
 from __future__ import annotations
@@ -73,17 +73,18 @@ def _contour(center, c, angles):
 
 
 def _fit_contour(probe, center, c0, angle_sets):
-    """(c, points) of the first contour that lies wholly in the domain, or None.
+    """(c, values) of the first contour that lies wholly in the domain, or None.
 
-    Radii c0, c0 / 2, ..., c0 / 16 are tried in turn, and at each radius the
-    angle sets in their order.
+    values is the (n, 2) array of (u, v) at the contour's points.  Radii c0,
+    c0 / 2, ..., c0 / 16 are tried in turn, and at each radius the angle sets
+    in their order.
     """
     c = c0
     for _ in range(5):
         for angles in angle_sets:
-            pts = _contour(center, c, angles)
-            if all(probe.contains_many(pts)):
-                return c, pts
+            vals = probe.eval_v_many(_contour(center, c, angles))
+            if all(v is not OUTSIDE for v in vals):
+                return c, np.asarray(vals)
         c *= 0.5
     return None
 
@@ -111,7 +112,11 @@ def interior_valence(point, probe, c):
     vals = probe.eval_v_many(_contour(point, c, _circle_angles(CIRCLE_SAMPLES)))
     if any(v is OUTSIDE for v in vals):
         raise TopologyError("valence circle leaves the domain")
-    vals = np.asarray(vals)
+    return _circle_valence(np.asarray(vals))
+
+
+def _circle_valence(vals):
+    """(I_c, valence) from jump counting on the (u, v) rows of a valence circle."""
     pos, neg = count_jumps(vals[:, 0], vals[:, 1])
     index = neg - pos
     if abs(index) > 1:
@@ -132,10 +137,8 @@ def classify_critical_points(points, probe):
         if fit is None:
             raise TopologyError(f"no valence circle around ({cp.position[0]:.4g}, "
                                 f"{cp.position[1]:.4g}) fits in the domain")
-        c = fit[0]
-        idx, val = interior_valence(cp.position, probe, c)
-        cp.index = idx
-        cp.valence = val
+        c, vals = fit
+        cp.index, cp.valence = _circle_valence(vals)
         cp.radius = c
     return points
 
@@ -192,12 +195,8 @@ def corner_valence(corner, probe, corner_id=0):
                                         for g in gaps if g <= delta / 8.0])
     if fit is None:
         raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
-    c, arc = fit
-
-    psis = probe.eval_psi_many(arc)
-    if any(ps is OUTSIDE for ps in psis):
-        raise TopologyError(f"corner {corner_id}: arc sample left the domain")
-    seq = [psi_of(boundary_field(th_start))] + psis + [
+    c, vals = fit
+    seq = [psi_of(boundary_field(th_start))] + [psi_of(v) for v in vals] + [
         psi_of(boundary_field(corner.theta_in + math.pi))]
     dpsi = sum(math.remainder(seq[i + 1] - seq[i], HALF_PI) for i in range(len(seq) - 1))
     index = dpsi / HALF_PI

@@ -251,11 +251,6 @@ class FaceGeometry:
         return np.einsum("epx,epnx->epn", self.normal, self.gphys)
 
 
-def interior_face_pairs(mesh):
-    """(n_interior, 4) rows (eL, leL, eR, leR), one per interior edge, in edge order."""
-    return mesh.face_pairs
-
-
 def _assemble(groups, ndof):
     """CSR matrix summing dense blocks.
 
@@ -390,13 +385,13 @@ def _interior_blocks(mesh, choice, eL, leL, eR, leR):
 def build_dg_system(mesh, bc, choice):
     """(K, rhs (ndof, ncomp)) with ndof = elements x nodes.
 
-    Blocks go in element order, then interior faces in interior_face_pairs
+    Blocks go in element order, then interior faces in mesh.face_pairs
     order, then boundary faces.  An element with two boundary faces gets
     their right-hand sides in face order.
     """
     nb = mesh.ref.n_nodes
     dofs = np.arange(mesh.n_elements() * nb).reshape(-1, nb)
-    pairs = interior_face_pairs(mesh)
+    pairs = mesh.face_pairs
     interior = np.concatenate(
         [_interior_blocks(mesh, choice, *pairs[b].T) for b in _batches(len(pairs))])
 
@@ -445,7 +440,7 @@ def corner_elements(mesh, domain, rings=2):
     corners = np.array([c.position for c in domain.corner_inventory()]).reshape(-1, 2)
     d = mesh.vertices[mesh.triangles][:, :, None, :] - corners        # (ne, 3, corners, 2)
     ring = (np.hypot(d[..., 0], d[..., 1]) < 1e-9 * (1.0 + mesh.bbox_diag)).any(axis=(1, 2))
-    left, _, right, _ = interior_face_pairs(mesh).T
+    left, _, right, _ = mesh.face_pairs.T
     for _ in range(rings):
         grown = ring.copy()
         grown[right[ring[left]]] = True
@@ -471,7 +466,7 @@ def jump_norm(solution):
     zeros up to roundoff.
     """
     mesh = solution.mesh
-    pairs = interior_face_pairs(mesh)
+    pairs = mesh.face_pairs
     per_edge = []
     for b in _batches(len(pairs)):
         eL, leL, eR, leR = pairs[b].T

@@ -217,7 +217,8 @@ def _unit(alpha):
 def _rk4_steps(fronts, h, probe):
     """Startup steps: one-step 4th order so the AB4 history is clean.
 
-    Stage s of every front is evaluated in one eval_psi_many batch.
+    Stage s of every front is evaluated in one eval_psi_many batch, and a
+    stage with no live front makes no call.
     """
     xs = [sl.front() for sl in fronts]
     alpha0 = [sl.front_alpha() for sl in fronts]
@@ -225,6 +226,8 @@ def _rk4_steps(fronts, h, probe):
     steps = [None] * len(fronts)
     live = range(len(fronts))
     for frac in (0.5, 0.5, 1.0):
+        if not live:
+            break
         psis = probe.eval_psi_many([xs[i] + frac * h * ks[i][-1] for i in live])
         for i, psi in zip(live, psis):
             if psi is OUTSIDE:

@@ -1,13 +1,13 @@
 """Location audit: every point location of two full runs against the unfiltered solve.
 
 FieldProbe sends to Newton only the (point, element) pairs that pass the
-mesh's reach mask.  This audit records every batch of new points of full
-half_disc and nautilus runs and solves every (fresh point, element) pair
-again with the unfiltered lockstep RefTriangle.invert_maps: a pair the mask
+mesh's reach mask.  This audit records every batch of points of full
+half_disc and nautilus runs and solves every (point, element) pair again
+with the unfiltered lockstep RefTriangle.invert_maps: a pair the mask
 rejects must be a miss there, a kept one must give the same xi bytes, and
 each answer must be the point's first unfiltered hit in element-id order.
-Each answer's memoised basis row must be the one-point basis_rows row at its
-xi, and eval_v_many must give FieldSolution.eval there, to the byte.
+Each answer's basis row must be the one-point basis_rows row at its xi, and
+eval_v_many must give FieldSolution.eval there, to the byte.
 """
 
 import numpy as np
@@ -40,13 +40,10 @@ def test_every_lane_of_a_full_run_matches_the_unfiltered_solve(tmp_path, monkeyp
         return got
 
     def recorded_locations(self, points):
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        fresh = {p.tobytes(): p for p in pts if p.tobytes() not in self._located}
         del lanes[:]
         got = locations(self, points)
-        answers = dict(zip((p.tobytes() for p in pts), got))
-        batches.append((self, np.array(list(fresh.values())).reshape(-1, 2),
-                        [answers[key] for key in fresh], list(lanes)))
+        batches.append((self, np.asarray(points, dtype=float).reshape(-1, 2), got,
+                        list(lanes)))
         return got
 
     monkeypatch.setattr(TriMesh, "invert_map", recorded_invert)
@@ -70,17 +67,15 @@ def test_every_lane_of_a_full_run_matches_the_unfiltered_solve(tmp_path, monkeyp
         rejected += int((~mask).sum())
         # 1. every pair the mask rejects is a miss
         mismatches += sum(ref[k] is not None for k in np.flatnonzero(~mask))
-        # 2. the probe solved exactly the kept pairs of its finite points, to the same bytes
-        index = {p.tobytes(): i for i, p in enumerate(pts)}
-        kept = {(i, e) for i, e in zip(point, elem)
-                if mask[i * ne + e] and np.isfinite(pts[i]).all()}
-        solved = {}
-        for elems, x, got in calls:
-            for e, y, xi in zip(elems, x, got):
-                solved[index[y.tobytes()], int(e)] = xi
-        mismatches += set(solved) != kept
-        mismatches += sum(_bytes(xi) != _bytes(ref[i * ne + e])
-                          for (i, e), xi in solved.items())
+        # 2. the probe solved exactly the kept pairs of its finite points,
+        # point-major, to the same bytes
+        kept = [(i, e) for i, e in zip(point, elem)
+                if mask[i * ne + e] and np.isfinite(pts[i]).all()]
+        solved = [(int(e), y, xi) for elems, x, got in calls for e, y, xi in zip(elems, x, got)]
+        mismatches += len(solved) != len(kept)
+        mismatches += sum(e != k or y.tobytes() != pts[i].tobytes() or
+                          _bytes(xi) != _bytes(ref[i * ne + k])
+                          for (e, y, xi), (i, k) in zip(solved, kept))
         # 3. each answer is the first unfiltered hit in element-id order
         for i, loc in enumerate(answers):
             hits = [e for e in range(ne) if ref[i * ne + e] is not None]

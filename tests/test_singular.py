@@ -10,7 +10,7 @@ from conftest import neighbors
 from quadfield import singular
 from quadfield.cli import main
 from quadfield.errors import TopologyError
-from quadfield.field import AnalyticProbe, FieldProbe
+from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe
 from quadfield.geometry import fixture_path, load_fixture
 from quadfield.reftri import BARYCENTER, in_reference
 from quadfield.singular import (ARC_ENDPOINT_GAP, ARC_SAMPLES, NEWTON_MAX_ITER,
@@ -253,7 +253,7 @@ def _reference_corner_arc(corner, probe, c0, samples=ARC_SAMPLES):
         while gap <= delta / 8.0:
             angles = np.linspace(th_start + gap, th_end - gap, samples)
             pts = pos[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            if all(probe.contains_many(pts)):
+            if all(loc is not OUTSIDE for loc in probe.locate_many(pts)):
                 arc = pts
                 break
             gap *= 2.0
@@ -293,31 +293,63 @@ def test_fit_contour_finds_the_arc_of_the_old_corner_loop(half_disc, half_disc_p
     assert (got is None) == (want is None)
     if got is not None:
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert got[1].tobytes() == np.asarray(probe.eval_v_many(want[1])).tobytes()
+
+
+def _run_topology(name, tmp_path, flags):
+    """Mesh and solve name, then run its topology stage; returns its topology.json."""
+    flags = ["--out", str(tmp_path), "--order", "3"] + flags
+    for stage in ("mesh", "solve", "topology"):
+        assert main([stage, str(fixture_path(name))] + flags) == 0
+    return json.loads((tmp_path / "topology.json").read_text())
 
 
 def test_nautilus_topology_reads_each_contour_in_one_call(tmp_path, monkeypatch):
-    """One eval_v_many per critical point and one eval_psi_many per corner;
-    the only one-point call left is the corner's inward locate."""
-    flags = ["--out", str(tmp_path), "--order", "3", "--target-h", "0.5"]
-    for stage in ("mesh", "solve"):
-        assert main([stage, str(fixture_path("nautilus"))] + flags) == 0
+    """One eval_v_many per candidate contour, of that contour's points; the
+    only one-point call left is the corner's inward locate."""
     calls = {"eval_v_many": 0, "eval_psi_many": 0, "locate": 0, "eval_v": 0}
+    contours, read = [], []
     for name in calls:
         method = getattr(FieldProbe, name)
 
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
+            if _name == "eval_v_many":
+                read.append(np.asarray(args[0]))
             return _method(self, *args)
 
         monkeypatch.setattr(FieldProbe, name, counted)
-    assert main(["topology", str(fixture_path("nautilus"))] + flags) == 0
-    doc = json.loads((tmp_path / "topology.json").read_text())
+    contour = singular._contour
+
+    def recorded_contour(*args):
+        contours.append(contour(*args))
+        return contours[-1]
+
+    monkeypatch.setattr(singular, "_contour", recorded_contour)
+    doc = _run_topology("nautilus", tmp_path, ["--target-h", "0.5"])
     n_cps, n_corners = len(doc["critical_points"]), len(doc["corners"])
     assert n_cps == 4 and n_corners > 0
-    # each eval_psi_many evaluates its arc through one eval_v_many
-    assert calls == {"eval_v_many": n_cps + n_corners, "eval_psi_many": n_corners,
+    assert len(contours) >= n_cps + n_corners
+    assert [pts.tobytes() for pts in read] == [pts.tobytes() for pts in contours]
+    assert calls == {"eval_v_many": len(contours), "eval_psi_many": 0,
                      "locate": n_corners, "eval_v": 0}
+
+
+@pytest.mark.parametrize("name,flags", [("half_disc", ["--target-h", "0.35"]),
+                                        ("nautilus", ["--target-h", "0.5"])])
+def test_topology_locates_no_point_twice(name, flags, tmp_path, monkeypatch):
+    """Every point the topology stage locates is a new one: each contour is read once."""
+    located = []
+    locations = FieldProbe._locations
+
+    def recorded(self, points):
+        located.extend(p.tobytes() for p in np.asarray(points, dtype=float).reshape(-1, 2))
+        return locations(self, points)
+
+    monkeypatch.setattr(FieldProbe, "_locations", recorded)
+    _run_topology(name, tmp_path, flags)
+    assert len(located) > 400
+    assert len(set(located)) == len(located)
 
 
 # Largest distance from a critical point at order P to its nearest one at P=7,

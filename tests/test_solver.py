@@ -12,7 +12,7 @@ from quadfield.reftri import VERTICES, RefTriangle, quadrature_for_degree
 from quadfield.solver import (CGSpace, CrossFieldBC, DiscretizationChoice,
                               FunctionBC, _face_penalty, build_cg_system,
                               build_dg_system, choose_discretization,
-                              corner_elements, interior_face_pairs, jump_norm,
+                              corner_elements, jump_norm,
                               solve_guiding_field, solve_laplace)
 from quadfield.geometry import load_fixture
 from quadfield.trimesh import TriMesh, elevate_and_curve, generate_background_mesh
@@ -111,7 +111,7 @@ def per_face_dg_system(mesh, bc, choice):
     blocks = [(dofs[e], element_stiffness(mesh, e)) for e in range(mesh.n_elements())]
     rhs = np.zeros((dofs.size, bc.ncomp))
 
-    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+    for (eL, leL, eR, leR) in mesh.face_pairs:
         fL = FaceGeometry(mesh, eL, leL)
         BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
         _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
@@ -150,7 +150,7 @@ def per_face_jump_norm(solution):
     """The per-edge array of jump_norm, one face at a time."""
     mesh = solution.mesh
     per_edge = []
-    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+    for (eL, leL, eR, leR) in mesh.face_pairs:
         fL = FaceGeometry(mesh, eL, leL)
         BR, _ = _matched_face_basis(mesh, eR, leR, fL)
         uL = fL.basis @ solution.coeffs[eL]
@@ -329,7 +329,7 @@ def test_jump_norm_dg_polygon(polygon_iii):
         jumps[order] = summary["max"]
         if order == 5:
             # largest jumps hug the discontinuous corners
-            edges = list(interior_face_pairs(mesh))
+            edges = list(mesh.face_pairs)
             worst = edges[int(np.argmax(per_edge.max(axis=1)))]
             a = mesh.vertices[mesh.triangles[worst[0]]].mean(axis=0)
             corners = [c.position for c in polygon_iii.corner_inventory()
@@ -395,7 +395,7 @@ def _four_block_dg_system(mesh, bc, choice):
         ke = element_stiffness(mesh, e)
         add_block(e, e, ke)
 
-    for (eL, leL, eR, leR) in interior_face_pairs(mesh):
+    for (eL, leL, eR, leR) in mesh.face_pairs:
         fL = FaceGeometry(mesh, eL, leL)
         BR, gradR = _matched_face_basis(mesh, eR, leR, fL)
         _, _, gphysR = _physical_gradients(gradR, mesh.geom[eR])
@@ -497,7 +497,7 @@ def test_batched_face_geometry_matches_per_face_reference():
     """Every array of the batched FaceGeometry, face by face, on polygon_III at
     order 4 (the benchmark's order), interior faces from both sides."""
     domain, mesh = _fixture_mesh("polygon_III", 4, 0.35)
-    pairs = np.array(interior_face_pairs(mesh))
+    pairs = mesh.face_pairs
     faces = np.concatenate([pairs[:, :2], pairs[:, 2:],
                             [(f.elem, f.ledge) for f in mesh.boundary_faces]])
     batch = solver.FaceGeometry(mesh, faces[:, 0], faces[:, 1])
@@ -528,7 +528,7 @@ def test_corner_elements_match_per_element_reference(name):
 def test_interior_face_mismatch_is_reported(square_mesh_p3):
     """A geometry node moved off a shared edge breaks the match of that face."""
     mesh = square_mesh_p3
-    eL, leL, eR, leR = interior_face_pairs(mesh)[-1]
+    eL, leL, eR, leR = mesh.face_pairs[-1]
     geom = mesh.geom.copy()
     geom[eR, mesh.ref.edge_ids[leR][1]] += 1e-3
     bent = TriMesh(mesh.vertices, mesh.triangles, mesh.order, geom, mesh.boundary_faces)

@@ -202,7 +202,7 @@ def test_limit_cycle_abort():
 
 # The boundary cut before exits were ended by a ray hit on the true boundary:
 # each exiting step bisected REFERENCE_BISECT_STEPS times onto the mesh skin,
-# REFERENCE_BISECT_LEVELS levels per contains_many, then snapped to the curve.
+# REFERENCE_BISECT_LEVELS levels per locate_many, then snapped to the curve.
 REFERENCE_BISECT_STEPS = 60
 REFERENCE_BISECT_LEVELS = 4
 
@@ -241,7 +241,8 @@ def _reference_bisect_to_skin(inside, outside, probe):
     for done in range(0, REFERENCE_BISECT_STEPS, REFERENCE_BISECT_LEVELS):
         levels = min(REFERENCE_BISECT_LEVELS, REFERENCE_BISECT_STEPS - done)
         mids = _reference_bisection_tree(inside, outside, levels)
-        flags = np.reshape(probe.contains_many(mids.reshape(-1, 2)), mids.shape[:2])
+        flags = np.reshape([loc is not OUTSIDE for loc in probe.locate_many(mids.reshape(-1, 2))],
+                           mids.shape[:2])
         node = np.zeros(len(inside), dtype=int)
         for _ in range(levels):
             here, mid = flags[rows, node], mids[rows, node]
@@ -544,14 +545,14 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
     """A full nautilus run makes at most 115 invert_map calls (1,000 with the
     one-step skin bisection, 246 with the batched one).  Its 12 exiting fronts
     leave in 10 rounds, and the boundary cut locates nothing: it makes no
-    contains_many and no invert_map call.  Refining the launch directions in
+    probe location and no invert_map call.  Refining the launch directions in
     lockstep takes at most 40 eval_psi_many batches, where one direction at a
     time took 190."""
-    counts = {"invert": 0, "contains": 0, "psi": 0}
+    counts = {"invert": 0, "locate": 0, "psi": 0}
     cuts = []
     launch_batches = []
     invert_map = TriMesh.invert_map
-    contains_many = FieldProbe.contains_many
+    locations = FieldProbe._locations
     eval_psi_many = FieldProbe.eval_psi_many
     cut = tracer._cut_to_boundary
     launch = tracer.launch_directions
@@ -563,9 +564,9 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
         return wrapper
 
     def counted_cut(*args):
-        before = counts["contains"], counts["invert"], counts["psi"]
+        before = counts["locate"], counts["invert"], counts["psi"]
         cut(*args)
-        cuts.append((counts["psi"], counts["contains"] - before[0],
+        cuts.append((counts["psi"], counts["locate"] - before[0],
                      counts["invert"] - before[1]))
 
     def counted_launch(*args):
@@ -575,7 +576,7 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
         return result
 
     monkeypatch.setattr(TriMesh, "invert_map", counted("invert", invert_map))
-    monkeypatch.setattr(FieldProbe, "contains_many", counted("contains", contains_many))
+    monkeypatch.setattr(FieldProbe, "_locations", counted("locate", locations))
     monkeypatch.setattr(FieldProbe, "eval_psi_many", counted("psi", eval_psi_many))
     monkeypatch.setattr(tracer, "_cut_to_boundary", counted_cut)
     monkeypatch.setattr(tracer, "launch_directions", counted_launch)
@@ -584,6 +585,26 @@ def test_nautilus_run_locates_in_few_batches(tmp_path, monkeypatch):
     assert main(argv) == 0
     assert len(cuts) == 12
     assert len({psi_batch for psi_batch, _, _ in cuts}) == 10     # rounds with an exit
-    assert all(contains == 0 and inverts == 0 for _, contains, inverts in cuts)
+    assert all(locates == 0 and inverts == 0 for _, locates, inverts in cuts)
     assert len(launch_batches) == 1 and launch_batches[0] <= 40
     assert counts["invert"] <= 115
+
+
+def test_nautilus_run_makes_no_empty_probe_call(tmp_path, monkeypatch):
+    """A full nautilus run asks its probes for no empty batch: a round with no
+    front in start-up makes no RK4 stage call.  After the trace every probe
+    still holds only its solution and mesh, no per-point state."""
+    sizes, probes = [], {}
+    locations = FieldProbe._locations
+
+    def recorded(self, points):
+        sizes.append(len(points))
+        probes[id(self)] = self
+        return locations(self, points)
+
+    monkeypatch.setattr(FieldProbe, "_locations", recorded)
+    argv = ["run", str(fixture_path("nautilus")), "--out", str(tmp_path), "--order", "3",
+            "--target-h", "0.5", "--split", "2"]
+    assert main(argv) == 0
+    assert len(sizes) > 50 and min(sizes) > 0
+    assert probes and all(vars(p).keys() == {"solution", "mesh"} for p in probes.values())

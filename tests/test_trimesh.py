@@ -12,7 +12,7 @@ from quadfield.errors import GeometryError, MeshError
 from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
 from quadfield.reftri import (BARYCENTER, VERTICES, RefTriangle, _JacobiTable,
                               in_reference, ref_triangle)
-from quadfield.solver import CGSpace, interior_face_pairs
+from quadfield.solver import CGSpace
 from quadfield.trimesh import (BoundaryFace, TriMesh, elevate_and_curve,
                                generate_background_mesh)
 
@@ -497,7 +497,6 @@ def _assert_edge_table_matches_reference(linear, mesh, domain):
     assert [keys[i] for i in mesh.interior_edges] == interior_edges
     assert [neighbors(mesh, e) for e in range(mesh.n_elements())] == \
         _reference_neighbors(mesh, edge_use)
-    assert interior_face_pairs(mesh) is mesh.face_pairs
     assert mesh.face_pairs.dtype == np.intp and mesh.face_pairs.shape == (len(interior_edges), 4)
     assert mesh.face_pairs.tolist() == [list(p) for p in
                                         _reference_face_pairs(edge_use, interior_edges)]

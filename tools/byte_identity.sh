@@ -12,8 +12,11 @@
 # (--order 3 --target-h 0.35 --split 2 --formats msh), holed_nautilus
 # (--target-h 0.35, which ends with a tracing/decomposition exit code),
 # naca_IV (--target-h 0.35, which writes mesh.json and ends with a solver
-# exit code; the only fixture with a naca4 segment), and half_disc once more
-# with no flags (the default spacing, from the bounding box).
+# exit code; the only fixture with a naca4 segment), naca_IV once more at
+# --order 3 --target-h 0.5 --split 2 (which exits 6 after an 11,256-round
+# trace, the longest in the repo, so changes to point location show there
+# first), and half_disc once more with no flags (the default spacing, from
+# the bounding box).
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised, and
 # each tree's staged artifacts must equal its own one-shot polygon_III run's
@@ -69,6 +72,7 @@ polygon_III polygon_III --order 3 --target-h 0.35 --split 2 --formats msh
 geometry_I geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
 holed_nautilus holed_nautilus --target-h 0.35
 naca_IV naca_IV --target-h 0.35
+naca_IV_long_trace naca_IV --order 3 --target-h 0.5 --split 2
 half_disc_default_h half_disc
 FIXTURES
 }
