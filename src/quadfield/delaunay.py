@@ -4,9 +4,11 @@ The triangulation is numpy arrays that grow in place: the points, and the
 vertex ids, vertex coordinates and live flag of every triangle id; a deleted
 triangle keeps its row and id.  Every step reads those arrays: Bowyer-Watson
 runs one vectorized in-circle predicate over the live triangles per inserted
-point and adds its new triangles as one block, edge recovery scans the sorted
-unique live edges for crossings in one pass, and carving takes connected
-components of the triangles that share an unconstrained edge.
+point, counts the few edges of the cavity in a Python dict and orients its
+boundary edges in Python floats (numpy's call overhead outweighs a dozen
+edges), and adds its new triangles as one block; edge recovery scans the
+sorted unique live edges for crossings in one pass, and carving takes
+connected components of the triangles that share an unconstrained edge.
 """
 
 from __future__ import annotations
@@ -130,7 +132,8 @@ def bowyer_watson_insert(tri, pid, eps):
     The cavity is every live triangle whose circumcircle holds the point up
     to eps: one in-circle determinant for all live triangles at once, in
     ascending id order.  Its boundary edges, those of one cavity triangle
-    only, not in line with the point, make new triangles in (low, high) order.
+    only, not in line with the point, make new triangles in (low, high) order,
+    each turned counter-clockwise by the _orient product of (low, high, point).
     """
     pts = tri.points
     p = pts[pid]
@@ -142,14 +145,20 @@ def bowyer_watson_insert(tri, pid, eps):
     bad = ids[det > -eps]
     if not len(bad):
         raise MeshError("point insertion found no containing circumcircle")
-    low, high = _edges(tri.table[bad]).T
-    keys, count = np.unique(low * len(pts) + high, return_counts=True)
-    a, b = np.divmod(keys[count == 1], len(pts))
-    turn = _orient(pts[a].T, pts[b].T, p)       # add_triangle's orientation of (a, b, pid)
-    cw = turn < 0
-    rows = np.stack([np.where(cw, b, a), np.where(cw, a, b), np.full_like(a, pid)], axis=1)
+    count = {}
+    for edge in zip(*_edges(tri.table[bad]).T.tolist()):
+        count[edge] = count.get(edge, 0) + 1
+    edges = sorted(edge for edge, n in count.items() if n == 1)
+    px, py = p.tolist()
+    rows = []
+    for (a, b), ((xa, ya), (xb, yb)) in zip(edges, pts[edges].tolist()):
+        turn = (xb - xa) * (py - ya) - (yb - ya) * (px - xa)   # _orient(pts[a], pts[b], p)
+        if turn < 0:
+            rows.append((b, a, pid))
+        elif turn != 0:
+            rows.append((a, b, pid))
     tri.live[bad] = False
-    tri.add_triangles(rows[turn != 0])
+    tri.add_triangles(np.array(rows, dtype=np.intp).reshape(-1, 3))
 
 
 def _third_vertex(t, a, b):
@@ -278,6 +287,7 @@ def laplacian_smooth(points, triangles, fixed):
     undoes the move if an incident triangle's _orient is not above 1e-14.
     """
     tris = np.asarray(triangles).reshape(-1, 3)
+    rows = tris.tolist()
     n = len(points)
     low, high = _edges(tris).T
     keys = np.unique(np.concatenate([low * n + high, high * n + low]))
@@ -286,7 +296,7 @@ def laplacian_smooth(points, triangles, fixed):
     corner_tris = (np.argsort(tris, axis=None, kind="stable") // 3).tolist()
     tri_at = np.r_[0, np.cumsum(np.bincount(tris.ravel(), minlength=n))].tolist()
     moving = [(v, nbrs[nbr_at[v]:nbr_at[v + 1]],
-               [triangles[t] for t in corner_tris[tri_at[v]:tri_at[v + 1]]])
+               [rows[t] for t in corner_tris[tri_at[v]:tri_at[v + 1]]])
               for v in range(n) if v not in fixed and nbr_at[v] < nbr_at[v + 1]]
     xs, ys = points.T.tolist()
     for _ in range(SMOOTH_PASSES):

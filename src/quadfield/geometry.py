@@ -621,10 +621,6 @@ class DomainSpec:
         lo, hi = self.bbox
         return float(np.hypot(*(hi - lo)))
 
-    def contains(self, x):
-        """Point-in-domain test on the dense polygon approximation."""
-        return in_region(x, self.outer.polygon, (h.polygon for h in self.holes))
-
     def area(self):
         """Domain area by the shoelace formula on the dense polygons."""
         return float(sum(lp.signed_area() for lp in self.loops))

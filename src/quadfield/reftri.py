@@ -225,6 +225,29 @@ class DubinerKernel:
         return f[:3]
 
 
+def map_jacobians(grad, geom):
+    """Jacobians d(x)/d(xi) of k element maps at reference points, element index innermost.
+
+    grad: (npts, nb, 2) reference basis gradients shared by every map, or
+    (k, npts, nb, 2) one table per map; geom: (k, nb, 2) element nodes.
+    Returns (jac, g), both C-contiguous: jac (2, 2, npts, k) with jac[x, d,
+    p, e] = d(x_x)/d(xi_d) of map e at point p, and the gradients g as (2,
+    npts, nb, 1) or (2, npts, nb, k).  Each entry is summed over the nodes
+    in ascending order from 0.0, one in-place multiply-add per node: the
+    order, and so the bits, of einsum("epnd,enx->epxd", grad, geom).
+    """
+    gx = np.ascontiguousarray(geom.transpose(2, 1, 0))             # (2, nb, k)
+    g = np.ascontiguousarray(np.moveaxis(grad, (-1, -3, -2), (0, 1, 2)))
+    if g.ndim == 3:
+        g = g[..., None]
+    jac = np.zeros((2, 2, g.shape[1], gx.shape[2]))
+    term = np.empty_like(jac)
+    for n in range(gx.shape[1]):
+        np.multiply(gx[:, None, None, n], g[None, :, :, n], out=term)
+        jac += term
+    return jac, g
+
+
 def _warp_factor(order, rout):
     """1D warp from equidistant to Gauss-Lobatto, evaluated at rout."""
     lgl = gauss_lobatto(order)

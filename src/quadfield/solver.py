@@ -15,6 +15,11 @@ form
 with [u] = u_L - u_R and {dn u} = (dn u_L + dn u_R) / 2 on an interior face
 (n the outward normal of L), and [u] = u, {dn u} = dn u on a boundary face,
 whose data g enters the right-hand side as -{dn v} g + mu v g.
+
+Elements and faces are handled BATCH at a time.  Their Jacobians come from
+reftri.map_jacobians with the element index innermost, so every loop over
+nodes or quadrature points runs on contiguous rows of BATCH lanes, in the
+summation order of the einsum kernels it replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
 from .geometry import boundary_field, finite, tangent_angle, typed
-from .reftri import VERTICES
+from .reftri import VERTICES, map_jacobians
 
 DEFAULT_PENALTY = 10.0
 DIRECT_SOLVE_LIMIT = 200_000
@@ -175,26 +180,21 @@ def _batches(n):
 
 
 def _physical_gradients(grad, geom):
-    """(jac, det, gphys) of k element maps at reference points.
+    """(jac, det, gphys) of k element maps at reference points, element index innermost.
 
     grad: (npts, nb, 2) reference basis gradients shared by every map, or
     (k, npts, nb, 2) one table per map; geom: (k, nb, 2) element nodes.  jac
-    is d(x)/d(xi) (k, npts, 2, 2) and gphys the physical basis gradients
-    (k, npts, nb, 2).
+    is reftri.map_jacobians' d(x)/d(xi) (2, 2, npts, k), det (npts, k) and
+    gphys the physical basis gradients (2, npts, nb, k).
     """
-    grad = np.broadcast_to(grad, (len(geom),) + grad.shape[-3:])
-    jac = np.einsum("epnd,enx->epxd", grad, geom)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1] / det
-    inv[..., 0, 1] = -jac[..., 0, 1] / det
-    inv[..., 1, 0] = -jac[..., 1, 0] / det
-    inv[..., 1, 1] = jac[..., 0, 0] / det
+    jac, g = map_jacobians(grad, geom)
+    (j00, j01), (j10, j11) = jac
+    det = j00 * j11 - j01 * j10
+    inv = np.array([[j11 / det, -j01 / det], [-j10 / det, j00 / det]])[:, :, :, None]
     # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x)),
     # summed over j from 0.0 as einsum("pds,pnd->pns") sums: the 0.0 turns a
     # -0.0 first term into +0.0
-    row = inv[:, :, None]                       # (k, npts, 1, 2, 2): one per node
-    gphys = row[..., 0, :] * grad[..., 0, None] + 0.0 + row[..., 1, :] * grad[..., 1, None]
+    gphys = inv[0] * g[0] + 0.0 + inv[1] * g[1]
     return jac, det, gphys
 
 
@@ -204,18 +204,20 @@ def element_stiffness(mesh, elems):
     Entry (n, m) sums w_p det_p grad(phi_n) . grad(phi_m) over the quadrature
     points p in order, adding each point's two gradient products first: the
     order in which einsum("p,pns,pms->nm", w, gphys, gphys) sums one element.
+    The sums run on _physical_gradients' element-innermost arrays, k lanes
+    at a time; the result is a (k, nb, nb) view of them.
     """
     ref = mesh.ref
     _, det, gphys = _physical_gradients(ref.grad_q, mesh.geom[elems])
-    wg = (ref.quad_weights * det)[..., None, None] * gphys
-    out = np.zeros((len(gphys), ref.n_nodes, ref.n_nodes))
+    wg = (ref.quad_weights[:, None] * det)[:, None] * gphys
+    out = np.zeros((ref.n_nodes, ref.n_nodes, len(det[0])))
     term, second = np.empty_like(out), np.empty_like(out)
-    for p in range(gphys.shape[1]):
-        np.multiply(wg[:, p, :, None, 0], gphys[:, p, None, :, 0], out=term)
-        np.multiply(wg[:, p, :, None, 1], gphys[:, p, None, :, 1], out=second)
+    for p in range(len(det)):
+        np.multiply(wg[0, p, :, None], gphys[0, p, None], out=term)
+        np.multiply(wg[1, p, :, None], gphys[1, p, None], out=second)
         term += second
         out += term
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def _stiffness_blocks(mesh):
@@ -237,7 +239,10 @@ class FaceGeometry:
         tables = [mesh.ref.face_table(le, reverse) for le in range(3)]
         self.basis = np.stack([basis for basis, _ in tables])[ledges]
         grad = np.stack([grad for _, grad in tables])[ledges]
-        jac, _, self.gphys = _physical_gradients(grad, mesh.geom[elems])
+        jac, _, gphys = _physical_gradients(grad, mesh.geom[elems])
+        # the face index back in front: the face einsums keep the operands they had
+        jac = np.ascontiguousarray(jac.transpose(3, 2, 0, 1))
+        self.gphys = np.ascontiguousarray(gphys.transpose(3, 1, 2, 0))
         dxi_ds = 0.5 * (VERTICES[(ledges + 1) % 3] - VERTICES[ledges])
         tang = np.einsum("epxd,ed->epx", jac, dxi_ds)
         self.sjac = np.hypot(tang[..., 0], tang[..., 1])

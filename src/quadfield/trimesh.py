@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import ConfigError, MeshError
 from .geometry import finite, in_region, typed
-from .reftri import n_nodes, ref_triangle
+from .reftri import map_jacobians, n_nodes, ref_triangle
 
 
 @dataclass
@@ -113,14 +113,17 @@ class TriMesh:
     def jacobian(self, e, xi):
         """2x2 Jacobians d(x)/d(xi): shape (npts, 2, 2)."""
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        g = self.ref.grad_basis_at(xi)            # (npts, nb, 2)
-        return np.einsum("pnd,nx->pxd", g, self.geom[e])
+        jac, _ = map_jacobians(self.ref.grad_basis_at(xi), self.geom[e][None])
+        return np.ascontiguousarray(jac[..., 0].transpose(2, 0, 1))
 
     def det_jacobians(self, e=slice(None)):
         """Jacobian determinants at the quadrature points: (npts,) for one
         element id, (k, npts) for an index array or slice (all elements)."""
-        jac = np.einsum("pnd,...nx->...pxd", self.ref.grad_q, self.geom[e])
-        return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        geom = self.geom[e]
+        jac, _ = map_jacobians(self.ref.grad_q, geom.reshape(-1, *geom.shape[-2:]))
+        (j00, j01), (j10, j11) = jac
+        det = np.ascontiguousarray((j00 * j11 - j01 * j10).T)
+        return det[0] if geom.ndim == 2 else det
 
     def inverted_elements(self):
         """Ids of the elements with a Jacobian determinant <= 0 at a quadrature point."""
@@ -331,27 +334,32 @@ def generate_background_mesh(domain, target_h):
     if not len(live):
         raise MeshError("meshing produced no interior triangles")
     used = np.unique(live)
-    remap = {old: new for new, old in enumerate(used.tolist())}
     verts = tri.points[used]
-    tris = sorted(tuple(remap[v] for v in t) for t in live.tolist())
+    tris = np.searchsorted(used, live)
+    tris = tris[np.lexsort(tris.T[::-1])]
 
+    # new ids of each boundary edge's ends, and whether carving kept them;
     # the loops are closed, so every edge end is the start of another edge
-    boundary_ids = {remap[e[0] + 3] for e in edges if (e[0] + 3) in remap}
-    laplacian_smooth(verts, tris, boundary_ids)
+    ends = np.array([e[:2] for e in edges]) + 3
+    at = np.minimum(np.searchsorted(used, ends), len(used) - 1)
+    kept = used[at] == ends
+    laplacian_smooth(verts, tris, set(at[kept[:, 0], 0].tolist()))
 
-    directed = local_edges(tris)
-    faces = []
-    for (i, j, li, si, t0, t1) in edges:
-        key = (remap.get(i + 3), remap.get(j + 3))
-        if key not in directed:
-            raise MeshError("boundary edge lost during meshing; domain may be "
-                            "self-intersecting or target_h too coarse")
-        ei, le = directed[key]
-        faces.append(BoundaryFace(ei, le, li, si, t0, t1))
+    # each boundary edge is the local edge (vertex ledge -> ledge + 1) whose
+    # directed key matches; the last one, as a dict of all of them would hold
+    directed = (tris * len(used) + np.roll(tris, -1, axis=1)).ravel()
+    order = np.argsort(directed, kind="stable")
+    want = at[:, 0] * len(used) + at[:, 1]
+    hit = order[np.searchsorted(directed[order], want, side="right") - 1]
+    if not (kept.all(axis=1) & (directed[hit] == want)).all():
+        raise MeshError("boundary edge lost during meshing; domain may be "
+                        "self-intersecting or target_h too coarse")
+    elems, ledges = np.divmod(hit, 3)
+    faces = [BoundaryFace(e, le, *edge[2:])
+             for e, le, edge in zip(elems.tolist(), ledges.tolist(), edges)]
 
-    tris_arr = np.array(tris, dtype=int)
-    geom = verts[tris_arr]                       # (ne, 3, 2) order-1 geometry
-    mesh = TriMesh(verts, tris_arr, 1, geom, faces, domain=domain)
+    geom = verts[tris]                           # (ne, 3, 2) order-1 geometry
+    mesh = TriMesh(verts, tris, 1, geom, faces, domain=domain)
     mesh.validate_jacobians()
     mesh.euler_check()
     return mesh
@@ -421,7 +429,7 @@ def elevate_and_curve(mesh, order, domain):
             np.array([seg.point(t) for t in f.curve_t(s)]).reshape(-1, 2)
 
     bary = ref.barycentric(ref.nodes)
-    geom = np.array([bary @ mesh.vertices[tri] for tri in mesh.triangles])   # affine
+    geom = bary @ mesh.vertices[mesh.triangles]               # affine
     for le in range(3):
         nodes = edge_nodes[mesh.elem_edges[:, le]]
         geom[:, ref.edge_ids[le][1:-1]] = np.where(

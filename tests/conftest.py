@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadfield.field import FieldProbe
-from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
+from quadfield.geometry import BoundaryLoop, DomainSpec, Line, in_region, load_fixture
 from quadfield.singular import corner_valences, find_critical_points
 from quadfield.solver import choose_discretization, solve_guiding_field
 from quadfield.tracer import trace_all
@@ -19,6 +19,11 @@ def square_domain(side=1.0, name="square"):
         Line((0.0, side), (0.0, 0.0)),
     ], "outer")
     return DomainSpec([loop], name=name)
+
+
+def contains(domain, x):
+    """Point-in-domain test of a DomainSpec on its dense polygon approximation."""
+    return in_region(x, domain.outer.polygon, (h.polygon for h in domain.holes))
 
 
 def neighbors(mesh, e):

@@ -315,6 +315,29 @@ def all_rows_insert(tri, pid, eps):
             tri.add_triangle(a, b, pid)
 
 
+def unique_insert(tri, pid, eps):
+    """bowyer_watson_insert as it was before the cavity boundary was counted in
+    Python: np.unique over (low, high) keys and one vectorized _orient."""
+    pts = tri.points
+    p = pts[pid]
+    ids = np.flatnonzero(tri.live)
+    (ax, ay), (bx, by), (cx, cy) = (tri.coords[ids] - p).transpose(1, 2, 0)
+    det = ((ax * ax + ay * ay) * (bx * cy - cx * by)
+           - (bx * bx + by * by) * (ax * cy - cx * ay)
+           + (cx * cx + cy * cy) * (ax * by - bx * ay))
+    bad = ids[det > -eps]
+    if not len(bad):
+        raise MeshError("point insertion found no containing circumcircle")
+    low, high = delaunay._edges(tri.table[bad]).T
+    keys, count = np.unique(low * len(pts) + high, return_counts=True)
+    a, b = np.divmod(keys[count == 1], len(pts))
+    turn = delaunay._orient(pts[a].T, pts[b].T, p)   # add_triangle's orientation of (a, b, pid)
+    cw = turn < 0
+    rows = np.stack([np.where(cw, b, a), np.where(cw, a, b), np.full_like(a, pid)], axis=1)
+    tri.live[bad] = False
+    tri.add_triangles(rows[turn != 0])
+
+
 def reference_smooth(points, triangles, fixed):
     """laplacian_smooth as it was: dict neighbour sets and np.mean per vertex."""
     pts = points
@@ -558,7 +581,8 @@ def test_insert_matches_reference_at_every_threshold(case, p):
     """Set eps so that one triangle's determinant sits exactly on -eps, for each
     live triangle in turn: the strict comparison and the operation order of
     the determinant decide whether that triangle joins the cavity.  The
-    live-row insert must also match the all-rows insert it replaced."""
+    live-row insert must also match the all-rows insert and the np.unique
+    insert it replaced."""
     points, edges = case
     try:
         tri = triangulate_pslg(points, edges)[0]
@@ -573,6 +597,7 @@ def test_insert_matches_reference_at_every_threshold(case, p):
         eps = -_incircle_det(ref.points, t, ref.points[pid])
         new = _insert_copy(delaunay.bowyer_watson_insert, tri, pid, eps)
         assert new == _insert_copy(all_rows_insert, tri, pid, eps)
+        assert new == _insert_copy(unique_insert, tri, pid, eps)
         assert new == _insert_copy(reference_insert, ref, pid, eps)
 
 

@@ -15,7 +15,7 @@ from quadfield.geometry import (Arc, BoundaryLoop, CurveSegment, DomainSpec, Lin
                                 boundary_zero_positions, domain_from_json,
                                 fixture_path, load_fixture, tangent_angle)
 
-from conftest import square_domain
+from conftest import contains, square_domain
 
 FIXTURES = ("half_disc", "geometry_I", "polygon_III", "naca_IV", "nautilus",
             "holed_nautilus")
@@ -226,9 +226,9 @@ def test_fixture_files_load():
 
 
 def test_domain_contains(half_disc):
-    assert half_disc.contains((0.0, 0.5))
-    assert not half_disc.contains((0.0, -0.5))
-    assert not half_disc.contains((5.0, 5.0))
+    assert contains(half_disc, (0.0, 0.5))
+    assert not contains(half_disc, (0.0, -0.5))
+    assert not contains(half_disc, (5.0, 5.0))
 
 
 # ---- the loop arclength map against the per-point loop it replaced --------------

@@ -513,7 +513,7 @@ def _fixture_linear_mesh(name):
     return domain, generate_background_mesh(domain, 0.35)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
                                   "naca_IV", "holed_nautilus"])
 def test_edge_table_matches_reference_dictionaries(name, order):

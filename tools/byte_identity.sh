@@ -15,8 +15,9 @@
 # exit code; the only fixture with a naca4 segment), naca_IV once more at
 # --order 3 --target-h 0.5 --split 2 (which exits 6 after an 11,256-round
 # trace, the longest in the repo, so changes to point location show there
-# first), and half_disc once more with no flags (the default spacing, from
-# the bounding box).
+# first), half_disc once more with no flags (the default spacing, from
+# the bounding box), and nautilus at --order 4 --target-h 0.06 --split 2, a
+# full run on about 5,000 elements.
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised, and
 # each tree's staged artifacts must equal its own one-shot polygon_III run's
@@ -24,7 +25,9 @@
 # stage command reads its own).
 # polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
 # fine_mesh_solve flags (--order 4 --target-h 0.12), and geometry_I once more
-# with --scheme dg, so the DG face terms run on curved boundary faces too.
+# with --scheme dg, so the DG face terms run on curved boundary faces too;
+# both run `mesh` and `solve` at --order 2 and --order 6 as well (same
+# spacing), so the element kernels meet 6 and 28 nodes as well as 15.
 # half_disc, nautilus, holed_nautilus and naca_IV run `mesh` at those flags,
 # so the mesher meets arcs, holes and the naca4 segment at a fine spacing.
 # Each run's exit code is written next to its artifacts, so it is compared
@@ -74,6 +77,7 @@ holed_nautilus holed_nautilus --target-h 0.35
 naca_IV naca_IV --target-h 0.35
 naca_IV_long_trace naca_IV --order 3 --target-h 0.5 --split 2
 half_disc_default_h half_disc
+nautilus_fine_run nautilus --order 4 --target-h 0.06 --split 2
 FIXTURES
 }
 
@@ -95,6 +99,10 @@ polygon_III_staged polygon_III mesh,solve,topology,trace,cut,split --order 3 --t
 polygon_III_fine polygon_III mesh,solve --order 4 --target-h 0.12
 geometry_I_fine geometry_I mesh,solve --order 4 --target-h 0.12
 geometry_I_fine_dg geometry_I mesh,solve --order 4 --target-h 0.12 --scheme dg
+polygon_III_fine_p2 polygon_III mesh,solve --order 2 --target-h 0.12
+geometry_I_fine_p2 geometry_I mesh,solve --order 2 --target-h 0.12
+polygon_III_fine_p6 polygon_III mesh,solve --order 6 --target-h 0.12
+geometry_I_fine_p6 geometry_I mesh,solve --order 6 --target-h 0.12
 half_disc_fine half_disc mesh --order 4 --target-h 0.12
 nautilus_fine nautilus mesh --order 4 --target-h 0.12
 holed_nautilus_fine holed_nautilus mesh --order 4 --target-h 0.12
