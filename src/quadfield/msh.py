@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import MeshError
 from .trimesh import BoundaryFace, TriMesh, local_edges
+from .vtkio import _table
 
 GMSH_LINE = 1
 GMSH_TRI = 2
@@ -37,20 +38,25 @@ def _equidistant_tri_nodes(order):
     return np.array(nodes)
 
 
-def _write(path, points, elements):
-    """MSH 2.2 ASCII file of 2D points and (gmsh type, tag, elementary tag, nodes) rows.
+def _write(path, points, blocks):
+    """MSH 2.2 ASCII file of 2D points and element blocks (gmsh type, tags, nodes).
 
-    Node ids in elements are 0-based; the file numbers everything from 1.
+    tags (n, 2) holds each element's physical and elementary tag, nodes
+    (n, k) its 0-based node ids; the file numbers everything from 1.  The
+    node table and each block are formatted by one % template.
     """
-    lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(points))]
-    lines += [f"{i + 1} {float(x)!r} {float(y)!r} 0" for i, (x, y) in enumerate(points)]
-    lines += ["$EndNodes", "$Elements", str(len(elements))]
-    for i, (etype, tag, elementary, nodes) in enumerate(elements):
-        ids = " ".join(str(int(v) + 1) for v in nodes)
-        lines.append(f"{i + 1} {etype} 2 {tag} {elementary} {ids}")
-    lines.append("$EndElements")
+    # %d writes the float ids 1.0, 2.0, ... of the node table as integers
+    text = [f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{len(points)}\n",
+            _table("%d %r %r 0\n", np.column_stack([np.arange(1.0, len(points) + 1), points])),
+            f"$EndNodes\n$Elements\n{sum(len(ids) for _, _, ids in blocks)}\n"]
+    first = 1
+    for etype, tags, ids in blocks:
+        text.append(_table(f"%d {etype} 2 %d %d{' %d' * ids.shape[1]}\n", np.column_stack(
+            [np.arange(first, first + len(ids)), tags, ids + 1])))
+        first += len(ids)
+    text.append("$EndElements\n")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(text))
 
 
 def write_msh(path, mesh):
@@ -62,28 +68,30 @@ def write_msh(path, mesh):
     tagged boundary lines.
     """
     order = mesh.order if mesh.order in _TRI_TYPE_BY_ORDER else 1
-    etype = _TRI_TYPE_BY_ORDER[order]
+    blocks = []
     if order == 1:
         points, conn = mesh.vertices, mesh.triangles
-        elements = [(GMSH_LINE, f.loop + 1, f.loop + 1,
-                     np.roll(mesh.triangles[f.elem], -f.ledge)[:2]) for f in mesh.boundary_faces]
+        elem, ledge, loop = np.array([(f.elem, f.ledge, f.loop) for f in mesh.boundary_faces],
+                                     dtype=int).reshape(-1, 3).T
+        ends = np.take_along_axis(conn[elem], np.stack([ledge, (ledge + 1) % 3], axis=1), 1)
+        blocks.append((GMSH_LINE, np.stack([loop + 1, loop + 1], axis=1), ends))
     else:
         basis = mesh.ref.basis_at(_equidistant_tri_nodes(order))
-        xy = np.concatenate([basis @ g for g in mesh.geom])
+        xy = (basis @ mesh.geom).reshape(-1, 2)
         ids = mesh.node_ids(order - 1, int(order == 3))
         _, first = np.unique(ids, return_index=True)
         first.sort()
         renumber = np.empty(ids.max() + 1, dtype=int)
         renumber[ids.ravel()[first]] = np.arange(len(first))
         points, conn = xy[first], renumber[ids]
-        elements = []
-    _write(path, points, elements + [(etype, 0, 1, nodes) for nodes in conn])
+    blocks.append((_TRI_TYPE_BY_ORDER[order], np.tile([0, 1], (len(conn), 1)), conn))
+    _write(path, points, blocks)
 
 
 def write_quad_msh(path, qmesh):
     """Linear quads; block provenance as the physical tag."""
-    _write(path, qmesh.nodes, [(GMSH_QUAD, int(tag), int(tag), q)
-                               for tag, q in zip(qmesh.block_of, qmesh.quads)])
+    tags = np.asarray(qmesh.block_of, dtype=int)
+    _write(path, qmesh.nodes, [(GMSH_QUAD, np.stack([tags, tags], axis=1), qmesh.quads)])
 
 
 def read_msh(path):

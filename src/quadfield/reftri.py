@@ -419,8 +419,7 @@ class RefTriangle:
         lane = np.arange(len(nodes))
         xi = BARYCENTER[None].repeat(len(nodes), axis=0)
         start = [a.repeat(len(nodes), axis=0) for a in self._barycenter_rows]
-        # a lane that stops this iteration still takes the step, on numbers
-        # it then drops, so a vanishing Jacobian may divide by zero
+        # a vanishing Jacobian divides by zero; its lane stops after the step
         with np.errstate(divide="ignore", invalid="ignore"):
             for it in range(max_iter):
                 if not len(lane):
@@ -433,6 +432,10 @@ class RefTriangle:
                     hit = np.flatnonzero(done)
                     for k in hit[in_reference(xi[hit], slack=slack)]:
                         xis[lane[k]], rows[lane[k]] = xi[k], basis[k]
+                    if done.all():
+                        break
+                    go = ~done
+                    xi, lane, m, grad, r = xi[go], lane[go], m[go], grad[go], r[go]
                 j = np.einsum("knd,knx->kxd", grad, m).reshape(-1, 4)
                 det = j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
                 # (j11 r0 - j01 r1, j00 r1 - j10 r0) / det, the one-lane
@@ -440,7 +443,7 @@ class RefTriangle:
                 q = j[:, _ADJUGATE] * r[:, _ADJUGATE_R]
                 xi = xi - (q[:, 0::2] - q[:, 1::2]) / det[:, None]
                 # the one-lane loop's tests, each False on NaN: a NaN lane runs on
-                stop = done | (np.abs(det) < 1e-300) | (np.abs(xi).max(axis=1) > 10.0)
+                stop = (np.abs(det) < 1e-300) | (np.abs(xi).max(axis=1) > 10.0)
                 xi, lane = xi[~stop], lane[~stop]
         return xis, rows
 

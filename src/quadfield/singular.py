@@ -6,8 +6,10 @@ solver point location uses too); an element yields None when its iteration
 fails or its root lies outside it.  The roots are deduplicated and classified
 by counting phase jumps around a small circle.  Corner valences combine the
 one-sided boundary phases with the same jump counting along an interior arc.
-Both contours are fitted by _fit_contour, which reads each candidate once
-with one batch call (eval_v_many) and hands the fitted contour's values on.
+All circles, and then all corner arcs, are fitted in lockstep by
+_fit_contours: each round reads every contour still open, every candidate of
+it at the current radius, with one batch call (eval_v_many), and hands the
+fitted contour's values on.  All corners' inward probes are one locate_many.
 """
 
 from __future__ import annotations
@@ -72,21 +74,37 @@ def _contour(center, c, angles):
     return center[None, :] + c * np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
-def _fit_contour(probe, center, c0, angle_sets):
-    """(c, values) of the first contour that lies wholly in the domain, or None.
+def _fit_contours(probe, contours):
+    """(c, values) of each contour that fits wholly in the domain, None for the others.
 
-    values is the (n, 2) array of (u, v) at the contour's points.  Radii c0,
-    c0 / 2, ..., c0 / 16 are tried in turn, and at each radius the angle sets
-    in their order.
+    contours holds (center, c0, angle sets) triples; a contour with no angle
+    set never fits.  A contour's fit is its first candidate, with radii c0,
+    c0 / 2, ..., c0 / 16 in turn and at each radius the angle sets in their
+    order, whose points all lie in the domain; values is the (n, 2) array of
+    (u, v) at those points.  Each round reads every angle set of every
+    contour still open, at its current radius, with one eval_v_many: a
+    point's location does not depend on its batch, so the candidates a
+    one-contour loop would not have reached change no fit.
     """
-    c = c0
+    fits = [None] * len(contours)
+    radii = [c0 for _, c0, _ in contours]
+    open_ = [i for i, (_, _, angle_sets) in enumerate(contours) if angle_sets]
     for _ in range(5):
-        for angles in angle_sets:
-            vals = probe.eval_v_many(_contour(center, c, angles))
-            if all(v is not OUTSIDE for v in vals):
-                return c, np.asarray(vals)
-        c *= 0.5
-    return None
+        if not open_:
+            break
+        vals = probe.eval_v_many(np.concatenate(
+            [_contour(contours[i][0], radii[i], angles)
+             for i in open_ for angles in contours[i][2]]))
+        start = 0
+        for i in open_:
+            for angles in contours[i][2]:
+                part = vals[start:start + len(angles)]
+                start += len(angles)
+                if fits[i] is None and all(v is not OUTSIDE for v in part):
+                    fits[i] = radii[i], np.asarray(part)
+            radii[i] *= 0.5
+        open_ = [i for i in open_ if fits[i] is None]
+    return fits
 
 
 def _circle_angles(samples):
@@ -126,14 +144,17 @@ def _circle_valence(vals):
 
 
 def classify_critical_points(points, probe):
-    """Fill in I_c and valence for deduplicated critical points."""
+    """Fill in I_c, valence and radius of deduplicated critical points, their
+    circles fitted in lockstep; errors are raised in point order."""
+    contours = []
     for cp in points:
         c0 = RADIUS_FACTOR * probe.mesh.circumradius(cp.elem)
         for other in points:
             if other is not cp:
                 d = float(np.hypot(*(cp.position - other.position)))
                 c0 = min(c0, 0.45 * d)
-        fit = _fit_contour(probe, cp.position, c0, [_circle_angles(CIRCLE_SAMPLES)])
+        contours.append((cp.position, c0, [_circle_angles(CIRCLE_SAMPLES)]))
+    for cp, fit in zip(points, _fit_contours(probe, contours)):
         if fit is None:
             raise TopologyError(f"no valence circle around ({cp.position[0]:.4g}, "
                                 f"{cp.position[1]:.4g}) fits in the domain")
@@ -174,28 +195,52 @@ def find_critical_points(solution, probe):
 
 def corner_valence(corner, probe, corner_id=0):
     """Valence of a boundary corner from geometry plus the field phase sweep."""
-    th_start, th_end = corner.wedge_angles()
-    delta = corner.delta_theta
-    bisector = th_start + 0.5 * delta
-    pos = corner.position
+    return _corner_nodes([corner], probe, corner_id)[0]
 
+
+def corner_valences(domain, probe):
+    return _corner_nodes(domain.corner_inventory(), probe)
+
+
+def _corner_nodes(corners, probe, first_id=0):
+    """CornerNode of each corner, numbered from first_id, in lockstep.
+
+    Every inward probe goes into one locate_many, and every corner's gap
+    arcs into _fit_contours.  Errors are raised as a one-corner loop raises
+    them: lowest corner first, and within a corner the inward probe, the arc
+    fit, psi_of, then an ambiguous valence.
+    """
     # starting radius from the host element at the corner
     eps_probe = 1e-6 * (1.0 + probe.mesh.bbox_diag)
-    inward = pos + eps_probe * np.array([math.cos(bisector), math.sin(bisector)])
-    loc = probe.locate(inward)
-    if loc is OUTSIDE:
-        raise TopologyError(f"corner {corner_id}: no element found inside its wedge")
-    c0 = RADIUS_FACTOR * probe.mesh.circumradius(loc[0])
-
+    wedges = [c.wedge_angles() for c in corners]
+    bisectors = [th_start + 0.5 * c.delta_theta for c, (th_start, _) in zip(corners, wedges)]
+    locs = probe.locate_many([c.position + eps_probe * np.array([math.cos(b), math.sin(b)])
+                              for c, b in zip(corners, bisectors)])
     # the gap must absorb boundary curvature: at radius c a curved wall sits
     # O(c * kappa) away from its corner tangent direction; gaps 1e-3 * 2^k up
     # to delta / 8 are tried (1e-3 * 2^31 exceeds any wedge)
     gaps = [ARC_ENDPOINT_GAP * 2.0 ** k for k in range(32)]
-    fit = _fit_contour(probe, pos, c0, [np.linspace(th_start + g, th_end - g, ARC_SAMPLES)
-                                        for g in gaps if g <= delta / 8.0])
-    if fit is None:
-        raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
-    c, vals = fit
+    contours = []
+    for corner, (th_start, th_end), loc in zip(corners, wedges, locs):
+        contours.append((corner.position, 0.0, []) if loc is OUTSIDE else (
+            corner.position, RADIUS_FACTOR * probe.mesh.circumradius(loc[0]),
+            [np.linspace(th_start + g, th_end - g, ARC_SAMPLES)
+             for g in gaps if g <= corner.delta_theta / 8.0]))
+    nodes = []
+    for corner_id, (corner, loc, fit) in enumerate(
+            zip(corners, locs, _fit_contours(probe, contours)), first_id):
+        if loc is OUTSIDE:
+            raise TopologyError(f"corner {corner_id}: no element found inside its wedge")
+        if fit is None:
+            raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
+        nodes.append(_corner_node(corner, corner_id, *fit))
+    return nodes
+
+
+def _corner_node(corner, corner_id, c, vals):
+    """CornerNode from the (u, v) values of the corner's radius-c interior arc."""
+    th_start = corner.wedge_angles()[0]
+    delta = corner.delta_theta
     seq = [psi_of(boundary_field(th_start))] + [psi_of(v) for v in vals] + [
         psi_of(boundary_field(corner.theta_in + math.pi))]
     dpsi = sum(math.remainder(seq[i + 1] - seq[i], HALF_PI) for i in range(len(seq) - 1))
@@ -208,11 +253,6 @@ def corner_valence(corner, probe, corner_id=0):
             f"ambiguous corner valence at corner {corner_id}: residual {residual:.3f}")
     return CornerNode(corner=corner, corner_id=corner_id, index=index,
                       valence=valence, dpsi=dpsi, residual=residual, radius=c)
-
-
-def corner_valences(domain, probe):
-    return [corner_valence(c, probe, corner_id=i)
-            for i, c in enumerate(domain.corner_inventory())]
 
 
 def topology_report(critical_points, corner_nodes):

@@ -20,10 +20,16 @@ class _Frame:
         self.margin = margin
         self.height = (hi[1] - lo[1]) * self.scale + 2 * margin
 
-    def pt(self, p):
-        x = self.margin + (p[0] - self.lo[0]) * self.scale
-        y = self.height - (self.margin + (p[1] - self.lo[1]) * self.scale)
-        return f"{x:.2f},{y:.2f}"
+    def xy(self, points):
+        """(n, 2) canvas coordinates of (n, 2) points, y pointing down."""
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        return np.stack([self.margin + (points[:, 0] - self.lo[0]) * self.scale,
+                         self.height - (self.margin + (points[:, 1] - self.lo[1]) * self.scale)],
+                        axis=1)
+
+    def text(self, points):
+        """"x,y x,y ..." of points on the canvas, two decimals each."""
+        return " ".join(["%.2f,%.2f"] * len(points)) % tuple(self.xy(points).ravel().tolist())
 
 
 def _psi_color(psi):
@@ -44,20 +50,21 @@ def write_svg_streamlines(path, solution, separatrices, critical_points=()):
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '
            f'height="{fr.height:.0f}">']
     (xy, uv), cells = _sample_elements(mesh, max(2, mesh.order), solution.coeffs)
-    for (a, b, c) in cells:
-        uc = (uv[a] + uv[b] + uv[c]) / 3.0
-        mag = math.hypot(uc[0], uc[-1])
-        color = "#cccccc" if mag < CRITICAL_EPS else _psi_color(
-            0.25 * math.atan2(uc[-1], uc[0]))
-        pts = " ".join(fr.pt(xy[i]) for i in (a, b, c))
-        out.append(f'<polygon points="{pts}" fill="{color}" stroke="none"/>')
+    uc = (uv[cells[:, 0]] + uv[cells[:, 1]] + uv[cells[:, 2]]) / 3.0
+    table = []
+    for corners, (u, v) in zip(fr.xy(xy)[cells].reshape(-1, 6).tolist(),
+                               uc[:, [0, -1]].tolist()):
+        table += corners
+        table.append("#cccccc" if math.hypot(u, v) < CRITICAL_EPS else
+                     _psi_color(0.25 * math.atan2(v, u)))
+    out.append("\n".join(['<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f" fill="%s" '
+                           'stroke="none"/>'] * len(cells)) % tuple(table))
     for s in separatrices:
-        pts = " ".join(fr.pt(p) for p in np.asarray(s.points))
-        out.append(f'<polyline points="{pts}" fill="none" stroke="black" '
+        out.append(f'<polyline points="{fr.text(s.points)}" fill="none" stroke="black" '
                    'stroke-width="2.5"/>')
     for cp in critical_points:
-        out.append(f'<circle cx="{fr.pt(cp.position).split(",")[0]}" '
-                   f'cy="{fr.pt(cp.position).split(",")[1]}" r="6" fill="white" '
+        x, y = fr.text([cp.position]).split(",")
+        out.append(f'<circle cx="{x}" cy="{y}" r="6" fill="white" '
                    'stroke="red" stroke-width="2.5"/>')
     out.append("</svg>")
     with open(path, "w") as f:
@@ -75,13 +82,11 @@ def write_svg_blocks(path, sub, faces, irregular_keys=()):
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS:.0f}" '
            f'height="{fr.height:.0f}">']
     for i, f in enumerate(faces):
-        pts = " ".join(fr.pt(p) for p in f.polygon)
         fill = _BLOCK_FILLS[i % len(_BLOCK_FILLS)]
-        out.append(f'<polygon points="{pts}" fill="{fill}" stroke="black" '
+        out.append(f'<polygon points="{fr.text(f.polygon)}" fill="{fill}" stroke="black" '
                    'stroke-width="1.5"/>')
     for key in irregular_keys:
-        vr = sub.vertices[key]
-        x, y = fr.pt(vr.position).split(",")
+        x, y = fr.text([sub.vertices[key].position]).split(",")
         out.append(f'<circle cx="{x}" cy="{y}" r="7" fill="none" stroke="red" '
                    'stroke-width="3"/>')
     out.append("</svg>")

@@ -28,16 +28,16 @@ def _sample_elements(mesh, n, *arrays):
     """Sample every element on its n-fold subdivision.
 
     Returns ([points, *samples], cells): the mapped points and, for each
-    per-element nodal array (ne, nb, ...), its values there, stacked over
-    elements, plus the subtriangles as point-index triples.
+    per-element nodal array (ne, nb, d), its values there, stacked over
+    elements, plus the (ncells, 3) subtriangles as point-index rows.  One
+    stacked basis @ a gives each element's block bitwise as its own
+    basis @ a[e].
     """
     ref_pts, ref_tris = _subdivide_reference(n)
     basis = mesh.ref.basis_at(ref_pts)
-    elements = range(mesh.n_elements())
-    samples = [np.concatenate([basis @ a[e] for e in elements])
-               for a in (mesh.geom,) + arrays]
-    cells = [(base + a, base + b, base + c)
-             for base in range(0, len(samples[0]), len(ref_pts)) for a, b, c in ref_tris]
+    samples = [(basis @ a).reshape(-1, a.shape[-1]) for a in (mesh.geom,) + arrays]
+    cells = (len(ref_pts) * np.arange(mesh.n_elements())[:, None, None]
+             + np.array(ref_tris)).reshape(-1, 3)
     return samples, cells
 
 
@@ -57,30 +57,34 @@ def write_vtk_trimesh(path, mesh):
 
 
 def write_vtk_quadmesh(path, qmesh):
-    cells = [tuple(int(v) for v in q) for q in qmesh.quads]
-    _write_vtk(path, [tuple(p) for p in qmesh.nodes], cells, 4,
-               {"block": [float(b) for b in qmesh.block_of]}, cell_data=True)
+    _write_vtk(path, qmesh.nodes, qmesh.quads, 4, {"block": qmesh.block_of}, cell_data=True)
+
+
+def _table(row, array):
+    """One copy of the % template row per row of array, filled by one % from
+    its entries as Python numbers (%r of a float is repr(float(v)))."""
+    return (row * len(array)) % tuple(array.ravel().tolist())
 
 
 def _write_vtk(path, points, cells, cell_size, data, cell_data=False):
+    """ASCII VTK of 2D points, cells of cell_size point ids and scalar data,
+    each table formatted by one % template."""
+    points = np.asarray(points, dtype=float)
+    cells = np.asarray(cells, dtype=int).reshape(-1, cell_size)
     vtk_type = {3: 5, 4: 9}[cell_size]
-    lines = ["# vtk DataFile Version 3.0", "quadfield output", "ASCII",
-             "DATASET UNSTRUCTURED_GRID", f"POINTS {len(points)} double"]
-    for p in points:
-        lines.append(f"{float(p[0])!r} {float(p[1])!r} 0.0")
-    lines.append(f"CELLS {len(cells)} {len(cells) * (cell_size + 1)}")
-    for c in cells:
-        lines.append(f"{cell_size} " + " ".join(str(v) for v in c))
-    lines.append(f"CELL_TYPES {len(cells)}")
-    lines.extend([str(vtk_type)] * len(cells))
+    text = ["# vtk DataFile Version 3.0\nquadfield output\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {len(points)} double\n",
+            _table("%r %r 0.0\n", points),
+            f"CELLS {len(cells)} {len(cells) * (cell_size + 1)}\n",
+            _table(f"{cell_size}" + " %d" * cell_size + "\n", cells),
+            f"CELL_TYPES {len(cells)}\n", f"{vtk_type}\n" * len(cells)]
     if data:
         if cell_data:
-            lines.append(f"CELL_DATA {len(cells)}")
+            text.append(f"CELL_DATA {len(cells)}\n")
         else:
-            lines.append(f"POINT_DATA {len(points)}")
+            text.append(f"POINT_DATA {len(points)}\n")
         for name, vals in data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(repr(float(v)) for v in vals)
+            text.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            text.append(_table("%r\n", np.asarray(vals, dtype=float)))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("".join(text))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quadfield.reftri import (BARYCENTER, VERTICES, _index_pairs, _jacobi_constants,
-                              _JacobiTable, _xi_to_ab, collapsed_quadrature,
+from quadfield.reftri import (_ADJUGATE, _ADJUGATE_R, BARYCENTER, VERTICES, _index_pairs,
+                              _jacobi_constants, _JacobiTable, _xi_to_ab, collapsed_quadrature,
                               gauss_lobatto, in_reference, quadrature_for_degree,
                               ref_triangle, warp_blend_nodes)
 
@@ -352,6 +352,108 @@ def test_lean_newton_matches_the_reference_bytes(order, lanes, seed):
     assert [row is None for row in rows] == [xi is None for xi in xis]
     assert all(row.tobytes() == want.basis_rows(xi[None])[0][0].tobytes()
                for xi, row in zip(xis, rows) if xi is not None)
+
+
+# ---- byte reference: invert_maps before it stopped with its last lane ----
+# Kept verbatim as a function of the RefTriangle: every running lane took the
+# Newton step, and lanes that were done were dropped after it.
+
+
+def stepping_invert_maps(ref, nodes, target, tol, max_iter, slack):
+    xis, rows = [None] * len(nodes), [None] * len(nodes)
+    target = np.broadcast_to(target, (len(nodes), 2))
+    lane = np.arange(len(nodes))
+    xi = BARYCENTER[None].repeat(len(nodes), axis=0)
+    start = [a.repeat(len(nodes), axis=0) for a in ref._barycenter_rows]
+    # a lane that stops this iteration still takes the step, on numbers
+    # it then drops, so a vanishing Jacobian may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for it in range(max_iter):
+            if not len(lane):
+                break
+            m = nodes[lane]
+            basis, grad = ref.basis_rows(xi) if it else start
+            r = (basis[:, None, :] @ m)[:, 0] - target[lane]
+            done = np.hypot(r[:, 0], r[:, 1]) < tol
+            if done.any():
+                hit = np.flatnonzero(done)
+                for k in hit[in_reference(xi[hit], slack=slack)]:
+                    xis[lane[k]], rows[lane[k]] = xi[k], basis[k]
+            j = np.einsum("knd,knx->kxd", grad, m).reshape(-1, 4)
+            det = j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
+            # (j11 r0 - j01 r1, j00 r1 - j10 r0) / det, the one-lane
+            # loop's (j11 r0 - j01 r1, -j10 r0 + j00 r1) / det
+            q = j[:, _ADJUGATE] * r[:, _ADJUGATE_R]
+            xi = xi - (q[:, 0::2] - q[:, 1::2]) / det[:, None]
+            # the one-lane loop's tests, each False on NaN: a NaN lane runs on
+            stop = done | (np.abs(det) < 1e-300) | (np.abs(xi).max(axis=1) > 10.0)
+            xi, lane = xi[~stop], lane[~stop]
+    return xis, rows
+
+
+LANE_KINDS = ("curved", "curved", "curved", "nan target", "flat", "collapsed", "far")
+
+
+@st.composite
+def newton_lanes(draw):
+    """(order, nodes, targets) of lanes of every kind: curved maps of T with
+    targets in and around them, NaN targets, maps with a vanishing Jacobian
+    (flat: every node on y = 0; collapsed: every node at the origin), and
+    targets so far that xi leaves |xi| <= 10."""
+    order = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(LANE_KINDS), min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ref = ref_triangle(order)
+    nodes = ref.nodes[None] + rng.choice([0.0, 0.02, 0.2], size=(len(kinds), 1, 1)) * \
+        rng.normal(size=(len(kinds), ref.n_nodes, 2))
+    target = rng.uniform(-1.5, 1.0, size=(len(kinds), 2))
+    for k, kind in enumerate(kinds):
+        if kind == "nan target":
+            target[k, :rng.integers(1, 3)] = np.nan          # x, or both
+        elif kind == "flat":
+            nodes[k, :, 1] = 0.0
+        elif kind == "collapsed":
+            nodes[k] = 0.0
+        elif kind == "far":
+            target[k] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(1e2, 1e6, size=2)
+    return order, nodes, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(lanes=newton_lanes(), tol=st.sampled_from([1e-12, 1e-6, 1e-2]),
+       max_iter=st.integers(1, 50), slack=st.sampled_from([0.0, 1e-8, 0.1]))
+def test_newton_without_done_lanes_matches_the_reference_bytes(lanes, tol, max_iter, slack):
+    order, nodes, target = lanes
+    ref = ref_triangle(order)
+    for tgt in (target, target[0]):                   # one target per lane, or one for all
+        got = ref.invert_maps(nodes, tgt, tol, max_iter, slack)
+        want = stepping_invert_maps(ref, nodes, tgt, tol, max_iter, slack)
+        for g, w in zip(got, want):
+            assert [None if a is None else a.tobytes() for a in g] == \
+                [None if a is None else a.tobytes() for a in w]
+
+
+def test_newton_takes_no_step_once_every_lane_is_done(monkeypatch):
+    """Lanes whose targets are their maps' barycenters are done before the
+    first step; a lane that converges in n steps takes n steps."""
+    ref = ref_triangle(3)
+    steps = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        steps.append(len(args[1]))
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    rng = np.random.default_rng(5)
+    nodes = ref.nodes[None] + 0.05 * rng.normal(size=(3, ref.n_nodes, 2))
+    centers = (ref._barycenter_rows[0] @ nodes)[:, 0]
+    xis, _ = ref.invert_maps(nodes, centers, 1e-12, 50, 0.0)
+    assert all(xi.tobytes() == BARYCENTER.tobytes() for xi in xis)
+    assert steps == []
+    xis, _ = ref.invert_maps(nodes, np.vstack([centers[:2], [-0.9, -0.9]]), 1e-12, 50, 0.0)
+    assert all(xi is not None for xi in xis)
+    assert steps and set(steps) == {1}           # only the third lane steps
 
 
 def test_in_reference_returns_a_mask_for_any_batch():

@@ -8,19 +8,21 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import neighbors
 from quadfield import singular
-from quadfield.cli import main
+from quadfield.cli import dump_json, main
 from quadfield.errors import TopologyError
-from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe
-from quadfield.geometry import fixture_path, load_fixture
+from quadfield.field import HALF_PI, OUTSIDE, AnalyticProbe, FieldProbe, psi_of
+from quadfield.geometry import boundary_field, fixture_path, load_fixture
 from quadfield.reftri import BARYCENTER, in_reference
 from quadfield.singular import (ARC_ENDPOINT_GAP, ARC_SAMPLES, NEWTON_MAX_ITER,
                                 NEWTON_SLACK, NEWTON_TOL, CriticalPoint,
-                                corner_valence, corner_valences,
+                                corner_valence, corner_valences, dedup_roots,
                                 find_critical_points, interior_roots,
                                 interior_valence, topology_report)
 from quadfield.solver import (DiscretizationChoice, FieldSolution, choose_discretization,
                              solve_guiding_field)
 from quadfield.trimesh import elevate_and_curve, generate_background_mesh
+from test_delaunay import OFFSETS
+from test_fixture_meshes import translated
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -276,24 +278,190 @@ def test_fit_contour_finds_the_arc_of_the_old_corner_loop(half_disc, half_disc_p
     corners = domain.corner_inventory()
     cs = corners[corner % len(corners)]
     fits = []
-    fit_contour = singular._fit_contour
+    fit_contours = singular._fit_contours
 
-    def recorded(probe, center, c0, angle_sets):
-        fits.append((c0, fit_contour(probe, center, c0, angle_sets)))
+    def recorded(probe, contours):
+        fits.append((contours, fit_contours(probe, contours)))
         return fits[-1][1]
 
-    with mock.patch.object(singular, "_fit_contour", recorded), \
+    with mock.patch.object(singular, "_fit_contours", recorded), \
             mock.patch.object(singular, "RADIUS_FACTOR", singular.RADIUS_FACTOR * 2.0 ** scale):
         try:
             corner_valence(cs, probe)
         except TopologyError:
             pass                        # an ambiguous valence at an odd radius
-    [(c0, got)] = fits
+    [([(_, c0, _)], [got])] = fits
     want = _reference_corner_arc(cs, probe, c0)
     assert (got is None) == (want is None)
     if got is not None:
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1].tobytes() == np.asarray(probe.eval_v_many(want[1])).tobytes()
+
+
+# ---- byte reference: one contour at a time, as the topology stage ran before ----
+
+
+def reference_fit_contour(probe, center, c0, angle_sets):
+    c = c0
+    for _ in range(5):
+        for angles in angle_sets:
+            vals = probe.eval_v_many(singular._contour(center, c, angles))
+            if all(v is not OUTSIDE for v in vals):
+                return c, np.asarray(vals)
+        c *= 0.5
+    return None
+
+
+def reference_classify_critical_points(points, probe):
+    for cp in points:
+        c0 = singular.RADIUS_FACTOR * probe.mesh.circumradius(cp.elem)
+        for other in points:
+            if other is not cp:
+                d = float(np.hypot(*(cp.position - other.position)))
+                c0 = min(c0, 0.45 * d)
+        fit = reference_fit_contour(probe, cp.position, c0,
+                                    [singular._circle_angles(singular.CIRCLE_SAMPLES)])
+        if fit is None:
+            raise TopologyError(f"no valence circle around ({cp.position[0]:.4g}, "
+                                f"{cp.position[1]:.4g}) fits in the domain")
+        c, vals = fit
+        cp.index, cp.valence = singular._circle_valence(vals)
+        cp.radius = c
+    return points
+
+
+def reference_corner_valence(corner, probe, corner_id=0):
+    th_start, th_end = corner.wedge_angles()
+    delta = corner.delta_theta
+    bisector = th_start + 0.5 * delta
+    pos = corner.position
+
+    eps_probe = 1e-6 * (1.0 + probe.mesh.bbox_diag)
+    inward = pos + eps_probe * np.array([math.cos(bisector), math.sin(bisector)])
+    loc = probe.locate(inward)
+    if loc is OUTSIDE:
+        raise TopologyError(f"corner {corner_id}: no element found inside its wedge")
+    c0 = singular.RADIUS_FACTOR * probe.mesh.circumradius(loc[0])
+
+    gaps = [ARC_ENDPOINT_GAP * 2.0 ** k for k in range(32)]
+    fit = reference_fit_contour(probe, pos, c0, [np.linspace(th_start + g, th_end - g,
+                                                             ARC_SAMPLES)
+                                                 for g in gaps if g <= delta / 8.0])
+    if fit is None:
+        raise TopologyError(f"corner {corner_id}: no interior arc fits in the domain")
+    c, vals = fit
+    seq = [psi_of(boundary_field(th_start))] + [psi_of(v) for v in vals] + [
+        psi_of(boundary_field(corner.theta_in + math.pi))]
+    dpsi = sum(math.remainder(seq[i + 1] - seq[i], HALF_PI) for i in range(len(seq) - 1))
+    index = dpsi / HALF_PI
+    raw = delta / HALF_PI - index
+    valence = int(round(raw))
+    residual = abs(raw - valence)
+    if residual > singular.VALENCE_RESIDUAL_TOL:
+        raise TopologyError(
+            f"ambiguous corner valence at corner {corner_id}: residual {residual:.3f}")
+    return singular.CornerNode(corner=corner, corner_id=corner_id, index=index,
+                               valence=valence, dpsi=dpsi, residual=residual, radius=c)
+
+
+def reference_corner_valences(domain, probe):
+    return [reference_corner_valence(c, probe, corner_id=i)
+            for i, c in enumerate(domain.corner_inventory())]
+
+
+def _topology_text(path, classify, corners, domain, probe):
+    """topology.json's bytes from classify and corners, or the TopologyError's message."""
+    try:
+        cps = classify(dedup_roots(interior_roots(probe.solution), probe), probe)
+        cns = corners(domain, probe)
+    except TopologyError as ex:
+        return f"TopologyError: {ex}"
+    dump_json(path, topology_report(cps, cns))
+    return path.read_bytes()
+
+
+def _assert_reference_topology(tmp_path, domain, probe):
+    got = _topology_text(tmp_path / "got.json", singular.classify_critical_points,
+                         corner_valences, domain, probe)
+    want = _topology_text(tmp_path / "want.json", reference_classify_critical_points,
+                          reference_corner_valences, domain, probe)
+    assert got == want
+    return got
+
+
+# the spacings at which each fixture reaches the topology stage (naca_IV's
+# solve fails at 0.35)
+TOPOLOGY_RUNS = {"half_disc": 0.35, "polygon_III": 0.35, "geometry_I": 0.35,
+                 "nautilus": 0.5, "holed_nautilus": 0.35, "naca_IV": 0.5}
+
+
+@pytest.mark.parametrize("offset", OFFSETS, ids=lambda o: f"{o[0]}_{o[1]}")
+@pytest.mark.parametrize("name", sorted(TOPOLOGY_RUNS))
+def test_lockstep_topology_writes_the_reference_bytes(name, offset, tmp_path):
+    """Every fixture at order 3, moved by every benchmark offset."""
+    domain = translated(name, *offset)
+    mesh = elevate_and_curve(generate_background_mesh(domain, TOPOLOGY_RUNS[name]), 3, domain)
+    probe = FieldProbe(solve_guiding_field(mesh, domain, choose_discretization(domain)))
+    assert isinstance(_assert_reference_topology(tmp_path, domain, probe), bytes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fixture=st.sampled_from(["half_disc", "polygon_III"]), scale=st.integers(-3, 9))
+def test_lockstep_topology_matches_the_reference_at_any_radius(
+        half_disc, half_disc_probe, polygon_iii, polygon_iii_pipeline, tmp_path_factory,
+        fixture, scale):
+    """Starting radii from c0 / 8 to 512 c0: contours fit at different radii,
+    or at none, and the first error raised is the reference's."""
+    domain, probe = ((half_disc, half_disc_probe) if fixture == "half_disc"
+                     else (polygon_iii, polygon_iii_pipeline[2]))
+    with mock.patch.object(singular, "RADIUS_FACTOR", singular.RADIUS_FACTOR * 2.0 ** scale):
+        _assert_reference_topology(tmp_path_factory.mktemp("topology"), domain, probe)
+
+
+class _HoledProbe:
+    """probe, but OUTSIDE wherever hole(point) holds."""
+
+    def __init__(self, probe, hole):
+        self.probe, self.hole, self.mesh = probe, hole, probe.mesh
+
+    def locate(self, x):
+        return self.locate_many([x])[0]
+
+    def locate_many(self, points):
+        return [OUTSIDE if self.hole(p) else loc
+                for p, loc in zip(points, self.probe.locate_many(points))]
+
+    def eval_v_many(self, points):
+        return [OUTSIDE if self.hole(p) else v
+                for p, v in zip(points, self.probe.eval_v_many(points))]
+
+
+@pytest.mark.parametrize("case,message", [
+    ("arc, then inward", "corner 0: no interior arc fits"),
+    ("inward, then arc", "corner 0: no element found"),
+    ("psi, then inward", "psi undefined"),
+])
+def test_lockstep_corners_raise_the_first_corner_error(half_disc, half_disc_probe, case,
+                                                       message):
+    """Every inward probe is located, and every arc fitted, before any corner
+    is checked; the error raised is still the lowest corner's, and within it
+    the first that a one-corner loop meets."""
+    first, second = (c.position for c in half_disc.corner_inventory())
+
+    def near(point):          # the inward probes, 1e-6 * (1 + bbox_diag) from their corner
+        return lambda p: math.dist(p, point) < 1e-4
+
+    hole = {"arc, then inward": lambda p: near(second)(p) or not near(first)(p),
+            "inward, then arc": lambda p: near(first)(p) or not near(second)(p),
+            "psi, then inward": near(second)}[case]
+    probe = _HoledProbe(half_disc_probe, hole)
+    if case == "psi, then inward":              # corner 0's arc reads a vanishing field
+        eval_v_many = probe.eval_v_many
+        probe.eval_v_many = lambda points: [v if v is OUTSIDE else 0.0 * v
+                                            for v in eval_v_many(points)]
+    for corners in (corner_valences, reference_corner_valences):
+        with pytest.raises(TopologyError, match=message):
+            corners(half_disc, probe)
 
 
 def _run_topology(name, tmp_path, flags):
@@ -304,35 +472,34 @@ def _run_topology(name, tmp_path, flags):
     return json.loads((tmp_path / "topology.json").read_text())
 
 
-def test_nautilus_topology_reads_each_contour_in_one_call(tmp_path, monkeypatch):
-    """One eval_v_many per candidate contour, of that contour's points; the
-    only one-point call left is the corner's inward locate."""
-    calls = {"eval_v_many": 0, "eval_psi_many": 0, "locate": 0, "eval_v": 0}
-    contours, read = [], []
-    for name in calls:
-        method = getattr(FieldProbe, name)
+@pytest.mark.parametrize("name,flags", [("half_disc", ["--target-h", "0.35"]),
+                                        ("nautilus", ["--target-h", "0.5"])])
+def test_topology_reads_each_round_in_one_call(name, flags, tmp_path, monkeypatch):
+    """Three location batches: the circles of every critical point, every
+    corner's inward probe, and the arcs of every corner (each contour fits
+    at its first radius); no one-point call is left."""
+    calls = {"_locations": 0, "eval_v_many": 0, "locate_many": 0, "locate": 0, "eval_v": 0,
+             "eval_psi_many": 0}
+    located = []
+    for method_name in calls:
+        method = getattr(FieldProbe, method_name)
 
-        def counted(self, *args, _name=name, _method=method):
+        def counted(self, *args, _name=method_name, _method=method):
             calls[_name] += 1
-            if _name == "eval_v_many":
-                read.append(np.asarray(args[0]))
+            if _name == "_locations":
+                located.append(np.asarray(args[0], dtype=float).reshape(-1, 2))
             return _method(self, *args)
 
-        monkeypatch.setattr(FieldProbe, name, counted)
-    contour = singular._contour
-
-    def recorded_contour(*args):
-        contours.append(contour(*args))
-        return contours[-1]
-
-    monkeypatch.setattr(singular, "_contour", recorded_contour)
-    doc = _run_topology("nautilus", tmp_path, ["--target-h", "0.5"])
+        monkeypatch.setattr(FieldProbe, method_name, counted)
+    doc = _run_topology(name, tmp_path, flags)
     n_cps, n_corners = len(doc["critical_points"]), len(doc["corners"])
-    assert n_cps == 4 and n_corners > 0
-    assert len(contours) >= n_cps + n_corners
-    assert [pts.tobytes() for pts in read] == [pts.tobytes() for pts in contours]
-    assert calls == {"eval_v_many": len(contours), "eval_psi_many": 0,
-                     "locate": n_corners, "eval_v": 0}
+    assert n_cps > 0 and n_corners > 0
+    assert calls == {"_locations": 3, "eval_v_many": 2, "locate_many": 1, "locate": 0,
+                     "eval_v": 0, "eval_psi_many": 0}
+    circles, inward, arcs = located
+    assert len(circles) == singular.CIRCLE_SAMPLES * n_cps
+    assert len(inward) == n_corners
+    assert len(arcs) % singular.ARC_SAMPLES == 0 and len(arcs) >= ARC_SAMPLES * n_corners
 
 
 @pytest.mark.parametrize("name,flags", [("half_disc", ["--target-h", "0.35"]),

@@ -17,7 +17,10 @@
 # trace, the longest in the repo, so changes to point location show there
 # first), half_disc once more with no flags (the default spacing, from
 # the bounding box), and nautilus at --order 4 --target-h 0.06 --split 2, a
-# full run on about 5,000 elements.
+# full run on about 5,000 elements.  nautilus (with --formats svg,vtk,msh)
+# and holed_nautilus (with --formats svg,vtk) run once more, so the SVG, VTK
+# and MSH writers meet a field with four critical points and one with none,
+# and a run that ends at the cut.
 # polygon_III runs once more as six stage commands (mesh, solve, topology,
 # trace, cut, split; same flags), so every artifact reader is exercised, and
 # each tree's staged artifacts must equal its own one-shot polygon_III run's
@@ -78,6 +81,8 @@ naca_IV naca_IV --target-h 0.35
 naca_IV_long_trace naca_IV --order 3 --target-h 0.5 --split 2
 half_disc_default_h half_disc
 nautilus_fine_run nautilus --order 4 --target-h 0.06 --split 2
+nautilus_formats nautilus --order 3 --target-h 0.5 --split 2 --formats svg,vtk,msh
+holed_nautilus_formats holed_nautilus --target-h 0.35 --formats svg,vtk
 FIXTURES
 }
 
