@@ -10,6 +10,7 @@ streamline launched from the bad corner, joined to the surrounding sides.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,13 +41,18 @@ class EdgeRec:
     kind: str                   # boundary | separatrix | branch | tail
 
     def __post_init__(self):
-        # box and the settled pairs of _first_crossing assume a fixed polyline
+        # the cached boxes and resolve_crossings' hit table assume a fixed polyline
         self.polyline.setflags(write=False)
 
     @functools.cached_property
     def box(self):
         """polyline.bbox of the polyline: records whose boxes do not meet never cross."""
         return polyline.bbox(self.polyline)
+
+    @functools.cached_property
+    def chunk_boxes(self):
+        """polyline.chunk_boxes of the polyline."""
+        return polyline.chunk_boxes(self.polyline)
 
 
 def catmull_rom_densify(points, subdiv=6):
@@ -159,66 +165,84 @@ def resolve_crossings(vertices, records):
     Separatrices of the two orthogonal cross families legitimately intersect;
     near-tangential intersections mean the traced graph is invalid.  Crossing
     the domain boundary is always an error.
-    """
-    for r in records:
-        if r.kind == "boundary":
-            continue
-        for b in records:
-            if b.kind != "boundary" or not polyline.boxes_meet(r.box, b.box):
-                continue
-            if polyline.intersections(r.polyline, b.polyline):
-                raise DecompositionError(
-                    "invalid separatrix graph: a separatrix crosses the boundary")
 
-    settled = set()
+    The records other than boundary arcs are scanned in list order, pair by
+    pair, and the first pair that crosses is split at its crossing nearest
+    the start of its first record; the halves go to the end of the list and
+    the scan starts again.  A record's polyline never changes, so one batched
+    test fills a table of the crossing pairs, and after each split one more
+    tests the four halves against every live record and each other.
+    """
+    movable = [r for r in records if r.kind != "boundary"]
+    boundary = [r for r in records if r.kind == "boundary"]
+    if _crossing_hits(itertools.product(movable, boundary)):
+        raise DecompositionError(
+            "invalid separatrix graph: a separatrix crosses the boundary")
+
+    live = dict.fromkeys(movable)           # in scan order: halves go last
+    hits = _crossing_hits(itertools.combinations(movable, 2))
     counter = 0
-    while True:
-        found = _first_crossing([r for r in records if r.kind != "boundary"], settled)
-        if found is None:
-            return records
-        a, b, x = found
-        # tangent directions at the polyline points nearest to the crossing
-        da, db = (polyline.direction(p, int(np.argmin(np.sum((p - x) ** 2, axis=1))))
-                  for p in (a.polyline, b.polyline))
-        ang = abs(math.remainder(da - db, math.pi))
-        acute = min(ang, math.pi - ang)
-        if acute < math.radians(TANGENTIAL_CROSSING_DEG):
-            raise DecompositionError(
-                "invalid separatrix graph: separatrices cross tangentially "
-                f"({math.degrees(acute):.1f} deg) away from anchors")
-        key = ("cross", f"sx{counter}")
+    while hits:
+        halves = _split_first_crossing(vertices, records, live, hits, f"sx{counter}")
         counter += 1
-        vertices[key] = VertexRec(key, np.asarray(x, dtype=float), "cross")
-        _split_record(records, a, x, key)
-        _split_record(records, b, x, key)
+        hits.update(_crossing_hits([(r, h) for r in live for h in halves]
+                                   + list(itertools.combinations(halves, 2))))
+        live.update(dict.fromkeys(halves))
+    return records
 
 
-def _first_crossing(movable, settled):
-    """(a, b, point) of the first crossing pair in scan order, or None.
-
-    The point is the crossing nearest the start of a.  settled holds the pairs
-    already found disjoint: a record's polyline never changes, so testing such
-    a pair again would give the same empty result.  Pairs found disjoint here,
-    by their boxes or by their segments, are added to it.
+def _split_first_crossing(vertices, records, live, hits, name):
+    """Split the first crossing pair (a, b) of live in scan order at the
+    crossing nearest the start of a, under the cross vertex name; drop a and
+    b from live and hits, and return the four halves.
     """
-    for i, a in enumerate(movable):
-        for b in movable[i + 1:]:
-            if (a, b) in settled:
-                continue
-            hits = (polyline.boxes_meet(a.box, b.box)
-                    and polyline.intersections(a.polyline, b.polyline))
-            if hits:
-                return a, b, min(hits, key=lambda hx: hx[0])[1]
-            settled.add((a, b))
-    return None
+    rank = {r: k for k, r in enumerate(live)}
+    a, b = min(hits, key=lambda ab: (rank[ab[0]], rank[ab[1]]))
+    s_along, xs = polyline.points_along(a.polyline, *hits[a, b])
+    x = xs[np.argmin(s_along)]
+    # tangent directions at the polyline points nearest to the crossing
+    da, db = (polyline.direction(p, int(np.argmin(np.sum((p - x) ** 2, axis=1))))
+              for p in (a.polyline, b.polyline))
+    ang = abs(math.remainder(da - db, math.pi))
+    acute = min(ang, math.pi - ang)
+    if acute < math.radians(TANGENTIAL_CROSSING_DEG):
+        raise DecompositionError(
+            "invalid separatrix graph: separatrices cross tangentially "
+            f"({math.degrees(acute):.1f} deg) away from anchors")
+    key = ("cross", name)
+    vertices[key] = VertexRec(key, np.asarray(x, dtype=float), "cross")
+    del live[a], live[b]
+    for ab in [ab for ab in hits if a in ab or b in ab]:
+        del hits[ab]
+    return _split_record(records, a, x, key) + _split_record(records, b, x, key)
+
+
+def _crossing_hits(pairs):
+    """{(a, b): (i, t)} of the record pairs that cross, for a pair_crossings table.
+
+    Segments i of a.polyline cross b at fractions t along them, in row-major
+    order.  The pairs whose boxes meet are tested, in one call.
+    """
+    pairs = list(pairs)
+    recs = list(dict.fromkeys(r for pair in pairs for r in pair))
+    index = {r: k for k, r in enumerate(recs)}
+    ab = np.array([(index[a], index[b]) for a, b in pairs], dtype=np.intp).reshape(-1, 2)
+    box = np.array([r.box for r in recs]).reshape(-1, 4).T
+    meet = np.flatnonzero(polyline.boxes_meet(box[:, ab[:, 0]], box[:, ab[:, 1]]))
+    p, i, _, t, _ = polyline.pair_crossings([r.polyline for r in recs], ab[meet],
+                                            [r.chunk_boxes for r in recs])
+    starts = np.flatnonzero(np.diff(p, prepend=-1)).tolist()
+    return {pairs[meet[p[s]]]: (i[s:e], t[s:e])
+            for s, e in zip(starts, starts[1:] + [len(p)])}
 
 
 def _split_record(records, rec, point, key):
-    """Replace rec in records by its two halves, joined at vertex key."""
+    """Replace rec in records by its two halves, joined at vertex key; return the halves."""
     first, second = polyline.split_at(rec.polyline, point)
     records.remove(rec)
-    records.append(EdgeRec(rec.v0, key, first, rec.kind))
-    records.append(EdgeRec(key, rec.v1, second, rec.kind))
+    halves = [EdgeRec(rec.v0, key, first, rec.kind), EdgeRec(key, rec.v1, second, rec.kind)]
+    records.extend(halves)
+    return halves
 
 
 # ---- half-edge structure -------------------------------------------------------

@@ -292,17 +292,20 @@ class Pipeline:
 
 
 def build_parser():
+    """The command-line parser; every subcommand takes the same arguments,
+    declared once in a parent parser."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("domain", help="domain JSON file")
+    shared.add_argument("--config", help="config JSON file")
+    for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
+        shared.add_argument(flag, dest=key, type=kinds[-1],
+                            help=f"{phrase} (default {default!r})")
     parser = argparse.ArgumentParser(
         prog="quadfield",
         description="Curved quadrilateral block decomposition of 2D domains")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in ("run",) + STAGES:
-        p = sub.add_parser(cmd)
-        p.add_argument("domain", help="domain JSON file")
-        p.add_argument("--config", help="config JSON file")
-        for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
-            p.add_argument(flag, dest=key, type=kinds[-1],
-                           help=f"{phrase} (default {default!r})")
+        sub.add_parser(cmd, parents=[shared])
     return parser
 
 

@@ -191,18 +191,30 @@ def test_grid_of_separatrices_gives_cross_vertices_in_scan_order():
         assert np.allclose(cross[key], pos, atol=1e-12)
 
 
-def test_grid_scan_tests_each_record_pair_once(monkeypatch):
-    tested = []
-    intersections = polyline.intersections
+def _recorded_pair_calls(monkeypatch):
+    """The pairs of every pair_crossings call, as (polyline bytes, polyline
+    bytes, whether the polylines' boxes meet), one list per call."""
+    calls = []
+    pair_crossings = polyline.pair_crossings
 
-    def recorded(pa, pb):
-        tested.append((pa.tobytes(), pb.tobytes()))
-        return intersections(pa, pb)
+    def recorded(polys, pairs, boxes=None):
+        calls.append([(polys[a].tobytes(), polys[b].tobytes(),
+                       polyline.boxes_meet(polyline.bbox(polys[a]), polyline.bbox(polys[b])))
+                      for a, b in pairs])
+        return pair_crossings(polys, pairs, boxes)
 
-    monkeypatch.setattr(polyline, "intersections", recorded)
+    monkeypatch.setattr(polyline, "pair_crossings", recorded)
+    return calls
+
+
+def test_grid_scan_passes_each_record_pair_to_the_crossing_test_once(monkeypatch):
+    calls = _recorded_pair_calls(monkeypatch)
     test_grid_of_separatrices_gives_cross_vertices_in_scan_order()
     # records are never mutated, so a pair tested again gives the same answer
+    tested = [(a, b) for call in calls for a, b, _ in call]
     assert len(tested) == len(set(tested))
+    assert all(meet for call in calls for _, _, meet in call)
+    assert len(calls) == 4 + 2                  # the boundary, the scan, one per split
 
 
 def test_crossing_on_second_of_two_parallel_edges():
@@ -232,22 +244,19 @@ def test_edge_record_is_frozen_and_its_polyline_read_only():
         rec.polyline = poly.copy()
 
 
-def test_nautilus_cut_tests_only_records_whose_boxes_meet(tmp_path, monkeypatch):
-    """A full nautilus run calls the narrow crossing test only on polylines
-    whose boxes meet: 237 calls, where testing every record pair made 1,703."""
-    tested = []
-    intersections = polyline.intersections
-
-    def recorded(pa, pb):
-        tested.append(polyline.boxes_meet(polyline.bbox(pa), polyline.bbox(pb)))
-        return intersections(pa, pb)
-
-    monkeypatch.setattr(polyline, "intersections", recorded)
+def test_nautilus_cut_batches_each_meeting_record_pair_once(tmp_path, monkeypatch):
+    """A full nautilus run tests its crossings in 19 pair_crossings calls:
+    one for the boundary, one for the scan and one after each of the 17
+    splits.  Every pair passed has meeting boxes, and no record pair is
+    passed twice (the one-pair scan made 237 intersections calls)."""
+    calls = _recorded_pair_calls(monkeypatch)
     argv = ["run", str(fixture_path("nautilus")), "--out", str(tmp_path), "--order", "3",
             "--target-h", "0.5", "--split", "2"]
     assert main(argv) == 0
-    assert all(tested)
-    assert 0 < len(tested) <= 237
+    assert len(calls) == 17 + 2
+    tested = [(a, b) for call in calls for a, b, _ in call]
+    assert len(tested) == len(set(tested))
+    assert all(meet for call in calls for _, _, meet in call)
 
 
 # Peak traced allocation of the long-polyline test below.  Two crossing

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import copy
 import functools
 import io
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from quadfield import cli
-from quadfield.cli import Pipeline, _json_default, build_parser, main, resolve_config
+from quadfield.cli import (OPTIONS, STAGES, Pipeline, _json_default, build_parser, main,
+                           resolve_config)
 from quadfield.geometry import fixture_path
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
 from quadfield.singular import topology_from_json, topology_report
@@ -341,6 +344,71 @@ def test_readme_flag_table_lists_every_option_flag():
     run = next(a for a in build_parser()._actions if a.dest == "command").choices["run"]
     flags = {f for a in run._actions for f in a.option_strings}
     assert table == flags - {"-h", "--help", "--config"}
+
+
+def reference_build_parser():
+    """build_parser before the shared arguments moved into a parent parser."""
+    parser = argparse.ArgumentParser(
+        prog="quadfield",
+        description="Curved quadrilateral block decomposition of 2D domains")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in ("run",) + STAGES:
+        p = sub.add_parser(cmd)
+        p.add_argument("domain", help="domain JSON file")
+        p.add_argument("--config", help="config JSON file")
+        for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
+            p.add_argument(flag, dest=key, type=kinds[-1],
+                           help=f"{phrase} (default {default!r})")
+    return parser
+
+
+def _help_texts(parser):
+    sub = next(a for a in parser._actions if a.dest == "command")
+    return [parser.format_help(), parser.format_usage()] + [
+        text for name, p in sub.choices.items()
+        for text in (name, p.format_help(), p.format_usage())]
+
+
+def _parsed(parser, argv):
+    """(exit code, repr of the namespace, stdout, stderr) of parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return 0, repr(vars(parser.parse_args(argv))), out.getvalue(), err.getvalue()
+        except SystemExit as ex:
+            return ex.code, None, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("columns", ["80", "200", "40"])
+def test_parent_parser_gives_the_reference_help(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _help_texts(build_parser()) == _help_texts(reference_build_parser())
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "dom.json"],
+    ["mesh", "dom.json", "--order", "4", "--target-h", "0.12"],
+    ["trace", "dom.json", "--merge", "aggressive", "--kappa", "4.5", "--step-factor", "0.3",
+     "--n-max", "5000", "--length-factor", "30", "--config", "c.json"],
+    ["cut", "--out", "o", "dom.json", "--split", "3", "--formats", "svg,msh"],
+    ["split", "dom.json", "--scheme", "dg", "--penalty", "1e3", "--split", "-1"],
+    ["topology", "dom.json", "--target-h", "nan"],
+    [], ["dom.json"], ["walk", "dom.json"], ["run"], ["run", "a.json", "b.json"],
+    ["run", "dom.json", "--order", "x"], ["run", "dom.json", "--penalty", "big"],
+    ["solve", "dom.json", "--unknown", "1"], ["run", "dom.json", "--order"],
+    ["run", "dom.json", "--ord", "4"], ["-h"], ["run", "--help"], ["split", "-h"],
+])
+def test_parent_parser_parses_as_the_reference(monkeypatch, argv):
+    """The same namespace, or the same usage error (exit 2) or help (exit 0)
+    with the same text."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _parsed(build_parser(), argv)
+    assert got == _parsed(reference_build_parser(), argv)
+    assert got[0] in (0, 2)
+
+
+def test_parser_is_built_per_call():
+    assert build_parser() is not build_parser()
 
 
 def test_flag_to_config_plumbing():

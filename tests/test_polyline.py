@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quadfield import polyline
-from quadfield.polyline import BBOX_PAD, END_TOL, PARALLEL_TOL
+from quadfield.polyline import BBOX_PAD, CHUNK, END_TOL, PARALLEL_TOL
 
 
-# ---- references: the scalar loops and the full pair table the module replaces ---
+# ---- references: the scalar loops, the full pair table and the chunk-row
+# ---- broad phase that the module replaces ----------------------------------------
 
 
 def _seg_intersection(p, p2, q, q2):
@@ -77,6 +78,74 @@ def _full_table_crossings(pa, pb):
            & (END_TOL < u) & (u < 1 - END_TOL))
     i, j = np.nonzero(hit)
     return i, j, t[i, j], u[i, j]
+
+
+def _chunked_segment_boxes(poly):
+    """Padded segment boxes of poly in chunks, shape (4, chunks, CHUNK).
+
+    The last chunk is filled up with empty boxes (lo = inf, hi = -inf),
+    which meet nothing.
+    """
+    a, b = poly[:-1], poly[1:]
+    n = len(a)
+    boxes = np.empty((4, -(-n // CHUNK) * CHUNK))
+    boxes[:2, :n] = (np.minimum(a, b) - BBOX_PAD).T
+    boxes[2:, :n] = (np.maximum(a, b) + BBOX_PAD).T
+    boxes[:2, n:] = np.inf
+    boxes[2:, n:] = -np.inf
+    return boxes.reshape(4, -1, CHUNK)
+
+
+def _chunk_boxes(seg_boxes):
+    return np.concatenate([seg_boxes[:2].min(axis=2), seg_boxes[2:].max(axis=2)])
+
+
+def chunk_row_crossings(pa, pb):
+    """Proper crossings of two polylines as arrays (i, j, t, u).
+
+    The broad phase before pair_crossings: CHUNK chunks of pa against all of
+    pb's at a time, then the segment boxes inside the chunk pairs that meet.
+    """
+    sa, sb = _chunked_segment_boxes(pa), _chunked_segment_boxes(pb)
+    ba, bb = _chunk_boxes(sa), _chunk_boxes(sb)
+    # CHUNK chunks of pa against all of pb's at a time: O(m) table entries
+    ca, cb = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for row in range(0, ba.shape[1], CHUNK):
+        c, d = np.nonzero(polyline.boxes_meet(ba[:, row:row + CHUNK, None], bb[:, None]))
+        ca.append(c + row)
+        cb.append(d)
+    ca, cb = np.concatenate(ca), np.concatenate(cb)
+    k, a, b = np.nonzero(polyline.boxes_meet(sa[:, ca, :, None], sb[:, cb, None, :]))
+    if not len(k):
+        return k, k, np.empty(0), np.empty(0)
+    i = ca[k] * CHUNK + a
+    j = cb[k] * CHUNK + b
+    r = pa[i + 1] - pa[i]
+    s = pb[j + 1] - pb[j]
+    dq = pb[j] - pa[i]
+    denom = r[:, 0] * s[:, 1] - r[:, 1] * s[:, 0]
+    ok = np.abs(denom) >= PARALLEL_TOL
+    denom = np.where(ok, denom, 1.0)
+    t = (dq[:, 0] * s[:, 1] - dq[:, 1] * s[:, 0]) / denom
+    u = (dq[:, 0] * r[:, 1] - dq[:, 1] * r[:, 0]) / denom
+    hit = (ok & (END_TOL < t) & (t < 1 - END_TOL)
+           & (END_TOL < u) & (u < 1 - END_TOL))
+    order = np.flatnonzero(hit)
+    order = order[np.lexsort((j[order], i[order]))]
+    return i[order], j[order], t[order], u[order]
+
+
+def chunk_row_intersections(pa, pb):
+    """Proper crossings of two polylines as a list of (arclength along pa, point).
+
+    Segment pairs come in row-major order: i along pa, then j along pb.
+    """
+    i, _, t, _ = chunk_row_crossings(pa, pb)
+    if not len(i):
+        return []
+    x = pa[i] + t[:, None] * (pa[i + 1] - pa[i])
+    s_along = polyline.cumlen(pa)[i] + np.hypot(*(x - pa[i]).T)
+    return list(zip(s_along, x))
 
 
 def _dist_to_polyline(poly, point):
@@ -272,6 +341,158 @@ def test_far_near_parallel_segments_do_not_cross(pa, pb):
     i, j, t, u = polyline.crossings(pa, pb)
     assert len(i) == len(j) == len(t) == len(u) == 0
     assert polyline.intersections(pa, pb) == []
+
+
+# ---- batched crossings ------------------------------------------------------------
+
+half = st.integers(-4, 4).map(lambda k: k / 2)      # box sides on cell edges
+
+
+@st.composite
+def polyline_sets(draw):
+    """Up to six polylines and distinct (a, b) pairs of them, self-pairs included.
+
+    Besides random and densified polylines: zero-length segments, all points
+    equal, points on a lattice of halves (boxes that touch exactly, on the
+    grid's cell edges too) and near copies of an earlier polyline.
+    """
+    polys = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(
+            ["random", "dense", "repeated", "all_equal", "lattice", "shifted"]))
+        if kind == "random":
+            poly = draw(polylines)
+        elif kind == "dense":
+            ctrl = draw(polylines)
+            poly = _dense(ctrl, draw(st.integers(1, max(1, 8 * CHUNK // (len(ctrl) - 1)))))
+        elif kind == "repeated":
+            poly = draw(polylines)
+            poly = np.repeat(poly, draw(st.lists(st.integers(1, 3), min_size=len(poly),
+                                                 max_size=len(poly))), axis=0)
+        elif kind == "all_equal":
+            poly = np.repeat(draw(point)[None], draw(st.integers(2, 2 * CHUNK + 3)), axis=0)
+        elif kind == "lattice":
+            poly = np.array(draw(st.lists(st.tuples(half, half), min_size=2,
+                                          max_size=3 * CHUNK)), dtype=float)
+        else:
+            base = polys[draw(st.integers(0, len(polys) - 1))] if polys else draw(polylines)
+            poly = base + draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 0.5])) * \
+                np.array(draw(st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, -1.0)])))
+            if draw(st.booleans()):
+                poly = poly[::-1].copy()
+        polys.append(poly)
+    n = len(polys)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          unique=True, max_size=3 * n))
+    return polys, pairs
+
+
+def _chunk_row_table(polys, pairs):
+    """(p, i, j, t, u) of chunk_row_crossings, pair by pair."""
+    parts = [chunk_row_crossings(polys[a], polys[b]) for a, b in pairs]
+    p = [np.full(len(part[0]), k, dtype=np.intp) for k, part in enumerate(parts)]
+    empty = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2
+    columns = [p] + [[part[m] for part in parts] for m in range(4)]
+    return tuple(np.concatenate([e] + column) for e, column in zip(empty, columns))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(polyline_sets())
+@example(([np.array([[0.0, 0.0], [2.0, 2.0], [2.0, 0.0]]),
+           np.array([[0.0, 2.0], [2.0, 0.0], [0.0, 1.0]])], [(0, 1), (1, 0), (0, 0)]))
+def test_pair_crossings_match_the_chunk_row_crossings(case):
+    """Every hit of every pair, bitwise, sorted by pair and then row-major,
+    with the chunk boxes computed here or handed in."""
+    polys, pairs = case
+    want = _chunk_row_table(polys, pairs)
+    assert_same_arrays(polyline.pair_crossings(polys, pairs), want)
+    boxes = [polyline.chunk_boxes(q) for q in polys]
+    assert_same_arrays(polyline.pair_crossings(polys, pairs, boxes), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunked_pairs())
+@example(_order_example())
+def test_crossings_match_the_chunk_row_crossings(pair):
+    pa, pb = pair
+    assert_same_arrays(polyline.crossings(pa, pb), chunk_row_crossings(pa, pb))
+    assert_same_hits(polyline.intersections(pa, pb), chunk_row_intersections(pa, pb))
+
+
+@st.composite
+def box_sets(draw):
+    """(4, n) boxes with corners on a lattice of halves, some long, some not finite."""
+    n = draw(st.integers(1, 40))
+    lo = np.array(draw(st.lists(st.tuples(half, half), min_size=n, max_size=n)))
+    side = st.sampled_from([0.0, 0.5, 1.0, 1.5, 4.0]) | st.floats(0.0, 8.0)
+    boxes = np.concatenate([lo.T, lo.T + np.array(
+        draw(st.lists(st.tuples(side, side), min_size=n, max_size=n))).T])
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        boxes[draw(st.integers(0, 3)), k] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_sets())
+@example(np.concatenate([np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]).T,
+                         np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]]).T]))
+def test_meeting_boxes_match_the_pair_table(boxes):
+    """Each pair of finite boxes that meet, once, with c1 <= c2."""
+    c1, c2 = polyline.meeting_boxes(boxes)
+    got = list(zip(c1.tolist(), c2.tolist()))
+    finite = np.isfinite(boxes).all(axis=0)
+    table = polyline.boxes_meet(boxes[:, :, None], boxes[:, None, :])
+    want = {(a, b) for a, b in zip(*np.nonzero(table)) if a <= b and finite[a] and finite[b]}
+    assert len(got) == len(set(got))
+    assert set(got) == want
+
+
+def test_boxes_that_touch_on_a_cell_edge_meet_once():
+    """Unit squares on the integer lattice: the cell side is 1, so every two
+    neighbours touch exactly on a cell edge, and each pair is found once."""
+    lo = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [3.0, 3.0]]).T
+    boxes = np.concatenate([lo, lo + 1.0])
+    cl, ch = polyline.grid_cells(boxes)
+    assert ch[0, 0] == cl[0, 1] == 1 and ch[1, 0] == cl[1, 2] == 1
+    c1, c2 = polyline.meeting_boxes(boxes)
+    touching = [(a, b) for a in range(4) for b in range(a, 4)] + [(4, 4)]
+    assert sorted(zip(c1.tolist(), c2.tolist())) == touching
+
+
+def test_a_ray_across_a_dense_polyline_adds_linear_grid_entries(monkeypatch):
+    """The ray_crossings shape: a 2-point segment across the whole domain
+    against a wavy circle of 20,001 points.  The hits are the chunk-row
+    ones.  At the median chunk side the ray's box alone would cover about
+    57,000 cells; the grid's cell entries stay within 4 per box."""
+    theta = np.linspace(0.0, 2 * math.pi, 20_001)
+    dense = 0.5 + (0.4 + 0.02 * np.sin(50 * theta))[:, None] * np.column_stack(
+        [np.cos(theta), np.sin(theta)])
+    ray = np.array([[-0.1, -0.05], [1.1, 1.05]])
+    entries = []
+    grid_cells = polyline.grid_cells
+
+    def recorded(boxes):
+        lo, hi = grid_cells(boxes)
+        entries.append(((hi - lo + 1).prod(axis=0), boxes.shape[1]))
+        return lo, hi
+
+    monkeypatch.setattr(polyline, "grid_cells", recorded)
+    for pa, pb in ((ray, dense), (dense, ray)):
+        got = polyline.crossings(pa, pb)
+        assert len(got[0]) == 2
+        assert_same_arrays(got, chunk_row_crossings(pa, pb))
+    assert len(entries) == 2
+    for cells, n in entries:
+        assert n == 1 + -(-20_000 // CHUNK)
+        assert cells.max() > 50                        # the ray's box
+        assert cells.sum() <= 4 * n
 
 
 # ---- projection ------------------------------------------------------------------

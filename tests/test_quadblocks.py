@@ -1,16 +1,20 @@
-"""The topological split against the coordinate merge it replaced, and the
-failure paths of the quad mesh checks."""
+"""The topological split against the coordinate merge it replaced, the
+one-eval patch derivatives and the one-shoelace orientation check against
+their loops, and the failure paths of the quad mesh checks."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quadfield import polyline
 from quadfield.cli import main
 from quadfield.errors import DecompositionError
 from quadfield.geometry import fixture_path
-from quadfield.quadblocks import (QuadMesh, blocks_from_json, child_quality,
-                                  isoparametric_split, split_fractions)
+from quadfield.quadblocks import (DIFF_STEP, QuadBlock, QuadMesh, blocks_from_json,
+                                  child_quality, isoparametric_split, split_fractions)
 
 RUNS = {"half_disc": ["--order", "3", "--target-h", "0.35"],
         "nautilus": ["--order", "3", "--target-h", "0.5"],
@@ -117,6 +121,96 @@ def test_topological_split_matches_the_coordinate_merge(fixture_blocks, name, n)
     assert np.array_equal(got.block_of, want.block_of)
     assert got.child_ij == want.child_ij
     assert child_quality(blocks, got) == _rescan_child_quality(blocks, want)
+
+
+# ---- reference: four evals per stencil, one shoelace per quad --------------------
+
+
+def four_eval_derivatives(self, s, t):
+    """Central differences (Q_s, Q_t), each (n, 2), at parameter arrays s, t."""
+    qs = (self.eval(s + DIFF_STEP, t) - self.eval(s - DIFF_STEP, t)) / (2 * DIFF_STEP)
+    qt = (self.eval(s, t + DIFF_STEP) - self.eval(s, t - DIFF_STEP)) / (2 * DIFF_STEP)
+    return qs, qt
+
+
+def one_signed_area(poly):
+    """Shoelace area of the closed polygon through the points; > 0 if counterclockwise."""
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def loop_check_orientation(self):
+    for qi, q in enumerate(self.quads):
+        if one_signed_area(self.nodes[q]) <= 0:
+            raise DecompositionError(f"quad {qi} is not counterclockwise")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(1, 30), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_stacked_shoelace_gives_each_polygon_its_bytes(n, k, seed, scale):
+    polys = np.random.default_rng(seed).normal(scale=scale, size=(k, n, 2))
+    got = polyline.signed_area(polys)
+    assert got.shape == (k,)
+    assert got.tobytes() == np.array([one_signed_area(q) for q in polys]).tobytes()
+    assert np.float64(polyline.signed_area(polys[0])).tobytes() == got[:1].tobytes()
+
+
+def _jacobian_bytes(blocks, svals=None, tvals=None):
+    return [b.scaled_jacobians(svals, tvals).tobytes() for b in blocks]
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_one_eval_derivatives_give_the_four_eval_bytes(fixture_blocks, name):
+    """scaled_jacobians on every block, on the default grid, on the sample
+    points of a 3 x 3 split and at the parameter square's corners (the
+    clamped centres), and area."""
+    blocks = fixture_blocks[name]
+    grids = [(None, None), ((np.arange(30) + 0.5) / 30, (np.arange(10) + 0.5) / 10),
+             (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]))]
+    got = [_jacobian_bytes(blocks, *g) for g in grids] + [[b.area() for b in blocks]]
+    with mock.patch.object(QuadBlock, "_derivatives", four_eval_derivatives):
+        want = [_jacobian_bytes(blocks, *g) for g in grids] + [[b.area() for b in blocks]]
+    assert got == want
+
+
+def _orientation_error(check, mesh):
+    try:
+        check(mesh)
+    except DecompositionError as ex:
+        return str(ex)
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]),
+       st.floats(0.0, 0.5))
+def test_one_shoelace_refuses_the_quad_of_the_loop(nq, seed, scale, flip):
+    """Random quads, some reversed, some collapsed to a segment or a point:
+    the same first quad is refused with the same message, or none."""
+    rng = np.random.default_rng(seed)
+    centre = rng.normal(scale=scale, size=(nq, 1, 2))
+    angle = np.sort(rng.uniform(0.0, 2 * np.pi, size=(nq, 4)), axis=1)
+    nodes = (centre + scale * np.stack([np.cos(angle), np.sin(angle)], axis=-1)).reshape(-1, 2)
+    quads = np.arange(4 * nq).reshape(nq, 4)
+    reverse = rng.random(nq) < flip
+    quads[reverse] = quads[reverse, ::-1]
+    collapsed = rng.random(nq) < flip / 4
+    quads[collapsed, 2:] = quads[collapsed, :2]
+    mesh = _quad_mesh(nodes, quads)
+    assert (_orientation_error(QuadMesh.check_orientation, mesh)
+            == _orientation_error(loop_check_orientation, mesh))
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_one_shoelace_passes_every_fixture_split(fixture_blocks, name):
+    for n in (1, 2, 5):
+        mesh = isoparametric_split(fixture_blocks[name], n)
+        assert _orientation_error(QuadMesh.check_orientation, mesh) is None
+        mesh.nodes[mesh.quads[-1, 1]] = mesh.nodes[mesh.quads[-1, 0]]     # collapse a side
+        mesh.nodes[mesh.quads[-1, 2]] = mesh.nodes[mesh.quads[-1, 0]]
+        error = _orientation_error(QuadMesh.check_orientation, mesh)
+        assert error is not None and error == _orientation_error(loop_check_orientation, mesh)
 
 
 # ---- the quad mesh checks --------------------------------------------------------

@@ -15,7 +15,10 @@
 # exit code; the only fixture with a naca4 segment), naca_IV once more at
 # --order 3 --target-h 0.5 --split 2 (which exits 6 after an 11,256-round
 # trace, the longest in the repo, so changes to point location show there
-# first), half_disc once more with no flags (the default spacing, from
+# first), naca_IV at --target-h 0.35 --penalty 100 (which exits 6 at the
+# cut after a trace of about 9 s; the only run that resolves crossings on
+# polylines of about 10^5 points: 31 records, 5 crossings), half_disc
+# once more with no flags (the default spacing, from
 # the bounding box), and nautilus at --order 4 --target-h 0.06 --split 2, a
 # full run on about 5,000 elements.  nautilus (with --formats svg,vtk,msh)
 # and holed_nautilus (with --formats svg,vtk) run once more, so the SVG, VTK
@@ -79,6 +82,7 @@ geometry_I geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
 holed_nautilus holed_nautilus --target-h 0.35
 naca_IV naca_IV --target-h 0.35
 naca_IV_long_trace naca_IV --order 3 --target-h 0.5 --split 2
+naca_IV_crossings naca_IV --target-h 0.35 --penalty 100
 half_disc_default_h half_disc
 nautilus_fine_run nautilus --order 4 --target-h 0.06 --split 2
 nautilus_formats nautilus --order 3 --target-h 0.5 --split 2 --formats svg,vtk,msh
