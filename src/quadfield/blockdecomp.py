@@ -46,8 +46,10 @@ class EdgeRec:
 
     @functools.cached_property
     def box(self):
-        """polyline.bbox of the polyline: records whose boxes do not meet never cross."""
-        return polyline.bbox(self.polyline)
+        """(xmin, ymin, xmax, ymax) of the polyline grown by BBOX_PAD, the range of
+        its chunk boxes: records whose boxes do not meet never cross."""
+        cb = self.chunk_boxes
+        return (*cb[:2].min(axis=1).tolist(), *cb[2:].max(axis=1).tolist())
 
     @functools.cached_property
     def chunk_boxes(self):
@@ -210,11 +212,11 @@ def _split_first_crossing(vertices, records, live, hits, name):
             "invalid separatrix graph: separatrices cross tangentially "
             f"({math.degrees(acute):.1f} deg) away from anchors")
     key = ("cross", name)
-    vertices[key] = VertexRec(key, np.asarray(x, dtype=float), "cross")
     del live[a], live[b]
     for ab in [ab for ab in hits if a in ab or b in ab]:
         del hits[ab]
-    return _split_record(records, a, x, key) + _split_record(records, b, x, key)
+    return (_split_record(records, vertices, a, x, key, "cross")
+            + _split_record(records, vertices, b, x, key, "cross"))
 
 
 def _crossing_hits(pairs):
@@ -236,8 +238,10 @@ def _crossing_hits(pairs):
             for s, e in zip(starts, starts[1:] + [len(p)])}
 
 
-def _split_record(records, rec, point, key):
-    """Replace rec in records by its two halves, joined at vertex key; return the halves."""
+def _split_record(records, vertices, rec, point, key, kind):
+    """Add vertex key of kind at point and replace rec in records by its two
+    halves, joined there; return the halves."""
+    vertices[key] = VertexRec(key, np.asarray(point, dtype=float), kind)
     first, second = polyline.split_at(rec.polyline, point)
     records.remove(rec)
     halves = [EdgeRec(rec.v0, key, first, rec.kind), EdgeRec(key, rec.v1, second, rec.kind)]
@@ -484,6 +488,28 @@ def _angdist(a, b):
     return abs(math.remainder(a - b, 2.0 * math.pi))
 
 
+def _first_exit(tail, sides, tol):
+    """(arclength, point, k) of the tail's first exit, through sides[k].
+
+    The exits are the tail's crossings of each side in turn, row-major, from
+    one pair_crossings call.  While none is found, a tail that ends on a
+    side (nearer than tol) instead of crossing it exits at its end.  The
+    exit nearest along the tail wins, the first of them on ties.
+    """
+    p, i, _, t, _ = polyline.pair_crossings([tail] + sides,
+                                            [(0, k + 1) for k in range(len(sides))])
+    s_along, xs = polyline.points_along(tail, i, t)
+    tail_len = float(np.sum(polyline.seglen(tail)))
+    exits = []
+    for k, spoly in enumerate(sides):
+        exits += [(s_along[h], xs[h], k) for h in np.flatnonzero(p == k)]
+        if not exits and polyline.nearest_segment(spoly, tail[-1])[1] < tol:
+            exits.append((tail_len, tail[-1], k))
+    if not exits:
+        raise DecompositionError("midpoint streamline never leaves its face")
+    return min(exits, key=lambda ex: ex[0])
+
+
 class MidpointDivider:
     """Rewrites the record set to replace one degenerate triangle by 3 quads."""
 
@@ -534,22 +560,9 @@ class MidpointDivider:
         adj_in = next(s for s in sides if sub._he_vertices(s[1][-1])[1] == qkey)
         others = [s for s in sides if s is not adj_out and s is not adj_in]
 
-        # first exit of the tail through the rest of the face boundary
-        exits = []
-        tail_len = float(np.sum(polyline.seglen(tail)))
-        for _, hes in others:
-            spoly = sub.side_polyline(hes)
-            for s_along, x in polyline.intersections(tail, spoly):
-                exits.append((s_along, x, hes))
-            if not exits:
-                # a boundary-terminated tail ends ON a side instead of crossing it
-                _, d = polyline.nearest_segment(spoly, tail[-1])
-                if d < 1e-6 * (1.0 + self.probe.mesh.bbox_diag):
-                    exits.append((tail_len, tail[-1], hes))
-        if not exits:
-            raise DecompositionError("midpoint streamline never leaves its face")
-        exits.sort(key=lambda ex: ex[0])
-        exit_len, exit_pt, exit_hes = exits[0]
+        exit_len, exit_pt, k = _first_exit(tail, [sub.side_polyline(hes) for _, hes in others],
+                                           1e-6 * (1.0 + self.probe.mesh.bbox_diag))
+        exit_hes = others[k][1]
 
         # In a triangle, q sits between its two adjacent sides: the node joins
         # their midpoints and the tail runs on to the exit.  Between two
@@ -566,18 +579,16 @@ class MidpointDivider:
         records = list(sub.records)
         vertices = dict(sub.vertices)
 
-        def split_record(hes_side, at_point, new_vkey, kind):
+        def split_side(hes, point, key, kind):
             """Split the (single) record under a side at a point on it."""
-            if len(hes_side) != 1:
+            if len(hes) != 1:
                 raise DecompositionError("block side spans multiple edges")
-            vertices[new_vkey] = VertexRec(new_vkey, np.asarray(at_point, dtype=float),
-                                           kind)
-            _split_record(records, sub.records[hes_side[0] // 2], at_point, new_vkey)
+            _split_record(records, vertices, sub.records[hes[0] // 2], point, key, kind)
 
         vertices[node_key] = VertexRec(node_key, node_pos, "artificial")
         mid_keys = [("cross", f"m{k}-{node_key[1]}") for k in (1, 2)]
         for (_, hes), m, mk in zip(joined, mids, mid_keys):
-            split_record(hes, m, mk, "boundary")
+            split_side(hes, m, mk, "boundary")
         if far:
             head = tail[:ni + 1][::-1].copy()
             head[-1] = q
@@ -587,10 +598,13 @@ class MidpointDivider:
             # edge it continues through the next faces
             ek = ("cross", f"x-{node_key[1]}")
             on_boundary = sub.records[exit_hes[0] // 2].kind == "boundary"
-            split_record(exit_hes, exit_pt, ek, "boundary" if on_boundary else "cross")
-            records.append(EdgeRec(node_key, ek, _cut_tail(tail, ni, exit_pt), "tail"))
+            split_side(exit_hes, exit_pt, ek, "boundary" if on_boundary else "cross")
+            upto, rest = polyline.split_at(tail, exit_pt)
+            cut = upto[ni:]
+            if len(cut) < 2:
+                cut = np.vstack([tail[ni], exit_pt])
+            records.append(EdgeRec(node_key, ek, cut, "tail"))
             if not on_boundary:
-                _, rest = polyline.split_at(tail, exit_pt)
                 self._propagate(records, vertices, rest, ek, hit, node_key)
         for m, mk in zip(mids, mid_keys):
             records.append(EdgeRec(node_key, mk, np.vstack([node_pos, m]), "branch"))
@@ -608,15 +622,10 @@ class MidpointDivider:
             guard += 1
             if guard > 50:
                 raise DecompositionError("midpoint tail crossed too many edges")
-            hits = []
-            box = polyline.bbox(current)
-            for rec in list(records):
-                if rec.kind == "branch" or rec.v0 == start_key or rec.v1 == start_key \
-                        or not polyline.boxes_meet(box, rec.box):
-                    continue
-                for s_along, x in polyline.intersections(current, rec.polyline):
-                    hits.append((s_along, x, rec))
-            if not hits:
+            piece = EdgeRec(start_key, None, current, "tail")
+            found = _crossing_hits((piece, rec) for rec in records if rec.kind != "branch"
+                                   and start_key not in (rec.v0, rec.v1))
+            if not found:
                 if hit.kind == "critical":
                     endk = ("critical", hit.ident)
                 else:
@@ -627,23 +636,16 @@ class MidpointDivider:
                 poly[-1] = vertices[endk].position if endk in vertices else hit.position
                 records.append(EdgeRec(start_key, endk, poly, "tail"))
                 return
-            hits.sort(key=lambda hx: hx[0])
-            s_along, x, rec = hits[0]
+            # the crossing nearest along the tail, the first in record order on ties
+            _, x, rec = min(((s, x, rec) for (_, rec), (i, t) in found.items()
+                             for s, x in zip(*polyline.points_along(current, i, t))),
+                            key=lambda hx: hx[0])
             xk = ("cross", f"x{guard}-{node_key[1]}")
-            vertices[xk] = VertexRec(xk, np.asarray(x), "cross")
-            _split_record(records, rec, x, xk)
+            _split_record(records, vertices, rec, x, xk, "cross")
             upto, beyond = polyline.split_at(current, x)
             records.append(EdgeRec(start_key, xk, upto, "tail"))
             current = beyond
             start_key = xk
-
-
-def _cut_tail(tail, ni, exit_pt):
-    upto, _ = polyline.split_at(tail, exit_pt)
-    cut = upto[ni:]
-    if len(cut) < 2:
-        cut = np.vstack([tail[ni], exit_pt])
-    return cut
 
 
 def decompose(domain, probe, corner_nodes, separatrices, h, critical_points=()):

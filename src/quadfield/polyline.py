@@ -5,17 +5,18 @@ Each function evaluates all segments in one numpy pass, and every value is
 bit-identical to the scalar per-segment formula that tests/test_polyline.py
 keeps as the reference.
 
-Crossings keep a box contract.  A box is the coordinate range of a segment
-or a polyline, grown by BBOX_PAD on each side (bbox), and two segments are
-tested only if their boxes meet (boxes_meet).  A proper crossing lies in
-both boxes, so the contract drops only the false hits that rounding makes
-between near-parallel segments far apart.  pair_crossings tests many
-polyline pairs in one pass, with a broad phase (Ericson, Real-Time Collision
-Detection, 2004, ch. 7) on three levels, without the full (n - 1) x (m - 1)
-pair table:
+Crossings keep a box contract.  A box (xmin, ymin, xmax, ymax) is the
+coordinate range of a segment or a polyline, grown by BBOX_PAD on each side,
+and two segments are tested only if their boxes meet (boxes_meet).  A
+proper crossing lies in both boxes, so the contract drops only the false
+hits that rounding makes between near-parallel segments far apart.
+pair_crossings tests many polyline pairs in one pass, with a broad phase
+(Ericson, Real-Time Collision Detection, 2004, ch. 7) on three levels,
+without the full (n - 1) x (m - 1) pair table:
 
-- records: a caller that keeps a polyline's bbox (blockdecomp.EdgeRec.box)
-  skips a pair of polylines whose boxes do not meet, with no numpy call;
+- records: a caller that keeps a polyline's box, the range of its chunk
+  boxes (blockdecomp.EdgeRec.box), skips a pair of polylines whose boxes do
+  not meet;
 - chunks: every polyline is cut into chunks of CHUNK segments, and a
   uniform grid over the chunk boxes of all polylines of a call finds the
   chunk pairs whose boxes meet, each once (meeting_boxes);
@@ -68,15 +69,8 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def bbox(poly):
-    """(xmin, ymin, xmax, ymax) of poly's points, grown by BBOX_PAD on each side."""
-    lo = poly.min(axis=0) - BBOX_PAD
-    hi = poly.max(axis=0) + BBOX_PAD
-    return (*lo.tolist(), *hi.tolist())
-
-
 def boxes_meet(a, b):
-    """Whether two boxes as bbox gives them overlap; touching counts.
+    """Whether two boxes (xmin, ymin, xmax, ymax) overlap; touching counts.
 
     a and b may also be arrays of boxes along their first axis, which
     broadcast against each other.
@@ -234,8 +228,8 @@ def crossings(pa, pb):
 
     Segment i of pa, at fraction t along it, crosses segment j of pb at
     fraction u along that one.  Pairs come in row-major order: i along pa,
-    then j along pb.  Only segment pairs whose boxes (see bbox) meet are tested;
-    a proper crossing lies in both boxes, so this drops only the false hits
+    then j along pb.  Only segment pairs whose boxes meet are tested; a
+    proper crossing lies in both boxes, so this drops only the false hits
     that rounding makes between near-parallel segments far apart.
     """
     _, i, j, t, u = pair_crossings([pa, pb], [(0, 1)])
@@ -246,17 +240,6 @@ def points_along(pa, i, t):
     """(arclength along pa, point) arrays of the points at fraction t along segments i."""
     x = pa[i] + t[:, None] * (pa[i + 1] - pa[i])
     return cumlen(pa)[i] + np.hypot(*(x - pa[i]).T), x
-
-
-def intersections(pa, pb):
-    """Proper crossings of two polylines as a list of (arclength along pa, point).
-
-    Segment pairs come in row-major order: i along pa, then j along pb.
-    """
-    i, _, t, _ = crossings(pa, pb)
-    if not len(i):
-        return []
-    return list(zip(*points_along(pa, i, t)))
 
 
 def nearest_segment(poly, point):

@@ -58,13 +58,14 @@ class CornerNode:
 def interior_roots(solution):
     """A CriticalPoint for each element whose Newton root lies inside it, in id order."""
     mesh = solution.mesh
-    xis, _ = mesh.ref.invert_maps(solution.coeffs, np.zeros(2), NEWTON_TOL,
-                                  NEWTON_MAX_ITER, NEWTON_SLACK)
+    xis, rows = mesh.ref.invert_maps(solution.coeffs, np.zeros(2), NEWTON_TOL,
+                                     NEWTON_MAX_ITER, NEWTON_SLACK)
     roots = []
-    for e, xi in enumerate(xis):
+    for e, (xi, row) in enumerate(zip(xis, rows)):
         if xi is not None:
-            val = solution.eval(e, xi)[0]
-            roots.append(CriticalPoint(position=mesh.map_to_physical(e, xi)[0], elem=e,
+            # the root's basis row from Newton's last step: bitwise basis_at(xi)[0]
+            val = (row[None] @ solution.coeffs[e])[0]
+            roots.append(CriticalPoint(position=(row[None] @ mesh.geom[e])[0], elem=e,
                                        xi=xi, vmag=math.hypot(val[0], val[1])))
     return roots
 

@@ -119,20 +119,13 @@ class FieldSolution:
         xi = np.atleast_2d(np.asarray(xi, dtype=float))
         return self.mesh.ref.basis_at(xi) @ self.coeffs[e]
 
-    def quad_values(self, e):
-        return self.mesh.ref.basis_q @ self.coeffs[e]
-
     def value_range(self, exclude=()):
-        lo = np.inf
-        hi = -np.inf
-        skip = set(exclude)
-        for e in range(self.mesh.n_elements()):
-            if e in skip:
-                continue
-            vals = self.quad_values(e)
-            lo = min(lo, float(vals.min()))
-            hi = max(hi, float(vals.max()))
-        return lo, hi
+        """(min, max) of the quadrature values of the elements not in exclude, from
+        one product; an element with a NaN value is skipped.  (inf, -inf) if none is left."""
+        kept = np.setdiff1d(np.arange(self.mesh.n_elements()), list(exclude))
+        vals = self.mesh.ref.basis_q @ self.coeffs[kept]
+        vals = vals[~np.isnan(vals).any(axis=(1, 2))]
+        return float(vals.min(initial=np.inf)), float(vals.max(initial=-np.inf))
 
     def check_max_principle(self, exclude=()):
         """Quadrature values must stay within the boundary-data bounds [-1, 1].

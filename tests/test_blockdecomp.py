@@ -23,6 +23,7 @@ from quadfield.singular import CornerNode
 from quadfield.tracer import Anchor, Separatrix
 
 from conftest import square_domain
+from test_polyline import reference_bbox
 
 
 def _record_signature(records):
@@ -199,7 +200,7 @@ def _recorded_pair_calls(monkeypatch):
 
     def recorded(polys, pairs, boxes=None):
         calls.append([(polys[a].tobytes(), polys[b].tobytes(),
-                       polyline.boxes_meet(polyline.bbox(polys[a]), polyline.bbox(polys[b])))
+                       polyline.boxes_meet(reference_bbox(polys[a]), reference_bbox(polys[b])))
                       for a, b in pairs])
         return pair_crossings(polys, pairs, boxes)
 
@@ -237,11 +238,31 @@ def test_crossing_on_second_of_two_parallel_edges():
 def test_edge_record_is_frozen_and_its_polyline_read_only():
     poly = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]])
     rec = EdgeRec(("critical", 0), ("critical", 1), poly, "separatrix")
-    assert rec.box == polyline.bbox(poly)
+    assert rec.box == reference_bbox(poly)
     with pytest.raises(ValueError):
         rec.polyline[1, 0] = 5.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.polyline = poly.copy()
+
+
+@st.composite
+def box_polylines(draw):
+    """2 to 200 points (1 to 7 chunks), some repeated, with -0.0 and 0.0 among
+    the coordinates."""
+    coord = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e3, 1e3)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=100)))
+    pts = np.repeat(pts, draw(st.lists(st.integers(1, 2), min_size=len(pts),
+                                       max_size=len(pts))), axis=0)
+    return pts if len(pts) > 1 else np.repeat(pts, 2, axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_polylines())
+def test_edge_record_box_is_the_range_of_its_chunk_boxes(poly):
+    rec = EdgeRec(("critical", 0), ("critical", 1), poly, "separatrix")
+    assert 1 <= rec.chunk_boxes.shape[1] <= 7
+    assert rec.box == reference_bbox(poly)
+    assert np.array(rec.box).tobytes() == np.array(reference_bbox(poly)).tobytes()
 
 
 def test_nautilus_cut_batches_each_meeting_record_pair_once(tmp_path, monkeypatch):

@@ -171,6 +171,29 @@ def test_interior_roots_match_newton_loop_on_half_disc(half_disc_solution):
     assert len(got) >= 2
 
 
+# (fixture, spacing, order): the interior roots of each
+ROOT_RUNS = {("half_disc", 0.35, 3): 2, ("polygon_III", 0.35, 3): 1,
+             ("geometry_I", 0.35, 3): 2, ("nautilus", 0.5, 3): 4, ("nautilus", 0.12, 4): 4,
+             ("polygon_III", 0.12, 4): 1, ("geometry_I", 0.12, 6): 2}
+
+
+@pytest.mark.parametrize("run", sorted(ROOT_RUNS), ids=lambda r: f"{r[0]}-{r[1]}-P{r[2]}")
+def test_fixture_roots_match_the_eval_and_map_forms(run):
+    """Each root's vmag and position, read from Newton's basis row, are bitwise
+    those of solution.eval and mesh.map_to_physical at its xi."""
+    name, h, order = run
+    domain = load_fixture(name)
+    mesh = elevate_and_curve(generate_background_mesh(domain, h), order, domain)
+    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
+    roots = interior_roots(sol)
+    assert len(roots) == ROOT_RUNS[run]
+    for cp in roots:
+        val = sol.eval(cp.elem, cp.xi)[0]
+        assert np.float64(cp.vmag).tobytes() == \
+            np.float64(math.hypot(val[0], val[1])).tobytes()
+        assert cp.position.tobytes() == mesh.map_to_physical(cp.elem, cp.xi)[0].tobytes()
+
+
 def test_newton_locate_linear_field(square_mesh_p3):
     sol = synthetic_solution(square_mesh_p3, lambda x, y: (x - 0.47, y - 0.53))
     probe = FieldProbe(sol)

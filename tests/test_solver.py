@@ -205,7 +205,7 @@ def test_constant_bc_reproduced(scheme, unit_square, square_mesh_p3):
     bc = FunctionBC(square_mesh_p3, [lambda x, y: np.full_like(x, 0.7)])
     sol = solve_laplace(square_mesh_p3, bc, DiscretizationChoice(scheme))
     for e in range(square_mesh_p3.n_elements()):
-        assert np.abs(sol.quad_values(e) - 0.7).max() < 1e-10
+        assert np.abs(sol.mesh.ref.basis_q @ sol.coeffs[e] - 0.7).max() < 1e-10
 
 
 @pytest.mark.parametrize("scheme", ["cg", "dg"])
@@ -276,6 +276,44 @@ def test_max_principle_half_disc(half_disc_solution):
     half_disc_solution.check_max_principle()
     lo, hi = half_disc_solution.value_range()
     assert lo >= -1 - 1e-6 and hi <= 1 + 1e-6
+
+
+def reference_value_range(solution, exclude=()):
+    """value_range as the per-element loop that the one product replaced."""
+    lo = np.inf
+    hi = -np.inf
+    skip = set(exclude)
+    for e in range(solution.mesh.n_elements()):
+        if e in skip:
+            continue
+        vals = solution.mesh.ref.basis_q @ solution.coeffs[e]
+        lo = min(lo, float(vals.min()))
+        hi = max(hi, float(vals.max()))
+    return lo, hi
+
+
+@pytest.mark.parametrize("fixture", ["half_disc", "polygon_III"])
+def test_value_range_matches_the_element_loop(fixture, half_disc_solution,
+                                              polygon_iii_pipeline):
+    """The one product gives each element's quadrature values bitwise, and
+    value_range the loop's bounds: over every element, without the corner
+    rings, with ids out of range, with none left, and with NaN values."""
+    sol = half_disc_solution if fixture == "half_disc" else polygon_iii_pipeline[1]
+    mesh = sol.mesh
+    ne = mesh.n_elements()
+    vals = mesh.ref.basis_q @ sol.coeffs
+    for e in range(ne):
+        assert vals[e].tobytes() == (mesh.ref.basis_q @ sol.coeffs[e]).tobytes()
+    nan = solver.FieldSolution(mesh, sol.coeffs.copy(), sol.choice)
+    nan.coeffs[::7, 0, 0] = np.nan
+    corners = corner_elements(mesh, load_fixture(fixture))
+    for s in (sol, nan):
+        for exclude in ((), corners, range(ne), [0, 3, ne, -1, ne + 5],
+                        np.arange(1, ne, 2)):
+            got = s.value_range(exclude=exclude)
+            want = reference_value_range(s, exclude=exclude)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), exclude
+    assert sol.value_range(exclude=range(ne)) == (np.inf, -np.inf)
 
 
 def test_singular_system_rejected(half_disc, half_disc_mesh):

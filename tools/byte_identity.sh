@@ -9,7 +9,9 @@
 # --split 2 a side's one inner node is the same counted from either end, so
 # a side numbered from the wrong end shows only at larger splits),
 # polygon_III and geometry_I
-# (--order 3 --target-h 0.35 --split 2 --formats msh), holed_nautilus
+# (--order 3 --target-h 0.35 --split 2 --formats msh), polygon_III once more
+# at --order 3 --target-h 0.2 --split 2 (a second mesh whose midpoint-division
+# tail crosses records past its exit), holed_nautilus
 # (--target-h 0.35, which ends with a tracing/decomposition exit code),
 # naca_IV (--target-h 0.35, which writes mesh.json and ends with a solver
 # exit code; the only fixture with a naca4 segment), naca_IV once more at
@@ -78,6 +80,7 @@ half_disc half_disc --order 3 --target-h 0.35 --split 4 --formats svg,vtk
 nautilus nautilus --order 3 --target-h 0.5 --split 2
 nautilus_split3 nautilus --order 3 --target-h 0.5 --split 3
 polygon_III polygon_III --order 3 --target-h 0.35 --split 2 --formats msh
+polygon_III_h02 polygon_III --order 3 --target-h 0.2 --split 2
 geometry_I geometry_I --order 3 --target-h 0.35 --split 2 --formats msh
 holed_nautilus holed_nautilus --target-h 0.35
 naca_IV naca_IV --target-h 0.35
