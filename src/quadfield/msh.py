@@ -107,36 +107,47 @@ def read_msh(path):
         raise MeshError(f"{path}: unsupported MSH version {version}")
 
     def section(name):
-        start = tokens.index(f"${name}")
-        end = tokens.index(f"$End{name}")
-        return tokens[start + 1:end]
+        if f"${name}" not in tokens or f"$End{name}" not in tokens:
+            raise MeshError(f"{path}: no ${name} section")
+        return tokens[tokens.index(f"${name}") + 1:tokens.index(f"$End{name}")]
 
-    node_lines = section("Nodes")
-    n_nodes = int(node_lines[0])
-    coords = np.zeros((n_nodes, 2))
-    ids = {}
-    for row in node_lines[1:n_nodes + 1]:
-        parts = row.split()
-        ids[int(parts[0])] = len(ids)
-        coords[ids[int(parts[0])]] = [float(parts[1]), float(parts[2])]
+    try:
+        node_lines = section("Nodes")
+        n_nodes = int(node_lines[0])
+        coords = np.zeros((n_nodes, 2))
+        ids = {}
+        for row in node_lines[1:n_nodes + 1]:
+            parts = row.split()
+            ids[int(parts[0])] = len(ids)
+            coords[ids[int(parts[0])]] = [float(parts[1]), float(parts[2])]
+        if len(ids) != n_nodes:
+            raise MeshError(f"{path}: $Nodes declares {n_nodes} nodes but lists "
+                            f"{len(ids)} distinct ids")
 
-    elem_lines = section("Elements")
-    n_elem = int(elem_lines[0])
-    tris = []
-    blines = []
-    for row in elem_lines[1:n_elem + 1]:
-        parts = [int(p) for p in row.split()]
-        etype = parts[1]
-        ntags = parts[2]
-        nodes = parts[3 + ntags:]
-        if etype == GMSH_TRI:
-            tris.append([ids[n] for n in nodes])
-        elif etype == GMSH_LINE:
-            tag = parts[3] if ntags else 0
-            blines.append(([ids[n] for n in nodes], tag))
-        else:
-            raise MeshError(f"{path}: unsupported element type {etype}; "
-                            "only 3-node triangles and 2-node lines accepted")
+        elem_lines = section("Elements")
+        n_elem = int(elem_lines[0])
+        tris = []
+        blines = []
+        for row in elem_lines[1:n_elem + 1]:
+            parts = [int(p) for p in row.split()]
+            etype, ntags = parts[1], parts[2]
+            if etype not in (GMSH_TRI, GMSH_LINE):
+                raise MeshError(f"{path}: unsupported element type {etype}; "
+                                "only 3-node triangles and 2-node lines accepted")
+            nodes = [ids[n] for n in parts[3 + ntags:]]
+            want = 3 if etype == GMSH_TRI else 2
+            if len(nodes) != want:
+                raise MeshError(f"{path}: element {parts[0]} (type {etype}) has node "
+                                f"count {len(nodes)}, not {want}")
+            if etype == GMSH_TRI:
+                tris.append(nodes)
+            else:
+                blines.append((nodes, parts[3] if ntags else 0))
+    except KeyError as ex:
+        raise MeshError(f"{path}: an element names node {ex}, which $Nodes does not "
+                        "list") from None
+    except (ValueError, IndexError) as ex:
+        raise MeshError(f"{path}: malformed MSH file ({ex})") from None
     if not tris:
         raise MeshError(f"{path}: no triangles found")
     return coords, np.array(tris, dtype=int), blines

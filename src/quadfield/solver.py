@@ -132,8 +132,13 @@ class FieldSolution:
 
         exclude: element ids to skip.  Elements pinned to a discontinuous
         corner carry a persistent Galerkin overshoot of the jump data, so the
-        guided-field pipeline exempts that one ring.
+        guided-field pipeline exempts that one ring, but not from holding
+        finite coefficients, which value_range would skip.
         """
+        bad = np.count_nonzero(~np.isfinite(self.coeffs).all(axis=(1, 2)))
+        if bad:
+            raise SolverError(f"field coefficients are NaN or infinite in {bad} of "
+                              f"{self.mesh.n_elements()} elements")
         lo, hi = self.value_range(exclude=exclude)
         if lo < -1.0 - MAX_PRINCIPLE_SLACK or hi > 1.0 + MAX_PRINCIPLE_SLACK:
             raise SolverError(

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .delaunay import carve, laplacian_smooth, triangulate_pslg
 from .errors import ConfigError, MeshError
 from .geometry import finite, in_region, typed
+from .polyline import meeting_boxes
 from .reftri import map_jacobians, n_nodes, ref_triangle
 
 
@@ -50,9 +50,7 @@ class TriMesh:
         self.boundary_faces = list(boundary_faces)
         self.domain = domain
         self._build_edges()
-        lo = self.vertices.min(axis=0)
-        hi = self.vertices.max(axis=0)
-        self.bbox_diag = float(np.hypot(*(hi - lo)))
+        self.bbox_diag = float(np.hypot(*np.ptp(self.vertices, axis=0)))
 
     # ---- connectivity ------------------------------------------------------
 
@@ -129,11 +127,8 @@ class TriMesh:
         """Ids of the elements with a Jacobian determinant <= 0 at a quadrature point."""
         return np.flatnonzero(self.det_jacobians().min(axis=1) <= 0.0).tolist()
 
-    def element_area(self, e):
-        return float(self.ref.quad_weights @ self.det_jacobians(e))
-
     def area(self):
-        return sum(self.element_area(e) for e in range(self.n_elements()))
+        return float((self.det_jacobians() @ self.ref.quad_weights).sum())
 
     def circumradius(self, e):
         a, b, c = (self.vertices[int(v)] for v in self.triangles[e])
@@ -263,17 +258,11 @@ def local_edges(triangles):
 _KIND_MIN_INTERVALS = {"line": 1, "arc": 2, "spline": 8, "naca4": 32}
 
 
-def _sample_segment_count(seg, target_h):
-    n = max(1, int(round(seg.arclength() / target_h)))
-    n = max(n, _KIND_MIN_INTERVALS.get(seg.kind, 4))
-    if seg.kind == "arc":
-        n = max(n, int(math.ceil(abs(seg.a1 - seg.a0) / 0.5)))
-    return n
-
-
 def _sample_segment_params(seg, target_h):
     """Boundary sample parameters (t values, first = 0, last < 1)."""
-    n = _sample_segment_count(seg, target_h)
+    n = max(1, int(round(seg.arclength() / target_h)), _KIND_MIN_INTERVALS.get(seg.kind, 4))
+    if seg.kind == "arc":
+        n = max(n, int(math.ceil(abs(seg.a1 - seg.a0) / 0.5)))
     svals = np.linspace(0.0, seg.arclength(), n, endpoint=False)
     tvals = np.asarray(seg.t_at_arclength(svals), dtype=float)
     tvals[0] = 0.0
@@ -365,26 +354,32 @@ def generate_background_mesh(domain, target_h):
     return mesh
 
 
+def _near_pairs(points, r):
+    """(i, j) with i < j: the pairs of points within r in x and in y, from the
+    cut's box grid; boxes grow by 1e-9 relative so rounding loses no pair at r."""
+    half = 0.5 * r * (1.0 + 1e-9)
+    i, j = meeting_boxes(np.concatenate([points.T - half, points.T + half]))
+    return i[i < j], j[i < j]
+
+
 def _check_feature_size(points, edges, target_h):
-    """Reject gaps thinner than the local boundary sampling can resolve."""
-    tree = cKDTree(points)
-    adjacency = {}
-    local_h = {}
-    for (i, j, *_rest) in edges:
-        adjacency.setdefault(i, set()).add(j)
-        adjacency.setdefault(j, set()).add(i)
-        d = float(np.hypot(*(points[i] - points[j])))
-        local_h[i] = min(local_h.get(i, math.inf), d)
-        local_h[j] = min(local_h.get(j, math.inf), d)
-    pairs = tree.query_pairs(0.35 * target_h)
-    for (i, j) in sorted(pairs):
-        if j in adjacency.get(i, ()):
-            continue
-        d = float(np.hypot(*(points[i] - points[j])))
-        if d < 0.2 * min(local_h[i], local_h[j]):
-            raise MeshError(
-                "boundary features thinner than the sampling resolves; "
-                f"retry with target_h <= {target_h / 2:.4g}")
+    """Reject gaps thinner than the local boundary sampling can resolve.
+
+    _sample_segment_params rounds arclength / target_h, so samples lie under
+    1.5 target_h apart and only pairs under 0.2 local_h < 0.3 target_h apart
+    are refused: the candidates _near_pairs adds beyond 0.35 target_h change
+    no outcome."""
+    a, b = np.array([e[:2] for e in edges]).T
+    d = np.hypot(*(points[a] - points[b]).T)
+    local_h = np.full(len(points), np.inf)
+    np.minimum.at(local_h, np.r_[a, b], np.r_[d, d])
+    i, j = _near_pairs(points, 0.35 * target_h)
+    edge = np.isin(i * len(points) + j, np.minimum(a, b) * len(points) + np.maximum(a, b))
+    thin = np.hypot(*(points[i] - points[j]).T) < 0.2 * np.minimum(local_h[i], local_h[j])
+    if (thin & ~edge).any():
+        raise MeshError(
+            "boundary features thinner than the sampling resolves; "
+            f"retry with target_h <= {target_h / 2:.4g}")
 
 
 def _interior_lattice(domain, boundary_pts, target_h, loop_polys):
@@ -400,7 +395,12 @@ def _interior_lattice(domain, boundary_pts, target_h, loop_polys):
                               np.full(cols, lo[1] + r * dy)], axis=1))
     pts = np.concatenate(rows) if rows else np.empty((0, 2))
     pts = pts[in_region(pts, loop_polys[0], loop_polys[1:])]
-    return pts[~(cKDTree(boundary_pts).query(pts)[0] <= 0.7 * target_h)]
+    both = np.concatenate([boundary_pts, pts])
+    i, j = _near_pairs(both, 0.7 * target_h)
+    sx, sy = (both[i] - both[j]).T     # sqrt(sx * sx + sy * sy) rounds as scipy's KD-tree
+    far = np.ones(len(both), dtype=bool)
+    far[j[(i < len(boundary_pts)) & (np.sqrt(sx * sx + sy * sy) <= 0.7 * target_h)]] = False
+    return pts[far[len(boundary_pts):]]
 
 
 # ---- elevation and curving ---------------------------------------------------

@@ -5,17 +5,20 @@ import functools
 import io
 import json
 import operator
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadfield import cli
+from quadfield import cli, solver
 from quadfield.cli import (OPTIONS, STAGES, Pipeline, _json_default, build_parser, main,
                            resolve_config)
-from quadfield.geometry import fixture_path
+from quadfield.geometry import fixture_path, load_domain
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
 from quadfield.singular import topology_from_json, topology_report
 from quadfield.solver import FieldSolution
@@ -211,6 +214,30 @@ def test_missing_upstream_artifact(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("elems", [[12], [5], slice(None)], ids=["outside", "ring", "all"])
+def test_nan_field_exits_3_at_the_solve(tmp_path, monkeypatch, capsys, elems):
+    """NaN coefficients outside the corner rings, inside them (which the
+    maximum principle exempts from its bound) or in every element stop the
+    run at the solve, before field.json is written."""
+    solve = solver.solve_laplace
+
+    def nan_solve(*args):
+        sol = solve(*args)
+        sol.coeffs[elems] = NAN
+        return sol
+
+    monkeypatch.setattr(solver, "solve_laplace", nan_solve)
+    out = tmp_path / "out"
+    assert run_cli(["run", HALF_DISC, "--out", out, *FAST]) == 3
+    assert "error: stage solve: field coefficients are NaN or infinite in " \
+        in capsys.readouterr().err
+    assert not (out / "field.json").exists()
+    domain = load_domain(HALF_DISC)
+    rings = solver.corner_elements(TriMesh.from_json(json.loads(
+        (out / "mesh.json").read_text())), domain)
+    assert 5 in rings and 12 not in rings
+
+
 def test_missing_config_file_is_not_an_artifact(tmp_path, capsys):
     cfg = tmp_path / "nope.json"
     assert run_cli(["run", HALF_DISC, "--out", tmp_path / "x", "--config", cfg]) == 2
@@ -336,6 +363,16 @@ def test_extra_formats(tmp_path):
     for extra in ("trimesh.msh", "trimesh.vtk", "fields.vtk",
                   "streamlines.svg", "blocks.svg", "quadmesh.vtk"):
         assert (out / extra).exists()
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    """The pipeline finds nearby points on its own box grid: importing the
+    CLI in a fresh interpreter loads no scipy.spatial."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import quadfield.cli, sys; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_readme_flag_table_lists_every_option_flag():

@@ -3,6 +3,8 @@
 All six fixtures at target_h 0.35, 0.12 and 0.06, each under every benchmark
 offset (an exact rigid translation of the domain).  Each case requires equal
 bytes from:
+- the feature-size check's outcome and the interior lattice, against their
+  forms on scipy's KD-tree (test_trimesh);
 - the triangulation, against the np.unique insert (test_delaunay);
 - the renumbering, smoothing and boundary-face lookup after carving, against
   the dict loops generate_background_mesh ran before (below);
@@ -23,6 +25,7 @@ from quadfield.geometry import domain_from_json, fixture_path
 from quadfield.trimesh import elevate_and_curve, generate_background_mesh, local_edges
 from test_delaunay import OFFSETS, unique_insert
 from test_element_kernels import einsum_det_jacobians, einsum_element_stiffness
+from test_trimesh import reference_check_feature_size, reference_interior_lattice
 
 
 def translated(name, dx, dy):
@@ -69,11 +72,32 @@ def _tables(tri):
     return tri.table.tobytes(), tri.live.tobytes(), tri.points.tobytes()
 
 
+def _outcome(check, *args):
+    """None, or the message of the MeshError that check(*args) raises."""
+    try:
+        check(*args)
+    except MeshError as ex:
+        return str(ex)
+    return None
+
+
 def _captured_mesh(monkeypatch, domain, target_h):
-    """(mesh, triangulate_pslg's arguments, its triangulation's tables, the
-    carved triangulation) of one generate_background_mesh call."""
+    """(mesh, seen) of one generate_background_mesh call; seen holds
+    triangulate_pslg's arguments ("args"), its triangulation's tables
+    ("tables"), the carved triangulation ("carved"), and the arguments and
+    outcome of _check_feature_size ("check") and of _interior_lattice
+    ("lattice")."""
     seen = {}
     triangulate, carve = trimesh.triangulate_pslg, trimesh.carve
+    check, lattice = trimesh._check_feature_size, trimesh._interior_lattice
+
+    def captured_check(*args):
+        seen["check"] = args, _outcome(check, *args)
+        check(*args)
+
+    def captured_lattice(*args):
+        seen["lattice"] = args, lattice(*args)
+        return seen["lattice"][1]
 
     def captured_triangulate(points, edges):
         tri, super_ids = triangulate(points, edges)
@@ -87,8 +111,10 @@ def _captured_mesh(monkeypatch, domain, target_h):
     with monkeypatch.context() as mp:
         mp.setattr(trimesh, "triangulate_pslg", captured_triangulate)
         mp.setattr(trimesh, "carve", captured_carve)
+        mp.setattr(trimesh, "_check_feature_size", captured_check)
+        mp.setattr(trimesh, "_interior_lattice", captured_lattice)
         mesh = generate_background_mesh(domain, target_h)
-    return mesh, seen["args"], seen["tables"], seen["carved"]
+    return mesh, seen
 
 
 @pytest.mark.parametrize("target_h", [0.35, 0.12, 0.06])
@@ -97,13 +123,18 @@ def _captured_mesh(monkeypatch, domain, target_h):
 def test_fixture_meshes_match_references(monkeypatch, name, target_h):
     for dx, dy in OFFSETS:
         domain = translated(name, dx, dy)
-        mesh, args, tables, carved = _captured_mesh(monkeypatch, domain, target_h)
+        mesh, seen = _captured_mesh(monkeypatch, domain, target_h)
+        args, tables = seen["args"], seen["tables"]
+        check_args, outcome = seen["check"]
+        assert outcome == _outcome(reference_check_feature_size, *check_args)
+        lattice_args, lattice = seen["lattice"]
+        assert lattice.tobytes() == reference_interior_lattice(*lattice_args).tobytes()
 
         with monkeypatch.context() as mp:
             mp.setattr(delaunay, "bowyer_watson_insert", unique_insert)
             assert _tables(delaunay.triangulate_pslg(*args)[0]) == tables
 
-        verts, tris, faces = reference_renumber(carved, args[1])
+        verts, tris, faces = reference_renumber(seen["carved"], args[1])
         assert mesh.vertices.tobytes() == verts.tobytes()
         assert mesh.triangles.dtype == tris.dtype and mesh.triangles.tobytes() == tris.tobytes()
         assert [(f.elem, f.ledge) for f in mesh.boundary_faces] == faces

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from quadfield.errors import MeshError
 from quadfield.geometry import load_fixture
-from quadfield.msh import import_msh, write_msh
+from quadfield.msh import import_msh, read_msh, write_msh
 from quadfield.trimesh import elevate_and_curve, generate_background_mesh
 
 from conftest import square_domain
@@ -47,6 +49,23 @@ def test_import_rejects_quads(tmp_path):
     path.write_text(bad)
     with pytest.raises(MeshError, match="unsupported element type"):
         import_msh(path, square_domain())
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (TWO_TRI_SQUARE[TWO_TRI_SQUARE.index("$Elements"):], "", "no $Elements section"),
+    ("$Nodes\n4\n", "$Nodes\nabc\n", "malformed MSH file"),
+    ("6 2 2 0 1 1 3 4", "6 2 2 0 1 1 3 9", "an element names node 9, which $Nodes"),
+    ("1 0 0 0", "1 0", "malformed MSH file"),
+    ("$Nodes\n4\n", "$Nodes\n5\n", "$Nodes declares 5 nodes but lists 4 distinct ids"),
+    ("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 2", "element 5 (type 2) has node count 2, not 3"),
+    ("1 1 2 1 1 1 2", "1 1 2 1 1 1", "element 1 (type 1) has node count 1, not 2"),
+], ids=["no-elements", "node-count", "unknown-node", "short-node-row", "missing-node-row",
+        "two-node-triangle", "one-node-line"])
+def test_malformed_msh_raises_mesh_error_naming_the_file(tmp_path, old, new, message):
+    path = tmp_path / "bad.msh"
+    path.write_text(TWO_TRI_SQUARE.replace(old, new))
+    with pytest.raises(MeshError, match=re.escape(f"{path}: {message}")):
+        read_msh(path)
 
 
 def test_import_rejects_offset_geometry(tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.spatial import cKDTree
 from conftest import neighbors
 from quadfield import trimesh
 from quadfield.errors import GeometryError, MeshError
-from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
+from quadfield.geometry import BoundaryLoop, DomainSpec, Line, in_region, load_fixture
 from quadfield.reftri import (BARYCENTER, VERTICES, RefTriangle, _JacobiTable,
                               in_reference, ref_triangle)
 from quadfield.solver import CGSpace
@@ -55,6 +56,29 @@ def test_bad_target_h(unit_square):
         generate_background_mesh(unit_square, -1.0)
     with pytest.raises(MeshError):
         generate_background_mesh(unit_square, 10.0)
+
+
+def slit_rectangle(width):
+    """The 2 x 1 rectangle less a slit of the given width around x = 1, from
+    y = 0.2 up through the top side."""
+    a, b = 1.0 - width / 2, 1.0 + width / 2
+    corners = [(0, 0), (2, 0), (2, 1), (b, 1), (b, 0.2), (a, 0.2), (a, 1), (0, 1)]
+    return DomainSpec([BoundaryLoop([Line(p, q) for p, q in
+                                     zip(corners, corners[1:] + corners[:1])], "outer")])
+
+
+@pytest.mark.parametrize("width, refused", [(0.01, (0.35, 0.12, 0.05)), (0.05, (0.35,)),
+                                            (0.2, ())])
+def test_thin_slit_refused_at_coarse_spacings(width, refused):
+    domain = slit_rectangle(width)
+    for h in (0.35, 0.12, 0.05):
+        if h in refused:
+            with pytest.raises(MeshError, match=re.escape(
+                    "boundary features thinner than the sampling resolves; "
+                    f"retry with target_h <= {h / 2:.4g}")):
+                generate_background_mesh(domain, h)
+        else:
+            assert generate_background_mesh(domain, h).n_elements()
 
 
 def test_affine_elevation_constant_jacobian(unit_square, square_mesh_p3):
@@ -594,6 +618,110 @@ def test_interior_lattice_matches_per_point_loop(name, monkeypatch):
     generate_background_mesh(domain, 0.12)
     assert len(seen) == 3 and all(new == ref for new, ref in seen)
     assert all(len(new) for new, _ in seen)
+
+
+# ---- the mesh stage's proximity queries against scipy's KD-tree ---------------------
+
+
+def reference_check_feature_size(points, edges, target_h):
+    """_check_feature_size as it stood, on cKDTree.query_pairs."""
+    tree = cKDTree(points)
+    adjacency = {}
+    local_h = {}
+    for (i, j, *_rest) in edges:
+        adjacency.setdefault(i, set()).add(j)
+        adjacency.setdefault(j, set()).add(i)
+        d = float(np.hypot(*(points[i] - points[j])))
+        local_h[i] = min(local_h.get(i, math.inf), d)
+        local_h[j] = min(local_h.get(j, math.inf), d)
+    pairs = tree.query_pairs(0.35 * target_h)
+    for (i, j) in sorted(pairs):
+        if j in adjacency.get(i, ()):
+            continue
+        d = float(np.hypot(*(points[i] - points[j])))
+        if d < 0.2 * min(local_h[i], local_h[j]):
+            raise MeshError(
+                "boundary features thinner than the sampling resolves; "
+                f"retry with target_h <= {target_h / 2:.4g}")
+
+
+def reference_interior_lattice(domain, boundary_pts, target_h, loop_polys):
+    """_interior_lattice as it stood, its distance filter on cKDTree.query."""
+    lo, hi = domain.bbox
+    dy = target_h * math.sqrt(3.0) / 2.0
+    rows = []
+    for r in range(1, int(math.floor((hi[1] - lo[1]) / dy)) + 1):
+        x0 = lo[0] + (target_h / 2.0 if r % 2 else target_h)
+        cols = int(math.floor((hi[0] - x0) / target_h)) + 1
+        rows.append(np.stack([x0 + np.arange(cols) * target_h,
+                              np.full(cols, lo[1] + r * dy)], axis=1))
+    pts = np.concatenate(rows) if rows else np.empty((0, 2))
+    pts = pts[in_region(pts, loop_polys[0], loop_polys[1:])]
+    return pts[~(cKDTree(boundary_pts).query(pts)[0] <= 0.7 * target_h)]
+
+
+def _one_row_strip(h, ox, oy, cols):
+    """(domain, loop polygons) of a strip cols * h long, moved by (ox, oy), whose
+    lattice is one row of cols points."""
+    top = oy + 0.75 * math.sqrt(3.0) * h
+    corners = [(ox, oy), (ox + cols * h, oy), (ox + cols * h, top), (ox, top)]
+    loop = BoundaryLoop([Line(p, q) for p, q in zip(corners, corners[1:] + corners[:1])],
+                        "outer")
+    return DomainSpec([loop]), [np.array(corners)]
+
+
+def _nudged(v, steps):
+    """The floats steps ulps from each of v (an array), up or down by sign."""
+    for k in range(int(np.abs(steps).max())):
+        move = np.abs(steps) > k
+        v = np.where(move, np.nextafter(v, np.copysign(np.inf, steps)), v)
+    return v
+
+
+def _threshold_sample(p, r, unit, rng):
+    """(point, split): a point a few ulps off distance r from p, along the unit
+    axis vector or, with unit None, at up to 0.6 rad from the y axis.  Off the
+    axes it is, where some candidate is one (split), a point that np.hypot and
+    the sqrt distance of cKDTree put on opposite sides of r."""
+    steps = np.stack(np.meshgrid(np.arange(-3, 4), np.arange(-3, 4)), axis=-1).reshape(-1, 2)
+    if unit is not None:
+        steps[:, unit == 0] = 0                     # stay exactly on the axis
+    else:
+        angle = rng.uniform(-0.6, 0.6, size=(8, 1))
+        unit = np.concatenate([np.sin(angle), rng.choice([-1.0, 1.0]) * np.cos(angle)], axis=1)
+    cand = _nudged(np.reshape(p + r * unit, (-1, 1, 2)), steps).reshape(-1, 2)
+    dx, dy = (p - cand).T
+    split = (np.sqrt(dx * dx + dy * dy) <= r) != (np.hypot(dx, dy) <= r)
+    pool = np.flatnonzero(split) if split.any() else np.arange(len(cand))
+    return cand[rng.choice(pool)], bool(split.any())
+
+
+@pytest.mark.parametrize("h, ox, oy", [(0.1, 0.0, 0.0), (0.013, -0.2, 0.0),
+                                       (0.07, 10.3, -7.1), (0.45, -3.7, 250.9)])
+def test_lattice_filter_keeps_the_kd_tree_decision_within_ulps_of_the_bound(h, ox, oy):
+    """One boundary sample a few ulps from 0.7 h off each lattice point of a
+    one-row strip: the grid's candidates with the sqrt distance drop the
+    same points as cKDTree.query, on an axis (where only the box pad can lose
+    a pair) and off it (where np.hypot would round the other way)."""
+    cols = 120
+    domain, loop_polys = _one_row_strip(h, ox, oy, cols)
+    row = trimesh._interior_lattice(domain, loop_polys[0][[0]] - 1.0, h, loop_polys)
+    assert len(row) == cols
+    rng = np.random.default_rng(31)
+    samples, splits = [], 0
+    for k, p in enumerate(row):
+        if k in (0, cols - 1):                      # along the row, out of its ends
+            unit = np.array([1.0 if k else -1.0, 0.0])
+        else:
+            unit = (np.array([0.0, rng.choice([-1.0, 1.0])]), None)[k % 2]
+        b, split = _threshold_sample(p, 0.7 * h, unit, rng)
+        samples.append(b)
+        splits += split
+    samples = np.array(samples)
+    got = trimesh._interior_lattice(domain, samples, h, loop_polys)
+    want = reference_interior_lattice(domain, samples, h, loop_polys)
+    assert got.tobytes() == want.tobytes()
+    assert 0 < len(want) < cols and splits
 
 
 def test_inverted_elements_match_per_element_loop(half_disc_mesh):
