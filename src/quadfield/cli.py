@@ -20,9 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import blockdecomp, quadblocks, singular, svgio, tracer, vtkio
-from .errors import ConfigError, QuadfieldError
+from .errors import (ConfigError, DecompositionError, MeshError, QuadfieldError,
+                     TopologyError, TracingError)
 from .field import FieldProbe
-from .geometry import load_domain, read_json, typed
+from .geometry import check_finite, load_domain, read_json, typed
 from .msh import write_msh, write_quad_msh
 from .solver import (DEFAULT_PENALTY, FieldSolution, choose_discretization,
                      solve_guiding_field)
@@ -166,7 +167,7 @@ class Pipeline:
         self.out = Path(config["out"])
         self.out.mkdir(parents=True, exist_ok=True)
         self.formats = [f for f in config["formats"].split(",") if f]
-        self._loaded = {}            # stage -> object read from its artifact
+        self._loaded = {}            # stage -> its result, as its artifact's reader gives it
 
     # ---- artifacts ---------------------------------------------------------
 
@@ -174,7 +175,8 @@ class Pipeline:
         return self.out / ARTIFACTS[stage]
 
     def load(self, stage):
-        """The artifact of stage, read by its module's reader once until stage runs again.
+        """The result of stage: what its run in this Pipeline returned, else its
+        artifact, read by its module's reader once until stage runs again.
 
         A missing key or a wrongly shaped value is a ConfigError naming the file.
         """
@@ -203,6 +205,8 @@ class Pipeline:
         h = self.config["target_h"] or self.domain.bbox_diag / 6.0
         linear = generate_background_mesh(self.domain, h)
         mesh = elevate_and_curve(linear, self.config["order"], self.domain)
+        check_finite([mesh.vertices, mesh.geom, [(f.t0, f.t1) for f in mesh.boundary_faces]],
+                     MeshError, "the mesh's vertices, nodes and boundary faces")
         doc = mesh.to_json()
         doc["target_h"] = h
         dump_json(self.path("mesh"), doc)
@@ -227,6 +231,9 @@ class Pipeline:
         probe = FieldProbe(sol)
         cps = singular.find_critical_points(sol, probe)
         cns = singular.corner_valences(self.domain, probe)
+        check_finite([(*cp.position, cp.vmag, cp.radius) for cp in cps] +
+                     [(cn.index, cn.dpsi, cn.residual, cn.radius) for cn in cns],
+                     TopologyError, "the critical points and corner nodes")
         dump_json(self.path("topology"), singular.topology_report(cps, cns))
         return cps, cns
 
@@ -243,6 +250,9 @@ class Pipeline:
             cps, cns, probe, self.domain, h_s, mode=self.config["merge_mode"],
             kappa=self.config["kappa"], n_max=self.config["n_max"],
             length_factor=self.config["length_factor"])
+        check_finite([a for s in seps for a in (s.points, s.start.position, s.end.position,
+                                                (s.start.t, s.end.t))],
+                     TracingError, "the separatrices")
         dump_json(self.path("trace"), tracer.separatrices_to_json(seps))
         if "svg" in self.formats:
             svgio.write_svg_streamlines(self.out / "streamlines.svg", sol, seps, cps)
@@ -254,6 +264,8 @@ class Pipeline:
         sub, faces = blockdecomp.decompose(self.domain, probe, cns, seps, h_s,
                                            critical_points=cps)
         blocks = quadblocks.build_blocks(sub, faces)
+        check_finite([side.points for b in blocks for side in b.sides],
+                     DecompositionError, "the block sides")
         dump_json(self.path("cut"), quadblocks.blocks_to_json(blocks))
         if "svg" in self.formats:
             irregular = [k for k in sub.vertices
@@ -271,15 +283,17 @@ class Pipeline:
         return qmesh
 
     def run(self, stage):
+        """Run stage and keep its result for the stages after it; an error names the stage."""
         self._loaded.pop(stage, None)        # the stage rewrites its artifact
-        return getattr(self, f"stage_{stage}")()
+        try:
+            self._loaded[stage] = getattr(self, f"stage_{stage}")()
+        except QuadfieldError as ex:
+            raise type(ex)(f"stage {stage}: {ex}") from ex
+        return self._loaded[stage]
 
     def run_all(self):
         for stage in STAGES:
-            try:
-                self.run(stage)
-            except QuadfieldError as ex:
-                raise type(ex)(f"stage {stage}: {ex}") from ex
+            self.run(stage)
         self.write_manifest()
 
     def write_manifest(self):

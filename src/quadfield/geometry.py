@@ -77,6 +77,14 @@ def finite(a, what):
     return a
 
 
+def check_finite(arrays, error, what):
+    """Raise error, naming what, when one of arrays (or tuples of numbers) holds
+    a NaN or an infinity: a stage checks what it hands on before writing it."""
+    bad = sum(not np.isfinite(a).all() for a in arrays)
+    if bad:
+        raise error(f"{what} hold a NaN or an infinity in {bad} of {len(arrays)} arrays")
+
+
 def as_points(value, what, polyline=False):
     """value as finite floats: a point [x, y] (2,), or with polyline a polyline (n >= 2, 2).
 

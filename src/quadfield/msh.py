@@ -126,9 +126,12 @@ def read_msh(path):
 
         elem_lines = section("Elements")
         n_elem = int(elem_lines[0])
+        if len(elem_lines) - 1 != n_elem:
+            raise MeshError(f"{path}: $Elements declares {n_elem} elements but lists "
+                            f"{len(elem_lines) - 1} rows")
         tris = []
         blines = []
-        for row in elem_lines[1:n_elem + 1]:
+        for row in elem_lines[1:]:
             parts = [int(p) for p in row.split()]
             etype, ntags = parts[1], parts[2]
             if etype not in (GMSH_TRI, GMSH_LINE):

@@ -161,7 +161,7 @@ def classify_critical_points(points, probe):
                                 f"{cp.position[1]:.4g}) fits in the domain")
         c, vals = fit
         cp.index, cp.valence = _circle_valence(vals)
-        cp.radius = c
+        cp.radius = float(c)              # as topology_from_json reads it
     return points
 
 
@@ -253,7 +253,7 @@ def _corner_node(corner, corner_id, c, vals):
         raise TopologyError(
             f"ambiguous corner valence at corner {corner_id}: residual {residual:.3f}")
     return CornerNode(corner=corner, corner_id=corner_id, index=index,
-                      valence=valence, dpsi=dpsi, residual=residual, radius=c)
+                      valence=valence, dpsi=dpsi, residual=residual, radius=float(c))
 
 
 def topology_report(critical_points, corner_nodes):

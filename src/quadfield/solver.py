@@ -259,10 +259,12 @@ def _assemble(groups, ndof):
 
     groups: (dofs (k, n), blocks (k, n, n)) pairs; block i sits on rows and
     columns dofs[i].  Entries go in group order, then block order, which
-    fixes how the CSR conversion sums duplicates.
+    fixes how the CSR conversion sums duplicates.  The indices are int32,
+    which SuperLU takes without a copy.
     """
-    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel() for d, _ in groups])
-    cols = np.concatenate([np.tile(d, d.shape[1]).ravel() for d, _ in groups])
+    dofs = [d.astype(np.int32) for d, _ in groups]
+    rows = np.concatenate([np.repeat(d, d.shape[1], axis=1).ravel() for d in dofs])
+    cols = np.concatenate([np.tile(d, d.shape[1]).ravel() for d in dofs])
     vals = np.concatenate([blocks.ravel() for _, blocks in groups])
     return sp.coo_matrix((vals, (rows, cols)), shape=(ndof, ndof)).tocsr()
 
@@ -416,6 +418,7 @@ def build_dg_system(mesh, bc, choice):
 
 def solve_dg(mesh, bc, choice):
     K, rhs = build_dg_system(mesh, bc, choice)
+    K = K.tocsc()                   # no CSR copy stays alive through the factorization
     x = _linear_solve(K, rhs)
     nb = mesh.ref.n_nodes
     coeffs = x.reshape(mesh.n_elements(), nb, bc.ncomp)

@@ -15,17 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadfield import cli, solver
+from quadfield import cli, quadblocks, singular, solver, tracer
 from quadfield.cli import (OPTIONS, STAGES, Pipeline, _json_default, build_parser, main,
                            resolve_config)
 from quadfield.geometry import fixture_path, load_domain
 from quadfield.quadblocks import QuadBlock, SidePath, blocks_to_json
-from quadfield.singular import topology_from_json, topology_report
+from quadfield.singular import CriticalPoint, topology_from_json, topology_report
 from quadfield.solver import FieldSolution
 from quadfield.tracer import separatrices_to_json
 from quadfield.trimesh import TriMesh
 
 HALF_DISC = str(fixture_path("half_disc"))
+NAUTILUS = str(fixture_path("nautilus"))
 POLYGON_III = str(fixture_path("polygon_III"))
 NAN = float("nan")
 FAST = ["--target-h", "0.35", "--order", "3", "--split", "2"]
@@ -83,6 +84,13 @@ def polygon_run(tmp_path_factory, writes):
 
 
 @pytest.fixture(scope="module")
+def nautilus_run(tmp_path_factory, writes):
+    out = tmp_path_factory.mktemp("nautilus")
+    writes[out] = run_recorded(["run", NAUTILUS, "--out", out] + FAST)
+    return out
+
+
+@pytest.fixture(scope="module")
 def order4_run(tmp_path_factory, writes):
     out = tmp_path_factory.mktemp("order4")
     flags = [POLYGON_III, "--out", out, "--order", "4", "--target-h", "0.12"]
@@ -90,7 +98,7 @@ def order4_run(tmp_path_factory, writes):
     return out
 
 
-@pytest.mark.parametrize("run", ["full_run", "polygon_run", "order4_run"])
+@pytest.mark.parametrize("run", ["full_run", "polygon_run", "nautilus_run", "order4_run"])
 def test_dump_json_writes_the_reference_bytes(request, writes, run):
     recorded = writes[request.getfixturevalue(run)]
     assert recorded
@@ -162,8 +170,9 @@ def test_every_artifact_reader_round_trips(request, run, name):
         topology_from_json(topology, pipe.domain, mesh.n_elements())
 
 
-def test_run_parses_each_artifact_once(tmp_path, monkeypatch):
-    """Later stages share what earlier ones read: one parse per artifact and reader."""
+def test_run_parses_no_artifact_and_a_stage_command_each_upstream_once(tmp_path, monkeypatch):
+    """A run hands each stage's result on and reads nothing back; a stage
+    command reads every artifact it uses once, and parses each with its reader once."""
     reads, parsed = [], []
     load_json = cli.load_json
 
@@ -177,10 +186,76 @@ def test_run_parses_each_artifact_once(tmp_path, monkeypatch):
             return _read(klass, *args, **kwargs)
         monkeypatch.setattr(cls, "from_json", classmethod(counted))
     monkeypatch.setattr(cli, "load_json", counted_load)
-    assert run_cli(["run", HALF_DISC, "--out", tmp_path] + FAST) == 0
+    assert run_cli(["run", HALF_DISC, "--out", tmp_path / "run"] + FAST) == 0
+    assert (reads, parsed) == ([], [])
+    out = tmp_path / "staged"
+    for stage in ("mesh", "solve", "topology", "trace"):
+        assert run_cli([stage, HALF_DISC, "--out", out] + FAST) == 0
+    reads.clear(), parsed.clear()
+    assert run_cli(["cut", HALF_DISC, "--out", out] + FAST) == 0
     assert sorted(parsed) == ["FieldSolution", "TriMesh"]
     assert sorted(reads) == sorted(["mesh.json", "field.json", "topology.json",
-                                    "separatrices.json", "blocks.json"])
+                                    "separatrices.json"])
+
+
+def assert_same_view(mem, view, where):
+    """mem as its reader gives it: arrays bit for bit, with equal dtype, shape and
+    C-contiguity; numbers and strings equal and of one type; containers and
+    objects field by field.  Cached properties are left out, and so is
+    CriticalPoint.xi, which the topology reader sets to zero and no later stage reads."""
+    if mem is view:
+        return
+    assert type(mem) is type(view), where
+    if isinstance(mem, np.ndarray):
+        assert (mem.dtype, mem.shape, mem.flags.c_contiguous) == \
+            (view.dtype, view.shape, view.flags.c_contiguous), where
+        assert mem.tobytes() == view.tobytes(), where
+    elif isinstance(mem, (list, tuple)):
+        assert len(mem) == len(view), where
+        for i, (a, b) in enumerate(zip(mem, view)):
+            assert_same_view(a, b, f"{where}[{i}]")
+    elif isinstance(mem, dict):
+        assert mem.keys() == view.keys(), where
+        for k in mem:
+            assert_same_view(mem[k], view[k], f"{where}.{k}")
+    elif hasattr(mem, "__dict__"):
+        skip = {k for k, v in vars(type(mem)).items()
+                if isinstance(v, functools.cached_property)}
+        if isinstance(mem, CriticalPoint):
+            skip.add("xi")
+        fields = [{k: v for k, v in vars(o).items() if k not in skip} for o in (mem, view)]
+        assert_same_view(*fields, where)
+    else:
+        assert mem == view, where
+
+
+def readers_view(pipe, stage):
+    """What Pipeline.load reads from stage's artifact, given pipe's results upstream of it."""
+    reader = copy.copy(pipe)
+    reader._loaded = {s: pipe._loaded[s] for s in STAGES[:STAGES.index(stage)]}
+    return reader.load(stage)
+
+
+@pytest.mark.parametrize("domain", [HALF_DISC, NAUTILUS, POLYGON_III],
+                         ids=["half_disc", "nautilus", "polygon_III"])
+def test_each_stage_hands_on_its_readers_view(tmp_path, monkeypatch, domain):
+    """A run hands each stage's result to the next as its artifact's reader
+    would give it, and no stage writes into what it received."""
+    pipes = []
+    run = Pipeline.run
+
+    def checked(pipe, stage):
+        result = run(pipe, stage)
+        if stage != "split":
+            assert_same_view(result, readers_view(pipe, stage), stage)
+        pipes.append(pipe)
+        return result
+
+    monkeypatch.setattr(Pipeline, "run", checked)
+    assert run_cli(["run", domain, "--out", tmp_path] + FAST) == 0
+    assert len(pipes) == len(STAGES)
+    for stage in STAGES[:-1]:
+        assert_same_view(pipes[0].load(stage), readers_view(pipes[0], stage), stage)
 
 
 def test_run_writes_manifest(full_run):
@@ -199,14 +274,74 @@ def test_topology_report_content(full_run):
     assert [c["valence"] for c in doc["corners"]] == [1, 1]
 
 
-def test_stagewise_resume_matches_single_shot(full_run, tmp_path):
+@pytest.mark.parametrize("run,domain", [("full_run", HALF_DISC), ("nautilus_run", NAUTILUS)],
+                         ids=["half_disc", "nautilus"])
+def test_stagewise_resume_matches_single_shot(request, tmp_path, run, domain):
+    """Stage commands, each reading its artifacts, write what a run that hands
+    each result on writes (nautilus: 17 crossings resolved at the cut)."""
     out = tmp_path / "staged"
     for stage in ("mesh", "solve", "topology", "trace", "cut", "split"):
-        rc = run_cli([stage, HALF_DISC, "--out", out] + FAST)
+        rc = run_cli([stage, domain, "--out", out] + FAST)
         assert rc == 0
     for name in ("mesh.json", "field.json", "topology.json",
                  "separatrices.json", "blocks.json", "quadmesh.msh"):
-        assert (out / name).read_bytes() == (full_run / name).read_bytes()
+        assert (out / name).read_bytes() == \
+            (request.getfixturevalue(run) / name).read_bytes()
+
+
+def _nan_geom_node(mesh):
+    mesh.geom[3, 2, 0] = NAN
+
+
+def _nan_critical_point(cps):
+    cps[0].position = cps[0].position.copy()
+    cps[0].position[1] = NAN
+
+
+def _inf_streamline_point(traced):
+    traced[0][0].points[2, 0] = float("inf")
+
+
+def _nan_side_point(blocks):
+    side = blocks[0].sides[1]
+    side.points = side.points.copy()
+    side.points[1, 1] = NAN
+
+
+# stage: (module, kernel, write one non-finite value into its result, exit code)
+NON_FINITE = {
+    "mesh": (cli, "elevate_and_curve", _nan_geom_node, 3),
+    "topology": (singular, "find_critical_points", _nan_critical_point, 4),
+    "trace": (tracer, "trace_all", _inf_streamline_point, 5),
+    "cut": (quadblocks, "build_blocks", _nan_side_point, 6),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "stage"])
+@pytest.mark.parametrize("stage", list(NON_FINITE))
+def test_non_finite_result_stops_its_stage_before_it_writes(tmp_path, monkeypatch, capsys,
+                                                            stage, command):
+    """A stage whose kernel yields a NaN or an infinity exits with the stage's
+    code, names the stage, and writes no artifact, under run and as a stage command."""
+    module, name, spoil, code = NON_FINITE[stage]
+    kernel = getattr(module, name)
+
+    def spoiled(*args, **kwargs):
+        result = kernel(*args, **kwargs)
+        spoil(result)
+        return result
+
+    out = tmp_path / "out"
+    if command == "stage":
+        for upstream in STAGES[:STAGES.index(stage)]:
+            assert run_cli([upstream, HALF_DISC, "--out", out] + FAST) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(module, name, spoiled)
+    assert run_cli([command if command == "run" else stage, HALF_DISC, "--out", out]
+                   + FAST) == code
+    err = capsys.readouterr().err
+    assert f"error: stage {stage}: " in err and "a NaN or an infinity" in err
+    assert not (out / cli.ARTIFACTS[stage]).exists()
 
 
 def test_missing_upstream_artifact(tmp_path):

@@ -43,7 +43,7 @@ def test_import_two_triangle_square(tmp_path):
 
 def test_import_rejects_quads(tmp_path):
     bad = TWO_TRI_SQUARE.replace("6\n1 1 2 1 1 1 2",
-                                 "5\n1 3 2 0 1 1 2 3 4")
+                                 "3\n1 3 2 0 1 1 2 3 4")
     bad = bad.replace("2 1 2 2 2 2 3\n3 1 2 3 3 3 4\n4 1 2 4 4 4 1\n", "")
     path = tmp_path / "quad.msh"
     path.write_text(bad)
@@ -57,10 +57,12 @@ def test_import_rejects_quads(tmp_path):
     ("6 2 2 0 1 1 3 4", "6 2 2 0 1 1 3 9", "an element names node 9, which $Nodes"),
     ("1 0 0 0", "1 0", "malformed MSH file"),
     ("$Nodes\n4\n", "$Nodes\n5\n", "$Nodes declares 5 nodes but lists 4 distinct ids"),
+    ("$Elements\n6\n", "$Elements\n10\n", "$Elements declares 10 elements but lists 6 rows"),
+    ("$Elements\n6\n", "$Elements\n4\n", "$Elements declares 4 elements but lists 6 rows"),
     ("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 2", "element 5 (type 2) has node count 2, not 3"),
     ("1 1 2 1 1 1 2", "1 1 2 1 1 1", "element 1 (type 1) has node count 1, not 2"),
 ], ids=["no-elements", "node-count", "unknown-node", "short-node-row", "missing-node-row",
-        "two-node-triangle", "one-node-line"])
+        "element-count-high", "element-count-low", "two-node-triangle", "one-node-line"])
 def test_malformed_msh_raises_mesh_error_naming_the_file(tmp_path, old, new, message):
     path = tmp_path / "bad.msh"
     path.write_text(TWO_TRI_SQUARE.replace(old, new))

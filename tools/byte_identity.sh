@@ -26,11 +26,12 @@
 # and holed_nautilus (with --formats svg,vtk) run once more, so the SVG, VTK
 # and MSH writers meet a field with four critical points and one with none,
 # and a run that ends at the cut.
-# polygon_III runs once more as six stage commands (mesh, solve, topology,
-# trace, cut, split; same flags), so every artifact reader is exercised, and
-# each tree's staged artifacts must equal its own one-shot polygon_III run's
-# (a run reads each artifact once and shares it between stages, while each
-# stage command reads its own).
+# polygon_III and nautilus (--order 3 --target-h 0.5 --split 2; 17
+# crossings at the cut) run once more as six stage commands (mesh, solve,
+# topology, trace, cut, split; same flags), so every artifact reader is
+# exercised, and each tree's staged artifacts must equal its own one-shot
+# run's (a run hands each stage's result to the next in memory and reads no
+# artifact back, while each stage command reads the artifacts it uses).
 # polygon_III and geometry_I also run `mesh` and `solve` at the benchmark's
 # fine_mesh_solve flags (--order 4 --target-h 0.12), and geometry_I once more
 # with --scheme dg, so the DG face terms run on curved boundary faces too;
@@ -108,6 +109,7 @@ run_staged() {            # <source tree> <output dir>
         done
     done <<'STAGED'
 polygon_III_staged polygon_III mesh,solve,topology,trace,cut,split --order 3 --target-h 0.35 --split 2 --formats msh
+nautilus_staged nautilus mesh,solve,topology,trace,cut,split --order 3 --target-h 0.5 --split 2
 polygon_III_fine polygon_III mesh,solve --order 4 --target-h 0.12
 geometry_I_fine geometry_I mesh,solve --order 4 --target-h 0.12
 geometry_I_fine_dg geometry_I mesh,solve --order 4 --target-h 0.12 --scheme dg
@@ -132,13 +134,15 @@ run_fixtures "$repo" "$work/out-tree"
 run_staged "$repo" "$work/out-tree"
 staged_differ=0
 for side in out-ref out-tree; do
-    for file in "$work/$side/polygon_III_staged"/*; do
-        name=${file##*/}
-        case $name in exit_code_*) continue ;; esac
-        cmp -s "$file" "$work/$side/polygon_III/$name" || {
-            echo "$side: polygon_III_staged/$name differs from polygon_III/$name" >&2
-            staged_differ=1
-        }
+    for run in polygon_III nautilus; do
+        for file in "$work/$side/${run}_staged"/*; do
+            name=${file##*/}
+            case $name in exit_code_*) continue ;; esac
+            cmp -s "$file" "$work/$side/$run/$name" || {
+                echo "$side: ${run}_staged/$name differs from $run/$name" >&2
+                staged_differ=1
+            }
+        done
     done
 done
 # stderr may name the output directory; compare the artifacts only
