@@ -131,13 +131,10 @@ def _trim_near_anchors(points):
     if len(pts) < 4:
         return pts
     step = float(np.median(polyline.seglen(pts)))
-    keep = [pts[0]]
-    for p in pts[1:-1]:
-        if np.hypot(*(p - pts[0])) > 1.05 * step and \
-           np.hypot(*(p - pts[-1])) > 1.05 * step:
-            keep.append(p)
-    keep.append(pts[-1])
-    return np.asarray(keep)
+    inner = pts[1:-1]
+    far = (np.hypot(*(inner - pts[0]).T) > 1.05 * step) & \
+        (np.hypot(*(inner - pts[-1]).T) > 1.05 * step)
+    return np.vstack([pts[:1], inner[far], pts[-1:]])
 
 
 def separatrix_records(separatrices, vertices):

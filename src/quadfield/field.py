@@ -6,14 +6,16 @@ lockstep Newton inversion of those lanes settles membership, with ties on
 shared edges broken toward the lowest element id so evaluation is
 deterministic.  It is the only spatial filter, with no grid or tree: the
 meshes served have at most a few hundred elements, so one (points x
-elements) mask per batch is cheap.  A probe answers batches (a valence
-circle, an arc, one tracing round) and keeps no per-point state:
-locate_many inverts once for the whole batch, one lane per pair the mask
-keeps; eval_v_many gives (u, v) from the basis rows that Newton built at
-the located xi, with no kernel table of its own, each row bitwise
-FieldSolution.eval there; eval_psi_many gives the principal phase of those
-rows.  A point's answer does not depend on the rest of its batch, so
-callers may locate points they might never visit.  locate and eval_v are
+elements) mask per batch is cheap.  Newton starts each lane from its
+element's first step, which the mesh caches (TriMesh._first_step), so a
+call computes no map or Jacobian before its first kernel table.  A probe
+answers batches (a valence circle, an arc, one tracing round) and keeps no
+per-point state: locate_many inverts once for the whole batch, one lane per
+pair the mask keeps; eval_v_many gives (u, v) from the basis rows that
+Newton built at the located xi, with no kernel table of its own, each row
+bitwise FieldSolution.eval there; eval_psi_many gives the principal phase
+of those rows.  A point's answer does not depend on the rest of its batch,
+so callers may locate points they might never visit.  locate and eval_v are
 one-point wrappers, kept for the benchmark, which wraps and calls them.
 """
 
@@ -79,9 +81,10 @@ class FieldProbe:
         mask = self.mesh.reachable(pts) & np.isfinite(pts).all(axis=1)[:, None]
         point, elem = np.nonzero(mask)
         found = [OUTSIDE] * len(pts)
-        for i, e, xi, row in zip(point, elem, *self.mesh.invert_map(elem, pts[point])):
+        for i, e, xi, row in zip(point.tolist(), elem.tolist(),
+                                 *self.mesh.invert_map(elem, pts[point])):
             if xi is not None and found[i] is OUTSIDE:
-                found[i] = (int(e), xi, row)
+                found[i] = (e, xi, row)
         return found
 
     def eval_v(self, x):

@@ -123,6 +123,9 @@ def read_msh(path):
         if len(ids) != n_nodes:
             raise MeshError(f"{path}: $Nodes declares {n_nodes} nodes but lists "
                             f"{len(ids)} distinct ids")
+        if len(node_lines) - 1 > n_nodes:
+            raise MeshError(f"{path}: $Nodes declares {n_nodes} nodes but lists "
+                            f"{len(node_lines) - 1} rows")
 
         elem_lines = section("Elements")
         n_elem = int(elem_lines[0])

@@ -17,7 +17,10 @@ mode, so the Vandermonde matrices are bit-identical to the per-mode
 construction; only the Python overhead per mode is gone.  Point location
 inverts element maps by lockstep Newton (invert_maps), which hands each
 root's basis row to its caller, so evaluating the field there needs no
-further table.
+further table.  Every lane starts from the barycenter, so its first step
+(first_steps: the image of the barycenter and the Jacobian there) does not
+depend on the target; TriMesh caches it per element, and a location call's
+first iteration is gathers and elementwise arithmetic.
 
 Quadrature uses collapsed-coordinate Gauss x Gauss-Jacobi(1,0) rules: with n
 points per direction the rule is exact for total degree 2n - 1, has strictly
@@ -122,10 +125,11 @@ class _JacobiTable:
         out = np.empty((self.top + 1,) + x.shape)
         out[0] = self.p0
         n = self.rows[1]
-        out[1, :n] = (self.c1 * x[:n] / 2.0 + self.c2) / self.sqrt_gamma1
+        np.divide(self.c1 * x[:n] / 2.0 + self.c2, self.sqrt_gamma1, out=out[1, :n])
         for k, (bnew, aold, anew) in enumerate(self.steps, start=1):
             n = self.rows[k + 1]
-            out[k + 1, :n] = ((x[:n] - bnew) * out[k, :n] - aold * out[k - 1, :n]) / anew
+            np.divide((x[:n] - bnew) * out[k, :n] - aold * out[k - 1, :n], anew,
+                      out=out[k + 1, :n])
         return out
 
 
@@ -212,17 +216,27 @@ class DubinerKernel:
             powers[n] = powers[1] ** n
         pw = powers.reshape(-1, npts)[self._power_rows].reshape(4, -1, npts)
 
-        f[:4] *= self._scale
-        f[:2] *= gb                          # sqrt(2) fa gb, dfa gb
+        # in place through views: f[s] *= t would copy each result back onto itself
+        head, pair, vals, grads = f[:4], f[:2], f[:3], f[1:3]
+        head *= self._scale
+        pair *= gb                           # sqrt(2) fa gb, dfa gb
         np.multiply(dr, 0.5, out=ds)
         ds *= 1.0 + a
-        f[:3] *= pw[:3]                      # v (1 - b)^i; dr, ds times 1.0 where i = 0
+        vals *= pw[:3]                       # v (1 - b)^i; dr, ds times 1.0 where i = 0
         tmp *= pw[3]
         up = self._upper
-        tmp[up] -= self._half_i * gb[up] * pw[1, up]
+        t = tmp[up]
+        t -= self._half_i * gb[up] * pw[1, up]
         ds += fa * tmp
-        f[1:3] *= self._grad_scale
-        return f[:3]
+        grads *= self._grad_scale
+        return vals
+
+
+def _map_jacobian(grad, nodes):
+    """Flat Jacobian (j00, j01, j10, j11) (k, 4) and its determinant (k,) of k
+    maps nodes (k, n_nodes, 2), each at the point of its gradient rows grad[k]."""
+    j = np.einsum("knd,knx->kxd", grad, nodes).reshape(-1, 4)
+    return j, j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
 
 
 def map_jacobians(grad, geom):
@@ -396,55 +410,91 @@ class RefTriangle:
 
     @functools.cached_property
     def _barycenter_rows(self):
-        """basis_rows at the barycenter, where every Newton lane starts."""
-        return self.basis_rows(BARYCENTER[None])
+        """basis_rows at the barycenter, where every Newton lane starts; read-only."""
+        rows = self.basis_rows(BARYCENTER[None])
+        for a in rows:
+            a.flags.writeable = False
+        return rows
 
-    def invert_maps(self, nodes, target, tol, max_iter, slack):
+    def first_steps(self, nodes):
+        """Newton's start on each of k maps nodes (k, n_nodes, 2), from the barycenter.
+
+        Returns (x0, j, det): the image of the barycenter (k, 2), the flat
+        Jacobian (j00, j01, j10, j11) there (k, 4) and its determinant (k,),
+        from the stacked product and _map_jacobian of every later step, so
+        each map's entries are bitwise those of any batch that holds it.
+        """
+        nodes = np.ascontiguousarray(nodes)
+        basis, grad = (a.repeat(len(nodes), axis=0) for a in self._barycenter_rows)
+        return ((basis[:, None, :] @ nodes)[:, 0], *_map_jacobian(grad, nodes))
+
+    def invert_maps(self, nodes, target, tol, max_iter, slack, start=None):
         """Newton solve of basis_at(xi) @ nodes[k] = target[k] for every lane k, in lockstep.
 
         nodes: (k, n_nodes, 2) nodal values of k maps from T to the plane;
-        target: one point (2,) for all lanes or one per lane (k, 2).
+        target: one point (2,) for all lanes or one per lane (k, 2); start:
+        first_steps(nodes), which a caller that inverts the same maps again
+        builds once (TriMesh caches it per mesh), or None to build it here.
         Returns (xis, rows), one entry per lane in each: xi and its basis
         row (bitwise basis_rows(xi)[0][0], the row Newton's last step
         built), or None and None when the residual does not drop below tol
         in max_iter steps, the Jacobian vanishes, xi leaves |xi| <= 10, or
         the root lies outside T inflated by slack.  Every lane starts at the
-        barycenter, whose rows are built once; each later iteration makes
-        one kernel table for all lanes still running, and a lane stops where
-        a one-lane loop would stop, after the same IEEE operations, so its
-        xi is bitwise that loop's.
+        barycenter; each later iteration makes one kernel table for all
+        lanes still running, and a lane stops where a one-lane loop would
+        stop, after the same IEEE operations, so its xi is bitwise that
+        loop's.  Each lane carries its nodes and target, gathered only on
+        iterations where some lane ends, and an iteration whose lanes all
+        end builds no Jacobian.
         """
         xis, rows = [None] * len(nodes), [None] * len(nodes)
-        target = np.broadcast_to(target, (len(nodes), 2))
-        lane = np.arange(len(nodes))
-        xi = BARYCENTER[None].repeat(len(nodes), axis=0)
-        start = [a.repeat(len(nodes), axis=0) for a in self._barycenter_rows]
+        if not len(nodes):
+            return xis, rows
+        m = np.ascontiguousarray(nodes)
+        x, j, det = self.first_steps(m) if start is None else start
+        lane = np.arange(len(m))
+        xi = BARYCENTER[None].repeat(len(m), axis=0)
+        tgt = np.empty((len(m), 2))
+        tgt[:] = target
         # a vanishing Jacobian divides by zero; its lane stops after the step
         with np.errstate(divide="ignore", invalid="ignore"):
             for it in range(max_iter):
-                if not len(lane):
-                    break
-                m = nodes[lane]
-                basis, grad = self.basis_rows(xi) if it else start
-                r = (basis[:, None, :] @ m)[:, 0] - target[lane]
+                if it:
+                    basis, grad = self.basis_rows(xi)
+                    x = (basis[:, None, :] @ m)[:, 0]
+                r = x - tgt
                 done = np.hypot(r[:, 0], r[:, 1]) < tol
-                if done.any():
+                ended = np.count_nonzero(done)
+                if ended:
                     hit = np.flatnonzero(done)
-                    for k in hit[in_reference(xi[hit], slack=slack)]:
-                        xis[lane[k]], rows[lane[k]] = xi[k], basis[k]
-                    if done.all():
+                    ids = lane.tolist()
+                    # in_reference on Python floats: the same IEEE tests
+                    for k, (u, w) in zip(hit.tolist(), xi[hit].tolist()):
+                        if u >= -1.0 - slack and w >= -1.0 - slack and u + w <= slack:
+                            xis[ids[k]] = xi[k]
+                            rows[ids[k]] = basis[k] if it else self._barycenter_rows[0][0]
+                    if ended == len(done):
                         break
                     go = ~done
-                    xi, lane, m, grad, r = xi[go], lane[go], m[go], grad[go], r[go]
-                j = np.einsum("knd,knx->kxd", grad, m).reshape(-1, 4)
-                det = j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
+                    xi, lane, m, tgt, r = (a[go] for a in (xi, lane, m, tgt, r))
+                    if it:
+                        grad = grad[go]
+                    else:
+                        j, det = j[go], det[go]
+                if it:                       # the Jacobian only of lanes that go on
+                    j, det = _map_jacobian(grad, m)
                 # (j11 r0 - j01 r1, j00 r1 - j10 r0) / det, the one-lane
                 # loop's (j11 r0 - j01 r1, -j10 r0 + j00 r1) / det
                 q = j[:, _ADJUGATE] * r[:, _ADJUGATE_R]
                 xi = xi - (q[:, 0::2] - q[:, 1::2]) / det[:, None]
                 # the one-lane loop's tests, each False on NaN: a NaN lane runs on
                 stop = (np.abs(det) < 1e-300) | (np.abs(xi).max(axis=1) > 10.0)
-                xi, lane = xi[~stop], lane[~stop]
+                ended = np.count_nonzero(stop)
+                if ended:
+                    if ended == len(stop):
+                        break
+                    go = ~stop
+                    xi, lane, m, tgt = xi[go], lane[go], m[go], tgt[go]
         return xis, rows
 
     # ---- node classification ----------------------------------------------

@@ -330,10 +330,8 @@ def solve_cg(mesh, bc, choice):
     K, dir_ids, dir_data, space = build_cg_system(mesh, bc)
     ndof = space.ndof
     free = np.setdiff1d(np.arange(ndof), dir_ids)
-    Kff = K[free][:, free]
-    Kfd = K[free][:, dir_ids]
-    rhs = -Kfd @ dir_data
-    xf = _linear_solve(Kff, rhs)
+    Kf = K[free]
+    xf = _linear_solve(Kf[:, free], -Kf[:, dir_ids] @ dir_data)
     x = np.zeros((ndof, bc.ncomp))
     x[dir_ids] = dir_data
     x[free] = xf

@@ -4,7 +4,9 @@ The mesh starts linear (boundary-sampled constrained Delaunay), is then
 elevated to order P and curved by moving boundary edge nodes onto their
 source curves; interior geometry nodes follow by transfinite blending from
 the edges.  Every element exposes its polynomial reference-to-physical map,
-its exact Jacobian, and Newton inversion.
+its exact Jacobian, and Newton inversion.  What point location needs of every
+element, its reach and Newton's first step from the barycenter, is built once
+per mesh on first use.
 """
 
 from __future__ import annotations
@@ -179,6 +181,14 @@ class TriMesh:
         beyond = np.einsum("eld,kd->kel", normal, np.reshape(points, (-1, 2))) - offset
         return ~(beyond.max(axis=2) > reach)
 
+    @functools.cached_property
+    def _first_step(self):
+        """RefTriangle.first_steps of every element map: Newton's start from
+        the barycenter, bitwise the one any batch of lanes computes.  Built on
+        first use from geom, like _reach, so both assume that geom does not
+        change once the mesh locates points."""
+        return self.ref.first_steps(self.geom)
+
     def invert_map(self, elems, x):
         """Newton inversion of the map of every element in elems at x, in lockstep.
 
@@ -186,10 +196,12 @@ class TriMesh:
         one entry per element in each: xi and its basis row, or None and None
         on failure.  Every lane runs: the caller picks them with reachable.
         RefTriangle.invert_maps runs with tol 1e-12 * bbox_diag, 50 steps
-        and slack 1e-8.
+        and slack 1e-8, from the elements' cached first steps.
         """
-        return self.ref.invert_maps(self.geom[np.asarray(elems, dtype=int)],
-                                    np.asarray(x, dtype=float), 1e-12 * self.bbox_diag, 50, 1e-8)
+        elems = np.asarray(elems, dtype=int)
+        return self.ref.invert_maps(self.geom[elems], np.asarray(x, dtype=float),
+                                    1e-12 * self.bbox_diag, 50, 1e-8,
+                                    [a[elems] for a in self._first_step])
 
     def validate_jacobians(self):
         bad = self.inverted_elements()

@@ -86,6 +86,53 @@ def test_densify_matches_the_one_sample_loop(n, subdiv, seed, scale):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _reference_trim_near_anchors(points):
+    """The point loop of _trim_near_anchors before it was one vectorized pass."""
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 4:
+        return pts
+    step = float(np.median(polyline.seglen(pts)))
+    keep = [pts[0]]
+    for p in pts[1:-1]:
+        if np.hypot(*(p - pts[0])) > 1.05 * step and \
+           np.hypot(*(p - pts[-1])) > 1.05 * step:
+            keep.append(p)
+    keep.append(pts[-1])
+    return np.asarray(keep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_trim_near_anchors_matches_the_point_loop(n, seed, scale):
+    """Random walks whose ends fold back over their anchors, and points
+    exactly 1.05 steps from an anchor, keep the loop's points to the byte."""
+    rng = np.random.default_rng(seed)
+    pts = np.cumsum(rng.normal(scale=scale, size=(n, 2)), axis=0)
+    if n >= 4:
+        step = float(np.median(polyline.seglen(pts)))
+        pts[1] = pts[0] + rng.uniform(-1.2, 1.2, size=2) * step
+        pts[-2] = pts[-1] + np.array([1.05 * step, 0.0])
+    got = blockdecomp._trim_near_anchors(pts)
+    want = _reference_trim_near_anchors(pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_trim_near_anchors_drops_a_point_exactly_one_bound_from_an_anchor():
+    """Unit steps along x: 1.05 from the first anchor is not beyond 1.05 steps."""
+    pts = np.stack([[0.0, 1.05, 2.0, 3.0, 4.0, 5.0, 6.0], np.zeros(7)], axis=1)
+    got = blockdecomp._trim_near_anchors(pts)
+    assert got[:, 0].tolist() == [0.0, 2.0, 3.0, 4.0, 6.0]
+    assert got.tobytes() == _reference_trim_near_anchors(pts).tobytes()
+
+
+def test_trim_near_anchors_keeps_the_separatrices_points(half_disc_traced):
+    seps, _, _ = half_disc_traced
+    for s in seps:
+        pts = np.asarray(s.points, dtype=float)
+        got = blockdecomp._trim_near_anchors(pts)
+        assert got.tobytes() == _reference_trim_near_anchors(pts).tobytes()
+
+
 def _face_sides_loop(sub, face):
     """The index loop of face_sides before it sliced a doubled walk."""
     walk = face.half_edges

@@ -57,12 +57,14 @@ def test_import_rejects_quads(tmp_path):
     ("6 2 2 0 1 1 3 4", "6 2 2 0 1 1 3 9", "an element names node 9, which $Nodes"),
     ("1 0 0 0", "1 0", "malformed MSH file"),
     ("$Nodes\n4\n", "$Nodes\n5\n", "$Nodes declares 5 nodes but lists 4 distinct ids"),
+    ("4 0 1 0\n", "4 0 1 0\n5 9 9 0\n", "$Nodes declares 4 nodes but lists 5 rows"),
     ("$Elements\n6\n", "$Elements\n10\n", "$Elements declares 10 elements but lists 6 rows"),
     ("$Elements\n6\n", "$Elements\n4\n", "$Elements declares 4 elements but lists 6 rows"),
     ("5 2 2 0 1 1 2 3", "5 2 2 0 1 1 2", "element 5 (type 2) has node count 2, not 3"),
     ("1 1 2 1 1 1 2", "1 1 2 1 1 1", "element 1 (type 1) has node count 1, not 2"),
 ], ids=["no-elements", "node-count", "unknown-node", "short-node-row", "missing-node-row",
-        "element-count-high", "element-count-low", "two-node-triangle", "one-node-line"])
+        "extra-node-row", "element-count-high", "element-count-low", "two-node-triangle",
+        "one-node-line"])
 def test_malformed_msh_raises_mesh_error_naming_the_file(tmp_path, old, new, message):
     path = tmp_path / "bad.msh"
     path.write_text(TWO_TRI_SQUARE.replace(old, new))

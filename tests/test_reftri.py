@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from quadfield.reftri import (_ADJUGATE, _ADJUGATE_R, BARYCENTER, VERTICES, _index_pairs,
                               _jacobi_constants, _JacobiTable, _xi_to_ab, collapsed_quadrature,
                               gauss_lobatto, in_reference, quadrature_for_degree,
-                              ref_triangle, warp_blend_nodes)
+                              RefTriangle, ref_triangle, warp_blend_nodes)
 
 
 # ---- per-mode reference: one Jacobi recursion per Dubiner mode ---------------
@@ -435,16 +435,19 @@ def test_newton_without_done_lanes_matches_the_reference_bytes(lanes, tol, max_i
 
 def test_newton_takes_no_step_once_every_lane_is_done(monkeypatch):
     """Lanes whose targets are their maps' barycenters are done before the
-    first step; a lane that converges in n steps takes n steps."""
+    first step; a lane that converges in n steps takes n steps.  Every step
+    is followed by the basis rows at the new xi, so the lanes passed to
+    basis_rows count the steps (the first step's rows are cached)."""
     ref = ref_triangle(3)
+    ref._barycenter_rows                 # built once per reference element
     steps = []
-    einsum = np.einsum
+    basis_rows = RefTriangle.basis_rows
 
-    def counted(*args, **kwargs):
-        steps.append(len(args[1]))
-        return einsum(*args, **kwargs)
+    def counted(self, xi):
+        steps.append(len(xi))
+        return basis_rows(self, xi)
 
-    monkeypatch.setattr(np, "einsum", counted)
+    monkeypatch.setattr(RefTriangle, "basis_rows", counted)
     rng = np.random.default_rng(5)
     nodes = ref.nodes[None] + 0.05 * rng.normal(size=(3, ref.n_nodes, 2))
     centers = (ref._barycenter_rows[0] @ nodes)[:, 0]
@@ -454,6 +457,32 @@ def test_newton_takes_no_step_once_every_lane_is_done(monkeypatch):
     xis, _ = ref.invert_maps(nodes, np.vstack([centers[:2], [-0.9, -0.9]]), 1e-12, 50, 0.0)
     assert all(xi is not None for xi in xis)
     assert steps and set(steps) == {1}           # only the third lane steps
+
+
+def test_newton_builds_no_jacobian_where_its_last_lanes_end(monkeypatch):
+    """From a given start, a call takes one Jacobian per kernel table but the
+    last: the iteration where its last lanes end builds none."""
+    ref = ref_triangle(3)
+    rng = np.random.default_rng(7)
+    nodes = ref.nodes[None] + 0.05 * rng.normal(size=(3, ref.n_nodes, 2))
+    start = ref.first_steps(nodes)
+    targets = (ref.basis_at(np.array([[-0.2, -0.3]])) @ nodes)[:, 0]
+    counts = {"tables": 0, "jacobians": 0}
+    basis_rows, einsum = RefTriangle.basis_rows, np.einsum
+
+    def rows(self, xi):
+        counts["tables"] += 1
+        return basis_rows(self, xi)
+
+    def jacobian(*args, **kwargs):
+        counts["jacobians"] += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(RefTriangle, "basis_rows", rows)
+    monkeypatch.setattr(np, "einsum", jacobian)
+    xis, _ = ref.invert_maps(nodes, targets, 1e-12, 50, 0.0, start)
+    assert all(xi is not None for xi in xis)
+    assert counts["tables"] >= 2 and counts["jacobians"] == counts["tables"] - 1
 
 
 def test_in_reference_returns_a_mask_for_any_batch():

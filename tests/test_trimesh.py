@@ -317,6 +317,34 @@ def _count_kernel_calls(monkeypatch):
     return counts
 
 
+def _lane_start(ref, nodes):
+    """Newton's first step as the lockstep loop took it for its own lanes
+    before the start was cached per mesh: (x0, flat Jacobian, det)."""
+    basis, grad = [a.repeat(len(nodes), axis=0) for a in ref._barycenter_rows]
+    x0 = (basis[:, None, :] @ nodes)[:, 0]
+    j = np.einsum("knd,knx->kxd", grad, nodes).reshape(-1, 4)
+    return x0, j, j[:, 0] * j[:, 3] - j[:, 1] * j[:, 2]
+
+
+@pytest.mark.parametrize("fixture, h, order", [
+    ("half_disc", 0.35, 3), ("nautilus", 0.5, 3), ("polygon_III", 0.12, 4)])
+def test_cached_first_step_matches_every_batch_bitwise(fixture, h, order):
+    """The per-mesh first Newton step of every element equals, byte for byte,
+    the one computed on one lane, on a few lanes in any order (repeats
+    included), and on all lanes at once."""
+    domain = load_fixture(fixture)
+    mesh = elevate_and_curve(generate_background_mesh(domain, h), order, domain)
+    ne = mesh.n_elements()
+    cached = mesh._first_step
+    assert [a.shape for a in cached] == [(ne, 2), (ne, 4), (ne,)]
+    rng = np.random.default_rng(3)
+    batches = [[e] for e in range(ne)] + [list(range(ne))] + \
+        [rng.integers(0, ne, size=k).tolist() for k in (2, 3, 5, 8, 13, 40) for _ in range(4)]
+    for elems in batches:
+        for got, want in zip(_lane_start(mesh.ref, mesh.geom[elems]), cached):
+            assert got.tobytes() == want[elems].tobytes(), elems
+
+
 def test_invert_map_makes_one_kernel_table_per_iteration(half_disc_mesh, monkeypatch):
     mesh = half_disc_mesh
     x = mesh.map_to_physical(3, np.array([-0.2, -0.5]))[0]
