@@ -24,7 +24,12 @@ first iteration is gathers and elementwise arithmetic.
 
 Quadrature uses collapsed-coordinate Gauss x Gauss-Jacobi(1,0) rules: with n
 points per direction the rule is exact for total degree 2n - 1, has strictly
-positive weights, and the weights sum to the reference area 2.
+positive weights, and the weights sum to the reference area 2.  The
+Gauss-Jacobi rules, (1, 0) for quadrature and (1, 1) for the Gauss-Lobatto
+interior nodes, come from the Golub-Welsch method (Math. Comp. 23, 1969):
+the eigenvalues of the Jacobi matrix, then one Newton step.  _gauss_jacobi
+runs scipy.special.roots_jacobi's algorithm with the same IEEE operations
+in the same order, so its nodes and weights are bitwise roots_jacobi's.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigvals_banded
 
 VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 BARYCENTER = np.array([-1.0 / 3.0, -1.0 / 3.0])
@@ -77,11 +82,83 @@ def _jacobi_constants(alpha, beta, n):
             math.sqrt(gamma1), steps)
 
 
+def _jacobi_p(n, a, b, x):
+    """P_n^(a,b)(x) for integer a and b: scipy.special.eval_jacobi's loop for
+    an integer degree, operation for operation."""
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return 0.5 * (2 * (a + 1) + (a + b + 2) * (x - 1))
+    d = (a + b + 2) * (x - 1) / (2 * (a + 1))
+    p = d + 1
+    for k in map(float, range(1, n)):
+        t = 2 * k + a + b
+        d = ((t * (t + 1) * (t + 2) * (x - 1) * p + 2 * k * (k + b) * (t + 2) * d)
+             / (2 * (k + a + 1) * (k + a + b + 1) * t))
+        p = d + p
+    # scipy's binom(n + a, n): an exact integer here, as math.comb's
+    return math.comb(n + int(a), n) * p
+
+
+def _gegenbauer_c(n, x):
+    """C_n^(3/2)(x): scipy.special.eval_gegenbauer's loop for an integer
+    degree, operation for operation, at every x (scipy itself switches to a
+    power series where |x| < 1e-5)."""
+    if n == 0:
+        return np.ones_like(x)
+    d = x - 1                            # n = 1 skips the loop: 3 x, scipy's 2 lambda x
+    p = x
+    for k in map(float, range(1, n)):
+        d = (2 * (k + 1.5) / (k + 3.0)) * (x - 1) * p + (k / (k + 3.0)) * d
+        p = d + p
+    return math.comb(n + 2, n) * p
+
+
+def _mid_scaled(v):
+    """v divided by the geometric mean of its largest and smallest |v|."""
+    log_v = np.log(np.abs(v))
+    return v / np.exp((log_v.max() + log_v.min()) / 2.)
+
+
+def _gauss_jacobi(n, beta):
+    """n-point Gauss-Jacobi rule for the weight (1 - x) (1 + x)^beta, beta = 1 or 0.
+
+    Bitwise scipy.special.roots_jacobi(n, 1, beta): the eigenvalues of the
+    Jacobi matrix band scipy builds, one Newton step, and for beta = 0 the
+    weights from log-normalised P_{n-1} and P_n', scaled to sum to
+    mu0 = 2^2 B(2, 1) = 2.  scipy takes beta = 1 as Gegenbauer with
+    lambda = 3/2 and symmetrises the nodes, which makes the middle node of
+    an odd n exactly 0; it is the only node in eval_gegenbauer's |x| <
+    1e-5 branch, so _gegenbauer_c needs no such branch.  Returns (nodes,
+    weights), with weights None for beta = 1.
+    """
+    # scipy's band with the parameters put in; what drops is exact: + 0.0,
+    # and the factor 1.0 that (1, 0)'s np.where takes at k = 1, sqrt(1) here
+    k = np.arange(1.0, n)
+    band = np.zeros((2, n))              # upper band form: superdiagonal, diagonal
+    if beta == 1.0:
+        band[0, 1:] = np.sqrt(k * (k + 2.0) / (4 * (k + 1.5) * (k + 0.5)))
+        x = eigvals_banded(band, overwrite_a_band=True)
+        dy = (-n * x * _gegenbauer_c(n, x) + (n + 2.0) * _gegenbauer_c(n - 1, x)) / (1 - x ** 2)
+        x -= _gegenbauer_c(n, x) / dy
+        return (x - x[::-1]) / 2, None
+    band[0, 1:] = (2.0 / (2.0 * k + 1.0) * np.sqrt((k + 1.0) * k / (2 * k + 2.0))
+                   * np.sqrt(k * (k + 1.0) / (2.0 * k)))
+    k = np.arange(float(n))
+    band[1] = -1.0 / ((2.0 * k + 1.0) * (2.0 * k + 3.0))
+    x = eigvals_banded(band, overwrite_a_band=True)
+    dy = 0.5 * (n + 2.0) * _jacobi_p(n - 1, 2.0, 1.0, x)
+    x -= _jacobi_p(n, 1.0, 0.0, x) / dy
+    w = 1.0 / (_mid_scaled(_jacobi_p(n - 1, 1.0, 0.0, x)) * _mid_scaled(dy))
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def gauss_lobatto(order):
     """order+1 Gauss-Lobatto points on [-1, 1]."""
     if order == 1:
         return np.array([-1.0, 1.0])
-    interior, _ = roots_jacobi(order - 1, 1.0, 1.0)
+    interior, _ = _gauss_jacobi(order - 1, 1.0)
     return np.concatenate([[-1.0], np.sort(interior), [1.0]])
 
 
@@ -203,8 +280,11 @@ class DubinerKernel:
         """
         a, b = _xi_to_ab(np.asarray(xi, dtype=float))
         npts = len(a)
-        jac = self._jacobi(np.where(self._on_a, a, b)).reshape(-1, npts)
-        f = jac[self._factor_rows].reshape(6, -1, npts)
+        modes = len(self._grad_scale)
+        jac = self._jacobi(np.where(self._on_a, a, b))
+        # explicit row counts: reshape cannot infer -1 when npts is 0
+        jac = jac.reshape(jac.shape[0] * jac.shape[1], npts)
+        f = jac[self._factor_rows].reshape(6, modes, npts)
         _, dr, ds, tmp, gb, fa = f
         # (1 - b)^n and ((1 - b) / 2)^n; n = 0 and 1 are exact, as numpy's
         # own x ** 0 and x ** 1 are, and every other n stays a power
@@ -214,7 +294,7 @@ class DubinerKernel:
         np.multiply(0.5, powers[1, 0], out=powers[1, 1])
         for n in range(2, self.order + 1):
             powers[n] = powers[1] ** n
-        pw = powers.reshape(-1, npts)[self._power_rows].reshape(4, -1, npts)
+        pw = powers.reshape(2 * self.order + 2, npts)[self._power_rows].reshape(4, modes, npts)
 
         # in place through views: f[s] *= t would copy each result back onto itself
         head, pair, vals, grads = f[:4], f[:2], f[:3], f[1:3]
@@ -320,7 +400,7 @@ def warp_blend_nodes(order):
 def collapsed_quadrature(n):
     """n*n collapsed Gauss rule on T, exact for total degree 2n-1."""
     gl_x, gl_w = np.polynomial.legendre.leggauss(n)
-    gj_x, gj_w = roots_jacobi(n, 1.0, 0.0)
+    gj_x, gj_w = _gauss_jacobi(n, 0.0)
     pts = np.empty((n * n, 2))
     wts = np.empty(n * n)
     k = 0

@@ -501,13 +501,16 @@ def test_extra_formats(tmp_path):
 
 
 def test_cli_import_leaves_scipy_spatial_out():
-    """The pipeline finds nearby points on its own box grid: importing the
-    CLI in a fresh interpreter loads no scipy.spatial."""
+    """The pipeline finds nearby points on its own box grid, and reftri
+    computes its Gauss-Jacobi rules itself: importing the CLI in a fresh
+    interpreter loads neither scipy.spatial nor scipy.special."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import quadfield.cli, sys; sys.exit('scipy.spatial' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = ("import quadfield.cli, sys; "
+            "print(*(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.split() == [], run.stdout + run.stderr
 
 
 def test_readme_flag_table_lists_every_option_flag():

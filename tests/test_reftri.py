@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import roots_jacobi
 
-from quadfield.reftri import (_ADJUGATE, _ADJUGATE_R, BARYCENTER, VERTICES, _index_pairs,
-                              _jacobi_constants, _JacobiTable, _xi_to_ab, collapsed_quadrature,
-                              gauss_lobatto, in_reference, quadrature_for_degree,
-                              RefTriangle, ref_triangle, warp_blend_nodes)
+from quadfield import reftri
+from quadfield.reftri import (_ADJUGATE, _ADJUGATE_R, BARYCENTER, VERTICES, _gauss_jacobi,
+                              _index_pairs, _jacobi_constants, _JacobiTable, _xi_to_ab,
+                              collapsed_quadrature, gauss_lobatto, in_reference,
+                              quadrature_for_degree, RefTriangle, ref_triangle, warp_blend_nodes)
 
 
 # ---- per-mode reference: one Jacobi recursion per Dubiner mode ---------------
@@ -537,6 +539,41 @@ def test_lagrange_cardinality(order):
     ref = ref_triangle(order)
     v = ref.basis_at(ref.nodes)
     assert np.abs(v - np.eye(ref.n_nodes)).max() < 1e-11
+
+
+# ---- Gauss-Jacobi rules: scipy.special.roots_jacobi is the reference ----------
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_gauss_jacobi_is_roots_jacobi_bitwise(n):
+    assert_same_bits(_gauss_jacobi(n, 1.0)[0], roots_jacobi(n, 1.0, 1.0)[0])
+    for got, want in zip(_gauss_jacobi(n, 0.0), roots_jacobi(n, 1.0, 0.0)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("order", range(1, 21))
+def test_gauss_lobatto_is_the_roots_jacobi_one_bitwise(order):
+    interior = np.sort(roots_jacobi(order - 1, 1.0, 1.0)[0]) if order > 1 else []
+    assert_same_bits(gauss_lobatto(order), np.concatenate([[-1.0], interior, [1.0]]))
+
+
+@pytest.mark.parametrize("order", range(1, 16))
+def test_reference_tables_are_the_roots_jacobi_ones_bitwise(order, monkeypatch):
+    got = RefTriangle(order)
+    monkeypatch.setattr(reftri, "_gauss_jacobi", lambda n, beta: roots_jacobi(n, 1.0, beta))
+    want = RefTriangle(order)
+    for name in ("nodes", "quad_points", "quad_weights", "edge_node_params", "v_inv"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def test_empty_batches_give_empty_tables():
+    ref = ref_triangle(3)
+    none = np.empty((0, 2))
+    assert ref.kernel.table(none).shape == (3, 10, 0)
+    assert ref.basis_at(none).shape == (0, 10)
+    assert ref.grad_basis_at(none).shape == (0, 10, 2)
+    values, grads = ref.basis_rows(none)
+    assert values.shape == (0, 10) and grads.shape == (0, 10, 2)
 
 
 def test_edge_nodes_are_gauss_lobatto():

@@ -7,11 +7,15 @@
 # from the ref and from the working tree for pair i = 0 .. pairs-1.  Both
 # sides of a pair use seed i, and the side that runs first alternates from
 # pair to pair.  `all` pairs every workload that BENCHMARK.json names, one
-# after another.  The ref is exported with `git archive` into a temporary
-# directory, removed afterwards.  Prints one block per workload: for each
+# after another.  Both sides run from exports in a temporary directory,
+# removed afterwards, so neither starts with bytecode that the other lacks:
+# the ref is exported with `git archive`, and the working tree as its
+# tracked files are now (those deleted from it left out) plus its untracked
+# files that git does not ignore.  Prints one block per workload: for each
 # end-to-end metric, the median of each side and the interquartile spread
-# (q3 - q1) of the ref's runs, and the number of pairs whose run_s is lower
-# on the working tree (ties count for neither side).  Exits 0 when every run
+# (q3 - q1) of the ref's runs, and the number of pairs whose run_s, and
+# whose setup_s, is lower on the working tree (ties count for neither
+# side).  Exits 0 when every run
 # succeeded and passed its correctness check, 1 when one did not, 2 on a
 # usage error.
 set -u
@@ -38,8 +42,11 @@ else
 fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir -p "$work/ref"
+mkdir -p "$work/ref" "$work/tree"
 git -C "$repo" archive "$ref" | tar -x -C "$work/ref" || exit 2
+(cd "$repo" && git ls-files -z --cached --others --exclude-standard \
+    | while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done \
+    | tar --null --no-recursion -T - -cf -) | tar -x -C "$work/tree" || exit 2
 
 failed=0
 run_side() {              # <workload> <side> <tree> <seed>
@@ -60,9 +67,9 @@ for workload in $workloads; do
     for ((i = 0; i < pairs; i++)); do
         if ((i % 2 == 0)); then
             run_side "$workload" ref "$work/ref" "$i"
-            run_side "$workload" tree "$repo" "$i"
+            run_side "$workload" tree "$work/tree" "$i"
         else
-            run_side "$workload" tree "$repo" "$i"
+            run_side "$workload" tree "$work/tree" "$i"
             run_side "$workload" ref "$work/ref" "$i"
         fi
     done
@@ -99,9 +106,10 @@ for name in names:
     print(f"  {name}: ref median {statistics.median(a):.6g}, tree median "
           f"{statistics.median(b):.6g}, ref spread q3-q1 {q3 - q1:.6g}")
 both = sorted(set(ref_runs) & set(tree_runs))
-wins = sum(tree_runs[i]["run_s"] < ref_runs[i]["run_s"] for i in both)
-losses = sum(tree_runs[i]["run_s"] > ref_runs[i]["run_s"] for i in both)
-print(f"  run_s: tree lower in {wins} of {len(both)} pairs, higher in {losses}")
+for name in ("run_s", "setup_s"):
+    wins = sum(tree_runs[i][name] < ref_runs[i][name] for i in both)
+    losses = sum(tree_runs[i][name] > ref_runs[i][name] for i in both)
+    print(f"  {name}: tree lower in {wins} of {len(both)} pairs, higher in {losses}")
 sys.exit(1 if incorrect else 0)
 PY
     [ $? -eq 0 ] || failed=1
