@@ -4,9 +4,10 @@ The mesh's reach mask (TriMesh.reachable) picks the Newton lanes: it keeps
 the (point, element) pairs whose element map can reach the point, and one
 lockstep Newton inversion of those lanes settles membership, with ties on
 shared edges broken toward the lowest element id so evaluation is
-deterministic.  It is the only spatial filter, with no grid or tree: the
-meshes served have at most a few hundred elements, so one (points x
-elements) mask per batch is cheap.  Newton starts each lane from its
+deterministic.  It is the only spatial filter, with no grid or tree: one
+(points x elements) mask per batch, cheap on coarse meshes but growing with
+both sizes (nautilus has 4,990 elements at h=0.06; at h=0.03, 19,943, the
+mask took 61 % of topology plus trace).  Newton starts each lane from its
 element's first step, which the mesh caches (TriMesh._first_step), so a
 call computes no map or Jacobian before its first kernel table.  A probe
 answers batches (a valence circle, an arc, one tracing round) and keeps no

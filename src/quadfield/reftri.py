@@ -419,12 +419,6 @@ def quadrature_for_degree(degree):
     return collapsed_quadrature(n)
 
 
-def in_reference(xi, slack=0.0):
-    """Mask of the points of xi, one (2,) or many (n, 2), that lie in T inflated by slack."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    return (xi[:, 0] >= -1.0 - slack) & (xi[:, 1] >= -1.0 - slack) & (xi.sum(axis=1) <= slack)
-
-
 class RefTriangle:
     """Order-P nodal reference element with cached operators."""
 
@@ -548,7 +542,7 @@ class RefTriangle:
                 if ended:
                     hit = np.flatnonzero(done)
                     ids = lane.tolist()
-                    # in_reference on Python floats: the same IEEE tests
+                    # xi in T inflated by slack, tested on Python floats
                     for k, (u, w) in zip(hit.tolist(), xi[hit].tolist()):
                         if u >= -1.0 - slack and w >= -1.0 - slack and u + w <= slack:
                             xis[ids[k]] = xi[k]

@@ -12,24 +12,19 @@ import pytest
 
 from quadfield.blockdecomp import decompose
 from quadfield.cli import main as cli_main
-from quadfield.field import AnalyticProbe, FieldProbe
+from quadfield.field import AnalyticProbe
 from quadfield.geometry import (Arc, BoundaryLoop, boundary_zero_count,
-                                boundary_zero_positions, fixture_path,
-                                load_fixture)
+                                boundary_zero_positions, fixture_path)
 from quadfield.quadblocks import build_blocks, child_quality, isoparametric_split
-from quadfield.reftri import quadrature_for_degree
-from quadfield.singular import corner_valences, find_critical_points, interior_valence
-from quadfield.solver import (DiscretizationChoice, FunctionBC,
-                              choose_discretization, solve_guiding_field,
+from quadfield.singular import find_critical_points, interior_valence
+from quadfield.solver import (DiscretizationChoice, FunctionBC, choose_discretization,
                               solve_laplace)
 from quadfield.tracer import (Anchor, Streamline, advance_all, detect_meeting,
                               merge, trace_all)
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
+from quadfield.trimesh import elevate_and_curve
 
-from conftest import square_domain
-
-
-REPORT_LINES = []
+from conftest import l2_error
+from reference import REPORT_LINES
 
 
 def _report(num, text):
@@ -38,25 +33,9 @@ def _report(num, text):
     print(line)
 
 
-def _l2_error(sol, fn):
-    mesh = sol.mesh
-    pts, w = quadrature_for_degree(16)
-    basis = mesh.ref.basis_at(pts)
-    grad = mesh.ref.grad_basis_at(pts)
-    total = 0.0
-    for e in range(mesh.n_elements()):
-        xy = basis @ mesh.geom[e]
-        jac = np.einsum("pnd,nx->pxd", grad, mesh.geom[e])
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        vals = basis @ sol.coeffs[e][:, 0]
-        total += float(np.sum(w * det * (vals - fn(xy[:, 0], xy[:, 1])) ** 2))
-    return math.sqrt(total)
-
-
-def test_criterion_1_spectral_convergence():
+def test_criterion_1_spectral_convergence(unit_square, square_mesh_linear):
     start = time.time()
-    square = square_domain()
-    linear = generate_background_mesh(square, 0.27)
+    square, linear = unit_square, square_mesh_linear
     assert linear.n_elements() <= 32
     fn = lambda x, y: np.real((x + 1j * y) ** 6)
     factors = {"cg": 5.0, "dg": 4.0}
@@ -66,7 +45,7 @@ def test_criterion_1_spectral_convergence():
             mesh = elevate_and_curve(linear, order, square)
             sol = solve_laplace(mesh, FunctionBC(mesh, [fn]),
                                 DiscretizationChoice(scheme))
-            errs.append(_l2_error(sol, fn))
+            errs.append(l2_error(sol, fn))
         for i in range(len(errs) - 1):
             if errs[i] < 1e-10:
                 break
@@ -106,15 +85,10 @@ def test_criterion_3_table_one_oracle():
 
 
 @pytest.fixture(scope="module")
-def half_disc_run():
-    domain = load_fixture("half_disc")
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), 3, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
-    probe = FieldProbe(sol)
-    cps = find_critical_points(sol, probe)
-    cns = corner_valences(domain, probe)
-    h_s = 0.25 * mesh.shortest_edge()
-    seps, _ = trace_all(cps, cns, probe, domain, h_s)
+def half_disc_run(captured):
+    state = captured("half_disc")
+    domain, mesh, probe = state.domain, state.mesh, state.probe
+    (cps, cns), (seps, _, h_s) = state.topology, state.traced
     sub, faces = decompose(domain, probe, cns, seps, h_s, critical_points=cps)
     blocks = build_blocks(sub, faces)
     return domain, mesh, probe, cps, cns, seps, sub, faces, blocks
@@ -141,19 +115,14 @@ def test_criterion_4_half_disc_topology(half_disc_run):
                f"{len(blocks)} valid quad blocks")
 
 
-def test_criterion_5_polygon_iii():
+def test_criterion_5_polygon_iii(captured):
     start = time.time()
-    domain = load_fixture("polygon_III")
+    state = captured("polygon_III")
+    domain, probe, (cps, cns) = state.domain, state.probe, state.topology
     assert choose_discretization(domain).scheme == "dg"
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), 3, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
-    probe = FieldProbe(sol)
-    cps = find_critical_points(sol, probe)
-    cns = corner_valences(domain, probe)
     assert len(cps) == 1
     assert [cn.valence for cn in cns].count(0) == 1
-    h_s = 0.25 * mesh.shortest_edge()
-    seps, _ = trace_all(cps, cns, probe, domain, h_s)
+    seps, _, h_s = state.traced
     sub, faces = decompose(domain, probe, cns, seps, h_s, critical_points=cps)
     irregular = [k for k in sub.vertices if k[0] in ("critical", "artificial")]
     assert len(irregular) == 2
@@ -164,13 +133,10 @@ def test_criterion_5_polygon_iii():
                f"division -> 2 interior irregular nodes ({elapsed:.1f}s)")
 
 
-def test_criterion_6_geometry_i_symmetry():
+def test_criterion_6_geometry_i_symmetry(captured):
     start = time.time()
-    domain = load_fixture("geometry_I")
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), 4, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
-    probe = FieldProbe(sol)
-    cps = find_critical_points(sol, probe)
+    state = captured("geometry_I", order=4)
+    cps = find_critical_points(state.solution, state.probe)
     assert len(cps) == 2
     assert all(cp.valence == 3 for cp in cps)
     height = 2.0                      # mirror axis of the fixture: y = 1
@@ -233,17 +199,13 @@ def test_criterion_8_merging_properties():
                "meeting to 3 h_s")
 
 
-def test_criterion_9_nautilus(half_disc_run):
+def test_criterion_9_nautilus(half_disc_run, captured):
     start = time.time()
-    domain = load_fixture("nautilus")
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.5), 3, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
-    probe = FieldProbe(sol)
-    cps = find_critical_points(sol, probe)
+    state = captured("nautilus", target_h=0.5)
+    domain, probe, (cps, cns) = state.domain, state.probe, state.topology
     assert len(cps) == 4
     assert all(cp.valence == 3 for cp in cps)
-    cns = corner_valences(domain, probe)
-    h_s = 0.25 * mesh.shortest_edge()
+    h_s = 0.25 * state.mesh.shortest_edge()
     seps_normal, sls_normal = trace_all(cps, cns, probe, domain, h_s,
                                         mode="normal")
     assert all(sl.status in ("merged", "hit_boundary") for sl in sls_normal)
@@ -258,13 +220,9 @@ def test_criterion_9_nautilus(half_disc_run):
                f"({elapsed:.1f}s)")
 
 
-def test_criterion_10_holed_nautilus(tmp_path):
+def test_criterion_10_holed_nautilus(tmp_path, captured):
     start = time.time()
-    domain = load_fixture("holed_nautilus")
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), 3, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
-    probe = FieldProbe(sol)
-    cps = find_critical_points(sol, probe)
+    cps, _ = captured("holed_nautilus").topology
     assert len(cps) == 0
     rc = cli_main(["run", str(fixture_path("holed_nautilus")), "--out",
                    str(tmp_path / "hn"), "--target-h", "0.35"])

@@ -8,27 +8,16 @@ imported from perfbench/ and no bytecode is written there.
 """
 
 import importlib
-import types
-from pathlib import Path
 
 import numpy as np
 
+from conftest import load_perfbench
 from quadfield.cli import main
 from quadfield.geometry import fixture_path
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _load(name):
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module
-
 
 def test_every_traced_target_resolves():
-    targets = _load("spans").TARGETS
+    targets = load_perfbench("spans").TARGETS
     assert targets
     missing = []
     for module, qualname, _pre, _post in targets:
@@ -45,7 +34,7 @@ def test_every_traced_target_resolves():
 
 
 def test_artifact_checks_run_on_fresh_output(tmp_path):
-    check = _load("check")
+    check = load_perfbench("check")
     out = tmp_path / "half_disc"
     argv = ["run", str(fixture_path("half_disc")), "--out", str(out),
             "--order", "3", "--target-h", "0.35", "--split", "2"]

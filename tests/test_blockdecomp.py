@@ -15,15 +15,14 @@ from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    classify_faces, decompose, resolve_crossings)
 from quadfield.cli import main
 from quadfield.errors import DecompositionError, TracingError
-from quadfield.field import AnalyticProbe
-from quadfield.geometry import DomainSpec, Line, fixture_path
+from quadfield.geometry import fixture_path
 from quadfield.quadblocks import (QuadBlock, SidePath, build_blocks,
                                   child_quality, isoparametric_split)
 from quadfield.singular import CornerNode
 from quadfield.tracer import Anchor, Separatrix
 
-from conftest import square_domain
-from test_polyline import reference_bbox
+from reference.blockdecomp import dead_corner_division, equilateral_division
+from reference.polyline import reference_bbox
 
 
 def _record_signature(records):
@@ -163,19 +162,17 @@ def test_face_sides_match_the_index_loop(seams):
     assert PlanarSubdivision.face_sides(sub, face) == _face_sides_loop(sub, face)
 
 
-def test_square_single_face():
-    dom = square_domain()
-    cns = corner_nodes_for(dom, [1, 1, 1, 1])
-    sub = build_subdivision(dom, [], cns)
+def test_square_single_face(unit_square):
+    cns = corner_nodes_for(unit_square, [1, 1, 1, 1])
+    sub = build_subdivision(unit_square, [], cns)
     quads, degenerate = classify_faces(sub)
     assert len(quads) == 1 and not degenerate
     corners, zeros = sub.face_corners(quads[0])
     assert len(corners) == 4 and not zeros
 
 
-def test_crossing_separatrices_rejected():
-    dom = square_domain()
-    cns = corner_nodes_for(dom, [1, 1, 1, 1])
+def test_crossing_separatrices_rejected(unit_square):
+    cns = corner_nodes_for(unit_square, [1, 1, 1, 1])
     # two nearly-parallel diagonals that cross tangentially mid-domain
     line1 = np.column_stack([np.linspace(0.1, 0.9, 40),
                              np.linspace(0.48, 0.523, 40)])
@@ -188,12 +185,11 @@ def test_crossing_separatrices_rejected():
                    end=Anchor("critical", 3, line2[-1])),
     ]
     with pytest.raises(DecompositionError, match="invalid separatrix graph"):
-        build_subdivision(dom, seps, cns)
+        build_subdivision(unit_square, seps, cns)
 
 
-def test_transversal_crossing_becomes_vertex():
-    dom = square_domain()
-    cns = corner_nodes_for(dom, [1, 1, 1, 1])
+def test_transversal_crossing_becomes_vertex(unit_square):
+    cns = corner_nodes_for(unit_square, [1, 1, 1, 1])
     horiz = np.column_stack([np.linspace(0.0, 1.0, 40), np.full(40, 0.47)])
     vert = np.column_stack([np.full(41, 0.53), np.linspace(0.0, 1.0, 41)])
     seps = [
@@ -204,15 +200,14 @@ def test_transversal_crossing_becomes_vertex():
                                              loop=0, seg=0, t=0.53),
                    end=Anchor("boundary", 3, vert[-1], loop=0, seg=2, t=0.47)),
     ]
-    sub = build_subdivision(dom, seps, cns)
+    sub = build_subdivision(unit_square, seps, cns)
     quads, degenerate = classify_faces(sub)
     assert len(quads) == 4 and not degenerate
     assert any(k[0] == "cross" for k in sub.vertices)
 
 
-def test_grid_of_separatrices_gives_cross_vertices_in_scan_order():
-    dom = square_domain()
-    cns = corner_nodes_for(dom, [1, 1, 1, 1])
+def test_grid_of_separatrices_gives_cross_vertices_in_scan_order(unit_square):
+    cns = corner_nodes_for(unit_square, [1, 1, 1, 1])
     ys, xs = (0.31, 0.69), (0.33, 0.67)
     seps = []
     for y in ys:
@@ -227,7 +222,7 @@ def test_grid_of_separatrices_gives_cross_vertices_in_scan_order():
             points=line,
             start=Anchor("boundary", len(seps), line[0], loop=0, seg=0, t=x),
             end=Anchor("boundary", len(seps) + 4, line[-1], loop=0, seg=2, t=1 - x)))
-    sub = build_subdivision(dom, seps, cns)
+    sub = build_subdivision(unit_square, seps, cns)
     quads, degenerate = classify_faces(sub)
     assert len(quads) == 9 and not degenerate
     cross = {k[1]: v.position for k, v in sub.vertices.items() if v.kind == "cross"}
@@ -255,9 +250,9 @@ def _recorded_pair_calls(monkeypatch):
     return calls
 
 
-def test_grid_scan_passes_each_record_pair_to_the_crossing_test_once(monkeypatch):
+def test_grid_scan_passes_each_record_pair_to_the_crossing_test_once(monkeypatch, unit_square):
     calls = _recorded_pair_calls(monkeypatch)
-    test_grid_of_separatrices_gives_cross_vertices_in_scan_order()
+    test_grid_of_separatrices_gives_cross_vertices_in_scan_order(unit_square)
     # records are never mutated, so a pair tested again gives the same answer
     tested = [(a, b) for call in calls for a, b, _ in call]
     assert len(tested) == len(set(tested))
@@ -371,11 +366,9 @@ def test_half_disc_decomposition(half_disc, half_disc_probe, half_disc_topology,
         assert len(corners) == 4
 
 
-def test_polygon_division_two_irregular_nodes(polygon_iii, polygon_iii_pipeline):
-    mesh, sol, probe, cps, cns = polygon_iii_pipeline
-    from quadfield.tracer import trace_all
-    h_s = 0.25 * mesh.shortest_edge()
-    seps, _ = trace_all(cps, cns, probe, polygon_iii, h_s)
+def test_polygon_division_two_irregular_nodes(polygon_iii, captured):
+    state = captured("polygon_III")
+    probe, (cps, cns), (seps, _, h_s) = state.probe, state.topology, state.traced
     pre = build_subdivision(polygon_iii, seps, cns)
     _, degenerate = classify_faces(pre)
     assert len(degenerate) == 1
@@ -389,66 +382,7 @@ def test_polygon_division_two_irregular_nodes(polygon_iii, polygon_iii_pipeline)
 
 
 def test_midpoint_division_equilateral_symmetry():
-    # synthetic degenerate triangle: equilateral with a dead corner at the apex
-    apex = np.array([0.0, math.sqrt(3.0)])
-    left = np.array([-1.0, 0.0])
-    right = np.array([1.0, 0.0])
-    vertices = {
-        ("corner", 0): VertexRec(("corner", 0), apex, "corner", corner_valence=0),
-        ("boundary", 0): VertexRec(("boundary", 0), left, "boundary"),
-        ("boundary", 1): VertexRec(("boundary", 1), right, "boundary"),
-    }
-
-    def seg(a, b):
-        return np.column_stack([np.linspace(a[0], b[0], 30),
-                                np.linspace(a[1], b[1], 30)])
-
-    records = [
-        EdgeRec(("corner", 0), ("boundary", 0), seg(apex, left), "boundary"),
-        EdgeRec(("boundary", 0), ("boundary", 1), seg(left, right), "boundary"),
-        EdgeRec(("boundary", 1), ("corner", 0), seg(right, apex), "boundary"),
-    ]
-    sub = PlanarSubdivision(vertices, records, domain=None)
-    face = sub.bounded_faces[0]
-
-    # field aligned with the downward median so the streamline runs apex->base
-    probe = AnalyticProbe(lambda x, y: (math.cos(4 * (-math.pi / 2)),
-                                        math.sin(4 * (-math.pi / 2))))
-
-    class FakeDomain:
-        @staticmethod
-        def contains(p):
-            x, y = p
-            return (y > 1e-9 and y < math.sqrt(3.0) * (1 - abs(x)) - 0.0)
-
-        @staticmethod
-        def closest_boundary_point(p):
-            return (0, 1, max(0.0, min(1.0, (p[0] + 1) / 2.0)), abs(p[1]))
-
-        # the streamline leaves through the base, segment 1
-        loops = [type("L", (), {"segments": [Line(apex, left), Line(left, right),
-                                             Line(right, apex)]})()]
-        bbox_diag = 2.0
-        ray_exit = DomainSpec.ray_exit
-
-    fd = FakeDomain()
-
-    class FakeProbe(AnalyticProbe):
-        def __init__(self):
-            super().__init__(lambda x, y: (1.0, 0.0), region=fd.contains)
-            self.mesh = type("M", (), {"bbox_diag": 2.0})()
-
-        def eval_psi_many(self, points):
-            from quadfield.field import OUTSIDE
-            # principal phase of a field aligned with the median
-            return [0.0 if fd.contains(p) else OUTSIDE for p in points]
-
-    corner = type("C", (), {
-        "position": apex, "theta_out": math.radians(-60.0) - math.pi / 2,
-        "delta_theta": math.radians(60.0), "theta_in": 0.0})()
-    cn = CornerNode(corner=corner, corner_id=0, valence=0, radius=0.2)
-
-    sub2 = MidpointDivider(sub, FakeProbe(), fd, 0.05, [cn]).divide(face)
+    sub2, (apex, left, right) = equilateral_division()
     quads, degenerate = classify_faces(sub2)
     assert len(quads) == 3 and not degenerate
     node_key = next(k for k in sub2.vertices if k[0] == "artificial")
@@ -487,50 +421,7 @@ def test_midpoint_tail_starts_from_the_refined_direction_or_the_bisector(monkeyp
 
 
 def test_midpoint_division_dead_corner_between_adjacent_and_far_sides():
-    # a quadrilateral face with a dead corner q: two sides meet at q and two
-    # lie across from it, so the node joins q and the far-side midpoints
-    q, a, b, c = (np.array(p) for p in [(0.0, 1.5), (-1.0, 0.0), (0.3, -1.0),
-                                         (1.0, 0.0)])
-    ring = [q, a, b, c]
-    keys = [("corner", 0), ("boundary", 0), ("boundary", 1), ("boundary", 2)]
-    vertices = {k: VertexRec(k, p, "boundary") for k, p in zip(keys, ring)}
-    vertices[keys[0]] = VertexRec(keys[0], q, "corner", corner_valence=0)
-    records = [EdgeRec(keys[i], keys[(i + 1) % 4],
-                       np.linspace(ring[i], ring[(i + 1) % 4], 30), "boundary")
-               for i in range(4)]
-    sub = PlanarSubdivision(vertices, records, domain=None)
-
-    def inside(p):
-        return all((w[0] - v[0]) * (p[1] - v[1]) - (w[1] - v[1]) * (p[0] - v[0]) > 1e-9
-                   for v, w in zip(ring, ring[1:] + ring[:1]))
-
-    class FakeDomain:
-        # the streamline from q leaves through the far side a -> b, segment 1
-        loops = [type("L", (), {"segments": [Line(q, a), Line(a, b), Line(b, c),
-                                             Line(c, q)]})()]
-        bbox_diag = 3.0
-        ray_exit = DomainSpec.ray_exit
-
-        @staticmethod
-        def closest_boundary_point(p):
-            t = min(max(float(np.dot(p - a, b - a) / np.dot(b - a, b - a)), 0.0), 1.0)
-            return 0, 1, t, float(np.hypot(*(a + t * (b - a) - p)))
-
-    class FakeProbe(AnalyticProbe):
-        def __init__(self):
-            super().__init__(lambda x, y: (1.0, 0.0), region=inside)
-            self.mesh = type("M", (), {"bbox_diag": 3.0})()
-
-        def eval_psi_many(self, points):
-            from quadfield.field import OUTSIDE
-            return [0.0 if inside(p) else OUTSIDE for p in points]
-
-    corner = type("C", (), {"position": q, "theta_out": -math.pi / 2 - 0.5,
-                            "delta_theta": 1.0})()
-    cn = CornerNode(corner=corner, corner_id=0, valence=0, radius=0.2)
-
-    sub2 = MidpointDivider(sub, FakeProbe(), FakeDomain(), 0.05, [cn]).divide(
-        sub.bounded_faces[0])
+    sub2 = dead_corner_division()
     quads, degenerate = classify_faces(sub2)
     assert len(quads) == 3 and not degenerate
     assert all(f.area > 0 for f in quads)

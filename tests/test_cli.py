@@ -4,6 +4,7 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
 import os
 import re
@@ -902,12 +903,27 @@ def test_overflowing_number_in_any_artifact_key_is_refused(full_run, tmp_path, c
     assert len(keys) >= 4 and accepted == []
 
 
+# a domain with every segment kind: lines, a spline and an arc around an airfoil hole
 DOMAIN_KINDS = {"loops": [{"orientation": "outer", "segments": [
-    {"kind": "naca4", "code": "0012", "chord": 1.0, "origin": [0.0, 0.0]}]},
-    {"orientation": "inner", "segments": [
-        {"kind": "line", "p0": [-1.0, -1.0], "p1": [2.0, -1.0]},
-        {"kind": "spline", "points": [[2.0, -1.0], [2.5, 0.0], [2.0, 1.0]]},
-        {"kind": "arc", "center": [0.5, 1.0], "radius": 1.5, "a0": 0.0, "a1": 3.14159}]}]}
+    {"kind": "line", "p0": [-1.0, -1.0], "p1": [2.0, -1.0]},
+    {"kind": "spline", "points": [[2.0, -1.0], [2.5, 0.0], [2.0, 1.0]]},
+    {"kind": "arc", "center": [0.5, 1.0], "radius": 1.5, "a0": 0.0, "a1": math.pi},
+    {"kind": "line", "p0": [-1.0, 1.0], "p1": [-1.0, -1.0]}]},
+    {"orientation": "hole", "segments": [
+        {"kind": "naca4", "code": "0012", "chord": 1.0, "origin": [0.0, 0.0]}]}]}
+
+
+def test_every_segment_kind_meshes(tmp_path):
+    """The mesh stage on DOMAIN_KINDS exits 0 with positive Jacobians, and the
+    mesh's reader accepts it against the domain."""
+    dom, out = tmp_path / "dom.json", tmp_path / "x"
+    dom.write_text(json.dumps(DOMAIN_KINDS))
+    assert run_cli(["mesh", dom, "--out", out]) == 0
+    pipe = Pipeline(dom, resolve_config(build_parser().parse_args(
+        ["mesh", str(dom), "--out", str(out)])))
+    assert {seg.kind for loop in pipe.domain.loops for seg in loop.segments} == \
+        {"line", "spline", "arc", "naca4"}
+    assert pipe.load("mesh").det_jacobians().min() > 0
 
 
 @pytest.mark.parametrize("doc", [json.loads(fixture_path("half_disc").read_text()),

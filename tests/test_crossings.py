@@ -20,16 +20,11 @@ from hypothesis import given, settings, strategies as st
 from quadfield import blockdecomp, polyline
 from quadfield.blockdecomp import (TANGENTIAL_CROSSING_DEG, EdgeRec, VertexRec,
                                    resolve_crossings)
+from conftest import OFFSETS, coord
 from quadfield.errors import DecompositionError
-from quadfield.field import FieldProbe
-from quadfield.singular import corner_valences, find_critical_points
-from quadfield.solver import choose_discretization, solve_guiding_field
-from quadfield.tracer import trace_all
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
-from test_delaunay import OFFSETS
-from test_fixture_meshes import translated
-from test_polyline import chunk_row_intersections
-from test_singular import TOPOLOGY_RUNS
+from reference.blockdecomp import _state, reference_split_record
+from reference.polyline import chunk_row_intersections
+from reference.singular import TOPOLOGY_RUNS
 
 
 # ---- reference: the lazy pair scan, restarted after every split ------------------
@@ -96,23 +91,7 @@ def reference_first_crossing(movable, settled):
     return None
 
 
-def reference_split_record(records, rec, point, key):
-    """Replace rec in records by its two halves, joined at vertex key."""
-    first, second = polyline.split_at(rec.polyline, point)
-    records.remove(rec)
-    records.append(EdgeRec(rec.v0, key, first, rec.kind))
-    records.append(EdgeRec(key, rec.v1, second, rec.kind))
-
-
 # ---- comparison ------------------------------------------------------------------
-
-
-def _state(vertices, records):
-    """Vertices (key, kind, position bytes, corner valence) and records (keys,
-    kind, polyline shape and bytes), in order."""
-    return ([(k, v.kind, np.asarray(v.position).tobytes(), v.corner_valence)
-             for k, v in vertices.items()],
-            [(r.v0, r.v1, r.kind, r.polyline.shape, r.polyline.tobytes()) for r in records])
 
 
 def _resolved(resolve, vertices, records):
@@ -139,14 +118,10 @@ class _Captured(Exception):
     pass
 
 
-def _cut_inputs(domain, h):
+def _cut_inputs(state):
     """(vertices, records) that build_subdivision hands to resolve_crossings
-    after an order-3 solve, topology and trace at spacing h."""
-    mesh = elevate_and_curve(generate_background_mesh(domain, h), 3, domain)
-    probe = FieldProbe(solve_guiding_field(mesh, domain, choose_discretization(domain)))
-    cps = find_critical_points(probe.solution, probe)
-    cns = corner_valences(domain, probe)
-    seps, _ = trace_all(cps, cns, probe, domain, 0.25 * mesh.shortest_edge())
+    after the captured state's solve, topology and trace."""
+    domain, (_, cns), (seps, _, _) = state.domain, state.topology, state.traced
     seen = []
 
     def capture(vertices, records):
@@ -161,9 +136,9 @@ def _cut_inputs(domain, h):
 
 @pytest.mark.parametrize("offset", OFFSETS, ids=lambda o: f"{o[0]}_{o[1]}")
 @pytest.mark.parametrize("name", sorted(TOPOLOGY_RUNS))
-def test_fixture_cut_inputs_resolve_as_the_pair_scan(name, offset):
+def test_fixture_cut_inputs_resolve_as_the_pair_scan(captured, name, offset):
     """Every fixture at order 3, moved by every benchmark offset."""
-    vertices, records = _cut_inputs(translated(name, *offset), TOPOLOGY_RUNS[name])
+    vertices, records = _cut_inputs(captured(name, offset, TOPOLOGY_RUNS[name]))
     error, (verts, _) = assert_same_resolution(vertices, records)
     crosses = sum(kind == "cross" for _, kind, _, _ in verts)
     if name == "nautilus":
@@ -182,9 +157,6 @@ def _line(p0, p1, n, wobble, phase):
     pts = p0 + s[:, None] * d + (wobble * np.sin(math.pi * s + phase))[:, None] * normal
     pts[0], pts[-1] = p0, p1
     return pts
-
-
-coord = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
 
 
 @st.composite

@@ -1,13 +1,14 @@
 """The element-innermost Jacobian kernels against the einsum kernels they replaced.
 
-The references below are the batched einsum versions of the solver's
-physical gradients and element stiffness and of TriMesh.det_jacobians and
-TriMesh.jacobian, as they stood before reftri.map_jacobians put the element
-index innermost.  Every test requires equal bytes.  Signed zeros are drawn
-on purpose: a Jacobian entry whose every node term is -0.0 is +0.0 only when
-the sum starts from 0.0, a physical gradient whose two terms are -0.0 is
-+0.0 only with the + 0.0, and a stiffness entry whose every point term is
--0.0 is +0.0 only when its sum starts from zeros.
+The references (reference.solver, reference.trimesh) are the batched einsum
+versions of the solver's physical gradients and element stiffness and of
+TriMesh.det_jacobians and TriMesh.jacobian, as they stood before
+reftri.map_jacobians put the element index innermost.  Every test requires
+equal bytes.  Signed zeros are drawn on purpose: a Jacobian entry whose
+every node term is -0.0 is +0.0 only when the sum starts from 0.0, a
+physical gradient whose two terms are -0.0 is +0.0 only with the + 0.0, and
+a stiffness entry whose every point term is -0.0 is +0.0 only when its sum
+starts from zeros.
 """
 
 import types
@@ -19,66 +20,8 @@ from hypothesis import given, settings, strategies as st
 from quadfield import solver
 from quadfield.reftri import map_jacobians, ref_triangle
 from quadfield.trimesh import TriMesh
-
-
-# ---- reference: the batched einsum kernels -----------------------------------------
-
-
-def einsum_physical_gradients(grad, geom):
-    """(jac, det, gphys) of k element maps at reference points.
-
-    grad: (npts, nb, 2) reference basis gradients shared by every map, or
-    (k, npts, nb, 2) one table per map; geom: (k, nb, 2) element nodes.  jac
-    is d(x)/d(xi) (k, npts, 2, 2) and gphys the physical basis gradients
-    (k, npts, nb, 2).
-    """
-    grad = np.broadcast_to(grad, (len(geom),) + grad.shape[-3:])
-    jac = np.einsum("epnd,enx->epxd", grad, geom)
-    det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    inv = np.empty_like(jac)
-    inv[..., 0, 0] = jac[..., 1, 1] / det
-    inv[..., 0, 1] = -jac[..., 0, 1] / det
-    inv[..., 1, 0] = -jac[..., 1, 0] / det
-    inv[..., 1, 1] = jac[..., 0, 0] / det
-    # physical gradients: dphi/dx_i = inv[j,i] * dphi/dxi_j  (inv = d(xi)/d(x)),
-    # summed over j from 0.0 as einsum("pds,pnd->pns") sums: the 0.0 turns a
-    # -0.0 first term into +0.0
-    row = inv[:, :, None]                       # (k, npts, 1, 2, 2): one per node
-    gphys = row[..., 0, :] * grad[..., 0, None] + 0.0 + row[..., 1, :] * grad[..., 1, None]
-    return jac, det, gphys
-
-
-def einsum_element_stiffness(mesh, elems):
-    """(k, nb, nb) stiffness matrices of the elements elems (ids or a slice).
-
-    Entry (n, m) sums w_p det_p grad(phi_n) . grad(phi_m) over the quadrature
-    points p in order, adding each point's two gradient products first: the
-    order in which einsum("p,pns,pms->nm", w, gphys, gphys) sums one element.
-    """
-    ref = mesh.ref
-    _, det, gphys = einsum_physical_gradients(ref.grad_q, mesh.geom[elems])
-    wg = (ref.quad_weights * det)[..., None, None] * gphys
-    out = np.zeros((len(gphys), ref.n_nodes, ref.n_nodes))
-    term, second = np.empty_like(out), np.empty_like(out)
-    for p in range(gphys.shape[1]):
-        np.multiply(wg[:, p, :, None, 0], gphys[:, p, None, :, 0], out=term)
-        np.multiply(wg[:, p, :, None, 1], gphys[:, p, None, :, 1], out=second)
-        term += second
-        out += term
-    return out
-
-
-def einsum_jacobian(mesh, e, xi):
-    """TriMesh.jacobian as it was: 2x2 Jacobians d(x)/d(xi), shape (npts, 2, 2)."""
-    xi = np.atleast_2d(np.asarray(xi, dtype=float))
-    g = mesh.ref.grad_basis_at(xi)            # (npts, nb, 2)
-    return np.einsum("pnd,nx->pxd", g, mesh.geom[e])
-
-
-def einsum_det_jacobians(mesh, e=slice(None)):
-    """TriMesh.det_jacobians as it was: (npts,) for one element id, (k, npts) else."""
-    jac = np.einsum("pnd,...nx->...pxd", mesh.ref.grad_q, mesh.geom[e])
-    return jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+from reference.solver import einsum_element_stiffness, einsum_physical_gradients
+from reference.trimesh import einsum_det_jacobians, einsum_jacobian
 
 
 # ---- element batches --------------------------------------------------------------

@@ -9,7 +9,7 @@ from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch, p
 from quadfield.geometry import boundary_field, tangent_angle
 from quadfield.reftri import VERTICES
 from quadfield.trimesh import TriMesh
-from test_trimesh import _count_kernel_calls, _invert_map_scalar
+from reference.trimesh import _count_kernel_calls, _invert_map_scalar
 
 
 def test_locate_barycenter(half_disc_probe, half_disc_mesh):

@@ -4,41 +4,28 @@ All six fixtures at target_h 0.35, 0.12 and 0.06, each under every benchmark
 offset (an exact rigid translation of the domain).  Each case requires equal
 bytes from:
 - the feature-size check's outcome and the interior lattice, against their
-  forms on scipy's KD-tree (test_trimesh);
-- the triangulation, against the np.unique insert (test_delaunay);
+  forms on scipy's KD-tree (reference.trimesh);
+- the triangulation, against the np.unique insert (reference.delaunay);
 - the renumbering, smoothing and boundary-face lookup after carving, against
   the dict loops generate_background_mesh ran before (below);
 - det_jacobians and the element stiffness of the order-4 mesh, against the
-  einsum kernels (test_element_kernels).
+  einsum kernels (reference.trimesh and reference.solver).
 """
 
 import copy
-import json
 
 import numpy as np
 import pytest
 
+from conftest import OFFSETS, translated
 from quadfield import delaunay, solver, trimesh
 from quadfield.delaunay import laplacian_smooth
 from quadfield.errors import MeshError
-from quadfield.geometry import domain_from_json, fixture_path
 from quadfield.trimesh import elevate_and_curve, generate_background_mesh, local_edges
-from test_delaunay import OFFSETS, unique_insert
-from test_element_kernels import einsum_det_jacobians, einsum_element_stiffness
-from test_trimesh import reference_check_feature_size, reference_interior_lattice
-
-
-def translated(name, dx, dy):
-    """The fixture domain moved by (dx, dy), as the benchmark moves it."""
-    doc = json.loads(fixture_path(name).read_text())
-    for loop in doc["loops"]:
-        for seg in loop["segments"]:
-            for key in ("p0", "p1", "center", "origin"):
-                if key in seg:
-                    seg[key] = [seg[key][0] + dx, seg[key][1] + dy]
-            if "points" in seg:
-                seg["points"] = [[x + dx, y + dy] for x, y in seg["points"]]
-    return domain_from_json(doc)
+from reference.delaunay import unique_insert
+from reference.solver import einsum_element_stiffness
+from reference.trimesh import (einsum_det_jacobians, reference_check_feature_size,
+                               reference_interior_lattice)
 
 
 def reference_renumber(tri, edges):

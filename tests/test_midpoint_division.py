@@ -8,7 +8,7 @@ with one intersections call per side, and the propagation with one per
 record behind a bbox test.  Both must give the same records (order, keys,
 kind, polyline bytes), the same vertices and the same errors on the
 captured divisions of polygon_III under every benchmark offset, on the two
-synthetic divisions of test_blockdecomp and on hypothesis tails.
+synthetic divisions of reference.blockdecomp and on hypothesis tails.
 """
 
 import sys
@@ -20,17 +20,11 @@ from hypothesis import example, given, settings, strategies as st
 from quadfield import blockdecomp, polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision, VertexRec,
                                    decompose)
+from conftest import OFFSETS, coord
 from quadfield.errors import DecompositionError
-from quadfield.field import FieldProbe
-from quadfield.singular import corner_valences, find_critical_points
-from quadfield.solver import choose_discretization, solve_guiding_field
-from quadfield.tracer import trace_all
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
-import test_blockdecomp
-from test_crossings import _state, reference_split_record
-from test_delaunay import OFFSETS
-from test_fixture_meshes import translated
-from test_polyline import reference_bbox, reference_intersections
+from reference.blockdecomp import (_state, dead_corner_division, equilateral_division,
+                                   reference_split_record)
+from reference.polyline import reference_bbox, reference_intersections
 
 
 # ---- reference: one intersections call per side and per record -------------------
@@ -228,27 +222,18 @@ def _checked_divisions(monkeypatch):
 # ---- polygon_III: the fixture whose cut divides ----------------------------------
 
 
-def _decompose(domain, order, h):
-    """decompose after an order-`order` solve, topology and trace at spacing h."""
-    mesh = elevate_and_curve(generate_background_mesh(domain, h), order, domain)
-    probe = FieldProbe(solve_guiding_field(mesh, domain, choose_discretization(domain)))
-    cps = find_critical_points(probe.solution, probe)
-    cns = corner_valences(domain, probe)
-    h_s = 0.25 * mesh.shortest_edge()
-    seps, _ = trace_all(cps, cns, probe, domain, h_s)
-    decompose(domain, probe, cns, seps, h_s, critical_points=cps)
-
-
 @pytest.mark.parametrize("offset", OFFSETS, ids=lambda o: f"{o[0]}_{o[1]}")
 @pytest.mark.parametrize("h", [0.35, 0.3, 0.2])
 @pytest.mark.parametrize("order", [3, 4, 5])
-def test_polygon_iii_divisions_match_the_reference(monkeypatch, order, h, offset):
+def test_polygon_iii_divisions_match_the_reference(captured, monkeypatch, order, h, offset):
     """polygon_III at orders 3-5 and three spacings, moved by every benchmark
     offset: one division each, whose tail crosses two records past its exit.
     Its crossing tests are one pair_crossings call for the exit and one per
     propagation round."""
+    state = captured("polygon_III", offset, h, order)
+    (cps, cns), (seps, _, h_s) = state.topology, state.traced
     checked = _checked_divisions(monkeypatch)
-    _decompose(translated("polygon_III", *offset), order, h)
+    decompose(state.domain, state.probe, cns, seps, h_s, critical_points=cps)
     assert len(checked) == 1
     error, (vertices, _), callers = checked[0]
     assert error is None
@@ -257,19 +242,17 @@ def test_polygon_iii_divisions_match_the_reference(monkeypatch, order, h, offset
     assert callers == ["_first_exit"] + ["_crossing_hits"] * 3
 
 
-@pytest.mark.parametrize("synthetic", [
+@pytest.mark.parametrize("divide", [equilateral_division, dead_corner_division], ids=[
     "test_midpoint_division_equilateral_symmetry",
     "test_midpoint_division_dead_corner_between_adjacent_and_far_sides"])
-def test_synthetic_divisions_match_the_reference(monkeypatch, synthetic):
+def test_synthetic_divisions_match_the_reference(monkeypatch, divide):
     checked = _checked_divisions(monkeypatch)
-    getattr(test_blockdecomp, synthetic)()
+    divide()
     assert len(checked) == 1 and checked[0][0] is None
     assert checked[0][2] == ["_first_exit"]             # no propagation
 
 
 # ---- hypothesis tails ------------------------------------------------------------
-
-coord = st.integers(0, 8).map(lambda k: k / 8) | st.floats(0.0, 1.0)
 
 
 def polylines(max_size=12):

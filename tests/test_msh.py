@@ -3,11 +3,8 @@ import re
 import pytest
 
 from quadfield.errors import MeshError
-from quadfield.geometry import load_fixture
 from quadfield.msh import import_msh, read_msh, write_msh
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
-
-from conftest import square_domain
+from quadfield.trimesh import elevate_and_curve
 
 TWO_TRI_SQUARE = """$MeshFormat
 2.2 0 8
@@ -31,24 +28,23 @@ $EndElements
 """
 
 
-def test_import_two_triangle_square(tmp_path):
+def test_import_two_triangle_square(tmp_path, unit_square):
     path = tmp_path / "square.msh"
     path.write_text(TWO_TRI_SQUARE)
-    dom = square_domain()
-    mesh = import_msh(path, dom)
+    mesh = import_msh(path, unit_square)
     assert mesh.n_elements() == 2
     assert len(mesh.boundary_faces) == 4
     mesh.euler_check()
 
 
-def test_import_rejects_quads(tmp_path):
+def test_import_rejects_quads(tmp_path, unit_square):
     bad = TWO_TRI_SQUARE.replace("6\n1 1 2 1 1 1 2",
                                  "3\n1 3 2 0 1 1 2 3 4")
     bad = bad.replace("2 1 2 2 2 2 3\n3 1 2 3 3 3 4\n4 1 2 4 4 4 1\n", "")
     path = tmp_path / "quad.msh"
     path.write_text(bad)
     with pytest.raises(MeshError, match="unsupported element type"):
-        import_msh(path, square_domain())
+        import_msh(path, unit_square)
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -72,16 +68,16 @@ def test_malformed_msh_raises_mesh_error_naming_the_file(tmp_path, old, new, mes
         read_msh(path)
 
 
-def test_import_rejects_offset_geometry(tmp_path):
+def test_import_rejects_offset_geometry(tmp_path, unit_square):
     shifted = TWO_TRI_SQUARE.replace("2 1 0 0", "2 1.5 0 0")
     path = tmp_path / "shifted.msh"
     path.write_text(shifted)
     with pytest.raises(MeshError, match="mismatch"):
-        import_msh(path, square_domain())
+        import_msh(path, unit_square)
 
 
-def test_roundtrip_half_disc(tmp_path, half_disc):
-    mesh = generate_background_mesh(half_disc, 0.35)
+def test_roundtrip_half_disc(tmp_path, half_disc, captured):
+    mesh = captured("half_disc", order=1).mesh
     path = tmp_path / "hd.msh"
     write_msh(path, mesh)
     again = import_msh(path, half_disc)
@@ -119,9 +115,8 @@ def _msh_triangles(path):
 @pytest.mark.parametrize("order", [2, 3])
 @pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
                                   "naca_IV", "holed_nautilus"])
-def test_high_order_nodes_shared_by_topology(tmp_path, name, order):
-    domain = load_fixture(name)
-    mesh = elevate_and_curve(generate_background_mesh(domain, 0.35), order, domain)
+def test_high_order_nodes_shared_by_topology(tmp_path, captured, name, order):
+    mesh = captured(name, order=order).mesh
     path = tmp_path / "mesh.msh"
     write_msh(path, mesh)
     n_nodes, conn = _msh_triangles(path)

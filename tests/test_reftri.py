@@ -9,8 +9,9 @@ from scipy.special import roots_jacobi
 from quadfield import reftri
 from quadfield.reftri import (_ADJUGATE, _ADJUGATE_R, BARYCENTER, VERTICES, _gauss_jacobi,
                               _index_pairs, _jacobi_constants, _JacobiTable, _xi_to_ab,
-                              collapsed_quadrature, gauss_lobatto, in_reference,
-                              quadrature_for_degree, RefTriangle, ref_triangle, warp_blend_nodes)
+                              collapsed_quadrature, gauss_lobatto, quadrature_for_degree,
+                              RefTriangle, ref_triangle, warp_blend_nodes)
+from reference.reftri import in_reference
 
 
 # ---- per-mode reference: one Jacobi recursion per Dubiner mode ---------------

@@ -6,23 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import neighbors
+from conftest import OFFSETS, neighbors
 from quadfield import singular
 from quadfield.cli import dump_json, main
 from quadfield.errors import TopologyError
 from quadfield.field import HALF_PI, OUTSIDE, AnalyticProbe, FieldProbe, psi_of
-from quadfield.geometry import boundary_field, fixture_path, load_fixture
-from quadfield.reftri import BARYCENTER, in_reference
+from quadfield.geometry import boundary_field, fixture_path
+from quadfield.reftri import BARYCENTER
 from quadfield.singular import (ARC_ENDPOINT_GAP, ARC_SAMPLES, NEWTON_MAX_ITER,
                                 NEWTON_SLACK, NEWTON_TOL, CriticalPoint,
                                 corner_valence, corner_valences, dedup_roots,
                                 find_critical_points, interior_roots,
                                 interior_valence, topology_report)
-from quadfield.solver import (DiscretizationChoice, FieldSolution, choose_discretization,
-                             solve_guiding_field)
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
-from test_delaunay import OFFSETS
-from test_fixture_meshes import translated
+from quadfield.solver import DiscretizationChoice, FieldSolution
+from reference.reftri import in_reference
+from reference.singular import TOPOLOGY_RUNS
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -178,13 +176,12 @@ ROOT_RUNS = {("half_disc", 0.35, 3): 2, ("polygon_III", 0.35, 3): 1,
 
 
 @pytest.mark.parametrize("run", sorted(ROOT_RUNS), ids=lambda r: f"{r[0]}-{r[1]}-P{r[2]}")
-def test_fixture_roots_match_the_eval_and_map_forms(run):
+def test_fixture_roots_match_the_eval_and_map_forms(captured, run):
     """Each root's vmag and position, read from Newton's basis row, are bitwise
     those of solution.eval and mesh.map_to_physical at its xi."""
     name, h, order = run
-    domain = load_fixture(name)
-    mesh = elevate_and_curve(generate_background_mesh(domain, h), order, domain)
-    sol = solve_guiding_field(mesh, domain, choose_discretization(domain))
+    state = captured(name, target_h=h, order=order)
+    mesh, sol = state.mesh, state.solution
     roots = interior_roots(sol)
     assert len(roots) == ROOT_RUNS[run]
     for cp in roots:
@@ -246,8 +243,8 @@ def test_half_disc_corner_valences(half_disc_topology):
     assert all(cn.residual < 0.05 for cn in cns)
 
 
-def test_polygon_topology(polygon_iii_pipeline):
-    _, _, _, cps, cns = polygon_iii_pipeline
+def test_polygon_topology(captured):
+    cps, cns = captured("polygon_III").topology
     assert len(cps) == 1 and cps[0].valence == 3
     valences = [cn.valence for cn in cns]
     assert valences.count(0) == 1
@@ -291,13 +288,10 @@ def _reference_corner_arc(corner, probe, c0, samples=ARC_SAMPLES):
 @settings(max_examples=40, deadline=None)
 @given(fixture=st.sampled_from(["half_disc", "polygon_III"]), corner=st.integers(0, 99),
        scale=st.integers(-2, 9))
-def test_fit_contour_finds_the_arc_of_the_old_corner_loop(half_disc, half_disc_probe,
-                                                          polygon_iii, polygon_iii_pipeline,
-                                                          fixture, corner, scale):
+def test_fit_contour_finds_the_arc_of_the_old_corner_loop(captured, fixture, corner, scale):
     """Starting radii from c0 / 4 to 128 c0, so that arcs fail at the outer
     radii or at the small endpoint gaps and the loop has to go on."""
-    domain, probe = ((half_disc, half_disc_probe) if fixture == "half_disc"
-                     else (polygon_iii, polygon_iii_pipeline[2]))
+    domain, probe = captured(fixture).domain, captured(fixture).probe
     corners = domain.corner_inventory()
     cs = corners[corner % len(corners)]
     fits = []
@@ -412,31 +406,21 @@ def _assert_reference_topology(tmp_path, domain, probe):
     return got
 
 
-# the spacings at which each fixture reaches the topology stage (naca_IV's
-# solve fails at 0.35)
-TOPOLOGY_RUNS = {"half_disc": 0.35, "polygon_III": 0.35, "geometry_I": 0.35,
-                 "nautilus": 0.5, "holed_nautilus": 0.35, "naca_IV": 0.5}
-
-
 @pytest.mark.parametrize("offset", OFFSETS, ids=lambda o: f"{o[0]}_{o[1]}")
 @pytest.mark.parametrize("name", sorted(TOPOLOGY_RUNS))
-def test_lockstep_topology_writes_the_reference_bytes(name, offset, tmp_path):
+def test_lockstep_topology_writes_the_reference_bytes(captured, name, offset, tmp_path):
     """Every fixture at order 3, moved by every benchmark offset."""
-    domain = translated(name, *offset)
-    mesh = elevate_and_curve(generate_background_mesh(domain, TOPOLOGY_RUNS[name]), 3, domain)
-    probe = FieldProbe(solve_guiding_field(mesh, domain, choose_discretization(domain)))
-    assert isinstance(_assert_reference_topology(tmp_path, domain, probe), bytes)
+    state = captured(name, offset, TOPOLOGY_RUNS[name])
+    assert isinstance(_assert_reference_topology(tmp_path, state.domain, state.probe), bytes)
 
 
 @settings(max_examples=30, deadline=None)
 @given(fixture=st.sampled_from(["half_disc", "polygon_III"]), scale=st.integers(-3, 9))
-def test_lockstep_topology_matches_the_reference_at_any_radius(
-        half_disc, half_disc_probe, polygon_iii, polygon_iii_pipeline, tmp_path_factory,
-        fixture, scale):
+def test_lockstep_topology_matches_the_reference_at_any_radius(captured, tmp_path_factory,
+                                                               fixture, scale):
     """Starting radii from c0 / 8 to 512 c0: contours fit at different radii,
     or at none, and the first error raised is the reference's."""
-    domain, probe = ((half_disc, half_disc_probe) if fixture == "half_disc"
-                     else (polygon_iii, polygon_iii_pipeline[2]))
+    domain, probe = captured(fixture).domain, captured(fixture).probe
     with mock.patch.object(singular, "RADIUS_FACTOR", singular.RADIUS_FACTOR * 2.0 ** scale):
         _assert_reference_topology(tmp_path_factory.mktemp("topology"), domain, probe)
 
@@ -558,17 +542,14 @@ P_REFINEMENT = {
 
 
 @pytest.mark.parametrize("name", sorted(P_REFINEMENT))
-def test_critical_points_converge_under_p_refinement(name):
+def test_critical_points_converge_under_p_refinement(captured, name):
     """The paper's accuracy claim: the irregular nodes of the order-P field
     keep their count and valences at orders 3-6 and approach those at P=7."""
     target_h, measured = P_REFINEMENT[name]
-    domain = load_fixture(name)
-    linear = generate_background_mesh(domain, target_h)
-    choice = choose_discretization(domain)
 
     def critical_points(order):
-        sol = solve_guiding_field(elevate_and_curve(linear, order, domain), domain, choice)
-        cps = find_critical_points(sol, FieldProbe(sol))
+        state = captured(name, target_h=target_h, order=order)
+        cps = find_critical_points(state.solution, state.probe)
         return np.array([cp.position for cp in cps]), sorted(cp.valence for cp in cps)
 
     top, top_valences = critical_points(7)

@@ -1,21 +1,18 @@
-import functools
-import math
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import neighbors
+from conftest import l2_error, neighbors
 from quadfield import solver
 from quadfield.errors import SolverError
-from quadfield.reftri import VERTICES, RefTriangle, quadrature_for_degree
+from quadfield.reftri import VERTICES, RefTriangle
 from quadfield.solver import (CGSpace, CrossFieldBC, DiscretizationChoice,
                               FunctionBC, _face_penalty, build_cg_system,
                               build_dg_system, choose_discretization,
                               corner_elements, jump_norm,
                               solve_guiding_field, solve_laplace)
 from quadfield.geometry import load_fixture
-from quadfield.trimesh import TriMesh, elevate_and_curve, generate_background_mesh
+from quadfield.trimesh import TriMesh, elevate_and_curve
 
 
 # ---- reference: the per-element and per-face assembly the batched one replaced ----
@@ -178,21 +175,6 @@ def per_element_corner_elements(mesh, domain, rings=2):
     return ring
 
 
-def l2_error(sol, fn, component=0):
-    mesh = sol.mesh
-    pts, w = quadrature_for_degree(16)
-    basis = mesh.ref.basis_at(pts)
-    grad = mesh.ref.grad_basis_at(pts)
-    total = 0.0
-    for e in range(mesh.n_elements()):
-        xy = basis @ mesh.geom[e]
-        jac = np.einsum("pnd,nx->pxd", grad, mesh.geom[e])
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        vals = basis @ sol.coeffs[e][:, component]
-        total += float(np.sum(w * det * (vals - fn(xy[:, 0], xy[:, 1])) ** 2))
-    return math.sqrt(total)
-
-
 def test_choose_discretization_per_fixture():
     assert choose_discretization(load_fixture("half_disc")).scheme == "cg"
     assert choose_discretization(load_fixture("polygon_III")).scheme == "dg"
@@ -293,12 +275,11 @@ def reference_value_range(solution, exclude=()):
 
 
 @pytest.mark.parametrize("fixture", ["half_disc", "polygon_III"])
-def test_value_range_matches_the_element_loop(fixture, half_disc_solution,
-                                              polygon_iii_pipeline):
+def test_value_range_matches_the_element_loop(captured, fixture):
     """The one product gives each element's quadrature values bitwise, and
     value_range the loop's bounds: over every element, without the corner
     rings, with ids out of range, with none left, and with NaN values."""
-    sol = half_disc_solution if fixture == "half_disc" else polygon_iii_pipeline[1]
+    sol = captured(fixture).solution
     mesh = sol.mesh
     ne = mesh.n_elements()
     vals = mesh.ref.basis_q @ sol.coeffs
@@ -333,8 +314,8 @@ class _EmptyBC:
         raise AssertionError("should not be called")
 
 
-def test_boundary_data_one_sided(polygon_iii, polygon_iii_pipeline):
-    mesh, _, _, _, _ = polygon_iii_pipeline
+def test_boundary_data_one_sided(polygon_iii, captured):
+    mesh = captured("polygon_III").mesh
     bc = CrossFieldBC(mesh, polygon_iii)
     sharp = next(c for c in polygon_iii.corner_inventory()
                  if not c.bc_continuous and c.delta_theta < 1.0)
@@ -356,11 +337,10 @@ def test_jump_norm_cg_zero(half_disc_solution):
     assert summary["max"] < 1e-12
 
 
-def test_jump_norm_dg_polygon(polygon_iii):
-    lin = generate_background_mesh(polygon_iii, 0.45)
+def test_jump_norm_dg_polygon(polygon_iii, captured):
     jumps = {}
     for order in (2, 5):
-        mesh = elevate_and_curve(lin, order, polygon_iii)
+        mesh = captured("polygon_III", target_h=0.45, order=order).mesh
         sol = solve_laplace(mesh, CrossFieldBC(mesh, polygon_iii),
                             DiscretizationChoice("dg"))
         per_edge, summary = jump_norm(sol)
@@ -491,9 +471,8 @@ def test_sipg_face_form_matches_four_block_reference_square(square_mesh_p3):
 
 
 @pytest.mark.parametrize("order,h", [(3, 0.35), (4, 0.12)])
-def test_sipg_face_form_matches_four_block_reference_polygon(polygon_iii, order, h):
-    mesh = elevate_and_curve(generate_background_mesh(polygon_iii, h), order,
-                             polygon_iii)
+def test_sipg_face_form_matches_four_block_reference_polygon(polygon_iii, captured, order, h):
+    mesh = captured("polygon_III", target_h=h, order=order).mesh
     bc = CrossFieldBC(mesh, polygon_iii)
     choice = choose_discretization(polygon_iii)
     assert choice.scheme == "dg"
@@ -504,26 +483,21 @@ def test_sipg_face_form_matches_four_block_reference_polygon(polygon_iii, order,
 # ---- the batched element and face passes against the per-face reference ----------
 
 
-@functools.lru_cache(maxsize=None)
-def _fixture_mesh(name, order, h):
-    domain = load_fixture(name)
-    return domain, elevate_and_curve(generate_background_mesh(domain, h), order, domain)
-
-
 @pytest.mark.parametrize("batch", [solver.BATCH, 7])
-def test_batched_assembly_matches_per_face_reference(batch, monkeypatch):
+def test_batched_assembly_matches_per_face_reference(captured, batch, monkeypatch):
     """DG on polygon_III and CG on geometry_I at order 3, h = 0.35: the bytes of
     the matrix, the right-hand side and the Dirichlet data equal those of
     the per-element and per-face assembly, whatever the batch size."""
+    polygon, geometry = captured("polygon_III"), captured("geometry_I")
     monkeypatch.setattr(solver, "BATCH", batch)
-    domain, mesh = _fixture_mesh("polygon_III", 3, 0.35)
+    domain, mesh = polygon.domain, polygon.mesh
     bc = CrossFieldBC(mesh, domain)
     choice = choose_discretization(domain)
     assert choice.scheme == "dg"
     assert (_dg_bytes(build_dg_system(mesh, bc, choice))
             == _dg_bytes(per_face_dg_system(mesh, bc, choice)))
 
-    domain, mesh = _fixture_mesh("geometry_I", 3, 0.35)
+    domain, mesh = geometry.domain, geometry.mesh
     bc = CrossFieldBC(mesh, domain)
     assert choose_discretization(domain).scheme == "cg"
     new, ref = build_cg_system(mesh, bc), per_element_cg_system(mesh, bc)
@@ -531,10 +505,10 @@ def test_batched_assembly_matches_per_face_reference(batch, monkeypatch):
             == [a.tobytes() for a in (ref[0].data, ref[0].indices, ref[0].indptr, *ref[1:3])])
 
 
-def test_batched_face_geometry_matches_per_face_reference():
+def test_batched_face_geometry_matches_per_face_reference(captured):
     """Every array of the batched FaceGeometry, face by face, on polygon_III at
     order 4 (the benchmark's order), interior faces from both sides."""
-    domain, mesh = _fixture_mesh("polygon_III", 4, 0.35)
+    mesh = captured("polygon_III", order=4).mesh
     pairs = mesh.face_pairs
     faces = np.concatenate([pairs[:, :2], pairs[:, 2:],
                             [(f.elem, f.ledge) for f in mesh.boundary_faces]])
@@ -547,8 +521,9 @@ def test_batched_face_geometry_matches_per_face_reference():
         assert batch.normal_deriv()[k].tobytes() == ref.normal_deriv().tobytes()
 
 
-def test_jump_norm_matches_per_face_reference():
-    domain, mesh = _fixture_mesh("polygon_III", 3, 0.35)
+def test_jump_norm_matches_per_face_reference(captured):
+    state = captured("polygon_III")
+    domain, mesh = state.domain, state.mesh
     sol = solve_laplace(mesh, CrossFieldBC(mesh, domain), choose_discretization(domain))
     per_edge, summary = jump_norm(sol)
     assert per_edge.tobytes() == per_face_jump_norm(sol).tobytes()
@@ -556,8 +531,9 @@ def test_jump_norm_matches_per_face_reference():
 
 
 @pytest.mark.parametrize("name", ["polygon_III", "geometry_I", "half_disc", "naca_IV"])
-def test_corner_elements_match_per_element_reference(name):
-    domain, mesh = _fixture_mesh(name, 2, 0.35)
+def test_corner_elements_match_per_element_reference(captured, name):
+    state = captured(name, order=2)
+    domain, mesh = state.domain, state.mesh
     for rings in (0, 1, 2):
         assert (corner_elements(mesh, domain, rings)
                 == per_element_corner_elements(mesh, domain, rings))

@@ -148,11 +148,10 @@ def test_no_separatrix_exits_domain(half_disc, half_disc_traced):
             assert dist < 1e-9
 
 
-def test_trace_determinism(half_disc, half_disc_mesh, half_disc_probe,
-                           half_disc_topology):
+def test_trace_determinism(half_disc, half_disc_probe, half_disc_topology, half_disc_traced):
+    """A second trace of the captured inputs gives the captured separatrices."""
     cps, cns = half_disc_topology
-    h_s = 0.25 * half_disc_mesh.shortest_edge()
-    a, _ = trace_all(cps, cns, half_disc_probe, half_disc, h_s)
+    a, _, h_s = half_disc_traced
     b, _ = trace_all(cps, cns, half_disc_probe, half_disc, h_s)
     assert len(a) == len(b)
     for sa, sb in zip(a, b):

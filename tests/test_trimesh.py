@@ -1,4 +1,3 @@
-import functools
 import math
 import re
 
@@ -10,12 +9,13 @@ from scipy.spatial import cKDTree
 from conftest import neighbors
 from quadfield import trimesh
 from quadfield.errors import GeometryError, MeshError
-from quadfield.geometry import BoundaryLoop, DomainSpec, Line, in_region, load_fixture
-from quadfield.reftri import (BARYCENTER, VERTICES, RefTriangle, _JacobiTable,
-                              in_reference, ref_triangle)
+from quadfield.geometry import BoundaryLoop, DomainSpec, Line, load_fixture
+from quadfield.reftri import BARYCENTER, VERTICES, ref_triangle
 from quadfield.solver import CGSpace
 from quadfield.trimesh import (BoundaryFace, TriMesh, elevate_and_curve,
                                generate_background_mesh)
+from reference.trimesh import (_count_kernel_calls, _invert_map_scalar,
+                               reference_interior_lattice)
 
 
 
@@ -33,8 +33,8 @@ def test_square_mesh_conforming(unit_square, square_mesh_linear):
         assert min(abs(x), abs(1 - x), abs(y), abs(1 - y)) < 1e-12
 
 
-def test_half_disc_mesh_coarse(half_disc):
-    mesh = generate_background_mesh(half_disc, 0.35)
+def test_half_disc_mesh_coarse(half_disc, captured):
+    mesh = captured("half_disc", order=1).mesh
     assert 15 <= mesh.n_elements() <= 60
     for f in mesh.boundary_faces:
         seg = half_disc.loops[f.loop].segments[f.seg]
@@ -138,32 +138,7 @@ def test_jacobian_matches_finite_differences(half_disc_mesh):
         assert np.abs(fd - jac[:, d]).max() < 1e-6 * (1 + np.abs(jac).max())
 
 
-# ---- one-element reference: the Newton loop that invert_maps runs per lane ----
-
-
-def _invert_map_scalar(mesh, e, x, max_iter=50, slack=1e-8):
-    """Newton inversion of the element map; None on failure."""
-    x = np.asarray(x, dtype=float)
-    tol = 1e-12 * mesh.bbox_diag
-    xi = BARYCENTER.copy()
-    for _ in range(max_iter):
-        r = mesh.map_to_physical(e, xi)[0] - x
-        if np.hypot(*r) < tol:
-            break
-        j = mesh.jacobian(e, xi)[0]
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        if abs(det) < 1e-300:
-            return None
-        dxi = np.array([(j[1, 1] * r[0] - j[0, 1] * r[1]) / det,
-                        (-j[1, 0] * r[0] + j[0, 0] * r[1]) / det])
-        xi = xi - dxi
-        if np.abs(xi).max() > 10.0:
-            return None
-    else:
-        return None
-    if not in_reference(xi, slack=slack):
-        return None
-    return xi
+# ---- invert_map against the one-element Newton loop (reference.trimesh) ------
 
 
 def _assert_lanes_match_scalar(mesh, elems, x):
@@ -302,21 +277,6 @@ def test_invert_map_lanes_match_scalar_loop_on_a_shared_edge(half_disc_mesh):
     assert [e for e, xi in enumerate(got) if xi is not None] == [5, 6]
 
 
-def _count_kernel_calls(monkeypatch):
-    counts = {"table": 0, "basis_at": 0, "grad_basis_at": 0}
-
-    def counted(name, method):
-        def wrapper(self, xi):
-            counts[name] += 1
-            return method(self, xi)
-        return wrapper
-
-    monkeypatch.setattr(_JacobiTable, "__call__", counted("table", _JacobiTable.__call__))
-    for name in ("basis_at", "grad_basis_at"):
-        monkeypatch.setattr(RefTriangle, name, counted(name, getattr(RefTriangle, name)))
-    return counts
-
-
 def _lane_start(ref, nodes):
     """Newton's first step as the lockstep loop took it for its own lanes
     before the start was cached per mesh: (x0, flat Jacobian, det)."""
@@ -328,12 +288,11 @@ def _lane_start(ref, nodes):
 
 @pytest.mark.parametrize("fixture, h, order", [
     ("half_disc", 0.35, 3), ("nautilus", 0.5, 3), ("polygon_III", 0.12, 4)])
-def test_cached_first_step_matches_every_batch_bitwise(fixture, h, order):
+def test_cached_first_step_matches_every_batch_bitwise(captured, fixture, h, order):
     """The per-mesh first Newton step of every element equals, byte for byte,
     the one computed on one lane, on a few lanes in any order (repeats
     included), and on all lanes at once."""
-    domain = load_fixture(fixture)
-    mesh = elevate_and_curve(generate_background_mesh(domain, h), order, domain)
+    mesh = captured(fixture, target_h=h, order=order).mesh
     ne = mesh.n_elements()
     cached = mesh._first_step
     assert [a.shape for a in cached] == [(ne, 2), (ne, 4), (ne,)]
@@ -391,9 +350,9 @@ def test_area_matches_domain_square(unit_square, square_mesh_p3):
     assert square_mesh_p3.area() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_area_matches_domain_half_disc(half_disc):
+def test_area_matches_domain_half_disc(captured):
     # high order so the boundary interpolation error sits below the tolerance
-    mesh = elevate_and_curve(generate_background_mesh(half_disc, 0.3), 6, half_disc)
+    mesh = captured("half_disc", target_h=0.3, order=6).mesh
     assert mesh.area() == pytest.approx(math.pi / 2, rel=1e-8)
 
 
@@ -559,17 +518,12 @@ def _assert_edge_table_matches_reference(linear, mesh, domain):
             _reference_geom(linear, mesh.order, domain, edge_use).tobytes()
 
 
-@functools.lru_cache(maxsize=None)
-def _fixture_linear_mesh(name):
-    domain = load_fixture(name)
-    return domain, generate_background_mesh(domain, 0.35)
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
 @pytest.mark.parametrize("name", ["half_disc", "nautilus", "polygon_III", "geometry_I",
                                   "naca_IV", "holed_nautilus"])
-def test_edge_table_matches_reference_dictionaries(name, order):
-    domain, linear = _fixture_linear_mesh(name)
+def test_edge_table_matches_reference_dictionaries(captured, name, order):
+    state = captured(name, order=1)
+    domain, linear = state.domain, state.mesh
     try:
         mesh = elevate_and_curve(linear, order, domain)
     except MeshError:
@@ -648,44 +602,7 @@ def test_interior_lattice_matches_per_point_loop(name, monkeypatch):
     assert all(len(new) for new, _ in seen)
 
 
-# ---- the mesh stage's proximity queries against scipy's KD-tree ---------------------
-
-
-def reference_check_feature_size(points, edges, target_h):
-    """_check_feature_size as it stood, on cKDTree.query_pairs."""
-    tree = cKDTree(points)
-    adjacency = {}
-    local_h = {}
-    for (i, j, *_rest) in edges:
-        adjacency.setdefault(i, set()).add(j)
-        adjacency.setdefault(j, set()).add(i)
-        d = float(np.hypot(*(points[i] - points[j])))
-        local_h[i] = min(local_h.get(i, math.inf), d)
-        local_h[j] = min(local_h.get(j, math.inf), d)
-    pairs = tree.query_pairs(0.35 * target_h)
-    for (i, j) in sorted(pairs):
-        if j in adjacency.get(i, ()):
-            continue
-        d = float(np.hypot(*(points[i] - points[j])))
-        if d < 0.2 * min(local_h[i], local_h[j]):
-            raise MeshError(
-                "boundary features thinner than the sampling resolves; "
-                f"retry with target_h <= {target_h / 2:.4g}")
-
-
-def reference_interior_lattice(domain, boundary_pts, target_h, loop_polys):
-    """_interior_lattice as it stood, its distance filter on cKDTree.query."""
-    lo, hi = domain.bbox
-    dy = target_h * math.sqrt(3.0) / 2.0
-    rows = []
-    for r in range(1, int(math.floor((hi[1] - lo[1]) / dy)) + 1):
-        x0 = lo[0] + (target_h / 2.0 if r % 2 else target_h)
-        cols = int(math.floor((hi[0] - x0) / target_h)) + 1
-        rows.append(np.stack([x0 + np.arange(cols) * target_h,
-                              np.full(cols, lo[1] + r * dy)], axis=1))
-    pts = np.concatenate(rows) if rows else np.empty((0, 2))
-    pts = pts[in_region(pts, loop_polys[0], loop_polys[1:])]
-    return pts[~(cKDTree(boundary_pts).query(pts)[0] <= 0.7 * target_h)]
+# ---- the lattice filter against scipy's KD-tree (reference.trimesh) ---------------
 
 
 def _one_row_strip(h, ox, oy, cols):

@@ -14,11 +14,10 @@ import pytest
 
 from quadfield import cli, svgio, vtkio
 from quadfield.field import CRITICAL_EPS
-from quadfield.geometry import fixture_path, load_fixture
+from quadfield.geometry import fixture_path
 from quadfield.msh import (GMSH_LINE, GMSH_QUAD, _TRI_TYPE_BY_ORDER, _equidistant_tri_nodes,
                            write_msh)
 from quadfield.svgio import _BLOCK_FILLS, _CANVAS, _psi_color
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh
 from quadfield.vtkio import _sample_elements, _subdivide_reference
 
 # ---- reference: svgio, one point at a time ----
@@ -222,19 +221,12 @@ def test_writers_write_the_reference_bytes(name, flags, rc, files, tmp_path, mon
         assert path.read_bytes() == Path(f"{path}.ref").read_bytes(), path.name
 
 
-@pytest.fixture(scope="module")
-def linear_meshes():
-    return {name: (load_fixture(name), generate_background_mesh(load_fixture(name), 0.35))
-            for name in ("half_disc", "nautilus", "holed_nautilus", "naca_IV")}
-
-
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["half_disc", "nautilus", "holed_nautilus", "naca_IV"])
-def test_write_msh_writes_the_reference_bytes(linear_meshes, name, order, tmp_path):
+def test_write_msh_writes_the_reference_bytes(captured, name, order, tmp_path):
     """Orders 1-3 with their nodes (1 with tagged boundary lines), and order 4
     as straight triangles."""
-    domain, linear = linear_meshes[name]
-    mesh = linear if order == 1 else elevate_and_curve(linear, order, domain)
+    mesh = captured(name, order=order).mesh
     write_msh(tmp_path / "got.msh", mesh)
     reference_write_msh(tmp_path / "want.msh", mesh)
     assert (tmp_path / "got.msh").read_bytes() == (tmp_path / "want.msh").read_bytes()
@@ -242,9 +234,8 @@ def test_write_msh_writes_the_reference_bytes(linear_meshes, name, order, tmp_pa
 
 @pytest.mark.parametrize("order", range(1, 8))
 @pytest.mark.parametrize("name", ["half_disc", "nautilus"])
-def test_stacked_samples_match_the_element_loop_bitwise(linear_meshes, name, order):
-    domain, linear = linear_meshes[name]
-    mesh = linear if order == 1 else elevate_and_curve(linear, order, domain)
+def test_stacked_samples_match_the_element_loop_bitwise(captured, name, order):
+    mesh = captured(name, order=order).mesh
     rng = np.random.default_rng(order)
     arrays = (rng.normal(size=(mesh.n_elements(), mesh.ref.n_nodes, 2)),
               rng.normal(size=(mesh.n_elements(), mesh.ref.n_nodes, 3)))
