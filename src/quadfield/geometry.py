@@ -323,10 +323,12 @@ class Spline(CurveSegment):
             raise GeometryError("spline needs at least 3 points")
         from scipy.interpolate import CubicSpline
         chord = polyline.cumlen(pts)
-        if chord[-1] <= 0:
-            raise GeometryError("spline control points are coincident")
-        self._u = chord / chord[-1]
-        self._cs = CubicSpline(self._u, pts, bc_type="natural")
+        u = chord / chord[-1] if chord[-1] > 0 else chord
+        stuck = np.flatnonzero(np.diff(u) <= 0)
+        if len(stuck):
+            raise GeometryError(f"spline control points {stuck[0]} and {stuck[0] + 1} "
+                                "are coincident")
+        self._cs = CubicSpline(u, pts, bc_type="natural")
         self.ctrl = pts
 
     def point(self, t):
@@ -566,26 +568,29 @@ class BoundaryLoop:
                 "segments": [s.to_json() for s in self.segments]}
 
 
-def boundary_zero_count(loop, component):
-    """Sign changes of one boundary-field component around a smooth loop."""
+def _boundary_component(loop, component):
+    """One boundary-field component sampled around a smooth loop."""
     if loop.corners():
-        raise GeometryError("smooth loop required: boundary_zero_count with corners present")
+        raise GeometryError("smooth loop required: boundary zeros with corners present")
     if component not in ("u", "v"):
         raise GeometryError(f"component must be 'u' or 'v', got {component!r}")
     u, v = boundary_field(loop.tangent_angles())
-    vals = u if component == "u" else v
-    signs = np.sign(vals)
+    return u if component == "u" else v
+
+
+def boundary_zero_count(loop, component):
+    """Sign changes of one boundary-field component around a smooth loop."""
+    signs = np.sign(_boundary_component(loop, component))
     # treat exact zeros as the following sample's sign
     for i in range(len(signs) - 2, -1, -1):
         if signs[i] == 0:
             signs[i] = signs[i + 1]
-    return int(np.sum(signs != np.roll(signs, -1)) // 1) if len(signs) else 0
+    return int(np.sum(signs != np.roll(signs, -1))) if len(signs) else 0
 
 
 def boundary_zero_positions(loop, component):
     """Arclength fractions of the zero crossings (midpoint of the straddle)."""
-    u, v = boundary_field(loop.tangent_angles())
-    vals = u if component == "u" else v
+    vals = _boundary_component(loop, component)
     nxt = np.roll(vals, -1)
     idx = np.nonzero(np.sign(vals) * np.sign(nxt) < 0)[0]
     return (idx + 0.5) / len(vals)

@@ -1,18 +1,14 @@
-"""Gmsh MSH 2.2 ASCII reading and writing.
+"""Gmsh MSH 2.2 ASCII writers.
 
-The reader accepts linear meshes (3-node triangles plus 2-node boundary
-lines) and re-associates boundary edges with the domain's curve segments by
-closest-point projection.  Writers emit triangle meshes (orders 1..3, with
-geometry re-interpolated to the equidistant nodes gmsh expects; higher orders
-as straight 3-node triangles) and linear quad meshes.
+Triangle meshes are written at orders 1..3, with geometry re-interpolated to
+the equidistant nodes gmsh expects (higher orders as straight 3-node
+triangles); quad meshes are written linear.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import MeshError
-from .trimesh import BoundaryFace, TriMesh, local_edges
 from .vtkio import _table
 
 GMSH_LINE = 1
@@ -92,119 +88,3 @@ def write_quad_msh(path, qmesh):
     """Linear quads; block provenance as the physical tag."""
     tags = np.asarray(qmesh.block_of, dtype=int)
     _write(path, qmesh.nodes, [(GMSH_QUAD, np.stack([tags, tags], axis=1), qmesh.quads)])
-
-
-def read_msh(path):
-    """Parse nodes, triangles, and tagged boundary lines from MSH 2.2 ASCII."""
-    with open(path) as f:
-        tokens = f.read().split("\n")
-    try:
-        i = tokens.index("$MeshFormat")
-        version = tokens[i + 1].split()[0]
-    except (ValueError, IndexError):
-        raise MeshError(f"{path}: not a MSH file")
-    if not version.startswith("2.2"):
-        raise MeshError(f"{path}: unsupported MSH version {version}")
-
-    def section(name):
-        if f"${name}" not in tokens or f"$End{name}" not in tokens:
-            raise MeshError(f"{path}: no ${name} section")
-        return tokens[tokens.index(f"${name}") + 1:tokens.index(f"$End{name}")]
-
-    try:
-        node_lines = section("Nodes")
-        n_nodes = int(node_lines[0])
-        coords = np.zeros((n_nodes, 2))
-        ids = {}
-        for row in node_lines[1:n_nodes + 1]:
-            parts = row.split()
-            ids[int(parts[0])] = len(ids)
-            coords[ids[int(parts[0])]] = [float(parts[1]), float(parts[2])]
-        if len(ids) != n_nodes:
-            raise MeshError(f"{path}: $Nodes declares {n_nodes} nodes but lists "
-                            f"{len(ids)} distinct ids")
-        if len(node_lines) - 1 > n_nodes:
-            raise MeshError(f"{path}: $Nodes declares {n_nodes} nodes but lists "
-                            f"{len(node_lines) - 1} rows")
-
-        elem_lines = section("Elements")
-        n_elem = int(elem_lines[0])
-        if len(elem_lines) - 1 != n_elem:
-            raise MeshError(f"{path}: $Elements declares {n_elem} elements but lists "
-                            f"{len(elem_lines) - 1} rows")
-        tris = []
-        blines = []
-        for row in elem_lines[1:]:
-            parts = [int(p) for p in row.split()]
-            etype, ntags = parts[1], parts[2]
-            if etype not in (GMSH_TRI, GMSH_LINE):
-                raise MeshError(f"{path}: unsupported element type {etype}; "
-                                "only 3-node triangles and 2-node lines accepted")
-            nodes = [ids[n] for n in parts[3 + ntags:]]
-            want = 3 if etype == GMSH_TRI else 2
-            if len(nodes) != want:
-                raise MeshError(f"{path}: element {parts[0]} (type {etype}) has node "
-                                f"count {len(nodes)}, not {want}")
-            if etype == GMSH_TRI:
-                tris.append(nodes)
-            else:
-                blines.append((nodes, parts[3] if ntags else 0))
-    except KeyError as ex:
-        raise MeshError(f"{path}: an element names node {ex}, which $Nodes does not "
-                        "list") from None
-    except (ValueError, IndexError) as ex:
-        raise MeshError(f"{path}: malformed MSH file ({ex})") from None
-    if not tris:
-        raise MeshError(f"{path}: no triangles found")
-    return coords, np.array(tris, dtype=int), blines
-
-
-def import_msh(path, domain):
-    """Linear TriMesh from file, boundary edges re-bound to domain segments."""
-    coords, tris, blines = read_msh(path)
-    tol = 1e-6 * domain.bbox_diag
-
-    # orient triangles counterclockwise
-    p0, p1, p2 = coords[tris].transpose(1, 0, 2)
-    cw = (p1 - p0)[:, 0] * (p2 - p0)[:, 1] - (p1 - p0)[:, 1] * (p2 - p0)[:, 0] < 0
-    tris[cw] = tris[cw][:, [0, 2, 1]]
-
-    directed = local_edges(tris)
-    # boundary edges: either the tagged lines or the edges used in one direction only
-    if blines:
-        edge_pairs = [(nodes[0], nodes[1]) for (nodes, _tag) in blines]
-    else:
-        edge_pairs = [(u, v) for (u, v) in directed if (v, u) not in directed]
-
-    faces = []
-    for (u, v) in edge_pairs:
-        a, b = (u, v) if (u, v) in directed else (v, u)
-        if (a, b) not in directed:
-            raise MeshError("boundary line does not match any triangle edge")
-        pa, pb = coords[a], coords[b]
-        la, sa, ta, da = domain.closest_boundary_point(pa)
-        lb, sb, tb, db = domain.closest_boundary_point(pb)
-        if da > tol or db > tol:
-            raise MeshError(
-                f"mesh/geometry mismatch: boundary vertex {max(da, db):.2e} "
-                "away from every segment")
-        if (la, sa) != (lb, sb):
-            # junction edge: one endpoint is the shared corner, so exactly one
-            # of the two segments hosts both endpoints
-            seg_b = domain.loops[lb].segments[sb]
-            ta_on_b, da_on_b = seg_b.closest_point(pa)
-            seg_a = domain.loops[la].segments[sa]
-            tb_on_a, db_on_a = seg_a.closest_point(pb)
-            if da_on_b <= tol:
-                la, sa, ta, tb = lb, sb, ta_on_b, tb
-            elif db_on_a <= tol:
-                tb = tb_on_a
-            else:
-                raise MeshError("mesh/geometry mismatch at a segment junction")
-        ei, le = directed[(a, b)]
-        faces.append(BoundaryFace(ei, le, la, sa, float(ta), float(tb)))
-
-    geom = coords[tris]
-    mesh = TriMesh(coords, tris, 1, geom, faces, domain=domain)
-    mesh.validate_jacobians()
-    return mesh

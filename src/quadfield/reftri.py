@@ -414,11 +414,6 @@ def collapsed_quadrature(n):
     return pts, wts
 
 
-def quadrature_for_degree(degree):
-    n = max(1, (degree + 2) // 2)
-    return collapsed_quadrature(n)
-
-
 class RefTriangle:
     """Order-P nodal reference element with cached operators."""
 

@@ -258,13 +258,6 @@ class TriMesh:
         return mesh
 
 
-def local_edges(triangles):
-    """{(u, v): (elem, ledge)} for every local edge, directed vertex ledge -> ledge+1."""
-    return {(int(u), int(v)): (e, le)
-            for e, (a, b, c) in enumerate(triangles)
-            for le, (u, v) in enumerate(((a, b), (b, c), (c, a)))}
-
-
 # ---- background mesh generation ---------------------------------------------
 
 _KIND_MIN_INTERVALS = {"line": 1, "arc": 2, "spline": 8, "naca4": 32}

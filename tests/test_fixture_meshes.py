@@ -21,11 +21,18 @@ from conftest import OFFSETS, translated
 from quadfield import delaunay, solver, trimesh
 from quadfield.delaunay import laplacian_smooth
 from quadfield.errors import MeshError
-from quadfield.trimesh import elevate_and_curve, generate_background_mesh, local_edges
+from quadfield.trimesh import elevate_and_curve, generate_background_mesh
 from reference.delaunay import unique_insert
 from reference.solver import einsum_element_stiffness
 from reference.trimesh import (einsum_det_jacobians, reference_check_feature_size,
                                reference_interior_lattice)
+
+
+def local_edges(triangles):
+    """{(u, v): (elem, ledge)} for every local edge, directed vertex ledge -> ledge+1."""
+    return {(int(u), int(v)): (e, le)
+            for e, (a, b, c) in enumerate(triangles)
+            for le, (u, v) in enumerate(((a, b), (b, c), (c, a)))}
 
 
 def reference_renumber(tri, edges):

@@ -150,6 +150,15 @@ def test_zero_count_requires_smooth_loop(half_disc):
         boundary_zero_count(half_disc.outer, "u")
 
 
+@pytest.mark.parametrize("zeros", [boundary_zero_count, boundary_zero_positions])
+def test_zeros_refuse_unknown_component_and_corners(zeros, half_disc):
+    circle = BoundaryLoop([Arc((0, 0), 1.0, 0.0, 2 * math.pi)], "outer")
+    with pytest.raises(GeometryError, match="component must be 'u' or 'v', got 'w'"):
+        zeros(circle, "w")
+    with pytest.raises(GeometryError, match="smooth"):
+        zeros(half_disc.outer, "u")
+
+
 def test_half_disc_corners(half_disc):
     corners = half_disc.corner_inventory()
     assert len(corners) == 2
@@ -192,6 +201,17 @@ def test_spline_segment_interpolates_points():
     seg = Spline(pts)
     assert np.allclose(seg.point(0.0), pts[0], atol=1e-12)
     assert np.allclose(seg.point(1.0), pts[-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("pts, pair", [
+    ([(0, 0), (1, 0), (1, 0), (1, 1)], (1, 2)),
+    ([(0, 0), (1, 0), (1, 1), (1, 1)], (2, 3)),
+    ([(2, 3), (2, 3), (2, 3)], (0, 1)),
+], ids=["repeated", "repeated-last", "all-coincident"])
+def test_spline_refuses_coincident_control_points(pts, pair):
+    with pytest.raises(GeometryError, match=f"spline control points {pair[0]} and {pair[1]} "
+                                            "are coincident"):
+        Spline(pts)
 
 
 def test_domain_json_roundtrip(tmp_path, half_disc):
