@@ -29,27 +29,26 @@ from .solver import (DEFAULT_PENALTY, FieldSolution, choose_discretization,
                      solve_guiding_field)
 from .trimesh import TriMesh, elevate_and_curve, generate_background_mesh
 
-# key: (flag, default, accepted types, test, what the value must be).  The
-# warp-and-blend node table ends at order 15, and a split of n makes n * n
-# quads per block; n_max is only compared with a step count, so any integer
-# is safe.  resolve_config also refuses a number that is not finite.
+# key: (default, accepted types, test, what the value must be); its flag is
+# --key, with "_" written "-".  The warp-and-blend node table ends at order
+# 15, and a split of n makes n * n quads per block; n_max is only compared
+# with a step count, so any integer is safe.  resolve_config also refuses a
+# number that is not finite.
 INT, REAL, TEXT = (int,), (int, float), (str,)
 OPTIONS = {
-    "order": ("--order", 3, INT, lambda v: 1 <= v <= 15, "an integer from 1 to 15"),
-    "scheme": ("--scheme", "auto", TEXT, lambda v: v in ("auto", "cg", "dg"), "auto, cg or dg"),
-    "target_h": ("--target-h", 0.0, REAL, lambda v: v >= 0, "a finite number >= 0 (0: bbox/6)"),
-    "step_factor": ("--step-factor", 0.25, REAL, lambda v: v > 0, "a finite number > 0"),
-    "merge_mode": ("--merge", "normal", TEXT, lambda v: v in ("normal", "aggressive"),
-                   "normal or aggressive"),
-    "kappa": ("--kappa", tracer.DEFAULT_KAPPA, REAL, lambda v: v > 0, "a finite number > 0"),
-    "split": ("--split", 2, INT, lambda v: 1 <= v <= 64, "an integer from 1 to 64"),
-    "penalty": ("--penalty", DEFAULT_PENALTY, REAL, lambda v: v > 0, "a finite number > 0"),
-    "n_max": ("--n-max", tracer.DEFAULT_N_MAX, INT, lambda v: v >= 1, "an integer >= 1"),
-    "length_factor": ("--length-factor", tracer.DEFAULT_LENGTH_FACTOR, REAL, lambda v: v > 0,
+    "order": (3, INT, lambda v: 1 <= v <= 15, "an integer from 1 to 15"),
+    "scheme": ("auto", TEXT, lambda v: v in ("auto", "cg", "dg"), "auto, cg or dg"),
+    "target_h": (0.0, REAL, lambda v: v >= 0, "a finite number >= 0 (0: bbox/6)"),
+    "step_factor": (0.25, REAL, lambda v: v > 0, "a finite number > 0"),
+    "kappa": (tracer.DEFAULT_KAPPA, REAL, lambda v: v > 0, "a finite number > 0"),
+    "split": (2, INT, lambda v: 1 <= v <= 64, "an integer from 1 to 64"),
+    "penalty": (DEFAULT_PENALTY, REAL, lambda v: v > 0, "a finite number > 0"),
+    "n_max": (tracer.DEFAULT_N_MAX, INT, lambda v: v >= 1, "an integer >= 1"),
+    "length_factor": (tracer.DEFAULT_LENGTH_FACTOR, REAL, lambda v: v > 0,
                       "a finite number > 0"),
-    "formats": ("--formats", "", TEXT, lambda v: set(v.split(",")) <= {"", "vtk", "svg", "msh"},
+    "formats": ("", TEXT, lambda v: set(v.split(",")) <= {"", "vtk", "svg", "msh"},
                 "a comma list of vtk, svg, msh"),
-    "out": ("--out", "out", TEXT, lambda v: True, "an output directory"),
+    "out": ("out", TEXT, lambda v: True, "an output directory"),
 }
 
 STAGES = ("mesh", "solve", "topology", "trace", "cut", "split")
@@ -188,7 +187,7 @@ class Pipeline:
                 "solve": lambda: FieldSolution.from_json(doc, self.load("mesh")),
                 "topology": lambda: singular.topology_from_json(
                     doc, self.domain, self.load("mesh").n_elements()),
-                "trace": lambda: tracer.separatrices_from_json(doc),
+                "trace": lambda: tracer.separatrices_from_json(doc, self.domain),
                 "cut": lambda: quadblocks.blocks_from_json(doc)}[stage]
         try:
             if stage == "mesh":
@@ -247,9 +246,8 @@ class Pipeline:
     def stage_trace(self):
         sol, probe, cps, cns, h_s = self._traced_field()
         seps, _ = tracer.trace_all(
-            cps, cns, probe, self.domain, h_s, mode=self.config["merge_mode"],
-            kappa=self.config["kappa"], n_max=self.config["n_max"],
-            length_factor=self.config["length_factor"])
+            cps, cns, probe, self.domain, h_s, kappa=self.config["kappa"],
+            n_max=self.config["n_max"], length_factor=self.config["length_factor"])
         check_finite([a for s in seps for a in (s.points, s.start.position, s.end.position,
                                                 (s.start.t, s.end.t))],
                      TracingError, "the separatrices")
@@ -311,8 +309,8 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("domain", help="domain JSON file")
     shared.add_argument("--config", help="config JSON file")
-    for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
-        shared.add_argument(flag, dest=key, type=kinds[-1],
+    for key, (default, kinds, _, phrase) in OPTIONS.items():
+        shared.add_argument("--" + key.replace("_", "-"), type=kinds[-1],
                             help=f"{phrase} (default {default!r})")
     parser = argparse.ArgumentParser(
         prog="quadfield",
@@ -325,7 +323,7 @@ def build_parser():
 
 def resolve_config(args):
     """OPTIONS' defaults, updated by the config file, then by the flags; each value checked."""
-    config = {key: opt[1] for key, opt in OPTIONS.items()}
+    config = {key: opt[0] for key, opt in OPTIONS.items()}
     if args.config:
         try:
             doc = read_json(args.config, ConfigError)
@@ -339,7 +337,7 @@ def resolve_config(args):
         config.update(doc)
     config.update((key, getattr(args, key)) for key in OPTIONS
                   if getattr(args, key) is not None)
-    for key, (_, _, kinds, test, phrase) in OPTIONS.items():
+    for key, (_, kinds, test, phrase) in OPTIONS.items():
         value = config[key]
         try:
             typed(value, kinds, key)                # ints exclude bools

@@ -97,7 +97,7 @@ class FieldProbe:
 
         Every located point multiplies the basis row Newton built at its xi
         with its element's coefficients as its own 1 x n product, so its
-        row is bitwise FieldSolution.eval at the located xi.
+        row is bitwise ref.basis_at(xi) @ coeffs[elem] at the located xi.
         """
         locs = self._locations(points)
         found = [i for i, loc in enumerate(locs) if loc is not OUTSIDE]

@@ -10,7 +10,6 @@ keys and side records.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,14 +94,6 @@ class QuadBlock:
         denom = np.hypot(qs[:, 0], qs[:, 1]) * np.hypot(qt[:, 0], qt[:, 1])
         out = np.divide(det, denom, out=np.zeros_like(det), where=denom > 0)
         return out.reshape(S.shape)
-
-    def area(self, n=24):
-        """2x2 Gauss per cell on an n x n grid of the parameter square."""
-        g = 0.5 / math.sqrt(3.0)
-        u = ((np.arange(n)[:, None] + [0.5 - g, 0.5 + g]) / n).ravel()
-        S, T = np.meshgrid(u, u, indexing="ij")
-        qs, qt = self._derivatives(S.ravel(), T.ravel())
-        return float(np.sum((qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]) / (4 * n * n)))
 
 
 def build_blocks(sub, faces=None):

@@ -110,15 +110,6 @@ class FieldSolution:
         self.coeffs = np.asarray(coeffs, dtype=float)   # (ne, nb, ncomp)
         self.choice = choice
 
-    @property
-    def ncomp(self):
-        return self.coeffs.shape[2]
-
-    def eval(self, e, xi):
-        """Interpolated components at reference points xi of element e."""
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        return self.mesh.ref.basis_at(xi) @ self.coeffs[e]
-
     def value_range(self, exclude=()):
         """(min, max) of the quadrature values of the elements not in exclude, from
         one product; an element with a NaN value is skipped.  (inf, -inf) if none is left."""

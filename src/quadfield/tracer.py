@@ -37,7 +37,7 @@ BRANCH_COLLAPSE_TOL = 1e-6
 BOUNDARY_COINCIDE_TOL = 1e-3
 DEFAULT_N_MAX = 100_000
 DEFAULT_LENGTH_FACTOR = 60.0
-DEFAULT_KAPPA = 5.0
+DEFAULT_KAPPA = 1.0
 
 # AB4 weights of the last four directions, newest first
 _AB4_COEFFS = (55.0 / 24.0, -59.0 / 24.0, 37.0 / 24.0, -9.0 / 24.0)
@@ -369,13 +369,11 @@ def advance_all(streamlines, probe, h, domain=None, registry=None,
     return merged
 
 
-def trace_all(critical_points, corner_nodes, probe, domain, h, mode="normal",
-              kappa=DEFAULT_KAPPA, n_max=DEFAULT_N_MAX,
-              length_factor=DEFAULT_LENGTH_FACTOR):
-    """Trace every separatrix; raises LimitCycleError if any streamline spirals."""
-    if mode not in ("normal", "aggressive"):
-        raise TracingError(f"unknown merge mode {mode!r}")
-    threshold = h * (kappa if mode == "aggressive" else 1.0)
+def trace_all(critical_points, corner_nodes, probe, domain, h, kappa=DEFAULT_KAPPA,
+              n_max=DEFAULT_N_MAX, length_factor=DEFAULT_LENGTH_FACTOR):
+    """Trace every separatrix; fronts meet closer than kappa steps of length h.
+    Raises LimitCycleError if any streamline spirals."""
+    threshold = h * kappa
     registry = BoundaryAnchors([cn.corner for cn in corner_nodes], snap_radius=h)
     max_length = length_factor * domain.bbox_diag
 
@@ -421,16 +419,25 @@ def separatrices_to_json(separatrices):
              "points": np.asarray(s.points).tolist()} for s in separatrices]
 
 
-def separatrices_from_json(doc):
-    """Separatrices of a separatrices.json document."""
+def separatrices_from_json(doc, domain):
+    """Separatrices of a separatrices.json document of domain.  A boundary
+    anchor must lie, within 1e-6 bbox_diag, at its t in [0, 1] on its segment
+    of the domain, as a mesh's boundary face must."""
     def anchor(d):
         if d["kind"] not in ANCHOR_KINDS:
             raise ValueError(f"anchor kind {d['kind']!r} is not one of "
                              f"{', '.join(ANCHOR_KINDS)}")
-        return Anchor(d["kind"], typed(d["ident"], (int,), "ident"),
-                      as_points(d["position"], "position"),
-                      loop=typed(d["loop"], (int,), "loop"), seg=typed(d["seg"], (int,), "seg"),
-                      t=float(typed(d["t"], (int, float), "t")))
+        a = Anchor(d["kind"], typed(d["ident"], (int,), "ident"),
+                   as_points(d["position"], "position"),
+                   loop=typed(d["loop"], (int,), "loop"), seg=typed(d["seg"], (int,), "seg"),
+                   t=float(typed(d["t"], (int, float), "t")))
+        if a.kind == "boundary":
+            segs = domain.loops[a.loop].segments if 0 <= a.loop < len(domain.loops) else []
+            if not (0 <= a.seg < len(segs) and 0.0 <= a.t <= 1.0) or np.hypot(
+                    *(a.position - segs[a.seg].point(a.t))) > 1e-6 * domain.bbox_diag:
+                raise ValueError(f"boundary anchor {a.ident} is not on domain segment "
+                                 f"({a.loop}, {a.seg}) at t = {a.t!r}")
+        return a
     return [Separatrix(points=as_points(rec["points"], "points", polyline=True),
                        start=anchor(rec["start"]), end=anchor(rec["end"]))
             for rec in doc]

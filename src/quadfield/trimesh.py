@@ -129,9 +129,6 @@ class TriMesh:
         """Ids of the elements with a Jacobian determinant <= 0 at a quadrature point."""
         return np.flatnonzero(self.det_jacobians().min(axis=1) <= 0.0).tolist()
 
-    def area(self):
-        return float((self.det_jacobians() @ self.ref.quad_weights).sum())
-
     def circumradius(self, e):
         a, b, c = (self.vertices[int(v)] for v in self.triangles[e])
         la = np.hypot(*(b - c))

@@ -81,6 +81,15 @@ def l2_error(sol, fn, component=0):
     return math.sqrt(total)
 
 
+def block_area(block, n=24):
+    """Area of a QuadBlock: 2x2 Gauss per cell on an n x n grid of the parameter square."""
+    g = 0.5 / math.sqrt(3.0)
+    u = ((np.arange(n)[:, None] + [0.5 - g, 0.5 + g]) / n).ravel()
+    S, T = np.meshgrid(u, u, indexing="ij")
+    qs, qt = block._derivatives(S.ravel(), T.ravel())
+    return float(np.sum((qs[:, 0] * qt[:, 1] - qs[:, 1] * qt[:, 0]) / (4 * n * n)))
+
+
 def neighbors(mesh, e):
     """Element ids sharing an edge with element e, by its local edges 0, 1, 2."""
     out = []

@@ -1,6 +1,13 @@
-"""The solver's einsum gradients and stiffness, before reftri.map_jacobians."""
+"""The solver's einsum gradients and stiffness, before reftri.map_jacobians,
+and FieldSolution.eval, the direct evaluation probe values are checked against."""
 
 import numpy as np
+
+
+def solution_eval(solution, e, xi):
+    """Interpolated components at reference points xi of element e."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    return solution.mesh.ref.basis_at(xi) @ solution.coeffs[e]
 
 
 def einsum_physical_gradients(grad, geom):

@@ -206,11 +206,9 @@ def test_criterion_9_nautilus(half_disc_run, captured):
     assert len(cps) == 4
     assert all(cp.valence == 3 for cp in cps)
     h_s = 0.25 * state.mesh.shortest_edge()
-    seps_normal, sls_normal = trace_all(cps, cns, probe, domain, h_s,
-                                        mode="normal")
+    seps_normal, sls_normal = trace_all(cps, cns, probe, domain, h_s)
     assert all(sl.status in ("merged", "hit_boundary") for sl in sls_normal)
-    seps_aggr, sls_aggr = trace_all(cps, cns, probe, domain, h_s,
-                                    mode="aggressive", kappa=5.0)
+    seps_aggr, sls_aggr = trace_all(cps, cns, probe, domain, h_s, kappa=5.0)
     assert all(sl.status in ("merged", "hit_boundary") for sl in sls_aggr)
     assert len(seps_aggr) < len(seps_normal)
     elapsed = time.time() - start

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import block_area
 from quadfield import blockdecomp, polyline
 from quadfield.blockdecomp import (EdgeRec, MidpointDivider, PlanarSubdivision,
                                    VertexRec, build_subdivision, catmull_rom_densify,
@@ -377,7 +378,7 @@ def test_polygon_division_two_irregular_nodes(polygon_iii, captured):
     irregular = [k for k in sub.vertices if k[0] in ("critical", "artificial")]
     assert sorted(k[0] for k in irregular) == ["artificial", "critical"]
     blocks = build_blocks(sub, quads)
-    assert sum(b.area() for b in blocks) == pytest.approx(polygon_iii.area(),
+    assert sum(block_area(b) for b in blocks) == pytest.approx(polygon_iii.area(),
                                                           rel=2e-3)
 
 
@@ -526,14 +527,14 @@ def test_eval_grid_and_area_match_per_point_loop():
     for j, t in enumerate(tvals):
         assert grid[:, j, :].tobytes() == block.eval(svals, np.full(6, t)).tobytes()
     # the vectorized area sums its terms pairwise, the loop sequentially
-    assert block.area(n=8) == pytest.approx(_area_per_point(block, n=8), rel=1e-13)
+    assert block_area(block, n=8) == pytest.approx(_area_per_point(block, n=8), rel=1e-13)
 
 
 def test_coons_quarter_annulus_area():
     r1, r2 = 1.0, 2.0
     block = _quarter_annulus_block(r1, r2)
     exact = math.pi * (r2 ** 2 - r1 ** 2) / 4.0
-    assert block.area(n=48) == pytest.approx(exact, rel=1e-6)
+    assert block_area(block, n=48) == pytest.approx(exact, rel=1e-6)
     assert block.scaled_jacobians().min() > 0
 
 

@@ -453,7 +453,7 @@ def test_invalid_config_values(tmp_path):
     ({"order": False}, []),
     ({"target_h": "0.3"}, []),
     ({"scheme": "xx"}, []),
-    ({"merge_mode": "lazy"}, []),
+    ({"merge_mode": "normal"}, []),      # a removed key, now unknown
     ({"formats": "vtk,png"}, []),
     ({"formats": ["vtk"]}, []),
     ({"out": 5}, []),
@@ -467,7 +467,7 @@ def test_invalid_config_values(tmp_path):
     ({"kappa": NAN}, []),
     ({}, ["--penalty", "inf", "--scheme", "dg"]),     # was a singular factor, exit 1
     ({}, ["--target-h", "inf"]),
-    ({"kappa": 10**400, "merge_mode": "aggressive"}, []),  # was OverflowError, exit 1
+    ({"kappa": 10**400}, []),      # was OverflowError, exit 1
     ({"split": 10**400}, []),      # was ValueError from np.linspace at split, exit 1
     ({"order": 10**400}, []),      # was ValueError from the node count at mesh, exit 1
     ({"order": 16}, []),
@@ -522,8 +522,14 @@ def test_readme_flag_table_lists_every_option_flag():
     assert table == flags - {"-h", "--help", "--config"}
 
 
+# the flags of OPTIONS' keys, in order, as build_parser once read them from OPTIONS
+REFERENCE_FLAGS = ("--order", "--scheme", "--target-h", "--step-factor", "--kappa", "--split",
+                   "--penalty", "--n-max", "--length-factor", "--formats", "--out")
+
+
 def reference_build_parser():
-    """build_parser before the shared arguments moved into a parent parser."""
+    """build_parser before the shared arguments moved into a parent parser and
+    each flag was derived from its key."""
     parser = argparse.ArgumentParser(
         prog="quadfield",
         description="Curved quadrilateral block decomposition of 2D domains")
@@ -532,7 +538,8 @@ def reference_build_parser():
         p = sub.add_parser(cmd)
         p.add_argument("domain", help="domain JSON file")
         p.add_argument("--config", help="config JSON file")
-        for key, (flag, default, kinds, _, phrase) in OPTIONS.items():
+        for flag, (key, (default, kinds, _, phrase)) in zip(REFERENCE_FLAGS, OPTIONS.items(),
+                                                            strict=True):
             p.add_argument(flag, dest=key, type=kinds[-1],
                            help=f"{phrase} (default {default!r})")
     return parser
@@ -564,7 +571,7 @@ def test_parent_parser_gives_the_reference_help(monkeypatch, columns):
 @pytest.mark.parametrize("argv", [
     ["run", "dom.json"],
     ["mesh", "dom.json", "--order", "4", "--target-h", "0.12"],
-    ["trace", "dom.json", "--merge", "aggressive", "--kappa", "4.5", "--step-factor", "0.3",
+    ["trace", "dom.json", "--kappa", "4.5", "--step-factor", "0.3",
      "--n-max", "5000", "--length-factor", "30", "--config", "c.json"],
     ["cut", "--out", "o", "dom.json", "--split", "3", "--formats", "svg,msh"],
     ["split", "dom.json", "--scheme", "dg", "--penalty", "1e3", "--split", "-1"],
@@ -589,14 +596,58 @@ def test_parser_is_built_per_call():
 
 def test_flag_to_config_plumbing():
     args = build_parser().parse_args(
-        ["trace", "dom.json", "--merge", "aggressive", "--kappa", "4.5",
+        ["trace", "dom.json", "--kappa", "4.5",
          "--step-factor", "0.3", "--n-max", "5000", "--length-factor", "30"])
     config = resolve_config(args)
-    assert config["merge_mode"] == "aggressive"
     assert config["kappa"] == 4.5
     assert config["step_factor"] == 0.3
     assert config["n_max"] == 5000
     assert config["length_factor"] == 30.0
+
+
+def test_merge_option_is_gone(tmp_path, capsys):
+    """kappa is the one meeting threshold: --merge is a usage error and its
+    config key merge_mode an unknown key."""
+    with pytest.raises(SystemExit) as ex:
+        run_cli(["trace", HALF_DISC, "--merge", "aggressive"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --merge aggressive" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"merge_mode": "aggressive"}))
+    assert run_cli(["trace", HALF_DISC, "--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert "unknown config keys: ['merge_mode']" in capsys.readouterr().err
+
+
+def test_kappa_alone_sets_the_meeting_threshold(tmp_path):
+    """Fronts meet closer than kappa steps: on nautilus --kappa 5 merges two
+    more pairs than the default of one step, 11 separatrices against 13."""
+    flags = ["--out", tmp_path, "--order", "3", "--target-h", "0.5", "--split", "2"]
+    for stage in ("mesh", "solve", "topology"):
+        assert run_cli([stage, NAUTILUS] + flags) == 0
+    counts = []
+    for kappa in ([], ["--kappa", "5"]):
+        assert run_cli(["trace", NAUTILUS] + flags + kappa) == 0
+        counts.append(len(json.loads((tmp_path / "separatrices.json").read_text())))
+    assert counts == [13, 11]
+
+
+@pytest.mark.parametrize("key,value", [("seg", 99), ("seg", -1), ("loop", 5), ("t", 7.5),
+                                       ("position", [-0.7, 0.7])])
+def test_cut_refuses_a_boundary_anchor_off_the_domain(tmp_path, capsys, full_run, key, value):
+    """A boundary anchor must name a segment of the domain, a t in [0, 1] and
+    that point of the segment: else exit 2 naming separatrices.json (seg 99
+    was a raw IndexError, exit 1; the others exit 6, a crossing separatrix)."""
+    out = tmp_path / "x"
+    shutil.copytree(full_run, out)
+    path = out / "separatrices.json"
+    doc = json.loads(path.read_text())
+    assert doc[1]["end"]["kind"] == "boundary"
+    doc[1]["end"][key] = value
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["cut", HALF_DISC, "--out", out] + FAST) == 2
+    err = capsys.readouterr().err
+    assert "separatrices.json" in err and "rerun trace" in err
 
 
 def test_staged_solve_on_another_domains_mesh_refused(tmp_path, capsys):

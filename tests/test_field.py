@@ -9,6 +9,7 @@ from quadfield.field import OUTSIDE, AnalyticProbe, FieldProbe, adjust_branch, p
 from quadfield.geometry import boundary_field, tangent_angle
 from quadfield.reftri import VERTICES
 from quadfield.trimesh import TriMesh
+from reference.solver import solution_eval
 from reference.trimesh import _count_kernel_calls, _invert_map_scalar
 
 
@@ -134,7 +135,7 @@ def test_boundary_values_match_tangent_field(half_disc, half_disc_probe,
         # trace values at the edge nodes agree with the boundary data
         svals = ref.edge_node_params
         xi = ref.edge_points(f.ledge, svals)
-        uv = half_disc_solution.eval(f.elem, xi)
+        uv = solution_eval(half_disc_solution, f.elem, xi)
         tvals = f.t0 + 0.5 * (svals + 1.0) * (f.t1 - f.t0)
         for k, t in enumerate(tvals):
             ub, vb = boundary_field(tangent_angle(seg, min(max(t, 0.0), 1.0)))
@@ -213,8 +214,8 @@ def test_cg_continuity_across_edges(half_disc_mesh, half_disc_solution):
         (xi1,), _ = mesh.invert_map([e1], x)
         if xi1 is None:
             continue
-        v0 = half_disc_solution.eval(e0, xi0)[0]
-        v1 = half_disc_solution.eval(e1, xi1)[0]
+        v0 = solution_eval(half_disc_solution, e0, xi0)[0]
+        v1 = solution_eval(half_disc_solution, e1, xi1)[0]
         assert np.abs(v0 - v1).max() < 1e-9
         checked += 1
 
@@ -228,9 +229,9 @@ def test_analytic_probe_region():
 
 
 def _reference_eval_v(probe, x):
-    """The one-point (u, v): FieldSolution.eval at the located xi."""
+    """The one-point (u, v): solution_eval at the located xi."""
     loc = probe.locate(x)
-    return OUTSIDE if loc is OUTSIDE else probe.solution.eval(loc[0], loc[1])[0]
+    return OUTSIDE if loc is OUTSIDE else solution_eval(probe.solution, loc[0], loc[1])[0]
 
 
 def _reference_eval_psi(probe, x):

@@ -17,6 +17,7 @@ from quadfield.cli import main
 from quadfield.field import OUTSIDE, FieldProbe
 from quadfield.geometry import fixture_path
 from quadfield.trimesh import TriMesh
+from reference.solver import solution_eval
 
 
 def _bytes(xi):
@@ -85,13 +86,13 @@ def test_every_lane_of_a_full_run_matches_the_unfiltered_solve(tmp_path, monkeyp
                 mismatches += loc is OUTSIDE or loc[0] != hits[0] or \
                     loc[1].tobytes() != ref[i * ne + hits[0]].tobytes()
         # 5. each answer's basis row is the one-point row at its xi, and
-        # eval_v_many gives FieldSolution.eval there
+        # eval_v_many gives solution_eval there
         found = [(p, loc) for p, loc in zip(pts, answers) if loc is not OUTSIDE]
         located += len(found)
         mismatches += sum(row.tobytes() != mesh.ref.basis_rows(xi[None])[0][0].tobytes()
                           for _, (e, xi, row) in found)
         evals = probe.eval_v_many([p for p, _ in found])
-        mismatches += sum(uv.tobytes() != probe.solution.eval(e, xi)[0].tobytes()
+        mismatches += sum(uv.tobytes() != solution_eval(probe.solution, e, xi)[0].tobytes()
                           for uv, (_, (e, xi, _)) in zip(evals, found))
     assert mismatches == 0
     # 4. the audit covers many pairs, and the reach mask rejects most of them

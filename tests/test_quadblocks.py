@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import block_area
 from quadfield import polyline
 from quadfield.cli import main
 from quadfield.errors import DecompositionError
@@ -164,13 +165,13 @@ def _jacobian_bytes(blocks, svals=None, tvals=None):
 def test_one_eval_derivatives_give_the_four_eval_bytes(fixture_blocks, name):
     """scaled_jacobians on every block, on the default grid, on the sample
     points of a 3 x 3 split and at the parameter square's corners (the
-    clamped centres), and area."""
+    clamped centres), and block_area."""
     blocks = fixture_blocks[name]
     grids = [(None, None), ((np.arange(30) + 0.5) / 30, (np.arange(10) + 0.5) / 10),
              (np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0]))]
-    got = [_jacobian_bytes(blocks, *g) for g in grids] + [[b.area() for b in blocks]]
+    got = [_jacobian_bytes(blocks, *g) for g in grids] + [[block_area(b) for b in blocks]]
     with mock.patch.object(QuadBlock, "_derivatives", four_eval_derivatives):
-        want = [_jacobian_bytes(blocks, *g) for g in grids] + [[b.area() for b in blocks]]
+        want = [_jacobian_bytes(blocks, *g) for g in grids] + [[block_area(b) for b in blocks]]
     assert got == want
 
 

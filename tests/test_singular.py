@@ -21,6 +21,7 @@ from quadfield.singular import (ARC_ENDPOINT_GAP, ARC_SAMPLES, NEWTON_MAX_ITER,
 from quadfield.solver import DiscretizationChoice, FieldSolution
 from reference.reftri import in_reference
 from reference.singular import TOPOLOGY_RUNS
+from reference.solver import solution_eval
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -88,7 +89,7 @@ def newton_locate(e, solution):
     mesh = solution.mesh
     xi = BARYCENTER.copy()
     for _ in range(NEWTON_MAX_ITER):
-        val = solution.eval(e, xi)[0]
+        val = solution_eval(solution, e, xi)[0]
         vmag = math.hypot(val[0], val[1])
         if vmag < NEWTON_TOL:
             break
@@ -178,14 +179,14 @@ ROOT_RUNS = {("half_disc", 0.35, 3): 2, ("polygon_III", 0.35, 3): 1,
 @pytest.mark.parametrize("run", sorted(ROOT_RUNS), ids=lambda r: f"{r[0]}-{r[1]}-P{r[2]}")
 def test_fixture_roots_match_the_eval_and_map_forms(captured, run):
     """Each root's vmag and position, read from Newton's basis row, are bitwise
-    those of solution.eval and mesh.map_to_physical at its xi."""
+    those of solution_eval and mesh.map_to_physical at its xi."""
     name, h, order = run
     state = captured(name, target_h=h, order=order)
     mesh, sol = state.mesh, state.solution
     roots = interior_roots(sol)
     assert len(roots) == ROOT_RUNS[run]
     for cp in roots:
-        val = sol.eval(cp.elem, cp.xi)[0]
+        val = solution_eval(sol, cp.elem, cp.xi)[0]
         assert np.float64(cp.vmag).tobytes() == \
             np.float64(math.hypot(val[0], val[1])).tobytes()
         assert cp.position.tobytes() == mesh.map_to_physical(cp.elem, cp.xi)[0].tobytes()

@@ -154,7 +154,7 @@ def per_face_jump_norm(solution):
         uR = BR @ solution.coeffs[eR]
         jump = uL - uR
         per_edge.append(np.sqrt(np.einsum("p,pc->c", fL.wq, jump**2)))
-    return np.array(per_edge) if per_edge else np.zeros((0, solution.ncomp))
+    return np.array(per_edge) if per_edge else np.zeros((0, solution.coeffs.shape[2]))
 
 
 def per_element_corner_elements(mesh, domain, rings=2):

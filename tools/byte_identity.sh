@@ -25,7 +25,9 @@
 # full run on about 5,000 elements.  nautilus (with --formats svg,vtk,msh)
 # and holed_nautilus (with --formats svg,vtk) run once more, so the SVG, VTK
 # and MSH writers meet a field with four critical points and one with none,
-# and a run that ends at the cut.
+# and a run that ends at the cut.  nautilus runs once more with --kappa 5
+# (same flags otherwise), the one run whose fronts meet at more than one
+# step: it traces 11 separatrices instead of 13 and exits 6 at the cut.
 # polygon_III and nautilus (--order 3 --target-h 0.5 --split 2; 17
 # crossings at the cut) run once more as six stage commands (mesh, solve,
 # topology, trace, cut, split; same flags), so every artifact reader is
@@ -91,6 +93,7 @@ half_disc_default_h half_disc
 nautilus_fine_run nautilus --order 4 --target-h 0.06 --split 2
 nautilus_formats nautilus --order 3 --target-h 0.5 --split 2 --formats svg,vtk,msh
 holed_nautilus_formats holed_nautilus --target-h 0.35 --formats svg,vtk
+nautilus_kappa5 nautilus --order 3 --target-h 0.5 --split 2 --kappa 5
 FIXTURES
 }
 
